@@ -51,7 +51,8 @@ def mass_budget(model, theta, grid, atom_window, step):
     for s in grid:
         try:
             dens.append(float(np.trace(clark.ac_density(b, alpha, float(s))).real))
-        except Exception:
+        except (errors.ClarkSpectraError, np.linalg.LinAlgError,
+                ArithmeticError):
             dens.append(np.nan)   # grid point collided with an atom
     dens = np.asarray(dens)
     good = np.isfinite(dens)

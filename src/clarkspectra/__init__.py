@@ -20,10 +20,9 @@ from .livsic import (SchurFunction, gram_matrix, livsic_eval, livsic_function,
                      equivalent_under, conjugated_schur, transform_alpha)
 from .clark import (check_alpha, ac_density, ac_density_disk, point_mass,
                     nevanlinna, conjugation_check, MeasureReport)
-from .models import (Model, k1, k2, l1, l2, k1_livsic, k2_livsic, l1_livsic,
-                     l2_livsic, k1_density, k2_density, l1_atoms, l1_weight,
-                     ProductCheck, l1_nonneg_product_check, atom_scan,
-                     l2_atoms)
+from .models import (Model, k1, k2, l1, l2, k1_livsic, l1_livsic, k1_density,
+                     k2_density, l1_atoms, l1_weight, ProductCheck,
+                     l1_nonneg_product_check, atom_scan, l2_atoms)
 from .extensions import (QuasiDiffSpec, canonical_q0, canonical_c,
                          quasi_derivative, hat_vector, check_vector,
                          lagrange_bracket, BoundaryMatrices,
@@ -50,8 +49,8 @@ __all__ = [
     "equivalent_under", "conjugated_schur", "transform_alpha",
     "check_alpha", "ac_density", "ac_density_disk", "point_mass",
     "nevanlinna", "conjugation_check", "MeasureReport",
-    "Model", "k1", "k2", "l1", "l2", "k1_livsic", "k2_livsic", "l1_livsic",
-    "l2_livsic", "k1_density", "k2_density", "l1_atoms", "l1_weight",
+    "Model", "k1", "k2", "l1", "l2", "k1_livsic", "l1_livsic", "k1_density",
+    "k2_density", "l1_atoms", "l1_weight",
     "ProductCheck", "l1_nonneg_product_check", "atom_scan", "l2_atoms",
     "QuasiDiffSpec", "canonical_q0", "canonical_c", "quasi_derivative",
     "hat_vector", "check_vector", "lagrange_bracket", "BoundaryMatrices",

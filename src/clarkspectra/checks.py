@@ -131,16 +131,17 @@ def check_5(seed=0):
 
 
 def check_6(seed=0):
-    """K2 density: generic limit vs closed adjugate form, Hermitian and PSD."""
+    """K2 density: boundary-limit ladder vs direct boundary evaluation,
+    Hermitian and PSD."""
     rng = np.random.default_rng([seed, 6])
     b = livsic.livsic_function(models.k2())
     worst = 0.0
     for alpha in (random_unitary(2, rng) for _ in range(3)):
         for s in (0.3, 0.7, 1.5, 3.0, 7.0):
             gen = clark.ac_density(b, alpha, s, rtol=1e-10, atol=1e-13)
-            clo = models.k2_density(alpha, s)
-            worst = max(worst, float(np.max(np.abs(gen - clo))))
-            for mat, tag in ((gen, "generic"), (clo, "closed")):
+            direct = models.k2_density(alpha, s)
+            worst = max(worst, float(np.max(np.abs(gen - direct))))
+            for mat, tag in ((gen, "generic"), (direct, "direct")):
                 if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
                     return False, f"{tag} density not Hermitian at s = {s}"
                 if np.min(np.linalg.eigvalsh(mat)) < -1e-10:

@@ -41,7 +41,8 @@ def check_alpha(alpha, n, tol=1e-10):
     alpha = np.atleast_2d(np.asarray(alpha, dtype=complex))
     if alpha.shape != (n, n):
         raise DimensionError(f"perturbation parameter must be {n} x {n}, got {alpha.shape}")
-    if np.max(np.abs(alpha.conj().T @ alpha - np.eye(n))) > tol:
+    # "not <=" so that a NaN entry fails the test too
+    if not np.max(np.abs(alpha.conj().T @ alpha - np.eye(n))) <= tol:
         raise NonUnitaryError("perturbation parameter is not unitary")
     return alpha
 

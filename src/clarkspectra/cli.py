@@ -14,10 +14,8 @@ Matrices are JSON arrays of rows whose entries are numbers, strings in the
 scalar syntax, or {"re": .., "im": ..} objects. Values that start with a
 dash (negative grid endpoints, windows, index ranges) must be attached to
 their flag: --grid=-3:3:25. Numeric output uses 17 significant digits so
-values round-trip exactly through text.
-
-Set CLARK_SPECTRA_THREADS to a value above 1 to evaluate grid points on a
-thread pool; results keep grid order.
+values round-trip exactly through text. Non-finite numbers (nan, inf) are
+malformed input.
 """
 
 from __future__ import annotations
@@ -26,9 +24,7 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -48,24 +44,32 @@ def parse_complex(text):
     try:
         if "," in t:
             re_s, im_s = t.split(",", 1)
-            return complex(float(re_s), float(im_s))
-        if ":" in t:
+            z = complex(float(re_s), float(im_s))
+        elif ":" in t:
             mod_s, arg_s = t.split(":", 1)
-            return cmath.rect(float(mod_s), float(arg_s))
-        return complex(float(t), 0.0)
+            z = cmath.rect(float(mod_s), float(arg_s))
+        else:
+            z = complex(float(t), 0.0)
     except ValueError as exc:
         raise _ConfigError(
             f"cannot parse complex number {text!r}; use 're,im', 'mod:arg', "
             "or a bare real") from exc
+    if not cmath.isfinite(z):
+        raise _ConfigError(f"complex number {text!r} is not finite")
+    return z
 
 
 def _entry_to_complex(entry):
     if isinstance(entry, bool):
         raise _ConfigError(f"bad matrix entry {entry!r}")
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if isinstance(entry, dict) and set(entry) <= {"re", "im"}:
-        return complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+    try:
+        if isinstance(entry, (int, float)):
+            return complex(entry)
+        if isinstance(entry, dict) and set(entry) <= {"re", "im"}:
+            return complex(float(entry.get("re", 0.0)),
+                           float(entry.get("im", 0.0)))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _ConfigError(f"bad matrix entry {entry!r}") from exc
     if isinstance(entry, str):
         return parse_complex(entry)
     raise _ConfigError(f"bad matrix entry {entry!r}")
@@ -83,7 +87,10 @@ def parse_matrix(text):
     rows = [[_entry_to_complex(e) for e in row] for row in data]
     if len({len(r) for r in rows}) != 1:
         raise _ConfigError("matrix rows have unequal lengths")
-    return np.array(rows, dtype=complex)
+    mat = np.array(rows, dtype=complex)
+    if not np.all(np.isfinite(mat)):
+        raise _ConfigError("matrix entries must be finite")
+    return mat
 
 
 def _parse_alpha(text, rank):
@@ -105,6 +112,8 @@ def _parse_grid(text):
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise _ConfigError(f"cannot parse grid {text!r}") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise _ConfigError(f"grid endpoints must be finite, got {text!r}")
     if count < 1:
         raise _ConfigError("grid count must be at least 1")
     return np.linspace(start, stop, count)
@@ -118,8 +127,8 @@ def _parse_window(text):
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise _ConfigError(f"cannot parse window {text!r}") from exc
-    if not lo < hi:
-        raise _ConfigError("window needs lo < hi")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise _ConfigError("window needs finite lo < hi")
     return lo, hi
 
 
@@ -146,20 +155,19 @@ def _make_model(name, a):
     return models.l2(a)
 
 
-def _thread_count():
-    raw = os.environ.get("CLARK_SPECTRA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _finite_float(text):
+    """argparse type for a finite float; argparse exits with code 2 otherwise."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
-def _pmap(fn, items):
-    workers = _thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _positive_float(text):
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
 
 
 def _g(x):
@@ -212,7 +220,7 @@ def cmd_density(args):
     clark.check_alpha(alpha, model.rank)
     grid = _parse_grid(args.grid)
     b = livsic.livsic_function(model)
-    vals = _pmap(lambda s: clark.ac_density(b, alpha, float(s)), list(grid))
+    vals = [clark.ac_density(b, alpha, float(s)) for s in grid]
     if args.format == "csv":
         lines = [_csv_header(model.rank, "s")]
         for s, mat in zip(grid, vals):
@@ -250,12 +258,10 @@ def cmd_atoms(args):
                                "(or --n-range lo..hi for l1)")
         window = _parse_window(args.window)
         b = livsic.livsic_function(model)
-        if args.step:
-            step = args.step
-        elif model.halfline:
-            step = 0.05   # no lattice floor on atom spacing here
-        else:
-            step = math.pi / (8.0 * model.a)
+        step = args.step
+        if step is None:
+            # no lattice floor on atom spacing on the half-line
+            step = 0.05 if model.halfline else math.pi / (8.0 * model.a)
         locs = models.atom_scan(b, alpha, window, step=step)
         weights = [float(np.trace(_mass_with_fallback(b, alpha, s)).real)
                    for s in locs]
@@ -276,8 +282,7 @@ def cmd_livsic(args):
         raise _ConfigError("--im must be nonnegative")
     grid = _parse_grid(args.grid)
     b = livsic.livsic_function(model)
-    vals = _pmap(lambda s: np.atleast_2d(b(complex(float(s), args.im))),
-                 list(grid))
+    vals = [np.atleast_2d(b(complex(float(s), args.im))) for s in grid]
     sig = [float(np.linalg.norm(v, 2)) for v in vals]
     if args.format == "csv":
         lines = [_csv_header(model.rank, "re_w", extra=("sigma_max",))]
@@ -387,7 +392,7 @@ def build_parser():
         sp.add_argument("--model", required=True,
                         choices=["k1", "k2", "l1", "l2"],
                         help="which operator family")
-        sp.add_argument("--a", type=float, default=1.0,
+        sp.add_argument("--a", type=_finite_float, default=1.0,
                         help="interval half-length for l1/l2 (ignored for "
                              "half-line models)")
         if need_alpha:
@@ -407,7 +412,7 @@ def build_parser():
     t.add_argument("--window", help="lo:hi scan window")
     t.add_argument("--n-range", dest="n_range",
                    help="lo..hi lattice indices (closed route, l1 only)")
-    t.add_argument("--step", type=float, default=None,
+    t.add_argument("--step", type=_positive_float, default=None,
                    help="scan step; atoms closer than two steps merge into "
                         "one bracket (default pi/(8a) on intervals, 0.05 on "
                         "the half-line)")
@@ -420,7 +425,7 @@ def build_parser():
     add_model(lv, need_alpha=False)
     lv.add_argument("--grid", required=True,
                     help="start:stop:count for the real part of w")
-    lv.add_argument("--im", type=float, default=1.0,
+    lv.add_argument("--im", type=_finite_float, default=1.0,
                     help="imaginary part of w (default 1.0)")
     lv.add_argument("--format", choices=["csv", "json"], default="csv")
     lv.set_defaults(func=cmd_livsic)
@@ -430,7 +435,7 @@ def build_parser():
                              "and back")
     bc.add_argument("--model", required=True,
                     choices=["k1", "k2", "l1", "l2"])
-    bc.add_argument("--a", type=float, default=1.0)
+    bc.add_argument("--a", type=_finite_float, default=1.0)
     bc.add_argument("--alpha", help="coupling to convert to a boundary "
                                     "condition")
     bc.add_argument("--b", help="k1 value coefficient")

@@ -10,8 +10,10 @@ L models live on the symmetric interval (-a, a):
 Each model knows its square-integrable characteristic rates (with the upper
 continuation onto the real axis) and its closed-form inner product, which is
 all the generic machinery needs. On top of that this module carries the
-closed-form characteristic functions, densities, atom lattices and weights
-used as independent cross-checks of the generic pipeline.
+rank-one closed-form characteristic functions and densities and the L1 atom
+lattice and weights, used as independent cross-checks of the generic
+pipeline, plus the K2 boundary density and the atom scan built on the
+generic characteristic function.
 """
 
 from __future__ import annotations
@@ -20,15 +22,15 @@ import cmath
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
+from .clark import _density_value
 from .cplane import principal_power
 from .defect import exp_inner_halfline, exp_inner_interval
-from .errors import (DomainError, NonUnitaryError, SingularError,
-                     ToleranceError)
-from .livsic import livsic_eval
+from .errors import (ClarkSpectraError, DomainError, NonUnitaryError,
+                     SingularError, ToleranceError)
+from .livsic import livsic_eval, livsic_function
 
 __all__ = [
     "Model",
@@ -37,9 +39,7 @@ __all__ = [
     "l1",
     "l2",
     "k1_livsic",
-    "k2_livsic",
     "l1_livsic",
-    "l2_livsic",
     "k1_density",
     "k2_density",
     "l1_atoms",
@@ -156,89 +156,6 @@ def l1_livsic(w, a):
     return math.exp(-2 * a) * (u * math.exp(2 * a) - 1) / (u * math.exp(-2 * a) - 1)
 
 
-def _gs2_coeffs(rates, pair):
-    """Coefficient matrix of the 2-vector Gram-Schmidt in closed form.
-
-    Column k holds the expansion of the k-th orthonormal vector over the two
-    bare exponentials. pair(mu, nu) is the inner product of exp(mu x) and
-    exp(nu x).
-    """
-    r1, r2 = rates
-    g11 = pair(r1, r1).real
-    g21 = pair(r2, r1)
-    g22 = pair(r2, r2).real
-    c1 = 1.0 / math.sqrt(g11)
-    # residual of e2 against u1 = c1 e1
-    proj = g21 * c1          # <e2, u1> with real c1
-    norm2 = g22 - abs(proj) ** 2
-    if norm2 <= 0:
-        raise SingularError("degenerate rate pair in closed-form orthonormalization")
-    c2 = 1.0 / math.sqrt(norm2)
-    return np.array([[c1, -proj * c1 * c2], [0.0, c2]], dtype=complex)
-
-
-@lru_cache(maxsize=None)
-def _k2_onb_constants():
-    pair = exp_inner_halfline
-    out = {}
-    for sign, z in (("+", 1j), ("-", -1j)):
-        rates = k2().raw_rates(z)
-        out[sign] = (rates, _gs2_coeffs(rates, pair))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _l2_onb_constants(a):
-    pair = lambda mu, nu: exp_inner_interval(mu, nu, a)
-    out = {}
-    for sign, z in (("+", 1j), ("-", -1j)):
-        rates = l2(a).raw_rates(z)
-        out[sign] = (rates, _gs2_coeffs(rates, pair))
-    return out
-
-
-def _rank2_closed_b(w, rho, constants, pair, det_tol=1e-14):
-    """gamma(w) A_+^{-1} A_- assembled from precomputed orthonormal-basis
-    constants and the explicit 2x2 adjugate."""
-    mats = {}
-    for sign in ("+", "-"):
-        rates, coeff = constants[sign]
-        a = np.empty((2, 2), dtype=complex)
-        for j in range(2):
-            for k in range(2):
-                a[j, k] = sum(coeff[m, k].conjugate() * pair(rho[j], rates[m])
-                              for m in range(2))
-        mats[sign] = a
-    ap, am = mats["+"], mats["-"]
-    det = ap[0, 0] * ap[1, 1] - ap[0, 1] * ap[1, 0]
-    scale = max(1.0, float(np.max(np.abs(ap)))) ** 2
-    if abs(det) < det_tol * scale:
-        raise SingularError(f"closed-form pairing matrix singular, |det| = {abs(det):.3e}")
-    adj = np.array([[ap[1, 1], -ap[0, 1]], [-ap[1, 0], ap[0, 0]]], dtype=complex)
-    gamma = (w - 1j) / (w + 1j)
-    return gamma * (adj @ am) / det
-
-
-def k2_livsic(w):
-    """Closed-form rank-two characteristic function of d^4/dx^4."""
-    w = complex(w)
-    if w.imag < 0:
-        raise DomainError("characteristic function lives on the closed upper half-plane")
-    rho = k2().raw_rates(w)
-    return _rank2_closed_b(w, rho, _k2_onb_constants(), exp_inner_halfline)
-
-
-def l2_livsic(w, a):
-    """Closed-form rank-two characteristic function of -d^2/dx^2 on (-a, a)."""
-    w = complex(w)
-    if w.imag < 0:
-        raise DomainError("characteristic function lives on the closed upper half-plane")
-    a = float(a)
-    rho = l2(a).raw_rates(w)
-    pair = lambda mu, nu: exp_inner_interval(mu, nu, a)
-    return _rank2_closed_b(w, rho, _l2_onb_constants(a), pair)
-
-
 # ---------------------------------------------------------------------------
 # closed-form densities
 # ---------------------------------------------------------------------------
@@ -282,12 +199,13 @@ def k1_density(alpha, s):
 
 
 def k2_density(alpha, s):
-    """AC density matrix of the K2 spectral measure at s, closed form.
+    """AC density matrix of the K2 spectral measure at s, by direct boundary
+    evaluation.
 
-    Boundary values of B enter directly (no limit ladder): with
-    M = alpha - B(s) and N = I - B(s)* B(s),
+    The boundary value B(s) of the generic characteristic function enters
+    the density sandwich directly (no limit ladder): with M = alpha - B(s),
 
-        rho(s) = adj(M)* N adj(M) / (pi (1 + s^2) |det M|^2).
+        rho(s) = (M*)^{-1} (I - B(s)* B(s)) M^{-1} / (pi (1 + s^2)).
 
     Zero matrix for s <= 0. SingularError when |det M| < 1e-12 (atom or
     embedded singularity).
@@ -298,14 +216,11 @@ def k2_density(alpha, s):
     s = float(s)
     if s <= 0:
         return np.zeros((2, 2))
-    b = k2_livsic(s)
-    m = alpha - b
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    b = livsic_eval(k2(), s)
+    det = np.linalg.det(alpha - b)
     if abs(det) < 1e-12:
         raise SingularError(f"alpha - B(s) singular at s = {s}, |det| = {abs(det):.3e}")
-    nmat = np.eye(2) - b.conj().T @ b
-    adj = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
-    out = adj.conj().T @ nmat @ adj / (abs(det) ** 2 * math.pi * (1.0 + s * s))
+    out = _density_value(b, alpha) / (math.pi * (1.0 + s * s))
     return 0.5 * (out + out.conj().T)
 
 
@@ -445,6 +360,12 @@ def _v_polish(fun, s, h):
     return s - delta
 
 
+# Upper limit on the atom-scan grid, so a wide window or a tiny step fails
+# with a typed error instead of exhausting memory. The scans the package
+# runs use at most about a thousand points.
+MAX_SCAN_POINTS = 10 ** 6
+
+
 def atom_scan(b, alpha, window, step, scan_tol=np.inf, keep_tol=1e-6,
               refine_tol=1e-10):
     """Locate atom candidates of the (B, alpha) measure inside window.
@@ -454,9 +375,10 @@ def atom_scan(b, alpha, window, step, scan_tol=np.inf, keep_tol=1e-6,
     sigma_min drops below keep_tol survive. The dips are narrow, so the
     coarse samples near an atom need not be small themselves; filtering
     happens after refinement. scan_tol optionally prunes the refinement list
-    when the objective is known to stay small near atoms. Evaluation
-    failures count as +inf, which keeps the scan robust near degenerate
-    boundary points.
+    when the objective is known to stay small near atoms. Numerical
+    evaluation failures (package errors, LAPACK failures, overflow) count as
+    +inf, which keeps the scan robust near degenerate boundary points; any
+    other exception propagates.
 
     Each golden minimum gets one V-fit polish: sigma_min vanishes linearly
     at an atom, and the golden bracket alone leaves an offset around 1e-11
@@ -469,7 +391,9 @@ def atom_scan(b, alpha, window, step, scan_tol=np.inf, keep_tol=1e-6,
     lattices have spacing pi/a (first order) or at least on the order of
     (pi/2a)^2 (second order), so pi/(8a) is comfortable there; the
     half-line families have no such floor and need a step chosen for the
-    coupling at hand.
+    coupling at hand. DomainError for a step that is not finite and
+    positive, and, before anything is allocated, for a grid of more than
+    MAX_SCAN_POINTS points.
     """
     alpha = np.atleast_2d(np.asarray(alpha, dtype=complex))
     n = alpha.shape[0]
@@ -479,13 +403,20 @@ def atom_scan(b, alpha, window, step, scan_tol=np.inf, keep_tol=1e-6,
         try:
             bv = np.atleast_2d(b(s))
             return float(np.linalg.svd(eye - bv @ alpha.conj().T, compute_uv=False)[-1])
-        except Exception:
+        except (ClarkSpectraError, np.linalg.LinAlgError, ArithmeticError):
             return np.inf
 
     lo, hi = float(window[0]), float(window[1])
-    if hi <= lo:
-        raise DomainError(f"empty scan window {window!r}")
-    count = max(int(math.ceil((hi - lo) / step)) + 1, 8)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise DomainError(f"scan window must be finite with lo < hi, got {window!r}")
+    step = float(step)
+    if not (math.isfinite(step) and step > 0):
+        raise DomainError(f"scan step must be finite and positive, got {step!r}")
+    cells = (hi - lo) / step
+    if not cells <= MAX_SCAN_POINTS - 1:
+        raise DomainError(f"scan of {window!r} at step {step!r} exceeds the "
+                          f"limit of {MAX_SCAN_POINTS} grid points")
+    count = max(int(math.ceil(cells)) + 1, 8)
     grid = np.linspace(lo, hi, count)
     vals = np.array([objective(s) for s in grid])
     found = []
@@ -508,12 +439,12 @@ def atom_scan(b, alpha, window, step, scan_tol=np.inf, keep_tol=1e-6,
 
 
 def l2_atoms(alpha, a, window):
-    """Atoms of the L2 measure in the window, via the closed-form B scan.
+    """Atoms of the L2 measure in the window, via a scan of the generic B.
 
     The eigenvalues of the interval problem are spaced at least on the order
     of (pi/(2a))^2 apart, so a grid step of pi/(8a) brackets each one
     individually for every window that matters in practice.
     """
     a = float(a)
-    return atom_scan(lambda s: l2_livsic(s, a), alpha, window,
+    return atom_scan(livsic_function(l2(a)), alpha, window,
                      step=math.pi / (8 * a))

@@ -22,6 +22,8 @@ def b_l1():
 def test_check_alpha_guards():
     with pytest.raises(NonUnitaryError):
         clark.check_alpha([[0.5]], 1)
+    with pytest.raises(NonUnitaryError):
+        clark.check_alpha([[np.nan]], 1)
     with pytest.raises(DimensionError):
         clark.check_alpha(np.eye(2), 1)
     out = clark.check_alpha(1j * np.eye(2), 2)

@@ -206,6 +206,15 @@ def test_verify_single_criterion(capsys):
     assert lines[-1] == "1/1 criteria passed"
 
 
+def exit_code(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:   # argparse rejected a flag value itself
+        code = exc.code
+    capsys.readouterr()
+    return code
+
+
 def test_error_exit_codes(capsys):
     code, _, err = run_cli(capsys, [
         "density", "--model", "k1", "--alpha", "half", "--grid", "0:1:2"])
@@ -219,17 +228,30 @@ def test_error_exit_codes(capsys):
     code, _, err = run_cli(capsys, [
         "density", "--model", "l2", "--alpha", "1", "--grid", "1:2:2"])
     assert code == 2 and "2x2" in err
-
-
-def test_thread_pool_output_identical(capsys, monkeypatch):
-    argv = ["density", "--model", "k1", "--alpha", "0,1", "--grid", "0.5:4:8"]
-    monkeypatch.delenv("CLARK_SPECTRA_THREADS", raising=False)
-    code, serial, _ = run_cli(capsys, argv)
-    assert code == 0
-    monkeypatch.setenv("CLARK_SPECTRA_THREADS", "3")
-    code, pooled, _ = run_cli(capsys, argv)
-    assert code == 0
-    assert pooled == serial
+    # non-finite or out-of-range numbers are malformed input, not a
+    # numerical refusal
+    k1_atoms = ["atoms", "--model", "k1", "--alpha", "-1", "--window=-1:-0.1"]
+    for argv in (
+            ["density", "--model", "k1", "--alpha", "-1", "--grid", "nan:1:3"],
+            ["density", "--model", "k1", "--alpha", "-1", "--grid", "0.5:inf:3"],
+            ["livsic", "--model", "k1", "--grid", "0:1:3", "--im", "nan"],
+            ["density", "--model", "l1", "--a", "nan", "--alpha", "1",
+             "--grid", "0:1:3"],
+            ["density", "--model", "k1", "--alpha", "nan", "--grid", "0:1:3"],
+            ["density", "--model", "k2", "--alpha", "[[NaN, 0], [0, 1]]",
+             "--grid", "0:1:3"],
+            ["density", "--model", "k2", "--alpha", '[[{"re": "x"}, 0], [0, 1]]',
+             "--grid", "0:1:3"],
+            k1_atoms + ["--step", "nan"],
+            k1_atoms + ["--step", "0"],
+            k1_atoms + ["--step=-1"],
+            ["atoms", "--model", "k1", "--alpha", "-1", "--window=-inf:0"],
+            ["bcmap", "--model", "l1", "--a", "nan", "--beta", "1"]):
+        assert exit_code(capsys, argv) == 2, argv
+    # a finite window too wide for the scan grid is a typed refusal
+    code, _, err = run_cli(capsys, [
+        "atoms", "--model", "k1", "--alpha", "-1", "--window=-1e9:0"])
+    assert code == 1 and "DomainError" in err
 
 
 def test_module_invocation_subprocess():

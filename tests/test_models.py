@@ -223,6 +223,30 @@ def test_atom_scan_empty_window_and_bad_input():
     with pytest.raises(DomainError):
         models.atom_scan(b, [[1.0]], (2.0, 1.0), step=0.1)
 
+    # a grid of 2e10 points (about 150 GiB) or a bad step is refused before
+    # any allocation or B evaluation
+    def never(s):
+        raise AssertionError("B evaluated")
+
+    with pytest.raises(DomainError):
+        models.atom_scan(never, [[-1.0]], (-1e9, 0.0), step=0.05)
+    for step in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            models.atom_scan(never, [[1.0]], (0.0, 1.0), step=step)
+
+
+def test_atom_scan_failure_policy():
+    def typo(s):
+        raise TypeError("programming error")
+
+    with pytest.raises(TypeError):
+        models.atom_scan(typo, [[1.0]], (0.0, 1.0), step=0.1)
+
+    def overflow(s):
+        raise OverflowError("math range error")
+
+    assert models.atom_scan(overflow, [[1.0]], (0.0, 1.0), step=0.1) == []
+
 
 def test_l2_atoms_dirichlet_lattice():
     from clarkspectra import extensions

@@ -172,7 +172,7 @@ def check_7(seed=0):
             atoms = models.l2_atoms(alpha, a, window)[:5]
             if len(atoms) < 5:
                 return False, f"{label} a={a:.3f}: only {len(atoms)} atoms found"
-            fd = oracle.l2_eigenvalues_fd(bm, a, window, grid_points=400)
+            fd = oracle.l2_eigenvalues_fd(bm, a, window, grid_points=1600)
             merged = []
             for v in fd:
                 if merged and abs(v - merged[-1]) < 1e-4 * (1.0 + abs(v)):
@@ -182,7 +182,7 @@ def check_7(seed=0):
             for s in atoms:
                 err = min(abs(s - v) for v in merged)
                 worst = max(worst, err)
-                if err > 1e-3:
+                if err > 1e-5:
                     return False, (f"{label} a={a:.3f}: atom {s:.6f} off the "
                                    f"oracle by {err:.2e}")
     return True, f"max atom-vs-oracle deviation {worst:.2e}"

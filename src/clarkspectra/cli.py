@@ -116,6 +116,9 @@ def _parse_grid(text):
         raise _ConfigError(f"grid endpoints must be finite, got {text!r}")
     if count < 1:
         raise _ConfigError("grid count must be at least 1")
+    if count > models.MAX_SCAN_POINTS:
+        raise _ConfigError(f"grid count {count} exceeds the limit of "
+                           f"{models.MAX_SCAN_POINTS} points")
     return np.linspace(start, stop, count)
 
 

@@ -360,9 +360,10 @@ def _v_polish(fun, s, h):
     return s - delta
 
 
-# Upper limit on the atom-scan grid, so a wide window or a tiny step fails
-# with a typed error instead of exhausting memory. The scans the package
-# runs use at most about a thousand points.
+# Upper limit on the atom-scan grid and on the command line's --grid count,
+# so a wide window, a tiny step or a huge count fails with a typed error
+# instead of exhausting memory. The scans the package runs use at most
+# about a thousand points.
 MAX_SCAN_POINTS = 10 ** 6
 
 

@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, linalg
 
 from .defect import HalfLine, Interval
-from .errors import DomainError, RankError, ToleranceError
+from .errors import ConvergenceError, DomainError, RankError, ToleranceError
 
 __all__ = [
     "QuadratureSpec",
@@ -43,6 +42,8 @@ class QuadratureSpec:
 
 
 def _quad_complex(fun, lo, hi, spec):
+    from scipy import integrate
+
     re, re_err = integrate.quad(lambda x: fun(x).real, lo, hi,
                                 epsabs=spec.abs_tol * 0.1,
                                 epsrel=spec.rel_tol * 0.1, limit=200)
@@ -105,40 +106,98 @@ def l1_eigenvalues_direct(beta, a, n_range):
 
 
 def _fd_pencil(bm, a, npts):
-    """Second-order pencil for -y'' = s y with the bm boundary rows."""
+    """Second-order pencil for -y'' = s y with the bm boundary rows.
+
+    Returns sparse CSC matrices (A, B): the three-point stencil on the
+    interior rows of A and B = I there; rows 0 and npts - 1 of A hold the
+    two boundary conditions and those rows of B are zero.
+    """
+    from scipy import sparse
+
     h = 2.0 * a / (npts - 1)
-    amat = np.zeros((npts, npts), dtype=complex)
-    bmat = np.zeros((npts, npts), dtype=complex)
-    for i in range(1, npts - 1):
-        amat[i, i - 1] = amat[i, i + 1] = -1.0 / h ** 2
-        amat[i, i] = 2.0 / h ** 2
-        bmat[i, i] = 1.0
+    main = np.full(npts, 2.0 / h ** 2)
+    lower = np.full(npts - 1, -1.0 / h ** 2)
+    upper = lower.copy()
+    main[[0, -1]] = lower[-1] = upper[0] = 0.0
+    stencil = sparse.diags([lower, main, upper], [-1, 0, 1], dtype=complex)
     # one-sided second-order endpoint derivatives
     dl = np.zeros(npts, dtype=complex)
     dl[0], dl[1], dl[2] = -3.0 / (2 * h), 4.0 / (2 * h), -1.0 / (2 * h)
     dr = np.zeros(npts, dtype=complex)
     dr[-1], dr[-2], dr[-3] = 3.0 / (2 * h), -4.0 / (2 * h), 1.0 / (2 * h)
-    for row, slot in ((0, 0), (1, npts - 1)):
-        vec = np.zeros(npts, dtype=complex)
-        vec[0] += bm.beta_a[row, 0]
-        vec += bm.beta_a[row, 1] * dl
-        vec[-1] += bm.beta_b[row, 0]
-        vec += bm.beta_b[row, 1] * dr
-        amat[slot] = vec
-        bmat[slot] = 0.0
+    edge = np.zeros((2, npts), dtype=complex)
+    for row in (0, 1):
+        edge[row, 0] += bm.beta_a[row, 0]
+        edge[row] += bm.beta_a[row, 1] * dl
+        edge[row, -1] += bm.beta_b[row, 0]
+        edge[row] += bm.beta_b[row, 1] * dr
+    rows, cols = np.nonzero(edge)
+    slots = np.array([0, npts - 1])[rows]
+    boundary = sparse.csc_matrix((edge[rows, cols], (slots, cols)),
+                                 shape=(npts, npts))
+    amat = (stencil + boundary).tocsc()
+    bdiag = np.ones(npts, dtype=complex)
+    bdiag[[0, -1]] = 0.0
+    bmat = sparse.diags(bdiag, format="csc")
     return amat, bmat
 
 
+def _shift_lu(amat, bmat, sigma, nudge):
+    """Sparse LU of A - sigma B; one retry at sigma + nudge when the first
+    factor is exactly singular (sigma on an eigenvalue)."""
+    from scipy.sparse.linalg import splu
+
+    for shift in (sigma, sigma + nudge):
+        try:
+            return shift, splu((amat - shift * bmat).tocsc())
+        except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
+            if "singular" not in str(exc):
+                raise
+    raise ConvergenceError(f"A - sigma B is singular at sigma = {sigma:.6g} "
+                           f"and at sigma = {sigma + nudge:.6g}")
+
+
 def _fd_raw(bm, a, npts, window):
+    """Real pencil eigenvalues in window, by shift-invert Arnoldi.
+
+    ARPACK finds the k largest mu of (A - sigma B)^-1 B, i.e. the k
+    eigenvalues lambda = sigma + 1/mu nearest sigma (mu = 0 are the two
+    infinite ones). k doubles until the farthest one found lies beyond
+    both window edges, so none in the window is missed.
+    """
+    from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
+                                     eigs)
+
     amat, bmat = _fd_pencil(bm, a, npts)
-    vals = linalg.eig(amat, bmat, right=False)
+    lo, hi = window
+    sigma, lu = _shift_lu(amat, bmat, 0.5 * (lo + hi),
+                          1e-2 * max(hi - lo, 1.0))
+    reach = max(hi - sigma, sigma - lo)
+    op = LinearOperator((npts, npts), matvec=lambda x: lu.solve(bmat @ x),
+                        dtype=complex)
+    # fixed seed, so results repeat exactly; a random start, unlike all
+    # ones, has a component along the antisymmetric modes too
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(npts) + 1j * rng.standard_normal(npts)
+    k = min(16, npts - 2)
+    while True:
+        try:
+            mu = eigs(op, k, which="LM", v0=v0, return_eigenvectors=False)
+        except ArpackNoConvergence as exc:
+            raise ConvergenceError(
+                f"ARPACK did not converge for k = {k} on {npts} nodes") from exc
+        mu = mu[mu != 0]
+        vals = sigma + 1.0 / mu
+        if len(mu) < k or k == npts - 2 or np.max(np.abs(vals - sigma)) > reach:
+            break
+        k = min(2 * k, npts - 2)
     out = []
     for v in vals:
         if not np.isfinite(v):
             continue
         if abs(v.imag) > 1e-6 * max(1.0, abs(v.real)):
             continue
-        if window[0] <= v.real <= window[1]:
+        if lo <= v.real <= hi:
             out.append(v.real)
     return sorted(out)
 
@@ -166,7 +225,8 @@ def l2_eigenvalues_fd(bm, a, window, grid_points=300):
     (exact mesh halving) and Richardson-extrapolates matched eigenvalues,
     (4 v_fine - v_coarse)/3. Multiple eigenvalues appear with multiplicity.
     RankError when bm fails the self-adjointness validation; grid_points
-    must be at least 200 for the error model to hold.
+    must be at least 200 for the error model to hold. ConvergenceError when
+    the sparse shift-invert eigen-solve fails.
     """
     from .extensions import validate_sa_matrices
 

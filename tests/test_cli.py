@@ -234,6 +234,8 @@ def test_error_exit_codes(capsys):
     for argv in (
             ["density", "--model", "k1", "--alpha", "-1", "--grid", "nan:1:3"],
             ["density", "--model", "k1", "--alpha", "-1", "--grid", "0.5:inf:3"],
+            ["density", "--model", "k1", "--alpha", "-1",
+             "--grid", "0:1:1000000000"],
             ["livsic", "--model", "k1", "--grid", "0:1:3", "--im", "nan"],
             ["density", "--model", "l1", "--a", "nan", "--alpha", "1",
              "--grid", "0:1:3"],
@@ -252,6 +254,17 @@ def test_error_exit_codes(capsys):
     code, _, err = run_cli(capsys, [
         "atoms", "--model", "k1", "--alpha", "-1", "--window=-1e9:0"])
     assert code == 1 and "DomainError" in err
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported only when an oracle routine runs
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, clarkspectra, clarkspectra.cli; "
+         "print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_module_invocation_subprocess():

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from scipy import linalg
 
 from clarkspectra import extensions, models, oracle
+from clarkspectra.cplane import random_unitary
 from clarkspectra.defect import ExpSum, HalfLine, Interval, expsum_inner
-from clarkspectra.errors import DomainError, RankError, ToleranceError
+from clarkspectra.errors import (ConvergenceError, DomainError, RankError,
+                                 ToleranceError)
 
 DIRICHLET = extensions.BoundaryMatrices([[1, 0], [0, 0]], [[0, 0], [1, 0]])
 PERIODIC = extensions.BoundaryMatrices(np.eye(2), -np.eye(2))
@@ -98,6 +102,71 @@ def test_fd_periodic_doubles():
     assert vals[2] == pytest.approx(pi2, rel=1e-2)
     assert vals[3] == pytest.approx(4 * pi2, rel=1e-2)
     assert vals[4] == pytest.approx(4 * pi2, rel=1e-2)
+
+
+def _dense_fd(bm, a, npts, window):
+    """Reference: every eigenvalue of the densified pencil by QZ, under the
+    filters _fd_raw applies."""
+    amat, bmat = oracle._fd_pencil(bm, a, npts)
+    vals = linalg.eig(amat.toarray(), bmat.toarray(), right=False)
+    return sorted(v.real for v in vals
+                  if np.isfinite(v)
+                  and abs(v.imag) <= 1e-6 * max(1.0, abs(v.real))
+                  and window[0] <= v.real <= window[1])
+
+
+FD_BCS = {"dirichlet": DIRICHLET, "periodic": PERIODIC}
+FD_BCS.update(
+    (f"random{seed}", extensions.bc_from_alpha_regular(
+        models.l2(1.0), random_unitary(2, np.random.default_rng([seed, 4]))))
+    for seed in range(3))
+
+
+@pytest.mark.parametrize("label", list(FD_BCS))
+@pytest.mark.parametrize("window", [(-5.0, 50.0), (-5.0, 2000.0),
+                                    (-200.0, 20000.0)])
+def test_fd_sparse_matches_dense(label, window):
+    # the two wider windows hold 28-29 and 100 eigenvalues, past the
+    # initial 16 of the shift-invert solve
+    bm = FD_BCS[label]
+    sparse_vals = oracle._fd_raw(bm, 1.0, 200, window)
+    dense_vals = _dense_fd(bm, 1.0, 200, window)
+    assert len(sparse_vals) == len(dense_vals)
+    for s, d in zip(sparse_vals, dense_vals):
+        assert abs(s - d) <= 1e-9 * max(1.0, abs(d))
+
+
+def test_fd_arpack_failure_is_typed(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
+    with pytest.raises(ConvergenceError):
+        oracle.l2_eigenvalues_fd(DIRICHLET, 1.0, (0.5, 25.0), grid_points=200)
+
+
+def test_fd_singular_shift_moved_once(monkeypatch):
+    real_splu = scipy.sparse.linalg.splu
+    calls = []
+
+    def singular_first(mat):
+        calls.append(mat)
+        if len(calls) == 1:
+            raise RuntimeError("Factor is exactly singular")
+        return real_splu(mat)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular_first)
+    vals = oracle._fd_raw(DIRICHLET, 1.0, 200, (0.5, 25.0))
+    assert len(calls) == 2
+    assert vals == pytest.approx(_dense_fd(DIRICHLET, 1.0, 200, (0.5, 25.0)),
+                                 rel=1e-9)
+
+    def always_singular(mat):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", always_singular)
+    with pytest.raises(ConvergenceError):
+        oracle._fd_raw(DIRICHLET, 1.0, 200, (0.5, 25.0))
 
 
 def test_fd_guards():

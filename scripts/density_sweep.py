@@ -60,12 +60,7 @@ def mass_budget(model, theta, grid, atom_window, step):
     atoms = models.atom_scan(b, alpha, atom_window, step=step)
     atom_part = 0.0
     for s in atoms:
-        try:
-            mass = clark.point_mass(b, alpha, s)
-        except errors.ConvergenceError:
-            # shallow atoms near the continuum edge stall the strict
-            # ladder; six digits is all the float noise supports there
-            mass = clark.point_mass(b, alpha, s, rtol=1e-6)
+        mass = clark.point_mass_with_retry(b, alpha, s)
         atom_part += math.pi * (1.0 + s * s) * float(np.trace(mass).real)
     return ac_part, len(atoms), atom_part
 

@@ -10,25 +10,22 @@ classical boundary conditions and the unitary coupling parameter.
 from .errors import (ClarkSpectraError, ConvergenceError, DimensionError,
                      DivergenceError, DomainError, NonUnitaryError, RankError,
                      SingularError, ToleranceError, UnsupportedError)
-from .cplane import (cayley, inv_cayley, principal_power, nt_limit,
-                     radial_limit, is_unitary, is_contraction, is_c_symmetric,
+from .cplane import (cayley, principal_power, nt_limit, is_unitary,
                      random_unitary)
-from .defect import (HalfLine, Interval, ExpSum, DefectBasis,
-                     exp_inner_halfline, exp_inner_interval, expsum_inner,
-                     defect_basis, orthonormalize)
+from .defect import (HalfLine, Interval, ExpSum, exp_inner_halfline,
+                     exp_inner_interval, expsum_inner, defect_basis,
+                     orthonormalize, defect_onb)
 from .livsic import (SchurFunction, gram_matrix, livsic_eval, livsic_function,
-                     equivalent_under, conjugated_schur, transform_alpha)
-from .clark import (check_alpha, ac_density, ac_density_disk, point_mass,
-                    nevanlinna, conjugation_check, MeasureReport)
+                     conjugated_schur, transform_alpha)
+from .clark import (check_alpha, ac_density, point_mass,
+                    point_mass_with_retry, conjugation_check)
 from .models import (Model, k1, k2, l1, l2, k1_livsic, l1_livsic, k1_density,
-                     k2_density, l1_atoms, l1_weight, ProductCheck,
-                     l1_nonneg_product_check, atom_scan, l2_atoms)
-from .extensions import (QuasiDiffSpec, canonical_q0, canonical_c,
-                         quasi_derivative, hat_vector, check_vector,
-                         lagrange_bracket, BoundaryMatrices,
-                         validate_sa_matrices, alpha_from_bc_k1,
-                         bc_from_alpha_k1, alpha_from_bc_l1, bc_from_alpha_l1,
-                         alpha_from_bc_regular, bc_from_alpha_regular,
+                     k2_density, l1_atoms, l1_weight, atom_scan, l2_atoms)
+from .extensions import (canonical_c, hat_vector, lagrange_bracket,
+                         BoundaryMatrices, validate_sa_matrices,
+                         alpha_from_bc_k1, bc_from_alpha_k1, alpha_from_bc_l1,
+                         bc_from_alpha_l1, alpha_from_bc_regular,
+                         bc_from_alpha_regular,
                          alpha_from_bc_singular_template)
 from .oracle import (QuadratureSpec, quad_inner, l1_eigenvalues_direct,
                      l2_eigenvalues_fd, fd_observed_order,
@@ -41,19 +38,17 @@ __all__ = [
     "ClarkSpectraError", "ConvergenceError", "DimensionError",
     "DivergenceError", "DomainError", "NonUnitaryError", "RankError",
     "SingularError", "ToleranceError", "UnsupportedError",
-    "cayley", "inv_cayley", "principal_power", "nt_limit", "radial_limit",
-    "is_unitary", "is_contraction", "is_c_symmetric", "random_unitary",
-    "HalfLine", "Interval", "ExpSum", "DefectBasis", "exp_inner_halfline",
+    "cayley", "principal_power", "nt_limit", "is_unitary", "random_unitary",
+    "HalfLine", "Interval", "ExpSum", "exp_inner_halfline",
     "exp_inner_interval", "expsum_inner", "defect_basis", "orthonormalize",
+    "defect_onb",
     "SchurFunction", "gram_matrix", "livsic_eval", "livsic_function",
-    "equivalent_under", "conjugated_schur", "transform_alpha",
-    "check_alpha", "ac_density", "ac_density_disk", "point_mass",
-    "nevanlinna", "conjugation_check", "MeasureReport",
+    "conjugated_schur", "transform_alpha",
+    "check_alpha", "ac_density", "point_mass", "point_mass_with_retry",
+    "conjugation_check",
     "Model", "k1", "k2", "l1", "l2", "k1_livsic", "l1_livsic", "k1_density",
-    "k2_density", "l1_atoms", "l1_weight",
-    "ProductCheck", "l1_nonneg_product_check", "atom_scan", "l2_atoms",
-    "QuasiDiffSpec", "canonical_q0", "canonical_c", "quasi_derivative",
-    "hat_vector", "check_vector", "lagrange_bracket", "BoundaryMatrices",
+    "k2_density", "l1_atoms", "l1_weight", "atom_scan", "l2_atoms",
+    "canonical_c", "hat_vector", "lagrange_bracket", "BoundaryMatrices",
     "validate_sa_matrices", "alpha_from_bc_k1", "bc_from_alpha_k1",
     "alpha_from_bc_l1", "bc_from_alpha_l1", "alpha_from_bc_regular",
     "bc_from_alpha_regular", "alpha_from_bc_singular_template",

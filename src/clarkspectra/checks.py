@@ -17,7 +17,7 @@ import numpy as np
 
 from . import clark, extensions, livsic, models, oracle
 from .cplane import random_unitary
-from .defect import ExpSum, HalfLine, Interval, defect_basis, orthonormalize
+from .defect import ExpSum, HalfLine, Interval, defect_onb
 
 __all__ = ["CheckResult", "run_all", "ALL_CHECKS"]
 
@@ -236,8 +236,7 @@ def check_10(seed=0):
     worst = 0.0
     for model in (models.k1(), models.k2(), models.l1(1.0), models.l2(1.0)):
         domain = HalfLine() if model.halfline else Interval(model.a)
-        onb = {sign: orthonormalize(defect_basis(model, z)).functions
-               for sign, z in (("+", 1j), ("-", -1j))}
+        onb = {sign: defect_onb(model, sign) for sign in ("+", "-")}
         for _ in range(20):
             w = complex(rng.uniform(-5, 5), rng.uniform(0.1, 3.0))
             raw = [ExpSum(((1.0, r),), domain) for r in model.raw_rates(w)]

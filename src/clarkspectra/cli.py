@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import checks, clark, extensions, livsic, models
-from .errors import ClarkSpectraError, ConvergenceError
+from .errors import ClarkSpectraError
 
 __all__ = ["main", "build_parser", "parse_complex", "parse_matrix"]
 
@@ -235,17 +235,6 @@ def cmd_density(args):
     return 0
 
 
-def _mass_with_fallback(b, alpha, s):
-    """Point mass at s, retried at reduced tolerance when the strict ladder
-    stalls. Small atoms close to the continuum edge sit below the ladder's
-    float-noise floor at the default budget; six relative digits is what the
-    noise supports there and is plenty for tabulation."""
-    try:
-        return clark.point_mass(b, alpha, s)
-    except ConvergenceError:
-        return clark.point_mass(b, alpha, s, rtol=1e-6)
-
-
 def cmd_atoms(args):
     model = _make_model(args.model, args.a)
     alpha = _parse_alpha(args.alpha, model.rank)
@@ -266,7 +255,7 @@ def cmd_atoms(args):
             # no lattice floor on atom spacing on the half-line
             step = 0.05 if model.halfline else math.pi / (8.0 * model.a)
         locs = models.atom_scan(b, alpha, window, step=step)
-        weights = [float(np.trace(_mass_with_fallback(b, alpha, s)).real)
+        weights = [float(np.trace(clark.point_mass_with_retry(b, alpha, s)).real)
                    for s in locs]
     if args.format == "csv":
         lines = ["s,weight"]

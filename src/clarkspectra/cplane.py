@@ -1,11 +1,12 @@
-"""Half-plane/disk transport, principal branches, boundary limits, matrix predicates.
+"""Cayley transform, principal branches, boundary limits, unitary matrices.
 
 The conformal map used throughout is gamma(w) = (w - i)/(w + i), which sends
-the open upper half-plane onto the open unit disk with gamma(i) = 0. Boundary
-values of analytic matrix functions are taken along vertical ladders
-w_k = s + i eps_0 2^{-k} and accelerated by Richardson extrapolation in
-half-integer powers of eps, which covers both analytic boundary behaviour and
-the sqrt-type behaviour coming off a branch cut.
+the open upper half-plane onto the open unit disk with gamma(i) = 0; it is
+the prefactor of every characteristic function. Boundary values of analytic
+matrix functions are taken along vertical ladders w_k = s + i eps_0 2^{-k}
+and accelerated by Richardson extrapolation in half-integer powers of eps,
+which covers both analytic boundary behaviour and the sqrt-type behaviour
+coming off a branch cut.
 """
 
 from __future__ import annotations
@@ -14,17 +15,13 @@ import cmath
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, DomainError, SingularError
+from .errors import ConvergenceError, DimensionError, DomainError
 
 __all__ = [
     "cayley",
-    "inv_cayley",
     "principal_power",
     "nt_limit",
-    "radial_limit",
     "is_unitary",
-    "is_contraction",
-    "is_c_symmetric",
     "random_unitary",
 ]
 
@@ -44,14 +41,6 @@ def cayley(w):
     return (w - 1j) / (w + 1j)
 
 
-def inv_cayley(zeta):
-    """Inverse of :func:`cayley`, zeta -> i(1+zeta)/(1-zeta)."""
-    zeta = _finite(zeta)
-    if zeta == 1.0:
-        raise DomainError("inverse cayley transform has a pole at zeta = 1")
-    return 1j * (1 + zeta) / (1 - zeta)
-
-
 def principal_power(w, p):
     """Principal branch of w**p, with a signed-zero guard on the cut.
 
@@ -69,99 +58,62 @@ def principal_power(w, p):
     return w ** p
 
 
-def _ladder_limit(g, eps0, levels, rtol, atol, max_cols, full_output):
-    """Richardson-extrapolate g(eps) -> lim_{eps->0+} g along eps0 * 2^-k.
+# Ladder geometry: eps_k = _EPS0 2^{-k} for k = 0.._LEVELS, and at most
+# _MAX_COLS columns in the Richardson table.
+_EPS0 = 2.0 ** -4
+_LEVELS = 30
+_MAX_COLS = 12
 
-    Assumes an expansion in powers eps^(m/2), m = 1, 2, 3, ..., so the
-    elimination ratios are beta_m = 2^(-m/2). Stops once the last two
-    diagonal entries agree to atol + rtol * ||value||.
 
-    The absolute floor matters: limits that are exactly zero (densities off
-    the essential spectrum) never satisfy a purely relative test.
+def nt_limit(f, s, rtol=1e-8, atol=1e-12, full_output=False):
+    """Non-tangential boundary limit of f at the real point s.
+
+    Realized as the vertical approach w_k = s + i eps_k, eps_k = _EPS0 2^{-k},
+    which lies inside every Stolz angle, and Richardson-extrapolated in the
+    powers eps^(m/2), m = 1, 2, 3, ..., so the elimination ratios are
+    beta_m = 2^(-m/2). Stops once the last two diagonal entries agree to
+    atol + rtol * ||value||. The absolute floor matters: limits that are
+    exactly zero (densities off the essential spectrum) never satisfy a
+    purely relative test.
+
+    f maps a complex point to a scalar or ndarray. With full_output=True
+    returns (value, error_estimate, levels_used). Raises ConvergenceError
+    when the ladder is exhausted before the diagonal settles.
     """
+    s = float(s)
     prev_row = None
-    best = None
     best_err = np.inf
-    for k in range(levels + 1):
-        val = np.asarray(g(eps0 * 2.0 ** (-k)), dtype=complex)
+    for k in range(_LEVELS + 1):
+        eps = _EPS0 * 2.0 ** (-k)
+        val = np.asarray(f(s + 1j * eps), dtype=complex)
         if not np.all(np.isfinite(val)):
             raise ConvergenceError(
-                f"ladder evaluation returned a non-finite value at eps = {eps0 * 2.0 ** (-k):.3e}"
+                f"ladder evaluation returned a non-finite value at eps = {eps:.3e}"
             )
         row = [val]
         if prev_row is not None:
-            width = min(len(prev_row), max_cols - 1)
+            width = min(len(prev_row), _MAX_COLS - 1)
             for m in range(1, width + 1):
                 beta = 2.0 ** (-m / 2.0)
                 row.append((row[m - 1] - beta * prev_row[m - 1]) / (1.0 - beta))
             err = float(np.max(np.abs(row[-1] - row[-2])))
-            if err < best_err:
-                best_err = err
-                best = row[-1]
+            best_err = min(best_err, err)
             tol = atol + rtol * float(np.max(np.abs(row[-1])))
             if err <= tol:
                 out = row[-1] if row[-1].ndim else complex(row[-1])
                 return (out, err, k) if full_output else out
         prev_row = row
     raise ConvergenceError(
-        f"boundary limit did not settle within {levels} ladder levels "
+        f"boundary limit did not settle within {_LEVELS} ladder levels "
         f"(best residual {best_err:.3e})"
     )
 
 
-def nt_limit(f, s, eps0=2.0 ** -4, levels=30, rtol=1e-8, atol=1e-12,
-             max_cols=12, full_output=False):
-    """Non-tangential boundary limit of f at the real point s.
-
-    Realized as the vertical approach w_k = s + i eps_k, eps_k = eps0 2^{-k},
-    which lies inside every Stolz angle. f maps a complex point to a scalar
-    or ndarray. With full_output=True returns (value, error_estimate,
-    levels_used). Raises ConvergenceError when the ladder is exhausted before
-    the diagonal settles.
-    """
-    s = float(s)
-    return _ladder_limit(lambda eps: f(s + 1j * eps), eps0, levels, rtol,
-                         atol, max_cols, full_output)
-
-
-def radial_limit(f, lam, eps0=2.0 ** -4, levels=30, rtol=1e-8, atol=1e-12,
-                 max_cols=12, full_output=False):
-    """Radial boundary limit of a disk function at the unimodular point lam,
-    along zeta_k = (1 - eps_k) lam. Same extrapolation scheme as nt_limit."""
-    lam = complex(lam)
-    if abs(abs(lam) - 1.0) > 1e-12:
-        raise DomainError(f"radial limit target must be unimodular, |lam| = {abs(lam):.6f}")
-    return _ladder_limit(lambda eps: f((1.0 - eps) * lam), eps0, levels, rtol,
-                         atol, max_cols, full_output)
-
-
-def _square(m, name="matrix"):
+def is_unitary(m, tol=1e-10):
     m = np.atleast_2d(np.asarray(m, dtype=complex))
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {m.shape}")
-    return m
-
-
-def is_unitary(m, tol=1e-10):
-    m = _square(m)
+        raise DimensionError(f"matrix must be square, got shape {m.shape}")
     return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol)
-
-
-def is_contraction(m, tol=1e-10):
-    """True when the largest singular value is at most 1 + tol."""
-    m = _square(m)
-    return bool(np.linalg.norm(m, 2) <= 1.0 + tol)
-
-
-def is_c_symmetric(m, c, tol=1e-10):
-    """True when M = -C^{-1} M* C, i.e. ||M + C^{-1} M* C|| <= tol."""
-    m = _square(m, "M")
-    c = _square(c, "C")
-    if m.shape != c.shape:
-        raise DimensionError(f"M and C shapes differ: {m.shape} vs {c.shape}")
-    if abs(np.linalg.det(c)) < 1e-14 * max(1.0, np.linalg.norm(c) ** c.shape[0]):
-        raise SingularError("C matrix is not invertible")
-    return bool(np.linalg.norm(m + np.linalg.solve(c, m.conj().T @ c), 2) <= tol)
 
 
 def random_unitary(n, rng):

@@ -10,21 +10,22 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError, DomainError, RankError
+from .errors import DivergenceError, DomainError, RankError
 
 __all__ = [
     "HalfLine",
     "Interval",
     "ExpSum",
-    "DefectBasis",
     "exp_inner_halfline",
     "exp_inner_interval",
     "expsum_inner",
     "defect_basis",
     "orthonormalize",
+    "defect_onb",
 ]
 
 
@@ -147,26 +148,9 @@ def expsum_inner(f, g):
     return total
 
 
-@dataclass(frozen=True)
-class DefectBasis:
-    """Deficiency-space basis for a model at a fixed spectral point.
-
-    sign is '+' for points in the upper half-plane and '-' below; onb records
-    whether the functions have been Gram-Schmidt orthonormalized.
-    """
-
-    model: object
-    sign: str
-    functions: tuple
-    onb: bool = False
-
-    @property
-    def rank(self):
-        return len(self.functions)
-
-
 def defect_basis(model, w):
-    """Raw (unnormalized) deficiency basis of the model at w, Im w != 0.
+    """Raw (unnormalized) deficiency basis of the model at w, Im w != 0, as a
+    tuple of ExpSum.
 
     The rates are the model's canonical square-integrable characteristic
     roots; each basis element is the bare exponential exp(r x).
@@ -175,27 +159,29 @@ def defect_basis(model, w):
     if w.imag == 0:
         raise DomainError("deficiency spaces are attached to non-real points")
     domain = HalfLine() if model.halfline else Interval(model.a)
-    funcs = tuple(ExpSum(((1.0, r),), domain) for r in model.raw_rates(w))
-    return DefectBasis(model=model, sign="+" if w.imag > 0 else "-", functions=funcs)
+    return tuple(ExpSum(((1.0, r),), domain) for r in model.raw_rates(w))
 
 
-def orthonormalize(basis, cond_limit=1e12):
-    """Classical Gram-Schmidt on a DefectBasis, using the closed-form inner
-    products. Leading coefficients come out positive real because each
+# Gram condition number above which a defect basis counts as degenerate
+_COND_LIMIT = 1e12
+
+
+def orthonormalize(funcs):
+    """Classical Gram-Schmidt on a tuple of ExpSum, using the closed-form
+    inner products. Leading coefficients come out positive real because each
     normalization divides by a positive norm.
 
     Raises RankError when the Gram matrix of the input is numerically rank
-    deficient (condition number above cond_limit).
+    deficient (condition number above _COND_LIMIT).
     """
-    funcs = basis.functions
     k = len(funcs)
     gram = np.empty((k, k), dtype=complex)
     for i in range(k):
         for j in range(k):
             gram[i, j] = expsum_inner(funcs[i], funcs[j])
-    if np.linalg.cond(gram) > cond_limit:
+    if np.linalg.cond(gram) > _COND_LIMIT:
         raise RankError(
-            f"defect basis is numerically degenerate (Gram condition > {cond_limit:.1e})"
+            f"defect basis is numerically degenerate (Gram condition > {_COND_LIMIT:.1e})"
         )
     out = []
     for j in range(k):
@@ -206,5 +192,11 @@ def orthonormalize(basis, cond_limit=1e12):
         if norm2 <= 0:
             raise RankError("Gram-Schmidt hit a non-positive norm")
         out.append(v.scale(1.0 / np.sqrt(norm2)))
-    return DefectBasis(model=basis.model, sign=basis.sign,
-                       functions=tuple(out), onb=True)
+    return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def defect_onb(model, sign):
+    """Orthonormalized defect basis of the model at sign * i, sign '+' or
+    '-'; computed once per model and sign."""
+    return orthonormalize(defect_basis(model, 1j if sign == "+" else -1j))

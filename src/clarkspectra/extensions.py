@@ -1,9 +1,10 @@
-"""Quasi-derivatives, Lagrange brackets, and the boundary-condition maps.
+"""Boundary vectors, the Lagrange bracket, and the boundary-condition maps.
 
 Self-adjoint extensions of the symmetric models are parameterized two ways:
-by boundary matrices (beta_a | beta_b) acting on quasi-derivative vectors at
-the endpoints, and by a unitary n x n matrix alpha pairing the defect bases
-at -i and +i. The maps between the two run through the extension generators
+by boundary matrices (beta_a | beta_b) acting on the derivative vectors
+(f, f', ..., f^(n-1)) at the endpoints, and by a unitary n x n matrix alpha
+pairing the defect bases at -i and +i. The maps between the two run through
+the extension generators
 
     g_i = -phi_i(+i) + sum_j alpha_ij phi_j(-i),
 
@@ -18,17 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defect import defect_basis, orthonormalize
+from .defect import defect_onb
 from .errors import (DimensionError, DomainError, NonUnitaryError, RankError,
                      UnsupportedError)
 
 __all__ = [
-    "QuasiDiffSpec",
-    "canonical_q0",
     "canonical_c",
-    "quasi_derivative",
     "hat_vector",
-    "check_vector",
     "lagrange_bracket",
     "BoundaryMatrices",
     "validate_sa_matrices",
@@ -45,50 +42,6 @@ _E14 = np.exp(1j * math.pi / 4)
 _E34 = np.exp(3j * math.pi / 4)
 
 
-@dataclass(frozen=True)
-class QuasiDiffSpec:
-    """Coefficient table of a quasi-derivative stack of order n.
-
-    q is the n x n coefficient matrix with the Z_n shape: entries above the
-    superdiagonal vanish, the superdiagonal is nonvanishing, and the implied
-    entry q_{n, n+1} = 1 closes the stack. The r-th quasi-derivative is
-
-        f^[0] = f,
-        f^[r] = (1/q_{r,r+1}) ( (f^[r-1])' - sum_{s<=r} q_{r,s} f^[s-1] ).
-    """
-
-    n: int
-    q: tuple
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=complex)
-        if q.shape != (self.n, self.n):
-            raise DimensionError(f"coefficient table must be {self.n} x {self.n}, got {q.shape}")
-        for i in range(self.n):
-            for j in range(self.n):
-                if j > i + 1 and q[i, j] != 0:
-                    raise DomainError("entries above the superdiagonal must vanish")
-                if j == i + 1 and q[i, j] == 0:
-                    raise DomainError("superdiagonal entries must be nonzero")
-        object.__setattr__(self, "q", tuple(map(tuple, q)))
-
-    def qmat(self):
-        return np.asarray(self.q, dtype=complex)
-
-    def super_entry(self, r):
-        """q_{r, r+1} with the closing convention q_{n, n+1} = 1 (1-based r)."""
-        return 1.0 + 0.0j if r == self.n else complex(self.q[r - 1][r])
-
-
-def canonical_q0(n):
-    """The trivial table: superdiagonal ones, zeros elsewhere, so that the
-    quasi-derivatives are the ordinary derivatives."""
-    q = np.zeros((n, n), dtype=complex)
-    for i in range(n - 1):
-        q[i, i + 1] = 1.0
-    return QuasiDiffSpec(n=n, q=tuple(map(tuple, q)))
-
-
 def canonical_c(n):
     """Antidiagonal bracket matrix C_{k,l} = (-1)^{l+1} delta_{k, n+1-l}."""
     c = np.zeros((n, n), dtype=complex)
@@ -97,50 +50,35 @@ def canonical_c(n):
     return c
 
 
-def quasi_derivative(f, spec, r):
-    """The r-th quasi-derivative of an exponential sum, 0 <= r <= n."""
-    if not 0 <= r <= spec.n:
-        raise DomainError(f"quasi-derivative order {r} outside 0..{spec.n}")
-    qm = spec.qmat()
-    stack = [f]
-    for k in range(1, r + 1):
-        v = stack[k - 1].derivative()
-        for s in range(1, k + 1):
-            coeff = qm[k - 1, s - 1]
-            if coeff != 0:
-                v = v - stack[s - 1].scale(coeff)
-        stack.append(v.scale(1.0 / spec.super_entry(k)))
-    return stack[r]
+def _derivatives(f, n):
+    """f, f', ..., f^(n-1), each the derivative of the one before."""
+    out = [f]
+    for _ in range(n - 1):
+        out.append(out[-1].derivative())
+    return out
 
 
-def hat_vector(f, spec, x):
-    """(f^[0](x), ..., f^[n-1](x)) as a complex n-vector."""
-    return np.array([quasi_derivative(f, spec, r)(x) for r in range(spec.n)],
-                    dtype=complex)
+def hat_vector(f, n, x):
+    """(f(x), f'(x), ..., f^(n-1)(x)) as a complex n-vector."""
+    return np.array([d(x) for d in _derivatives(f, n)], dtype=complex)
 
 
-def check_vector(f, spec, x):
-    """conj(C hat(f)(x)): the boundary vector of the conjugated element."""
-    return np.conj(canonical_c(spec.n) @ hat_vector(f, spec, x))
-
-
-def lagrange_bracket(f, g, x, spec):
-    """Sesquilinear boundary form [f, g](x) of an even-order expression:
+def lagrange_bracket(f, g, x, n):
+    """Sesquilinear boundary form [f, g](x) of the order-n expression
+    (i d/dx)^n:
 
         (-1)^{n/2} sum_{r=0}^{n-1} (-1)^{n+1-r}
-            conj(g^[n-r-1](x)) f^[r](x).
+            conj(g^(n-r-1)(x)) f^(r)(x).
 
     UnsupportedError for odd n (the alternating form above pairs the
-    quasi-derivatives only when n is even).
+    derivatives only when n is even).
     """
-    n = spec.n
     if n % 2:
         raise UnsupportedError("boundary form implemented for even order only")
+    fd, gd = _derivatives(f, n), _derivatives(g, n)
     total = 0.0 + 0.0j
     for r in range(n):
-        total += ((-1.0) ** (n + 1 - r)
-                  * np.conj(quasi_derivative(g, spec, n - r - 1)(x))
-                  * quasi_derivative(f, spec, r)(x))
+        total += (-1.0) ** (n + 1 - r) * np.conj(gd[n - r - 1](x)) * fd[r](x)
     return (-1.0) ** (n // 2) * total
 
 
@@ -259,10 +197,6 @@ def bc_from_alpha_l1(alpha, a):
 # generic maps through the extension generators
 # ---------------------------------------------------------------------------
 
-def _onb_functions(model, z):
-    return orthonormalize(defect_basis(model, z)).functions
-
-
 def _solve_alpha_system(nmat, pmat, rank_tol=1e-12, unitary_tol=1e-8):
     sv = np.linalg.svd(nmat, compute_uv=False)
     if sv[-1] < rank_tol * max(sv[0], 1.0):
@@ -282,10 +216,9 @@ def alpha_from_bc_regular(model, bm):
     if model.halfline:
         raise DomainError("regular map applies to interval models")
     n = model.order
-    spec = canonical_q0(n)
     a = model.a
-    minus = _onb_functions(model, -1j)
-    plus = _onb_functions(model, 1j)
+    minus = defect_onb(model, "-")
+    plus = defect_onb(model, "+")
     if len(minus) != n:
         raise DimensionError(
             f"model deficiency {len(minus)} does not match expression order {n}"
@@ -293,10 +226,10 @@ def alpha_from_bc_regular(model, bm):
     nmat = np.empty((n, n), dtype=complex)
     pmat = np.empty((n, n), dtype=complex)
     for j in range(n):
-        nmat[:, j] = (bm.beta_a @ hat_vector(minus[j], spec, -a)
-                      + bm.beta_b @ hat_vector(minus[j], spec, a))
-        pmat[:, j] = (bm.beta_a @ hat_vector(plus[j], spec, -a)
-                      + bm.beta_b @ hat_vector(plus[j], spec, a))
+        nmat[:, j] = (bm.beta_a @ hat_vector(minus[j], n, -a)
+                      + bm.beta_b @ hat_vector(minus[j], n, a))
+        pmat[:, j] = (bm.beta_a @ hat_vector(plus[j], n, -a)
+                      + bm.beta_b @ hat_vector(plus[j], n, a))
     return _solve_alpha_system(nmat, pmat)
 
 
@@ -316,17 +249,16 @@ def bc_from_alpha_regular(model, alpha):
         raise DimensionError(f"parameter must be {n} x {n}, got {alpha.shape}")
     if np.max(np.abs(alpha.conj().T @ alpha - np.eye(n))) > 1e-8:
         raise NonUnitaryError("parameter must be unitary")
-    spec = canonical_q0(n)
     a = model.a
-    minus = _onb_functions(model, -1j)
-    plus = _onb_functions(model, 1j)
+    minus = defect_onb(model, "-")
+    plus = defect_onb(model, "+")
     gmat = np.empty((n, 2 * n), dtype=complex)
     for i in range(n):
         g = plus[i].scale(-1.0)
         for j in range(n):
             g = g + minus[j].scale(alpha[i, j])
-        gmat[i, :n] = hat_vector(g, spec, -a)
-        gmat[i, n:] = hat_vector(g, spec, a)
+        gmat[i, :n] = hat_vector(g, n, -a)
+        gmat[i, n:] = hat_vector(g, n, a)
     u, sv, vh = np.linalg.svd(gmat)
     rank = int(np.sum(sv > 1e-10 * max(sv[0], 1.0)))
     if rank != n:
@@ -339,43 +271,28 @@ def bc_from_alpha_regular(model, alpha):
     return BoundaryMatrices(beta_a=out[:, :n], beta_b=out[:, n:])
 
 
-def alpha_from_bc_singular_template(model, bm, bracket_data=None, e=None):
+def alpha_from_bc_singular_template(model, bm):
     """Template for singular-endpoint boundary conditions on the half-line.
 
-    bm.beta_a (shape n x order) acts on the ordinary-derivative hat vector
-    at the regular endpoint 0. When the singular endpoint contributes,
-    bracket_data = (bracket_plus, bracket_minus) holds the boundary-form
-    values [phi_j(+-i), u_k] against a chosen bracket basis u_k (each n x m)
-    and e (n x m, defaulting to bm.beta_b) weighs them into the conditions.
-    With empty bracket data the system decouples to the regular-endpoint
-    block, which for the rank-one model reproduces alpha_from_bc_k1.
+    bm.beta_a (shape n x order) acts on the derivative hat vector at the
+    regular endpoint 0. Without boundary-form data from the singular
+    endpoint the system decouples to this regular-endpoint block, which for
+    the rank-one model reproduces alpha_from_bc_k1 by an independent route.
     """
     if not model.halfline:
         raise DomainError("singular template applies to half-line models")
     n = model.rank
     order = model.order
-    spec = canonical_q0(order)
     beta_a = np.atleast_2d(np.asarray(bm.beta_a, dtype=complex))
     if beta_a.shape != (n, order):
         raise DimensionError(
             f"regular-endpoint block must be {n} x {order}, got {beta_a.shape}"
         )
-    minus = _onb_functions(model, -1j)
-    plus = _onb_functions(model, 1j)
+    minus = defect_onb(model, "-")
+    plus = defect_onb(model, "+")
     nmat = np.empty((n, n), dtype=complex)
     pmat = np.empty((n, n), dtype=complex)
     for j in range(n):
-        nmat[:, j] = beta_a @ hat_vector(minus[j], spec, 0.0)
-        pmat[:, j] = beta_a @ hat_vector(plus[j], spec, 0.0)
-    if bracket_data is not None:
-        bracket_plus, bracket_minus = bracket_data
-        bracket_plus = np.atleast_2d(np.asarray(bracket_plus, dtype=complex))
-        bracket_minus = np.atleast_2d(np.asarray(bracket_minus, dtype=complex))
-        weights = bm.beta_b if e is None else e
-        weights = np.atleast_2d(np.asarray(weights, dtype=complex))
-        if weights.shape[0] != n or bracket_plus.shape != (n, weights.shape[1]):
-            raise DimensionError("bracket data and weight shapes are inconsistent")
-        for j in range(n):
-            nmat[:, j] += np.conj(weights) @ bracket_minus[j]
-            pmat[:, j] += np.conj(weights) @ bracket_plus[j]
+        nmat[:, j] = beta_a @ hat_vector(minus[j], order, 0.0)
+        pmat[:, j] = beta_a @ hat_vector(plus[j], order, 0.0)
     return _solve_alpha_system(nmat, pmat)

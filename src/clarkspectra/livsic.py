@@ -13,13 +13,12 @@ boundary, so B extends continuously to R minus the branch points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cplane import cayley, is_unitary
-from .defect import defect_basis, orthonormalize
+from .defect import defect_onb
 from .errors import DimensionError, DomainError, NonUnitaryError, SingularError
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "gram_matrix",
     "livsic_eval",
     "livsic_function",
-    "equivalent_under",
     "conjugated_schur",
     "transform_alpha",
 ]
@@ -52,13 +50,6 @@ class SchurFunction:
         return self.fn(w)
 
 
-@lru_cache(maxsize=64)
-def _onb_terms(model, sign):
-    """Coefficient/rate pairs of the orthonormalized defect basis at sign*i."""
-    basis = orthonormalize(defect_basis(model, 1j if sign == "+" else -1j))
-    return tuple(f.terms for f in basis.functions)
-
-
 def gram_matrix(model, w, sign):
     """A(w, sign)[j, k] = <exp(rho_j(w) x), phi_k(sign * i)> in the model's L2.
 
@@ -69,12 +60,12 @@ def gram_matrix(model, w, sign):
         raise DomainError(f"sign must be '+' or '-', got {sign!r}")
     w = complex(w)
     rates = model.raw_rates(w)
-    onb = _onb_terms(model, sign)
+    onb = defect_onb(model, sign)
     n = len(rates)
     a = np.empty((n, n), dtype=complex)
     for j, rho in enumerate(rates):
-        for k, terms in enumerate(onb):
-            a[j, k] = sum(c.conjugate() * model.inner(rho, r) for c, r in terms)
+        for k, phi in enumerate(onb):
+            a[j, k] = sum(c.conjugate() * model.inner(rho, r) for c, r in phi.terms)
     return a
 
 
@@ -115,30 +106,6 @@ def livsic_function(model):
     """Package livsic_eval as a SchurFunction."""
     return SchurFunction(n=model.rank, fn=lambda w: livsic_eval(model, w),
                          label=model.name)
-
-
-def _check_pair(b1, b2, r, q):
-    r = np.atleast_2d(np.asarray(r, dtype=complex))
-    q = np.atleast_2d(np.asarray(q, dtype=complex))
-    if b1.n != b2.n:
-        raise DimensionError(f"rank mismatch: {b1.n} vs {b2.n}")
-    if r.shape != (b1.n, b1.n) or q.shape != (b1.n, b1.n):
-        raise DimensionError(
-            f"conjugating matrices must be {b1.n} x {b1.n}, got {r.shape} and {q.shape}"
-        )
-    if not (is_unitary(r) and is_unitary(q)):
-        raise NonUnitaryError("conjugating matrices must be unitary")
-    return r, q
-
-
-def equivalent_under(b1, b2, r, q, samples, tol=1e-8):
-    """True when B1(w) = R B2(w) Q holds at every sample point to tol."""
-    r, q = _check_pair(b1, b2, r, q)
-    for w in samples:
-        d = np.atleast_2d(b1(w)) - r @ np.atleast_2d(b2(w)) @ q
-        if np.max(np.abs(d)) > tol:
-            return False
-    return True
 
 
 def conjugated_schur(b, r, q):

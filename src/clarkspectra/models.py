@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +43,8 @@ __all__ = [
     "k2_density",
     "l1_atoms",
     "l1_weight",
-    "l1_nonneg_product_check",
     "l2_atoms",
     "atom_scan",
-    "ProductCheck",
 ]
 
 
@@ -228,15 +225,9 @@ def k2_density(alpha, s):
 # L1 atoms and weights
 # ---------------------------------------------------------------------------
 
-def _as_n_iter(n_range):
-    if isinstance(n_range, tuple) and len(n_range) == 2:
-        lo, hi = int(n_range[0]), int(n_range[1])
-        return range(lo, hi + 1)
-    return [int(n) for n in n_range]
-
-
 def l1_atoms(alpha, a, n_range):
-    """Atom locations of the L1 measure: s_n = s_0 + n pi / a.
+    """Atom locations of the L1 measure: s_n = s_0 + n pi / a for n in the
+    closed index range n_range = (lo, hi).
 
     The base point solves B(s) conj(alpha) = 1. Writing alpha = e^{i theta},
     i tanh(a) (conj(alpha)+1)/(conj(alpha)-1) = -tanh(a) cot(theta/2) is real
@@ -262,7 +253,8 @@ def l1_atoms(alpha, a, n_range):
     if resid > 1e-6:
         raise ToleranceError(
             f"atom equation residual {resid:.3e} at base point s_0 = {s0!r}")
-    return sorted(s0 + n * math.pi / a for n in _as_n_iter(n_range))
+    lo, hi = n_range
+    return sorted(s0 + n * math.pi / a for n in range(int(lo), int(hi) + 1))
 
 
 def l1_weight(alpha, a, s, tol=1e-8):
@@ -290,48 +282,30 @@ def l1_weight(alpha, a, s, tol=1e-8):
     )
 
 
-ProductCheck = namedtuple("ProductCheck", ["sign", "negative_factors", "value"])
-
-
-def l1_nonneg_product_check(alpha, a, s, big_k):
-    """Sign bookkeeping for the truncated product form of the L1 weight.
-
-    Uses sin(2sa) = 2sa prod_k (1 - (2sa/(k pi))^2) to write the generic
-    weight as -2s/(pi Im(alpha) (1+s^2)^2) times the product, truncated at
-    k = big_k. Requires Im(alpha) != 0 and big_k >= ceil(2|s|a/pi) so all
-    sign-carrying factors are present.
-    """
-    alpha = _unimodular_scalar(alpha)
-    if abs(alpha.imag) < 1e-14:
-        raise DomainError("product form needs a coupling with nonzero imaginary part")
-    a = float(a)
-    s = float(s)
-    needed = math.ceil(2 * abs(s) * a / math.pi)
-    if big_k < needed:
-        raise DomainError(f"truncation K = {big_k} below required {needed}")
-    x = 2 * s * a / math.pi
-    value = -2 * s / (math.pi * alpha.imag * (1.0 + s * s) ** 2)
-    negative = 0
-    for k in range(1, big_k + 1):
-        factor = 1.0 - (x / k) ** 2
-        if factor < 0:
-            negative += 1
-        value *= factor
-    sign = 0 if value == 0 else (1 if value > 0 else -1)
-    return ProductCheck(sign=sign, negative_factors=negative, value=value)
-
-
 # ---------------------------------------------------------------------------
 # generic atom scan (rank independent)
 # ---------------------------------------------------------------------------
 
-def _golden_min(fun, lo, hi, tol=1e-10):
-    """Golden-section minimizer; assumes a single interior minimum."""
+# Upper limit on the atom-scan grid and on the command line's --grid count,
+# so a wide window, a tiny step or a huge count fails with a typed error
+# instead of exhausting memory. The scans the package runs use at most
+# about a thousand points.
+MAX_SCAN_POINTS = 10 ** 6
+
+# Golden-section refinement stops at brackets of _REFINE_TOL, and a refined
+# minimum is kept as an atom when sigma_min there drops below _KEEP_TOL.
+_REFINE_TOL = 1e-10
+_KEEP_TOL = 1e-6
+
+
+def _golden_min(fun, lo, hi):
+    """Golden-section minimizer down to a bracket of _REFINE_TOL; assumes a
+    single interior minimum."""
     invphi = (math.sqrt(5.0) - 1) / 2
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
     fc, fd = fun(c), fun(d)
-    while hi - lo > tol:
+    while hi - lo > _REFINE_TOL:
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - invphi * (hi - lo)
@@ -360,26 +334,16 @@ def _v_polish(fun, s, h):
     return s - delta
 
 
-# Upper limit on the atom-scan grid and on the command line's --grid count,
-# so a wide window, a tiny step or a huge count fails with a typed error
-# instead of exhausting memory. The scans the package runs use at most
-# about a thousand points.
-MAX_SCAN_POINTS = 10 ** 6
-
-
-def atom_scan(b, alpha, window, step, scan_tol=np.inf, keep_tol=1e-6,
-              refine_tol=1e-10):
+def atom_scan(b, alpha, window, step):
     """Locate atom candidates of the (B, alpha) measure inside window.
 
     Scans sigma_min(I - B(s) alpha*) on a uniform grid and golden-refines
-    every local minimum (window edges included); only refined points whose
-    sigma_min drops below keep_tol survive. The dips are narrow, so the
-    coarse samples near an atom need not be small themselves; filtering
-    happens after refinement. scan_tol optionally prunes the refinement list
-    when the objective is known to stay small near atoms. Numerical
-    evaluation failures (package errors, LAPACK failures, overflow) count as
-    +inf, which keeps the scan robust near degenerate boundary points; any
-    other exception propagates.
+    every finite local minimum (window edges included); only refined points
+    whose sigma_min drops below _KEEP_TOL survive. The dips are narrow, so
+    the coarse samples near an atom need not be small themselves; filtering
+    happens after refinement. Numerical evaluation failures (package errors,
+    LAPACK failures, overflow) count as +inf, which keeps the scan robust
+    near degenerate boundary points; any other exception propagates.
 
     Each golden minimum gets one V-fit polish: sigma_min vanishes linearly
     at an atom, and the golden bracket alone leaves an offset around 1e-11
@@ -420,16 +384,17 @@ def atom_scan(b, alpha, window, step, scan_tol=np.inf, keep_tol=1e-6,
     count = max(int(math.ceil(cells)) + 1, 8)
     grid = np.linspace(lo, hi, count)
     vals = np.array([objective(s) for s in grid])
+    finite = np.isfinite(vals)
     found = []
     for i in range(len(grid)):
         left = vals[i - 1] if i > 0 else np.inf
         right = vals[i + 1] if i < len(grid) - 1 else np.inf
-        if vals[i] < scan_tol and vals[i] <= left and vals[i] <= right:
+        if finite[i] and vals[i] <= left and vals[i] <= right:
             blo = grid[max(i - 1, 0)]
             bhi = grid[min(i + 1, len(grid) - 1)]
-            s_star = _golden_min(objective, blo, bhi, tol=refine_tol)
+            s_star = _golden_min(objective, blo, bhi)
             s_star = _v_polish(objective, s_star, h=1e-7 * (1.0 + abs(s_star)))
-            if objective(s_star) < keep_tol:
+            if objective(s_star) < _KEEP_TOL:
                 found.append(s_star)
     found.sort()
     out = []

@@ -88,7 +88,8 @@ def quad_inner(f, g, spec=None):
 
 
 def l1_eigenvalues_direct(beta, a, n_range):
-    """Eigenvalues of i d/dx under f(a) = beta f(-a), computed directly.
+    """Eigenvalues of i d/dx under f(a) = beta f(-a), computed directly, for
+    the indices n in the closed range n_range = (lo, hi).
 
     The eigenfunction exp(-i s x) satisfies the condition iff
     exp(-2 i s a) = beta, so s_n = -(arg beta + 2 pi n)/(2a).
@@ -100,9 +101,9 @@ def l1_eigenvalues_direct(beta, a, n_range):
     if a <= 0:
         raise DomainError("interval half-length must be positive")
     theta = cmath.phase(beta)
-    if isinstance(n_range, tuple) and len(n_range) == 2:
-        n_range = range(int(n_range[0]), int(n_range[1]) + 1)
-    return sorted(-(theta + 2.0 * math.pi * n) / (2.0 * a) for n in n_range)
+    lo, hi = n_range
+    return sorted(-(theta + 2.0 * math.pi * n) / (2.0 * a)
+                  for n in range(int(lo), int(hi) + 1))
 
 
 def _fd_pencil(bm, a, npts):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from clarkspectra import defect, models
@@ -99,18 +99,22 @@ def test_defect_basis_and_orthonormalization(maker, kwargs):
     model = maker(**kwargs)
     for w in (1j, -1j, 2.0 + 0.5j):
         basis = defect.defect_basis(model, w)
-        assert basis.rank == model.rank
-        assert basis.sign == ("+" if w.imag > 0 else "-")
+        assert len(basis) == model.rank
         onb = defect.orthonormalize(basis)
-        gram = np.array([[defect.expsum_inner(u, v) for v in onb.functions]
-                         for u in onb.functions])
+        gram = np.array([[defect.expsum_inner(u, v) for v in onb]
+                         for u in onb])
         assert np.max(np.abs(gram - np.eye(model.rank))) < 1e-12
         # leading coefficients positive real by construction
-        for fn in onb.functions:
+        for fn in onb:
             lead = max(fn.terms, key=lambda t: abs(t[0]))
             assert lead is not None
     with pytest.raises(DomainError):
         defect.defect_basis(model, 3.0)
+    # the cached basis at +-i is the one Gram-Schmidt gives, built once
+    for sign, z in (("+", 1j), ("-", -1j)):
+        onb = defect.defect_onb(model, sign)
+        assert onb == defect.orthonormalize(defect.defect_basis(model, z))
+        assert defect.defect_onb(model, sign) is onb
 
 
 def test_orthonormalize_normalizer_constants():
@@ -119,7 +123,7 @@ def test_orthonormalize_normalizer_constants():
     a = 1.0
     m = models.l1(a)
     onb = defect.orthonormalize(defect.defect_basis(m, 1j))
-    (coeff, rate), = onb.functions[0].terms
+    (coeff, rate), = onb[0].terms
     assert rate == pytest.approx(1.0)
     norm = math.sqrt(defect.exp_inner_interval(1.0, 1.0, a).real)
     assert coeff == pytest.approx(1.0 / norm)

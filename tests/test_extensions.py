@@ -9,43 +9,12 @@ from hypothesis import strategies as st
 from clarkspectra import extensions, models
 from clarkspectra.cplane import random_unitary
 from clarkspectra.defect import ExpSum, Interval
-from clarkspectra.errors import (DimensionError, DomainError, NonUnitaryError,
-                                 RankError, UnsupportedError)
+from clarkspectra.errors import (DomainError, NonUnitaryError, RankError,
+                                 UnsupportedError)
 
 rates = st.builds(complex,
                   st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
                   st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
-
-
-def test_quasi_diff_spec_shape_validation():
-    spec = extensions.canonical_q0(3)
-    assert spec.n == 3
-    assert spec.super_entry(1) == 1.0
-    assert spec.super_entry(3) == 1.0  # implicit q_{n,n+1}
-    qm = spec.qmat()
-    assert qm[0, 1] == 1.0 and qm[1, 2] == 1.0
-    assert np.count_nonzero(qm) == 2
-    with pytest.raises(DomainError):
-        # vanishing superdiagonal entry
-        extensions.QuasiDiffSpec(2, ((0.0, 0.0), (0.0, 0.0)))
-    with pytest.raises(DomainError):
-        # nonzero above the superdiagonal
-        extensions.QuasiDiffSpec(3, (
-            (0.0, 1.0, 5.0), (0.0, 0.0, 2.0), (0.0, 0.0, 0.0)))
-    with pytest.raises(DimensionError):
-        extensions.QuasiDiffSpec(3, ((0.0, 0.0), (0.0, 0.0)))
-
-
-def test_quasi_derivative_nontrivial_table():
-    spec = extensions.QuasiDiffSpec(2, ((0.5, 2.0), (1.0, 3.0)))
-    r = 0.7 - 0.2j
-    f = ExpSum(((1.0, r),), Interval(1.0))
-    x = 0.25
-    d1 = extensions.quasi_derivative(f, spec, 1)(x)
-    d2 = extensions.quasi_derivative(f, spec, 2)(x)
-    assert d1 == pytest.approx((r - 0.5) / 2.0 * f(x), rel=1e-12)
-    expected2 = (r * (r - 0.5) / 2.0 - 1.0 - 3.0 * (r - 0.5) / 2.0) * f(x)
-    assert d2 == pytest.approx(expected2, rel=1e-12)
 
 
 def test_canonical_c():
@@ -58,54 +27,39 @@ def test_canonical_c():
     assert np.max(np.abs(c4 + c4.conj().T)) == 0.0  # skew
 
 
-@given(rates, st.integers(min_value=0, max_value=3))
+@given(rates)
 @settings(max_examples=30, deadline=None)
-def test_quasi_derivative_zero_shape_is_ordinary(rate, r):
-    spec = extensions.canonical_q0(3)
+def test_hat_vector_is_ordinary_derivatives(rate):
     f = ExpSum(((1.5 - 0.5j, rate),), Interval(1.0))
-    qd = extensions.quasi_derivative(f, spec, r)
     x = 0.4
-    assert qd(x) == pytest.approx(rate ** r * f(x), rel=1e-10, abs=1e-12)
-
-
-def test_quasi_derivative_range_guard():
-    spec = extensions.canonical_q0(2)
-    f = ExpSum(((1.0, 0.3),), Interval(1.0))
-    with pytest.raises(DomainError):
-        extensions.quasi_derivative(f, spec, 3)
-    with pytest.raises(DomainError):
-        extensions.quasi_derivative(f, spec, -1)
+    hat = extensions.hat_vector(f, 4, x)
+    for r in range(4):
+        assert hat[r] == pytest.approx(rate ** r * f(x), rel=1e-10, abs=1e-12)
 
 
 def test_hat_check_vectors():
-    spec = extensions.canonical_q0(2)
     f = ExpSum(((2.0, 0.5 + 0.25j),), Interval(1.0))
     x = -0.3
-    hat = extensions.hat_vector(f, spec, x)
+    hat = extensions.hat_vector(f, 2, x)
     assert hat == pytest.approx(np.array([f(x), (0.5 + 0.25j) * f(x)]))
-    chk = extensions.check_vector(f, spec, x)
-    c = extensions.canonical_c(2)
-    assert chk == pytest.approx(np.conj(c @ hat))
 
 
 @given(rates, rates, st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
 @settings(max_examples=30, deadline=None)
 def test_bracket_matches_matrix_form_order_two(r1, r2, x):
-    spec = extensions.canonical_q0(2)
     f = ExpSum(((1.0 + 0.5j, r1),), Interval(1.0))
     g = ExpSum(((0.7, r2),), Interval(1.0))
-    br = extensions.lagrange_bracket(f, g, x, spec)
-    fh = extensions.hat_vector(f, spec, x)
-    gh = extensions.hat_vector(g, spec, x)
+    br = extensions.lagrange_bracket(f, g, x, 2)
+    fh = extensions.hat_vector(f, 2, x)
+    gh = extensions.hat_vector(g, 2, x)
     assert br == pytest.approx(complex(gh.conj() @ extensions.canonical_c(2) @ fh),
                                rel=1e-10, abs=1e-12)
 
 
 def test_bracket_rejects_odd_order():
-    spec = extensions.canonical_q0(3)
     f = ExpSum(((1.0, 0.2),), Interval(1.0))
     with pytest.raises(UnsupportedError):
-        extensions.lagrange_bracket(f, f, 0.0, spec)
+        extensions.lagrange_bracket(f, f, 0.0, 3)
 
 
 def test_boundary_matrices_defaults():

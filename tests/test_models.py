@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from clarkspectra import livsic, models
 from clarkspectra.cplane import random_unitary
-from clarkspectra.errors import (DomainError, NonUnitaryError, SingularError,
-                                 ToleranceError)
+from clarkspectra.errors import DomainError, NonUnitaryError
 
 phases = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
 lengths = st.floats(min_value=0.2, max_value=2.5, allow_nan=False)
@@ -131,8 +130,8 @@ def test_l1_atoms_lattice_structure():
     locs = models.l1_atoms(1.0, 1.0, (-2, 2))
     assert locs == pytest.approx([(-2 + 0.5) * math.pi, -0.5 * math.pi,
                                   0.5 * math.pi, 1.5 * math.pi, 2.5 * math.pi])
-    locs_iter = models.l1_atoms(1.0, 1.0, [0, -1])
-    assert sorted(locs_iter) == pytest.approx([-0.5 * math.pi, 0.5 * math.pi])
+    pair = models.l1_atoms(1.0, 1.0, (-1, 0))
+    assert pair == pytest.approx([-0.5 * math.pi, 0.5 * math.pi])
     base = models.l1_atoms(-1.0, 2.0, (0, 0))
     assert base == pytest.approx([0.0])
     with pytest.raises(NonUnitaryError):
@@ -171,21 +170,6 @@ def test_l1_total_mass_partial_sums(theta, a):
                 for s in models.l1_atoms(alpha, a, (-300, 300)))
     assert total < 1.0 + 1e-12
     assert total > 0.95
-
-
-def test_l1_nonneg_product_check():
-    # at every atom the truncated product is positive and squeezes the
-    # closed weight from above (each omitted tail factor lies in (0, 1))
-    a = 1.0
-    for s in models.l1_atoms(1j, a, (-2, 2)):
-        out = models.l1_nonneg_product_check(1j, a, s, big_k=4000)
-        assert out.sign == 1
-        w = models.l1_weight(1j, a, s)
-        assert out.value >= w > 0.99 * out.value
-    with pytest.raises(DomainError):
-        models.l1_nonneg_product_check(1.0, a, 1.0, big_k=100)
-    with pytest.raises(DomainError):
-        models.l1_nonneg_product_check(1j, a, 50.0, big_k=3)
 
 
 def test_atom_scan_recovers_l1_lattice():

@@ -57,7 +57,7 @@ def test_l1_direct_eigenvalue_anchors():
     vals = oracle.l1_eigenvalues_direct(1.0, 1.0, (-2, 2))
     assert vals == pytest.approx([-2 * math.pi, -math.pi, 0.0,
                                   math.pi, 2 * math.pi])
-    vals = oracle.l1_eigenvalues_direct(-1.0, 1.0, [0, 1])
+    vals = oracle.l1_eigenvalues_direct(-1.0, 1.0, (0, 1))
     assert vals == pytest.approx([-1.5 * math.pi, -0.5 * math.pi])
     # quasi-momentum shift: arg(beta) translates the whole lattice
     theta = 0.7

@@ -1,0 +1,34 @@
+"""Smoke runs of the scripts in scripts/, so that a library name they use
+cannot disappear unnoticed."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, timeout=300,
+                          env=env, cwd=ROOT)
+
+
+@pytest.mark.parametrize("name,args", [
+    ("density_sweep.py", ("--model", "k1", "--phases", "2",
+                          "--grid", "0.001:80:60")),
+    ("atom_tables.py", ("l1", "--n-range=-2..2")),
+])
+def test_script_runs(name, args):
+    proc = run_script(name, *args)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_atom_tables_l2_counts_agree():
+    proc = run_script("atom_tables.py", "l2", "--top", "40")
+    assert proc.returncode == 0, proc.stderr
+    assert "fd count 4, scan count 4" in proc.stdout

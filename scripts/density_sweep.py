@@ -7,7 +7,7 @@ scans a second window for atoms, and adds the normalized atom masses
 pi (1 + s^2) tr mu({s}). When the two windows cover the spectrum, the
 budget column approaches the model rank; whatever is missing sits outside
 the windows or in the trapezoid error. The interval models are purely
-atomic, so their ac column is numerically zero and the lattice carries the
+atomic, so their ac column is exactly zero and the lattice carries the
 whole budget.
 
 Typical runs:
@@ -53,7 +53,7 @@ def mass_budget(model, theta, grid, atom_window, step):
             dens.append(float(np.trace(clark.ac_density(b, alpha, float(s))).real))
         except (errors.ClarkSpectraError, np.linalg.LinAlgError,
                 ArithmeticError):
-            dens.append(np.nan)   # grid point collided with an atom
+            dens.append(np.nan)   # alpha - B(s) numerically singular
     dens = np.asarray(dens)
     good = np.isfinite(dens)
     ac_part = float(np.trapezoid(dens[good], grid[good]))

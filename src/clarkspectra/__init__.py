@@ -20,7 +20,7 @@ from .livsic import (SchurFunction, gram_matrix, livsic_eval, livsic_function,
 from .clark import (check_alpha, ac_density, point_mass,
                     point_mass_with_retry, conjugation_check)
 from .models import (Model, k1, k2, l1, l2, k1_livsic, l1_livsic, k1_density,
-                     k2_density, l1_atoms, l1_weight, atom_scan, l2_atoms)
+                     l1_atoms, l1_weight, atom_scan, l2_atoms)
 from .extensions import (canonical_c, hat_vector, lagrange_bracket,
                          BoundaryMatrices, validate_sa_matrices,
                          alpha_from_bc_k1, bc_from_alpha_k1, alpha_from_bc_l1,
@@ -47,7 +47,7 @@ __all__ = [
     "check_alpha", "ac_density", "point_mass", "point_mass_with_retry",
     "conjugation_check",
     "Model", "k1", "k2", "l1", "l2", "k1_livsic", "l1_livsic", "k1_density",
-    "k2_density", "l1_atoms", "l1_weight", "atom_scan", "l2_atoms",
+    "l1_atoms", "l1_weight", "atom_scan", "l2_atoms",
     "canonical_c", "hat_vector", "lagrange_bracket", "BoundaryMatrices",
     "validate_sa_matrices", "alpha_from_bc_k1", "bc_from_alpha_k1",
     "alpha_from_bc_l1", "bc_from_alpha_l1", "alpha_from_bc_regular",

@@ -9,6 +9,7 @@ resp. sinh expressions in the rates, so Gram matrices never need quadrature.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -58,19 +59,24 @@ def exp_inner_halfline(mu, nu):
     return -1.0 / z
 
 
-def exp_inner_interval(mu, nu, a):
-    """<exp(mu x), exp(nu x)> on (-a, a) = 2 sinh((mu + conj(nu)) a)/(mu + conj(nu)).
+def exp_inner_interval(mu, nu, a, shift=0.0):
+    """<exp(mu x), exp(nu x)> on (-a, a) = 2 sinh((mu + conj(nu)) a)/(mu + conj(nu)),
+    times exp(-shift).
 
     The removable singularity at mu + conj(nu) = 0 (value 2a) is handled by a
-    short Taylor expansion once |z a| drops below 1e-8.
+    short Taylor expansion once |z a| drops below 1e-8. Where sinh would
+    overflow, the scale goes into the exponentials, so a shift close to
+    |Re z| a keeps the value finite however large z is.
     """
     if not a > 0:
         raise DomainError(f"interval half-length must be positive, got {a}")
     z = complex(mu) + complex(nu).conjugate()
     za = z * a
     if abs(za) < 1e-8:
-        return 2.0 * a * (1.0 + za * za / 6.0 + za ** 4 / 120.0)
-    return 2.0 * cmath.sinh(za) / z
+        return 2.0 * a * (1.0 + za * za / 6.0 + za ** 4 / 120.0) * math.exp(-shift)
+    if abs(za.real) < 700.0:
+        return 2.0 * cmath.sinh(za) * math.exp(-shift) / z
+    return (cmath.exp(za - shift) - cmath.exp(-za - shift)) / z
 
 
 def _merge_terms(terms):

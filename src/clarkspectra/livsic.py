@@ -13,7 +13,8 @@ boundary, so B extends continuously to R minus the branch points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,11 +37,14 @@ class SchurFunction:
     """A contractive analytic matrix function on the upper half-plane.
 
     Calling it at w with Im w < 0 raises DomainError; real w is allowed and
-    means the boundary continuation from above.
+    means the boundary continuation from above. ac_edge is where the
+    essential spectrum of the underlying model begins: for every coupling
+    the measure has no absolutely continuous part on s <= ac_edge.
     """
 
     n: int
     fn: object
+    ac_edge: float
     label: str = ""
 
     def __call__(self, w):
@@ -51,10 +55,14 @@ class SchurFunction:
 
 
 def gram_matrix(model, w, sign):
-    """A(w, sign)[j, k] = <exp(rho_j(w) x), phi_k(sign * i)> in the model's L2.
+    """A(w, sign)[j, k] = <exp(rho_j(w) x), phi_k(sign * i)> in the model's L2,
+    row j scaled by exp(-|Re rho_j| a) on the interval (-a, a).
 
     rho_j are the raw defect rates at w (upper branch on the real axis) and
-    phi_k the orthonormal defect basis at +i or -i. sign is '+' or '-'.
+    phi_k the orthonormal defect basis at +i or -i. sign is '+' or '-'. The
+    row scale is the same for both signs, so it cancels from
+    A(w, +)^{-1} A(w, -); it keeps the rows finite where exp(rho_j x)
+    grows like exp(|Re rho_j| a), as on L2 far down the negative axis.
     """
     if sign not in ("+", "-"):
         raise DomainError(f"sign must be '+' or '-', got {sign!r}")
@@ -64,28 +72,29 @@ def gram_matrix(model, w, sign):
     n = len(rates)
     a = np.empty((n, n), dtype=complex)
     for j, rho in enumerate(rates):
+        shift = 0.0 if model.halfline else abs(rho.real) * model.a
         for k, phi in enumerate(onb):
-            a[j, k] = sum(c.conjugate() * model.inner(rho, r) for c, r in phi.terms)
+            a[j, k] = sum(c.conjugate() * model.inner(rho, r, shift)
+                          for c, r in phi.terms)
     return a
 
 
 def _solve_small(a, b, tol=1e-14):
     """a^{-1} b for n in {1, 2} via explicit formulas, keeping the
-    singularity check independent of LAPACK behaviour."""
+    singularity check independent of LAPACK behaviour. The entries are read
+    out as Python complex numbers: scalar arithmetic on them is several
+    times faster than on numpy scalars."""
     n = a.shape[0]
-    scale = max(1.0, float(np.max(np.abs(a)))) ** n
+    if n > 2:
+        return np.linalg.solve(a, b)
+    e = a.ravel().tolist()
+    scale = max(1.0, max(map(abs, e))) ** n
+    det = e[0] if n == 1 else e[0] * e[3] - e[1] * e[2]
+    if abs(det) < tol * scale:
+        raise SingularError(f"{n} x {n} matrix is singular, |det| = {abs(det):.3e}")
     if n == 1:
-        det = a[0, 0]
-        if abs(det) < tol * scale:
-            raise SingularError(f"pairing matrix is singular, |det| = {abs(det):.3e}")
         return b / det
-    if n == 2:
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        if abs(det) < tol * scale:
-            raise SingularError(f"pairing matrix is singular, |det| = {abs(det):.3e}")
-        adj = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]], dtype=complex)
-        return adj @ b / det
-    return np.linalg.solve(a, b)
+    return np.array([[e[3], -e[1]], [-e[2], e[0]]]) @ b / det
 
 
 def livsic_eval(model, w):
@@ -103,8 +112,10 @@ def livsic_eval(model, w):
 
 
 def livsic_function(model):
-    """Package livsic_eval as a SchurFunction."""
+    """Package livsic_eval as a SchurFunction. The half-line models have
+    essential spectrum [0, inf); the interval models have none."""
     return SchurFunction(n=model.rank, fn=lambda w: livsic_eval(model, w),
+                         ac_edge=0.0 if model.halfline else math.inf,
                          label=model.name)
 
 
@@ -118,8 +129,8 @@ def conjugated_schur(b, r, q):
         )
     if not (is_unitary(r) and is_unitary(q)):
         raise NonUnitaryError("conjugating matrices must be unitary")
-    return SchurFunction(n=b.n, fn=lambda w: r @ np.atleast_2d(b(w)) @ q,
-                         label=(b.label + "~conj") if b.label else "conj")
+    return replace(b, fn=lambda w: r @ np.atleast_2d(b(w)) @ q,
+                   label=(b.label + "~conj") if b.label else "conj")
 
 
 def transform_alpha(alpha, r, q):

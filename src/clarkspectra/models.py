@@ -12,8 +12,7 @@ continuation onto the real axis) and its closed-form inner product, which is
 all the generic machinery needs. On top of that this module carries the
 rank-one closed-form characteristic functions and densities and the L1 atom
 lattice and weights, used as independent cross-checks of the generic
-pipeline, plus the K2 boundary density and the atom scan built on the
-generic characteristic function.
+pipeline, plus the atom scan built on the generic characteristic function.
 """
 
 from __future__ import annotations
@@ -24,12 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clark import _density_value
 from .cplane import principal_power
 from .defect import exp_inner_halfline, exp_inner_interval
 from .errors import (ClarkSpectraError, DomainError, NonUnitaryError,
                      SingularError, ToleranceError)
-from .livsic import livsic_eval, livsic_function
+from .livsic import livsic_function
 
 __all__ = [
     "Model",
@@ -40,7 +38,6 @@ __all__ = [
     "k1_livsic",
     "l1_livsic",
     "k1_density",
-    "k2_density",
     "l1_atoms",
     "l1_weight",
     "l2_atoms",
@@ -90,11 +87,12 @@ class Model:
             return (-1j * root, 1j * root)
         raise DomainError(f"unknown model {self.name!r}")
 
-    def inner(self, mu, nu):
-        """Closed-form <exp(mu x), exp(nu x)> on the model's domain."""
+    def inner(self, mu, nu, shift=0.0):
+        """Closed-form <exp(mu x), exp(nu x)> on the model's domain, times
+        exp(-shift)."""
         if self.halfline:
-            return exp_inner_halfline(mu, nu)
-        return exp_inner_interval(mu, nu, self.a)
+            return exp_inner_halfline(mu, nu) * math.exp(-shift)
+        return exp_inner_interval(mu, nu, self.a, shift)
 
     def expression_eigenvalue(self, rate):
         """Multiplier of exp(rate x) under the differential expression.
@@ -193,32 +191,6 @@ def k1_density(alpha, s):
         # embedded zero of (alpha - B), i.e. an atom boundary case
         raise SingularError(f"closed-form denominator vanished at s = {s}")
     return 2 * t / (math.pi * (s + 1 + t) * d)
-
-
-def k2_density(alpha, s):
-    """AC density matrix of the K2 spectral measure at s, by direct boundary
-    evaluation.
-
-    The boundary value B(s) of the generic characteristic function enters
-    the density sandwich directly (no limit ladder): with M = alpha - B(s),
-
-        rho(s) = (M*)^{-1} (I - B(s)* B(s)) M^{-1} / (pi (1 + s^2)).
-
-    Zero matrix for s <= 0. SingularError when |det M| < 1e-12 (atom or
-    embedded singularity).
-    """
-    alpha = np.atleast_2d(np.asarray(alpha, dtype=complex))
-    if alpha.shape != (2, 2):
-        raise DomainError(f"K2 coupling must be 2 x 2, got {alpha.shape}")
-    s = float(s)
-    if s <= 0:
-        return np.zeros((2, 2))
-    b = livsic_eval(k2(), s)
-    det = np.linalg.det(alpha - b)
-    if abs(det) < 1e-12:
-        raise SingularError(f"alpha - B(s) singular at s = {s}, |det| = {abs(det):.3e}")
-    out = _density_value(b, alpha) / (math.pi * (1.0 + s * s))
-    return 0.5 * (out + out.conj().T)
 
 
 # ---------------------------------------------------------------------------

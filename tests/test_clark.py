@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clarkspectra import clark, livsic, models
+from clarkspectra import clark, extensions, livsic, models
 from clarkspectra.cplane import random_unitary
-from clarkspectra.errors import (DimensionError, NonUnitaryError,
-                                 SingularError)
+from clarkspectra.errors import DimensionError, DomainError, NonUnitaryError
 
 
 @pytest.fixture(scope="module")
@@ -35,15 +36,34 @@ def test_ac_density_matches_closed_scalar(b_k1):
         for s in (0.5, 2.0, 10.0):
             got = clark.ac_density(b_k1, [[alpha]], s)[0, 0].real
             ref = models.k1_density(alpha, s)
-            assert got == pytest.approx(ref, rel=1e-7)
+            assert got == pytest.approx(ref, rel=1e-12)
     # hand-derived anchor: rho(1) = sqrt(2)/(6 pi) at alpha = -1
     val = clark.ac_density(b_k1, [[-1.0]], 1.0)[0, 0].real
-    assert val == pytest.approx(math.sqrt(2) / (6 * math.pi), rel=1e-7)
+    assert val == pytest.approx(math.sqrt(2) / (6 * math.pi), rel=1e-12)
+
+
+@given(st.floats(min_value=1e-3, max_value=60.0),
+       st.floats(min_value=-math.pi, max_value=math.pi))
+@settings(max_examples=200, deadline=None)
+def test_k1_ac_density_matches_closed_form_property(s, phase):
+    b = livsic.livsic_function(models.k1())
+    alpha = complex(math.cos(phase), math.sin(phase))
+    got = clark.ac_density(b, [[alpha]], s)[0, 0]
+    ref = models.k1_density(alpha, s)
+    assert abs(got - ref) <= 1e-12 * ref
 
 
 def test_ac_density_vanishes_off_support(b_k1):
     val = clark.ac_density(b_k1, [[1.0]], -3.0)[0, 0]
-    assert abs(val) < 1e-10
+    assert val == 0.0
+
+
+def test_ac_density_rejects_non_finite_points(b_k1, b_l1):
+    # off the support no B evaluation would catch these
+    for b in (b_k1, b_l1):
+        for s in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                clark.ac_density(b, [[1.0]], s)
 
 
 def test_point_mass_on_and_off_atoms(b_l1):
@@ -92,8 +112,20 @@ def test_conjugation_check_atom_kind():
     assert res < 1e-8
 
 
-def test_density_at_an_atom_fails_loudly(b_l1):
-    # the ladder blows up like 1/eps at an atom; that must not pass silently
-    from clarkspectra.errors import ConvergenceError
-    with pytest.raises((ConvergenceError, SingularError)):
-        clark.ac_density(b_l1, [[1.0]], math.pi / 2)
+def test_density_is_exact_zero_off_the_support(b_k1, b_l1):
+    # the interval models have no essential spectrum: the density is an
+    # exact zero everywhere, at an atom (alpha = 1, s = pi/2) as well
+    assert not np.any(clark.ac_density(b_l1, [[1.0]], math.pi / 2))
+    assert not np.any(clark.ac_density(b_l1, [[1j]], 0.3))
+    m = models.l2(1.0)
+    alpha = extensions.alpha_from_bc_regular(
+        m, extensions.BoundaryMatrices(np.eye(2), -np.eye(2)))
+    b_l2 = livsic.livsic_function(m)
+    for s in (math.pi ** 2, 2.0, -4.0):
+        rho = clark.ac_density(b_l2, alpha, s)
+        assert rho.shape == (2, 2) and not np.any(rho)
+    # the half-line models: zero on s <= 0, including at the K1 atom of
+    # alpha = 1j at s = -2 and at the branch point s = 0
+    for s in (-2.0, -1e-12, 0.0):
+        assert clark.ac_density(b_k1, [[1j]], s)[0, 0] == 0.0
+    assert clark.ac_density(b_k1, [[1j]], 1e-12)[0, 0].real > 0.0

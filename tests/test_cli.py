@@ -48,6 +48,24 @@ def test_density_csv_matches_closed_form(capsys):
     assert abs(im_v) < 1e-12
 
 
+def test_density_k2_across_an_atom_is_zero_below_the_axis(capsys):
+    # this coupling has an atom near s = -1.70e-4; the density is an exact
+    # zero on s <= 0, where no boundary limit is taken
+    alpha = '[["1:-2.6179938779914944","0"],["0","1:-2.6179938779914944"]]'
+    code, out, err = run_cli(capsys, [
+        "density", "--model", "k2", f"--alpha={alpha}", "--grid=-2:0.5:2001",
+        "--format", "json"])
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert len(doc["grid"]) == 2001
+    for s, rho in zip(doc["grid"], doc["density"]):
+        cells = [v for row in rho for e in row for v in (e["re"], e["im"])]
+        if s <= 0:
+            assert all(v == 0.0 for v in cells), s
+        else:
+            assert rho[0][0]["re"] > 0.0 and rho[1][1]["re"] > 0.0, s
+
+
 def test_density_json_schema(capsys):
     code, out, _ = run_cli(capsys, [
         "density", "--model", "k1", "--alpha", "-1", "--grid", "0.5:1.5:3",

@@ -32,12 +32,22 @@ def test_gram_matrix_closed_values_rank_one_interval():
     a = 1.3
     m = models.l1(a)
     for w in (0.5 + 0.3j, 2.0 + 0.0j):
-        # pairing of exp(-iwx) against exp(x)/sqrt(sinh 2a) and exp(-x)/sqrt(sinh 2a)
+        # pairing of exp(-iwx) against exp(x)/sqrt(sinh 2a) and exp(-x)/sqrt(sinh 2a),
+        # with the row scale exp(-|Re(-iw)| a) = exp(-a Im w)
         for sign, rate in (("+", 1.0), ("-", -1.0)):
             got = livsic.gram_matrix(m, w, sign)[0, 0]
             z = -1j * w + rate  # rate of the product before conjugation
             ref = 2.0 * cmath.sinh(z * a) / z / math.sqrt(math.sinh(2 * a))
-            assert got == pytest.approx(ref)
+            assert got == pytest.approx(ref * math.exp(-a * w.imag))
+
+
+def test_l2_unitary_far_down_the_negative_axis():
+    # the rows of A(w, +-) grow like exp(sqrt(-s) a) there; the row scale
+    # of gram_matrix keeps them finite without changing B
+    m = models.l2(1.0)
+    for s in (-1.3e5, -1e7):
+        b = livsic.livsic_eval(m, s)
+        assert np.max(np.abs(b.conj().T @ b - np.eye(2))) < 1e-12
 
 
 def test_gram_matrix_rejects_bad_sign():

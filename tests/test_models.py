@@ -100,13 +100,15 @@ def test_k1_density_total_mass():
 
 
 def test_k2_density_hermitian_psd_and_mass():
+    from clarkspectra import clark
     rng = np.random.default_rng(4)
     alpha = random_unitary(2, rng)
+    b = livsic.livsic_function(models.k2())
     for s in (0.4, 1.0, 6.0):
-        rho = models.k2_density(alpha, s)
+        rho = clark.ac_density(b, alpha, s)
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
-    assert np.max(np.abs(models.k2_density(alpha, -1.0))) == 0.0
+    assert np.max(np.abs(clark.ac_density(b, alpha, -1.0))) == 0.0
 
 
 def test_k2_density_total_mass_trace():
@@ -115,9 +117,9 @@ def test_k2_density_total_mass_trace():
     from scipy.integrate import quad
     from clarkspectra import clark
     alpha = np.eye(2)
-    f = lambda s: float(np.trace(models.k2_density(alpha, s)).real)
-    val, err = quad(f, 0.0, np.inf, limit=600)
     b = livsic.livsic_function(models.k2())
+    f = lambda s: float(np.trace(clark.ac_density(b, alpha, s)).real)
+    val, err = quad(f, 0.0, np.inf, limit=600)
     atoms = models.atom_scan(b, alpha, (-30.0, -1e-4), step=0.05)
     assert len(atoms) == 1
     assert atoms[0] == pytest.approx(-6.0568, abs=1e-3)

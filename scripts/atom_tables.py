@@ -2,8 +2,8 @@
 routes side by side.
 
 l1 mode compares the closed lattice and weight formulas against the generic
-scan of the characteristic function plus the boundary point-mass limit at
-each found location. l2 mode compares the scanned atoms of the rank-two
+scan of the characteristic function plus the residue point mass at each
+found location. l2 mode compares the scanned atoms of the rank-two
 characteristic function against a finite-difference eigenvalue oracle on
 the same window.
 
@@ -37,7 +37,8 @@ def l1_table(args):
     closed = models.l1_atoms(alpha, a, (lo, hi))
     b = livsic.livsic_function(models.l1(a))
     window = (closed[0] - 0.4 / a, closed[-1] + 0.4 / a)
-    scanned = models.atom_scan(b, [[alpha]], window, step=math.pi / (8 * a))
+    step = math.pi / (8 * a)
+    scanned = models.atom_scan(b, [[alpha]], window, step=step)
     if len(scanned) != len(closed):
         print(f"scan found {len(scanned)} atoms against {len(closed)} closed "
               f"lattice points; window {window}")
@@ -45,10 +46,11 @@ def l1_table(args):
     print(f"# l1, a = {a:g}, coupling phase {args.theta:g}")
     print(f"{'s closed':>14} {'ds scan':>10} {'w closed':>14} "
           f"{'dw rel':>10} {'running mass':>13}")
+    masses = clark.point_mass(b, [[alpha]], scanned, step=step)
     running = 0.0
-    for s_c, s_g in zip(closed, scanned):
+    for s_c, s_g, m_g in zip(closed, scanned, masses):
         w_c = models.l1_weight(alpha, a, s_c)
-        w_g = float(clark.point_mass(b, [[alpha]], s_g)[0, 0].real)
+        w_g = float(m_g[0, 0].real)
         running += math.pi * (1.0 + s_c * s_c) * w_c
         print(f"{s_c:14.8f} {abs(s_g - s_c):10.2e} {w_c:14.10f} "
               f"{abs(w_g - w_c) / w_c:10.2e} {running:13.9f}")

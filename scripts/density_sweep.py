@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from clarkspectra import clark, errors, livsic, models
+from clarkspectra import clark, livsic, models
 
 
 def make_model(name, a):
@@ -47,21 +47,12 @@ def parse_range(text, count_default):
 def mass_budget(model, theta, grid, atom_window, step):
     b = livsic.livsic_function(model)
     alpha = phase_coupling(model, theta)
-    dens = []
-    for s in grid:
-        try:
-            dens.append(float(np.trace(clark.ac_density(b, alpha, float(s))).real))
-        except (errors.ClarkSpectraError, np.linalg.LinAlgError,
-                ArithmeticError):
-            dens.append(np.nan)   # alpha - B(s) numerically singular
-    dens = np.asarray(dens)
-    good = np.isfinite(dens)
-    ac_part = float(np.trapezoid(dens[good], grid[good]))
+    dens = np.trace(clark.ac_density(b, alpha, grid), axis1=1, axis2=2).real
+    ac_part = float(np.trapezoid(dens, grid))
     atoms = models.atom_scan(b, alpha, atom_window, step=step)
-    atom_part = 0.0
-    for s in atoms:
-        mass = clark.point_mass_with_retry(b, alpha, s)
-        atom_part += math.pi * (1.0 + s * s) * float(np.trace(mass).real)
+    masses = clark.point_mass(b, alpha, atoms, step=step)
+    atom_part = sum(math.pi * (1.0 + s * s) * float(np.trace(m).real)
+                    for s, m in zip(atoms, masses))
     return ac_part, len(atoms), atom_part
 
 

@@ -10,15 +10,13 @@ classical boundary conditions and the unitary coupling parameter.
 from .errors import (ClarkSpectraError, ConvergenceError, DimensionError,
                      DivergenceError, DomainError, NonUnitaryError, RankError,
                      SingularError, ToleranceError, UnsupportedError)
-from .cplane import (cayley, principal_power, nt_limit, is_unitary,
-                     random_unitary)
+from .cplane import cayley, principal_power, is_unitary, random_unitary
 from .defect import (HalfLine, Interval, ExpSum, exp_inner_halfline,
                      exp_inner_interval, expsum_inner, defect_basis,
                      orthonormalize, defect_onb)
 from .livsic import (SchurFunction, gram_matrix, livsic_eval, livsic_function,
                      conjugated_schur, transform_alpha)
-from .clark import (check_alpha, ac_density, point_mass,
-                    point_mass_with_retry, conjugation_check)
+from .clark import check_alpha, ac_density, point_mass, conjugation_check
 from .models import (Model, k1, k2, l1, l2, k1_livsic, l1_livsic, k1_density,
                      l1_atoms, l1_weight, atom_scan, l2_atoms)
 from .extensions import (canonical_c, hat_vector, lagrange_bracket,
@@ -27,9 +25,9 @@ from .extensions import (canonical_c, hat_vector, lagrange_bracket,
                          bc_from_alpha_l1, alpha_from_bc_regular,
                          bc_from_alpha_regular,
                          alpha_from_bc_singular_template)
-from .oracle import (QuadratureSpec, quad_inner, l1_eigenvalues_direct,
-                     l2_eigenvalues_fd, fd_observed_order,
-                     k1_bound_state_check)
+from .oracle import (nt_limit, ladder_point_mass, QuadratureSpec,
+                     quad_inner, l1_eigenvalues_direct, l2_eigenvalues_fd,
+                     fd_observed_order, k1_bound_state_check)
 from .checks import CheckResult, run_all
 
 __version__ = "0.1.0"
@@ -38,21 +36,21 @@ __all__ = [
     "ClarkSpectraError", "ConvergenceError", "DimensionError",
     "DivergenceError", "DomainError", "NonUnitaryError", "RankError",
     "SingularError", "ToleranceError", "UnsupportedError",
-    "cayley", "principal_power", "nt_limit", "is_unitary", "random_unitary",
+    "cayley", "principal_power", "is_unitary", "random_unitary",
     "HalfLine", "Interval", "ExpSum", "exp_inner_halfline",
     "exp_inner_interval", "expsum_inner", "defect_basis", "orthonormalize",
     "defect_onb",
     "SchurFunction", "gram_matrix", "livsic_eval", "livsic_function",
     "conjugated_schur", "transform_alpha",
-    "check_alpha", "ac_density", "point_mass", "point_mass_with_retry",
-    "conjugation_check",
+    "check_alpha", "ac_density", "point_mass", "conjugation_check",
     "Model", "k1", "k2", "l1", "l2", "k1_livsic", "l1_livsic", "k1_density",
     "l1_atoms", "l1_weight", "atom_scan", "l2_atoms",
     "canonical_c", "hat_vector", "lagrange_bracket", "BoundaryMatrices",
     "validate_sa_matrices", "alpha_from_bc_k1", "bc_from_alpha_k1",
     "alpha_from_bc_l1", "bc_from_alpha_l1", "alpha_from_bc_regular",
     "bc_from_alpha_regular", "alpha_from_bc_singular_template",
-    "QuadratureSpec", "quad_inner", "l1_eigenvalues_direct",
+    "nt_limit", "ladder_point_mass", "QuadratureSpec", "quad_inner",
+    "l1_eigenvalues_direct",
     "l2_eigenvalues_fd", "fd_observed_order", "k1_bound_state_check",
     "CheckResult", "run_all",
     "__version__",

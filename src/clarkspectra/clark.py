@@ -13,26 +13,28 @@ and point masses
 The density is a boundary value: every model's B continues from the upper
 half-plane onto the real axis, so B(s) is one evaluation, and off the
 model's essential spectrum (where B(s) is unitary) the density is exactly
-zero. The point mass is a limit, taken non-tangentially, w -> s from the
-upper half-plane.
+zero. A grid of points is one array evaluation of B.
+
+The point mass is a residue: B continues across the real axis below the
+essential spectrum, so (I - B(w) alpha*)^{-1} is meromorphic around an
+isolated atom s, the limit above is minus its residue there, and the
+residue is the trapezoid rule on a circle around s, which converges
+geometrically in the number of nodes. All circles of one call are one
+array evaluation of B.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .cplane import nt_limit
 from .errors import (ConvergenceError, DimensionError, DomainError,
-                     NonUnitaryError)
+                     NonUnitaryError, SingularError)
 from .livsic import _solve_small, conjugated_schur, transform_alpha
 
 __all__ = [
     "check_alpha",
     "ac_density",
     "point_mass",
-    "point_mass_with_retry",
     "conjugation_check",
 ]
 
@@ -48,71 +50,141 @@ def check_alpha(alpha, n, tol=1e-10):
     return alpha
 
 
+def _alpha_of(alpha):
+    n = np.atleast_2d(np.asarray(alpha, dtype=complex)).shape[0]
+    return check_alpha(alpha, n)
+
+
+def _points(s, what):
+    """s as a float array, DomainError when a point is not finite."""
+    s = np.asarray(s, dtype=float)
+    if not np.all(np.isfinite(s)):
+        raise DomainError(f"{what} must be finite, got {s!r}")
+    return s
+
+
 def _hermitize(m):
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + np.swapaxes(m, -1, -2).conj())
 
 
 def _density_value(bval, alpha):
     """(alpha* - B*)^{-1} (I - B* B) (alpha - B)^{-1} = X* (I - B* B) X with
-    X = (alpha - B)^{-1}; SingularError when alpha - B is singular (an atom,
-    not an AC point)."""
-    eye = np.eye(bval.shape[0])
+    X = (alpha - B)^{-1}, for one B value or a stack of them; NaN where
+    alpha - B is singular (an atom, not an AC point)."""
+    eye = np.eye(bval.shape[-1])
     x = _solve_small(alpha - bval, eye)
-    return x.conj().T @ (eye - bval.conj().T @ bval) @ x
+    xh = np.swapaxes(x, -1, -2).conj()
+    return xh @ (eye - np.swapaxes(bval, -1, -2).conj() @ bval) @ x
 
 
 def ac_density(b, alpha, s):
     """Absolutely continuous density matrix of the (B, alpha) measure at s.
 
-    b is a SchurFunction. For s > b.ac_edge the density sandwich is
-    evaluated once, at the boundary value b(s); otherwise s lies off the
-    model's essential spectrum and the result is an exact zero matrix,
-    computed without evaluating b. The result is Hermitian by construction.
+    b is a SchurFunction, s a point or an array of points; the result is
+    an n x n matrix or a stack of shape s.shape + (n, n). alpha is
+    validated once. The points with s > b.ac_edge are evaluated in one call
+    of b, and the density sandwich is formed at those boundary values; the
+    others lie off the model's essential spectrum and get an exact zero
+    matrix. The result is Hermitian by construction. SingularError when B
+    or (alpha - B)^{-1} is not defined at a point of the essential spectrum
+    (rounding next to a branch point; alpha - B(s) is invertible there for
+    unitary alpha, since ||B(s)|| < 1).
     """
-    n = np.atleast_2d(np.asarray(alpha, dtype=complex)).shape[0]
-    alpha = check_alpha(alpha, n)
-    s = float(s)
-    if not math.isfinite(s):
-        raise DomainError(f"density point must be finite, got {s!r}")
-    if s <= b.ac_edge:
-        return np.zeros((n, n), dtype=complex)
-    rho = _density_value(np.atleast_2d(b(s)), alpha)
-    return _hermitize(rho) / (np.pi * (1.0 + s * s))
+    alpha = _alpha_of(alpha)
+    n = alpha.shape[0]
+    s = _points(s, "density point")
+    out = np.zeros(s.shape + (n, n), dtype=complex)
+    on = s > b.ac_edge
+    if np.any(on):
+        pts = s[on]
+        rho = _density_value(np.asarray(b(pts)).reshape(-1, n, n), alpha)
+        bad = ~np.all(np.isfinite(rho), axis=(-2, -1))
+        if np.any(bad):
+            raise SingularError(f"density undefined at s = {pts[bad][0]!r}: "
+                                "B(s) or (alpha - B(s))^-1 is singular")
+        out[on] = _hermitize(rho) / (np.pi * (1.0 + pts * pts))[:, None, None]
+    return out
 
 
-def point_mass(b, alpha, s, **limit_opts):
-    """Mass mu({s}) of the (B, alpha) measure at the real point s.
+# Trapezoid nodes on each residue circle; the even nodes give the check
+# with half as many.
+_NODES = 64
+# Acceptance of a residue mass: PSD and Hermitian, and the two node counts
+# agreeing, each to this relative tolerance (above the rounding floor).
+_MASS_RTOL = 1e-10
 
-    Returns the n x n (Hermitian, PSD) mass matrix; zero when s carries no
-    atom. Along the vertical ladder the factor (s - w) equals -i eps.
+
+def _radii(s, step, edge):
+    """Circle radius per atom: half the smallest of the scan step, the
+    distance to the nearest other atom, and the distance to the cut."""
+    order = np.argsort(s)
+    gaps = np.diff(s[order])
+    near = np.full(s.size, np.inf)
+    near[order[1:]] = gaps
+    near[order[:-1]] = np.minimum(near[order[:-1]], gaps)
+    return 0.5 * np.minimum(np.minimum(step, near), edge - s)
+
+
+def point_mass(b, alpha, s, step=0.05):
+    """Mass mu({s}) of the (B, alpha) measure at the real point s, or at
+    each point of a 1-D array of atoms.
+
+    Returns the n x n Hermitian PSD mass matrix (a stack of them for an
+    array); zero when s carries no atom. The mass is -2i/(pi (1+s^2)^2)
+    times the residue of (I - B(w) alpha*)^{-1} at s, by the trapezoid rule
+    on _NODES points of a circle around s, evaluated through b.fn, the
+    continuation of b across the axis below b.ac_edge. All circles are one
+    call of b.fn. The radius is half the smallest of step, the distance to
+    the nearest other point of s and the distance to b.ac_edge: step is the
+    resolution of the scan that found the atoms (atoms closer than that are
+    not told apart), 0.05 by default, the command line's half-line step.
+
+    DomainError for a non-finite point, a point on the essential spectrum
+    and a repeated point. ConvergenceError for a mass that is not Hermitian
+    and PSD, or whose values from all nodes and from the even nodes differ,
+    beyond _MASS_RTOL relative to the mass (above the rounding floor of the
+    sum).
     """
-    n = np.atleast_2d(np.asarray(alpha, dtype=complex)).shape[0]
-    alpha = check_alpha(alpha, n)
-    s = float(s)
+    alpha = _alpha_of(alpha)
+    n = alpha.shape[0]
+    s = _points(s, "atom location")
+    atoms = s.reshape(-1)
+    if atoms.size == 0:
+        return np.zeros(s.shape + (n, n), dtype=complex)
+    radius = _radii(atoms, float(step), b.ac_edge)
+    if not np.all(radius > 0):
+        raise DomainError("point masses need distinct atoms below the "
+                          f"essential spectrum and a positive step, got "
+                          f"s = {atoms!r}, step = {step!r}")
+    turn = np.exp(2j * np.pi * np.arange(_NODES) / _NODES)
+    nodes = atoms[:, None] + radius[:, None] * turn
+    bval = np.asarray(b.fn(nodes.reshape(-1))).reshape(atoms.size, _NODES, n, n)
     eye = np.eye(n)
-
-    def f(w):
-        m = eye - np.atleast_2d(b(w)) @ alpha.conj().T
-        return (s - w) * np.linalg.solve(m, eye)
-
-    lim = np.atleast_2d(nt_limit(f, s, **limit_opts))
-    pref = 2j / (np.pi * (1.0 + s * s) ** 2)
-    return _hermitize(pref * lim)
-
-
-def point_mass_with_retry(b, alpha, s):
-    """point_mass at the default tolerance, retried once at rtol = 1e-6
-    when the ladder stalls.
-
-    Small atoms close to the continuum edge sit below the ladder's
-    float-noise floor at the default budget; six relative digits is what
-    the noise supports there and is plenty for tabulation. A second stall
-    raises ConvergenceError.
-    """
-    try:
-        return point_mass(b, alpha, s)
-    except ConvergenceError:
-        return point_mass(b, alpha, s, rtol=1e-6)
+    f = _solve_small(eye - bval @ alpha.conj().T, eye)
+    weighted = f * turn[:, None, None]
+    res = radius[:, None, None] * weighted.mean(axis=1)
+    half = radius[:, None, None] * weighted[:, ::2].mean(axis=1)
+    pref = -2j / (np.pi * (1.0 + atoms * atoms) ** 2)
+    mass = pref[:, None, None] * res
+    size = np.max(np.abs(mass), axis=(-2, -1))
+    # the rounding floor of the sum, which is all a circle without an atom
+    # inside gives
+    floor = (_NODES * np.finfo(float).eps * np.abs(pref) * radius
+             * np.max(np.abs(f), axis=(1, 2, 3)))
+    tol = _MASS_RTOL * size + floor
+    herm = _hermitize(mass)
+    spread = np.max(np.abs(pref[:, None, None] * (res - half)), axis=(-2, -1))
+    skew = np.max(np.abs(mass - herm), axis=(-2, -1))
+    lowest = np.linalg.eigvalsh(herm)[:, 0]
+    bad = ~((spread <= tol) & (skew <= tol) & (lowest >= -tol))
+    if np.any(bad):
+        i = int(np.flatnonzero(bad)[0])
+        raise ConvergenceError(
+            f"residue at s = {atoms[i]!r} (radius {radius[i]:.3e}) not "
+            f"accepted: node-count difference {spread[i]:.3e}, skew part "
+            f"{skew[i]:.3e}, lowest eigenvalue {lowest[i]:.3e}, "
+            f"tolerance {tol[i]:.3e}")
+    return herm.reshape(s.shape + (n, n))
 
 
 def conjugation_check(b2, r, q, alpha, s, kind="ac"):
@@ -120,7 +192,8 @@ def conjugation_check(b2, r, q, alpha, s, kind="ac"):
 
     Builds B1 = R B2 Q and compares measure(B1, alpha, s) against
     R measure(B2, R* alpha Q*, s) R*. kind selects the part: 'ac' for the
-    density, 'atom' for the point mass. Returns the max-entry residual.
+    density, 'atom' for the point mass (at point_mass's default step).
+    Returns the max-entry residual.
     """
     b1 = conjugated_schur(b2, r, q)
     alpha2 = transform_alpha(alpha, r, q)

@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import checks, clark, extensions, livsic, models
-from .errors import ClarkSpectraError
+from .errors import ClarkSpectraError, SingularError
 
 __all__ = ["main", "build_parser", "parse_complex", "parse_matrix"]
 
@@ -220,10 +220,8 @@ def _measure_doc(name, alpha, grid, density, atoms):
 def cmd_density(args):
     model = _make_model(args.model, args.a)
     alpha = _parse_alpha(args.alpha, model.rank)
-    clark.check_alpha(alpha, model.rank)
     grid = _parse_grid(args.grid)
-    b = livsic.livsic_function(model)
-    vals = [clark.ac_density(b, alpha, float(s)) for s in grid]
+    vals = clark.ac_density(livsic.livsic_function(model), alpha, grid)
     if args.format == "csv":
         lines = [_csv_header(model.rank, "s")]
         for s, mat in zip(grid, vals):
@@ -255,8 +253,8 @@ def cmd_atoms(args):
             # no lattice floor on atom spacing on the half-line
             step = 0.05 if model.halfline else math.pi / (8.0 * model.a)
         locs = models.atom_scan(b, alpha, window, step=step)
-        weights = [float(np.trace(clark.point_mass_with_retry(b, alpha, s)).real)
-                   for s in locs]
+        masses = clark.point_mass(b, alpha, locs, step=step)
+        weights = [float(np.trace(m).real) for m in masses]
     if args.format == "csv":
         lines = ["s,weight"]
         for s, w in zip(locs, weights):
@@ -273,9 +271,12 @@ def cmd_livsic(args):
     if args.im < 0:
         raise _ConfigError("--im must be nonnegative")
     grid = _parse_grid(args.grid)
-    b = livsic.livsic_function(model)
-    vals = [np.atleast_2d(b(complex(float(s), args.im))) for s in grid]
-    sig = [float(np.linalg.norm(v, 2)) for v in vals]
+    vals = livsic.livsic_function(model)(grid + 1j * args.im)
+    bad = ~np.all(np.isfinite(vals), axis=(1, 2))
+    if np.any(bad):
+        raise SingularError("characteristic function is not defined at "
+                            f"w = {grid[bad][0] + 1j * args.im!r}")
+    sig = np.linalg.norm(vals, 2, axis=(1, 2))
     if args.format == "csv":
         lines = [_csv_header(model.rank, "re_w", extra=("sigma_max",))]
         for s, mat, sv in zip(grid, vals, sig):
@@ -406,8 +407,9 @@ def build_parser():
                    help="lo..hi lattice indices (closed route, l1 only)")
     t.add_argument("--step", type=_positive_float, default=None,
                    help="scan step; atoms closer than two steps merge into "
-                        "one bracket (default pi/(8a) on intervals, 0.05 on "
-                        "the half-line)")
+                        "one bracket, and the residue circles of the masses "
+                        "stay within half a step (default pi/(8a) on "
+                        "intervals, 0.05 on the half-line)")
     t.add_argument("--format", choices=["csv", "json"], default="csv")
     t.set_defaults(func=cmd_atoms)
 

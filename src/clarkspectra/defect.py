@@ -8,8 +8,6 @@ resp. sinh expressions in the rates, so Gram matrices never need quadrature.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -47,21 +45,23 @@ class Interval:
 
 
 def exp_inner_halfline(mu, nu):
-    """<exp(mu x), exp(nu x)> on (0, inf) = -1/(mu + conj(nu)).
+    """<exp(mu x), exp(nu x)> on (0, inf) = -1/(mu + conj(nu)); arrays
+    broadcast.
 
-    Requires Re(mu + conj(nu)) < 0; otherwise the integral diverges.
+    Requires Re(mu + conj(nu)) < 0; otherwise the integral diverges. NaN
+    rates pass through as NaN.
     """
-    z = complex(mu) + complex(nu).conjugate()
-    if z.real >= 0:
+    z = np.asarray(mu, dtype=complex) + np.conj(nu)
+    if (z.real >= 0).any():
         raise DivergenceError(
-            f"exp pairing with combined rate {z:.6g} is not integrable on the half-line"
+            f"exp pairing with combined rate {z} is not integrable on the half-line"
         )
-    return -1.0 / z
+    return (-1.0 / z)[()]
 
 
 def exp_inner_interval(mu, nu, a, shift=0.0):
     """<exp(mu x), exp(nu x)> on (-a, a) = 2 sinh((mu + conj(nu)) a)/(mu + conj(nu)),
-    times exp(-shift).
+    times exp(-shift); arrays broadcast.
 
     The removable singularity at mu + conj(nu) = 0 (value 2a) is handled by a
     short Taylor expansion once |z a| drops below 1e-8. Where sinh would
@@ -70,13 +70,18 @@ def exp_inner_interval(mu, nu, a, shift=0.0):
     """
     if not a > 0:
         raise DomainError(f"interval half-length must be positive, got {a}")
-    z = complex(mu) + complex(nu).conjugate()
+    z = np.asarray(mu, dtype=complex) + np.conj(nu)
     za = z * a
-    if abs(za) < 1e-8:
-        return 2.0 * a * (1.0 + za * za / 6.0 + za ** 4 / 120.0) * math.exp(-shift)
-    if abs(za.real) < 700.0:
-        return 2.0 * cmath.sinh(za) * math.exp(-shift) / z
-    return (cmath.exp(za - shift) - cmath.exp(-za - shift)) / z
+    big = np.abs(za.real) >= 700.0
+    small = np.abs(za) < 1e-8
+    if not (big.any() or small.any()):
+        return (2.0 * np.sinh(za) * np.exp(-shift) / z)[()]
+    with np.errstate(all="ignore"):
+        out = 2.0 * np.sinh(za) * np.exp(-shift) / z
+        out = np.where(big, (np.exp(za - shift) - np.exp(-za - shift)) / z, out)
+        out = np.where(small, 2.0 * a * (1.0 + za * za / 6.0 + za ** 4 / 120.0)
+                       * np.exp(-shift), out)
+    return out[()]
 
 
 def _merge_terms(terms):

@@ -7,20 +7,28 @@ For a model of deficiency rank n the characteristic function is
 where A(w, sign)[j, k] pairs the raw defect exponentials at w against the
 orthonormalized defect basis at sign * i. B is an n x n Schur-class function
 on the upper half-plane with B(i) = 0. Real-axis values are understood as
-upper continuations: the raw rates carry their Im w >= 0 branch down to the
-boundary, so B extends continuously to R minus the branch points.
+upper continuations: the rates carry their Im w >= 0 branch down to the
+boundary, so B extends continuously to R minus the branch points, and on
+across the axis away from the model's cut (Model.rates_cont).
+
+There is one evaluation of B: it takes an array of points, computes the
+rates, both pairing matrices and the explicit solve for all of them at once,
+in blocks of _BLOCK points, and returns a stack of n x n matrices; a single
+point is the same code on an array of one. Points where B is not defined
+come back as NaN, so every caller applies its own policy to them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .cplane import cayley, is_unitary
 from .defect import defect_onb
-from .errors import DimensionError, DomainError, NonUnitaryError, SingularError
+from .errors import DimensionError, DomainError, NonUnitaryError
 
 __all__ = [
     "SchurFunction",
@@ -36,10 +44,15 @@ __all__ = [
 class SchurFunction:
     """A contractive analytic matrix function on the upper half-plane.
 
-    Calling it at w with Im w < 0 raises DomainError; real w is allowed and
-    means the boundary continuation from above. ac_edge is where the
-    essential spectrum of the underlying model begins: for every coupling
-    the measure has no absolutely continuous part on s <= ac_edge.
+    fn evaluates the function's continuation at a point (an n x n matrix)
+    or at an array of points (a stack of shape w.shape + (n, n)), NaN where
+    it is not defined, and raises nothing per point. Calling the
+    SchurFunction does the same on the closed upper half-plane only: any
+    w with Im w < 0 raises DomainError; real w is allowed and means the
+    boundary continuation from above. ac_edge is where the essential
+    spectrum of the underlying model begins: for every coupling the
+    measure has no absolutely continuous part on s <= ac_edge, and fn
+    continues across the real axis below it.
     """
 
     n: int
@@ -48,73 +61,144 @@ class SchurFunction:
     label: str = ""
 
     def __call__(self, w):
-        w = complex(w)
-        if w.imag < 0:
-            raise DomainError("Schur function evaluated below the real axis")
+        w = _upper(w)
         return self.fn(w)
+
+
+def _upper(w):
+    w = np.asarray(w, dtype=complex)
+    if np.any(w.imag < 0):
+        raise DomainError("characteristic function is defined on the closed "
+                          "upper half-plane")
+    return w
 
 
 def gram_matrix(model, w, sign):
     """A(w, sign)[j, k] = <exp(rho_j(w) x), phi_k(sign * i)> in the model's L2,
     row j scaled by exp(-|Re rho_j| a) on the interval (-a, a).
 
-    rho_j are the raw defect rates at w (upper branch on the real axis) and
-    phi_k the orthonormal defect basis at +i or -i. sign is '+' or '-'. The
-    row scale is the same for both signs, so it cancels from
-    A(w, +)^{-1} A(w, -); it keeps the rows finite where exp(rho_j x)
-    grows like exp(|Re rho_j| a), as on L2 far down the negative axis.
+    rho_j are the continued defect rates at w (Model.rates_cont: the upper
+    branch on the closed upper half-plane) and phi_k the orthonormal defect
+    basis at +i or -i. sign is '+' or '-'. w is a point or an array of
+    points; the result has shape w.shape + (n, n). The row scale is the
+    same for both signs, so it cancels from A(w, +)^{-1} A(w, -); it keeps
+    the rows finite where exp(rho_j x) grows like exp(|Re rho_j| a), as on
+    L2 far down the negative axis.
     """
     if sign not in ("+", "-"):
         raise DomainError(f"sign must be '+' or '-', got {sign!r}")
-    w = complex(w)
-    rates = model.raw_rates(w)
-    onb = defect_onb(model, sign)
-    n = len(rates)
-    a = np.empty((n, n), dtype=complex)
-    for j, rho in enumerate(rates):
-        shift = 0.0 if model.halfline else abs(rho.real) * model.a
-        for k, phi in enumerate(onb):
-            a[j, k] = sum(c.conjugate() * model.inner(rho, r, shift)
-                          for c, r in phi.terms)
-    return a
+    a_plus, a_minus = _pairings(model, model.rates_cont(w))
+    return a_plus if sign == "+" else a_minus
+
+
+@lru_cache(maxsize=64)
+def _basis_terms(model):
+    """The terms c exp(r x) of the orthonormal defect bases at +i and -i, as
+    arrays: the rates r, the conjugated coefficients, and a 0/1 matrix that
+    sums the terms of basis element k at +i into column k and those at -i
+    into column n + k."""
+    n = model.rank
+    cols, coeffs, rates = zip(*[(k + (n if sign == "-" else 0), c, r)
+                                for sign in ("+", "-")
+                                for k, phi in enumerate(defect_onb(model, sign))
+                                for c, r in phi.terms])
+    pick = np.zeros((len(rates), 2 * n))
+    pick[np.arange(len(rates)), cols] = 1.0
+    return np.array(rates), np.conj(coeffs), pick
+
+
+def _pairings(model, rates):
+    """A(w, +) and A(w, -) from the rates at w (shape (..., n)), both from
+    one pass over the basis terms."""
+    terms, conj_coeffs, pick = _basis_terms(model)
+    rho = rates[..., None]
+    if model.halfline:
+        vals = model.inner(rho, terms)
+    else:
+        vals = model.inner(rho, terms, np.abs(rho.real) * model.a)
+    both = (vals * conj_coeffs) @ pick
+    n = model.rank
+    return both[..., :n], both[..., n:]
+
+
+# adj(a) = swap(a reversed in both axes) * _ADJ_SIGN for 2 x 2 a
+_ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def _solve_small(a, b, tol=1e-14):
-    """a^{-1} b for n in {1, 2} via explicit formulas, keeping the
-    singularity check independent of LAPACK behaviour. The entries are read
-    out as Python complex numbers: scalar arithmetic on them is several
-    times faster than on numpy scalars."""
-    n = a.shape[0]
+    """a^{-1} b for stacks of n x n matrices, n in {1, 2}, via explicit
+    formulas, keeping the singularity test independent of LAPACK
+    behaviour: a matrix with |det| < tol * max(1, max |a_ij|)^n counts as
+    singular, and its result is NaN. Leading axes broadcast."""
+    n = a.shape[-1]
     if n > 2:
-        return np.linalg.solve(a, b)
-    e = a.ravel().tolist()
-    scale = max(1.0, max(map(abs, e))) ** n
-    det = e[0] if n == 1 else e[0] * e[3] - e[1] * e[2]
-    if abs(det) < tol * scale:
-        raise SingularError(f"{n} x {n} matrix is singular, |det| = {abs(det):.3e}")
+        raise DimensionError(f"explicit solve covers n = 1, 2, got n = {n}")
+    det = a[..., 0, 0] if n == 1 else (a[..., 0, 0] * a[..., 1, 1]
+                                        - a[..., 0, 1] * a[..., 1, 0])
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1))) ** n
+    # "not >=" so that a NaN determinant counts as singular
+    singular = ~(np.abs(det) >= tol * scale)
+    if singular.any():
+        det = np.where(singular, 1.0, det)
+        a = np.where(singular[..., None, None], np.eye(n), a)
     if n == 1:
-        return b / det
-    return np.array([[e[3], -e[1]], [-e[2], e[0]]]) @ b / det
+        out = b / a
+    else:
+        adj = np.swapaxes(a[..., ::-1, ::-1], -1, -2) * _ADJ_SIGN
+        out = adj @ b / det[..., None, None]
+    if singular.any():
+        out = np.where(singular[..., None, None], np.nan, out)
+    return out
+
+
+# Points per block of a B evaluation: a long array is evaluated block by
+# block, so the temporaries stay bounded whatever its length.
+_BLOCK = 512
+
+
+def _b_block(model, pts):
+    a_plus, a_minus = _pairings(model, model.rates_cont(pts))
+    return cayley(pts)[:, None, None] * _solve_small(a_plus, a_minus)
+
+
+def _continued_b(model, w):
+    """B(w) = gamma(w) A(w,+)^{-1} A(w,-) on the continuation (any w off
+    the model's cut), for a point or an array of points; shape
+    w.shape + (n, n). Non-finite points, w = -i and points where A(w, +) is
+    singular give NaN; nothing is raised per point."""
+    w = np.asarray(w, dtype=complex)
+    flat = w.reshape(-1)
+    n = model.rank
+    out = np.empty((flat.size, n, n), dtype=complex)
+    for start in range(0, flat.size, _BLOCK):
+        pts = flat[start:start + _BLOCK]
+        vals = out[start:start + _BLOCK]
+        ok = np.isfinite(pts) & (pts != -1j)
+        if ok.all():
+            vals[...] = _b_block(model, pts)
+        else:
+            vals[...] = np.nan
+            if ok.any():
+                vals[ok] = _b_block(model, pts[ok])
+    return out.reshape(w.shape + (n, n))
 
 
 def livsic_eval(model, w):
-    """Characteristic function value B(w) = gamma(w) A(w,+)^{-1} A(w,-).
+    """Characteristic function B(w) = gamma(w) A(w,+)^{-1} A(w,-).
 
-    Defined for Im w >= 0; real w gives the boundary continuation. Returns an
-    n x n ndarray (also for n = 1).
+    w is a point or an array of points of the closed upper half-plane; real
+    w gives the boundary continuation, and Im w < 0 raises DomainError.
+    Returns an n x n ndarray for a point (also for n = 1) and a stack of
+    shape w.shape + (n, n) for an array, with NaN where B is not defined
+    (a non-finite point, a singular pairing matrix).
     """
-    w = complex(w)
-    if w.imag < 0:
-        raise DomainError("characteristic function is defined on the closed upper half-plane")
-    a_plus = gram_matrix(model, w, "+")
-    a_minus = gram_matrix(model, w, "-")
-    return cayley(w) * _solve_small(a_plus, a_minus)
+    return _continued_b(model, _upper(w))
 
 
 def livsic_function(model):
-    """Package livsic_eval as a SchurFunction. The half-line models have
+    """Package the model's B as a SchurFunction. The half-line models have
     essential spectrum [0, inf); the interval models have none."""
-    return SchurFunction(n=model.rank, fn=lambda w: livsic_eval(model, w),
+    return SchurFunction(n=model.rank, fn=partial(_continued_b, model),
                          ac_edge=0.0 if model.halfline else math.inf,
                          label=model.name)
 
@@ -129,7 +213,7 @@ def conjugated_schur(b, r, q):
         )
     if not (is_unitary(r) and is_unitary(q)):
         raise NonUnitaryError("conjugating matrices must be unitary")
-    return replace(b, fn=lambda w: r @ np.atleast_2d(b(w)) @ q,
+    return replace(b, fn=lambda w: r @ b.fn(w) @ q,
                    label=(b.label + "~conj") if b.label else "conj")
 
 

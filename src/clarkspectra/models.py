@@ -8,11 +8,14 @@ L models live on the symmetric interval (-a, a):
     L2: -d^2/dx^2, rank 2
 
 Each model knows its square-integrable characteristic rates (with the upper
-continuation onto the real axis) and its closed-form inner product, which is
-all the generic machinery needs. On top of that this module carries the
-rank-one closed-form characteristic functions and densities and the L1 atom
-lattice and weights, used as independent cross-checks of the generic
-pipeline, plus the atom scan built on the generic characteristic function.
+continuation onto the real axis, and the continuation of that branch below
+the axis off the model's cut) and its closed-form inner product, which is
+all the generic machinery needs; both take arrays of points. On top of that
+this module carries the rank-one closed-form characteristic functions and
+densities and the L1 atom lattice and weights, used as independent
+cross-checks of the generic pipeline, plus the atom scan built on the
+generic characteristic function: one array call of B for the grid, then one
+per golden-section step for all dips together.
 """
 
 from __future__ import annotations
@@ -66,32 +69,63 @@ class Model:
                 f"interval half-length must be positive, got {self.a}")
 
     def raw_rates(self, w):
-        """Characteristic exponents of the defect space at w.
+        """Square-integrable characteristic exponents of the defect space at
+        w, a scalar or an array; shape w.shape + (rank,).
 
-        For real w the rates are the limits from the upper half-plane, which
-        is the continuation every boundary evaluation in the package uses.
+        On the closed upper half-plane these are the upper branch (real w
+        gives the limits from above, the continuation every boundary
+        evaluation uses); below the axis, the branch that decays there,
+        which spans the defect space at w.
         """
-        w = complex(w)
-        if self.name == "K1":
-            root = principal_power(w, 0.5)
-            return (1j * root,) if w.imag >= 0 else (-1j * root,)
-        if self.name == "K2":
-            root = principal_power(w, 0.25)
-            if w.imag >= 0:
-                return (1j * root, -root)
-            return (-root, -1j * root)
+        return self._rates(w, cont=False)
+
+    def rates_cont(self, w):
+        """The upper-branch rates continued to the whole plane minus the
+        cut: equal to raw_rates on the closed upper half-plane. The K
+        models continue across (-inf, 0), with their cut on [0, inf); the L
+        rates are entire, and L2's B is single-valued although its two
+        rates swap across the negative axis, since B does not depend on
+        their order.
+        """
+        return self._rates(w, cont=True)
+
+    def _rates(self, w, cont):
+        w = np.asarray(w, dtype=complex)
         if self.name == "L1":
-            return (-1j * w,)
+            return (-1j * w)[..., None]
         if self.name == "L2":
             root = principal_power(w, 0.5)
-            return (-1j * root, 1j * root)
-        raise DomainError(f"unknown model {self.name!r}")
+            return np.stack([-1j * root, 1j * root], axis=-1)
+        if self.name not in ("K1", "K2"):
+            raise DomainError(f"unknown model {self.name!r}")
+        p = 1.0 / self.order
+        root = principal_power(w, p)
+        lower = w.imag < 0
+        flip = None
+        if lower.any():
+            if cont:
+                # e^{i pi p} (-w)^p is the principal root continued across
+                # the negative axis
+                root = np.where(lower, np.exp(1j * np.pi * p)
+                                * principal_power(-w, p), root)
+            else:
+                flip = lower
+        if self.name == "K1":
+            rates = 1j * root
+            if flip is not None:
+                rates = np.where(flip, -rates, rates)
+            return rates[..., None]
+        rates = np.stack([1j * root, -root], axis=-1)
+        if flip is not None:
+            rates = np.where(flip[..., None],
+                             np.stack([-root, -1j * root], axis=-1), rates)
+        return rates
 
     def inner(self, mu, nu, shift=0.0):
         """Closed-form <exp(mu x), exp(nu x)> on the model's domain, times
-        exp(-shift)."""
+        exp(-shift); arrays broadcast."""
         if self.halfline:
-            return exp_inner_halfline(mu, nu) * math.exp(-shift)
+            return exp_inner_halfline(mu, nu) * np.exp(-shift)
         return exp_inner_interval(mu, nu, self.a, shift)
 
     def expression_eigenvalue(self, rate):
@@ -268,42 +302,52 @@ MAX_SCAN_POINTS = 10 ** 6
 # minimum is kept as an atom when sigma_min there drops below _KEEP_TOL.
 _REFINE_TOL = 1e-10
 _KEEP_TOL = 1e-6
+_INVPHI = (math.sqrt(5.0) - 1) / 2
 
 
 def _golden_min(fun, lo, hi):
-    """Golden-section minimizer down to a bracket of _REFINE_TOL; assumes a
-    single interior minimum."""
-    invphi = (math.sqrt(5.0) - 1) / 2
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = fun(c), fun(d)
-    while hi - lo > _REFINE_TOL:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = fun(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = fun(d)
+    """Golden-section minimizers of fun on the brackets [lo_i, hi_i], each
+    down to a width of _REFINE_TOL; assumes a single interior minimum per
+    bracket. The brackets run in lockstep: fun maps an array of points to
+    an array of values and is called once per iteration, on one new point
+    of every bracket still wider than _REFINE_TOL."""
+    lo, hi = lo.copy(), hi.copy()
+    c = hi - _INVPHI * (hi - lo)
+    d = lo + _INVPHI * (hi - lo)
+    fc, fd = np.split(fun(np.concatenate([c, d])), 2)
+    live = np.flatnonzero(hi - lo > _REFINE_TOL)
+    while live.size:
+        left = fc[live] < fd[live]
+        i, j = live[left], live[~left]
+        # left: the minimum is in [lo, d], d <- c, and c is the new point;
+        # right: it is in [c, hi], c <- d, and d is the new point
+        hi[i], d[i], fd[i] = d[i], c[i], fc[i]
+        c[i] = hi[i] - _INVPHI * (hi[i] - lo[i])
+        lo[j], c[j], fc[j] = c[j], d[j], fd[j]
+        d[j] = lo[j] + _INVPHI * (hi[j] - lo[j])
+        new = np.where(left, c[live], d[live])
+        val = fun(new)
+        fc[i], fd[j] = val[left], val[~left]
+        live = live[hi[live] - lo[live] > _REFINE_TOL]
     return 0.5 * (lo + hi)
 
 
-def _v_polish(fun, s, h):
-    """One polish step for a V-shaped dip f(x) = c |x - x0| + O((x - x0)^2).
+def _v_polish(fun, s):
+    """One polish step for V-shaped dips f(x) = c |x - x0| + O((x - x0)^2),
+    for every point of s in one call of fun.
 
-    Sampling at s - h and s + h with |s - x0| < h gives the slope c from the
-    sum and the offset from the difference. Returns s unchanged whenever the
-    fit is invalid (non-finite slope or a correction larger than h).
+    Sampling at s - h and s + h, h = 1e-7 (1 + |s|), with |s - x0| < h gives
+    the slope c from the sum and the offset from the difference. A point
+    stays unchanged wherever the fit is invalid (non-finite slope or a
+    correction larger than h).
     """
-    fp, fm = fun(s + h), fun(s - h)
-    c = (fp + fm) / (2.0 * h)
-    if not (np.isfinite(c) and c > 0):
-        return s
-    delta = (fp - fm) / (2.0 * c)
-    if not np.isfinite(delta) or abs(delta) > h:
-        return s
-    return s - delta
+    h = 1e-7 * (1.0 + np.abs(s))
+    fp, fm = np.split(fun(np.concatenate([s + h, s - h])), 2)
+    with np.errstate(all="ignore"):
+        c = (fp + fm) / (2.0 * h)
+        delta = (fp - fm) / (2.0 * c)
+    ok = np.isfinite(c) & (c > 0) & np.isfinite(delta) & (np.abs(delta) <= h)
+    return np.where(ok, s - delta, s)
 
 
 def atom_scan(b, alpha, window, step):
@@ -313,15 +357,18 @@ def atom_scan(b, alpha, window, step):
     every finite local minimum (window edges included); only refined points
     whose sigma_min drops below _KEEP_TOL survive. The dips are narrow, so
     the coarse samples near an atom need not be small themselves; filtering
-    happens after refinement. Numerical evaluation failures (package errors,
-    LAPACK failures, overflow) count as +inf, which keeps the scan robust
-    near degenerate boundary points; any other exception propagates.
+    happens after refinement. b is only called, each time on an array of
+    points, returning a stack of n x n values: once on the grid, and then
+    once per refinement step for all minima together. Points where B is
+    not finite, and a call that fails numerically as a whole (package
+    errors, LAPACK failures, overflow), count as +inf, which keeps the
+    scan robust near degenerate boundary points; any other exception
+    propagates.
 
     Each golden minimum gets one V-fit polish: sigma_min vanishes linearly
-    at an atom, and the golden bracket alone leaves an offset around 1e-11
-    that is enough to stall the boundary limit ladder of a subsequent
-    point-mass evaluation. The polish pushes locations to near machine
-    accuracy.
+    at an atom, and the golden bracket alone leaves an offset around 1e-11.
+    The polish pushes locations to near machine accuracy, and the residue
+    masses are taken at them.
 
     step must keep distinct atoms at least two grid cells apart: a bracket
     that straddles two dips refines to only one of them. The interval
@@ -337,11 +384,18 @@ def atom_scan(b, alpha, window, step):
     eye = np.eye(n)
 
     def objective(s):
+        out = np.full(s.size, np.inf)
         try:
-            bv = np.atleast_2d(b(s))
-            return float(np.linalg.svd(eye - bv @ alpha.conj().T, compute_uv=False)[-1])
+            bv = np.asarray(b(s), dtype=complex).reshape(s.size, n, n)
         except (ClarkSpectraError, np.linalg.LinAlgError, ArithmeticError):
-            return np.inf
+            return out
+        m = eye - bv @ alpha.conj().T
+        ok = np.isfinite(m).all(axis=(1, 2))
+        if n == 1:
+            out[ok] = np.abs(m[ok, 0, 0])
+        elif ok.any():
+            out[ok] = np.linalg.svd(m[ok], compute_uv=False)[:, -1]
+        return out
 
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -355,22 +409,18 @@ def atom_scan(b, alpha, window, step):
                           f"limit of {MAX_SCAN_POINTS} grid points")
     count = max(int(math.ceil(cells)) + 1, 8)
     grid = np.linspace(lo, hi, count)
-    vals = np.array([objective(s) for s in grid])
-    finite = np.isfinite(vals)
-    found = []
-    for i in range(len(grid)):
-        left = vals[i - 1] if i > 0 else np.inf
-        right = vals[i + 1] if i < len(grid) - 1 else np.inf
-        if finite[i] and vals[i] <= left and vals[i] <= right:
-            blo = grid[max(i - 1, 0)]
-            bhi = grid[min(i + 1, len(grid) - 1)]
-            s_star = _golden_min(objective, blo, bhi)
-            s_star = _v_polish(objective, s_star, h=1e-7 * (1.0 + abs(s_star)))
-            if objective(s_star) < _KEEP_TOL:
-                found.append(s_star)
-    found.sort()
+    vals = objective(grid)
+    padded = np.concatenate([[np.inf], vals, [np.inf]])
+    minima = np.flatnonzero(np.isfinite(vals) & (vals <= padded[:-2])
+                            & (vals <= padded[2:]))
+    if minima.size == 0:
+        return []
+    s_star = _golden_min(objective, grid[np.maximum(minima - 1, 0)],
+                         grid[np.minimum(minima + 1, count - 1)])
+    s_star = _v_polish(objective, s_star)
+    found = np.sort(s_star[objective(s_star) < _KEEP_TOL])
     out = []
-    for s in found:
+    for s in found.tolist():
         if not out or abs(s - out[-1]) > 1e-8:
             out.append(s)
     return out

@@ -1,9 +1,15 @@
 """Independent cross-checks: quadrature inner products, direct eigenvalue
-formulas, a finite-difference pencil, and the half-line bound-state probe.
+formulas, a finite-difference pencil, the boundary-limit ladder, and the
+half-line bound-state probe.
 
-Nothing in here reuses the closed-form inner products or the limit ladder;
-that is the point. Agreement between these routines and the analytic path
-is what the acceptance checks certify.
+Nothing in here reuses the closed-form inner products, the continuation of
+B below the axis or the residue route; that is the point. Agreement between
+these routines and the analytic path is what the acceptance checks
+certify. The ladder takes boundary values as limits from the upper
+half-plane: along vertical ladders w_k = s + i eps_0 2^{-k}, accelerated by
+Richardson extrapolation in half-integer powers of eps, which covers both
+analytic boundary behaviour and the sqrt-type behaviour coming off a branch
+cut.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ from .defect import HalfLine, Interval
 from .errors import ConvergenceError, DomainError, RankError, ToleranceError
 
 __all__ = [
+    "nt_limit",
+    "ladder_point_mass",
     "QuadratureSpec",
     "quad_inner",
     "l1_eigenvalues_direct",
@@ -25,6 +33,80 @@ __all__ = [
     "fd_observed_order",
     "k1_bound_state_check",
 ]
+
+
+# Ladder geometry: eps_k = _EPS0 2^{-k} for k = 0.._LEVELS, and at most
+# _MAX_COLS columns in the Richardson table.
+_EPS0 = 2.0 ** -4
+_LEVELS = 30
+_MAX_COLS = 12
+
+
+def nt_limit(f, s, rtol=1e-8, atol=1e-12, full_output=False):
+    """Non-tangential boundary limit of f at the real point s.
+
+    Realized as the vertical approach w_k = s + i eps_k, eps_k = _EPS0 2^{-k},
+    which lies inside every Stolz angle, and Richardson-extrapolated in the
+    powers eps^(m/2), m = 1, 2, 3, ..., so the elimination ratios are
+    beta_m = 2^(-m/2). Stops once the last two diagonal entries agree to
+    atol + rtol * ||value||. The absolute floor matters: limits that are
+    exactly zero never satisfy a purely relative test.
+
+    f maps a complex point to a scalar or ndarray. With full_output=True
+    returns (value, error_estimate, levels_used). Raises ConvergenceError
+    when the ladder is exhausted before the diagonal settles.
+    """
+    s = float(s)
+    prev_row = None
+    best_err = np.inf
+    for k in range(_LEVELS + 1):
+        eps = _EPS0 * 2.0 ** (-k)
+        val = np.asarray(f(s + 1j * eps), dtype=complex)
+        if not np.all(np.isfinite(val)):
+            raise ConvergenceError(
+                f"ladder evaluation returned a non-finite value at eps = {eps:.3e}"
+            )
+        row = [val]
+        if prev_row is not None:
+            width = min(len(prev_row), _MAX_COLS - 1)
+            for m in range(1, width + 1):
+                beta = 2.0 ** (-m / 2.0)
+                row.append((row[m - 1] - beta * prev_row[m - 1]) / (1.0 - beta))
+            err = float(np.max(np.abs(row[-1] - row[-2])))
+            best_err = min(best_err, err)
+            tol = atol + rtol * float(np.max(np.abs(row[-1])))
+            if err <= tol:
+                out = row[-1] if row[-1].ndim else complex(row[-1])
+                return (out, err, k) if full_output else out
+        prev_row = row
+    raise ConvergenceError(
+        f"boundary limit did not settle within {_LEVELS} ladder levels "
+        f"(best residual {best_err:.3e})"
+    )
+
+
+def ladder_point_mass(b, alpha, s):
+    """Mass mu({s}) as the boundary limit
+    (2i/(pi (1+s^2)^2)) lim (s - w) (I - B(w) alpha*)^{-1}, w -> s from
+    above along the ladder of nt_limit, with LAPACK solves.
+
+    b is any callable on the upper half-plane (a SchurFunction or a closed
+    form). The reference for the residue route of clark.point_mass.
+    """
+    from .clark import check_alpha
+
+    n = np.atleast_2d(np.asarray(alpha, dtype=complex)).shape[0]
+    alpha = check_alpha(alpha, n)
+    s = float(s)
+    eye = np.eye(n)
+
+    def f(w):
+        m = eye - np.atleast_2d(b(w)) @ alpha.conj().T
+        return (s - w) * np.linalg.solve(m, eye)
+
+    lim = np.atleast_2d(nt_limit(f, s))
+    mass = 2j / (np.pi * (1.0 + s * s) ** 2) * lim
+    return 0.5 * (mass + mass.conj().T)
 
 
 @dataclass(frozen=True)
@@ -279,10 +361,10 @@ def k1_bound_state_check(b, c):
 
     The decaying solution exp(-sigma x) satisfies the condition iff
     sigma = b/c > 0, giving a negative eigenvalue at -sigma^2. Returns
-    (location, weight) with the weight computed through the perturbation
-    measure at the mapped parameter, or None when no bound state exists.
+    (location, weight) with the weight the ladder mass (ladder_point_mass)
+    of the closed-form K1 function at the mapped parameter, or None when no
+    bound state exists.
     """
-    from .clark import point_mass
     from .extensions import alpha_from_bc_k1
     from .models import k1_livsic
 
@@ -297,5 +379,5 @@ def k1_bound_state_check(b, c):
     if sigma <= 0:
         return None
     location = -sigma * sigma
-    mass = point_mass(k1_livsic, alpha, location)
+    mass = ladder_point_mass(k1_livsic, alpha, location)
     return location, float(np.real(mass[0, 0]))

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from clarkspectra import clark, extensions, livsic, models
 from clarkspectra.cplane import random_unitary
-from clarkspectra.errors import DimensionError, DomainError, NonUnitaryError
+from clarkspectra.errors import (ConvergenceError, DimensionError, DomainError,
+                                 NonUnitaryError, SingularError)
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +74,43 @@ def test_point_mass_on_and_off_atoms(b_l1):
     assert mass == pytest.approx(ref, rel=1e-6)
     off = clark.point_mass(b_l1, [[1.0]], 0.7)[0, 0]
     assert abs(off) < 1e-9
+
+
+def test_ac_density_grid_matches_points(b_k1):
+    # a grid is one evaluation of B, with what each point gives alone
+    grid = np.array([-1.0, 0.0, 0.3, 2.0, 17.0])
+    rho = clark.ac_density(b_k1, [[1j]], grid)
+    assert rho.shape == (5, 1, 1)
+    for s, r in zip(grid, rho):
+        np.testing.assert_array_equal(r, clark.ac_density(b_k1, [[1j]], s))
+    # a point of the support where B is not defined (the K2 pairing is
+    # singular within rounding of the branch point) is refused
+    b_k2 = livsic.livsic_function(models.k2())
+    with pytest.raises(SingularError):
+        clark.ac_density(b_k2, np.eye(2), [1e-300, 1.0])
+
+
+def test_point_mass_array_and_refusals(b_k1, b_l1):
+    # alpha = 1 on L1: atoms at pi/2 + n pi
+    atoms = models.l1_atoms(1.0, 1.0, (-2, 2))
+    masses = clark.point_mass(b_l1, [[1.0]], atoms, step=math.pi / 8)
+    assert masses.shape == (5, 1, 1)
+    for s, m in zip(atoms, masses):
+        assert m[0, 0].real == pytest.approx(models.l1_weight(1.0, 1.0, s),
+                                             rel=1e-13)
+    assert clark.point_mass(b_l1, [[1.0]], []).shape == (0, 1, 1)
+    # non-finite, repeated, on the essential spectrum, bad step
+    for s, step in ((math.nan, 0.05), ([0.5, 0.5], 0.05), (0.5, 0.0),
+                    (0.5, math.nan)):
+        with pytest.raises(DomainError):
+            clark.point_mass(b_l1, [[1.0]], s, step=step)
+    for s in (0.0, 0.7):
+        with pytest.raises(DomainError):
+            clark.point_mass(b_k1, [[1j]], s)
+    # an atom just outside the circle (radius 0.25, atom at distance
+    # 0.26) slows the trapezoid rule down: the two node counts disagree
+    with pytest.raises(ConvergenceError):
+        clark.point_mass(b_l1, [[1.0]], math.pi / 2 + 0.26, step=0.5)
 
 
 def test_point_mass_is_hermitian_psd_matrix_case():

@@ -110,9 +110,8 @@ def test_atoms_scan_route_json(capsys):
 
 
 def test_atoms_shallow_edge_atom_fallback(capsys):
-    # this coupling has one small atom just below the continuum edge; the
-    # strict point-mass ladder stalls on it and the weight column must come
-    # through the documented reduced-tolerance retry
+    # this coupling has one small atom just below the continuum edge; its
+    # residue circle has half the distance to the branch point 0 as radius
     code, out, _ = run_cli(capsys, [
         "atoms", "--model", "k2", "--alpha", '[["0,-1","0"],["0","0,-1"]]',
         "--window=-0.1:0.1"])
@@ -122,6 +121,21 @@ def test_atoms_shallow_edge_atom_fallback(capsys):
     s, w = (float(t) for t in lines[1].split(","))
     assert s == pytest.approx(-0.0016654, abs=1e-6)
     assert w == pytest.approx(0.0201234, rel=1e-4)
+
+
+def test_atoms_k2_shallow_atom_near_the_branch_point(capsys):
+    # a small atom 1.7e-4 below the edge of the essential spectrum, next to
+    # a deeper one: its residue circle has radius 8.5e-5
+    alpha = '[["1:-2.6179938779914944","0"],["0","1:-2.6179938779914944"]]'
+    code, out, err = run_cli(capsys, [
+        "atoms", "--model", "k2", f"--alpha={alpha}", "--window=-40:0.5"])
+    assert code == 0 and err == ""
+    rows = [tuple(float(t) for t in line.split(","))
+            for line in out.strip().splitlines()[1:]]
+    assert [s for s, _ in rows] == pytest.approx(
+        [-0.26264440779127107, -1.6993375000169889e-4], rel=0, abs=1e-12)
+    assert [w for _, w in rows] == pytest.approx(
+        [0.22293830350252486, 0.0054530541196780467], rel=1e-10)
 
 
 def test_atoms_requires_window_or_range(capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clarkspectra import cplane
-from clarkspectra.errors import ConvergenceError, DimensionError, DomainError
+from clarkspectra.errors import DimensionError, DomainError
 
 real_coord = st.floats(min_value=-1e3, max_value=1e3,
                        allow_nan=False, allow_infinity=False)
@@ -49,32 +49,6 @@ def test_principal_power_branch_angle(r, half_arg):
     out = cplane.principal_power(w, 0.5)
     assert abs(out) == pytest.approx(math.sqrt(r), rel=1e-12)
     assert -math.pi / 2 < cmath.phase(out) <= math.pi / 2 + 1e-15
-
-
-def test_nt_limit_polynomial_is_exact():
-    # f(w) = 3 + 2w has boundary value 3 + 2s
-    val = cplane.nt_limit(lambda w: 3.0 + 2.0 * w, 0.7)
-    assert val == pytest.approx(3.0 + 1.4, abs=1e-10)
-
-
-def test_nt_limit_sqrt_branch_behaviour():
-    # sqrt(w) off the cut: ladder must handle the eps^(1/2) expansion at s=0
-    val = cplane.nt_limit(lambda w: cplane.principal_power(w, 0.5), 0.0)
-    assert abs(val) < 1e-7
-
-
-def test_nt_limit_full_output_and_failure():
-    val, err, k = cplane.nt_limit(lambda w: w * w, 2.0, full_output=True)
-    assert val == pytest.approx(4.0, abs=1e-9)
-    assert err >= 0 and k >= 1
-    with pytest.raises(ConvergenceError):
-        # oscillating, no boundary limit
-        cplane.nt_limit(lambda w: cmath.exp(1j / w.imag), 0.0)
-
-
-def test_nt_limit_rejects_non_finite_ladder_values():
-    with pytest.raises(ConvergenceError):
-        cplane.nt_limit(lambda w: complex("nan"), 1.0)
 
 
 def test_matrix_predicates():

@@ -30,3 +30,13 @@ def test_module_exports_reexported(name):
     absent = [n for n in mod.__all__ if n not in clarkspectra.__all__]
     assert absent == []
     assert all(getattr(clarkspectra, n) is getattr(mod, n) for n in mod.__all__)
+
+
+def test_ladder_is_an_oracle_reference():
+    # the boundary-limit ladder serves only the reference checks; the
+    # production point mass is the residue, with no retry beside it
+    from clarkspectra import clark, cplane, oracle
+    assert clarkspectra.nt_limit is oracle.nt_limit
+    assert not hasattr(cplane, "nt_limit")
+    assert not hasattr(clark, "point_mass_with_retry")
+    assert "point_mass_with_retry" not in clarkspectra.__all__

@@ -98,6 +98,53 @@ def test_closed_forms_match_generic():
             assert d < 1e-10, (model.name, w, d)
 
 
+# The closed upper half-plane minus a disk of radius 1e-6 around the branch
+# point 0: there the two rates of K2 and L2 meet, A(w, +) and A(w, -) both
+# become singular, and their ratio B loses digits (L2 overshoots the Schur
+# bound by about 1e-9 at |w| = 1e-12; the pairing is exactly singular at 0).
+closed_upper_w = st.builds(
+    complex,
+    st.floats(min_value=-40.0, max_value=40.0, allow_nan=False),
+    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=8.0)),
+).filter(lambda w: abs(w) >= 1e-6)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+@given(points=st.lists(closed_upper_w, min_size=1, max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_array_b_matches_pointwise_and_schur_bound(model, points):
+    # one evaluation of B: an array call gives what each point gives
+    # alone, and ||B(w)|| <= 1 on the closed upper half-plane
+    w = np.array(points)
+    stack = livsic.livsic_eval(model, w)
+    assert stack.shape == (len(points), model.rank, model.rank)
+    for wk, bk in zip(points, stack):
+        np.testing.assert_array_equal(bk, livsic.livsic_eval(model, wk))
+        assert np.linalg.norm(bk, 2) <= 1.0 + 1e-12
+
+
+def test_continuation_below_the_axis():
+    # rates_cont equals raw_rates on the closed upper half-plane; below the
+    # axis the K models continue across the negative axis, so B is
+    # continuous there, and it is unitary on the axis away from the
+    # essential spectrum
+    for model in ALL_MODELS:
+        up = np.array([0.3 + 1j, -2.0 + 0.5j, 1.5 + 0.0j, -3.0 + 0.0j])
+        assert np.array_equal(model.rates_cont(up), model.raw_rates(up))
+        b = livsic.livsic_function(model)
+        s = -1.7
+        above, below = b.fn(np.array([s + 1e-9j, s - 1e-9j]))
+        assert np.max(np.abs(above - below)) < 1e-7
+        on = b.fn(s)
+        assert np.max(np.abs(on.conj().T @ on - np.eye(model.rank))) < 1e-12
+    # the K1 continuation is the closed form's: B(w) = (w - sqrt(2w) + 1)/(w + i)
+    # with the root continued across the negative axis
+    w = -2.0 - 0.4j
+    root = 1j * np.sqrt(-2.0 * w)
+    closed = (w - root + 1) / (w + 1j)
+    assert livsic.livsic_function(models.k1()).fn(w)[0, 0] == pytest.approx(closed)
+
+
 @given(upper_w)
 @settings(max_examples=40, deadline=None)
 def test_k1_closed_contraction_property(w):

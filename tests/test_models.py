@@ -184,9 +184,8 @@ def test_atom_scan_recovers_l1_lattice():
 
 
 def test_atom_scan_k2_locations_feed_point_mass():
-    # the golden bracket alone leaves ~1e-11 location error, which stalls
-    # the point-mass ladder; the polish step must land close enough that
-    # both negative atoms of this coupling yield convergent masses
+    # both negative atoms of this coupling, found by the scan, yield
+    # accepted residue masses
     from clarkspectra import clark
     b = livsic.livsic_function(models.k2())
     alpha = -np.eye(2, dtype=complex)

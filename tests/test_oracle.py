@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,13 +7,39 @@ import scipy.sparse.linalg
 from scipy import linalg
 
 from clarkspectra import extensions, models, oracle
-from clarkspectra.cplane import random_unitary
+from clarkspectra.cplane import principal_power, random_unitary
 from clarkspectra.defect import ExpSum, HalfLine, Interval, expsum_inner
 from clarkspectra.errors import (ConvergenceError, DomainError, RankError,
                                  ToleranceError)
 
 DIRICHLET = extensions.BoundaryMatrices([[1, 0], [0, 0]], [[0, 0], [1, 0]])
 PERIODIC = extensions.BoundaryMatrices(np.eye(2), -np.eye(2))
+
+
+def test_nt_limit_polynomial_is_exact():
+    # f(w) = 3 + 2w has boundary value 3 + 2s
+    val = oracle.nt_limit(lambda w: 3.0 + 2.0 * w, 0.7)
+    assert val == pytest.approx(3.0 + 1.4, abs=1e-10)
+
+
+def test_nt_limit_sqrt_branch_behaviour():
+    # sqrt(w) off the cut: ladder must handle the eps^(1/2) expansion at s=0
+    val = oracle.nt_limit(lambda w: principal_power(w, 0.5), 0.0)
+    assert abs(val) < 1e-7
+
+
+def test_nt_limit_full_output_and_failure():
+    val, err, k = oracle.nt_limit(lambda w: w * w, 2.0, full_output=True)
+    assert val == pytest.approx(4.0, abs=1e-9)
+    assert err >= 0 and k >= 1
+    with pytest.raises(ConvergenceError):
+        # oscillating, no boundary limit
+        oracle.nt_limit(lambda w: cmath.exp(1j / w.imag), 0.0)
+
+
+def test_nt_limit_rejects_non_finite_ladder_values():
+    with pytest.raises(ConvergenceError):
+        oracle.nt_limit(lambda w: complex("nan"), 1.0)
 
 
 def test_quad_inner_matches_closed_halfline():

@@ -2,26 +2,39 @@
 
 Wall time on a shared machine is noisy; the number of characteristic-function
 evaluations a routine makes is not, so these counts pin the cost of the
-density's direct boundary evaluation, of the point-mass limit ladder and of
-the atom scan.
+density's direct boundary evaluation, of the residue point masses, of the
+reference ladder and of the atom scan. B takes arrays of points, so each
+count is both the number of calls and the number of points evaluated.
 """
 
 import math
 
 import numpy as np
 
-from clarkspectra import clark, extensions, livsic, models
+from clarkspectra import clark, cli, extensions, livsic, models, oracle
 
 
 class CountingB:
+    """A model's SchurFunction that counts its calls and the points they
+    carry, through the public callable and through the continuation fn."""
+
     def __init__(self, model):
         self.b = livsic.livsic_function(model)
         self.ac_edge = self.b.ac_edge
         self.calls = 0
+        self.points = 0
+
+    def _count(self, w):
+        self.calls += 1
+        self.points += np.size(w)
 
     def __call__(self, w):
-        self.calls += 1
+        self._count(w)
         return self.b(w)
+
+    def fn(self, w):
+        self._count(w)
+        return self.b.fn(w)
 
 
 def test_density_evaluation_counts():
@@ -29,7 +42,7 @@ def test_density_evaluation_counts():
     for model, alpha in ((models.k1(), [[-1.0]]), (models.k2(), np.eye(2))):
         b = CountingB(model)
         clark.ac_density(b, alpha, 1.5)
-        assert b.calls == 1
+        assert (b.calls, b.points) == (1, 1)
         clark.ac_density(b, alpha, 0.0)
         clark.ac_density(b, alpha, -2.0)
         assert b.calls == 1
@@ -38,17 +51,51 @@ def test_density_evaluation_counts():
     assert b.calls == 0
 
 
+def test_density_grid_is_one_call():
+    # a grid across the edge of the essential spectrum: one call of B on
+    # the points with s > 0
+    b = CountingB(models.k2())
+    grid = np.linspace(-2.0, 5.0, 141)
+    rho = clark.ac_density(b, np.eye(2), grid)
+    assert rho.shape == (141, 2, 2)
+    assert (b.calls, b.points) == (1, int(np.sum(grid > 0)))
+
+
+def test_density_request_validates_alpha_once(monkeypatch, capsys):
+    seen = []
+    check = clark.check_alpha
+    monkeypatch.setattr(clark, "check_alpha",
+                        lambda *a, **k: seen.append(1) or check(*a, **k))
+    assert cli.main(["density", "--model", "k2", "--alpha", "[[1,0],[0,1]]",
+                     "--grid", "0.1:5:200"]) == 0
+    capsys.readouterr()
+    assert len(seen) == 1
+
+
 def test_ladder_evaluation_counts():
+    # the reference ladder of the oracle: one B evaluation per level
     b = CountingB(models.l1(1.0))
-    clark.point_mass(b, [[1.0]], math.pi / 2)
-    assert b.calls == 7
+    oracle.ladder_point_mass(b, [[1.0]], math.pi / 2)
+    assert (b.calls, b.points) == (7, 7)
+
+
+def test_residue_evaluation_counts():
+    # 64 trapezoid nodes per atom, all atoms of a call in one call of B
+    b = CountingB(models.l1(1.0))
+    atoms = models.l1_atoms(1.0, 1.0, (-3, 3))
+    clark.point_mass(b, [[1.0]], atoms, step=math.pi / 8)
+    assert (b.calls, b.points) == (1, 64 * len(atoms))
 
 
 def test_l2_dirichlet_scan_counts():
+    # the grid in one call, then the golden-section brackets of all minima
+    # in lockstep: the same 280 points as one point at a time, in 52 calls
     model = models.l2(1.0)
     bm = extensions.BoundaryMatrices([[1, 0], [0, 0]], [[0, 0], [1, 0]])
     alpha = extensions.alpha_from_bc_regular(model, bm)
     b = CountingB(model)
     atoms = models.atom_scan(b, alpha, (-1.0, 26.0), step=math.pi / 8)
-    assert b.calls == 280
+    assert b.points == 280
+    assert b.calls == 52
     assert len(atoms) == 3
+

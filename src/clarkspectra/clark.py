@@ -19,8 +19,9 @@ The point mass is a residue: B continues across the real axis below the
 essential spectrum, so (I - B(w) alpha*)^{-1} is meromorphic around an
 isolated atom s, the limit above is minus its residue there, and the
 residue is the trapezoid rule on a circle around s, which converges
-geometrically in the number of nodes. All circles of one call are one
-array evaluation of B.
+geometrically in the number of nodes. The same sums locate the pole they
+see, so a point next to an atom but not at it gets zero mass. All circles
+of one call are one array evaluation of B.
 """
 
 from __future__ import annotations
@@ -112,6 +113,9 @@ _NODES = 64
 # Acceptance of a residue mass: PSD and Hermitian, and the two node counts
 # agreeing, each to this relative tolerance (above the rounding floor).
 _MASS_RTOL = 1e-10
+# A pole that the nodes place farther than _OFFSET_TOL (1 + |s|) from s is
+# not at s (the atom scan merges locations within 1e-8 as well).
+_OFFSET_TOL = 1e-8
 
 
 def _radii(s, step, edge):
@@ -123,6 +127,20 @@ def _radii(s, step, edge):
     near[order[1:]] = gaps
     near[order[:-1]] = np.minimum(near[order[:-1]], gaps)
     return 0.5 * np.minimum(np.minimum(step, near), edge - s)
+
+
+def _pole_offset(f, turn, radius):
+    """p - s for the pole p that the trapezoid sums of f on the circles
+    s + radius * turn see: the residue of (w - s) f at p is (p - s) times
+    that of f, so p - s = radius * mean(f turn^2) / mean(f turn), matched
+    over the matrix entries in least squares. Exact for one pole, inside
+    the circle or outside it, whatever the node count."""
+    m1 = (f * turn[:, None, None]).mean(axis=1)
+    m2 = (f * (turn * turn)[:, None, None]).mean(axis=1)
+    with np.errstate(all="ignore"):
+        ratio = (np.sum(m1.conj() * m2, axis=(-2, -1))
+                 / np.sum(np.abs(m1) ** 2, axis=(-2, -1)))
+    return radius * ratio
 
 
 def point_mass(b, alpha, s, step=0.05):
@@ -139,11 +157,19 @@ def point_mass(b, alpha, s, step=0.05):
     resolution of the scan that found the atoms (atoms closer than that are
     not told apart), 0.05 by default, the command line's half-line step.
 
+    The mass is zero when the sum over all nodes stays within its rounding
+    floor (no pole in or near the circle), and when both node counts place
+    the pole they see at the same point (to a tenth of its offset) farther
+    than _OFFSET_TOL (1 + |s|) from s: a pole in or near the circle that is
+    not at s. Other poles of (I - B alpha*)^{-1} are assumed to keep about
+    the radius away from the circle, as the radius rule keeps the atoms
+    passed in.
+
     DomainError for a non-finite point, a point on the essential spectrum
-    and a repeated point. ConvergenceError for a mass that is not Hermitian
-    and PSD, or whose values from all nodes and from the even nodes differ,
-    beyond _MASS_RTOL relative to the mass (above the rounding floor of the
-    sum).
+    and a repeated point. ConvergenceError for a mass at s that is not
+    Hermitian and PSD, or whose values from all nodes and from the even
+    nodes differ, beyond _MASS_RTOL relative to the mass (above the
+    rounding floor of the sum).
     """
     alpha = _alpha_of(alpha)
     n = alpha.shape[0]
@@ -171,12 +197,17 @@ def point_mass(b, alpha, s, step=0.05):
     # inside gives
     floor = (_NODES * np.finfo(float).eps * np.abs(pref) * radius
              * np.max(np.abs(f), axis=(1, 2, 3)))
+    offset = _pole_offset(f, turn, radius)
+    offset_half = _pole_offset(f[:, ::2], turn[::2], radius)
+    elsewhere = ((np.abs(offset) > _OFFSET_TOL * (1.0 + np.abs(atoms)))
+                 & (np.abs(offset - offset_half) <= 0.1 * np.abs(offset)))
+    zero = ~(size > floor) | elsewhere
     tol = _MASS_RTOL * size + floor
     herm = _hermitize(mass)
     spread = np.max(np.abs(pref[:, None, None] * (res - half)), axis=(-2, -1))
     skew = np.max(np.abs(mass - herm), axis=(-2, -1))
     lowest = np.linalg.eigvalsh(herm)[:, 0]
-    bad = ~((spread <= tol) & (skew <= tol) & (lowest >= -tol))
+    bad = ~zero & ~((spread <= tol) & (skew <= tol) & (lowest >= -tol))
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
         raise ConvergenceError(
@@ -184,6 +215,7 @@ def point_mass(b, alpha, s, step=0.05):
             f"accepted: node-count difference {spread[i]:.3e}, skew part "
             f"{skew[i]:.3e}, lowest eigenvalue {lowest[i]:.3e}, "
             f"tolerance {tol[i]:.3e}")
+    herm[zero] = 0.0
     return herm.reshape(s.shape + (n, n))
 
 

@@ -9,7 +9,8 @@ orthonormalized defect basis at sign * i. B is an n x n Schur-class function
 on the upper half-plane with B(i) = 0. Real-axis values are understood as
 upper continuations: the rates carry their Im w >= 0 branch down to the
 boundary, so B extends continuously to R minus the branch points, and on
-across the axis away from the model's cut (Model.rates_cont).
+across the axis away from the model's cut (Model.raw_rates below the axis
+is that continuation).
 
 There is one evaluation of B: it takes an array of points, computes the
 rates, both pairing matrices and the explicit solve for all of them at once,
@@ -77,8 +78,8 @@ def gram_matrix(model, w, sign):
     """A(w, sign)[j, k] = <exp(rho_j(w) x), phi_k(sign * i)> in the model's L2,
     row j scaled by exp(-|Re rho_j| a) on the interval (-a, a).
 
-    rho_j are the continued defect rates at w (Model.rates_cont: the upper
-    branch on the closed upper half-plane) and phi_k the orthonormal defect
+    rho_j are the defect rates at w (Model.raw_rates: the upper branch on
+    the closed upper half-plane, its continuation off the cut below) and phi_k the orthonormal defect
     basis at +i or -i. sign is '+' or '-'. w is a point or an array of
     points; the result has shape w.shape + (n, n). The row scale is the
     same for both signs, so it cancels from A(w, +)^{-1} A(w, -); it keeps
@@ -87,7 +88,7 @@ def gram_matrix(model, w, sign):
     """
     if sign not in ("+", "-"):
         raise DomainError(f"sign must be '+' or '-', got {sign!r}")
-    a_plus, a_minus = _pairings(model, model.rates_cont(w))
+    a_plus, a_minus = _pairings(model, model.raw_rates(w))
     return a_plus if sign == "+" else a_minus
 
 
@@ -157,7 +158,7 @@ _BLOCK = 512
 
 
 def _b_block(model, pts):
-    a_plus, a_minus = _pairings(model, model.rates_cont(pts))
+    a_plus, a_minus = _pairings(model, model.raw_rates(pts))
     return cayley(pts)[:, None, None] * _solve_small(a_plus, a_minus)
 
 

@@ -8,14 +8,14 @@ L models live on the symmetric interval (-a, a):
     L2: -d^2/dx^2, rank 2
 
 Each model knows its square-integrable characteristic rates (with the upper
-continuation onto the real axis, and the continuation of that branch below
-the axis off the model's cut) and its closed-form inner product, which is
-all the generic machinery needs; both take arrays of points. On top of that
-this module carries the rank-one closed-form characteristic functions and
-densities and the L1 atom lattice and weights, used as independent
-cross-checks of the generic pipeline, plus the atom scan built on the
-generic characteristic function: one array call of B for the grid, then one
-per golden-section step for all dips together.
+continuation onto the real axis; below the axis the decaying branch, which
+is also the continuation of the upper one off the model's cut) and its
+closed-form inner product, which is all the generic machinery needs; both
+take arrays of points. On top of that this module carries the rank-one
+closed-form characteristic functions and densities and the L1 atom lattice
+and weights, used as independent cross-checks of the generic pipeline, plus
+the atom scan built on the generic characteristic function: one array call
+of B for the grid, then one per golden-section step for all dips together.
 """
 
 from __future__ import annotations
@@ -75,21 +75,15 @@ class Model:
         On the closed upper half-plane these are the upper branch (real w
         gives the limits from above, the continuation every boundary
         evaluation uses); below the axis, the branch that decays there,
-        which spans the defect space at w.
+        which spans the defect space at w. That lower branch is also the
+        analytic continuation of the upper one across (-inf, 0): on K1,
+        -i sqrt(w) = i (e^{i pi/2} sqrt(-w)) for Im w < 0, and K2's pair
+        (-w^{1/4}, -i w^{1/4}) is (i, -1) times e^{i pi/4} (-w)^{1/4} in the
+        same order. So B built from these rates is continuous across the
+        negative axis, with the K models' cut on [0, inf). The L rates are
+        entire; L2's two rates swap across the negative axis, which leaves
+        B unchanged, since B does not depend on their order.
         """
-        return self._rates(w, cont=False)
-
-    def rates_cont(self, w):
-        """The upper-branch rates continued to the whole plane minus the
-        cut: equal to raw_rates on the closed upper half-plane. The K
-        models continue across (-inf, 0), with their cut on [0, inf); the L
-        rates are entire, and L2's B is single-valued although its two
-        rates swap across the negative axis, since B does not depend on
-        their order.
-        """
-        return self._rates(w, cont=True)
-
-    def _rates(self, w, cont):
         w = np.asarray(w, dtype=complex)
         if self.name == "L1":
             return (-1j * w)[..., None]
@@ -98,28 +92,12 @@ class Model:
             return np.stack([-1j * root, 1j * root], axis=-1)
         if self.name not in ("K1", "K2"):
             raise DomainError(f"unknown model {self.name!r}")
-        p = 1.0 / self.order
-        root = principal_power(w, p)
-        lower = w.imag < 0
-        flip = None
-        if lower.any():
-            if cont:
-                # e^{i pi p} (-w)^p is the principal root continued across
-                # the negative axis
-                root = np.where(lower, np.exp(1j * np.pi * p)
-                                * principal_power(-w, p), root)
-            else:
-                flip = lower
+        root = principal_power(w, 1.0 / self.order)
+        lower = (w.imag < 0)[..., None]
         if self.name == "K1":
-            rates = 1j * root
-            if flip is not None:
-                rates = np.where(flip, -rates, rates)
-            return rates[..., None]
-        rates = np.stack([1j * root, -root], axis=-1)
-        if flip is not None:
-            rates = np.where(flip[..., None],
-                             np.stack([-root, -1j * root], axis=-1), rates)
-        return rates
+            return np.where(lower, -1j * root[..., None], 1j * root[..., None])
+        return np.where(lower, np.stack([-root, -1j * root], axis=-1),
+                        np.stack([1j * root, -root], axis=-1))
 
     def inner(self, mu, nu, shift=0.0):
         """Closed-form <exp(mu x), exp(nu x)> on the model's domain, times

@@ -107,10 +107,26 @@ def test_point_mass_array_and_refusals(b_k1, b_l1):
     for s in (0.0, 0.7):
         with pytest.raises(DomainError):
             clark.point_mass(b_k1, [[1j]], s)
-    # an atom just outside the circle (radius 0.25, atom at distance
-    # 0.26) slows the trapezoid rule down: the two node counts disagree
+    # an atom at s with its neighbours at pi just outside the circle
+    # (radius 3) slows the trapezoid rule down: the two node counts
+    # disagree
     with pytest.raises(ConvergenceError):
-        clark.point_mass(b_l1, [[1.0]], math.pi / 2 + 0.26, step=0.5)
+        clark.point_mass(b_l1, [[1.0]], math.pi / 2, step=6.0)
+
+
+def test_point_mass_is_zero_next_to_an_atom(b_l1):
+    # the atom at pi/2 inside the circle off its centre (radius 0.025,
+    # offset 0.005), next to its edge (offset 0.0249), and just outside it
+    # (radius 0.25, offset 0.26): no atom at s, so no mass
+    for offset, step in ((0.005, 0.05), (0.0249, 0.05), (0.26, 0.5)):
+        mass = clark.point_mass(b_l1, [[1.0]], math.pi / 2 + offset, step=step)
+        assert np.array_equal(mass, np.zeros((1, 1)))
+    # an array mixes the atom and a point next to it
+    masses = clark.point_mass(b_l1, [[1.0]], [math.pi / 2, math.pi / 2 + 0.1],
+                              step=0.5)
+    assert masses[0, 0, 0].real == pytest.approx(
+        models.l1_weight(1.0, 1.0, math.pi / 2), rel=1e-13)
+    assert masses[1, 0, 0] == 0.0
 
 
 def test_point_mass_is_hermitian_psd_matrix_case():

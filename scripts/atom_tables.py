@@ -35,9 +35,10 @@ def l1_table(args):
     alpha = cmath.exp(1j * args.theta)
     lo, hi = (int(t) for t in args.n_range.split(".."))
     closed = models.l1_atoms(alpha, a, (lo, hi))
-    b = livsic.livsic_function(models.l1(a))
+    model = models.l1(a)
+    b = livsic.livsic_function(model)
     window = (closed[0] - 0.4 / a, closed[-1] + 0.4 / a)
-    step = math.pi / (8 * a)
+    step = model.scan_step
     scanned = models.atom_scan(b, [[alpha]], window, step=step)
     if len(scanned) != len(closed):
         print(f"scan found {len(scanned)} atoms against {len(closed)} closed "

@@ -77,8 +77,7 @@ def main():
     else:
         grid = np.linspace(lo, hi, count)
     wlo, whi, _ = parse_range(args.atom_window, 0)
-    # half-line atom spacing has no lattice floor, so scan finely there
-    step = 0.05 if model.halfline else math.pi / (8.0 * model.a)
+    step = model.scan_step
 
     print(f"# model {args.model} rank {model.rank}, ac window "
           f"[{lo:g}, {hi:g}] with {count} nodes, atom window [{wlo:g}, {whi:g}]")

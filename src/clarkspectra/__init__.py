@@ -11,9 +11,7 @@ from .errors import (ClarkSpectraError, ConvergenceError, DimensionError,
                      DivergenceError, DomainError, NonUnitaryError, RankError,
                      SingularError, ToleranceError, UnsupportedError)
 from .cplane import cayley, principal_power, is_unitary, random_unitary
-from .defect import (HalfLine, Interval, ExpSum, exp_inner_halfline,
-                     exp_inner_interval, expsum_inner, defect_basis,
-                     orthonormalize, defect_onb)
+from .defect import exp_inner_halfline, exp_inner_interval, defect_onb
 from .livsic import (SchurFunction, gram_matrix, livsic_eval, livsic_function,
                      conjugated_schur, transform_alpha)
 from .clark import check_alpha, ac_density, point_mass, conjugation_check
@@ -37,9 +35,7 @@ __all__ = [
     "DivergenceError", "DomainError", "NonUnitaryError", "RankError",
     "SingularError", "ToleranceError", "UnsupportedError",
     "cayley", "principal_power", "is_unitary", "random_unitary",
-    "HalfLine", "Interval", "ExpSum", "exp_inner_halfline",
-    "exp_inner_interval", "expsum_inner", "defect_basis", "orthonormalize",
-    "defect_onb",
+    "exp_inner_halfline", "exp_inner_interval", "defect_onb",
     "SchurFunction", "gram_matrix", "livsic_eval", "livsic_function",
     "conjugated_schur", "transform_alpha",
     "check_alpha", "ac_density", "point_mass", "conjugation_check",

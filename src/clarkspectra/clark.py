@@ -40,13 +40,13 @@ __all__ = [
 ]
 
 
-def check_alpha(alpha, n, tol=1e-10):
+def check_alpha(alpha, n):
     """Validate and return the perturbation parameter as an n x n unitary."""
     alpha = np.atleast_2d(np.asarray(alpha, dtype=complex))
     if alpha.shape != (n, n):
         raise DimensionError(f"perturbation parameter must be {n} x {n}, got {alpha.shape}")
     # "not <=" so that a NaN entry fails the test too
-    if not np.max(np.abs(alpha.conj().T @ alpha - np.eye(n))) <= tol:
+    if not np.max(np.abs(alpha.conj().T @ alpha - np.eye(n))) <= 1e-10:
         raise NonUnitaryError("perturbation parameter is not unitary")
     return alpha
 

@@ -197,14 +197,13 @@ def _csv_header(rank, first, extra=()):
     return ",".join(cols)
 
 
-def _matrix_cells(m):
-    m = np.atleast_2d(m)
-    cells = []
-    for r in range(m.shape[0]):
-        for c in range(m.shape[1]):
-            cells.append(_g(m[r, c].real))
-            cells.append(_g(m[r, c].imag))
-    return cells
+def _csv_rows(first, vals, *last):
+    """One CSV line per point: first[i], the real and imaginary parts of
+    vals[i] entry by entry, then last[...][i], each with 17 digits."""
+    m = len(first)
+    cells = np.column_stack([first, vals.reshape(m, -1).view(float), *last])
+    fmt = ",".join(["%.17g"] * cells.shape[1])
+    return [fmt % tuple(row) for row in cells.tolist()]
 
 
 def _measure_doc(name, alpha, grid, density, atoms):
@@ -223,10 +222,8 @@ def cmd_density(args):
     grid = _parse_grid(args.grid)
     vals = clark.ac_density(livsic.livsic_function(model), alpha, grid)
     if args.format == "csv":
-        lines = [_csv_header(model.rank, "s")]
-        for s, mat in zip(grid, vals):
-            lines.append(",".join([_g(s)] + _matrix_cells(mat)))
-        print("\n".join(lines))
+        print("\n".join([_csv_header(model.rank, "s")]
+                        + _csv_rows(grid, vals)))
     else:
         print(json.dumps(_measure_doc(args.model, alpha, grid, vals, []),
                          indent=2))
@@ -248,10 +245,7 @@ def cmd_atoms(args):
                                "(or --n-range lo..hi for l1)")
         window = _parse_window(args.window)
         b = livsic.livsic_function(model)
-        step = args.step
-        if step is None:
-            # no lattice floor on atom spacing on the half-line
-            step = 0.05 if model.halfline else math.pi / (8.0 * model.a)
+        step = model.scan_step if args.step is None else args.step
         locs = models.atom_scan(b, alpha, window, step=step)
         masses = clark.point_mass(b, alpha, locs, step=step)
         weights = [float(np.trace(m).real) for m in masses]
@@ -278,10 +272,8 @@ def cmd_livsic(args):
                             f"w = {grid[bad][0] + 1j * args.im!r}")
     sig = np.linalg.norm(vals, 2, axis=(1, 2))
     if args.format == "csv":
-        lines = [_csv_header(model.rank, "re_w", extra=("sigma_max",))]
-        for s, mat, sv in zip(grid, vals, sig):
-            lines.append(",".join([_g(s)] + _matrix_cells(mat) + [_g(sv)]))
-        print("\n".join(lines))
+        print("\n".join([_csv_header(model.rank, "re_w", extra=("sigma_max",))]
+                        + _csv_rows(grid, vals, sig)))
     else:
         doc = {
             "model": args.model,
@@ -408,8 +400,9 @@ def build_parser():
     t.add_argument("--step", type=_positive_float, default=None,
                    help="scan step; atoms closer than two steps merge into "
                         "one bracket, and the residue circles of the masses "
-                        "stay within half a step (default pi/(8a) on "
-                        "intervals, 0.05 on the half-line)")
+                        "stay within half a step (default 0.05 on the "
+                        "half-line, pi/(8a) on l1, min(pi/(8a), "
+                        "pi^2/(12a^2)) on l2)")
     t.add_argument("--format", choices=["csv", "json"], default="csv")
     t.set_defaults(func=cmd_atoms)
 

@@ -51,11 +51,12 @@ def principal_power(w, p):
     return ((w + 0j) ** p)[()]
 
 
-def is_unitary(m, tol=1e-10):
+def is_unitary(m):
+    """True when m* m equals the identity to 1e-10 entrywise."""
     m = np.atleast_2d(np.asarray(m, dtype=complex))
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"matrix must be square, got shape {m.shape}")
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol)
+    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= 1e-10)
 
 
 def random_unitary(n, rng):

@@ -9,7 +9,10 @@ the extension generators
     g_i = -phi_i(+i) + sum_j alpha_ij phi_j(-i),
 
 which must satisfy the boundary conditions; that is a linear system in
-alpha (one direction) or an annihilator computation (the other).
+alpha (one direction) or an annihilator computation (the other). Functions
+are (coeffs, rates) pairs as in defect, so the derivative vectors of a
+whole basis at a point are one matrix H (one row per basis element), and
+the systems are products of the boundary matrices with H.
 """
 
 from __future__ import annotations
@@ -50,22 +53,19 @@ def canonical_c(n):
     return c
 
 
-def _derivatives(f, n):
-    """f, f', ..., f^(n-1), each the derivative of the one before."""
-    out = [f]
-    for _ in range(n - 1):
-        out.append(out[-1].derivative())
-    return out
-
-
 def hat_vector(f, n, x):
-    """(f(x), f'(x), ..., f^(n-1)(x)) as a complex n-vector."""
-    return np.array([d(x) for d in _derivatives(f, n)], dtype=complex)
+    """(f(x), f'(x), ..., f^(n-1)(x)) for f = (coeffs, rates). With coeffs
+    of shape (m,) this is an n-vector; with shape (k, m), a k x n matrix
+    whose row i belongs to function i."""
+    coeffs, rates = f
+    rates = np.asarray(rates, dtype=complex)
+    powers = rates ** np.arange(n)[:, None]
+    return (np.asarray(coeffs, dtype=complex) * np.exp(rates * x)) @ powers.T
 
 
 def lagrange_bracket(f, g, x, n):
     """Sesquilinear boundary form [f, g](x) of the order-n expression
-    (i d/dx)^n:
+    (i d/dx)^n, for (coeffs, rates) pairs f and g of one function each:
 
         (-1)^{n/2} sum_{r=0}^{n-1} (-1)^{n+1-r}
             conj(g^(n-r-1)(x)) f^(r)(x).
@@ -75,55 +75,53 @@ def lagrange_bracket(f, g, x, n):
     """
     if n % 2:
         raise UnsupportedError("boundary form implemented for even order only")
-    fd, gd = _derivatives(f, n), _derivatives(g, n)
-    total = 0.0 + 0.0j
-    for r in range(n):
-        total += (-1.0) ** (n + 1 - r) * np.conj(gd[n - r - 1](x)) * fd[r](x)
-    return (-1.0) ** (n // 2) * total
+    fd, gd = hat_vector(f, n, x), hat_vector(g, n, x)
+    signs = (-1.0) ** (n + 1 - np.arange(n))
+    return (-1.0) ** (n // 2) * complex(np.sum(signs * np.conj(gd[::-1]) * fd))
 
 
 @dataclass
 class BoundaryMatrices:
-    """Boundary-condition data (beta_a | beta_b) with its bracket matrix C.
+    """Boundary-condition data (beta_a | beta_b).
 
     For regular problems both blocks are n x n, acting on hat vectors at the
-    left resp. right endpoint. c defaults to the canonical bracket matrix of
-    the block width.
+    left resp. right endpoint; their bracket matrix is canonical_c(n).
     """
 
     beta_a: np.ndarray
     beta_b: np.ndarray
-    c: np.ndarray = None
 
     def __post_init__(self):
         self.beta_a = np.atleast_2d(np.asarray(self.beta_a, dtype=complex))
         self.beta_b = np.atleast_2d(np.asarray(self.beta_b, dtype=complex))
-        if self.c is None:
-            self.c = canonical_c(self.beta_a.shape[1])
-        else:
-            self.c = np.atleast_2d(np.asarray(self.c, dtype=complex))
 
 
-def validate_sa_matrices(bm, tol=1e-10):
+# Relative singular-value floor of the rank test and absolute tolerance of
+# the bracket identity in validate_sa_matrices
+_SA_TOL = 1e-10
+
+
+def validate_sa_matrices(bm):
     """True when (beta_a | beta_b) defines a self-adjoint restriction:
 
-    rank (beta_a | beta_b) = n  and  beta_a C beta_a* = beta_b C beta_b*.
+    rank (beta_a | beta_b) = n  and  beta_a C beta_a* = beta_b C beta_b*
 
-    Returns a bool; only genuinely malformed shapes raise DimensionError.
+    with C = canonical_c(n). Returns a bool; only genuinely malformed
+    shapes raise DimensionError.
     """
-    ba, bb, c = bm.beta_a, bm.beta_b, bm.c
+    ba, bb = bm.beta_a, bm.beta_b
     n = ba.shape[0]
-    if ba.shape != (n, n) or bb.shape != (n, n) or c.shape != (n, n):
+    if ba.shape != (n, n) or bb.shape != (n, n):
         raise DimensionError(
-            f"expected three n x n blocks, got {ba.shape}, {bb.shape}, {c.shape}"
+            f"expected two n x n blocks, got {ba.shape} and {bb.shape}"
         )
-    stacked = np.hstack([ba, bb])
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    if np.sum(sv > 1e-10 * sv[0]) < n:
+    c = canonical_c(n)
+    sv = np.linalg.svd(np.hstack([ba, bb]), compute_uv=False)
+    if np.sum(sv > _SA_TOL * sv[0]) < n:
         return False
     lhs = ba @ c @ ba.conj().T
     rhs = bb @ c @ bb.conj().T
-    return bool(np.max(np.abs(lhs - rhs)) <= tol)
+    return bool(np.max(np.abs(lhs - rhs)) <= _SA_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -197,77 +195,73 @@ def bc_from_alpha_l1(alpha, a):
 # generic maps through the extension generators
 # ---------------------------------------------------------------------------
 
-def _solve_alpha_system(nmat, pmat, rank_tol=1e-12, unitary_tol=1e-8):
+# The boundary system counts as rank deficient below this relative smallest
+# singular value, and a solved alpha as inconsistent data beyond this
+# distance from unitary.
+_RANK_TOL = 1e-12
+_UNITARY_TOL = 1e-8
+
+
+def _solve_alpha_system(nmat, pmat):
     sv = np.linalg.svd(nmat, compute_uv=False)
-    if sv[-1] < rank_tol * max(sv[0], 1.0):
+    if sv[-1] < _RANK_TOL * max(sv[0], 1.0):
         raise RankError("boundary system is rank deficient")
     alpha = np.linalg.solve(nmat, pmat).T
     n = alpha.shape[0]
-    if np.max(np.abs(alpha.conj().T @ alpha - np.eye(n))) > unitary_tol:
+    if np.max(np.abs(alpha.conj().T @ alpha - np.eye(n))) > _UNITARY_TOL:
         raise NonUnitaryError(
             "solved parameter is not unitary; boundary data is inconsistent"
         )
     return alpha
 
 
-def alpha_from_bc_regular(model, bm):
-    """Unitary parameter of the regular boundary conditions
-    beta_a hat(f)(-a) + beta_b hat(f)(a) = 0 on the interval model."""
+def _interval_hats(model):
+    """Hat matrices of the defect bases at -i and +i at both endpoints,
+    ((H-(-a), H-(a)), (H+(-a), H+(a))), each n x n with one row per basis
+    element."""
     if model.halfline:
         raise DomainError("regular map applies to interval models")
     n = model.order
-    a = model.a
-    minus = defect_onb(model, "-")
-    plus = defect_onb(model, "+")
-    if len(minus) != n:
-        raise DimensionError(
-            f"model deficiency {len(minus)} does not match expression order {n}"
-        )
-    nmat = np.empty((n, n), dtype=complex)
-    pmat = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        nmat[:, j] = (bm.beta_a @ hat_vector(minus[j], n, -a)
-                      + bm.beta_b @ hat_vector(minus[j], n, a))
-        pmat[:, j] = (bm.beta_a @ hat_vector(plus[j], n, -a)
-                      + bm.beta_b @ hat_vector(plus[j], n, a))
+    minus, plus = defect_onb(model, "-"), defect_onb(model, "+")
+    if minus[0].shape[0] != n:
+        raise DimensionError(f"model deficiency {minus[0].shape[0]} does not "
+                             f"match expression order {n}")
+    return tuple(tuple(hat_vector(basis, n, x) for x in (-model.a, model.a))
+                 for basis in (minus, plus))
+
+
+def alpha_from_bc_regular(model, bm):
+    """Unitary parameter of the regular boundary conditions
+    beta_a hat(f)(-a) + beta_b hat(f)(a) = 0 on the interval model."""
+    (m_left, m_right), (p_left, p_right) = _interval_hats(model)
+    nmat = bm.beta_a @ m_left.T + bm.beta_b @ m_right.T
+    pmat = bm.beta_a @ p_left.T + bm.beta_b @ p_right.T
     return _solve_alpha_system(nmat, pmat)
 
 
 def bc_from_alpha_regular(model, alpha):
     """Boundary matrices of the extension generated by alpha.
 
-    Builds the generators g_i = -phi_i(+i) + sum_j alpha_ij phi_j(-i),
-    stacks their endpoint hat vectors into an n x 2n matrix and returns an
+    The generators g_i = -phi_i(+i) + sum_j alpha_ij phi_j(-i) have the hat
+    rows -H+ + alpha H- at each endpoint; their n x 2n stack has an
     orthonormal basis of its (bilinear) annihilator as condition rows, each
     row phase-normalized so its largest entry is positive real.
     """
-    if model.halfline:
-        raise DomainError("regular map applies to interval models")
+    (m_left, m_right), (p_left, p_right) = _interval_hats(model)
     n = model.order
     alpha = np.atleast_2d(np.asarray(alpha, dtype=complex))
     if alpha.shape != (n, n):
         raise DimensionError(f"parameter must be {n} x {n}, got {alpha.shape}")
-    if np.max(np.abs(alpha.conj().T @ alpha - np.eye(n))) > 1e-8:
+    if np.max(np.abs(alpha.conj().T @ alpha - np.eye(n))) > _UNITARY_TOL:
         raise NonUnitaryError("parameter must be unitary")
-    a = model.a
-    minus = defect_onb(model, "-")
-    plus = defect_onb(model, "+")
-    gmat = np.empty((n, 2 * n), dtype=complex)
-    for i in range(n):
-        g = plus[i].scale(-1.0)
-        for j in range(n):
-            g = g + minus[j].scale(alpha[i, j])
-        gmat[i, :n] = hat_vector(g, n, -a)
-        gmat[i, n:] = hat_vector(g, n, a)
+    gmat = np.hstack([alpha @ m_left - p_left, alpha @ m_right - p_right])
     u, sv, vh = np.linalg.svd(gmat)
     rank = int(np.sum(sv > 1e-10 * max(sv[0], 1.0)))
     if rank != n:
         raise RankError(f"generator matrix has rank {rank}, expected {n}")
     rows = np.conj(vh[rank:, :])
-    out = np.empty_like(rows)
-    for i, row in enumerate(rows):
-        k = int(np.argmax(np.abs(row)))
-        out[i] = row * (row[k].conjugate() / abs(row[k]))
+    lead = rows[np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)]
+    out = rows * (lead.conj() / np.abs(lead))[:, None]
     return BoundaryMatrices(beta_a=out[:, :n], beta_b=out[:, n:])
 
 
@@ -288,11 +282,6 @@ def alpha_from_bc_singular_template(model, bm):
         raise DimensionError(
             f"regular-endpoint block must be {n} x {order}, got {beta_a.shape}"
         )
-    minus = defect_onb(model, "-")
-    plus = defect_onb(model, "+")
-    nmat = np.empty((n, n), dtype=complex)
-    pmat = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        nmat[:, j] = beta_a @ hat_vector(minus[j], order, 0.0)
-        pmat[:, j] = beta_a @ hat_vector(plus[j], order, 0.0)
+    nmat = beta_a @ hat_vector(defect_onb(model, "-"), order, 0.0).T
+    pmat = beta_a @ hat_vector(defect_onb(model, "+"), order, 0.0).T
     return _solve_alpha_system(nmat, pmat)

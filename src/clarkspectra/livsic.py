@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -59,7 +59,6 @@ class SchurFunction:
     n: int
     fn: object
     ac_edge: float
-    label: str = ""
 
     def __call__(self, w):
         w = _upper(w)
@@ -92,44 +91,27 @@ def gram_matrix(model, w, sign):
     return a_plus if sign == "+" else a_minus
 
 
-@lru_cache(maxsize=64)
-def _basis_terms(model):
-    """The terms c exp(r x) of the orthonormal defect bases at +i and -i, as
-    arrays: the rates r, the conjugated coefficients, and a 0/1 matrix that
-    sums the terms of basis element k at +i into column k and those at -i
-    into column n + k."""
-    n = model.rank
-    cols, coeffs, rates = zip(*[(k + (n if sign == "-" else 0), c, r)
-                                for sign in ("+", "-")
-                                for k, phi in enumerate(defect_onb(model, sign))
-                                for c, r in phi.terms])
-    pick = np.zeros((len(rates), 2 * n))
-    pick[np.arange(len(rates)), cols] = 1.0
-    return np.array(rates), np.conj(coeffs), pick
-
-
 def _pairings(model, rates):
-    """A(w, +) and A(w, -) from the rates at w (shape (..., n)), both from
-    one pass over the basis terms."""
-    terms, conj_coeffs, pick = _basis_terms(model)
+    """A(w, +) and A(w, -) from the rates at w (shape (..., n)): one inner
+    product of each rate with the 2n basis rates at +i and -i, then the
+    conjugated coefficients of each basis."""
+    (c_plus, r_plus), (c_minus, r_minus) = (defect_onb(model, "+"),
+                                            defect_onb(model, "-"))
     rho = rates[..., None]
-    if model.halfline:
-        vals = model.inner(rho, terms)
-    else:
-        vals = model.inner(rho, terms, np.abs(rho.real) * model.a)
-    both = (vals * conj_coeffs) @ pick
+    shift = 0.0 if model.halfline else np.abs(rho.real) * model.a
+    vals = model.inner(rho, np.concatenate([r_plus, r_minus]), shift)
     n = model.rank
-    return both[..., :n], both[..., n:]
+    return vals[..., :n] @ c_plus.conj().T, vals[..., n:] @ c_minus.conj().T
 
 
 # adj(a) = swap(a reversed in both axes) * _ADJ_SIGN for 2 x 2 a
 _ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
-def _solve_small(a, b, tol=1e-14):
+def _solve_small(a, b):
     """a^{-1} b for stacks of n x n matrices, n in {1, 2}, via explicit
     formulas, keeping the singularity test independent of LAPACK
-    behaviour: a matrix with |det| < tol * max(1, max |a_ij|)^n counts as
+    behaviour: a matrix with |det| < 1e-14 max(1, max |a_ij|)^n counts as
     singular, and its result is NaN. Leading axes broadcast."""
     n = a.shape[-1]
     if n > 2:
@@ -138,7 +120,7 @@ def _solve_small(a, b, tol=1e-14):
                                         - a[..., 0, 1] * a[..., 1, 0])
     scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1))) ** n
     # "not >=" so that a NaN determinant counts as singular
-    singular = ~(np.abs(det) >= tol * scale)
+    singular = ~(np.abs(det) >= 1e-14 * scale)
     if singular.any():
         det = np.where(singular, 1.0, det)
         a = np.where(singular[..., None, None], np.eye(n), a)
@@ -200,8 +182,7 @@ def livsic_function(model):
     """Package the model's B as a SchurFunction. The half-line models have
     essential spectrum [0, inf); the interval models have none."""
     return SchurFunction(n=model.rank, fn=partial(_continued_b, model),
-                         ac_edge=0.0 if model.halfline else math.inf,
-                         label=model.name)
+                         ac_edge=0.0 if model.halfline else math.inf)
 
 
 def conjugated_schur(b, r, q):
@@ -214,8 +195,7 @@ def conjugated_schur(b, r, q):
         )
     if not (is_unitary(r) and is_unitary(q)):
         raise NonUnitaryError("conjugating matrices must be unitary")
-    return replace(b, fn=lambda w: r @ b.fn(w) @ q,
-                   label=(b.label + "~conj") if b.label else "conj")
+    return replace(b, fn=lambda w: r @ b.fn(w) @ q)
 
 
 def transform_alpha(alpha, r, q):

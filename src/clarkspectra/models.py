@@ -99,6 +99,22 @@ class Model:
         return np.where(lower, np.stack([-root, -1j * root], axis=-1),
                         np.stack([1j * root, -root], axis=-1))
 
+    @property
+    def scan_step(self):
+        """Grid step of the atom scan (and bound of the residue radii),
+        which must keep neighbouring atoms at least two grid cells apart.
+        The half-line families have no floor on the atom spacing; 0.05
+        suits the couplings in use. L1's atoms are pi/a apart, and the step
+        is pi/(8a). L2's lowest atoms are about (pi/(2a))^2 apart, so its
+        step is also at most a third of that, pi^2/(12 a^2), which is the
+        smaller of the two for a > 2 pi/3."""
+        if self.halfline:
+            return 0.05
+        step = math.pi / (8.0 * self.a)
+        if self.name == "L2":
+            step = min(step, math.pi ** 2 / (12.0 * self.a ** 2))
+        return step
+
     def inner(self, mu, nu, shift=0.0):
         """Closed-form <exp(mu x), exp(nu x)> on the model's domain, times
         exp(-shift); arrays broadcast."""
@@ -167,9 +183,9 @@ def l1_livsic(w, a):
 # closed-form densities
 # ---------------------------------------------------------------------------
 
-def _unimodular_scalar(alpha, tol=1e-10):
+def _unimodular_scalar(alpha):
     alpha = complex(np.asarray(alpha, dtype=complex).reshape(-1)[0])
-    if abs(abs(alpha) - 1.0) > tol:
+    if abs(abs(alpha) - 1.0) > 1e-10:
         raise NonUnitaryError(
             f"coupling must be unimodular, |alpha| = {abs(alpha):.6f}")
     return alpha
@@ -241,13 +257,13 @@ def l1_atoms(alpha, a, n_range):
     return sorted(s0 + n * math.pi / a for n in range(int(lo), int(hi) + 1))
 
 
-def l1_weight(alpha, a, s, tol=1e-8):
+def l1_weight(alpha, a, s):
     """Mass of the L1 atom at s:
 
         mu({s}) = (cosh 2a - cos 2sa) / (a pi sinh(2a) (1 + s^2)^2).
 
-    DomainError when s is not on the atom lattice of alpha (distance checked
-    against tol). At alpha = -1 this reduces to tanh(a)/(a pi (1+s^2)^2) on
+    DomainError when s is farther than 1e-8 from the atom lattice of
+    alpha. At alpha = -1 this reduces to tanh(a)/(a pi (1+s^2)^2) on
     s = n pi / a, at alpha = +1 to coth(a)/(a pi (1+s^2)^2) on the shifted
     lattice.
     """
@@ -257,7 +273,7 @@ def l1_weight(alpha, a, s, tol=1e-8):
     base = l1_atoms(alpha, a, (0, 0))[0]
     n_star = round((s - base) / (math.pi / a))
     nearest = base + n_star * math.pi / a
-    if abs(s - nearest) > tol:
+    if abs(s - nearest) > 1e-8:
         raise DomainError(
             f"s = {s} is not an atom of the coupling (nearest atom {nearest})"
         )
@@ -349,13 +365,10 @@ def atom_scan(b, alpha, window, step):
     masses are taken at them.
 
     step must keep distinct atoms at least two grid cells apart: a bracket
-    that straddles two dips refines to only one of them. The interval
-    lattices have spacing pi/a (first order) or at least on the order of
-    (pi/2a)^2 (second order), so pi/(8a) is comfortable there; the
-    half-line families have no such floor and need a step chosen for the
-    coupling at hand. DomainError for a step that is not finite and
-    positive, and, before anything is allocated, for a grid of more than
-    MAX_SCAN_POINTS points.
+    that straddles two dips refines to only one of them. Model.scan_step
+    is such a step for each model. DomainError for a step that is not
+    finite and positive, and, before anything is allocated, for a grid of
+    more than MAX_SCAN_POINTS points.
     """
     alpha = np.atleast_2d(np.asarray(alpha, dtype=complex))
     n = alpha.shape[0]
@@ -405,12 +418,8 @@ def atom_scan(b, alpha, window, step):
 
 
 def l2_atoms(alpha, a, window):
-    """Atoms of the L2 measure in the window, via a scan of the generic B.
-
-    The eigenvalues of the interval problem are spaced at least on the order
-    of (pi/(2a))^2 apart, so a grid step of pi/(8a) brackets each one
-    individually for every window that matters in practice.
-    """
-    a = float(a)
-    return atom_scan(livsic_function(l2(a)), alpha, window,
-                     step=math.pi / (8 * a))
+    """Atoms of the L2 measure in the window, via a scan of the generic B at
+    the model's scan_step."""
+    model = l2(a)
+    return atom_scan(livsic_function(model), alpha, window,
+                     step=model.scan_step)

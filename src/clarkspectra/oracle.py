@@ -3,13 +3,14 @@ formulas, a finite-difference pencil, the boundary-limit ladder, and the
 half-line bound-state probe.
 
 Nothing in here reuses the closed-form inner products, the continuation of
-B below the axis or the residue route; that is the point. Agreement between
-these routines and the analytic path is what the acceptance checks
-certify. The ladder takes boundary values as limits from the upper
-half-plane: along vertical ladders w_k = s + i eps_0 2^{-k}, accelerated by
-Richardson extrapolation in half-integer powers of eps, which covers both
-analytic boundary behaviour and the sqrt-type behaviour coming off a branch
-cut.
+B below the axis or the residue route; that is the point. quad_inner takes
+exponential sums in the package's (coeffs, rates) form but sums them term
+by term at each quadrature node. Agreement between these routines and the
+analytic path is what the acceptance checks certify. The ladder takes
+boundary values as limits from the upper half-plane: along vertical ladders
+w_k = s + i eps_0 2^{-k}, accelerated by Richardson extrapolation in
+half-integer powers of eps, which covers both analytic boundary behaviour
+and the sqrt-type behaviour coming off a branch cut.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defect import HalfLine, Interval
 from .errors import ConvergenceError, DomainError, RankError, ToleranceError
 
 __all__ = [
@@ -135,32 +135,39 @@ def _quad_complex(fun, lo, hi, spec):
     return complex(re, im), re_err + im_err
 
 
-def quad_inner(f, g, spec=None):
-    """<f, g> by adaptive quadrature, dispatching on the common domain.
+def _terms(f):
+    """The nonzero terms (c, r) of a (coeffs, rates) pair, as Python
+    complex numbers."""
+    coeffs, rates = f
+    return [(complex(c), complex(r)) for c, r in zip(np.ravel(coeffs),
+                                                     np.ravel(rates)) if c != 0]
 
-    f and g are exponential sums; the integrand is f(x) conj(g(x)).
-    ToleranceError when the estimated total error (quadrature plus half-line
-    truncation) exceeds the requested budget.
+
+def quad_inner(model, f, g, spec=None):
+    """<f, g> on the model's domain by adaptive quadrature.
+
+    f and g are (coeffs, rates) pairs of one function each, summed term by
+    term at each node; the integrand is f(x) conj(g(x)). DomainError for a
+    rate that does not decay on the half-line. ToleranceError when the
+    estimated total error (quadrature plus half-line truncation) exceeds
+    the requested budget.
     """
     if spec is None:
         spec = QuadratureSpec()
-    if f.domain != g.domain:
-        raise DomainError(f"mismatched domains {f.domain!r} and {g.domain!r}")
-    integrand = lambda x: f(x) * np.conj(g(x))
-    if isinstance(f.domain, Interval):
-        a = f.domain.a
-        value, err = _quad_complex(integrand, -a, a, spec)
+    tf, tg = _terms(f), _terms(g)
+    integrand = lambda x: (sum(c * cmath.exp(r * x) for c, r in tf)
+                           * sum(c * cmath.exp(r * x) for c, r in tg).conjugate())
+    if not model.halfline:
+        value, err = _quad_complex(integrand, -model.a, model.a, spec)
         tail = 0.0
-    elif isinstance(f.domain, HalfLine):
-        decay = (min(-r.real for _, r in f.terms)
-                 + min(-r.real for _, r in g.terms))
+    else:
+        if any(r.real >= 0 for _, r in tf + tg):
+            raise DomainError("half-line exponential sum has a non-decaying rate")
+        decay = min(-r.real for _, r in tf) + min(-r.real for _, r in tg)
         cutoff = spec.halfline_cutoff_digits * math.log(10.0) / decay
         value, err = _quad_complex(integrand, 0.0, cutoff, spec)
-        amp = (sum(abs(c) for c, _ in f.terms)
-               * sum(abs(c) for c, _ in g.terms))
+        amp = sum(abs(c) for c, _ in tf) * sum(abs(c) for c, _ in tg)
         tail = amp * math.exp(-decay * cutoff) / decay
-    else:
-        raise DomainError(f"unknown domain {f.domain!r}")
     budget = spec.abs_tol + spec.rel_tol * abs(value)
     if err + tail > budget:
         raise ToleranceError(

@@ -48,6 +48,34 @@ def test_density_csv_matches_closed_form(capsys):
     assert abs(im_v) < 1e-12
 
 
+def _cells(*cols):
+    return ",".join(f"{float(x):.17g}" for x in cols)
+
+
+def test_csv_rows_are_per_cell_17_digit_output(capsys):
+    import numpy as np
+    from clarkspectra import clark, livsic
+    alpha = '[["0.6,0.8","0"],["0","0,1"]]'
+    code, out, _ = run_cli(capsys, ["density", "--model", "k2",
+                                    f"--alpha={alpha}", "--grid=-1:7:41"])
+    assert code == 0
+    grid = np.linspace(-1.0, 7.0, 41)
+    vals = clark.ac_density(livsic.livsic_function(models.k2()),
+                            [[0.6 + 0.8j, 0], [0, 1j]], grid)
+    expect = [_cells(s, *[p for z in m.ravel() for p in (z.real, z.imag)])
+              for s, m in zip(grid, vals)]
+    assert out.splitlines()[1:] == expect
+    code, out, _ = run_cli(capsys, ["livsic", "--model", "l2", "--a", "0.7",
+                                    "--grid=-30:30:17", "--im", "0.25"])
+    assert code == 0
+    grid = np.linspace(-30.0, 30.0, 17)
+    vals = livsic.livsic_function(models.l2(0.7))(grid + 0.25j)
+    sig = np.linalg.norm(vals, 2, axis=(1, 2))
+    expect = [_cells(s, *[p for z in m.ravel() for p in (z.real, z.imag)], sv)
+              for s, m, sv in zip(grid, vals, sig)]
+    assert out.splitlines()[1:] == expect
+
+
 def test_density_k2_across_an_atom_is_zero_below_the_axis(capsys):
     # this coupling has an atom near s = -1.70e-4; the density is an exact
     # zero on s <= 0, where no boundary limit is taken

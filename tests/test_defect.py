@@ -7,8 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from clarkspectra import defect, models
-from clarkspectra.defect import ExpSum, HalfLine, Interval
-from clarkspectra.errors import DivergenceError, DomainError
+from clarkspectra.errors import DivergenceError, DomainError, RankError
 
 decaying = st.builds(complex,
                      st.floats(min_value=-5.0, max_value=-0.05, allow_nan=False),
@@ -58,73 +57,50 @@ def test_halfline_norm_positive(mu):
     assert defect.exp_inner_halfline(mu, mu).real > 0
 
 
-def test_expsum_merges_and_guards_domain():
-    f = ExpSum(((1.0, -1.0), (2.0, -1.0), (0.5, -2.0)), HalfLine())
-    assert sorted(f.terms, key=lambda t: t[1].real) == [(0.5, (-2 + 0j)), (3 + 0j, (-1 + 0j))]
-    g = ExpSum(((1.0, -1.0), (-1.0, -1.0)), HalfLine())
-    assert g.terms == ()
-    with pytest.raises(DomainError):
-        ExpSum(((1.0, 0.2),), HalfLine())
-    # growth is fine on a bounded interval
-    ExpSum(((1.0, 0.2),), Interval(1.0))
-
-
-def test_expsum_algebra_and_calculus():
-    f = ExpSum(((2.0, -1.0),), HalfLine())
-    g = ExpSum(((1.0, -3.0),), HalfLine())
-    h = f + g - f.scale(0.5)
-    x = 0.37
-    assert h(x) == pytest.approx(1.0 * math.exp(-x) + math.exp(-3 * x))
-    d2 = f.derivative(2)
-    assert d2(x) == pytest.approx(2.0 * math.exp(-x))
-    with pytest.raises(DomainError):
-        f + ExpSum(((1.0, -1.0),), Interval(1.0))
-
-
-def test_expsum_inner_matches_term_sums():
-    f = ExpSum(((2.0, -1.0), (1j, -2.0)), HalfLine())
-    g = ExpSum(((1.0, -1.5),), HalfLine())
-    direct = (2.0 * defect.exp_inner_halfline(-1.0, -1.5)
-              + 1j * defect.exp_inner_halfline(-2.0, -1.5))
-    assert defect.expsum_inner(f, g) == pytest.approx(direct)
-    with pytest.raises(DomainError):
-        defect.expsum_inner(f, ExpSum(((1.0, 0.0),), Interval(2.0)))
-
-
 @pytest.mark.parametrize("maker,kwargs", [
     (models.k1, {}), (models.k2, {}),
     (models.l1, {"a": 1.0}), (models.l2, {"a": 0.7}),
 ])
 def test_defect_basis_and_orthonormalization(maker, kwargs):
     model = maker(**kwargs)
-    for w in (1j, -1j, 2.0 + 0.5j):
-        basis = defect.defect_basis(model, w)
-        assert len(basis) == model.rank
-        onb = defect.orthonormalize(basis)
-        gram = np.array([[defect.expsum_inner(u, v) for v in onb]
-                         for u in onb])
-        assert np.max(np.abs(gram - np.eye(model.rank))) < 1e-12
-        # leading coefficients positive real by construction
-        for fn in onb:
-            lead = max(fn.terms, key=lambda t: abs(t[0]))
-            assert lead is not None
-    with pytest.raises(DomainError):
-        defect.defect_basis(model, 3.0)
-    # the cached basis at +-i is the one Gram-Schmidt gives, built once
     for sign, z in (("+", 1j), ("-", -1j)):
-        onb = defect.defect_onb(model, sign)
-        assert onb == defect.orthonormalize(defect.defect_basis(model, z))
-        assert defect.defect_onb(model, sign) is onb
+        coeffs, rates = defect.defect_onb(model, sign)
+        assert coeffs.shape == (model.rank, model.rank)
+        assert np.array_equal(rates, model.raw_rates(z))
+        # the inverse Cholesky factor: lower triangular, positive diagonal,
+        # and C G C* = I for the closed-form Gram matrix G of the rates
+        assert np.array_equal(coeffs, np.tril(coeffs))
+        diag = np.diag(coeffs)
+        assert np.all(diag.imag == 0) and np.all(diag.real > 0)
+        gram = model.inner(rates[:, None], rates[None, :])
+        assert np.max(np.abs(coeffs @ gram @ coeffs.conj().T
+                             - np.eye(model.rank))) < 1e-12
+        # built once per model and sign, and read-only since it is shared
+        assert defect.defect_onb(model, sign)[0] is coeffs
+        assert not coeffs.flags.writeable and not rates.flags.writeable
+
+
+def test_defect_basis_degenerate_gram_is_rank_error():
+    class Twin:
+        """Both basis rates equal, so the Gram matrix is singular."""
+        halfline = True
+
+        def raw_rates(self, w):
+            return np.array([-1.0 + 0j, -1.0 + 0j])
+
+        def inner(self, mu, nu):
+            return defect.exp_inner_halfline(mu, nu)
+
+    with pytest.raises(RankError):
+        defect.defect_onb(Twin(), "+")
 
 
 def test_orthonormalize_normalizer_constants():
     # rank-one interval model: the defect element at i solves i f' = i f,
     # so f = exp(x) and the normalizer is 1/sqrt(<e^x, e^x>) = 1/sqrt(sinh 2a)
     a = 1.0
-    m = models.l1(a)
-    onb = defect.orthonormalize(defect.defect_basis(m, 1j))
-    (coeff, rate), = onb[0].terms
-    assert rate == pytest.approx(1.0)
+    coeffs, rates = defect.defect_onb(models.l1(a), "+")
+    assert rates[0] == pytest.approx(1.0)
     norm = math.sqrt(defect.exp_inner_interval(1.0, 1.0, a).real)
-    assert coeff == pytest.approx(1.0 / norm)
-    assert coeff == pytest.approx(1.0 / math.sqrt(math.sinh(2 * a)))
+    assert coeffs[0, 0] == pytest.approx(1.0 / norm)
+    assert coeffs[0, 0] == pytest.approx(1.0 / math.sqrt(math.sinh(2 * a)))

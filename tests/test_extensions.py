@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from clarkspectra import extensions, models
 from clarkspectra.cplane import random_unitary
-from clarkspectra.defect import ExpSum, Interval
+from clarkspectra.defect import defect_onb
 from clarkspectra.errors import (DomainError, NonUnitaryError, RankError,
                                  UnsupportedError)
 
@@ -30,25 +30,37 @@ def test_canonical_c():
 @given(rates)
 @settings(max_examples=30, deadline=None)
 def test_hat_vector_is_ordinary_derivatives(rate):
-    f = ExpSum(((1.5 - 0.5j, rate),), Interval(1.0))
+    f = ([1.5 - 0.5j], [rate])
     x = 0.4
+    value = (1.5 - 0.5j) * cmath.exp(rate * x)
     hat = extensions.hat_vector(f, 4, x)
     for r in range(4):
-        assert hat[r] == pytest.approx(rate ** r * f(x), rel=1e-10, abs=1e-12)
+        assert hat[r] == pytest.approx(rate ** r * value, rel=1e-10, abs=1e-12)
 
 
 def test_hat_check_vectors():
-    f = ExpSum(((2.0, 0.5 + 0.25j),), Interval(1.0))
+    rate = 0.5 + 0.25j
     x = -0.3
-    hat = extensions.hat_vector(f, 2, x)
-    assert hat == pytest.approx(np.array([f(x), (0.5 + 0.25j) * f(x)]))
+    value = 2.0 * cmath.exp(rate * x)
+    hat = extensions.hat_vector(([2.0], [rate]), 2, x)
+    assert hat == pytest.approx(np.array([value, rate * value]))
+    # a two-term sum, and a whole basis at once: one row per function
+    coeffs, rates = defect_onb(models.l2(0.7), "-")
+    rows = extensions.hat_vector((coeffs, rates), 2, x)
+    assert rows.shape == (2, 2)
+    for k in range(2):
+        value = np.sum(coeffs[k] * np.exp(rates * x))
+        slope = np.sum(coeffs[k] * rates * np.exp(rates * x))
+        assert rows[k] == pytest.approx(np.array([value, slope]), rel=1e-13)
+        assert np.array_equal(rows[k],
+                              extensions.hat_vector((coeffs[k], rates), 2, x))
 
 
 @given(rates, rates, st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
 @settings(max_examples=30, deadline=None)
 def test_bracket_matches_matrix_form_order_two(r1, r2, x):
-    f = ExpSum(((1.0 + 0.5j, r1),), Interval(1.0))
-    g = ExpSum(((0.7, r2),), Interval(1.0))
+    f = ([1.0 + 0.5j], [r1])
+    g = ([0.7], [r2])
     br = extensions.lagrange_bracket(f, g, x, 2)
     fh = extensions.hat_vector(f, 2, x)
     gh = extensions.hat_vector(g, 2, x)
@@ -56,16 +68,29 @@ def test_bracket_matches_matrix_form_order_two(r1, r2, x):
                                rel=1e-10, abs=1e-12)
 
 
+def test_bracket_higher_orders_pinned():
+    # values of the term-by-term loop over derivative functions that the
+    # hat-vector form replaced
+    f = ([1 + 0.5j, 0.4], [0.3 - 0.2j, -1.1 + 0.7j])
+    g = ([0.7 - 0.1j], [0.9j])
+    pinned = {2: 0.08922082408345008 - 0.9449802040408479j,
+              4: 0.43589305030805414 - 0.19310397104027788j,
+              6: -0.7092992164694012 - 0.11952654035916771j}
+    for n, ref in pinned.items():
+        assert extensions.lagrange_bracket(f, g, 0.37, n) == pytest.approx(
+            ref, rel=1e-14)
+
+
 def test_bracket_rejects_odd_order():
-    f = ExpSum(((1.0, 0.2),), Interval(1.0))
+    f = ([1.0], [0.2])
     with pytest.raises(UnsupportedError):
         extensions.lagrange_bracket(f, f, 0.0, 3)
 
 
 def test_boundary_matrices_defaults():
     bm = extensions.BoundaryMatrices([[1, 0], [0, 1]], [[1, 0], [0, 1]])
-    assert np.array_equal(bm.c, extensions.canonical_c(2))
-    assert bm.beta_a.dtype == complex
+    assert bm.beta_a.dtype == complex and bm.beta_b.dtype == complex
+    assert extensions.BoundaryMatrices(2, 3).beta_b.shape == (1, 1)
 
 
 def test_validate_sa_matrices_known_cases():
@@ -140,6 +165,26 @@ def test_alpha_from_bc_regular_dirichlet_and_periodic():
         extensions.alpha_from_bc_regular(models.k1(), dirichlet)
 
 
+def test_alpha_from_bc_regular_pinned_values():
+    # values from the per-basis-element route that the hat matrices replaced
+    m = models.l2(1.0)
+    dirichlet = extensions.BoundaryMatrices([[1, 0], [0, 0]], [[0, 0], [1, 0]])
+    periodic = extensions.BoundaryMatrices(np.eye(2), -np.eye(2))
+    pinned = [
+        (dirichlet, [[0.5133895013466331 - 0.3870931989965038j,
+                      0.1063781770730755 - 0.7584680340266938j],
+                     [0.10637817707307545 - 0.7584680340266937j,
+                      0.3870931989965038 + 0.513389501346633j]]),
+        (periodic, [[-0.6339049853716097 + 0.4779612906062358j,
+                     -0.5467777801943773 - 0.2659916037937087j],
+                    [-0.5467777801943777 - 0.26599160379370895j,
+                     0.015250825959168724 + 0.7937568507449385j]]),
+    ]
+    for bm, ref in pinned:
+        alpha = extensions.alpha_from_bc_regular(m, bm)
+        assert np.max(np.abs(alpha - np.array(ref))) < 1e-14
+
+
 def test_bc_regular_round_trip_random():
     rng = np.random.default_rng(12)
     m = models.l2(0.7)
@@ -162,8 +207,7 @@ def test_bc_regular_l1_matches_closed_map():
     # the order-one interval model goes through the same generic route;
     # f(-a) + e^{0.4 i} f(a) = 0 is the coupling beta = -e^{-0.4 i}
     m = models.l1(1.0)
-    bm = extensions.BoundaryMatrices(np.array([[1.0]]), np.array([[np.exp(0.4j)]]),
-                                     c=np.array([[1.0]]))
+    bm = extensions.BoundaryMatrices(np.array([[1.0]]), np.array([[np.exp(0.4j)]]))
     alpha = extensions.alpha_from_bc_regular(m, bm)
     assert alpha.shape == (1, 1)
     assert abs(abs(alpha[0, 0]) - 1.0) < 1e-10
@@ -175,8 +219,7 @@ def test_bc_regular_l1_matches_closed_map():
 def test_singular_template_matches_closed_k1():
     m = models.k1()
     for b_, c_ in ((1.0, 1.0), (1.0, 0.0), (2.0, -3.0), (0.0, 1.0), (1.0, -0.5)):
-        bm = extensions.BoundaryMatrices(np.array([[b_, c_]]), np.zeros((1, 2)),
-                                         c=np.eye(2))
+        bm = extensions.BoundaryMatrices(np.array([[b_, c_]]), np.zeros((1, 2)))
         a_t = extensions.alpha_from_bc_singular_template(m, bm)
         assert complex(a_t[0, 0]) == pytest.approx(
             extensions.alpha_from_bc_k1(b_, c_))

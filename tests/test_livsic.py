@@ -190,3 +190,46 @@ def test_transform_alpha_consistency():
     # undo with the inverse pair
     back = livsic.transform_alpha(moved, r.conj().T, q.conj().T)
     assert np.max(np.abs(back - alpha)) < 1e-14
+
+
+# B at three points per model, recorded from the Gram-Schmidt construction
+# of the defect bases that the inverse Cholesky factor replaced
+PINNED_B = {
+    "K1": [[[0.17739148047620507 - 0.24895861584822734j]],
+           [[0.208818210000029 + 0.9779544749999274j]],
+           [[0.4531660928512715 - 0.08760942601115383j]]],
+    "K2": [[[0.0744683107659537 - 0.46226860291314026j,
+             -0.060990018835372015 + 0.03369266279453117j],
+            [-0.20948196783600026 - 0.2655132327534382j,
+             0.057383026327009215 - 0.2361334261774969j]],
+           [[0.4060645166841177 + 0.8145788685181344j,
+             -0.006266159169231077 - 0.4141661629142051j],
+            [0.3683464963346017 + 0.1894564168663417j,
+             0.5496863934299582 + 0.7254460652758099j]],
+           [[0.6437960774630986 - 0.14745778401425294j,
+             -0.1020756869915922 + 0.011019893868242358j],
+            [0.34871127329567236 - 0.3378856865761825j,
+             0.2896851810759265 - 0.22114175110664133j]]],
+    "L1": [[[0.08635480747258546 - 0.4421865855586785j]],
+           [[-0.019316373340820033 - 0.9998134214547022j]],
+           [[0.025692740858042018 - 0.013063678558074736j]]],
+    "L2": [[[-0.09603733241519939 - 0.4342757992036396j,
+             -0.3572595191312608 - 0.1039766991597333j],
+            [-0.3572595191312608 - 0.1039766991597333j,
+             0.328115040629023 - 0.31083062467855554j]],
+           [[0.5835990473815144 + 0.46000122571333674j,
+             0.6310408691096291 - 0.22270708509380974j],
+            [0.6310408691096291 - 0.22270708509380974j,
+             -0.16559717493775086 + 0.7244077245688502j]],
+           [[0.5761664819149518 - 0.2138827994535958j,
+             0.010301015144433092 - 0.4728362324686356j],
+            [0.010301015144433052 - 0.4728362324686356j,
+             0.5639367167601976 + 0.3474867353611661j]]],
+}
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+def test_b_pinned_values(model):
+    ref = np.array(PINNED_B[model.name])
+    got = livsic.livsic_eval(model, np.array([0.7 + 0.4j, -2.5, 3.2 + 1.1j]))
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))

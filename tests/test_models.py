@@ -253,3 +253,28 @@ def test_l2_atoms_periodic_includes_zero():
     assert len(atoms) == 2
     assert abs(atoms[0]) < 1e-8
     assert abs(atoms[1] - math.pi ** 2) < 1e-8
+
+
+@pytest.mark.parametrize("label,a,first", [("neumann", 5.0, 0),
+                                           ("dirichlet", 20.0, 1)])
+def test_l2_atoms_long_interval_finds_the_lowest(label, a, first):
+    # the lowest L2 eigenvalues are (pi/(2a))^2 apart, so at large a the
+    # scan step must shrink like 1/a^2 to keep them in separate cells
+    from clarkspectra import extensions
+    bcs = {"neumann": ([[0, 1], [0, 0]], [[0, 0], [0, 1]]),
+           "dirichlet": ([[1, 0], [0, 0]], [[0, 0], [1, 0]])}
+    bm = extensions.BoundaryMatrices(*bcs[label])
+    alpha = extensions.alpha_from_bc_regular(models.l2(a), bm)
+    expect = [(k * math.pi / (2 * a)) ** 2 for k in range(first, first + 8)]
+    hi = expect[-1] + 0.5 * (expect[-1] - expect[-2])
+    atoms = models.l2_atoms(alpha, a, (-1.0, hi))
+    assert len(atoms) == 8
+    assert max(abs(x - y) for x, y in zip(atoms, expect)) < 1e-8
+
+
+def test_scan_step_per_model():
+    assert models.k1().scan_step == models.k2().scan_step == 0.05
+    assert models.l1(3.0).scan_step == math.pi / 24
+    # L2 keeps pi/(8a) up to a = 2 pi/3 and shrinks like 1/a^2 beyond
+    assert models.l2(2.0).scan_step == math.pi / 16
+    assert models.l2(20.0).scan_step == pytest.approx(math.pi ** 2 / 4800)

@@ -8,7 +8,6 @@ from scipy import linalg
 
 from clarkspectra import extensions, models, oracle
 from clarkspectra.cplane import principal_power, random_unitary
-from clarkspectra.defect import ExpSum, HalfLine, Interval, expsum_inner
 from clarkspectra.errors import (ConvergenceError, DomainError, RankError,
                                  ToleranceError)
 
@@ -42,41 +41,54 @@ def test_nt_limit_rejects_non_finite_ladder_values():
         oracle.nt_limit(lambda w: complex("nan"), 1.0)
 
 
+def _closed_inner(model, f, g):
+    (cf, rf), (cg, rg) = f, g
+    pair = model.inner(np.asarray(rf)[:, None], np.asarray(rg)[None, :])
+    return complex(np.asarray(cf) @ pair @ np.conj(cg))
+
+
 def test_quad_inner_matches_closed_halfline():
-    f = ExpSum(((1.0, -1.0), (0.5j, -2.0 + 1.0j)), HalfLine())
-    g = ExpSum(((2.0, -0.5 - 0.3j),), HalfLine())
-    assert oracle.quad_inner(f, g) == pytest.approx(expsum_inner(f, g),
-                                                    rel=1e-9, abs=1e-10)
-    assert oracle.quad_inner(g, f) == pytest.approx(expsum_inner(g, f),
-                                                    rel=1e-9, abs=1e-10)
+    m = models.k1()
+    f = ([1.0, 0.5j], [-1.0, -2.0 + 1.0j])
+    g = ([2.0], [-0.5 - 0.3j])
+    assert oracle.quad_inner(m, f, g) == pytest.approx(_closed_inner(m, f, g),
+                                                       rel=1e-9, abs=1e-10)
+    assert oracle.quad_inner(m, g, f) == pytest.approx(_closed_inner(m, g, f),
+                                                       rel=1e-9, abs=1e-10)
 
 
 def test_quad_inner_matches_closed_interval():
-    f = ExpSum(((1.0, 0.5j), (1.0, -0.5j)), Interval(1.5))
-    g = ExpSum(((1.0, 0.2), (-0.25j, -1.0 + 2.0j)), Interval(1.5))
-    assert oracle.quad_inner(f, g) == pytest.approx(expsum_inner(f, g),
-                                                    rel=1e-9, abs=1e-10)
-    norm = oracle.quad_inner(f, f)
+    m = models.l2(1.5)
+    f = ([1.0, 1.0], [0.5j, -0.5j])
+    g = ([1.0, -0.25j], [0.2, -1.0 + 2.0j])
+    assert oracle.quad_inner(m, f, g) == pytest.approx(_closed_inner(m, f, g),
+                                                       rel=1e-9, abs=1e-10)
+    norm = oracle.quad_inner(m, f, f)
     assert norm.imag == pytest.approx(0.0, abs=1e-10)
     assert norm.real > 0
 
 
 def test_quad_inner_domain_mismatch():
-    f = ExpSum(((1.0, -1.0),), HalfLine())
-    g = ExpSum(((1.0, 0.2),), Interval(1.0))
+    # a rate that grows does not belong to the half-line, though it is fine
+    # on a bounded interval; a zero coefficient leaves its rate out
+    f = ([1.0], [-1.0])
+    g = ([1.0], [0.2])
     with pytest.raises(DomainError):
-        oracle.quad_inner(f, g)
-    h = ExpSum(((1.0, 0.2),), Interval(2.0))
+        oracle.quad_inner(models.k1(), f, g)
     with pytest.raises(DomainError):
-        oracle.quad_inner(g, h)
+        oracle.quad_inner(models.k2(), g, f)
+    assert oracle.quad_inner(models.l1(1.0), g, g) == pytest.approx(
+        math.sinh(0.4) / 0.2, rel=1e-10)
+    assert oracle.quad_inner(models.k1(), ([1.0, 0.0], [-1.0, 0.2]), f) == \
+        pytest.approx(0.5, rel=1e-10)
 
 
 def test_quad_inner_budget_enforced():
     # a two-digit cutoff leaves a fat truncation tail on the half-line
-    f = ExpSum(((1.0, -1.0),), HalfLine())
+    f = ([1.0], [-1.0])
     spec = oracle.QuadratureSpec(halfline_cutoff_digits=2.0)
     with pytest.raises(ToleranceError):
-        oracle.quad_inner(f, f, spec)
+        oracle.quad_inner(models.k1(), f, f, spec)
     assert oracle.QuadratureSpec().abs_tol == 1e-10
 
 

@@ -2,8 +2,8 @@
 routes side by side.
 
 l1 mode compares the closed lattice and weight formulas against the generic
-scan of the characteristic function plus the residue point mass at each
-found location. l2 mode compares the scanned atoms of the rank-two
+scan of the characteristic function, which gives the residue point mass at
+each found location. l2 mode compares the scanned atoms of the rank-two
 characteristic function against a finite-difference eigenvalue oracle on
 the same window.
 
@@ -38,8 +38,7 @@ def l1_table(args):
     model = models.l1(a)
     b = livsic.livsic_function(model)
     window = (closed[0] - 0.4 / a, closed[-1] + 0.4 / a)
-    step = model.scan_step
-    scanned = models.atom_scan(b, [[alpha]], window, step=step)
+    scanned, masses = clark.atom_scan(b, [[alpha]], window)
     if len(scanned) != len(closed):
         print(f"scan found {len(scanned)} atoms against {len(closed)} closed "
               f"lattice points; window {window}")
@@ -47,7 +46,6 @@ def l1_table(args):
     print(f"# l1, a = {a:g}, coupling phase {args.theta:g}")
     print(f"{'s closed':>14} {'ds scan':>10} {'w closed':>14} "
           f"{'dw rel':>10} {'running mass':>13}")
-    masses = clark.point_mass(b, [[alpha]], scanned, step=step)
     running = 0.0
     for s_c, s_g, m_g in zip(closed, scanned, masses):
         w_c = models.l1_weight(alpha, a, s_c)
@@ -64,7 +62,7 @@ def l2_table(args):
     bm = BCS[args.bc]()
     alpha = extensions.alpha_from_bc_regular(models.l2(a), bm)
     window = (-0.5, args.top)
-    atoms = models.l2_atoms(alpha, a, window)
+    atoms, _ = models.l2_atoms(alpha, a, window)
     fd = oracle.l2_eigenvalues_fd(bm, a, window, grid_points=args.grid_points)
     print(f"# l2, a = {a:g}, {args.bc}, window top {args.top:g}, "
           f"fd grid {args.grid_points}")

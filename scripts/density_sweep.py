@@ -44,13 +44,12 @@ def parse_range(text, count_default):
     return lo, hi, count
 
 
-def mass_budget(model, theta, grid, atom_window, step):
+def mass_budget(model, theta, grid, atom_window):
     b = livsic.livsic_function(model)
     alpha = phase_coupling(model, theta)
     dens = np.trace(clark.ac_density(b, alpha, grid), axis1=1, axis2=2).real
     ac_part = float(np.trapezoid(dens, grid))
-    atoms = models.atom_scan(b, alpha, atom_window, step=step)
-    masses = clark.point_mass(b, alpha, atoms, step=step)
+    atoms, masses = clark.atom_scan(b, alpha, atom_window)
     atom_part = sum(math.pi * (1.0 + s * s) * float(np.trace(m).real)
                     for s, m in zip(atoms, masses))
     return ac_part, len(atoms), atom_part
@@ -77,7 +76,6 @@ def main():
     else:
         grid = np.linspace(lo, hi, count)
     wlo, whi, _ = parse_range(args.atom_window, 0)
-    step = model.scan_step
 
     print(f"# model {args.model} rank {model.rank}, ac window "
           f"[{lo:g}, {hi:g}] with {count} nodes, atom window [{wlo:g}, {whi:g}]")
@@ -86,7 +84,7 @@ def main():
     for k in range(args.phases):
         theta = -math.pi + 2.0 * math.pi * (k + 1) / args.phases
         ac_part, n_atoms, atom_part = mass_budget(
-            model, theta, grid, (wlo, whi), step)
+            model, theta, grid, (wlo, whi))
         print(f"{theta / math.pi:9.4f} {n_atoms:6d} {ac_part:13.8f} "
               f"{atom_part:13.8f} {ac_part + atom_part:13.8f}")
     return 0

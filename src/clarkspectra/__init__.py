@@ -14,9 +14,10 @@ from .cplane import cayley, principal_power, is_unitary, random_unitary
 from .defect import exp_inner_halfline, exp_inner_interval, defect_onb
 from .livsic import (SchurFunction, gram_matrix, livsic_eval, livsic_function,
                      conjugated_schur, transform_alpha)
-from .clark import check_alpha, ac_density, point_mass, conjugation_check
+from .clark import (check_alpha, ac_density, point_mass, atom_scan,
+                    conjugation_check)
 from .models import (Model, k1, k2, l1, l2, k1_livsic, l1_livsic, k1_density,
-                     l1_atoms, l1_weight, atom_scan, l2_atoms)
+                     l1_atoms, l1_weight, l2_atoms)
 from .extensions import (canonical_c, hat_vector, lagrange_bracket,
                          BoundaryMatrices, validate_sa_matrices,
                          alpha_from_bc_k1, bc_from_alpha_k1, alpha_from_bc_l1,
@@ -38,9 +39,10 @@ __all__ = [
     "exp_inner_halfline", "exp_inner_interval", "defect_onb",
     "SchurFunction", "gram_matrix", "livsic_eval", "livsic_function",
     "conjugated_schur", "transform_alpha",
-    "check_alpha", "ac_density", "point_mass", "conjugation_check",
+    "check_alpha", "ac_density", "point_mass", "atom_scan",
+    "conjugation_check",
     "Model", "k1", "k2", "l1", "l2", "k1_livsic", "l1_livsic", "k1_density",
-    "l1_atoms", "l1_weight", "atom_scan", "l2_atoms",
+    "l1_atoms", "l1_weight", "l2_atoms",
     "canonical_c", "hat_vector", "lagrange_bracket", "BoundaryMatrices",
     "validate_sa_matrices", "alpha_from_bc_k1", "bc_from_alpha_k1",
     "alpha_from_bc_l1", "bc_from_alpha_l1", "alpha_from_bc_regular",

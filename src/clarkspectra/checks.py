@@ -43,33 +43,30 @@ def _rel(a, b):
 
 
 def check_1(seed=0):
-    """L1 atom locations: generic scan + mass confirmation vs closed lattice."""
-    model = models.l1(1.0)
-    b = livsic.livsic_function(model)
+    """L1 atom locations: generic scan and its masses vs closed lattice."""
+    b = livsic.livsic_function(models.l1(1.0))
     worst = 0.0
     for alpha in _L1_COUPLINGS:
         closed = models.l1_atoms(alpha, 1.0, (-10, 10))
         window = (closed[0] - 0.5, closed[-1] + 0.5)
-        found = models.atom_scan(b, [[alpha]], window, step=model.scan_step)
+        found, masses = clark.atom_scan(b, [[alpha]], window)
         if len(found) != len(closed):
             return False, (f"coupling {alpha}: found {len(found)} atoms, "
                            f"expected {len(closed)}")
         worst = max(worst, max(abs(f - c) for f, c in zip(found, closed)))
-        masses = clark.point_mass(b, [[alpha]], found, step=model.scan_step)
         for s, mass in zip(found, masses[:, 0, 0].real):
             if mass <= 1e-12:
                 return False, f"non-positive mass {mass:.3e} at s = {s:.6f}"
-    return worst <= 1e-8, f"max location deviation {worst:.2e} over 4 couplings"
+    return worst <= 1e-12, f"max location deviation {worst:.2e} over 4 couplings"
 
 
 def check_2(seed=0):
     """L1 atom masses: residue values vs the closed weight formula."""
-    model = models.l1(1.0)
-    b = livsic.livsic_function(model)
+    b = livsic.livsic_function(models.l1(1.0))
     worst = 0.0
     for alpha in _L1_COUPLINGS:
         atoms = models.l1_atoms(alpha, 1.0, (-10, 10))
-        masses = clark.point_mass(b, [[alpha]], atoms, step=model.scan_step)
+        masses = clark.point_mass(b, [[alpha]], atoms)
         for s, pm in zip(atoms, masses[:, 0, 0].real):
             worst = max(worst, _rel(pm, models.l1_weight(alpha, 1.0, s)))
     coth = math.cosh(1.0) / math.sinh(1.0)
@@ -175,7 +172,7 @@ def check_7(seed=0):
                 hi = (4.0 * math.pi / a) ** 2 * 1.05 + 1.0
             window = (-1.0, hi)
             alpha = extensions.alpha_from_bc_regular(models.l2(a), bm)
-            atoms = models.l2_atoms(alpha, a, window)[:5]
+            atoms = models.l2_atoms(alpha, a, window)[0][:5]
             if len(atoms) < 5:
                 return False, f"{label} a={a:.3f}: only {len(atoms)} atoms found"
             fd = oracle.l2_eigenvalues_fd(bm, a, window, grid_points=1600)

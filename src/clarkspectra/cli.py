@@ -116,9 +116,9 @@ def _parse_grid(text):
         raise _ConfigError(f"grid endpoints must be finite, got {text!r}")
     if count < 1:
         raise _ConfigError("grid count must be at least 1")
-    if count > models.MAX_SCAN_POINTS:
+    if count > clark.MAX_SCAN_POINTS:
         raise _ConfigError(f"grid count {count} exceeds the limit of "
-                           f"{models.MAX_SCAN_POINTS} points")
+                           f"{clark.MAX_SCAN_POINTS} points")
     return np.linspace(start, stop, count)
 
 
@@ -164,17 +164,6 @@ def _finite_float(text):
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
-
-
-def _positive_float(text):
-    value = _finite_float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    return value
-
-
-def _g(x):
-    return f"{float(x):.17g}"
 
 
 def _cobj(z):
@@ -244,16 +233,12 @@ def cmd_atoms(args):
             raise _ConfigError("atoms needs --window lo:hi "
                                "(or --n-range lo..hi for l1)")
         window = _parse_window(args.window)
-        b = livsic.livsic_function(model)
-        step = model.scan_step if args.step is None else args.step
-        locs = models.atom_scan(b, alpha, window, step=step)
-        masses = clark.point_mass(b, alpha, locs, step=step)
-        weights = [float(np.trace(m).real) for m in masses]
+        locs, masses = clark.atom_scan(livsic.livsic_function(model), alpha,
+                                       window)
+        weights = np.trace(masses, axis1=1, axis2=2).real
     if args.format == "csv":
-        lines = ["s,weight"]
-        for s, w in zip(locs, weights):
-            lines.append(f"{_g(s)},{_g(w)}")
-        print("\n".join(lines))
+        print("\n".join(["s,weight"] + [f"{s:.17g},{w:.17g}"
+                                         for s, w in zip(locs, weights)]))
     else:
         print(json.dumps(_measure_doc(args.model, alpha, [], [],
                                       list(zip(locs, weights))), indent=2))
@@ -397,12 +382,6 @@ def build_parser():
     t.add_argument("--window", help="lo:hi scan window")
     t.add_argument("--n-range", dest="n_range",
                    help="lo..hi lattice indices (closed route, l1 only)")
-    t.add_argument("--step", type=_positive_float, default=None,
-                   help="scan step; atoms closer than two steps merge into "
-                        "one bracket, and the residue circles of the masses "
-                        "stay within half a step (default 0.05 on the "
-                        "half-line, pi/(8a) on l1, min(pi/(8a), "
-                        "pi^2/(12a^2)) on l2)")
     t.add_argument("--format", choices=["csv", "json"], default="csv")
     t.set_defaults(func=cmd_atoms)
 

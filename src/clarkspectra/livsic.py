@@ -53,12 +53,14 @@ class SchurFunction:
     boundary continuation from above. ac_edge is where the essential
     spectrum of the underlying model begins: for every coupling the
     measure has no absolutely continuous part on s <= ac_edge, and fn
-    continues across the real axis below it.
+    continues across the real axis below it. scan_step is the model's
+    Model.scan_step, the resolution of the atom scan.
     """
 
     n: int
     fn: object
     ac_edge: float
+    scan_step: float
 
     def __call__(self, w):
         w = _upper(w)
@@ -182,7 +184,8 @@ def livsic_function(model):
     """Package the model's B as a SchurFunction. The half-line models have
     essential spectrum [0, inf); the interval models have none."""
     return SchurFunction(n=model.rank, fn=partial(_continued_b, model),
-                         ac_edge=0.0 if model.halfline else math.inf)
+                         ac_edge=0.0 if model.halfline else math.inf,
+                         scan_step=model.scan_step)
 
 
 def conjugated_schur(b, r, q):

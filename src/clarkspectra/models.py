@@ -14,8 +14,7 @@ closed-form inner product, which is all the generic machinery needs; both
 take arrays of points. On top of that this module carries the rank-one
 closed-form characteristic functions and densities and the L1 atom lattice
 and weights, used as independent cross-checks of the generic pipeline, plus
-the atom scan built on the generic characteristic function: one array call
-of B for the grid, then one per golden-section step for all dips together.
+the L2 atoms by clark.atom_scan of the generic characteristic function.
 """
 
 from __future__ import annotations
@@ -26,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import clark
 from .cplane import principal_power
 from .defect import exp_inner_halfline, exp_inner_interval
-from .errors import (ClarkSpectraError, DomainError, NonUnitaryError,
-                     SingularError, ToleranceError)
+from .errors import DomainError, NonUnitaryError, SingularError, ToleranceError
 from .livsic import livsic_function
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "l1_atoms",
     "l1_weight",
     "l2_atoms",
-    "atom_scan",
 ]
 
 
@@ -101,13 +99,14 @@ class Model:
 
     @property
     def scan_step(self):
-        """Grid step of the atom scan (and bound of the residue radii),
-        which must keep neighbouring atoms at least two grid cells apart.
-        The half-line families have no floor on the atom spacing; 0.05
-        suits the couplings in use. L1's atoms are pi/a apart, and the step
-        is pi/(8a). L2's lowest atoms are about (pi/(2a))^2 apart, so its
-        step is also at most a third of that, pi^2/(12 a^2), which is the
-        smaller of the two for a > 2 pi/3."""
+        """Resolution of the atom scan (its grid cells are half of it) and
+        bound of the residue radii: atoms closer than about this share a
+        circle, which ends in ConvergenceError. The half-line families have
+        no floor on the atom spacing; 0.05 suits the couplings in use. L1's
+        atoms are pi/a apart, and the step is pi/(8a). L2's lowest atoms
+        are about (pi/(2a))^2 apart, so its step is also at most a third of
+        that, pi^2/(12 a^2), which is the smaller of the two for
+        a > 2 pi/3."""
         if self.halfline:
             return 0.05
         step = math.pi / (8.0 * self.a)
@@ -222,7 +221,7 @@ def k1_density(alpha, s):
 
 
 # ---------------------------------------------------------------------------
-# L1 atoms and weights
+# interval atoms: the L1 lattice and weights, the L2 scan
 # ---------------------------------------------------------------------------
 
 def l1_atoms(alpha, a, n_range):
@@ -282,144 +281,7 @@ def l1_weight(alpha, a, s):
     )
 
 
-# ---------------------------------------------------------------------------
-# generic atom scan (rank independent)
-# ---------------------------------------------------------------------------
-
-# Upper limit on the atom-scan grid and on the command line's --grid count,
-# so a wide window, a tiny step or a huge count fails with a typed error
-# instead of exhausting memory. The scans the package runs use at most
-# about a thousand points.
-MAX_SCAN_POINTS = 10 ** 6
-
-# Golden-section refinement stops at brackets of _REFINE_TOL, and a refined
-# minimum is kept as an atom when sigma_min there drops below _KEEP_TOL.
-_REFINE_TOL = 1e-10
-_KEEP_TOL = 1e-6
-_INVPHI = (math.sqrt(5.0) - 1) / 2
-
-
-def _golden_min(fun, lo, hi):
-    """Golden-section minimizers of fun on the brackets [lo_i, hi_i], each
-    down to a width of _REFINE_TOL; assumes a single interior minimum per
-    bracket. The brackets run in lockstep: fun maps an array of points to
-    an array of values and is called once per iteration, on one new point
-    of every bracket still wider than _REFINE_TOL."""
-    lo, hi = lo.copy(), hi.copy()
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = np.split(fun(np.concatenate([c, d])), 2)
-    live = np.flatnonzero(hi - lo > _REFINE_TOL)
-    while live.size:
-        left = fc[live] < fd[live]
-        i, j = live[left], live[~left]
-        # left: the minimum is in [lo, d], d <- c, and c is the new point;
-        # right: it is in [c, hi], c <- d, and d is the new point
-        hi[i], d[i], fd[i] = d[i], c[i], fc[i]
-        c[i] = hi[i] - _INVPHI * (hi[i] - lo[i])
-        lo[j], c[j], fc[j] = c[j], d[j], fd[j]
-        d[j] = lo[j] + _INVPHI * (hi[j] - lo[j])
-        new = np.where(left, c[live], d[live])
-        val = fun(new)
-        fc[i], fd[j] = val[left], val[~left]
-        live = live[hi[live] - lo[live] > _REFINE_TOL]
-    return 0.5 * (lo + hi)
-
-
-def _v_polish(fun, s):
-    """One polish step for V-shaped dips f(x) = c |x - x0| + O((x - x0)^2),
-    for every point of s in one call of fun.
-
-    Sampling at s - h and s + h, h = 1e-7 (1 + |s|), with |s - x0| < h gives
-    the slope c from the sum and the offset from the difference. A point
-    stays unchanged wherever the fit is invalid (non-finite slope or a
-    correction larger than h).
-    """
-    h = 1e-7 * (1.0 + np.abs(s))
-    fp, fm = np.split(fun(np.concatenate([s + h, s - h])), 2)
-    with np.errstate(all="ignore"):
-        c = (fp + fm) / (2.0 * h)
-        delta = (fp - fm) / (2.0 * c)
-    ok = np.isfinite(c) & (c > 0) & np.isfinite(delta) & (np.abs(delta) <= h)
-    return np.where(ok, s - delta, s)
-
-
-def atom_scan(b, alpha, window, step):
-    """Locate atom candidates of the (B, alpha) measure inside window.
-
-    Scans sigma_min(I - B(s) alpha*) on a uniform grid and golden-refines
-    every finite local minimum (window edges included); only refined points
-    whose sigma_min drops below _KEEP_TOL survive. The dips are narrow, so
-    the coarse samples near an atom need not be small themselves; filtering
-    happens after refinement. b is only called, each time on an array of
-    points, returning a stack of n x n values: once on the grid, and then
-    once per refinement step for all minima together. Points where B is
-    not finite, and a call that fails numerically as a whole (package
-    errors, LAPACK failures, overflow), count as +inf, which keeps the
-    scan robust near degenerate boundary points; any other exception
-    propagates.
-
-    Each golden minimum gets one V-fit polish: sigma_min vanishes linearly
-    at an atom, and the golden bracket alone leaves an offset around 1e-11.
-    The polish pushes locations to near machine accuracy, and the residue
-    masses are taken at them.
-
-    step must keep distinct atoms at least two grid cells apart: a bracket
-    that straddles two dips refines to only one of them. Model.scan_step
-    is such a step for each model. DomainError for a step that is not
-    finite and positive, and, before anything is allocated, for a grid of
-    more than MAX_SCAN_POINTS points.
-    """
-    alpha = np.atleast_2d(np.asarray(alpha, dtype=complex))
-    n = alpha.shape[0]
-    eye = np.eye(n)
-
-    def objective(s):
-        out = np.full(s.size, np.inf)
-        try:
-            bv = np.asarray(b(s), dtype=complex).reshape(s.size, n, n)
-        except (ClarkSpectraError, np.linalg.LinAlgError, ArithmeticError):
-            return out
-        m = eye - bv @ alpha.conj().T
-        ok = np.isfinite(m).all(axis=(1, 2))
-        if n == 1:
-            out[ok] = np.abs(m[ok, 0, 0])
-        elif ok.any():
-            out[ok] = np.linalg.svd(m[ok], compute_uv=False)[:, -1]
-        return out
-
-    lo, hi = float(window[0]), float(window[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise DomainError(f"scan window must be finite with lo < hi, got {window!r}")
-    step = float(step)
-    if not (math.isfinite(step) and step > 0):
-        raise DomainError(f"scan step must be finite and positive, got {step!r}")
-    cells = (hi - lo) / step
-    if not cells <= MAX_SCAN_POINTS - 1:
-        raise DomainError(f"scan of {window!r} at step {step!r} exceeds the "
-                          f"limit of {MAX_SCAN_POINTS} grid points")
-    count = max(int(math.ceil(cells)) + 1, 8)
-    grid = np.linspace(lo, hi, count)
-    vals = objective(grid)
-    padded = np.concatenate([[np.inf], vals, [np.inf]])
-    minima = np.flatnonzero(np.isfinite(vals) & (vals <= padded[:-2])
-                            & (vals <= padded[2:]))
-    if minima.size == 0:
-        return []
-    s_star = _golden_min(objective, grid[np.maximum(minima - 1, 0)],
-                         grid[np.minimum(minima + 1, count - 1)])
-    s_star = _v_polish(objective, s_star)
-    found = np.sort(s_star[objective(s_star) < _KEEP_TOL])
-    out = []
-    for s in found.tolist():
-        if not out or abs(s - out[-1]) > 1e-8:
-            out.append(s)
-    return out
-
-
 def l2_atoms(alpha, a, window):
-    """Atoms of the L2 measure in the window, via a scan of the generic B at
-    the model's scan_step."""
-    model = l2(a)
-    return atom_scan(livsic_function(model), alpha, window,
-                     step=model.scan_step)
+    """Atoms of the L2 measure in the window, (locations, masses), by
+    clark.atom_scan of the generic B."""
+    return clark.atom_scan(livsic_function(l2(a)), alpha, window)

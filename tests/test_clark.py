@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,17 +94,16 @@ def test_ac_density_grid_matches_points(b_k1):
 def test_point_mass_array_and_refusals(b_k1, b_l1):
     # alpha = 1 on L1: atoms at pi/2 + n pi
     atoms = models.l1_atoms(1.0, 1.0, (-2, 2))
-    masses = clark.point_mass(b_l1, [[1.0]], atoms, step=math.pi / 8)
+    masses = clark.point_mass(b_l1, [[1.0]], atoms)
     assert masses.shape == (5, 1, 1)
     for s, m in zip(atoms, masses):
         assert m[0, 0].real == pytest.approx(models.l1_weight(1.0, 1.0, s),
                                              rel=1e-13)
     assert clark.point_mass(b_l1, [[1.0]], []).shape == (0, 1, 1)
-    # non-finite, repeated, on the essential spectrum, bad step
-    for s, step in ((math.nan, 0.05), ([0.5, 0.5], 0.05), (0.5, 0.0),
-                    (0.5, math.nan)):
+    # non-finite, repeated, on the essential spectrum
+    for s in (math.nan, [0.5, 0.5]):
         with pytest.raises(DomainError):
-            clark.point_mass(b_l1, [[1.0]], s, step=step)
+            clark.point_mass(b_l1, [[1.0]], s)
     for s in (0.0, 0.7):
         with pytest.raises(DomainError):
             clark.point_mass(b_k1, [[1j]], s)
@@ -111,7 +111,7 @@ def test_point_mass_array_and_refusals(b_k1, b_l1):
     # (radius 3) slows the trapezoid rule down: the two node counts
     # disagree
     with pytest.raises(ConvergenceError):
-        clark.point_mass(b_l1, [[1.0]], math.pi / 2, step=6.0)
+        clark.point_mass(replace(b_l1, scan_step=6.0), [[1.0]], math.pi / 2)
 
 
 def test_point_mass_is_zero_next_to_an_atom(b_l1):
@@ -119,11 +119,12 @@ def test_point_mass_is_zero_next_to_an_atom(b_l1):
     # offset 0.005), next to its edge (offset 0.0249), and just outside it
     # (radius 0.25, offset 0.26): no atom at s, so no mass
     for offset, step in ((0.005, 0.05), (0.0249, 0.05), (0.26, 0.5)):
-        mass = clark.point_mass(b_l1, [[1.0]], math.pi / 2 + offset, step=step)
+        mass = clark.point_mass(replace(b_l1, scan_step=step), [[1.0]],
+                                math.pi / 2 + offset)
         assert np.array_equal(mass, np.zeros((1, 1)))
     # an array mixes the atom and a point next to it
-    masses = clark.point_mass(b_l1, [[1.0]], [math.pi / 2, math.pi / 2 + 0.1],
-                              step=0.5)
+    masses = clark.point_mass(replace(b_l1, scan_step=0.5), [[1.0]],
+                              [math.pi / 2, math.pi / 2 + 0.1])
     assert masses[0, 0, 0].real == pytest.approx(
         models.l1_weight(1.0, 1.0, math.pi / 2), rel=1e-13)
     assert masses[1, 0, 0] == 0.0
@@ -183,3 +184,38 @@ def test_density_is_exact_zero_off_the_support(b_k1, b_l1):
     for s in (-2.0, -1e-12, 0.0):
         assert clark.ac_density(b_k1, [[1j]], s)[0, 0] == 0.0
     assert clark.ac_density(b_k1, [[1j]], 1e-12)[0, 0].real > 0.0
+
+
+def _ac_mass(b, alpha):
+    # int_0^inf tr rho(s) ds in u = s^(1/4): 20-point Gauss-Legendre on
+    # [0, 1e-4] and 300 log panels up to 10^2.5 (s = 1e10)
+    x, wt = np.polynomial.legendre.leggauss(20)
+    edges = np.concatenate([[0.0], np.logspace(-4.0, 2.5, 301)])
+    lo, hi = edges[:-1, None], edges[1:, None]
+    u = (0.5 * (hi - lo) * x + 0.5 * (hi + lo)).ravel()
+    w = (0.5 * (hi - lo) * wt).ravel()
+    rho = np.trace(clark.ac_density(b, alpha, u ** 4), axis1=1, axis2=2).real
+    return float(np.sum(w * rho * 4.0 * u ** 3))
+
+
+def test_mass_budget_closes_with_the_scanned_atoms():
+    # the ac mass plus pi (1 + s^2) tr mu({s}) over the atoms of the scan is
+    # the rank: K1 at two Robin couplings and one without a bound state,
+    # K2 at three Haar couplings whose atoms all lie in (-60, 0); leaving
+    # out any one atom breaks the budget
+    rng = np.random.default_rng(13)
+    cases = [(models.k1(), [[extensions.alpha_from_bc_k1(sigma, 1.0)]])
+             for sigma in (0.5, 2.0, -1.0)]
+    cases += [(models.k2(), random_unitary(2, rng)) for _ in range(3)]
+    counts = []
+    for model, alpha in cases:
+        b = livsic.livsic_function(model)
+        locs, masses = clark.atom_scan(b, alpha, (-60.0, 0.0))
+        atoms = np.pi * (1.0 + locs ** 2) * np.trace(masses, axis1=1,
+                                                     axis2=2).real
+        ac = _ac_mass(b, alpha)
+        assert abs(ac + atoms.sum() - model.rank) <= 1e-10
+        for k in range(atoms.size):
+            assert abs(ac + atoms.sum() - atoms[k] - model.rank) > 1e-3
+        counts.append(locs.size)
+    assert counts == [1, 1, 0, 2, 2, 1]

@@ -137,9 +137,18 @@ def test_atoms_scan_route_json(capsys):
     assert atom["weight"] == pytest.approx(0.20371832721067634, rel=1e-6)
 
 
+def _k2_sigma_min(alpha, s):
+    # sigma_min(I - B(s) alpha*) of the K2 model at the real point s
+    import numpy as np
+    from clarkspectra import livsic
+    b = livsic.livsic_eval(models.k2(), s)
+    return np.linalg.svd(np.eye(2) - b @ alpha.conj().T, compute_uv=False)[-1]
+
+
 def test_atoms_shallow_edge_atom_fallback(capsys):
     # this coupling has one small atom just below the continuum edge; its
     # residue circle has half the distance to the branch point 0 as radius
+    import numpy as np
     code, out, _ = run_cli(capsys, [
         "atoms", "--model", "k2", "--alpha", '[["0,-1","0"],["0","0,-1"]]',
         "--window=-0.1:0.1"])
@@ -149,11 +158,15 @@ def test_atoms_shallow_edge_atom_fallback(capsys):
     s, w = (float(t) for t in lines[1].split(","))
     assert s == pytest.approx(-0.0016654, abs=1e-6)
     assert w == pytest.approx(0.0201234, rel=1e-4)
+    assert _k2_sigma_min(-1j * np.eye(2), s) <= 1e-13
 
 
 def test_atoms_k2_shallow_atom_near_the_branch_point(capsys):
     # a small atom 1.7e-4 below the edge of the essential spectrum, next to
-    # a deeper one: its residue circle has radius 8.5e-5
+    # a deeper one: its residue circle has radius 8.5e-5. Every printed
+    # location is a zero of I - B alpha* to rounding.
+    import cmath
+    import numpy as np
     alpha = '[["1:-2.6179938779914944","0"],["0","1:-2.6179938779914944"]]'
     code, out, err = run_cli(capsys, [
         "atoms", "--model", "k2", f"--alpha={alpha}", "--window=-40:0.5"])
@@ -161,9 +174,28 @@ def test_atoms_k2_shallow_atom_near_the_branch_point(capsys):
     rows = [tuple(float(t) for t in line.split(","))
             for line in out.strip().splitlines()[1:]]
     assert [s for s, _ in rows] == pytest.approx(
-        [-0.26264440779127107, -1.6993375000169889e-4], rel=0, abs=1e-12)
+        [-0.26264440779126091, -1.6993372764117866e-4], rel=0, abs=1e-12)
     assert [w for _, w in rows] == pytest.approx(
         [0.22293830350252486, 0.0054530541196780467], rel=1e-10)
+    coupling = cmath.rect(1.0, -2.6179938779914944) * np.eye(2)
+    for s, _ in rows:
+        assert _k2_sigma_min(coupling, s) <= 1e-13, s
+
+
+def test_atoms_closer_than_the_scan_step_are_refused(capsys):
+    # two L2 atoms near 0.27 and 0.345, closer than the scan step (0.23):
+    # they share a circle, whose second moment shows the two poles, so the
+    # request fails instead of printing one of them with weight 0
+    alpha = ('[["-0.49121901621699293,-0.3404899637733655",'
+             '"-0.5320378119597038,0.5997551411380755"],'
+             '["-0.45443034394051274,0.6605024793159593",'
+             '"-0.44849476727109416,-0.3950721213323274"]]')
+    code, out, err = run_cli(capsys, [
+        "atoms", "--model", "l2", "--a", "1.7255712856402476",
+        f"--alpha={alpha}",
+        "--window=-3.3861400976209453:10.071271490026856"])
+    assert code == 1 and out == ""
+    assert "ConvergenceError" in err and "more than one pole" in err
 
 
 def test_atoms_requires_window_or_range(capsys):
@@ -290,7 +322,6 @@ def test_error_exit_codes(capsys):
     assert code == 2 and "2x2" in err
     # non-finite or out-of-range numbers are malformed input, not a
     # numerical refusal
-    k1_atoms = ["atoms", "--model", "k1", "--alpha", "-1", "--window=-1:-0.1"]
     for argv in (
             ["density", "--model", "k1", "--alpha", "-1", "--grid", "nan:1:3"],
             ["density", "--model", "k1", "--alpha", "-1", "--grid", "0.5:inf:3"],
@@ -304,9 +335,6 @@ def test_error_exit_codes(capsys):
              "--grid", "0:1:3"],
             ["density", "--model", "k2", "--alpha", '[[{"re": "x"}, 0], [0, 1]]',
              "--grid", "0:1:3"],
-            k1_atoms + ["--step", "nan"],
-            k1_atoms + ["--step", "0"],
-            k1_atoms + ["--step=-1"],
             ["atoms", "--model", "k1", "--alpha", "-1", "--window=-inf:0"],
             ["bcmap", "--model", "l1", "--a", "nan", "--beta", "1"]):
         assert exit_code(capsys, argv) == 2, argv

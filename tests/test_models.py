@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clarkspectra import livsic, models
+from clarkspectra import clark, livsic, models
 from clarkspectra.cplane import random_unitary
 from clarkspectra.errors import DomainError, NonUnitaryError
 
@@ -120,10 +120,10 @@ def test_k2_density_total_mass_trace():
     b = livsic.livsic_function(models.k2())
     f = lambda s: float(np.trace(clark.ac_density(b, alpha, s)).real)
     val, err = quad(f, 0.0, np.inf, limit=600)
-    atoms = models.atom_scan(b, alpha, (-30.0, -1e-4), step=0.05)
+    atoms, masses = clark.atom_scan(b, alpha, (-30.0, -1e-4))
     assert len(atoms) == 1
     assert atoms[0] == pytest.approx(-6.0568, abs=1e-3)
-    tr_mass = float(np.trace(clark.point_mass(b, alpha, atoms[0])).real)
+    tr_mass = float(np.trace(masses[0]).real)
     total = val + math.pi * (1 + atoms[0] ** 2) * tr_mass
     assert total == pytest.approx(2.0, abs=1e-6)
 
@@ -177,23 +177,26 @@ def test_l1_total_mass_partial_sums(theta, a):
 def test_atom_scan_recovers_l1_lattice():
     b = livsic.livsic_function(models.l1(1.0))
     closed = models.l1_atoms(1j, 1.0, (-2, 2))
-    found = models.atom_scan(b, [[1j]], (closed[0] - 0.4, closed[-1] + 0.4),
-                             step=math.pi / 8)
+    found, masses = clark.atom_scan(b, [[1j]],
+                                    (closed[0] - 0.4, closed[-1] + 0.4))
     assert len(found) == len(closed)
-    assert max(abs(f - c) for f, c in zip(found, closed)) < 1e-9
+    assert max(abs(f - c) for f, c in zip(found, closed)) < 1e-12
+    for s, m in zip(closed, masses):
+        assert m[0, 0].real == pytest.approx(models.l1_weight(1j, 1.0, s),
+                                             rel=1e-12)
 
 
 def test_atom_scan_k2_locations_feed_point_mass():
-    # both negative atoms of this coupling, found by the scan, yield
-    # accepted residue masses
-    from clarkspectra import clark
+    # both negative atoms of this coupling, found by the scan, with their
+    # residue masses, which point_mass gives again at the locations
     b = livsic.livsic_function(models.k2())
     alpha = -np.eye(2, dtype=complex)
-    locs = models.atom_scan(b, alpha, (-1.0, -0.01), step=math.pi / 16)
+    locs, masses = clark.atom_scan(b, alpha, (-1.0, -0.01))
     assert len(locs) == 2
+    np.testing.assert_allclose(clark.point_mass(b, alpha, locs), masses,
+                               rtol=0, atol=1e-14)
     total = 0.0
-    for s in locs:
-        mass = clark.point_mass(b, alpha, s)
+    for s, mass in zip(locs, masses):
         tr = float(np.trace(mass).real)
         assert tr > 0
         total += math.pi * (1.0 + s * s) * tr
@@ -204,33 +207,43 @@ def test_atom_scan_k2_locations_feed_point_mass():
 def test_atom_scan_empty_window_and_bad_input():
     b = livsic.livsic_function(models.l1(1.0))
     # alpha = 1 atoms sit at (n + 1/2) pi; a window strictly between two
-    assert models.atom_scan(b, [[1.0]], (1.8, 2.8), step=0.1) == []
-    with pytest.raises(DomainError):
-        models.atom_scan(b, [[1.0]], (2.0, 1.0), step=0.1)
+    locs, masses = clark.atom_scan(b, [[1.0]], (1.8, 2.8))
+    assert locs.shape == (0,) and masses.shape == (0, 1, 1)
+    for window in ((2.0, 1.0), (0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(DomainError):
+            clark.atom_scan(b, [[1.0]], window)
 
-    # a grid of 2e10 points (about 150 GiB) or a bad step is refused before
-    # any allocation or B evaluation
+    # a grid of 4e10 points (about 300 GiB) is refused before any
+    # allocation or B evaluation, and a window on the essential spectrum
+    # has no atoms to look for
     def never(s):
         raise AssertionError("B evaluated")
 
+    never_k1 = livsic.SchurFunction(n=1, fn=never, ac_edge=0.0,
+                                    scan_step=0.05)
     with pytest.raises(DomainError):
-        models.atom_scan(never, [[-1.0]], (-1e9, 0.0), step=0.05)
-    for step in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(DomainError):
-            models.atom_scan(never, [[1.0]], (0.0, 1.0), step=step)
+        clark.atom_scan(never_k1, [[-1.0]], (-1e9, 0.0))
+    locs, _ = clark.atom_scan(never_k1, [[-1.0]], (0.0, 5.0))
+    assert locs.size == 0
 
 
 def test_atom_scan_failure_policy():
+    # B returns NaN where it is not defined and raises nothing per point,
+    # so an exception from it is a programming error and propagates
     def typo(s):
         raise TypeError("programming error")
 
+    b = livsic.SchurFunction(n=1, fn=typo, ac_edge=math.inf, scan_step=0.1)
     with pytest.raises(TypeError):
-        models.atom_scan(typo, [[1.0]], (0.0, 1.0), step=0.1)
+        clark.atom_scan(b, [[1.0]], (0.0, 1.0))
 
-    def overflow(s):
-        raise OverflowError("math range error")
+    # NaN values read as no dip
+    def undefined(s):
+        return np.full(np.shape(s) + (1, 1), np.nan + 0j)
 
-    assert models.atom_scan(overflow, [[1.0]], (0.0, 1.0), step=0.1) == []
+    b = livsic.SchurFunction(n=1, fn=undefined, ac_edge=math.inf,
+                             scan_step=0.1)
+    assert clark.atom_scan(b, [[1.0]], (0.0, 1.0))[0].size == 0
 
 
 def test_l2_atoms_dirichlet_lattice():
@@ -238,7 +251,7 @@ def test_l2_atoms_dirichlet_lattice():
     m = models.l2(1.0)
     bm = extensions.BoundaryMatrices([[1, 0], [0, 0]], [[0, 0], [1, 0]])
     alpha = extensions.alpha_from_bc_regular(m, bm)
-    atoms = models.l2_atoms(alpha, 1.0, (-1.0, 26.0))
+    atoms, _ = models.l2_atoms(alpha, 1.0, (-1.0, 26.0))
     expect = [(k * math.pi / 2) ** 2 for k in (1, 2, 3)]
     assert len(atoms) == 3
     assert max(abs(x - y) for x, y in zip(atoms, expect)) < 1e-8
@@ -249,17 +262,21 @@ def test_l2_atoms_periodic_includes_zero():
     m = models.l2(1.0)
     bm = extensions.BoundaryMatrices(np.eye(2), -np.eye(2))
     alpha = extensions.alpha_from_bc_regular(m, bm)
-    atoms = models.l2_atoms(alpha, 1.0, (-0.5, 11.0))
+    atoms, _ = models.l2_atoms(alpha, 1.0, (-0.5, 11.0))
     assert len(atoms) == 2
     assert abs(atoms[0]) < 1e-8
     assert abs(atoms[1] - math.pi ** 2) < 1e-8
 
 
 @pytest.mark.parametrize("label,a,first", [("neumann", 5.0, 0),
-                                           ("dirichlet", 20.0, 1)])
+                                           ("dirichlet", 20.0, 1),
+                                           ("dirichlet", 40.0, 1),
+                                           ("dirichlet", 80.0, 1)])
 def test_l2_atoms_long_interval_finds_the_lowest(label, a, first):
     # the lowest L2 eigenvalues are (pi/(2a))^2 apart, so at large a the
-    # scan step must shrink like 1/a^2 to keep them in separate cells
+    # scan step must shrink like 1/a^2 to keep them in separate cells; from
+    # a = 40 the dip of sigma_min at the lowest Dirichlet atom is narrower
+    # than a grid cell
     from clarkspectra import extensions
     bcs = {"neumann": ([[0, 1], [0, 0]], [[0, 0], [0, 1]]),
            "dirichlet": ([[1, 0], [0, 0]], [[0, 0], [1, 0]])}
@@ -267,7 +284,7 @@ def test_l2_atoms_long_interval_finds_the_lowest(label, a, first):
     alpha = extensions.alpha_from_bc_regular(models.l2(a), bm)
     expect = [(k * math.pi / (2 * a)) ** 2 for k in range(first, first + 8)]
     hi = expect[-1] + 0.5 * (expect[-1] - expect[-2])
-    atoms = models.l2_atoms(alpha, a, (-1.0, hi))
+    atoms, _ = models.l2_atoms(alpha, a, (-1.0, hi))
     assert len(atoms) == 8
     assert max(abs(x - y) for x, y in zip(atoms, expect)) < 1e-8
 

@@ -21,6 +21,7 @@ class CountingB:
     def __init__(self, model):
         self.b = livsic.livsic_function(model)
         self.ac_edge = self.b.ac_edge
+        self.scan_step = self.b.scan_step
         self.calls = 0
         self.points = 0
 
@@ -83,19 +84,30 @@ def test_residue_evaluation_counts():
     # 64 trapezoid nodes per atom, all atoms of a call in one call of B
     b = CountingB(models.l1(1.0))
     atoms = models.l1_atoms(1.0, 1.0, (-3, 3))
-    clark.point_mass(b, [[1.0]], atoms, step=math.pi / 8)
+    clark.point_mass(b, [[1.0]], atoms)
     assert (b.calls, b.points) == (1, 64 * len(atoms))
 
 
 def test_l2_dirichlet_scan_counts():
-    # the grid in one call, then the golden-section brackets of all minima
-    # in lockstep: the same 280 points as one point at a time, in 52 calls
+    # three calls: the grid (139 points, cells of pi/16), one 64-node
+    # circle around each of its 4 local minima, and the 64-node residue
+    # circles of the 3 poles they place
     model = models.l2(1.0)
     bm = extensions.BoundaryMatrices([[1, 0], [0, 0]], [[0, 0], [1, 0]])
     alpha = extensions.alpha_from_bc_regular(model, bm)
     b = CountingB(model)
-    atoms = models.atom_scan(b, alpha, (-1.0, 26.0), step=math.pi / 8)
-    assert b.points == 280
-    assert b.calls == 52
+    atoms, _ = clark.atom_scan(b, alpha, (-1.0, 26.0))
     assert len(atoms) == 3
+    assert (b.calls, b.points) == (3, 139 + 64 * 4 + 64 * 3)
+
+
+def test_atoms_request_is_three_calls(monkeypatch, capsys):
+    # a CLI atoms request on the half-line: the graded grid, the location
+    # circles and the residue circles, and no other evaluation of B
+    b = CountingB(models.k2())
+    monkeypatch.setattr(livsic, "livsic_function", lambda model: b)
+    assert cli.main(["atoms", "--model", "k2", "--alpha", "[[-1,0],[0,-1]]",
+                     "--window=-1:0.5"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert b.calls == 3
 

@@ -13,15 +13,17 @@ Complex scalars on the command line are written 're,im' (Cartesian),
 Matrices are JSON arrays of rows whose entries are numbers, strings in the
 scalar syntax, or {"re": .., "im": ..} objects. Values that start with a
 dash (negative grid endpoints, windows, index ranges) must be attached to
-their flag: --grid=-3:3:25. Numeric output uses 17 significant digits so
-values round-trip exactly through text. Non-finite numbers (nan, inf) are
-malformed input.
+their flag: --grid=-3:3:25. CSV output carries 17 significant digits and
+JSON output Python's shortest round-trip repr, so both round-trip exactly.
+JSON is compact, on one line; `python -m json.tool` indents it. Non-finite
+numbers (nan, inf) are malformed input.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -166,14 +168,14 @@ def _finite_float(text):
     return value
 
 
-def _cobj(z):
-    z = complex(z)
-    return {"re": float(z.real), "im": float(z.imag)}
-
-
-def _mat_json(m):
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
-    return [[_cobj(z) for z in row] for row in m]
+def _cjson(z):
+    """A complex scalar, matrix or stack of matrices as the same nesting of
+    {"re", "im"} objects."""
+    z = np.asarray(z, dtype=complex)
+    cells = np.empty(z.size, dtype=object)
+    cells[:] = [{"re": re, "im": im} for re, im in
+                zip(z.real.ravel().tolist(), z.imag.ravel().tolist())]
+    return cells.reshape(z.shape).tolist()
 
 
 def _csv_header(rank, first, extra=()):
@@ -195,13 +197,14 @@ def _csv_rows(first, vals, *last):
     return [fmt % tuple(row) for row in cells.tolist()]
 
 
-def _measure_doc(name, alpha, grid, density, atoms):
+def _measure_doc(name, alpha, grid, density, locs, weights):
     return {
         "model": name,
-        "alpha": _mat_json(alpha),
-        "grid": [float(s) for s in grid],
-        "density": [_mat_json(m) for m in density],
-        "atoms": [{"s": float(s), "weight": float(w)} for s, w in atoms],
+        "alpha": _cjson(alpha),
+        "grid": grid.tolist(),
+        "density": _cjson(density),
+        "atoms": [{"s": s, "weight": w} for s, w in
+                  np.column_stack((locs, weights)).tolist()],
     }
 
 
@@ -214,8 +217,7 @@ def cmd_density(args):
         print("\n".join([_csv_header(model.rank, "s")]
                         + _csv_rows(grid, vals)))
     else:
-        print(json.dumps(_measure_doc(args.model, alpha, grid, vals, []),
-                         indent=2))
+        print(json.dumps(_measure_doc(args.model, alpha, grid, vals, [], [])))
     return 0
 
 
@@ -240,8 +242,8 @@ def cmd_atoms(args):
         print("\n".join(["s,weight"] + [f"{s:.17g},{w:.17g}"
                                          for s, w in zip(locs, weights)]))
     else:
-        print(json.dumps(_measure_doc(args.model, alpha, [], [],
-                                      list(zip(locs, weights))), indent=2))
+        print(json.dumps(_measure_doc(args.model, alpha, np.empty(0), [],
+                                      locs, weights)))
     return 0
 
 
@@ -262,12 +264,12 @@ def cmd_livsic(args):
     else:
         doc = {
             "model": args.model,
-            "im": float(args.im),
-            "grid": [float(s) for s in grid],
-            "values": [_mat_json(v) for v in vals],
-            "sigma_max": [float(v) for v in sig],
+            "im": args.im,
+            "grid": grid.tolist(),
+            "values": _cjson(vals),
+            "sigma_max": sig.tolist(),
         }
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc))
     return 0
 
 
@@ -284,12 +286,12 @@ def cmd_bcmap(args):
         if args.alpha:
             alpha = complex(_parse_alpha(args.alpha, 1)[0, 0])
             b, c = extensions.bc_from_alpha_k1(alpha)
-            doc = {"model": "k1", "b": _cobj(b), "c": _cobj(c),
+            doc = {"model": "k1", "b": _cjson(b), "c": _cjson(c),
                    "unitarity_residual": _unimodular_residual(alpha)}
         elif args.b is not None and args.c is not None:
             alpha = extensions.alpha_from_bc_k1(parse_complex(args.b),
                                                 parse_complex(args.c))
-            doc = {"model": "k1", "alpha": _cobj(alpha),
+            doc = {"model": "k1", "alpha": _cjson(alpha),
                    "unitarity_residual": _unimodular_residual(alpha)}
         else:
             raise _ConfigError("k1 bcmap needs --alpha or both --b and --c")
@@ -297,12 +299,12 @@ def cmd_bcmap(args):
         if args.alpha:
             alpha = complex(_parse_alpha(args.alpha, 1)[0, 0])
             beta = extensions.bc_from_alpha_l1(alpha, args.a)
-            doc = {"model": "l1", "a": float(args.a), "beta": _cobj(beta),
+            doc = {"model": "l1", "a": args.a, "beta": _cjson(beta),
                    "unitarity_residual": _unimodular_residual(alpha)}
         elif args.beta is not None:
             alpha = extensions.alpha_from_bc_l1(parse_complex(args.beta),
                                                 args.a)
-            doc = {"model": "l1", "a": float(args.a), "alpha": _cobj(alpha),
+            doc = {"model": "l1", "a": args.a, "alpha": _cjson(alpha),
                    "unitarity_residual": _unimodular_residual(alpha)}
         else:
             raise _ConfigError("l1 bcmap needs --alpha or --beta")
@@ -312,21 +314,21 @@ def cmd_bcmap(args):
             alpha = _parse_alpha(args.alpha, 2)
             bm = extensions.bc_from_alpha_regular(model, alpha)
             resid = float(np.max(np.abs(alpha @ alpha.conj().T - np.eye(2))))
-            doc = {"model": "l2", "a": float(args.a),
-                   "beta_a": _mat_json(bm.beta_a),
-                   "beta_b": _mat_json(bm.beta_b),
+            doc = {"model": "l2", "a": args.a,
+                   "beta_a": _cjson(bm.beta_a),
+                   "beta_b": _cjson(bm.beta_b),
                    "unitarity_residual": resid}
         elif args.beta_a and args.beta_b:
             bm = extensions.BoundaryMatrices(parse_matrix(args.beta_a),
                                              parse_matrix(args.beta_b))
             alpha = extensions.alpha_from_bc_regular(model, bm)
             resid = float(np.max(np.abs(alpha @ alpha.conj().T - np.eye(2))))
-            doc = {"model": "l2", "a": float(args.a),
-                   "alpha": _mat_json(alpha), "unitarity_residual": resid}
+            doc = {"model": "l2", "a": args.a,
+                   "alpha": _cjson(alpha), "unitarity_residual": resid}
         else:
             raise _ConfigError("l2 bcmap needs --alpha or both "
                                "--beta-a and --beta-b")
-    print(json.dumps(doc, indent=2))
+    print(json.dumps(doc))
     return 0
 
 
@@ -419,9 +421,15 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    # parse_args returns a fresh Namespace and leaves the parser unchanged,
+    # so one parser serves every call of main in a process
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _ConfigError as exc:

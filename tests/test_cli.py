@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from clarkspectra import models
@@ -76,6 +77,67 @@ def test_csv_rows_are_per_cell_17_digit_output(capsys):
     assert out.splitlines()[1:] == expect
 
 
+def _strict_json(text):
+    # the output is standard JSON: no NaN or Infinity tokens
+    def reject(token):
+        raise AssertionError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def _cells_of(entries):
+    # nested {"re", "im"} objects as an array with a trailing (re, im) axis
+    if isinstance(entries, dict):
+        return [entries["re"], entries["im"]]
+    return [_cells_of(e) for e in entries]
+
+
+def _same_bits(doc_values, library_values):
+    # equal as IEEE bit patterns, so -0.0 and 0.0 differ
+    def bits(values):
+        return np.asarray(values, dtype=float).view(np.int64)
+    assert np.array_equal(bits(doc_values), bits(library_values))
+
+
+def test_json_values_are_the_library_values_bit_for_bit(capsys):
+    from clarkspectra import clark, livsic
+    alpha = [[0.6 + 0.8j, 0], [0, 1j]]
+    alpha_text = '[["0.6,0.8","0"],["0","0,1"]]'
+    code, out, _ = run_cli(capsys, [
+        "density", "--model", "k2", f"--alpha={alpha_text}",
+        "--grid=-1:7:41", "--format", "json"])
+    assert code == 0 and out.count("\n") == 1
+    doc = _strict_json(out)
+    grid = np.linspace(-1.0, 7.0, 41)
+    vals = clark.ac_density(livsic.livsic_function(models.k2()), alpha, grid)
+    _same_bits(doc["grid"], grid)
+    _same_bits(_cells_of(doc["density"]),
+               np.stack((vals.real, vals.imag), -1))
+    _same_bits(_cells_of(doc["alpha"]),
+               np.stack((np.real(alpha), np.imag(alpha)), -1))
+    code, out, _ = run_cli(capsys, [
+        "livsic", "--model", "l2", "--a", "0.7", "--grid=-30:30:17",
+        "--im", "0.25", "--format", "json"])
+    assert code == 0 and out.count("\n") == 1
+    doc = _strict_json(out)
+    grid = np.linspace(-30.0, 30.0, 17)
+    vals = livsic.livsic_function(models.l2(0.7))(grid + 0.25j)
+    _same_bits(doc["grid"], grid)
+    _same_bits(_cells_of(doc["values"]), np.stack((vals.real, vals.imag), -1))
+    _same_bits(doc["sigma_max"], np.linalg.norm(vals, 2, axis=(1, 2)))
+    assert doc["im"] == 0.25
+    code, out, _ = run_cli(capsys, [
+        "atoms", "--model", "l2", "--a", "0.7", f"--alpha={alpha_text}",
+        "--window=-1:120", "--format", "json"])
+    assert code == 0 and out.count("\n") == 1
+    doc = _strict_json(out)
+    locs, masses = models.l2_atoms(np.array(alpha), 0.7, (-1.0, 120.0))
+    assert len(locs) == 4
+    _same_bits([a["s"] for a in doc["atoms"]], locs)
+    _same_bits([a["weight"] for a in doc["atoms"]],
+               np.trace(masses, axis1=1, axis2=2).real)
+    assert doc["grid"] == [] and doc["density"] == []
+
+
 def test_density_k2_across_an_atom_is_zero_below_the_axis(capsys):
     # this coupling has an atom near s = -1.70e-4; the density is an exact
     # zero on s <= 0, where no boundary limit is taken
@@ -99,6 +161,10 @@ def test_density_json_schema(capsys):
         "density", "--model", "k1", "--alpha", "-1", "--grid", "0.5:1.5:3",
         "--format", "json"])
     assert code == 0
+    _check_k1_density_json(out)
+
+
+def _check_k1_density_json(out):
     doc = json.loads(out)
     assert list(doc.keys()) == ["model", "alpha", "grid", "density", "atoms"]
     assert doc["model"] == "k1"
@@ -109,6 +175,42 @@ def test_density_json_schema(capsys):
     assert mid["re"] == pytest.approx(math.sqrt(2.0) / (6.0 * math.pi),
                                       rel=1e-6)
     assert doc["atoms"] == []
+
+
+def test_parser_reuse_leaks_nothing_between_calls(capsys):
+    from clarkspectra import cli
+    sequence = [
+        ["density", "--model", "k1", "--alpha", "-1", "--grid", "0.5:1.5:3",
+         "--format", "json"],
+        ["density", "--model", "k1", "--alpha", "-1", "--grid", "0.5:1.5:3"],
+        ["density", "--model", "k1", "--alpha", "-1", "--grid", "0.5:1.5:3",
+         "--format", "xml"],
+        ["livsic", "--model", "l2", "--a", "0.7", "--grid=-2:2:3"],
+        ["livsic", "--model", "l2", "--a", "nan", "--grid=-2:2:3"],
+        ["livsic", "--model", "l2", "--grid=-2:2:3"],
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr()
+
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(call(argv))
+    cli._parser.cache_clear()
+    assert [call(argv) for argv in sequence] == fresh
+    codes = [code for code, _ in fresh]
+    assert codes == [0, 0, 2, 0, 2, 0]
+    outs = [captured.out for _, captured in fresh]
+    assert outs[0].startswith("{") and outs[1].startswith("s,re_r1c1,")
+    # no --a after --a 0.7 takes the default 1.0
+    assert outs[5] != outs[3]
+    assert outs[5] == call(["livsic", "--model", "l2", "--a", "1.0",
+                            "--grid=-2:2:3"])[1].out
 
 
 def test_atoms_l1_lattice_route(capsys):
@@ -232,7 +334,7 @@ def test_livsic_vanishes_at_i(capsys):
 def test_bcmap_k1_both_directions(capsys):
     code, out, _ = run_cli(capsys, [
         "bcmap", "--model", "k1", "--b", "1", "--c", "0"])
-    assert code == 0
+    assert code == 0 and out.count("\n") == 1
     doc = json.loads(out)
     assert doc["alpha"] == {"re": 1.0, "im": 0.0}
     assert doc["unitarity_residual"] < 1e-12
@@ -364,3 +466,14 @@ def test_module_invocation_subprocess():
     lines = proc.stdout.strip().splitlines()
     assert lines[0] == "s,weight"
     assert len(lines) == 4
+
+
+def test_module_invocation_prints_one_line_of_json():
+    # a fresh process builds its parser once and writes compact JSON
+    proc = subprocess.run(
+        [sys.executable, "-m", "clarkspectra.cli", "density", "--model", "k1",
+         "--alpha", "-1", "--grid", "0.5:1.5:3", "--format", "json"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.endswith("\n") and proc.stdout.count("\n") == 1
+    _check_k1_density_json(proc.stdout)

@@ -7,6 +7,7 @@ reference ladder and of the atom scan. B takes arrays of points, so each
 count is both the number of calls and the number of points evaluated.
 """
 
+import argparse
 import math
 
 import numpy as np
@@ -111,3 +112,31 @@ def test_atoms_request_is_three_calls(monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 3
     assert b.calls == 3
 
+
+def test_one_parser_per_process(monkeypatch, capsys):
+    # main builds the parser on its first call and reuses it: one top-level
+    # parser and its five subparsers, however many requests follow
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    try:
+        for argv in (
+                ["density", "--model", "k1", "--alpha", "-1", "--grid", "1:2:3"],
+                ["density", "--model", "k2", "--alpha", "[[1,0],[0,1]]",
+                 "--grid", "1:2:3", "--format", "json"],
+                ["atoms", "--model", "l1", "--alpha", "1", "--n-range=0..2"],
+                ["livsic", "--model", "l2", "--grid=-1:1:3"],
+                ["bcmap", "--model", "k1", "--b", "1", "--c", "1"]):
+            assert cli.main(argv) == 0
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert sorted(built) == ["clarkspectra", "clarkspectra atoms",
+                             "clarkspectra bcmap", "clarkspectra density",
+                             "clarkspectra livsic", "clarkspectra verify"]

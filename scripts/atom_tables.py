@@ -4,8 +4,8 @@ routes side by side.
 l1 mode compares the closed lattice and weight formulas against the generic
 scan of the characteristic function, which gives the residue point mass at
 each found location. l2 mode compares the scanned atoms of the rank-two
-characteristic function against a finite-difference eigenvalue oracle on
-the same window.
+characteristic function against the roots of the boundary determinant of
+-y'' = s y (oracle.l2_eigenvalues) on the same window.
 
 Typical runs:
 
@@ -63,17 +63,15 @@ def l2_table(args):
     alpha = extensions.alpha_from_bc_regular(models.l2(a), bm)
     window = (-0.5, args.top)
     atoms, _ = models.l2_atoms(alpha, a, window)
-    fd = oracle.l2_eigenvalues_fd(bm, a, window, grid_points=args.grid_points)
-    print(f"# l2, a = {a:g}, {args.bc}, window top {args.top:g}, "
-          f"fd grid {args.grid_points}")
-    print(f"{'s scan':>14} {'nearest fd':>14} {'deviation':>12}")
+    roots = oracle.l2_eigenvalues(bm, a, window)
+    print(f"# l2, a = {a:g}, {args.bc}, window top {args.top:g}")
+    print(f"{'s scan':>14} {'nearest root':>14} {'deviation':>12}")
     for s in atoms:
-        near = min(fd, key=lambda v: abs(v - s)) if fd else float("nan")
+        near = min(roots, key=lambda v: abs(v - s)) if roots else float("nan")
         print(f"{s:14.8f} {near:14.8f} {abs(near - s):12.3e}")
-    doubles = sum(1 for i in range(1, len(fd))
-                  if fd[i] - fd[i - 1] < 1e-3 * (1.0 + abs(fd[i])))
-    print(f"# fd count {len(fd)}, scan count {len(atoms)}, "
-          f"fd near-coincident pairs {doubles}")
+    distinct = sorted(set(roots))
+    print(f"# root count {len(distinct)}, scan count {len(atoms)}, "
+          f"double roots {len(roots) - len(distinct)}")
     return 0
 
 
@@ -91,7 +89,6 @@ def main():
     p2.add_argument("--a", type=float, default=1.0)
     p2.add_argument("--top", type=float, default=40.0,
                     help="upper edge of the eigenvalue window")
-    p2.add_argument("--grid-points", type=int, default=300)
     p2.set_defaults(func=l2_table)
     args = ap.parse_args()
     return args.func(args)

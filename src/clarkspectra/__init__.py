@@ -24,9 +24,9 @@ from .extensions import (canonical_c, hat_vector, lagrange_bracket,
                          bc_from_alpha_l1, alpha_from_bc_regular,
                          bc_from_alpha_regular,
                          alpha_from_bc_singular_template)
-from .oracle import (nt_limit, ladder_point_mass, QuadratureSpec,
-                     quad_inner, l1_eigenvalues_direct, l2_eigenvalues_fd,
-                     fd_observed_order, k1_bound_state_check)
+from .oracle import (QuadratureSpec, quad_inner, eigen_mass, eigen_density,
+                     l1_eigenvalues_direct, l2_eigenvalues,
+                     k1_bound_state_check)
 from .checks import CheckResult, run_all
 
 __version__ = "0.1.0"
@@ -47,9 +47,8 @@ __all__ = [
     "validate_sa_matrices", "alpha_from_bc_k1", "bc_from_alpha_k1",
     "alpha_from_bc_l1", "bc_from_alpha_l1", "alpha_from_bc_regular",
     "bc_from_alpha_regular", "alpha_from_bc_singular_template",
-    "nt_limit", "ladder_point_mass", "QuadratureSpec", "quad_inner",
-    "l1_eigenvalues_direct",
-    "l2_eigenvalues_fd", "fd_observed_order", "k1_bound_state_check",
+    "QuadratureSpec", "quad_inner", "eigen_mass", "eigen_density",
+    "l1_eigenvalues_direct", "l2_eigenvalues", "k1_bound_state_check",
     "CheckResult", "run_all",
     "__version__",
 ]

@@ -110,7 +110,7 @@ def ac_density(b, alpha, s):
         rho = _density_value(np.asarray(b(pts)).reshape(-1, n, n), alpha)
         bad = ~np.all(np.isfinite(rho), axis=(-2, -1))
         if np.any(bad):
-            raise SingularError(f"density undefined at s = {pts[bad][0]!r}: "
+            raise SingularError(f"density undefined at s = {float(pts[bad][0])!r}: "
                                 "B(s) or (alpha - B(s))^-1 is singular")
         out[on] = _hermitize(rho) / (np.pi * (1.0 + pts * pts))[:, None, None]
     return out

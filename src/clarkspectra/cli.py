@@ -256,7 +256,7 @@ def cmd_livsic(args):
     bad = ~np.all(np.isfinite(vals), axis=(1, 2))
     if np.any(bad):
         raise SingularError("characteristic function is not defined at "
-                            f"w = {grid[bad][0] + 1j * args.im!r}")
+                            f"w = {complex(grid[bad][0] + 1j * args.im)!r}")
     sig = np.linalg.norm(vals, 2, axis=(1, 2))
     if args.format == "csv":
         print("\n".join([_csv_header(model.rank, "re_w", extra=("sigma_max",))]

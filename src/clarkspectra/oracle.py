@@ -1,390 +1,259 @@
-"""Independent cross-checks: quadrature inner products, direct eigenvalue
-formulas, a finite-difference pencil, the boundary-limit ladder, and the
-half-line bound-state probe.
-
-Nothing in here reuses the closed-form inner products, the continuation of
-B below the axis or the residue route; that is the point. quad_inner takes
-exponential sums in the package's (coeffs, rates) form but sums them term
-by term at each quadrature node. Agreement between these routines and the
-analytic path is what the acceptance checks certify. The ladder takes
-boundary values as limits from the upper half-plane: along vertical ladders
-w_k = s + i eps_0 2^{-k}, accelerated by Richardson extrapolation in
-half-integer powers of eps, which covers both analytic boundary behaviour
-and the sqrt-type behaviour coming off a branch cut.
-"""
+"""Independent cross-checks by quadrature and by direct methods from
+ordinary differential equations, with no closed-form inner product, no B and
+no residue; the acceptance checks certify their agreement with the analytic
+path. quad_inner integrates (coeffs, rates) sums on Gauss-Legendre panels.
+eigen_mass and eigen_density solve the coupling's boundary condition at s
+for the (generalized) eigenfunction and project the defect basis on it.
+l2_eigenvalues takes the roots of the interval's boundary determinant."""
 
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, RankError, ToleranceError
+from .clark import check_alpha
+from .defect import defect_onb
+from .errors import DomainError, RankError, ToleranceError
+from .extensions import alpha_from_bc_k1, hat_vector, validate_sa_matrices
+from .models import k1
 
-__all__ = [
-    "nt_limit",
-    "ladder_point_mass",
-    "QuadratureSpec",
-    "quad_inner",
-    "l1_eigenvalues_direct",
-    "l2_eigenvalues_fd",
-    "fd_observed_order",
-    "k1_bound_state_check",
-]
-
-
-# Ladder geometry: eps_k = _EPS0 2^{-k} for k = 0.._LEVELS, and at most
-# _MAX_COLS columns in the Richardson table.
-_EPS0 = 2.0 ** -4
-_LEVELS = 30
-_MAX_COLS = 12
-
-
-def nt_limit(f, s, rtol=1e-8, atol=1e-12, full_output=False):
-    """Non-tangential boundary limit of f at the real point s.
-
-    Realized as the vertical approach w_k = s + i eps_k, eps_k = _EPS0 2^{-k},
-    which lies inside every Stolz angle, and Richardson-extrapolated in the
-    powers eps^(m/2), m = 1, 2, 3, ..., so the elimination ratios are
-    beta_m = 2^(-m/2). Stops once the last two diagonal entries agree to
-    atol + rtol * ||value||. The absolute floor matters: limits that are
-    exactly zero never satisfy a purely relative test.
-
-    f maps a complex point to a scalar or ndarray. With full_output=True
-    returns (value, error_estimate, levels_used). Raises ConvergenceError
-    when the ladder is exhausted before the diagonal settles.
-    """
-    s = float(s)
-    prev_row = None
-    best_err = np.inf
-    for k in range(_LEVELS + 1):
-        eps = _EPS0 * 2.0 ** (-k)
-        val = np.asarray(f(s + 1j * eps), dtype=complex)
-        if not np.all(np.isfinite(val)):
-            raise ConvergenceError(
-                f"ladder evaluation returned a non-finite value at eps = {eps:.3e}"
-            )
-        row = [val]
-        if prev_row is not None:
-            width = min(len(prev_row), _MAX_COLS - 1)
-            for m in range(1, width + 1):
-                beta = 2.0 ** (-m / 2.0)
-                row.append((row[m - 1] - beta * prev_row[m - 1]) / (1.0 - beta))
-            err = float(np.max(np.abs(row[-1] - row[-2])))
-            best_err = min(best_err, err)
-            tol = atol + rtol * float(np.max(np.abs(row[-1])))
-            if err <= tol:
-                out = row[-1] if row[-1].ndim else complex(row[-1])
-                return (out, err, k) if full_output else out
-        prev_row = row
-    raise ConvergenceError(
-        f"boundary limit did not settle within {_LEVELS} ladder levels "
-        f"(best residual {best_err:.3e})"
-    )
-
-
-def ladder_point_mass(b, alpha, s):
-    """Mass mu({s}) as the boundary limit
-    (2i/(pi (1+s^2)^2)) lim (s - w) (I - B(w) alpha*)^{-1}, w -> s from
-    above along the ladder of nt_limit, with LAPACK solves.
-
-    b is any callable on the upper half-plane (a SchurFunction or a closed
-    form). The reference for the residue route of clark.point_mass.
-    """
-    from .clark import check_alpha
-
-    n = np.atleast_2d(np.asarray(alpha, dtype=complex)).shape[0]
-    alpha = check_alpha(alpha, n)
-    s = float(s)
-    eye = np.eye(n)
-
-    def f(w):
-        m = eye - np.atleast_2d(b(w)) @ alpha.conj().T
-        return (s - w) * np.linalg.solve(m, eye)
-
-    lim = np.atleast_2d(nt_limit(f, s))
-    mass = 2j / (np.pi * (1.0 + s * s) ** 2) * lim
-    return 0.5 * (mass + mass.conj().T)
+__all__ = ["QuadratureSpec", "quad_inner", "eigen_mass", "eigen_density",
+           "l1_eigenvalues_direct", "l2_eigenvalues", "k1_bound_state_check"]
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Error budget for quadrature comparisons.
-
-    halfline_cutoff_digits sets the truncation point of half-line integrals:
-    the slowest-decaying exponential is cut where it falls below
-    10**-digits.
-    """
+    """Error budget for quadrature comparisons; half-line integrals end
+    where the integrand's decay falls below 10**-halfline_cutoff_digits."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     halfline_cutoff_digits: float = 16.0
 
 
-def _quad_complex(fun, lo, hi, spec):
-    from scipy import integrate
+@lru_cache(maxsize=1)
+def _rules():
+    """Gauss-Legendre rules of 16 nodes and, for the error estimate, 8
+    (exact to rounding on panels 2/z wide); numpy.polynomial loads here."""
+    return [np.polynomial.legendre.leggauss(m) for m in (16, 8)]
 
-    re, re_err = integrate.quad(lambda x: fun(x).real, lo, hi,
-                                epsabs=spec.abs_tol * 0.1,
-                                epsrel=spec.rel_tol * 0.1, limit=200)
-    im, im_err = integrate.quad(lambda x: fun(x).imag, lo, hi,
-                                epsabs=spec.abs_tol * 0.1,
-                                epsrel=spec.rel_tol * 0.1, limit=200)
-    return complex(re, im), re_err + im_err
+
+_MAX_PANELS = 10 ** 4
 
 
 def _terms(f):
-    """The nonzero terms (c, r) of a (coeffs, rates) pair, as Python
-    complex numbers."""
-    coeffs, rates = f
-    return [(complex(c), complex(r)) for c, r in zip(np.ravel(coeffs),
-                                                     np.ravel(rates)) if c != 0]
+    coeffs, rates = (np.ravel(np.asarray(v, dtype=complex)) for v in f)
+    return coeffs[coeffs != 0], rates[coeffs != 0]
 
 
 def quad_inner(model, f, g, spec=None):
-    """<f, g> on the model's domain by adaptive quadrature.
+    """<f, g> on the model's domain by Gauss-Legendre panels.
 
     f and g are (coeffs, rates) pairs of one function each, summed term by
-    term at each node; the integrand is f(x) conj(g(x)). DomainError for a
-    rate that does not decay on the half-line. ToleranceError when the
-    estimated total error (quadrature plus half-line truncation) exceeds
-    the requested budget.
-    """
-    if spec is None:
-        spec = QuadratureSpec()
-    tf, tg = _terms(f), _terms(g)
-    integrand = lambda x: (sum(c * cmath.exp(r * x) for c, r in tf)
-                           * sum(c * cmath.exp(r * x) for c, r in tg).conjugate())
+    term at each node. On the half-line a rate may be bounded (Re r = 0)
+    when the product decays; a growing rate or a product that does not
+    decay is a DomainError. ToleranceError when the error estimate (16
+    against 8 nodes, plus the tail) exceeds the budget, or for more than
+    _MAX_PANELS panels."""
+    spec = spec or QuadratureSpec()
+    f, g = _terms(f), _terms(g)
+    if f[0].size == 0 or g[0].size == 0:
+        return 0j
     if not model.halfline:
-        value, err = _quad_complex(integrand, -model.a, model.a, spec)
-        tail = 0.0
+        lo, hi, tail = -model.a, model.a, 0.0
     else:
-        if any(r.real >= 0 for _, r in tf + tg):
-            raise DomainError("half-line exponential sum has a non-decaying rate")
-        decay = min(-r.real for _, r in tf) + min(-r.real for _, r in tg)
-        cutoff = spec.halfline_cutoff_digits * math.log(10.0) / decay
-        value, err = _quad_complex(integrand, 0.0, cutoff, spec)
-        amp = sum(abs(c) for c, _ in tf) * sum(abs(c) for c, _ in tg)
-        tail = amp * math.exp(-decay * cutoff) / decay
+        decay = -np.max(f[1].real) - np.max(g[1].real)
+        if np.any(f[1].real > 0) or np.any(g[1].real > 0) or not decay > 0:
+            raise DomainError("half-line integrand grows or does not decay")
+        lo, hi = 0.0, spec.halfline_cutoff_digits * math.log(10.0) / decay
+        tail = (np.sum(np.abs(f[0])) * np.sum(np.abs(g[0]))
+                * math.exp(-decay * hi) / decay)
+    panels = math.ceil((hi - lo) * (np.max(np.abs(f[1])) + np.max(np.abs(g[1]))) / 2)
+    if panels > _MAX_PANELS:
+        raise ToleranceError(f"integrand needs {panels} > {_MAX_PANELS} panels")
+    edges = np.linspace(lo, hi, max(panels, 1) + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+
+    def rule(nodes, weights):
+        x = (edges[:-1, None] + half * (1.0 + nodes)).ravel()
+        at = [h[0] @ np.exp(np.outer(h[1], x)) for h in (f, g)]
+        return np.sum((half * weights).ravel() * at[0] * np.conj(at[1]))
+    value, coarse = (rule(*r) for r in _rules())
+    err = abs(value - coarse) + tail
     budget = spec.abs_tol + spec.rel_tol * abs(value)
-    if err + tail > budget:
-        raise ToleranceError(
-            f"quadrature error estimate {err + tail:.3e} exceeds budget {budget:.3e}"
-        )
-    return value
+    if err > budget:
+        raise ToleranceError(f"error estimate {err:.3e} over budget {budget:.3e}")
+    return complex(value)
+
+
+def _pairs(model, f, g):
+    """[<f_i, g_j>] by quad_inner, for f_i = (f[0][i], f[1]), g_j alike."""
+    return np.array([[quad_inner(model, (cf, f[1]), (cg, g[1]))
+                      for cg in g[0]] for cf in f[0]])
+
+
+def _hats(model, f):
+    """Boundary rows of f = (coeffs, rates): hat vectors at 0, or at -a, a."""
+    points = (0.0,) if model.halfline else (-model.a, model.a)
+    return np.hstack([hat_vector(f, model.order, x) for x in points])
+
+
+def _boundary_system(model, alpha, s):
+    """(rates, S) at the real point s: the rates of the solutions
+    exp(rate x) in the model's space (Model.raw_rates), and S, the boundary
+    rows of these and then of the generators -phi_i(+i) + sum_j alpha_ij
+    phi_j(-i). A solution is in the domain when its row is in their span."""
+    alpha = check_alpha(alpha, model.rank)
+    rates = model.raw_rates(float(s))
+    if np.unique(rates).size < rates.size:
+        raise DomainError(f"solution rates coincide at s = {float(s)!r}")
+    gens = (alpha @ _hats(model, defect_onb(model, "-"))
+            - _hats(model, defect_onb(model, "+")))
+    return rates, np.vstack([_hats(model, (np.eye(rates.size), rates)), gens])
+
+
+_NULL_TOL = 1e-8
+
+
+def eigen_mass(model, alpha, s):
+    """Mass mu({s}) of the alpha measure at an eigenvalue s: with the
+    eigenfunctions u_l from the null vectors of the transposed boundary
+    system (the smallest singular direction, and any below _NULL_TOL),
+    pi (1 + s^2) mu({s}) = V G^{-1} V*, V[j, l] = <phi_j(+i), u_l>,
+    G[l, m] = <u_l, u_m> by quad_inner; v v* / ||u||^2 for a simple one.
+    DomainError for s >= 0 on the half-line and where rates coincide."""
+    s = float(s)
+    if model.halfline and not s < 0:
+        raise DomainError(f"half-line eigenvalues lie below 0, got s = {s!r}")
+    rates, system = _boundary_system(model, alpha, s)
+    _, sv, vh = np.linalg.svd(system.T)
+    null = max(1, int(np.sum(sv <= _NULL_TOL * sv[0])))
+    u = (vh[-null:, :rates.size].conj(), rates)
+    v = _pairs(model, defect_onb(model, "+"), u)
+    mass = (v @ np.linalg.solve(_pairs(model, u, u), v.conj().T)
+            / (np.pi * (1.0 + s * s)))
+    return 0.5 * (mass + mass.conj().T)
+
+
+def eigen_density(model, alpha, s):
+    """Density of the alpha measure at s > 0 on a half-line model:
+    rho = v v* (dk/ds) / (2 pi), v_j = <phi_j(+i), psi> by quad_inner, for
+    psi = exp(-ikx) + R exp(ikx) (+ D exp(-kx) on K2), k = s^(1/order),
+    the outgoing rates Model.raw_rates(s) and R, D from the boundary
+    system. With the atoms pi (1 + s^2) mu({s}) it makes up the spectral
+    measure of the defect basis. DomainError elsewhere."""
+    s = float(s)
+    if not (model.halfline and s > 0):
+        raise DomainError(f"no density of {model.name} at s = {s!r}")
+    rates, system = _boundary_system(model, alpha, s)
+    k = s ** (1.0 / model.order)
+    sol = np.linalg.solve(system.T, -_hats(model, ([1.0], [-1j * k])))
+    psi = ([np.r_[1.0, sol[:rates.size]]], np.r_[-1j * k, rates])
+    v = _pairs(model, defect_onb(model, "+"), psi)
+    return np.outer(v, v.conj()) * k / (model.order * s * 2.0 * np.pi)
 
 
 def l1_eigenvalues_direct(beta, a, n_range):
-    """Eigenvalues of i d/dx under f(a) = beta f(-a), computed directly, for
-    the indices n in the closed range n_range = (lo, hi).
-
-    The eigenfunction exp(-i s x) satisfies the condition iff
-    exp(-2 i s a) = beta, so s_n = -(arg beta + 2 pi n)/(2a).
-    """
-    beta = complex(beta)
-    if abs(abs(beta) - 1.0) > 1e-10:
-        raise DomainError(f"coupling must be unimodular, |beta| = {abs(beta):.6f}")
-    a = float(a)
-    if a <= 0:
-        raise DomainError("interval half-length must be positive")
-    theta = cmath.phase(beta)
-    lo, hi = n_range
-    return sorted(-(theta + 2.0 * math.pi * n) / (2.0 * a)
-                  for n in range(int(lo), int(hi) + 1))
+    """Eigenvalues s_n = -(arg beta + 2 pi n)/(2a) of i d/dx under
+    f(a) = beta f(-a), where exp(-2 i s a) = beta, for n in the closed
+    range n_range."""
+    beta, a = complex(beta), float(a)
+    if abs(abs(beta) - 1.0) > 1e-10 or not a > 0:
+        raise DomainError(f"need |beta| = 1 and a > 0, got |beta| = "
+                          f"{abs(beta):.6f}, a = {a!r}")
+    return sorted(-(cmath.phase(beta) + 2.0 * math.pi * n) / (2.0 * a)
+                  for n in range(int(n_range[0]), int(n_range[1]) + 1))
 
 
-def _fd_pencil(bm, a, npts):
-    """Second-order pencil for -y'' = s y with the bm boundary rows.
-
-    Returns sparse CSC matrices (A, B): the three-point stencil on the
-    interior rows of A and B = I there; rows 0 and npts - 1 of A hold the
-    two boundary conditions and those rows of B are zero.
-    """
-    from scipy import sparse
-
-    h = 2.0 * a / (npts - 1)
-    main = np.full(npts, 2.0 / h ** 2)
-    lower = np.full(npts - 1, -1.0 / h ** 2)
-    upper = lower.copy()
-    main[[0, -1]] = lower[-1] = upper[0] = 0.0
-    stencil = sparse.diags([lower, main, upper], [-1, 0, 1], dtype=complex)
-    # one-sided second-order endpoint derivatives
-    dl = np.zeros(npts, dtype=complex)
-    dl[0], dl[1], dl[2] = -3.0 / (2 * h), 4.0 / (2 * h), -1.0 / (2 * h)
-    dr = np.zeros(npts, dtype=complex)
-    dr[-1], dr[-2], dr[-3] = 3.0 / (2 * h), -4.0 / (2 * h), 1.0 / (2 * h)
-    edge = np.zeros((2, npts), dtype=complex)
-    for row in (0, 1):
-        edge[row, 0] += bm.beta_a[row, 0]
-        edge[row] += bm.beta_a[row, 1] * dl
-        edge[row, -1] += bm.beta_b[row, 0]
-        edge[row] += bm.beta_b[row, 1] * dr
-    rows, cols = np.nonzero(edge)
-    slots = np.array([0, npts - 1])[rows]
-    boundary = sparse.csc_matrix((edge[rows, cols], (slots, cols)),
-                                 shape=(npts, npts))
-    amat = (stencil + boundary).tocsc()
-    bdiag = np.ones(npts, dtype=complex)
-    bdiag[[0, -1]] = 0.0
-    bmat = sparse.diags(bdiag, format="csc")
-    return amat, bmat
+def _interval_matrix(bm, a, s):
+    """(beta_a + beta_b Phi, Phi) at the points s, Phi the map of (y, y')
+    from -a to a for -y'' = s y in the entire basis {cos kt, sin(kt)/k}."""
+    t = 2.0 * a
+    k = np.sqrt(np.asarray(s, dtype=complex))
+    c, sk = np.cos(k * t), t * np.sinc(k * t / np.pi)
+    phi = np.stack([np.stack([c, sk], -1), np.stack([-k * k * sk, c], -1)], -2)
+    return bm.beta_a + bm.beta_b @ phi, phi
 
 
-def _shift_lu(amat, bmat, sigma, nudge):
-    """Sparse LU of A - sigma B; one retry at sigma + nudge when the first
-    factor is exactly singular (sigma on an eigenvalue)."""
-    from scipy.sparse.linalg import splu
-
-    for shift in (sigma, sigma + nudge):
-        try:
-            return shift, splu((amat - shift * bmat).tocsc())
-        except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
-            if "singular" not in str(exc):
-                raise
-    raise ConvergenceError(f"A - sigma B is singular at sigma = {sigma:.6g} "
-                           f"and at sigma = {sigma + nudge:.6g}")
+def _bisect(fn, lo, hi):
+    """Roots of the real, vectorized fn in brackets [lo, hi] where fn(lo)
+    is zero or of the other sign than fn(hi), by 100 halvings."""
+    flo = fn(lo)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        fmid = fn(mid)
+        left = fmid * flo > 0
+        lo, flo, hi = (np.where(left, mid, lo), np.where(left, fmid, flo),
+                       np.where(left, hi, mid))
+    return lo
 
 
-def _fd_raw(bm, a, npts, window):
-    """Real pencil eigenvalues in window, by shift-invert Arnoldi.
-
-    ARPACK finds the k largest mu of (A - sigma B)^-1 B, i.e. the k
-    eigenvalues lambda = sigma + 1/mu nearest sigma (mu = 0 are the two
-    infinite ones). k doubles until the farthest one found lies beyond
-    both window edges, so none in the window is missed.
-    """
-    from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
-                                     eigs)
-
-    amat, bmat = _fd_pencil(bm, a, npts)
-    lo, hi = window
-    sigma, lu = _shift_lu(amat, bmat, 0.5 * (lo + hi),
-                          1e-2 * max(hi - lo, 1.0))
-    reach = max(hi - sigma, sigma - lo)
-    op = LinearOperator((npts, npts), matvec=lambda x: lu.solve(bmat @ x),
-                        dtype=complex)
-    # fixed seed, so results repeat exactly; a random start, unlike all
-    # ones, has a component along the antisymmetric modes too
-    rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(npts) + 1j * rng.standard_normal(npts)
-    k = min(16, npts - 2)
-    while True:
-        try:
-            mu = eigs(op, k, which="LM", v0=v0, return_eigenvectors=False)
-        except ArpackNoConvergence as exc:
-            raise ConvergenceError(
-                f"ARPACK did not converge for k = {k} on {npts} nodes") from exc
-        mu = mu[mu != 0]
-        vals = sigma + 1.0 / mu
-        if len(mu) < k or k == npts - 2 or np.max(np.abs(vals - sigma)) > reach:
-            break
-        k = min(2 * k, npts - 2)
-    out = []
-    for v in vals:
-        if not np.isfinite(v):
-            continue
-        if abs(v.imag) > 1e-6 * max(1.0, abs(v.real)):
-            continue
-        if lo <= v.real <= hi:
-            out.append(v.real)
-    return sorted(out)
+# Grid cells per pi/(2a) in sqrt(s), the Dirichlet spacing; the bound on
+# 2a sqrt(-s) that keeps cosh finite; the relative rank floor of M.
+_CELLS = 16
+_MAX_KT = 600.0
+_RANK_TOL = 1e-8
 
 
-def _pair_nearest(coarse, fine):
-    """Match each fine eigenvalue to its nearest coarse partner, if close."""
-    pairs = []
-    coarse = list(coarse)
-    for v in fine:
-        if not coarse:
-            pairs.append((None, v))
-            continue
-        j = int(np.argmin([abs(c - v) for c in coarse]))
-        if abs(coarse[j] - v) < 0.1 * (1.0 + abs(v)):
-            pairs.append((coarse.pop(j), v))
-        else:
-            pairs.append((None, v))
-    return pairs
-
-
-def l2_eigenvalues_fd(bm, a, window, grid_points=300):
-    """Interval eigenvalues of -d^2/dx^2 under bm, finite differences.
-
-    Runs the second-order pencil on grid_points and 2*grid_points - 1 nodes
-    (exact mesh halving) and Richardson-extrapolates matched eigenvalues,
-    (4 v_fine - v_coarse)/3. Multiple eigenvalues appear with multiplicity.
-    RankError when bm fails the self-adjointness validation; grid_points
-    must be at least 200 for the error model to hold. ConvergenceError when
-    the sparse shift-invert eigen-solve fails.
-    """
-    from .extensions import validate_sa_matrices
-
-    if grid_points < 200:
-        raise DomainError(f"grid_points = {grid_points} below the supported minimum 200")
+def l2_eigenvalues(bm, a, window):
+    """Eigenvalues of -d^2/dx^2 on (-a, a) under beta_a (y, y')(-a) +
+    beta_b (y, y')(a) = 0 in the window, sorted, repeated by multiplicity:
+    the roots of det M(s), real up to a constant phase for self-adjoint
+    conditions. A grid uniform in sign(s) sqrt|s|, a cell wider than the
+    window each side, brackets its sign changes. A local minimum of |det M|
+    without one may be a double root, where M vanishes (periodic
+    conditions): the zero of the entry of M that varies most across it. A
+    root counts 2 - rank M, the rank taken against |beta_a| + |beta_b|
+    |Phi|, not |M|; a minimum with no zero ends at a grid point of full
+    rank. Below the axis det M cancels like e^{2a sqrt(-s)}, which costs
+    its roots that factor. RankError when bm is not self-adjoint;
+    DomainError for a window not finite with lo < hi or below
+    -(_MAX_KT / 2a)^2."""
     if not validate_sa_matrices(bm):
         raise RankError("boundary matrices do not define a self-adjoint problem")
-    a = float(a)
-    pad = 0.05 * (window[1] - window[0]) + 1.0
-    wide = (window[0] - pad, window[1] + pad)
-    coarse = _fd_raw(bm, a, grid_points, wide)
-    fine = _fd_raw(bm, a, 2 * grid_points - 1, wide)
-    out = []
-    for c, f in _pair_nearest(coarse, fine):
-        v = f if c is None else (4.0 * f - c) / 3.0
-        if window[0] <= v <= window[1]:
-            out.append(v)
-    return sorted(out)
-
-
-def fd_observed_order(bm, a, window, grid_points=200):
-    """Median convergence order across three nested meshes.
-
-    Pairs raw eigenvalues on n, 2n-1, 4n-3 nodes and returns the median of
-    log2((v_n - v_2n)/(v_2n - v_4n)); a healthy second-order scheme sits
-    near 2.
-    """
-    lists = [_fd_raw(bm, float(a), m, window)
-             for m in (grid_points, 2 * grid_points - 1, 4 * grid_points - 3)]
-    orders = []
-    for v2 in lists[1]:
-        close = 0.1 * (1.0 + abs(v2))
-        v1 = min(lists[0], key=lambda x: abs(x - v2), default=None)
-        v3 = min(lists[2], key=lambda x: abs(x - v2), default=None)
-        if v1 is None or v3 is None:
-            continue
-        if abs(v1 - v2) > close or abs(v3 - v2) > close:
-            continue
-        num, den = abs(v1 - v2), abs(v2 - v3)
-        if den > 1e-13 and num > 1e-13:
-            orders.append(math.log2(num / den))
-    if not orders:
-        raise RankError("no matched eigenvalue triples in the window")
-    return float(np.median(orders))
+    a, lo, hi = float(a), float(window[0]), float(window[1])
+    if not (a > 0 and -(_MAX_KT / (2.0 * a)) ** 2 <= lo < hi < math.inf):
+        raise DomainError(f"need a > 0 and lo < hi finite, lo >= -({_MAX_KT}"
+                          f" / 2a)^2, got a = {a!r}, window {window!r}")
+    ends = np.sign([lo, hi]) * np.sqrt(np.abs([lo, hi]))
+    h = np.diff(ends)[0] / math.ceil(np.diff(ends)[0] * 2 * a * _CELLS / np.pi)
+    u = np.arange(ends[0] - h, ends[1] + 1.5 * h, h)
+    grid = np.sign(u) * u * u
+    dets = np.linalg.det(_interval_matrix(bm, a, grid)[0])
+    phase = np.conj(dets[np.argmax(np.abs(dets))])
+    real = lambda s: (np.linalg.det(_interval_matrix(bm, a, s)[0]) * phase).real
+    f = real(grid)
+    change = (f[:-1] == 0) | (f[:-1] * f[1:] < 0)
+    mins = ((np.abs(f[1:-1]) < np.abs(f[:-2])) & (np.abs(f[1:-1]) <= np.abs(f[2:]))
+            & (f[:-2] * f[1:-1] > 0) & (f[1:-1] * f[2:] > 0))
+    left, right = grid[:-2][mins], grid[2:][mins]
+    flat = lambda s: _interval_matrix(bm, a, s)[0].reshape(-1, 4)
+    step = flat(right) - flat(left)
+    pick = (np.arange(left.size), np.argmax(np.abs(step), axis=1))
+    entry = lambda s: (flat(s)[pick] * np.conj(step[pick])).real
+    roots = np.concatenate([_bisect(real, grid[:-1][change], grid[1:][change]),
+                            _bisect(entry, left, right)])
+    mats, phis = _interval_matrix(bm, a, roots)
+    norm = lambda m: np.linalg.norm(m, 2, axis=(-2, -1))
+    scale = norm(bm.beta_a) + norm(bm.beta_b) * norm(phis)
+    mult = 2 - np.linalg.matrix_rank(mats, tol=_RANK_TOL * scale)
+    inside = (roots >= lo) & (roots <= hi)
+    return sorted(np.repeat(roots[inside], mult[inside]).tolist())
 
 
 def k1_bound_state_check(b, c):
-    """Bound state of the half-line Robin condition b f(0) + c f'(0) = 0.
-
-    The decaying solution exp(-sigma x) satisfies the condition iff
-    sigma = b/c > 0, giving a negative eigenvalue at -sigma^2. Returns
-    (location, weight) with the weight the ladder mass (ladder_point_mass)
-    of the closed-form K1 function at the mapped parameter, or None when no
-    bound state exists.
-    """
-    from .extensions import alpha_from_bc_k1
-    from .models import k1_livsic
-
+    """(location, weight) of the bound state of the K1 Robin condition
+    b f(0) + c f'(0) = 0, or None: exp(-sigma x) meets it iff
+    sigma = b/c > 0, at -sigma^2, and the weight is its eigen_mass."""
     alpha = alpha_from_bc_k1(b, c)   # also validates admissibility
-    b, c = complex(b), complex(c)
-    if abs(c) < 1e-14 * max(abs(b), 1.0):
-        return None                   # Dirichlet ray: no decaying solution
-    sigma = b / c
+    sigma = b / c if abs(c) >= 1e-14 * max(abs(b), 1.0) else 0.0  # Dirichlet
     if abs(sigma.imag) > 1e-10 * (1.0 + abs(sigma)):
         raise DomainError("Robin ratio is not real")
-    sigma = sigma.real
-    if sigma <= 0:
+    if sigma.real <= 0:
         return None
-    location = -sigma * sigma
-    mass = ladder_point_mass(k1_livsic, alpha, location)
-    return location, float(np.real(mass[0, 0]))
+    location = -sigma.real ** 2
+    return location, float(eigen_mass(k1(), [[alpha]], location)[0, 0].real)

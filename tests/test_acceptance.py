@@ -21,3 +21,15 @@ def test_criterion(number, name, fn):
     print(result.line())
     assert result.passed, (
         f"criterion {number} [{name}] failed: {result.detail}")
+
+
+def test_twelve_criteria():
+    # the verify output is read as exactly twelve criterion lines
+    assert len(checks.ALL_CHECKS) == 12
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_direct_oracle_criteria_across_seeds(seed):
+    results = checks.run_all(seed=seed, numbers={6, 7, 11})
+    assert [r.number for r in results if r.passed] == [6, 7, 11], (
+        [r.line() for r in results])

@@ -446,15 +446,31 @@ def test_error_exit_codes(capsys):
     assert code == 1 and "DomainError" in err
 
 
+def test_error_messages_print_plain_numbers(capsys):
+    # B loses its digits at the K2 branch point, and the refusal names the
+    # point as a Python number, not as a NumPy repr
+    code, _, err = run_cli(capsys, [
+        "density", "--model", "k2", "--alpha", "[[1,0],[0,1]]",
+        "--grid", "1e-70:1e-60:3"])
+    assert code == 1 and "s = 1e-70" in err and "np." not in err
+    code, _, err = run_cli(capsys, [
+        "livsic", "--model", "k2", "--grid", "0:1e-70:2", "--im", "0"])
+    assert code == 1 and "w = 0j" in err and "np." not in err
+
+
 def test_import_leaves_scipy_unloaded():
-    # scipy is imported only when an oracle routine runs
+    # the package and the whole verification battery, oracles included,
+    # run on numpy alone
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, clarkspectra, clarkspectra.cli; "
+         "print('scipy' in sys.modules); "
+         "from clarkspectra import checks; "
+         "print(all(r.passed for r in checks.run_all())); "
          "print('scipy' in sys.modules)"],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "True", "False"]
 
 
 def test_module_invocation_subprocess():

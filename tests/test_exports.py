@@ -1,6 +1,8 @@
 """Every exported name resolves, and the package re-exports its modules."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -32,11 +34,26 @@ def test_module_exports_reexported(name):
     assert all(getattr(clarkspectra, n) is getattr(mod, n) for n in mod.__all__)
 
 
-def test_ladder_is_an_oracle_reference():
-    # the boundary-limit ladder serves only the reference checks; the
-    # production point mass is the residue, with no retry beside it
+def test_no_boundary_limit_ladder_remains():
+    # the oracles are direct ODE routines; the production point mass is the
+    # residue, with no retry beside it
     from clarkspectra import clark, cplane, oracle
-    assert clarkspectra.nt_limit is oracle.nt_limit
-    assert not hasattr(cplane, "nt_limit")
+    for mod in (clarkspectra, clark, cplane, oracle):
+        assert not hasattr(mod, "nt_limit")
+        assert not hasattr(mod, "ladder_point_mass")
     assert not hasattr(clark, "point_mass_with_retry")
     assert "point_mass_with_retry" not in clarkspectra.__all__
+
+
+def test_src_imports_no_scipy():
+    # numpy is the only runtime dependency
+    src = Path(clarkspectra.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), path.name

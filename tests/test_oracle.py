@@ -1,44 +1,14 @@
-import cmath
 import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
-from scipy import linalg
 
-from clarkspectra import extensions, models, oracle
-from clarkspectra.cplane import principal_power, random_unitary
-from clarkspectra.errors import (ConvergenceError, DomainError, RankError,
-                                 ToleranceError)
+from clarkspectra import clark, extensions, livsic, models, oracle
+from clarkspectra.cplane import random_unitary
+from clarkspectra.errors import DomainError, RankError, ToleranceError
 
 DIRICHLET = extensions.BoundaryMatrices([[1, 0], [0, 0]], [[0, 0], [1, 0]])
 PERIODIC = extensions.BoundaryMatrices(np.eye(2), -np.eye(2))
-
-
-def test_nt_limit_polynomial_is_exact():
-    # f(w) = 3 + 2w has boundary value 3 + 2s
-    val = oracle.nt_limit(lambda w: 3.0 + 2.0 * w, 0.7)
-    assert val == pytest.approx(3.0 + 1.4, abs=1e-10)
-
-
-def test_nt_limit_sqrt_branch_behaviour():
-    # sqrt(w) off the cut: ladder must handle the eps^(1/2) expansion at s=0
-    val = oracle.nt_limit(lambda w: principal_power(w, 0.5), 0.0)
-    assert abs(val) < 1e-7
-
-
-def test_nt_limit_full_output_and_failure():
-    val, err, k = oracle.nt_limit(lambda w: w * w, 2.0, full_output=True)
-    assert val == pytest.approx(4.0, abs=1e-9)
-    assert err >= 0 and k >= 1
-    with pytest.raises(ConvergenceError):
-        # oscillating, no boundary limit
-        oracle.nt_limit(lambda w: cmath.exp(1j / w.imag), 0.0)
-
-
-def test_nt_limit_rejects_non_finite_ladder_values():
-    with pytest.raises(ConvergenceError):
-        oracle.nt_limit(lambda w: complex("nan"), 1.0)
 
 
 def _closed_inner(model, f, g):
@@ -122,110 +92,207 @@ def test_l1_direct_guards():
         oracle.l1_eigenvalues_direct(1.0, -1.0, (0, 1))
 
 
-def test_fd_dirichlet_lattice():
-    vals = oracle.l2_eigenvalues_fd(DIRICHLET, 1.0, (0.5, 25.0),
-                                    grid_points=200)
+def test_quad_inner_bounded_rate_and_panel_limit():
+    # a bounded rate is allowed on the half-line when the product decays,
+    # as for the generalized eigenfunctions; a fast oscillation over a long
+    # cutoff needs more panels than the limit
+    m = models.k1()
+    assert oracle.quad_inner(m, ([1.0], [-1.0]), ([1.0], [1j])) == \
+        pytest.approx(1.0 / (1.0 + 1j), rel=1e-13)
+    with pytest.raises(DomainError):
+        oracle.quad_inner(m, ([1.0], [1j]), ([1.0], [-2j]))
+    with pytest.raises(ToleranceError):
+        oracle.quad_inner(m, ([1.0], [-1e-3]), ([1.0], [-1e-3 + 1e3j]))
+
+
+def test_l2_eigenvalues_dirichlet_lattice():
+    vals = oracle.l2_eigenvalues(DIRICHLET, 1.0, (0.5, 25.0))
     exact = [(k * math.pi / 2.0) ** 2 for k in (1, 2, 3)]
-    assert len(vals) == 3
-    for v, t in zip(vals, exact):
+    assert vals == pytest.approx(exact, rel=1e-14)
+
+
+def test_l2_eigenvalues_periodic_doubles():
+    # a double root has no sign change; its M vanishes, rank 0, count 2
+    vals = oracle.l2_eigenvalues(PERIODIC, 1.0, (-0.5, 45.0))
+    pi2 = math.pi ** 2
+    assert len(vals) == 5 and abs(vals[0]) < 1e-14
+    assert vals[1:] == pytest.approx([pi2, pi2, 4 * pi2, 4 * pi2], rel=1e-14)
+    # a double root on the window's last cell is still seen
+    assert oracle.l2_eigenvalues(PERIODIC, 1.0, (1.0, 40.0)) == \
+        pytest.approx([pi2, pi2, 4 * pi2, 4 * pi2], rel=1e-14)
+
+
+@pytest.mark.parametrize("theta", [0.3, 2.0, -1.2])
+def test_l2_eigenvalues_quasi_periodic(theta):
+    # y(a) = e^{i theta} y(-a), y'(a) = e^{i theta} y'(-a): complex
+    # conditions with the simple roots 2 k a = theta mod 2 pi
+    bm = extensions.BoundaryMatrices(-np.exp(1j * theta) * np.eye(2), np.eye(2))
+    a = 0.8
+    vals = oracle.l2_eigenvalues(bm, a, (-1.0, 150.0))
+    ks = sorted({abs(theta + 2 * math.pi * m) / (2 * a) for m in range(-5, 6)})
+    exact = [k * k for k in ks if k * k <= 150.0]
+    assert vals == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_l2_eigenvalues_match_the_scanned_atoms(seed):
+    model = models.l2(1.0)
+    alpha = random_unitary(2, np.random.default_rng([seed, 4]))
+    bm = extensions.bc_from_alpha_regular(model, alpha)
+    atoms, _ = models.l2_atoms(alpha, 1.0, (-5.0, 200.0))
+    roots = oracle.l2_eigenvalues(bm, 1.0, (-5.0, 200.0))
+    assert len(roots) == len(atoms)
+    assert np.max(np.abs(np.array(roots) - atoms) / (1 + np.abs(atoms))) < 1e-13
+
+
+def _fd_system(bm, a, npts):
+    """Second-order finite differences for -y'' = s y on npts nodes of
+    [-a, a]: the three-point stencil rows of the interior nodes, and the two
+    boundary rows with one-sided second-order endpoint derivatives."""
+    h = 2.0 * a / (npts - 1)
+    eye = np.eye(npts)
+    stencil = (2 * eye - np.eye(npts, k=1) - np.eye(npts, k=-1))[1:-1] / h ** 2
+    dl = (-1.5 * eye[0] + 2.0 * eye[1] - 0.5 * eye[2]) / h
+    dr = (1.5 * eye[-1] - 2.0 * eye[-2] + 0.5 * eye[-3]) / h
+    beta_a, beta_b = np.asarray(bm.beta_a), np.asarray(bm.beta_b)
+    edge = (beta_a[:, :1] * eye[0] + beta_a[:, 1:] * dl
+            + beta_b[:, :1] * eye[-1] + beta_b[:, 1:] * dr)
+    return stencil, edge
+
+
+def _fd_eigenvalues(bm, a, npts, window):
+    """Real eigenvalues of the finite-difference problem in window, sorted:
+    the boundary rows give the end values from the interior ones."""
+    stencil, edge = _fd_system(bm, a, npts)
+    ends, mid = [0, npts - 1], slice(1, npts - 1)
+    op = stencil[:, mid] - stencil[:, ends] @ np.linalg.solve(edge[:, ends],
+                                                              edge[:, mid])
+    vals = np.linalg.eigvals(op)
+    real = np.abs(vals.imag) <= 1e-6 * np.maximum(1.0, np.abs(vals.real))
+    return sorted(v.real for v in vals[real]
+                  if window[0] <= v.real <= window[1])
+
+
+def _fd_extrapolated(bm, a, npts, window):
+    """Richardson extrapolation (4 v_fine - v_coarse)/3 of the eigenvalues
+    on npts and 2 npts - 1 nodes (h halved)."""
+    coarse, fine = (np.array(_fd_eigenvalues(bm, a, n, window))
+                    for n in (npts, 2 * npts - 1))
+    assert len(coarse) == len(fine)
+    return list((4.0 * fine - coarse) / 3.0)
+
+
+def test_fd_dirichlet_lattice():
+    # the extrapolated discretization lands on the determinant roots
+    roots = oracle.l2_eigenvalues(DIRICHLET, 1.0, (0.5, 25.0))
+    vals = _fd_extrapolated(DIRICHLET, 1.0, 200, (0.5, 25.0))
+    assert len(vals) == len(roots) == 3
+    for v, t in zip(vals, roots):
         assert abs(v - t) < 1e-4 * (1.0 + abs(t))
 
 
 def test_fd_periodic_doubles():
-    vals = oracle.l2_eigenvalues_fd(PERIODIC, 1.0, (-0.5, 45.0),
-                                    grid_points=200)
-    assert len(vals) == 5
+    roots = oracle.l2_eigenvalues(PERIODIC, 1.0, (-0.5, 45.0))
+    vals = _fd_extrapolated(PERIODIC, 1.0, 200, (-0.5, 45.0))
+    assert len(vals) == len(roots) == 5
     assert abs(vals[0]) < 1e-3
-    pi2 = math.pi ** 2
-    assert vals[1] == pytest.approx(pi2, rel=1e-2)
-    assert vals[2] == pytest.approx(pi2, rel=1e-2)
-    assert vals[3] == pytest.approx(4 * pi2, rel=1e-2)
-    assert vals[4] == pytest.approx(4 * pi2, rel=1e-2)
-
-
-def _dense_fd(bm, a, npts, window):
-    """Reference: every eigenvalue of the densified pencil by QZ, under the
-    filters _fd_raw applies."""
-    amat, bmat = oracle._fd_pencil(bm, a, npts)
-    vals = linalg.eig(amat.toarray(), bmat.toarray(), right=False)
-    return sorted(v.real for v in vals
-                  if np.isfinite(v)
-                  and abs(v.imag) <= 1e-6 * max(1.0, abs(v.real))
-                  and window[0] <= v.real <= window[1])
-
-
-FD_BCS = {"dirichlet": DIRICHLET, "periodic": PERIODIC}
-FD_BCS.update(
-    (f"random{seed}", extensions.bc_from_alpha_regular(
-        models.l2(1.0), random_unitary(2, np.random.default_rng([seed, 4]))))
-    for seed in range(3))
-
-
-@pytest.mark.parametrize("label", list(FD_BCS))
-@pytest.mark.parametrize("window", [(-5.0, 50.0), (-5.0, 2000.0),
-                                    (-200.0, 20000.0)])
-def test_fd_sparse_matches_dense(label, window):
-    # the two wider windows hold 28-29 and 100 eigenvalues, past the
-    # initial 16 of the shift-invert solve
-    bm = FD_BCS[label]
-    sparse_vals = oracle._fd_raw(bm, 1.0, 200, window)
-    dense_vals = _dense_fd(bm, 1.0, 200, window)
-    assert len(sparse_vals) == len(dense_vals)
-    for s, d in zip(sparse_vals, dense_vals):
-        assert abs(s - d) <= 1e-9 * max(1.0, abs(d))
-
-
-def test_fd_arpack_failure_is_typed(monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
-    with pytest.raises(ConvergenceError):
-        oracle.l2_eigenvalues_fd(DIRICHLET, 1.0, (0.5, 25.0), grid_points=200)
-
-
-def test_fd_singular_shift_moved_once(monkeypatch):
-    real_splu = scipy.sparse.linalg.splu
-    calls = []
-
-    def singular_first(mat):
-        calls.append(mat)
-        if len(calls) == 1:
-            raise RuntimeError("Factor is exactly singular")
-        return real_splu(mat)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular_first)
-    vals = oracle._fd_raw(DIRICHLET, 1.0, 200, (0.5, 25.0))
-    assert len(calls) == 2
-    assert vals == pytest.approx(_dense_fd(DIRICHLET, 1.0, 200, (0.5, 25.0)),
-                                 rel=1e-9)
-
-    def always_singular(mat):
-        raise RuntimeError("Factor is exactly singular")
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", always_singular)
-    with pytest.raises(ConvergenceError):
-        oracle._fd_raw(DIRICHLET, 1.0, 200, (0.5, 25.0))
-
-
-def test_fd_guards():
-    with pytest.raises(DomainError):
-        oracle.l2_eigenvalues_fd(DIRICHLET, 1.0, (0.0, 10.0), grid_points=150)
-    bad = extensions.BoundaryMatrices([[1, 0], [2, 0]], [[1, 0], [2, 0]])
-    with pytest.raises(RankError):
-        oracle.l2_eigenvalues_fd(bad, 1.0, (0.0, 10.0), grid_points=200)
+    assert vals[1:] == pytest.approx(roots[1:], rel=1e-2)
 
 
 def test_fd_observed_order_near_two():
-    order = oracle.fd_observed_order(DIRICHLET, 1.0, (0.5, 25.0),
-                                     grid_points=100)
-    assert 1.6 < order < 2.4
+    # halving h divides the distance to the roots by about four
+    for bm in (DIRICHLET, PERIODIC):
+        roots = np.array(oracle.l2_eigenvalues(bm, 1.0, (0.5, 25.0)))
+        coarse, fine = (np.array(_fd_eigenvalues(bm, 1.0, n, (0.5, 25.0)))
+                        for n in (101, 201))
+        order = np.log2(np.abs(coarse - roots) / np.abs(fine - roots))
+        assert np.all((1.6 < order) & (order < 2.4)), order
+
+
+def test_fd_guards():
+    # a rank-one boundary system leaves two dependent rows in A - s B for
+    # every s, so the problem has no eigenvalues to find: RankError
+    bad = extensions.BoundaryMatrices([[1, 0], [2, 0]], [[1, 0], [2, 0]])
+    assert np.linalg.matrix_rank(_fd_system(bad, 1.0, 200)[1]) == 1
+    assert np.linalg.matrix_rank(_fd_system(DIRICHLET, 1.0, 200)[1]) == 2
+    with pytest.raises(RankError):
+        oracle.l2_eigenvalues(bad, 1.0, (0.0, 10.0))
+
+
+def test_l2_eigenvalues_guards():
+    with pytest.raises(DomainError):
+        oracle.l2_eigenvalues(DIRICHLET, 1.0, (10.0, 0.0))
+    with pytest.raises(DomainError):
+        oracle.l2_eigenvalues(DIRICHLET, 1.0, (-1e6, 0.0))
+    with pytest.raises(DomainError):
+        oracle.l2_eigenvalues(DIRICHLET, 1.0, (0.0, math.inf))
+    bad = extensions.BoundaryMatrices([[1, 0], [2, 0]], [[1, 0], [2, 0]])
+    with pytest.raises(RankError):
+        oracle.l2_eigenvalues(bad, 1.0, (0.0, 10.0))
+
+
+def test_eigen_mass_matches_the_residue_masses():
+    # K2 atoms of two couplings, and the double L2 periodic atom at pi^2,
+    # whose mass has rank two
+    model = models.k2()
+    b = livsic.livsic_function(model)
+    rng = np.random.default_rng(13)
+    for alpha in (random_unitary(2, rng) for _ in range(2)):
+        locs, masses = clark.atom_scan(b, alpha, (-60.0, 0.5))
+        assert len(locs) > 0
+        for s, mass in zip(locs, masses):
+            ref = oracle.eigen_mass(model, alpha, s)
+            assert np.max(np.abs(mass - ref)) < 1e-12 * np.max(np.abs(ref))
+    l2 = models.l2(1.0)
+    alpha = extensions.alpha_from_bc_regular(l2, PERIODIC)
+    mass = clark.point_mass(livsic.livsic_function(l2), alpha, math.pi ** 2)
+    ref = oracle.eigen_mass(l2, alpha, math.pi ** 2)
+    assert np.min(np.linalg.eigvalsh(ref)) > 1e-3 * np.max(np.abs(ref))
+    assert np.max(np.abs(mass - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("alpha", [1.0, -1.0, np.exp(0.7j)])
+def test_eigen_mass_matches_the_l1_weights(alpha):
+    for s in models.l1_atoms(alpha, 1.3, (-3, 3)):
+        val = oracle.eigen_mass(models.l1(1.3), [[alpha]], s)
+        assert val[0, 0] == pytest.approx(models.l1_weight(alpha, 1.3, s),
+                                          rel=1e-13)
+
+
+@pytest.mark.parametrize("alpha", [1.0, -1.0, 1j, np.exp(2.5j)])
+def test_eigen_density_matches_the_k1_closed_form(alpha):
+    for s in np.logspace(-3, 2, 7):
+        ref = models.k1_density(alpha, s)
+        val = oracle.eigen_density(models.k1(), [[alpha]], s)
+        assert val[0, 0] == pytest.approx(ref, rel=1e-12)
+
+
+def test_eigen_density_matches_k2_ac_density():
+    model = models.k2()
+    b = livsic.livsic_function(model)
+    alpha = random_unitary(2, np.random.default_rng(7))
+    for s in (1e-3, 0.5, 4.0, 100.0):
+        ref = oracle.eigen_density(model, alpha, s)
+        val = clark.ac_density(b, alpha, s)
+        assert np.max(np.abs(val - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def test_eigen_routine_guards():
+    with pytest.raises(DomainError):
+        oracle.eigen_mass(models.k1(), [[1.0]], 0.5)
+    with pytest.raises(DomainError):
+        oracle.eigen_density(models.k2(), np.eye(2), -1.0)
+    with pytest.raises(DomainError):
+        oracle.eigen_density(models.l1(1.0), [[1.0]], 1.0)
+    with pytest.raises(DomainError):
+        # the two L2 rates meet at s = 0
+        oracle.eigen_mass(models.l2(1.0), np.eye(2), 0.0)
 
 
 def test_bound_state_robin_unit_slope():
     location, weight = oracle.k1_bound_state_check(1.0, 1.0)
     assert location == pytest.approx(-1.0, abs=1e-12)
-    assert weight == pytest.approx((math.sqrt(2.0) - 1.0) / math.pi, rel=1e-6)
+    assert weight == pytest.approx((math.sqrt(2.0) - 1.0) / math.pi, rel=1e-14)
     # projective invariance of the ray
     location2, weight2 = oracle.k1_bound_state_check(2.0, 2.0)
     assert location2 == pytest.approx(location, abs=1e-12)
@@ -235,7 +302,9 @@ def test_bound_state_robin_unit_slope():
 def test_bound_state_second_ray():
     location, weight = oracle.k1_bound_state_check(1.0, math.sqrt(2.0))
     assert location == pytest.approx(-0.5, abs=1e-12)
-    assert weight == pytest.approx(0.20371832721067634, rel=1e-6)
+    # sigma = 1/sqrt(2): pi (1 + s^2) mu = 2 sqrt(2) sigma / |sigma - r|^2
+    # with r = e^{3 i pi/4}, which is 0.8
+    assert weight == pytest.approx(0.64 / math.pi, rel=1e-14)
 
 
 def test_bound_state_absent():

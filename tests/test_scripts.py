@@ -31,4 +31,4 @@ def test_script_runs(name, args):
 def test_atom_tables_l2_counts_agree():
     proc = run_script("atom_tables.py", "l2", "--top", "40")
     assert proc.returncode == 0, proc.stderr
-    assert "fd count 4, scan count 4" in proc.stdout
+    assert "root count 4, scan count 4" in proc.stdout

@@ -2,9 +2,9 @@
 
 Wall time on a shared machine is noisy; the number of characteristic-function
 evaluations a routine makes is not, so these counts pin the cost of the
-density's direct boundary evaluation, of the residue point masses, of the
-reference ladder and of the atom scan. B takes arrays of points, so each
-count is both the number of calls and the number of points evaluated.
+density's direct boundary evaluation, of the residue point masses and of
+the atom scan. B takes arrays of points, so each count is both the number
+of calls and the number of points evaluated.
 """
 
 import argparse
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from clarkspectra import clark, cli, extensions, livsic, models, oracle
+from clarkspectra import clark, cli, extensions, livsic, models
 
 
 class CountingB:
@@ -72,13 +72,6 @@ def test_density_request_validates_alpha_once(monkeypatch, capsys):
                      "--grid", "0.1:5:200"]) == 0
     capsys.readouterr()
     assert len(seen) == 1
-
-
-def test_ladder_evaluation_counts():
-    # the reference ladder of the oracle: one B evaluation per level
-    b = CountingB(models.l1(1.0))
-    oracle.ladder_point_mass(b, [[1.0]], math.pi / 2)
-    assert (b.calls, b.points) == (7, 7)
 
 
 def test_residue_evaluation_counts():

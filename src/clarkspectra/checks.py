@@ -96,17 +96,11 @@ def check_3(seed=0):
 
 def check_4(seed=0):
     """Antiperiodic-free case alpha = -1: weights vs the summable series."""
-    t = math.tanh(1.0)
-    worst = 0.0
-    total_w = 0.0
-    total_t = 0.0
-    for n in range(-10000, 10001):
-        s = n * math.pi
-        w = models.l1_weight(-1.0, 1.0, s)
-        term = t / (math.pi * (1.0 + s * s) ** 2)
-        worst = max(worst, abs(w - term))
-        total_w += w
-        total_t += term
+    s = np.arange(-10000, 10001) * math.pi
+    w = models.l1_weight(-1.0, 1.0, s)
+    term = math.tanh(1.0) / (math.pi * (1.0 + s * s) ** 2)
+    worst = float(np.max(np.abs(w - term)))
+    total_w, total_t = float(np.sum(w)), float(np.sum(term))
     ok = worst <= 1e-9 and abs(total_w - total_t) <= 1e-9
     return ok, f"max term deviation {worst:.2e}, sums differ by {abs(total_w - total_t):.2e}"
 

@@ -229,7 +229,7 @@ def cmd_atoms(args):
         lo, hi = _parse_n_range(args.n_range)
         scal = complex(alpha[0, 0])
         locs = models.l1_atoms(scal, model.a, (lo, hi))
-        weights = [models.l1_weight(scal, model.a, s) for s in locs]
+        weights = models.l1_weight(scal, model.a, np.array(locs))
     else:
         if not args.window:
             raise _ConfigError("atoms needs --window lo:hi "

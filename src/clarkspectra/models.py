@@ -257,28 +257,30 @@ def l1_atoms(alpha, a, n_range):
 
 
 def l1_weight(alpha, a, s):
-    """Mass of the L1 atom at s:
+    """Mass of the L1 atom at s, a point or an array of points:
 
         mu({s}) = (cosh 2a - cos 2sa) / (a pi sinh(2a) (1 + s^2)^2).
 
-    DomainError when s is farther than 1e-8 from the atom lattice of
-    alpha. At alpha = -1 this reduces to tanh(a)/(a pi (1+s^2)^2) on
-    s = n pi / a, at alpha = +1 to coth(a)/(a pi (1+s^2)^2) on the shifted
-    lattice.
+    A float for a point, an array of the shape of s otherwise; the base
+    point of the lattice is computed once per call. DomainError when any
+    point is farther than 1e-8 from the atom lattice of alpha. At
+    alpha = -1 this reduces to tanh(a)/(a pi (1+s^2)^2) on s = n pi / a, at
+    alpha = +1 to coth(a)/(a pi (1+s^2)^2) on the shifted lattice.
     """
     alpha = _unimodular_scalar(alpha)
     a = float(a)
-    s = float(s)
+    pts = np.asarray(s, dtype=float)
     base = l1_atoms(alpha, a, (0, 0))[0]
-    n_star = round((s - base) / (math.pi / a))
-    nearest = base + n_star * math.pi / a
-    if abs(s - nearest) > 1e-8:
+    nearest = base + np.round((pts - base) / (math.pi / a)) * math.pi / a
+    off = ~(np.abs(pts - nearest) <= 1e-8)
+    if np.any(off):
+        i = np.flatnonzero(off.reshape(-1))[0]
         raise DomainError(
-            f"s = {s} is not an atom of the coupling (nearest atom {nearest})"
-        )
-    return (math.cosh(2 * a) - math.cos(2 * s * a)) / (
-        a * math.pi * math.sinh(2 * a) * (1.0 + s * s) ** 2
-    )
+            f"s = {float(pts.reshape(-1)[i])!r} is not an atom of the coupling "
+            f"(nearest atom {float(nearest.reshape(-1)[i])!r})")
+    weight = (math.cosh(2 * a) - np.cos(2 * pts * a)) / (
+        a * math.pi * math.sinh(2 * a) * (1.0 + pts * pts) ** 2)
+    return float(weight) if weight.ndim == 0 else weight
 
 
 def l2_atoms(alpha, a, window):

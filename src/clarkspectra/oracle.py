@@ -169,14 +169,43 @@ def l1_eigenvalues_direct(beta, a, n_range):
                   for n in range(int(n_range[0]), int(n_range[1]) + 1))
 
 
-def _interval_matrix(bm, a, s):
-    """(beta_a + beta_b Phi, Phi) at the points s, Phi the map of (y, y')
-    from -a to a for -y'' = s y in the entire basis {cos kt, sin(kt)/k}."""
+def _far(a, s):
+    """Where 2a sqrt(-s) >= 1: below the axis, far enough from 0 that the
+    exponential basis of _interval_matrix is well conditioned."""
+    return 4.0 * a * a * -np.asarray(s, dtype=float) >= 1.0
+
+
+def _matrices(p, q, r, t):
+    """The 2 x 2 matrices [[p, q], [r, t]] from arrays of one shape."""
+    return np.stack([p, q, r, t], -1).reshape(np.shape(p) + (2, 2))
+
+
+def _interval_matrix(bm, a, s, far=None):
+    """(X, L, R, factor) at the points s for -y'' = s y on (-a, a):
+    X = beta_a L + beta_b R, where L and R map the coefficients of a basis
+    of solutions to (y, y') at -a and at a, and factor makes det X * factor
+    = det M(s) e^{-2a kappa}, kappa = sqrt(max(-s, 0)), a positive multiple
+    of det M. M = beta_a + beta_b Phi is X in the entire
+    basis {cos kt, sin(kt)/k} from -a (L = I, R = Phi). Below the axis its
+    entries grow like e^{2a kappa} and det M only like their square root,
+    so where far (default _far) X is N in the basis
+    {e^{kappa(x-a)}, e^{-kappa(x+a)}}, whose entries stay of order one, and
+    det N = -2 kappa e^{-2a kappa} det M."""
+    s = np.asarray(s, dtype=float)
+    far = _far(a, s) if far is None else far
     t = 2.0 * a
-    k = np.sqrt(np.asarray(s, dtype=complex))
+    k = np.sqrt(s.astype(complex))
     c, sk = np.cos(k * t), t * np.sinc(k * t / np.pi)
-    phi = np.stack([np.stack([c, sk], -1), np.stack([-k * k * sk, c], -1)], -2)
-    return bm.beta_a + bm.beta_b @ phi, phi
+    kappa = np.sqrt(np.maximum(-s, 0.0))
+    e = np.exp(-t * kappa)
+    one = np.ones_like(e)
+    each = far[..., None, None]
+    left = np.where(each, _matrices(e, one, kappa * e, -kappa), np.eye(2))
+    right = np.where(each, _matrices(one, e, kappa, -kappa * e),
+                     _matrices(c, sk, -k * k * sk, c))
+    with np.errstate(divide="ignore"):
+        factor = np.where(far, -0.5 / kappa, e)
+    return bm.beta_a @ left + bm.beta_b @ right, left, right, factor
 
 
 def _bisect(fn, lo, hi):
@@ -209,8 +238,12 @@ def l2_eigenvalues(bm, a, window):
     conditions): the zero of the entry of M that varies most across it. A
     root counts 2 - rank M, the rank taken against |beta_a| + |beta_b|
     |Phi|, not |M|; a minimum with no zero ends at a grid point of full
-    rank. Below the axis det M cancels like e^{2a sqrt(-s)}, which costs
-    its roots that factor. RankError when bm is not self-adjoint;
+    rank. Where 2a sqrt(-s) >= 1 the determinant, the entries and the rank
+    come from the system N of _interval_matrix instead (the rank against
+    |beta_a| |L| + |beta_b| |R|), whose entries stay of order one where
+    those of M grow like e^{2a sqrt(-s)}; the bracketed function is
+    det M e^{-2a sqrt(max(-s, 0))} throughout, with no sign flip at 0.
+    RankError when bm is not self-adjoint;
     DomainError for a window not finite with lo < hi or below
     -(_MAX_KT / 2a)^2."""
     if not validate_sa_matrices(bm):
@@ -223,23 +256,29 @@ def l2_eigenvalues(bm, a, window):
     h = np.diff(ends)[0] / math.ceil(np.diff(ends)[0] * 2 * a * _CELLS / np.pi)
     u = np.arange(ends[0] - h, ends[1] + 1.5 * h, h)
     grid = np.sign(u) * u * u
-    dets = np.linalg.det(_interval_matrix(bm, a, grid)[0])
+
+    def det(s):
+        x, _, _, factor = _interval_matrix(bm, a, s)
+        return np.linalg.det(x) * factor
+    dets = det(grid)
     phase = np.conj(dets[np.argmax(np.abs(dets))])
-    real = lambda s: (np.linalg.det(_interval_matrix(bm, a, s)[0]) * phase).real
+    real = lambda s: (det(s) * phase).real
     f = real(grid)
     change = (f[:-1] == 0) | (f[:-1] * f[1:] < 0)
     mins = ((np.abs(f[1:-1]) < np.abs(f[:-2])) & (np.abs(f[1:-1]) <= np.abs(f[2:]))
             & (f[:-2] * f[1:-1] > 0) & (f[1:-1] * f[2:] > 0))
     left, right = grid[:-2][mins], grid[2:][mins]
-    flat = lambda s: _interval_matrix(bm, a, s)[0].reshape(-1, 4)
+    # one basis across each bracket, so that its entries are continuous
+    far = _far(a, grid[1:-1][mins])
+    flat = lambda s: _interval_matrix(bm, a, s, far)[0].reshape(-1, 4)
     step = flat(right) - flat(left)
     pick = (np.arange(left.size), np.argmax(np.abs(step), axis=1))
     entry = lambda s: (flat(s)[pick] * np.conj(step[pick])).real
     roots = np.concatenate([_bisect(real, grid[:-1][change], grid[1:][change]),
                             _bisect(entry, left, right)])
-    mats, phis = _interval_matrix(bm, a, roots)
+    mats, left, right, _ = _interval_matrix(bm, a, roots)
     norm = lambda m: np.linalg.norm(m, 2, axis=(-2, -1))
-    scale = norm(bm.beta_a) + norm(bm.beta_b) * norm(phis)
+    scale = norm(bm.beta_a) * norm(left) + norm(bm.beta_b) * norm(right)
     mult = 2 - np.linalg.matrix_rank(mats, tol=_RANK_TOL * scale)
     inside = (roots >= lo) & (roots <= hi)
     return sorted(np.repeat(roots[inside], mult[inside]).tolist())

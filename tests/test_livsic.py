@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clarkspectra import livsic, models
+from clarkspectra import extensions, livsic, models
 from clarkspectra.cplane import principal_power, random_unitary
 from clarkspectra.errors import DimensionError, DomainError, NonUnitaryError
 
@@ -121,6 +121,87 @@ def test_array_b_matches_pointwise_and_schur_bound(model, points):
     for wk, bk in zip(points, stack):
         np.testing.assert_array_equal(bk, livsic.livsic_eval(model, wk))
         assert np.linalg.norm(bk, 2) <= 1.0 + 1e-12
+
+
+# Entries of the matrices in the singular-value property, tiny ones
+# included: the kernel rescales each matrix by a power of two.
+_entry = st.floats(min_value=-1e10, max_value=1e10)
+_complex = st.builds(complex, _entry, _entry)
+_angle = st.floats(min_value=-math.pi, max_value=math.pi)
+
+
+@st.composite
+def _small_matrix(draw):
+    """A 2 x 2 complex matrix: generic, rank one, zero, or a multiple of a
+    unitary (two equal singular values)."""
+    kind = draw(st.sampled_from(["generic", "rank one", "zero", "unitary"]))
+    if kind == "generic":
+        return np.array(draw(st.lists(_complex, min_size=4, max_size=4))).reshape(2, 2)
+    if kind == "rank one":
+        x, y = (np.array(draw(st.lists(_complex, min_size=2, max_size=2)))
+                for _ in range(2))
+        return np.outer(x, y)
+    if kind == "zero":
+        return np.zeros((2, 2), dtype=complex)
+    theta, psi, chi, phi = (draw(_angle) for _ in range(4))
+    u = np.exp(1j * phi) * np.array(
+        [[math.cos(theta) * cmath.exp(1j * psi), math.sin(theta) * cmath.exp(1j * chi)],
+         [-math.sin(theta) * cmath.exp(-1j * chi), math.cos(theta) * cmath.exp(-1j * psi)]])
+    return draw(_complex) * u
+
+
+def _assert_singular_values_match(m):
+    # both singular values of the closed form within 1e-15 sigma_max of
+    # LAPACK's, in the same descending order
+    got = livsic._singular_values_small(m)
+    ref = np.linalg.svd(m, compute_uv=False)
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-15 * ref[..., :1])
+
+
+@given(st.lists(_small_matrix(), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_small_singular_values_match_lapack(mats):
+    _assert_singular_values_match(np.array(mats))
+
+
+@given(st.lists(_complex, min_size=1, max_size=8))
+@settings(max_examples=40, deadline=None)
+def test_small_singular_values_one_by_one(values):
+    m = np.array(values).reshape(-1, 1, 1)
+    _assert_singular_values_match(m)
+    np.testing.assert_array_equal(livsic._singular_values_small(m)[:, 0],
+                                  np.abs(m[:, 0, 0]))
+
+
+@given(st.floats(min_value=0.8, max_value=2.0), st.sampled_from([1.0, -1.0]))
+@settings(max_examples=12, deadline=None)
+def test_small_singular_values_on_l2_scan_grids(a, sign):
+    # I - B(s) alpha* on a fine grid for the periodic (+1) and antiperiodic
+    # (-1) L2 couplings: where the two eigenphases of B alpha* are opposite
+    # the two singular values come within 1e-3 of each other, and the form
+    # sqrt(f^2 - 4 |det|^2) loses about 1e-13 there
+    model = models.l2(a)
+    bm = extensions.BoundaryMatrices(np.eye(2), -sign * np.eye(2))
+    alpha = extensions.alpha_from_bc_regular(model, bm)
+    b = livsic.livsic_function(model)
+    grid = np.linspace(-1.0, 200.0, 20001)
+    m = np.eye(2) - b.fn(grid) @ alpha.conj().T
+    ref = np.linalg.svd(m, compute_uv=False)
+    assert np.min((ref[:, 0] - ref[:, 1]) / ref[:, 0]) < 1e-3
+    _assert_singular_values_match(m)
+
+
+def test_small_singular_values_nan_and_guard():
+    # a NaN matrix gives NaN singular values and leaves the others alone
+    m = np.array([[[np.nan, 0.0], [0.0, 1.0]], [[3.0, 0.0], [0.0, -4.0]],
+                  [[0.0, 0.0], [0.0, 0.0]]], dtype=complex)
+    got = livsic._singular_values_small(m)
+    assert np.all(np.isnan(got[0]))
+    np.testing.assert_array_equal(got[1:], [[4.0, 3.0], [0.0, 0.0]])
+    assert np.isnan(livsic._singular_values_small(np.full((1, 1, 1), np.nan))[0, 0])
+    with pytest.raises(DimensionError):
+        livsic._singular_values_small(np.eye(3))
 
 
 def test_continuation_below_the_axis():

@@ -165,6 +165,27 @@ def test_l1_weight_closed_values_and_off_lattice_guard():
 
 @given(phases, lengths)
 @settings(max_examples=40, deadline=None)
+def test_l1_weight_array_matches_points(theta, a):
+    # one call on the lattice array gives the pointwise values; one point
+    # off the lattice refuses the whole array
+    alpha = cmath.exp(1j * theta)
+    atoms = np.array(models.l1_atoms(alpha, a, (-40, 40)))
+    weights = models.l1_weight(alpha, a, atoms)
+    assert weights.shape == atoms.shape
+    for s, w in zip(atoms, weights):
+        point = models.l1_weight(alpha, a, s)
+        assert type(point) is float
+        assert abs(point - w) <= 1e-15 * abs(point)
+    grid = models.l1_weight(alpha, a, atoms.reshape(9, 9))
+    assert np.array_equal(grid.reshape(-1), weights)
+    with pytest.raises(DomainError):
+        models.l1_weight(alpha, a, np.append(atoms, atoms[-1] + 0.5 / a))
+    with pytest.raises(DomainError):
+        models.l1_weight(alpha, a, [atoms[0], math.nan])
+
+
+@given(phases, lengths)
+@settings(max_examples=40, deadline=None)
 def test_l1_total_mass_partial_sums(theta, a):
     # sum of pi (1 + s^2) mu({s}) over the lattice approaches 1 from below
     alpha = cmath.exp(1j * theta)

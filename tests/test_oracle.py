@@ -145,6 +145,20 @@ def test_l2_eigenvalues_match_the_scanned_atoms(seed):
     assert np.max(np.abs(np.array(roots) - atoms) / (1 + np.abs(atoms))) < 1e-13
 
 
+@pytest.mark.parametrize("seed", [[1, 4], [5, 4]])
+def test_l2_eigenvalues_below_the_axis(seed):
+    # atoms near -17.59 and -14.54 at a = 2, where the entries of M grow like
+    # e^{2a sqrt(-s)} = 2e7 and det M only like their square root: the roots
+    # come from the exponential basis and land within 1e-12 of the atoms
+    a = 2.0
+    alpha = random_unitary(2, np.random.default_rng(seed))
+    bm = extensions.bc_from_alpha_regular(models.l2(a), alpha)
+    atoms, _ = models.l2_atoms(alpha, a, (-30.0, 5.0))
+    roots = oracle.l2_eigenvalues(bm, a, (-30.0, 5.0))
+    assert len(roots) == len(atoms) == 4 and atoms[0] < -14.0
+    assert np.max(np.abs(np.array(roots) - atoms)) <= 1e-12
+
+
 def _fd_system(bm, a, npts):
     """Second-order finite differences for -y'' = s y on npts nodes of
     [-a, a]: the three-point stencil rows of the interior nodes, and the two

@@ -95,6 +95,29 @@ def test_l2_dirichlet_scan_counts():
     assert (b.calls, b.points) == (3, 139 + 64 * 4 + 64 * 3)
 
 
+def test_atom_scan_runs_no_lapack_svd(monkeypatch):
+    # sigma_min on the scan grid comes from the closed-form 2 x 2 singular
+    # values, not from np.linalg.svd, and each scan is still three calls of B
+    dirichlet = extensions.BoundaryMatrices([[1, 0], [0, 0]], [[0, 0], [1, 0]])
+    cases = (
+        (models.l1(1.0), [[1.0]], (-10.0, 10.0)),
+        (models.l2(1.0), extensions.alpha_from_bc_regular(models.l2(1.0), dirichlet),
+         (-1.0, 26.0)),
+        (models.k1(), [[extensions.alpha_from_bc_k1(1.0, 1.0)]], (-10.0, 0.5)),
+        (models.k2(), -np.eye(2), (-1.0, 0.5)),
+    )
+    svd_calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: svd_calls.append(1) or svd(*a, **k))
+    for model, alpha, window in cases:
+        b = CountingB(model)
+        atoms, _ = clark.atom_scan(b, alpha, window)
+        assert len(atoms) > 0, model.name
+        assert b.calls == 3, model.name
+    assert svd_calls == []
+
+
 def test_atoms_request_is_three_calls(monkeypatch, capsys):
     # a CLI atoms request on the half-line: the graded grid, the location
     # circles and the residue circles, and no other evaluation of B

@@ -23,14 +23,10 @@ geometrically in the number of nodes. The same sums locate the pole they
 see, so a point next to an atom but not at it gets zero mass. All circles
 of one call are one array evaluation of B.
 
-The atom scan uses those sums to find the atoms as well: a grid of
-sigma_min(I - B(s) alpha*) below the essential spectrum, one circle around
-each grid minimum, which places the pole it encloses (the residue of
-(w - s) F over the residue of F), and the residue masses at those poles.
-That is three array evaluations of B per scan. sigma_min on the grid is
-closed-form arithmetic on the 1 x 1 or 2 x 2 stack
-(livsic._singular_values_small, |det| / sigma_max), within a few rounding
-units of sigma_max of LAPACK's value and with no LAPACK call per matrix.
+The atom scan counts the atoms in each cell of a grid exactly from B at its
+two ends, since the eigenphases of the unitary B(s) alpha* increase with s
+(matrix Herglotz functions: Gesztesy and Tsekanovskii, Math. Nachr. 218,
+2000), and the circle sums place and weigh them.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, DimensionError, DomainError,
                      NonUnitaryError, SingularError)
-from .livsic import (_singular_values_small, _solve_small, conjugated_schur,
+from .livsic import (_eigenvalues_small, _solve_small, conjugated_schur,
                      transform_alpha)
 
 __all__ = [
@@ -128,22 +124,21 @@ _TURN = np.exp(2j * np.pi * np.arange(_NODES) / _NODES)
 # agreeing, each to this relative tolerance (above the rounding floor).
 _MASS_RTOL = 1e-10
 # A pole that the nodes place farther than _OFFSET_TOL (1 + |s|) from s is
-# not at s (the atom scan merges locations within 1e-8 as well).
+# not at s (the atom scan merges locations within it as well).
 _OFFSET_TOL = 1e-8
-# One pole at s: the second moment about s, mean(F t^3), within this
-# fraction of the first, mean(F t).
+# One pole in a circle: _second_moment below this.
 _ONE_POLE_TOL = 1e-8
 
 
 def _radii(s, step, edge):
-    """Circle radius per atom: half the smallest of the scan step, the
-    distance to the nearest other atom, and the distance to the cut."""
+    """Circle radius per atom: half the scan step, a quarter of the
+    distance to the nearest other atom, or half the distance to the cut,
+    whichever is smallest."""
     order = np.argsort(s)
-    gaps = np.diff(s[order])
-    near = np.full(s.size, np.inf)
-    near[order[1:]] = gaps
-    near[order[:-1]] = np.minimum(near[order[:-1]], gaps)
-    return 0.5 * np.minimum(np.minimum(step, near), edge - s)
+    gaps = np.diff(s[order], prepend=-np.inf, append=np.inf)
+    near = np.empty(s.size)
+    near[order] = np.minimum(gaps[:-1], gaps[1:])
+    return np.minimum(0.5 * np.minimum(step, edge - s), 0.25 * near)
 
 
 def _circle_resolvent(b, alpha, centre, radius):
@@ -174,56 +169,64 @@ def _pole_offset(f, radius, stride=1):
     return radius * ratio
 
 
+def _second_moment(f, delta):
+    """mean(F (t - delta)^2 t) over mean(F t) (largest entries) on each
+    circle: zero when it holds one pole, delta radii from its centre. Two
+    atoms in one circle would otherwise read as one between them."""
+    m1, m2, m3 = (_moment(f, k) for k in (1, 2, 3))
+    d = delta[:, None, None]
+    with np.errstate(all="ignore"):
+        return (np.max(np.abs(m3 - 2.0 * d * m2 + d * d * m1), axis=(-2, -1))
+                / np.max(np.abs(m1), axis=(-2, -1)))
+
+
 def point_mass(b, alpha, s):
     """Mass mu({s}) of the (B, alpha) measure at the real point s, or at
-    each point of a 1-D array of atoms.
+    each point of a 1-D array of atoms: the n x n Hermitian PSD matrix (a
+    stack of them), zero when s carries no atom: -2i/(pi (1+p^2)^2) times
+    the residue of (I - B(w) alpha*)^{-1} at its pole p = s, by the
+    trapezoid rule on _NODES points of a circle around s, all circles in
+    one call of b.fn. The radius is the least of half b.scan_step, a
+    quarter of the gap to the nearest other point of s and half the
+    distance to b.ac_edge; other poles are assumed to keep about that far.
+    The mass is zero when the sum stays within its rounding floor, and when
+    both node counts place the pole at the same point (to a tenth of its
+    offset) farther than _OFFSET_TOL (1 + |s|) from s.
 
-    Returns the n x n Hermitian PSD mass matrix (a stack of them for an
-    array); zero when s carries no atom. The mass is -2i/(pi (1+s^2)^2)
-    times the residue of (I - B(w) alpha*)^{-1} at s, by the trapezoid rule
-    on _NODES points of a circle around s, all circles in one call of b.fn
-    (the continuation of b across the axis below b.ac_edge). The radius is
-    half the smallest of b.scan_step, the distance to the nearest other
-    point of s and the distance to b.ac_edge; other poles of
-    (I - B alpha*)^{-1} are assumed to keep about that far from the circle.
-
-    The mass is zero when the sum stays within its rounding floor (no pole
-    in or near the circle), and when both node counts place the pole they
-    see at the same point (to a tenth of its offset) farther than
-    _OFFSET_TOL (1 + |s|) from s.
-
-    DomainError for a non-finite point, a point on the essential spectrum
-    and a repeated point. ConvergenceError for a mass at s that is not
-    Hermitian and PSD, or whose values from all nodes and from the even
-    nodes differ, beyond _MASS_RTOL relative to the mass (above the
-    rounding floor), and for a circle with more than one pole: the second
-    moment about s, mean(F t^3), does not vanish to _ONE_POLE_TOL of
-    mean(F t). Two atoms in one circle would otherwise pass at their
-    weighted midpoint with their summed mass.
+    DomainError for a non-finite, repeated or essential-spectrum point.
+    ConvergenceError for a mass that is not Hermitian and PSD, or whose
+    values from all nodes and from the even nodes differ, beyond _MASS_RTOL
+    relative to it, and for a circle with more than one pole.
     """
     alpha = _alpha_of(alpha)
     n = alpha.shape[0]
     s = _points(s, "atom location")
-    atoms = s.reshape(-1)
+    return _residues(b, alpha, s.reshape(-1))[0].reshape(s.shape + (n, n))
+
+
+def _residues(b, alpha, atoms):
+    """point_mass at the 1-D array atoms, and the pole that each circle
+    places at its atom; one call of b.fn, none for no atoms."""
+    n = alpha.shape[0]
     if atoms.size == 0:
-        return np.zeros(s.shape + (n, n), dtype=complex)
+        return np.zeros((0, n, n), dtype=complex), np.zeros(0)
     radius = _radii(atoms, b.scan_step, b.ac_edge)
     if not np.all(radius > 0):
         raise DomainError("point masses need distinct atoms below the "
                           f"essential spectrum, got s = {atoms!r}")
     f = _circle_resolvent(b, alpha, atoms, radius)
     m1 = _moment(f, 1)
-    scale = -2j * radius / (np.pi * (1.0 + atoms * atoms) ** 2)
+    offset = _pole_offset(f, radius)
+    near = np.abs(offset) <= _OFFSET_TOL * (1.0 + np.abs(atoms))
+    pole = np.where(near, atoms + offset.real, atoms)
+    scale = -2j * radius / (np.pi * (1.0 + pole * pole) ** 2)
     mass = scale[:, None, None] * m1
     size = np.max(np.abs(mass), axis=(-2, -1))
-    # the rounding floor of the sum, which is all a circle without a pole
-    # inside gives
+    # the rounding floor of the sum: all that a circle without a pole gives
     floor = (_NODES * np.finfo(float).eps * np.abs(scale)
              * np.max(np.abs(f), axis=(1, 2, 3)))
-    offset = _pole_offset(f, radius)
     offset_half = _pole_offset(f, radius, stride=2)
-    elsewhere = ((np.abs(offset) > _OFFSET_TOL * (1.0 + np.abs(atoms)))
-                 & (np.abs(offset - offset_half) <= 0.1 * np.abs(offset)))
+    elsewhere = ~near & (np.abs(offset - offset_half) <= 0.1 * np.abs(offset))
     zero = ~(size > floor) | elsewhere
     tol = _MASS_RTOL * size + floor
     herm = _hermitize(mass)
@@ -231,108 +234,117 @@ def point_mass(b, alpha, s):
                            * (m1 - _moment(f, 1, stride=2))), axis=(-2, -1))
     skew = np.max(np.abs(mass - herm), axis=(-2, -1))
     lowest = np.linalg.eigvalsh(herm)[:, 0]
-    first, second = (np.max(np.abs(_moment(f, k)), axis=(-2, -1))
-                     for k in (1, 3))
+    second = _second_moment(f, np.zeros(atoms.size))
     bad = ~zero & ~((spread <= tol) & (skew <= tol) & (lowest >= -tol)
-                    & (second <= _ONE_POLE_TOL * first))
+                    & (second <= _ONE_POLE_TOL))
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
         raise ConvergenceError(
             f"residue at s = {float(atoms[i])!r} (radius {radius[i]:.3e}) not "
             f"accepted: node-count difference {spread[i]:.3e}, skew part "
             f"{skew[i]:.3e}, lowest eigenvalue {lowest[i]:.3e}, "
-            f"tolerance {tol[i]:.3e}, second moment {second[i] / first[i]:.3e}"
+            f"tolerance {tol[i]:.3e}, second moment {second[i]:.3e}"
             " of the first (more than one pole in the circle)")
     herm[zero] = 0.0
-    return herm.reshape(s.shape + (n, n))
+    return herm, pole
 
 
 # Upper limit on the atom-scan grid and on the command line's --grid count,
-# so a wide window or a huge count fails with a typed error instead of
-# exhausting memory. The scans the package runs use at most a few thousand
-# points.
+# so a wide window or a huge count fails with a typed error.
 MAX_SCAN_POINTS = 10 ** 6
-# Below a finite ac_edge the scan grid is graded: its distances to the
-# edge shrink by _GRADE from five cells down to _EDGE_GAP, so no cell is
-# wider than a fifth of its distance to the cut.
-_GRADE = 1.2
+# Scan cells per decade of the distance to a finite ac_edge, down to
+# _EDGE_GAP; a cell with more than one pole splits into _SPLIT, _ROUNDS times.
+_DECADE = 16
 _EDGE_GAP = 1e-10
-# A location circle sees a pole when all nodes and the even nodes place it
-# at the same point to this fraction of a cell. A circle without a pole, or
-# with the rounding noise of B next to a branch point, places it at random.
-_SAME_POLE = 1e-3
+_SPLIT = 8
+_ROUNDS = 12
 
 
 def _scan_grid(lo, hi, h, edge):
-    """Points of the atom scan on [lo, hi] below edge: cells of width at
-    most h, and near a finite edge the distances edge - 5h _GRADE^-k down
-    to _EDGE_GAP, so that every circle of the scan stays off the cut; empty
-    when the window lies above edge. DomainError before any allocation for
-    more than MAX_SCAN_POINTS cells of width h."""
+    """Points of the atom scan on [lo, hi] below edge, ends included:
+    cells of width at most h when edge is infinite, else the points
+    edge - 10^(k/_DECADE) down to _EDGE_GAP from it, so a circle as wide as
+    its cell stays off the cut. Empty when the window lies above edge.
+    DomainError before any allocation for more than MAX_SCAN_POINTS
+    points."""
     top = min(hi, edge - _EDGE_GAP)
     if not lo < top:
         return np.empty(0)
-    cells = (top - lo) / h
-    if not cells <= MAX_SCAN_POINTS - 1:
-        raise DomainError(f"scan of ({lo!r}, {hi!r}) exceeds the limit of "
-                          f"{MAX_SCAN_POINTS} grid points")
-    grid = np.linspace(lo, top, math.ceil(cells) + 1)
-    levels = max(math.ceil(math.log(5.0 * h / _EDGE_GAP, _GRADE)), 0)
-    graded = edge - 5.0 * h * _GRADE ** -np.arange(levels)
-    return np.sort(np.concatenate([grid, graded[(graded > lo) & (graded < top)]]))
+    if math.isinf(edge):
+        cells = (top - lo) / h
+        if not cells <= MAX_SCAN_POINTS - 1:
+            raise DomainError(f"scan of ({lo!r}, {hi!r}) exceeds the limit of "
+                              f"{MAX_SCAN_POINTS} grid points")
+        return np.linspace(lo, top, math.ceil(cells) + 1)
+    k = np.arange(math.ceil(_DECADE * math.log10(edge - top)),
+                  math.ceil(_DECADE * math.log10(edge - lo)))
+    inner = edge - 10.0 ** (k[::-1] / _DECADE)
+    return np.concatenate([[lo], inner[(inner > lo) & (inner < top)], [top]])
+
+
+def _cell_counts(b, alpha, pts, rows):
+    """The points of pts where B is finite, and the atoms in each cell
+    between two of them in the same row (0 across rows): one call of
+    b.fn, eigenphases from livsic._eigenvalues_small."""
+    lam = _eigenvalues_small(b.fn(pts) @ alpha.conj().T)
+    ok = np.all(np.isfinite(lam), axis=-1)
+    phi = np.angle(np.prod(lam[ok], axis=-1))
+    theta = np.mod(np.angle(lam[ok]), 2.0 * np.pi).sum(axis=-1)
+    count = np.rint((np.mod(np.diff(phi), 2.0 * np.pi) - np.diff(theta))
+                    / (2.0 * np.pi))
+    return pts[ok], np.where(np.diff(rows[ok]) == 0, count, 0)
 
 
 def atom_scan(b, alpha, window):
     """Atoms of the (B, alpha) measure inside window: (locations, masses),
-    a sorted 1-D array and the stack of their point_mass matrices, from
-    three calls of b.fn on arrays of points:
+    a sorted 1-D array and the stack of their point_mass matrices.
 
-      1. sigma_min(I - B(s) alpha*) on the grid of _scan_grid, with cells
-         of half b.scan_step, in closed form (livsic._singular_values_small:
-         |det| / sigma_max, within about 1e-15 sigma_max of LAPACK's
-         SVD);
-      2. a circle of radius 1.25 times the wider neighbouring cell around
-         every grid minimum (window edges included); the pole it encloses
-         (_pole_offset) is kept when both node counts place it at the same
-         point, within one cell of the centre and inside window;
-      3. point_mass at the kept poles; a zero mass is not an atom.
-
-    A dip narrower than a cell is found when the atom lies within a cell of
-    the grid minimum. Atoms closer than about b.scan_step can share a
-    circle, and point_mass then raises ConvergenceError. Points where B is
-    not finite read as no dip. DomainError for a window that is not finite
-    with lo < hi, and from _scan_grid.
+    A cell of the grid holds (dPhi - d sum_j (theta_j mod 2 pi)) / 2 pi
+    atoms, theta_j the increasing eigenphases of the unitary B(s) alpha*
+    and Phi = arg det(B alpha*), dPhi taken in [0, 2 pi) (Model.scan_step).
+    Three calls of b.fn: the count on the grid of _scan_grid, whose cells
+    span the points where B is not finite; a circle as wide as its cell
+    around each cell that counts atoms, whose pole is kept when the circle
+    holds one (a double atom is one), else the cell is split into _SPLIT
+    and counted again (two more calls per round); point_mass at the poles
+    inside window, merged within _OFFSET_TOL, whose narrower circles place
+    each pole again. DomainError for a window that is not finite with
+    lo < hi, and from _scan_grid; ConvergenceError for a cell still failing
+    after _ROUNDS splits, and from point_mass.
     """
     alpha = _alpha_of(alpha)
-    n = alpha.shape[0]
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"scan window must be finite with lo < hi, got {window!r}")
-    none = np.empty(0), np.zeros((0, n, n), dtype=complex)
-    grid = _scan_grid(lo, hi, 0.5 * b.scan_step, b.ac_edge)
-    if grid.size == 0:
-        return none
-    m = np.eye(n) - np.asarray(b.fn(grid)).reshape(-1, n, n) @ alpha.conj().T
-    ok = np.isfinite(m).all(axis=(1, 2))
-    vals = np.full(grid.size, np.inf)
-    vals[ok] = _singular_values_small(m[ok])[:, -1]
-    padded = np.concatenate([[np.inf], vals, [np.inf]])
-    at = np.flatnonzero((vals < padded[:-2]) & (vals <= padded[2:]))
-    if at.size == 0:
-        return none
-    cells = np.diff(grid, prepend=grid[0], append=grid[-1])
-    cell = np.maximum(cells[at], cells[at + 1])
-    f = _circle_resolvent(b, alpha, grid[at], 1.25 * cell)
-    offset = _pole_offset(f, 1.25 * cell)
-    poles = grid[at] + offset.real
-    keep = ((np.abs(offset - _pole_offset(f, 1.25 * cell, stride=2))
-             <= _SAME_POLE * cell)
-            & (np.abs(offset) <= cell) & (poles >= lo) & (poles <= hi))
-    poles = np.sort(poles[keep])
-    # two minima can see the same pole
+    pts = _scan_grid(lo, hi, 0.5 * b.scan_step, b.ac_edge)
+    rows = np.zeros(pts.size, dtype=int)
+    poles = [np.empty(0)]
+    for rounds in range(_ROUNDS + 1):
+        if pts.size == 0:
+            break
+        pts, count = _cell_counts(b, alpha, pts, rows)
+        at = np.flatnonzero(count)
+        if at.size == 0:
+            break
+        centre, radius = 0.5 * (pts[at] + pts[at + 1]), np.diff(pts)[at]
+        f = _circle_resolvent(b, alpha, centre, radius)
+        offset = _pole_offset(f, radius)
+        one = ((np.abs(offset) <= radius)
+               & (_second_moment(f, offset / radius) <= _ONE_POLE_TOL))
+        poles.append(centre[one] + offset[one].real)
+        at = at[~one]
+        if at.size and rounds == _ROUNDS:
+            raise ConvergenceError(f"atoms near s = {float(pts[at[0]])!r} not "
+                                   f"separated after {_ROUNDS} splits")
+        # count again on _SPLIT cells in each cell that failed
+        pts = (pts[at, None] + np.diff(pts)[at, None]
+               * np.linspace(0.0, 1.0, _SPLIT + 1)).reshape(-1)
+        rows = np.repeat(np.arange(at.size), _SPLIT + 1)
+    poles = np.sort(np.concatenate(poles))
+    poles = poles[(poles >= lo) & (poles <= hi)]
     poles = poles[np.diff(poles, prepend=-np.inf)
                   > _OFFSET_TOL * (1.0 + np.abs(poles))]
-    masses = point_mass(b, alpha, poles)
+    masses, poles = _residues(b, alpha, poles)
     atom = np.any(masses != 0, axis=(-2, -1))
     return poles[atom], masses[atom]
 

@@ -54,7 +54,7 @@ class SchurFunction:
     spectrum of the underlying model begins: for every coupling the
     measure has no absolutely continuous part on s <= ac_edge, and fn
     continues across the real axis below it. scan_step is the model's
-    Model.scan_step, the resolution of the atom scan.
+    Model.scan_step, the resolution of the atom scan on an interval.
     """
 
     n: int
@@ -136,34 +136,21 @@ def _solve_small(a, b):
     return out
 
 
-def _singular_values_small(m):
-    """Singular values of stacks of n x n matrices, n in {1, 2}, in
-    descending order (np.linalg.svd(m, compute_uv=False) without LAPACK);
-    shape m.shape[:-1]. For n = 2 with rows u and v, sigma_max^2 =
-    (|u|^2 + |v|^2 + sqrt((|u|^2 - |v|^2)^2 + 4 |<u, v>|^2)) / 2, a sum of
-    nonnegative terms, and sigma_min = |det m| / sigma_max (0 for the zero
-    matrix). Both are within a few rounding units of sigma_max of the exact
-    values; the form sqrt(f^2 - 4 |det|^2) would cancel where the two are
-    close. Each matrix is first divided by the power of two that brings its
-    largest entry into [0.5, 1), which is exact and keeps the squares from
-    overflowing or underflowing. A NaN matrix gives NaN."""
+def _eigenvalues_small(m):
+    """Eigenvalues of stacks of n x n matrices, n in {1, 2}, without
+    LAPACK; shape m.shape[:-1]. For n = 2, (p + t)/2 +- sqrt(d) with
+    d = ((p - t)/2)^2 + q r, whose terms do not cancel for a normal matrix,
+    so both are within a few rounding units of the entries' size."""
     n = m.shape[-1]
     if n > 2:
-        raise DimensionError(f"explicit singular values cover n = 1, 2, got n = {n}")
+        raise DimensionError(f"explicit eigenvalues cover n = 1, 2, got n = {n}")
     if n == 1:
-        return np.abs(m[..., 0])
+        return m[..., 0]
     p, q, r, t = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-    top = np.maximum(np.maximum(np.abs(p), np.abs(q)),
-                     np.maximum(np.abs(r), np.abs(t)))
-    scale = np.ldexp(1.0, np.clip(np.frexp(top)[1], -1021, 1021))
-    p, q, r, t = p / scale, q / scale, r / scale, t / scale
-    nu = p.real ** 2 + p.imag ** 2 + q.real ** 2 + q.imag ** 2
-    nv = r.real ** 2 + r.imag ** 2 + t.real ** 2 + t.imag ** 2
-    g = np.abs(p * np.conj(r) + q * np.conj(t))
-    big = np.sqrt(0.5 * (nu + nv + np.hypot(nu - nv, 2.0 * g)))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        small = np.where(big == 0, 0.0, np.abs(p * t - q * r) / big)
-    return np.stack([big, small], axis=-1) * scale[..., None]
+    half = 0.5 * (p - t)
+    root = np.sqrt(half * half + q * r)
+    mid = 0.5 * (p + t)
+    return np.stack([mid + root, mid - root], axis=-1)
 
 
 # Points per block of a B evaluation: a long array is evaluated block by

@@ -99,19 +99,18 @@ class Model:
 
     @property
     def scan_step(self):
-        """Resolution of the atom scan (its grid cells are half of it) and
-        bound of the residue radii: atoms closer than about this share a
-        circle, which ends in ConvergenceError. The half-line families have
-        no floor on the atom spacing; 0.05 suits the couplings in use. L1's
-        atoms are pi/a apart, and the step is pi/(8a). L2's lowest atoms
-        are about (pi/(2a))^2 apart, so its step is also at most a third of
-        that, pi^2/(12 a^2), which is the smaller of the two for
-        a > 2 pi/3."""
+        """Twice the cell of the interval models' atom scan, and bound of
+        the residue radii. The scan's count is exact while arg det B(s)
+        steps by less than 2 pi per cell. L1: pi/(8a), a sixteenth of the
+        period of its scalar B, so below 2 pi (below pi for a >= 0.1). L2:
+        at most a third of its Dirichlet gap (pi/(2a))^2 and at most 0.5,
+        as near s = 0 its eigenphases sweep about 4 pi on a scale of 1
+        whatever a; so below 2. The half-line grid is geometric."""
         if self.halfline:
             return 0.05
         step = math.pi / (8.0 * self.a)
         if self.name == "L2":
-            step = min(step, math.pi ** 2 / (12.0 * self.a ** 2))
+            step = min(step, math.pi ** 2 / (12.0 * self.a ** 2), 0.5)
         return step
 
     def inner(self, mu, nu, shift=0.0):

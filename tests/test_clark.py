@@ -219,3 +219,50 @@ def test_mass_budget_closes_with_the_scanned_atoms():
             assert abs(ac + atoms.sum() - atoms[k] - model.rank) > 1e-3
         counts.append(locs.size)
     assert counts == [1, 1, 0, 2, 2, 1]
+
+
+@pytest.mark.parametrize("model, window", [
+    pytest.param(models.k1(), (-1e12, 0.0), id="K1"),
+    pytest.param(models.k2(), (-1e12, 0.0), id="K2"),
+    *(pytest.param(make(a), (-60.0, 60.0), id=f"{make(a).name}-a{a}")
+      for make in (models.l1, models.l2) for a in (0.3, 1.0, 2.0)),
+    *(pytest.param(models.l2(a), (-30.0, 30.0), id=f"L2-a{a}")
+      for a in (0.01, 0.1))])
+def test_det_phase_steps_below_pi_on_the_scan_grid(model, window):
+    # the atom count of a scan cell takes the step of arg det(B alpha*) in
+    # [0, 2 pi): it is exact while the phase increases by less than 2 pi
+    # across the cell. The step does not depend on alpha. Summed over 65
+    # subcells it stays positive and below pi on every cell of the scan
+    # grid; on the interval models also with the grid shifted to put a
+    # point on s = 0, where L2's B is NaN and the cell spans two (the
+    # largest step, 1.96, is that cell's on L2 at a <= 0.8)
+    b = livsic.livsic_function(model)
+    grid = clark._scan_grid(*window, 0.5 * b.scan_step, b.ac_edge)
+    grids = [grid] if model.halfline else [grid, grid - grid[np.argmin(abs(grid))]]
+    for pts in grids:
+        pts = pts[np.all(np.isfinite(b.fn(pts)), axis=(1, 2))]
+        t = np.concatenate([[0.0], (np.arange(64) + 0.5) / 64, [1.0]])
+        det = np.linalg.det(b.fn(pts[:-1, None] + np.diff(pts)[:, None] * t))
+        step = np.sum(np.angle(det[:, 1:] / det[:, :-1]), axis=1)
+        assert 0.0 < np.min(step) and np.max(step) < math.pi
+
+
+def test_point_mass_refuses_two_poles_in_one_circle():
+    # two L2 atoms 0.073 apart, both inside a circle of radius 0.115 (half
+    # the scan step) around the one pole that the sums of such a circle
+    # place between them: the second moment shows the two poles, where the
+    # residue alone would read as one atom with their summed mass
+    alpha = np.array(
+        [[-0.49121901621699293 - 0.3404899637733655j,
+          -0.5320378119597038 + 0.5997551411380755j],
+         [-0.45443034394051274 + 0.6605024793159593j,
+          -0.44849476727109416 - 0.3950721213323274j]])
+    b = livsic.livsic_function(models.l2(1.7255712856402476))
+    locs, _ = clark.atom_scan(b, alpha, (0.0, 1.0))
+    assert locs == pytest.approx([0.270936, 0.344274], abs=1e-6)
+    radius = np.array([0.5 * b.scan_step])
+    f = clark._circle_resolvent(b, alpha, np.array([locs.mean()]), radius)
+    between = locs.mean() + clark._pole_offset(f, radius)[0].real
+    assert locs[0] < between < locs[1]
+    with pytest.raises(ConvergenceError, match="more than one pole"):
+        clark.point_mass(b, alpha, between)

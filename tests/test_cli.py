@@ -284,20 +284,72 @@ def test_atoms_k2_shallow_atom_near_the_branch_point(capsys):
         assert _k2_sigma_min(coupling, s) <= 1e-13, s
 
 
+def _l2_atoms_against_the_oracle(a, alpha, window, out):
+    """The atoms of a JSON atoms request on L2, checked against the roots of
+    the boundary determinant and the traces of the eigenfunction masses at
+    1e-12; returns the locations and weights."""
+    from clarkspectra import extensions, oracle
+    model = models.l2(a)
+    alpha = parse_matrix(alpha)
+    doc = json.loads(out)
+    locs = np.array([atom["s"] for atom in doc["atoms"]])
+    weights = np.array([atom["weight"] for atom in doc["atoms"]])
+    roots = oracle.l2_eigenvalues(extensions.bc_from_alpha_regular(model, alpha),
+                                  a, window)
+    assert len(roots) == len(locs)
+    assert np.max(np.abs(np.array(roots) - locs) / (1 + np.abs(locs))) <= 1e-12
+    for s, w in zip(locs, weights):
+        ref = np.trace(oracle.eigen_mass(model, alpha, s)).real
+        assert w == pytest.approx(ref, rel=1e-12)
+    return locs, weights
+
+
 def test_atoms_closer_than_the_scan_step_are_refused(capsys):
-    # two L2 atoms near 0.27 and 0.345, closer than the scan step (0.23):
-    # they share a circle, whose second moment shows the two poles, so the
-    # request fails instead of printing one of them with weight 0
+    # two L2 atoms at 0.27 and 0.344, closer than the scan step (0.23):
+    # the eigenphase count puts them in cells of their own, and the request
+    # prints both with their masses
     alpha = ('[["-0.49121901621699293,-0.3404899637733655",'
              '"-0.5320378119597038,0.5997551411380755"],'
              '["-0.45443034394051274,0.6605024793159593",'
              '"-0.44849476727109416,-0.3950721213323274"]]')
+    a = 1.7255712856402476
+    window = (-3.3861400976209453, 10.071271490026856)
     code, out, err = run_cli(capsys, [
-        "atoms", "--model", "l2", "--a", "1.7255712856402476",
-        f"--alpha={alpha}",
-        "--window=-3.3861400976209453:10.071271490026856"])
-    assert code == 1 and out == ""
-    assert "ConvergenceError" in err and "more than one pole" in err
+        "atoms", "--model", "l2", "--a", repr(a), f"--alpha={alpha}",
+        f"--window={window[0]!r}:{window[1]!r}", "--format", "json"])
+    assert code == 0 and err == ""
+    locs, weights = _l2_atoms_against_the_oracle(a, alpha, window, out)
+    assert locs[:2] == pytest.approx([0.270936, 0.344274], abs=1e-6)
+    assert weights[:2] == pytest.approx([0.26218, 0.25592], abs=1e-5)
+
+
+@pytest.mark.parametrize("a, alpha, first", [
+    (1.847671788385213,
+     '[["-0.45254875266286887,-0.04241817979797751",'
+     '"0.021095523797580236,0.8904803778644502"],'
+     '["0.10693356817776778,0.8842881524043387",'
+     '"-0.4417747640237638,0.10693331279746146"]]',
+     [(-0.0591675, 0.270), (0.1014330, 0.296)]),
+    (0.5303143355618514,
+     '[["-0.6491494580416493,-0.4788430531083783",'
+     '"-0.026923794470177807,0.5904146177944848"],'
+     '["-0.5788813799062195,0.1192084712256278",'
+     '"-0.5747463767946513,-0.5659967232655507"]]',
+     [(-0.3531906, 0.283), (0.3485810, 0.283)]),
+], ids=["a1.85", "a0.53"])
+def test_atoms_of_close_l2_pairs(capsys, a, alpha, first):
+    # random L2 couplings whose two lowest atoms lie closer than the scan
+    # step: every atom of the window is printed, at the oracle's location
+    # and with its mass
+    window = (-30.0, 400.0)
+    code, out, err = run_cli(capsys, [
+        "atoms", "--model", "l2", "--a", repr(a), f"--alpha={alpha}",
+        "--window=-30:400", "--format", "json"])
+    assert code == 0 and err == ""
+    locs, weights = _l2_atoms_against_the_oracle(a, alpha, window, out)
+    assert list(zip(locs[:2], weights[:2])) == [
+        (pytest.approx(s, abs=1e-7), pytest.approx(w, abs=1e-3))
+        for s, w in first]
 
 
 def test_atoms_requires_window_or_range(capsys):
@@ -440,9 +492,10 @@ def test_error_exit_codes(capsys):
             ["atoms", "--model", "k1", "--alpha", "-1", "--window=-inf:0"],
             ["bcmap", "--model", "l1", "--a", "nan", "--beta", "1"]):
         assert exit_code(capsys, argv) == 2, argv
-    # a finite window too wide for the scan grid is a typed refusal
+    # a finite window too wide for the scan grid is a typed refusal (on
+    # the half-line the grid is geometric, so the interval model L1)
     code, _, err = run_cli(capsys, [
-        "atoms", "--model", "k1", "--alpha", "-1", "--window=-1e9:0"])
+        "atoms", "--model", "l1", "--alpha", "-1", "--window=-1e9:0"])
     assert code == 1 and "DomainError" in err
 
 

@@ -123,85 +123,68 @@ def test_array_b_matches_pointwise_and_schur_bound(model, points):
         assert np.linalg.norm(bk, 2) <= 1.0 + 1e-12
 
 
-# Entries of the matrices in the singular-value property, tiny ones
-# included: the kernel rescales each matrix by a power of two.
-_entry = st.floats(min_value=-1e10, max_value=1e10)
-_complex = st.builds(complex, _entry, _entry)
 _angle = st.floats(min_value=-math.pi, max_value=math.pi)
+_gap = st.floats(min_value=1e-12, max_value=math.pi)
 
 
-@st.composite
-def _small_matrix(draw):
-    """A 2 x 2 complex matrix: generic, rank one, zero, or a multiple of a
-    unitary (two equal singular values)."""
-    kind = draw(st.sampled_from(["generic", "rank one", "zero", "unitary"]))
-    if kind == "generic":
-        return np.array(draw(st.lists(_complex, min_size=4, max_size=4))).reshape(2, 2)
-    if kind == "rank one":
-        x, y = (np.array(draw(st.lists(_complex, min_size=2, max_size=2)))
-                for _ in range(2))
-        return np.outer(x, y)
-    if kind == "zero":
-        return np.zeros((2, 2), dtype=complex)
-    theta, psi, chi, phi = (draw(_angle) for _ in range(4))
-    u = np.exp(1j * phi) * np.array(
+def _unitary_with_phases(theta, psi, chi, phi, gap):
+    """V diag(e^{i phi}, e^{i (phi + gap)}) V* for the SU(2) matrix V of
+    the angles theta, psi, chi, and its two eigenvalues."""
+    v = np.array(
         [[math.cos(theta) * cmath.exp(1j * psi), math.sin(theta) * cmath.exp(1j * chi)],
          [-math.sin(theta) * cmath.exp(-1j * chi), math.cos(theta) * cmath.exp(-1j * psi)]])
-    return draw(_complex) * u
+    lam = np.exp(1j * np.array([phi, phi + gap]))
+    return (v * lam) @ v.conj().T, lam
 
 
-def _assert_singular_values_match(m):
-    # both singular values of the closed form within 1e-15 sigma_max of
-    # LAPACK's, in the same descending order
-    got = livsic._singular_values_small(m)
-    ref = np.linalg.svd(m, compute_uv=False)
-    assert got.shape == ref.shape
-    assert np.all(np.abs(got - ref) <= 1e-15 * ref[..., :1])
+def _assert_eigenvalues_match(got, ref, tol):
+    # the two eigenvalues of each matrix, in either order
+    same = np.max(np.abs(got - ref), axis=-1)
+    swapped = np.max(np.abs(got - ref[..., ::-1]), axis=-1)
+    assert np.all(np.minimum(same, swapped) <= tol)
 
 
-@given(st.lists(_small_matrix(), min_size=1, max_size=8))
+@given(st.lists(st.tuples(_angle, _angle, _angle, _angle, _gap),
+                min_size=1, max_size=8))
 @settings(max_examples=200, deadline=None)
-def test_small_singular_values_match_lapack(mats):
-    _assert_singular_values_match(np.array(mats))
+def test_small_eigenvalues_of_unitaries(params):
+    # eigenphases anywhere from 1e-12 to pi apart: the discriminant
+    # ((p - t)/2)^2 + q r of a normal matrix does not cancel, so both
+    # eigenvalues stay within a few rounding units of the exact ones
+    built = [_unitary_with_phases(*p) for p in params]
+    m = np.array([u for u, _ in built])
+    got = livsic._eigenvalues_small(m)
+    assert got.shape == (len(params), 2)
+    _assert_eigenvalues_match(got, np.array([lam for _, lam in built]), 2e-15)
 
 
-@given(st.lists(_complex, min_size=1, max_size=8))
-@settings(max_examples=40, deadline=None)
-def test_small_singular_values_one_by_one(values):
-    m = np.array(values).reshape(-1, 1, 1)
-    _assert_singular_values_match(m)
-    np.testing.assert_array_equal(livsic._singular_values_small(m)[:, 0],
-                                  np.abs(m[:, 0, 0]))
-
-
-@given(st.floats(min_value=0.8, max_value=2.0), st.sampled_from([1.0, -1.0]))
-@settings(max_examples=12, deadline=None)
-def test_small_singular_values_on_l2_scan_grids(a, sign):
-    # I - B(s) alpha* on a fine grid for the periodic (+1) and antiperiodic
-    # (-1) L2 couplings: where the two eigenphases of B alpha* are opposite
-    # the two singular values come within 1e-3 of each other, and the form
-    # sqrt(f^2 - 4 |det|^2) loses about 1e-13 there
+@pytest.mark.parametrize("a", [0.3, 1.0, 2.0])
+def test_small_eigenvalues_on_l2_scan_grids(a):
+    # B(s) alpha* on a scan grid: unit-modulus eigenvalues that match
+    # LAPACK's, with the product det(B alpha*)
     model = models.l2(a)
-    bm = extensions.BoundaryMatrices(np.eye(2), -sign * np.eye(2))
-    alpha = extensions.alpha_from_bc_regular(model, bm)
-    b = livsic.livsic_function(model)
-    grid = np.linspace(-1.0, 200.0, 20001)
-    m = np.eye(2) - b.fn(grid) @ alpha.conj().T
-    ref = np.linalg.svd(m, compute_uv=False)
-    assert np.min((ref[:, 0] - ref[:, 1]) / ref[:, 0]) < 1e-3
-    _assert_singular_values_match(m)
+    alpha = random_unitary(2, np.random.default_rng([3, 4]))
+    grid = np.linspace(-30.0, 200.0, 4001)
+    m = livsic.livsic_function(model).fn(grid) @ alpha.conj().T
+    got = livsic._eigenvalues_small(m)
+    assert np.max(np.abs(np.abs(got) - 1.0)) <= 1e-13
+    _assert_eigenvalues_match(got, np.linalg.eigvals(m), 1e-13)
+    assert np.max(np.abs(np.prod(got, axis=-1) - np.linalg.det(m))) <= 1e-14
 
 
-def test_small_singular_values_nan_and_guard():
-    # a NaN matrix gives NaN singular values and leaves the others alone
+def test_small_eigenvalues_nan_and_guard():
+    # a NaN matrix gives NaN eigenvalues and leaves the others alone; a
+    # 1 x 1 matrix is its own eigenvalue
     m = np.array([[[np.nan, 0.0], [0.0, 1.0]], [[3.0, 0.0], [0.0, -4.0]],
-                  [[0.0, 0.0], [0.0, 0.0]]], dtype=complex)
-    got = livsic._singular_values_small(m)
+                  [[0.0, 1.0], [-1.0, 0.0]]], dtype=complex)
+    got = livsic._eigenvalues_small(m)
     assert np.all(np.isnan(got[0]))
-    np.testing.assert_array_equal(got[1:], [[4.0, 3.0], [0.0, 0.0]])
-    assert np.isnan(livsic._singular_values_small(np.full((1, 1, 1), np.nan))[0, 0])
+    _assert_eigenvalues_match(got[1:], np.array([[3.0, -4.0], [1j, -1j]]), 0.0)
+    one = np.array([[[2.0 - 1.0j]], [[np.nan]]])
+    got = livsic._eigenvalues_small(one)
+    assert got[0, 0] == 2.0 - 1.0j and np.isnan(got[1, 0])
     with pytest.raises(DimensionError):
-        livsic._singular_values_small(np.eye(3))
+        livsic._eigenvalues_small(np.eye(3))
 
 
 def test_continuation_below_the_axis():

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -234,16 +235,17 @@ def test_atom_scan_empty_window_and_bad_input():
         with pytest.raises(DomainError):
             clark.atom_scan(b, [[1.0]], window)
 
-    # a grid of 4e10 points (about 300 GiB) is refused before any
-    # allocation or B evaluation, and a window on the essential spectrum
-    # has no atoms to look for
+    # on an interval model a grid of 4e10 points (about 300 GiB) is
+    # refused before any allocation or B evaluation, and a window on the
+    # essential spectrum of a half-line model has no atoms to look for
     def never(s):
         raise AssertionError("B evaluated")
 
-    never_k1 = livsic.SchurFunction(n=1, fn=never, ac_edge=0.0,
-                                    scan_step=0.05)
+    never = livsic.SchurFunction(n=1, fn=never, ac_edge=math.inf,
+                                 scan_step=0.05)
     with pytest.raises(DomainError):
-        clark.atom_scan(never_k1, [[-1.0]], (-1e9, 0.0))
+        clark.atom_scan(never, [[-1.0]], (-1e9, 0.0))
+    never_k1 = replace(never, ac_edge=0.0)
     locs, _ = clark.atom_scan(never_k1, [[-1.0]], (0.0, 5.0))
     assert locs.size == 0
 
@@ -258,7 +260,8 @@ def test_atom_scan_failure_policy():
     with pytest.raises(TypeError):
         clark.atom_scan(b, [[1.0]], (0.0, 1.0))
 
-    # NaN values read as no dip
+    # points where B is NaN are skipped, so a B that is NaN everywhere has
+    # no atoms
     def undefined(s):
         return np.full(np.shape(s) + (1, 1), np.nan + 0j)
 

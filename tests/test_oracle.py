@@ -134,15 +134,40 @@ def test_l2_eigenvalues_quasi_periodic(theta):
     assert vals == pytest.approx(exact, rel=1e-13)
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_l2_eigenvalues_match_the_scanned_atoms(seed):
-    model = models.l2(1.0)
+@pytest.mark.parametrize("seed, a, tol", [
+    *(pytest.param(seed, 1.0, 1e-13, id=str(seed)) for seed in range(3)),
+    # short intervals, where atoms of general couplings come closer than
+    # the scan step; det M varies like a^2 there, so the roots themselves
+    # are good to about 5e-13 (the boundary system is closer to singular at
+    # the scanned atoms than at the roots)
+    *(pytest.param(seed, a, 1e-12, id=f"{seed}-a{a}") for a in (0.1, 0.3)
+      for seed in range(3))])
+def test_l2_eigenvalues_match_the_scanned_atoms(seed, a, tol):
+    model = models.l2(a)
     alpha = random_unitary(2, np.random.default_rng([seed, 4]))
     bm = extensions.bc_from_alpha_regular(model, alpha)
-    atoms, _ = models.l2_atoms(alpha, 1.0, (-5.0, 200.0))
-    roots = oracle.l2_eigenvalues(bm, 1.0, (-5.0, 200.0))
-    assert len(roots) == len(atoms)
-    assert np.max(np.abs(np.array(roots) - atoms) / (1 + np.abs(atoms))) < 1e-13
+    atoms, _ = models.l2_atoms(alpha, a, (-5.0, 200.0))
+    roots = oracle.l2_eigenvalues(bm, a, (-5.0, 200.0))
+    assert len(roots) == len(atoms) > 0
+    assert np.max(np.abs(np.array(roots) - atoms) / (1 + np.abs(atoms))) < tol
+
+
+@pytest.mark.parametrize("window", [(-40.0, 30.0), (-2.0, 2.0), (-5.0, 5.0)])
+def test_close_l2_atoms_match_the_oracle(window):
+    # two atoms 0.51 apart at a = 0.5, closer than the scan step (0.785):
+    # found on every window, at the roots of the boundary determinant and
+    # with the eigenfunction masses, to 1e-12
+    a = 0.5
+    model = models.l2(a)
+    alpha = random_unitary(2, np.random.default_rng([18, 4]))
+    atoms, masses = models.l2_atoms(alpha, a, window)
+    assert atoms == pytest.approx([-0.25832, 0.24932], abs=1e-5)
+    roots = oracle.l2_eigenvalues(extensions.bc_from_alpha_regular(model, alpha),
+                                  a, window)
+    assert np.max(np.abs(np.array(roots) - atoms) / (1 + np.abs(atoms))) <= 1e-12
+    for s, mass in zip(atoms, masses):
+        ref = oracle.eigen_mass(model, alpha, s)
+        assert np.max(np.abs(mass - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("seed", [[1, 4], [5, 4]])
@@ -327,3 +352,23 @@ def test_bound_state_absent():
     assert oracle.k1_bound_state_check(1.0, -1.0) is None  # wrong sign
     with pytest.raises(DomainError):
         oracle.k1_bound_state_check(1j, 1.0)
+
+
+def test_l2_atom_in_the_cell_around_zero():
+    # at a = 0.1 the two eigenphases of B alpha* sweep about 4 pi within
+    # |s| < 2, and B is NaN at s = 0, so the cell around 0 spans two cells.
+    # The window puts a grid point on 0 for cells of pi/(16a) = 1.96 as
+    # well as for cells of 0.25: with the wider ones the step of that cell
+    # passes 2 pi and the atom at -0.245 is not counted
+    a = 0.1
+    model = models.l2(a)
+    alpha = random_unitary(2, np.random.default_rng([3, 4]))
+    h = math.pi / (16 * a)
+    atoms, masses = models.l2_atoms(alpha, a, (-3 * h, 3 * h))
+    assert atoms == pytest.approx([-0.245, 5.3642], abs=1e-4)
+    roots = oracle.l2_eigenvalues(extensions.bc_from_alpha_regular(model, alpha),
+                                  a, (-3 * h, 3 * h))
+    assert np.max(np.abs(np.array(roots) - atoms) / (1 + np.abs(atoms))) <= 1e-12
+    for s, mass in zip(atoms, masses):
+        ref = oracle.eigen_mass(model, alpha, s)
+        assert np.max(np.abs(mass - ref)) <= 1e-12 * np.max(np.abs(ref))

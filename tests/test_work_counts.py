@@ -25,10 +25,12 @@ class CountingB:
         self.scan_step = self.b.scan_step
         self.calls = 0
         self.points = 0
+        self.sizes = []
 
     def _count(self, w):
         self.calls += 1
         self.points += np.size(w)
+        self.sizes.append(np.size(w))
 
     def __call__(self, w):
         self._count(w)
@@ -84,20 +86,30 @@ def test_residue_evaluation_counts():
 
 def test_l2_dirichlet_scan_counts():
     # three calls: the grid (139 points, cells of pi/16), one 64-node
-    # circle around each of its 4 local minima, and the 64-node residue
-    # circles of the 3 poles they place
+    # circle around each of the 3 cells that count an atom, and the 64-node
+    # residue circles of the 3 poles they place
     model = models.l2(1.0)
     bm = extensions.BoundaryMatrices([[1, 0], [0, 0]], [[0, 0], [1, 0]])
     alpha = extensions.alpha_from_bc_regular(model, bm)
     b = CountingB(model)
     atoms, _ = clark.atom_scan(b, alpha, (-1.0, 26.0))
     assert len(atoms) == 3
-    assert (b.calls, b.points) == (3, 139 + 64 * 4 + 64 * 3)
+    assert (b.calls, b.points) == (3, 139 + 64 * 3 + 64 * 3)
+
+
+def test_k2_scan_of_a_wide_window_counts():
+    # below the branch point the grid is geometric, 16 points per decade of
+    # the distance to 0 down to 1e-10: 22 decades cost fewer than 400
+    # points, and the scan is still three calls of B
+    b = CountingB(models.k2())
+    atoms, _ = clark.atom_scan(b, -np.eye(2), (-1e12, 0.5))
+    assert len(atoms) > 0
+    assert b.calls == 3 and b.sizes[0] <= 400
 
 
 def test_atom_scan_runs_no_lapack_svd(monkeypatch):
-    # sigma_min on the scan grid comes from the closed-form 2 x 2 singular
-    # values, not from np.linalg.svd, and each scan is still three calls of B
+    # the eigenphases on the scan grid come from the closed-form 2 x 2
+    # eigenvalues, not from LAPACK, and each scan is three calls of B
     dirichlet = extensions.BoundaryMatrices([[1, 0], [0, 0]], [[0, 0], [1, 0]])
     cases = (
         (models.l1(1.0), [[1.0]], (-10.0, 10.0)),
@@ -119,8 +131,8 @@ def test_atom_scan_runs_no_lapack_svd(monkeypatch):
 
 
 def test_atoms_request_is_three_calls(monkeypatch, capsys):
-    # a CLI atoms request on the half-line: the graded grid, the location
-    # circles and the residue circles, and no other evaluation of B
+    # a CLI atoms request on the half-line: the geometric grid, the
+    # location circles and the residue circles, and no other evaluation of B
     b = CountingB(models.k2())
     monkeypatch.setattr(livsic, "livsic_function", lambda model: b)
     assert cli.main(["atoms", "--model", "k2", "--alpha", "[[-1,0],[0,-1]]",

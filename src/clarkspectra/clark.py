@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import (ConvergenceError, DimensionError, DomainError,
                      NonUnitaryError, SingularError)
-from .livsic import (_eigenvalues_small, _solve_small, conjugated_schur,
-                     transform_alpha)
+from .livsic import (_eigenvalues_small, _mul_small, _solve_small,
+                     conjugated_schur, transform_alpha)
 
 __all__ = [
     "check_alpha",
@@ -84,7 +84,8 @@ def _density_value(bval, alpha):
     eye = np.eye(bval.shape[-1])
     x = _solve_small(alpha - bval, eye)
     xh = np.swapaxes(x, -1, -2).conj()
-    return xh @ (eye - np.swapaxes(bval, -1, -2).conj() @ bval) @ x
+    bh = np.swapaxes(bval, -1, -2).conj()
+    return _mul_small(_mul_small(xh, eye - _mul_small(bh, bval)), x)
 
 
 def ac_density(b, alpha, s):
@@ -120,6 +121,12 @@ def ac_density(b, alpha, s):
 # as many.
 _NODES = 64
 _TURN = np.exp(2j * np.pi * np.arange(_NODES) / _NODES)
+# Node weights of the circle moments (_moments), one row per moment: the
+# mean of F t^k over all nodes is row k - 1 times F for k = 1, 2, 3, and
+# over the even nodes row k + 2 times F for k = 1, 2.
+_EVEN = 2.0 * (np.arange(_NODES) % 2 == 0)
+_POWERS = np.stack([_TURN, _TURN ** 2, _TURN ** 3,
+                    _EVEN * _TURN, _EVEN * _TURN ** 2]) / _NODES
 # Acceptance of a residue mass: PSD and Hermitian, and the two node counts
 # agreeing, each to this relative tolerance (above the rounding floor).
 _MASS_RTOL = 1e-10
@@ -148,32 +155,38 @@ def _circle_resolvent(b, alpha, centre, radius):
     nodes = centre[:, None] + radius[:, None] * _TURN
     bval = np.asarray(b.fn(nodes.reshape(-1))).reshape(centre.size, _NODES, n, n)
     eye = np.eye(n)
-    return _solve_small(eye - bval @ alpha.conj().T, eye)
+    return _solve_small(eye - _mul_small(bval, alpha.conj().T), eye)
 
 
-def _moment(f, k, stride=1):
-    """mean(F t^k) over every stride-th node of each circle."""
-    return (f[:, ::stride] * (_TURN[::stride] ** k)[:, None, None]).mean(axis=1)
+def _moments(f):
+    """mean(F t^k) on each circle of f, shape (circles, 5, n, n): k = 1, 2, 3
+    over all nodes, then k = 1, 2 over the even nodes; one product of the
+    circle values with _POWERS."""
+    circles, _, n, _ = f.shape
+    flat = f.reshape(circles, _NODES, n * n)
+    return (_POWERS @ flat).reshape(circles, len(_POWERS), n, n)
 
 
-def _pole_offset(f, radius, stride=1):
-    """p - s for the pole p that the trapezoid sums of f on the circles
-    s + radius * turn see: the residue of (w - s) f at p is (p - s) times
-    that of f, so p - s = radius * mean(f turn^2) / mean(f turn), matched
-    over the matrix entries in least squares. Exact for one pole, inside
-    the circle or outside it, whatever the node count."""
-    m1, m2 = _moment(f, 1, stride), _moment(f, 2, stride)
+def _pole_offset(m, radius, stride=1):
+    """p - s for the pole p that the trapezoid sums on the circles
+    s + radius * turn see, from their moments m (_moments), over all nodes
+    or (stride 2) the even nodes: the residue of (w - s) F at p is (p - s)
+    times that of F, so p - s = radius * mean(F turn^2) / mean(F turn),
+    matched over the matrix entries in least squares. Exact for one pole,
+    inside the circle or outside it, whatever the node count."""
+    m1, m2 = (m[:, 0], m[:, 1]) if stride == 1 else (m[:, 3], m[:, 4])
     with np.errstate(all="ignore"):
         ratio = (np.sum(m1.conj() * m2, axis=(-2, -1))
                  / np.sum(np.abs(m1) ** 2, axis=(-2, -1)))
     return radius * ratio
 
 
-def _second_moment(f, delta):
+def _second_moment(m, delta):
     """mean(F (t - delta)^2 t) over mean(F t) (largest entries) on each
-    circle: zero when it holds one pole, delta radii from its centre. Two
-    atoms in one circle would otherwise read as one between them."""
-    m1, m2, m3 = (_moment(f, k) for k in (1, 2, 3))
+    circle, from its moments m (_moments): zero when it holds one pole,
+    delta radii from its centre. Two atoms in one circle would otherwise
+    read as one between them."""
+    m1, m2, m3 = m[:, 0], m[:, 1], m[:, 2]
     d = delta[:, None, None]
     with np.errstate(all="ignore"):
         return (np.max(np.abs(m3 - 2.0 * d * m2 + d * d * m1), axis=(-2, -1))
@@ -215,8 +228,9 @@ def _residues(b, alpha, atoms):
         raise DomainError("point masses need distinct atoms below the "
                           f"essential spectrum, got s = {atoms!r}")
     f = _circle_resolvent(b, alpha, atoms, radius)
-    m1 = _moment(f, 1)
-    offset = _pole_offset(f, radius)
+    m = _moments(f)
+    m1 = m[:, 0]
+    offset = _pole_offset(m, radius)
     near = np.abs(offset) <= _OFFSET_TOL * (1.0 + np.abs(atoms))
     pole = np.where(near, atoms + offset.real, atoms)
     scale = -2j * radius / (np.pi * (1.0 + pole * pole) ** 2)
@@ -225,26 +239,34 @@ def _residues(b, alpha, atoms):
     # the rounding floor of the sum: all that a circle without a pole gives
     floor = (_NODES * np.finfo(float).eps * np.abs(scale)
              * np.max(np.abs(f), axis=(1, 2, 3)))
-    offset_half = _pole_offset(f, radius, stride=2)
+    offset_half = _pole_offset(m, radius, stride=2)
     elsewhere = ~near & (np.abs(offset - offset_half) <= 0.1 * np.abs(offset))
     zero = ~(size > floor) | elsewhere
     tol = _MASS_RTOL * size + floor
     herm = _hermitize(mass)
     spread = np.max(np.abs(scale[:, None, None]
-                           * (m1 - _moment(f, 1, stride=2))), axis=(-2, -1))
+                           * (m1 - m[:, 3])), axis=(-2, -1))
     skew = np.max(np.abs(mass - herm), axis=(-2, -1))
     lowest = np.linalg.eigvalsh(herm)[:, 0]
-    second = _second_moment(f, np.zeros(atoms.size))
-    bad = ~zero & ~((spread <= tol) & (skew <= tol) & (lowest >= -tol)
-                    & (second <= _ONE_POLE_TOL))
+    second = _second_moment(m, np.zeros(atoms.size))
+    # each test with what its refusal says; "not <=" so that NaN fails
+    tests = (
+        (spread <= tol, lambda i: f"node-count difference {spread[i]:.3e} "
+                                  f"over the tolerance {tol[i]:.3e}"),
+        (skew <= tol, lambda i: f"skew part {skew[i]:.3e} over the "
+                                f"tolerance {tol[i]:.3e}"),
+        (lowest >= -tol, lambda i: f"lowest eigenvalue {lowest[i]:.3e} "
+                                   f"below -{tol[i]:.3e}"),
+        (second <= _ONE_POLE_TOL,
+         lambda i: f"second moment {second[i]:.3e} of the first over "
+                   f"{_ONE_POLE_TOL:.0e} (more than one pole in the circle)"),
+    )
+    bad = ~zero & ~np.logical_and.reduce([ok for ok, _ in tests])
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
         raise ConvergenceError(
             f"residue at s = {float(atoms[i])!r} (radius {radius[i]:.3e}) not "
-            f"accepted: node-count difference {spread[i]:.3e}, skew part "
-            f"{skew[i]:.3e}, lowest eigenvalue {lowest[i]:.3e}, "
-            f"tolerance {tol[i]:.3e}, second moment {second[i]:.3e}"
-            " of the first (more than one pole in the circle)")
+            "accepted: " + "; ".join(say(i) for ok, say in tests if not ok[i]))
     herm[zero] = 0.0
     return herm, pole
 
@@ -286,7 +308,7 @@ def _cell_counts(b, alpha, pts, rows):
     """The points of pts where B is finite, and the atoms in each cell
     between two of them in the same row (0 across rows): one call of
     b.fn, eigenphases from livsic._eigenvalues_small."""
-    lam = _eigenvalues_small(b.fn(pts) @ alpha.conj().T)
+    lam = _eigenvalues_small(_mul_small(b.fn(pts), alpha.conj().T))
     ok = np.all(np.isfinite(lam), axis=-1)
     phi = np.angle(np.prod(lam[ok], axis=-1))
     theta = np.mod(np.angle(lam[ok]), 2.0 * np.pi).sum(axis=-1)
@@ -327,10 +349,10 @@ def atom_scan(b, alpha, window):
         if at.size == 0:
             break
         centre, radius = 0.5 * (pts[at] + pts[at + 1]), np.diff(pts)[at]
-        f = _circle_resolvent(b, alpha, centre, radius)
-        offset = _pole_offset(f, radius)
+        m = _moments(_circle_resolvent(b, alpha, centre, radius))
+        offset = _pole_offset(m, radius)
         one = ((np.abs(offset) <= radius)
-               & (_second_moment(f, offset / radius) <= _ONE_POLE_TOL))
+               & (_second_moment(m, offset / radius) <= _ONE_POLE_TOL))
         poles.append(centre[one] + offset[one].real)
         at = at[~one]
         if at.size and rounds == _ROUNDS:

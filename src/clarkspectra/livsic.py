@@ -17,6 +17,10 @@ rates, both pairing matrices and the explicit solve for all of them at once,
 in blocks of _BLOCK points, and returns a stack of n x n matrices; a single
 point is the same code on an array of one. Points where B is not defined
 come back as NaN, so every caller applies its own policy to them.
+
+The 1 x 1 and 2 x 2 kernels on stacks are broadcast arithmetic, not
+per-matrix calls into numpy or LAPACK: _mul_small (the product),
+_solve_small (the solve, with its singularity test) and _eigenvalues_small.
 """
 
 from __future__ import annotations
@@ -103,7 +107,19 @@ def _pairings(model, rates):
     shift = 0.0 if model.halfline else np.abs(rho.real) * model.a
     vals = model.inner(rho, np.concatenate([r_plus, r_minus]), shift)
     n = model.rank
-    return vals[..., :n] @ c_plus.conj().T, vals[..., n:] @ c_minus.conj().T
+    return (_mul_small(vals[..., :n], c_plus.conj().T),
+            _mul_small(vals[..., n:], c_minus.conj().T))
+
+
+def _mul_small(a, b):
+    """a @ b for stacks of n x n matrices, as n broadcast products of a
+    column of a and a row of b: one pass over the stack per term where
+    np.matmul loops once per matrix. Meant for n in {1, 2}; leading axes
+    broadcast."""
+    out = a[..., :, 0:1] * b[..., 0:1, :]
+    for k in range(1, a.shape[-1]):
+        out += a[..., :, k:k + 1] * b[..., k:k + 1, :]
+    return out
 
 
 # adj(a) = swap(a reversed in both axes) * _ADJ_SIGN for 2 x 2 a
@@ -130,7 +146,7 @@ def _solve_small(a, b):
         out = b / a
     else:
         adj = np.swapaxes(a[..., ::-1, ::-1], -1, -2) * _ADJ_SIGN
-        out = adj @ b / det[..., None, None]
+        out = _mul_small(adj, b) / det[..., None, None]
     if singular.any():
         out = np.where(singular[..., None, None], np.nan, out)
     return out

@@ -221,9 +221,12 @@ def _bisect(fn, lo, hi):
     return lo
 
 
-# Grid cells per pi/(2a) in sqrt(s), the Dirichlet spacing; the bound on
-# 2a sqrt(-s) that keeps cosh finite; the relative rank floor of M.
+# Grid cells per pi/(2a) in sqrt(s), the Dirichlet spacing, and at least
+# _PER_UNIT per unit of sqrt(s), so that on a short interval two roots near
+# s = 0 do not share a cell; the bound on 2a sqrt(-s) that keeps cosh
+# finite; the relative rank floor of M.
 _CELLS = 16
+_PER_UNIT = 8
 _MAX_KT = 600.0
 _RANK_TOL = 1e-8
 
@@ -232,8 +235,9 @@ def l2_eigenvalues(bm, a, window):
     """Eigenvalues of -d^2/dx^2 on (-a, a) under beta_a (y, y')(-a) +
     beta_b (y, y')(a) = 0 in the window, sorted, repeated by multiplicity:
     the roots of det M(s), real up to a constant phase for self-adjoint
-    conditions. A grid uniform in sign(s) sqrt|s|, a cell wider than the
-    window each side, brackets its sign changes. A local minimum of |det M|
+    conditions. A grid uniform in sign(s) sqrt|s|, cells at most
+    pi/(2a _CELLS) and 1/_PER_UNIT wide and a cell wider than the window
+    each side, brackets its sign changes. A local minimum of |det M|
     without one may be a double root, where M vanishes (periodic
     conditions): the zero of the entry of M that varies most across it. A
     root counts 2 - rank M, the rank taken against |beta_a| + |beta_b|
@@ -253,7 +257,8 @@ def l2_eigenvalues(bm, a, window):
         raise DomainError(f"need a > 0 and lo < hi finite, lo >= -({_MAX_KT}"
                           f" / 2a)^2, got a = {a!r}, window {window!r}")
     ends = np.sign([lo, hi]) * np.sqrt(np.abs([lo, hi]))
-    h = np.diff(ends)[0] / math.ceil(np.diff(ends)[0] * 2 * a * _CELLS / np.pi)
+    width = np.diff(ends)[0]
+    h = width / math.ceil(width * max(2 * a * _CELLS / np.pi, _PER_UNIT))
     u = np.arange(ends[0] - h, ends[1] + 1.5 * h, h)
     grid = np.sign(u) * u * u
 

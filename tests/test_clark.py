@@ -262,7 +262,42 @@ def test_point_mass_refuses_two_poles_in_one_circle():
     assert locs == pytest.approx([0.270936, 0.344274], abs=1e-6)
     radius = np.array([0.5 * b.scan_step])
     f = clark._circle_resolvent(b, alpha, np.array([locs.mean()]), radius)
-    between = locs.mean() + clark._pole_offset(f, radius)[0].real
+    between = locs.mean() + clark._pole_offset(clark._moments(f), radius)[0].real
     assert locs[0] < between < locs[1]
     with pytest.raises(ConvergenceError, match="more than one pole"):
         clark.point_mass(b, alpha, between)
+
+
+def test_point_mass_refusal_names_the_failed_test():
+    # a far K2 atom whose residue fails on its skew part alone: the
+    # message names that test and does not blame two poles, since the
+    # second moment (about 2e-9 of the first) passes
+    rng = np.random.default_rng(13)
+    alpha = [random_unitary(2, rng) for _ in range(6)][5]
+    b = livsic.livsic_function(models.k2())
+    with pytest.raises(ConvergenceError, match="skew part") as info:
+        clark.atom_scan(b, alpha, (-1e6, 0.5))
+    message = str(info.value)
+    assert "more than one pole" not in message
+    assert "second moment" not in message and "lowest" not in message
+
+
+@pytest.mark.parametrize("model, alpha", [
+    (models.l1(1.0), [[1.0]]),
+    (models.l2(1.0), random_unitary(2, np.random.default_rng([3, 4])))])
+def test_circle_moments_from_the_node_power_table(model, alpha):
+    # the table product gives mean(F t^k) over all nodes for k = 1, 2, 3
+    # and over the even nodes for k = 1, 2, as the sums node by node do
+    b = livsic.livsic_function(model)
+    centre = np.array([-1.3, 0.2, 2.9])
+    radius = np.array([0.1, 0.4, 0.05])
+    f = clark._circle_resolvent(b, np.asarray(alpha, dtype=complex),
+                                centre, radius)
+    got = clark._moments(f)
+    t = np.exp(2j * np.pi * np.arange(64) / 64)[:, None, None]
+    want = [np.mean(f * t ** k, axis=1) for k in (1, 2, 3)]
+    want += [np.mean(f[:, ::2] * t[::2] ** k, axis=1) for k in (1, 2)]
+    want = np.stack(want, axis=1)
+    assert got.shape == want.shape
+    scale = np.max(np.abs(f), axis=(1, 2, 3))[:, None, None, None]
+    assert np.max(np.abs(got - want) / scale) <= 1e-15

@@ -187,6 +187,47 @@ def test_small_eigenvalues_nan_and_guard():
         livsic._eigenvalues_small(np.eye(3))
 
 
+_entry = st.builds(complex,
+                   st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+                   st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
+
+
+def _stack(draw, shape):
+    return np.array(draw(st.lists(_entry, min_size=math.prod(shape),
+                                  max_size=math.prod(shape)))).reshape(shape)
+
+
+@st.composite
+def _product_pairs(draw):
+    """(a, b) for a @ b: n in {1, 2} and the shapes (m,n,n)@(n,n),
+    (m,n,n)@(m,n,n) and (c,64,n,n)@(n,n), with NaN in some entries."""
+    n = draw(st.sampled_from([1, 2]))
+    m = draw(st.integers(min_value=1, max_value=5))
+    left, right = draw(st.sampled_from([((m, n, n), (n, n)),
+                                        ((m, n, n), (m, n, n)),
+                                        ((2, 64, n, n), (n, n))]))
+    a, b = _stack(draw, left), _stack(draw, right)
+    for x in (a, b):
+        if draw(st.booleans()):
+            x.reshape(-1)[draw(st.integers(0, x.size - 1))] = np.nan
+    return a, b
+
+
+@given(_product_pairs())
+@settings(max_examples=200, deadline=None)
+def test_small_product_matches_matmul(pair):
+    # the broadcast product agrees with np.matmul to a few rounding units
+    # of |a| |b|, and has NaN in the same places
+    a, b = pair
+    got, want = livsic._mul_small(a, b), a @ b
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    scale = np.abs(a) @ np.abs(b)
+    assert np.all(np.abs(got - want)[~nan] <= 4 * np.finfo(float).eps
+                  * scale[~nan])
+
+
 def test_continuation_below_the_axis():
     # B built from raw_rates continues across the real axis off the cut: it
     # is continuous across the negative axis (on K from its decaying branch

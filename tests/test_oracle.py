@@ -141,7 +141,11 @@ def test_l2_eigenvalues_quasi_periodic(theta):
     # are good to about 5e-13 (the boundary system is closer to singular at
     # the scanned atoms than at the roots)
     *(pytest.param(seed, a, 1e-12, id=f"{seed}-a{a}") for a in (0.1, 0.3)
-      for seed in range(3))])
+      for seed in range(3)),
+    # two roots in (-1.3, -0.2) at a = 0.1, closer than pi/(32a) in
+    # sign(s) sqrt|s|: found once the bracketing cells are at most 1/8 wide
+    *(pytest.param(seed, 0.1, 1e-12, id=f"{seed}-a0.1-close")
+      for seed in (4, 16))])
 def test_l2_eigenvalues_match_the_scanned_atoms(seed, a, tol):
     model = models.l2(a)
     alpha = random_unitary(2, np.random.default_rng([seed, 4]))

@@ -1,6 +1,7 @@
 """Smoke runs of the scripts in scripts/, so that a library name they use
 cannot disappear unnoticed."""
 
+import json
 import os
 import subprocess
 import sys
@@ -32,3 +33,15 @@ def test_atom_tables_l2_counts_agree():
     proc = run_script("atom_tables.py", "l2", "--top", "40")
     assert proc.returncode == 0, proc.stderr
     assert "root count 4, scan count 4" in proc.stdout
+
+
+def test_layer_timing_prints_one_json_line():
+    proc = run_script("layer_timing.py", "--repeat", "1")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    models = {"K1", "K2", "L1", "L2"}
+    assert set(doc["b_us_per_point"]) == set(doc["atom_scan_ms"]) == models
+    for per_size in doc["b_us_per_point"].values():
+        assert set(per_size) == {"1", "64", "512"}
+        assert all(t > 0 for t in per_size.values())
+    assert all(t > 0 for t in doc["atom_scan_ms"].values())

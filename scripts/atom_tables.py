@@ -62,7 +62,8 @@ def l2_table(args):
     bm = BCS[args.bc]()
     alpha = extensions.alpha_from_bc_regular(models.l2(a), bm)
     window = (-0.5, args.top)
-    atoms, _ = models.l2_atoms(alpha, a, window)
+    atoms, _ = clark.atom_scan(livsic.livsic_function(models.l2(a)), alpha,
+                               window)
     roots = oracle.l2_eigenvalues(bm, a, window)
     print(f"# l2, a = {a:g}, {args.bc}, window top {args.top:g}")
     print(f"{'s scan':>14} {'nearest root':>14} {'deviation':>12}")

@@ -17,13 +17,12 @@ from .livsic import (SchurFunction, gram_matrix, livsic_eval, livsic_function,
 from .clark import (check_alpha, ac_density, point_mass, atom_scan,
                     conjugation_check)
 from .models import (Model, k1, k2, l1, l2, k1_livsic, l1_livsic, k1_density,
-                     l1_atoms, l1_weight, l2_atoms)
+                     l1_atoms, l1_weight)
 from .extensions import (canonical_c, hat_vector, lagrange_bracket,
-                         BoundaryMatrices, validate_sa_matrices,
-                         alpha_from_bc_k1, bc_from_alpha_k1, alpha_from_bc_l1,
-                         bc_from_alpha_l1, alpha_from_bc_regular,
-                         bc_from_alpha_regular,
-                         alpha_from_bc_singular_template)
+                         boundary_rows, BoundaryMatrices,
+                         validate_sa_matrices, alpha_from_bc_k1,
+                         bc_from_alpha_k1, alpha_from_bc_l1,
+                         alpha_from_bc_regular, bc_from_alpha_regular)
 from .oracle import (QuadratureSpec, quad_inner, eigen_mass, eigen_density,
                      l1_eigenvalues_direct, l2_eigenvalues,
                      k1_bound_state_check)
@@ -42,11 +41,11 @@ __all__ = [
     "check_alpha", "ac_density", "point_mass", "atom_scan",
     "conjugation_check",
     "Model", "k1", "k2", "l1", "l2", "k1_livsic", "l1_livsic", "k1_density",
-    "l1_atoms", "l1_weight", "l2_atoms",
-    "canonical_c", "hat_vector", "lagrange_bracket", "BoundaryMatrices",
-    "validate_sa_matrices", "alpha_from_bc_k1", "bc_from_alpha_k1",
-    "alpha_from_bc_l1", "bc_from_alpha_l1", "alpha_from_bc_regular",
-    "bc_from_alpha_regular", "alpha_from_bc_singular_template",
+    "l1_atoms", "l1_weight",
+    "canonical_c", "hat_vector", "lagrange_bracket", "boundary_rows",
+    "BoundaryMatrices", "validate_sa_matrices", "alpha_from_bc_k1",
+    "bc_from_alpha_k1", "alpha_from_bc_l1", "alpha_from_bc_regular",
+    "bc_from_alpha_regular",
     "QuadratureSpec", "quad_inner", "eigen_mass", "eigen_density",
     "l1_eigenvalues_direct", "l2_eigenvalues", "k1_bound_state_check",
     "CheckResult", "run_all",

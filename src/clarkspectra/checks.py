@@ -167,7 +167,8 @@ def check_7(seed=0):
                 hi = (4.0 * math.pi / a) ** 2 * 1.05 + 1.0
             window = (-1.0, hi)
             alpha = extensions.alpha_from_bc_regular(models.l2(a), bm)
-            atoms, masses = models.l2_atoms(alpha, a, window)
+            atoms, masses = clark.atom_scan(
+                livsic.livsic_function(models.l2(a)), alpha, window)
             roots = oracle.l2_eigenvalues(bm, a, window)
             distinct = sorted(set(roots))
             if len(atoms) < 5 or len(atoms) != len(distinct):

@@ -273,61 +273,55 @@ def cmd_livsic(args):
     return 0
 
 
-def _unimodular_residual(z):
-    return abs(abs(complex(z)) - 1.0)
+# The flags that give each model's boundary condition to bcmap
+_BC_FLAGS = {"k1": "both --b and --c", "l1": "--beta", "k2": "--beta-a",
+             "l2": "both --beta-a and --beta-b"}
+
+
+def _parse_bc(args, model):
+    """The blocks (beta_a, beta_b) of bcmap's boundary-condition flags: k1
+    b f(0) + c f'(0) = 0 as [[b, c]], l1 f(a) = beta f(-a) as
+    [[-beta]] | [[1]], l2 --beta-a | --beta-b, and k2 --beta-a beside an
+    empty block, as the half-line has one endpoint."""
+    name, empty = args.model, np.empty((model.rank, 0))
+    if name == "k1" and args.b is not None and args.c is not None:
+        return [[parse_complex(args.b), parse_complex(args.c)]], empty
+    if name == "l1" and args.beta is not None:
+        return [[-parse_complex(args.beta)]], [[1.0]]
+    if name == "k2" and args.beta_a:
+        return parse_matrix(args.beta_a), empty
+    if name == "l2" and args.beta_a and args.beta_b:
+        return parse_matrix(args.beta_a), parse_matrix(args.beta_b)
+    raise _ConfigError(f"{name} bcmap needs --alpha or {_BC_FLAGS[name]}")
+
+
+def _bc_doc(name, bm):
+    """The boundary condition bm under the keys of the model's flags."""
+    if name == "k1":
+        return {"b": _cjson(bm.beta_a[0, 0]), "c": _cjson(bm.beta_a[0, 1])}
+    if name == "l1":
+        return {"beta": _cjson(-bm.beta_a[0, 0] / bm.beta_b[0, 0])}
+    doc = {"beta_a": _cjson(bm.beta_a)}
+    if name == "l2":
+        doc["beta_b"] = _cjson(bm.beta_b)
+    return doc
 
 
 def cmd_bcmap(args):
-    name = args.model
-    if name == "k2":
-        raise _ConfigError("boundary translation for k2 is not exposed on "
-                           "the command line; use the library API")
-    if name == "k1":
-        if args.alpha:
-            alpha = complex(_parse_alpha(args.alpha, 1)[0, 0])
-            b, c = extensions.bc_from_alpha_k1(alpha)
-            doc = {"model": "k1", "b": _cjson(b), "c": _cjson(c),
-                   "unitarity_residual": _unimodular_residual(alpha)}
-        elif args.b is not None and args.c is not None:
-            alpha = extensions.alpha_from_bc_k1(parse_complex(args.b),
-                                                parse_complex(args.c))
-            doc = {"model": "k1", "alpha": _cjson(alpha),
-                   "unitarity_residual": _unimodular_residual(alpha)}
-        else:
-            raise _ConfigError("k1 bcmap needs --alpha or both --b and --c")
-    elif name == "l1":
-        if args.alpha:
-            alpha = complex(_parse_alpha(args.alpha, 1)[0, 0])
-            beta = extensions.bc_from_alpha_l1(alpha, args.a)
-            doc = {"model": "l1", "a": args.a, "beta": _cjson(beta),
-                   "unitarity_residual": _unimodular_residual(alpha)}
-        elif args.beta is not None:
-            alpha = extensions.alpha_from_bc_l1(parse_complex(args.beta),
-                                                args.a)
-            doc = {"model": "l1", "a": args.a, "alpha": _cjson(alpha),
-                   "unitarity_residual": _unimodular_residual(alpha)}
-        else:
-            raise _ConfigError("l1 bcmap needs --alpha or --beta")
+    model = _make_model(args.model, args.a)
+    doc = {"model": args.model}
+    if not model.halfline:
+        doc["a"] = args.a
+    if args.alpha:
+        alpha = _parse_alpha(args.alpha, model.rank)
+        doc.update(_bc_doc(args.model,
+                           extensions.bc_from_alpha_regular(model, alpha)))
     else:
-        model = _make_model("l2", args.a)
-        if args.alpha:
-            alpha = _parse_alpha(args.alpha, 2)
-            bm = extensions.bc_from_alpha_regular(model, alpha)
-            resid = float(np.max(np.abs(alpha @ alpha.conj().T - np.eye(2))))
-            doc = {"model": "l2", "a": args.a,
-                   "beta_a": _cjson(bm.beta_a),
-                   "beta_b": _cjson(bm.beta_b),
-                   "unitarity_residual": resid}
-        elif args.beta_a and args.beta_b:
-            bm = extensions.BoundaryMatrices(parse_matrix(args.beta_a),
-                                             parse_matrix(args.beta_b))
-            alpha = extensions.alpha_from_bc_regular(model, bm)
-            resid = float(np.max(np.abs(alpha @ alpha.conj().T - np.eye(2))))
-            doc = {"model": "l2", "a": args.a,
-                   "alpha": _cjson(alpha), "unitarity_residual": resid}
-        else:
-            raise _ConfigError("l2 bcmap needs --alpha or both "
-                               "--beta-a and --beta-b")
+        bm = extensions.BoundaryMatrices(*_parse_bc(args, model))
+        alpha = extensions.alpha_from_bc_regular(model, bm)
+        doc["alpha"] = _cjson(alpha[0, 0] if model.rank == 1 else alpha)
+    doc["unitarity_residual"] = float(np.max(np.abs(
+        alpha @ alpha.conj().T - np.eye(model.rank))))
     print(json.dumps(doc))
     return 0
 
@@ -409,7 +403,8 @@ def build_parser():
     bc.add_argument("--b", help="k1 value coefficient")
     bc.add_argument("--c", help="k1 derivative coefficient")
     bc.add_argument("--beta", help="l1 phase coupling")
-    bc.add_argument("--beta-a", dest="beta_a", help="l2 left boundary matrix")
+    bc.add_argument("--beta-a", dest="beta_a",
+                    help="l2 left boundary matrix, k2 boundary matrix at 0")
     bc.add_argument("--beta-b", dest="beta_b",
                     help="l2 right boundary matrix")
     bc.set_defaults(func=cmd_bcmap)

@@ -11,8 +11,11 @@ the extension generators
 which must satisfy the boundary conditions; that is a linear system in
 alpha (one direction) or an annihilator computation (the other). Functions
 are (coeffs, rates) pairs as in defect, so the derivative vectors of a
-whole basis at a point are one matrix H (one row per basis element), and
-the systems are products of the boundary matrices with H.
+whole basis at the model's endpoints (0 on the half-line, -a and a on the
+interval) are one matrix H of boundary rows (one row per basis element),
+and the systems are products of the boundary matrices with H. One pair of
+maps serves all four models; the rank-one closed forms are kept as its
+references.
 """
 
 from __future__ import annotations
@@ -30,15 +33,14 @@ __all__ = [
     "canonical_c",
     "hat_vector",
     "lagrange_bracket",
+    "boundary_rows",
     "BoundaryMatrices",
     "validate_sa_matrices",
     "alpha_from_bc_k1",
     "bc_from_alpha_k1",
     "alpha_from_bc_l1",
-    "bc_from_alpha_l1",
     "alpha_from_bc_regular",
     "bc_from_alpha_regular",
-    "alpha_from_bc_singular_template",
 ]
 
 _E14 = np.exp(1j * math.pi / 4)
@@ -84,8 +86,9 @@ def lagrange_bracket(f, g, x, n):
 class BoundaryMatrices:
     """Boundary-condition data (beta_a | beta_b).
 
-    For regular problems both blocks are n x n, acting on hat vectors at the
-    left resp. right endpoint; their bracket matrix is canonical_c(n).
+    On an interval both blocks are n x n, acting on hat vectors at the
+    left resp. right endpoint; their bracket matrix is canonical_c(n). On
+    the half-line beta_a is n x 2n, acting at 0, and beta_b has width 0.
     """
 
     beta_a: np.ndarray
@@ -104,23 +107,23 @@ _SA_TOL = 1e-10
 def validate_sa_matrices(bm):
     """True when (beta_a | beta_b) defines a self-adjoint restriction:
 
-    rank (beta_a | beta_b) = n  and  beta_a C beta_a* = beta_b C beta_b*
+    rank (beta_a | beta_b) = n  and  beta_a C_a beta_a* = beta_b C_b beta_b*
 
-    with C = canonical_c(n). Returns a bool; only genuinely malformed
-    shapes raise DimensionError.
+    for the n x 2n stack, with C_a, C_b the canonical_c of each block's
+    width: n x n blocks on an interval, an n x 2n beta_a beside a width-0
+    beta_b on the half-line, where the identity reads beta_a C beta_a* = 0.
+    Returns a bool; only genuinely malformed shapes raise DimensionError.
     """
     ba, bb = bm.beta_a, bm.beta_b
     n = ba.shape[0]
-    if ba.shape != (n, n) or bb.shape != (n, n):
-        raise DimensionError(
-            f"expected two n x n blocks, got {ba.shape} and {bb.shape}"
-        )
-    c = canonical_c(n)
+    widths = (ba.shape[1], bb.shape[1])
+    if bb.shape[0] != n or widths not in ((n, n), (2 * n, 0)):
+        raise DimensionError(f"expected two n x n blocks or an n x 2n block "
+                             f"and an empty one, got {ba.shape} and {bb.shape}")
     sv = np.linalg.svd(np.hstack([ba, bb]), compute_uv=False)
     if np.sum(sv > _SA_TOL * sv[0]) < n:
         return False
-    lhs = ba @ c @ ba.conj().T
-    rhs = bb @ c @ bb.conj().T
+    lhs, rhs = (m @ canonical_c(m.shape[1]) @ m.conj().T for m in (ba, bb))
     return bool(np.max(np.abs(lhs - rhs)) <= _SA_TOL)
 
 
@@ -173,22 +176,14 @@ def alpha_from_bc_l1(beta, a):
 
         alpha = (beta q - 1) / (beta - q),   q = e^{-2a}.
 
-    The map is a Moebius involution, so the inverse has the same form.
+    The map is a Moebius involution: alpha_from_bc_l1(alpha, a) is the
+    beta of the parameter alpha.
     """
     beta = complex(beta)
     if abs(abs(beta) - 1.0) > 1e-10:
         raise NonUnitaryError(f"coupling must be unimodular, |beta| = {abs(beta):.6f}")
     q = math.exp(-2.0 * float(a))
     return (beta * q - 1.0) / (beta - q)
-
-
-def bc_from_alpha_l1(alpha, a):
-    """Inverse map; identical Moebius formula by involutivity."""
-    alpha = complex(alpha)
-    if abs(abs(alpha) - 1.0) > 1e-10:
-        raise NonUnitaryError(f"parameter must be unimodular, |alpha| = {abs(alpha):.6f}")
-    q = math.exp(-2.0 * float(a))
-    return (alpha * q - 1.0) / (alpha - q)
 
 
 # ---------------------------------------------------------------------------
@@ -202,86 +197,69 @@ _RANK_TOL = 1e-12
 _UNITARY_TOL = 1e-8
 
 
-def _solve_alpha_system(nmat, pmat):
-    sv = np.linalg.svd(nmat, compute_uv=False)
-    if sv[-1] < _RANK_TOL * max(sv[0], 1.0):
-        raise RankError("boundary system is rank deficient")
-    alpha = np.linalg.solve(nmat, pmat).T
-    n = alpha.shape[0]
-    if np.max(np.abs(alpha.conj().T @ alpha - np.eye(n))) > _UNITARY_TOL:
-        raise NonUnitaryError(
-            "solved parameter is not unitary; boundary data is inconsistent"
-        )
-    return alpha
+def boundary_rows(model, f):
+    """Boundary rows of f = (coeffs, rates): the hat vectors at the model's
+    endpoints side by side, at 0 on the half-line and at -a, a on the
+    interval; one row per function of f."""
+    points = (0.0,) if model.halfline else (-model.a, model.a)
+    return np.hstack([hat_vector(f, model.order, x) for x in points])
 
 
-def _interval_hats(model):
-    """Hat matrices of the defect bases at -i and +i at both endpoints,
-    ((H-(-a), H-(a)), (H+(-a), H+(a))), each n x n with one row per basis
-    element."""
-    if model.halfline:
-        raise DomainError("regular map applies to interval models")
-    n = model.order
-    minus, plus = defect_onb(model, "-"), defect_onb(model, "+")
-    if minus[0].shape[0] != n:
-        raise DimensionError(f"model deficiency {minus[0].shape[0]} does not "
-                             f"match expression order {n}")
-    return tuple(tuple(hat_vector(basis, n, x) for x in (-model.a, model.a))
-                 for basis in (minus, plus))
+def _defect_rows(model):
+    """Boundary rows (H-, H+) of the defect bases at -i and +i."""
+    return tuple(boundary_rows(model, defect_onb(model, side))
+                 for side in "-+")
 
 
 def alpha_from_bc_regular(model, bm):
-    """Unitary parameter of the regular boundary conditions
-    beta_a hat(f)(-a) + beta_b hat(f)(a) = 0 on the interval model."""
-    (m_left, m_right), (p_left, p_right) = _interval_hats(model)
-    nmat = bm.beta_a @ m_left.T + bm.beta_b @ m_right.T
-    pmat = bm.beta_a @ p_left.T + bm.beta_b @ p_right.T
-    return _solve_alpha_system(nmat, pmat)
+    """Unitary parameter of the boundary condition
+    (beta_a | beta_b) (boundary rows of f) = 0, on any of the four models;
+    on the half-line beta_a (rank x order) acts at 0 and beta_b has width
+    0. The generators satisfy it when (beta_a | beta_b) (alpha H- - H+)^T
+    = 0, a linear system in alpha. DimensionError for blocks that do not
+    make a rank x (2 rank) condition."""
+    n, order = model.rank, model.order
+    shapes = ((n, order), (n, 2 * n - order))
+    if (bm.beta_a.shape, bm.beta_b.shape) != shapes:
+        raise DimensionError(f"{model.name} takes boundary blocks of shapes "
+                             f"{shapes}, got {bm.beta_a.shape} and "
+                             f"{bm.beta_b.shape}")
+    beta = np.hstack([bm.beta_a, bm.beta_b])
+    minus, plus = _defect_rows(model)
+    nmat = beta @ minus.T
+    sv = np.linalg.svd(nmat, compute_uv=False)
+    if sv[-1] < _RANK_TOL * max(sv[0], 1.0):
+        raise RankError("boundary system is rank deficient")
+    alpha = np.linalg.solve(nmat, beta @ plus.T).T
+    if np.max(np.abs(alpha.conj().T @ alpha - np.eye(n))) > _UNITARY_TOL:
+        raise NonUnitaryError(
+            "solved parameter is not unitary; boundary data is inconsistent")
+    return alpha
 
 
 def bc_from_alpha_regular(model, alpha):
     """Boundary matrices of the extension generated by alpha.
 
-    The generators g_i = -phi_i(+i) + sum_j alpha_ij phi_j(-i) have the hat
-    rows -H+ + alpha H- at each endpoint; their n x 2n stack has an
-    orthonormal basis of its (bilinear) annihilator as condition rows, each
-    row phase-normalized so its largest entry is positive real.
+    The generators g_i = -phi_i(+i) + sum_j alpha_ij phi_j(-i) have the
+    boundary rows alpha H- - H+; an orthonormal basis of the (bilinear)
+    annihilator of these rows gives the condition rows, each
+    phase-normalized so its largest entry is positive real. beta_a takes
+    the first model.order columns, beta_b the rest (none on the
+    half-line).
     """
-    (m_left, m_right), (p_left, p_right) = _interval_hats(model)
-    n = model.order
+    minus, plus = _defect_rows(model)
+    n = model.rank
     alpha = np.atleast_2d(np.asarray(alpha, dtype=complex))
     if alpha.shape != (n, n):
         raise DimensionError(f"parameter must be {n} x {n}, got {alpha.shape}")
     if np.max(np.abs(alpha.conj().T @ alpha - np.eye(n))) > _UNITARY_TOL:
         raise NonUnitaryError("parameter must be unitary")
-    gmat = np.hstack([alpha @ m_left - p_left, alpha @ m_right - p_right])
-    u, sv, vh = np.linalg.svd(gmat)
+    u, sv, vh = np.linalg.svd(alpha @ minus - plus)
     rank = int(np.sum(sv > 1e-10 * max(sv[0], 1.0)))
     if rank != n:
         raise RankError(f"generator matrix has rank {rank}, expected {n}")
     rows = np.conj(vh[rank:, :])
     lead = rows[np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)]
     out = rows * (lead.conj() / np.abs(lead))[:, None]
-    return BoundaryMatrices(beta_a=out[:, :n], beta_b=out[:, n:])
-
-
-def alpha_from_bc_singular_template(model, bm):
-    """Template for singular-endpoint boundary conditions on the half-line.
-
-    bm.beta_a (shape n x order) acts on the derivative hat vector at the
-    regular endpoint 0. Without boundary-form data from the singular
-    endpoint the system decouples to this regular-endpoint block, which for
-    the rank-one model reproduces alpha_from_bc_k1 by an independent route.
-    """
-    if not model.halfline:
-        raise DomainError("singular template applies to half-line models")
-    n = model.rank
-    order = model.order
-    beta_a = np.atleast_2d(np.asarray(bm.beta_a, dtype=complex))
-    if beta_a.shape != (n, order):
-        raise DimensionError(
-            f"regular-endpoint block must be {n} x {order}, got {beta_a.shape}"
-        )
-    nmat = beta_a @ hat_vector(defect_onb(model, "-"), order, 0.0).T
-    pmat = beta_a @ hat_vector(defect_onb(model, "+"), order, 0.0).T
-    return _solve_alpha_system(nmat, pmat)
+    return BoundaryMatrices(beta_a=out[:, :model.order],
+                            beta_b=out[:, model.order:])

@@ -13,8 +13,7 @@ is also the continuation of the upper one off the model's cut) and its
 closed-form inner product, which is all the generic machinery needs; both
 take arrays of points. On top of that this module carries the rank-one
 closed-form characteristic functions and densities and the L1 atom lattice
-and weights, used as independent cross-checks of the generic pipeline, plus
-the L2 atoms by clark.atom_scan of the generic characteristic function.
+and weights, used as independent cross-checks of the generic pipeline.
 """
 
 from __future__ import annotations
@@ -25,11 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import clark
 from .cplane import principal_power
 from .defect import exp_inner_halfline, exp_inner_interval
 from .errors import DomainError, NonUnitaryError, SingularError, ToleranceError
-from .livsic import livsic_function
 
 __all__ = [
     "Model",
@@ -42,7 +39,6 @@ __all__ = [
     "k1_density",
     "l1_atoms",
     "l1_weight",
-    "l2_atoms",
 ]
 
 
@@ -119,15 +115,6 @@ class Model:
         if self.halfline:
             return exp_inner_halfline(mu, nu) * np.exp(-shift)
         return exp_inner_interval(mu, nu, self.a, shift)
-
-    def expression_eigenvalue(self, rate):
-        """Multiplier of exp(rate x) under the differential expression.
-
-        All four expressions are (i d/dx)^order, so exp(r x) is an
-        eigenfunction with eigenvalue (i r)^order; this returns w up to
-        rounding whenever rate comes from raw_rates(w).
-        """
-        return (1j * complex(rate)) ** self.order
 
 
 def k1():
@@ -220,7 +207,7 @@ def k1_density(alpha, s):
 
 
 # ---------------------------------------------------------------------------
-# interval atoms: the L1 lattice and weights, the L2 scan
+# interval atoms: the L1 lattice and weights
 # ---------------------------------------------------------------------------
 
 def l1_atoms(alpha, a, n_range):
@@ -280,9 +267,3 @@ def l1_weight(alpha, a, s):
     weight = (math.cosh(2 * a) - np.cos(2 * pts * a)) / (
         a * math.pi * math.sinh(2 * a) * (1.0 + pts * pts) ** 2)
     return float(weight) if weight.ndim == 0 else weight
-
-
-def l2_atoms(alpha, a, window):
-    """Atoms of the L2 measure in the window, (locations, masses), by
-    clark.atom_scan of the generic B."""
-    return clark.atom_scan(livsic_function(l2(a)), alpha, window)

@@ -18,7 +18,7 @@ import numpy as np
 from .clark import check_alpha
 from .defect import defect_onb
 from .errors import DomainError, RankError, ToleranceError
-from .extensions import alpha_from_bc_k1, hat_vector, validate_sa_matrices
+from .extensions import alpha_from_bc_k1, boundary_rows, validate_sa_matrices
 from .models import k1
 
 __all__ = ["QuadratureSpec", "quad_inner", "eigen_mass", "eigen_density",
@@ -96,12 +96,6 @@ def _pairs(model, f, g):
                       for cg in g[0]] for cf in f[0]])
 
 
-def _hats(model, f):
-    """Boundary rows of f = (coeffs, rates): hat vectors at 0, or at -a, a."""
-    points = (0.0,) if model.halfline else (-model.a, model.a)
-    return np.hstack([hat_vector(f, model.order, x) for x in points])
-
-
 def _boundary_system(model, alpha, s):
     """(rates, S) at the real point s: the rates of the solutions
     exp(rate x) in the model's space (Model.raw_rates), and S, the boundary
@@ -111,9 +105,10 @@ def _boundary_system(model, alpha, s):
     rates = model.raw_rates(float(s))
     if np.unique(rates).size < rates.size:
         raise DomainError(f"solution rates coincide at s = {float(s)!r}")
-    gens = (alpha @ _hats(model, defect_onb(model, "-"))
-            - _hats(model, defect_onb(model, "+")))
-    return rates, np.vstack([_hats(model, (np.eye(rates.size), rates)), gens])
+    gens = (alpha @ boundary_rows(model, defect_onb(model, "-"))
+            - boundary_rows(model, defect_onb(model, "+")))
+    return rates, np.vstack([boundary_rows(model, (np.eye(rates.size), rates)),
+                             gens])
 
 
 _NULL_TOL = 1e-8
@@ -151,7 +146,7 @@ def eigen_density(model, alpha, s):
         raise DomainError(f"no density of {model.name} at s = {s!r}")
     rates, system = _boundary_system(model, alpha, s)
     k = s ** (1.0 / model.order)
-    sol = np.linalg.solve(system.T, -_hats(model, ([1.0], [-1j * k])))
+    sol = np.linalg.solve(system.T, -boundary_rows(model, ([1.0], [-1j * k])))
     psi = ([np.r_[1.0, sol[:rates.size]]], np.r_[-1j * k, rates])
     v = _pairs(model, defect_onb(model, "+"), psi)
     return np.outer(v, v.conj()) * k / (model.order * s * 2.0 * np.pi)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from clarkspectra import models
+from clarkspectra import clark, livsic, models
 from clarkspectra.cli import main, parse_complex, parse_matrix
 
 
@@ -130,7 +130,8 @@ def test_json_values_are_the_library_values_bit_for_bit(capsys):
         "--window=-1:120", "--format", "json"])
     assert code == 0 and out.count("\n") == 1
     doc = _strict_json(out)
-    locs, masses = models.l2_atoms(np.array(alpha), 0.7, (-1.0, 120.0))
+    locs, masses = clark.atom_scan(livsic.livsic_function(models.l2(0.7)),
+                                   np.array(alpha), (-1.0, 120.0))
     assert len(locs) == 4
     _same_bits([a["s"] for a in doc["atoms"]], locs)
     _same_bits([a["weight"] for a in doc["atoms"]],
@@ -437,11 +438,38 @@ def test_bcmap_l2_round_trip(capsys):
                 first["alpha"][i][j]["im"], abs=1e-8)
 
 
-def test_bcmap_k2_not_exposed(capsys):
-    code, out, err = run_cli(capsys, [
-        "bcmap", "--model", "k2", "--alpha", "1"])
-    assert code == 2
-    assert "library API" in err
+def test_bcmap_k2_round_trip(capsys):
+    # the clamped beam f(0) = f'(0) = 0: one boundary block at 0, whose
+    # keys and round trip match those of l2 without beta_b and a
+    clamped = [[1, 0, 0, 0], [0, 1, 0, 0]]
+    code, out, _ = run_cli(capsys, [
+        "bcmap", "--model", "k2", "--beta-a", json.dumps(clamped)])
+    assert code == 0
+    first = json.loads(out)
+    assert list(first) == ["model", "alpha", "unitarity_residual"]
+    assert first["unitarity_residual"] < 1e-14
+    code, out, _ = run_cli(capsys, [
+        "bcmap", "--model", "k2", "--alpha", json.dumps(first["alpha"])])
+    assert code == 0
+    second = json.loads(out)
+    assert list(second) == ["model", "beta_a", "unitarity_residual"]
+    beta_a = np.array([[complex(e["re"], e["im"]) for e in row]
+                       for row in second["beta_a"]])
+    # the same condition: the rows span f(0), f'(0)
+    assert beta_a.shape == (2, 4)
+    assert np.max(np.abs(beta_a[:, 2:])) < 1e-14
+    assert abs(np.linalg.det(beta_a[:, :2])) == pytest.approx(1.0)
+    code, out, _ = run_cli(capsys, [
+        "bcmap", "--model", "k2", "--beta-a", json.dumps(second["beta_a"])])
+    assert code == 0
+    third = json.loads(out)
+    for i in range(2):
+        for j in range(2):
+            for part in ("re", "im"):
+                assert third["alpha"][i][j][part] == pytest.approx(
+                    first["alpha"][i][j][part], abs=1e-12)
+    code, _, err = run_cli(capsys, ["bcmap", "--model", "k2"])
+    assert code == 2 and "--beta-a" in err
 
 
 def test_verify_single_criterion(capsys):

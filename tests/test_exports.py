@@ -45,6 +45,23 @@ def test_no_boundary_limit_ladder_remains():
     assert "point_mass_with_retry" not in clarkspectra.__all__
 
 
+def test_one_boundary_map_pair_remains():
+    # alpha_from_bc_regular and bc_from_alpha_regular serve all four
+    # models; the L1 closed form is an involution that serves both ways, and
+    # the L2 atoms are clark.atom_scan of the generic B
+    from clarkspectra import extensions, models, oracle
+    for name in ("alpha_from_bc_singular_template", "bc_from_alpha_l1",
+                 "_interval_hats"):
+        assert not hasattr(extensions, name)
+    assert not hasattr(oracle, "_hats")
+    assert not hasattr(models, "l2_atoms")
+    assert not hasattr(models, "clark") and not hasattr(models, "livsic")
+    assert not hasattr(models.Model, "expression_eigenvalue")
+    for name in ("alpha_from_bc_singular_template", "bc_from_alpha_l1",
+                 "l2_atoms"):
+        assert name not in clarkspectra.__all__
+
+
 def test_src_imports_no_scipy():
     # numpy is the only runtime dependency
     src = Path(clarkspectra.__file__).parent

@@ -6,15 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clarkspectra import extensions, models
+from clarkspectra import clark, extensions, livsic, models
 from clarkspectra.cplane import random_unitary
 from clarkspectra.defect import defect_onb
-from clarkspectra.errors import (DomainError, NonUnitaryError, RankError,
-                                 UnsupportedError)
+from clarkspectra.errors import (DimensionError, DomainError, NonUnitaryError,
+                                 RankError, UnsupportedError)
 
 rates = st.builds(complex,
                   st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
                   st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
+
+
+def _halfline(beta_a):
+    beta_a = np.atleast_2d(np.asarray(beta_a, dtype=complex))
+    return extensions.BoundaryMatrices(beta_a, np.empty((len(beta_a), 0)))
+
+
+K2_CONDITIONS = {"clamped": [[1, 0, 0, 0], [0, 1, 0, 0]],
+                 "free": [[0, 0, 1, 0], [0, 0, 0, 1]],
+                 "hinged": [[1, 0, 0, 0], [0, 0, 1, 0]]}
 
 
 def test_canonical_c():
@@ -106,6 +116,23 @@ def test_validate_sa_matrices_known_cases():
     assert not extensions.validate_sa_matrices(asymmetric)
 
 
+def test_validate_sa_matrices_half_line():
+    # one n x 2n block at 0 beside an empty one: the identity reads
+    # beta_a C beta_a* = 0
+    assert extensions.validate_sa_matrices(_halfline([[1, 1]]))
+    assert not extensions.validate_sa_matrices(_halfline([[1, 1j]]))
+    for rows in K2_CONDITIONS.values():
+        assert extensions.validate_sa_matrices(_halfline(rows))
+    # f(0) = f'''(0) = 0 pairs f with f''' in the bracket
+    assert not extensions.validate_sa_matrices(
+        _halfline([[1, 0, 0, 0], [0, 0, 0, 1]]))
+    with pytest.raises(DimensionError):
+        extensions.validate_sa_matrices(_halfline([[1, 0, 0]]))
+    with pytest.raises(DimensionError):
+        extensions.validate_sa_matrices(
+            extensions.BoundaryMatrices(np.ones((2, 3)), np.ones((2, 1))))
+
+
 def test_k1_map_anchors_and_involution():
     assert extensions.alpha_from_bc_k1(1.0, 0.0) == pytest.approx(1.0)
     assert extensions.alpha_from_bc_k1(0.0, 2.0) == pytest.approx(-1j)
@@ -138,7 +165,8 @@ def test_l1_map_round_trip_and_unimodularity(theta, a):
     beta = cmath.exp(1j * theta)
     alpha = extensions.alpha_from_bc_l1(beta, a)
     assert abs(abs(alpha) - 1.0) < 1e-12
-    assert abs(extensions.bc_from_alpha_l1(alpha, a) - beta) < 1e-10
+    # the map is an involution, so it is its own inverse
+    assert abs(extensions.alpha_from_bc_l1(alpha, a) - beta) < 1e-10
 
 
 def test_l1_map_periodic_anchors():
@@ -161,7 +189,8 @@ def test_alpha_from_bc_regular_dirichlet_and_periodic():
     assert np.max(np.abs(alpha_p @ alpha_p.conj().T - np.eye(2))) < 1e-12
     # the two extensions differ
     assert np.max(np.abs(alpha - alpha_p)) > 0.1
-    with pytest.raises(DomainError):
+    # two 2 x 2 blocks do not make the half-line condition of K1
+    with pytest.raises(DimensionError):
         extensions.alpha_from_bc_regular(models.k1(), dirichlet)
 
 
@@ -216,14 +245,69 @@ def test_bc_regular_l1_matches_closed_map():
         extensions.alpha_from_bc_l1(beta, 1.0), rel=1e-9)
 
 
-def test_singular_template_matches_closed_k1():
-    m = models.k1()
-    for b_, c_ in ((1.0, 1.0), (1.0, 0.0), (2.0, -3.0), (0.0, 1.0), (1.0, -0.5)):
-        bm = extensions.BoundaryMatrices(np.array([[b_, c_]]), np.zeros((1, 2)))
-        a_t = extensions.alpha_from_bc_singular_template(m, bm)
-        assert complex(a_t[0, 0]) == pytest.approx(
-            extensions.alpha_from_bc_k1(b_, c_))
-    with pytest.raises(DomainError):
-        extensions.alpha_from_bc_singular_template(models.l2(1.0),
-                                                   extensions.BoundaryMatrices(
-                                                       np.eye(2), np.eye(2)))
+def test_generic_pair_matches_closed_k1_and_l1():
+    # K1: b f(0) + c f'(0) = 0 is [[b, c]] at the one endpoint; L1:
+    # f(a) = beta f(-a) is [[-beta]] | [[1]]
+    k1 = models.k1()
+    for theta in np.linspace(-math.pi, math.pi, 41):
+        alpha = cmath.exp(1j * theta)
+        b, c = extensions.bc_from_alpha_k1(alpha)
+        bm = extensions.bc_from_alpha_regular(k1, [[alpha]])
+        assert bm.beta_b.shape == (1, 0)
+        assert np.max(np.abs(bm.beta_a - [[b, c]])) < 1e-14
+        back = extensions.alpha_from_bc_regular(k1, _halfline([[b, c]]))
+        assert abs(back[0, 0] - alpha) < 1e-14
+    for b_, c_ in ((1.0, 1.0), (2.0, -3.0), (0.0, 1.0), (1.0, -0.5)):
+        alpha = extensions.alpha_from_bc_regular(k1, _halfline([[b_, c_]]))
+        assert abs(alpha[0, 0] - extensions.alpha_from_bc_k1(b_, c_)) < 1e-14
+    # the Dirichlet condition maps to alpha = 1 exactly
+    dirichlet = extensions.alpha_from_bc_regular(k1, _halfline([[1, 0]]))
+    assert dirichlet[0, 0] == 1.0
+    rng = np.random.default_rng(7)
+    for theta, a in zip(rng.uniform(-math.pi, math.pi, 20),
+                        rng.uniform(0.05, 5.0, 20)):
+        l1, beta = models.l1(a), cmath.exp(1j * theta)
+        alpha = extensions.alpha_from_bc_regular(
+            l1, extensions.BoundaryMatrices([[-beta]], [[1.0]]))
+        assert abs(alpha[0, 0] - extensions.alpha_from_bc_l1(beta, a)) < 1e-14
+        bm = extensions.bc_from_alpha_regular(l1, alpha)
+        assert abs(-bm.beta_a[0, 0] / bm.beta_b[0, 0] - beta) < 1e-14
+
+
+@pytest.mark.parametrize("label", sorted(K2_CONDITIONS))
+def test_k2_map_round_trip_without_atoms(label):
+    # the clamped, free and hinged beams are nonnegative extensions: a
+    # unitary coupling with no point mass below 0
+    k2 = models.k2()
+    bm = _halfline(K2_CONDITIONS[label])
+    assert extensions.validate_sa_matrices(bm)
+    alpha = extensions.alpha_from_bc_regular(k2, bm)
+    assert np.max(np.abs(alpha @ alpha.conj().T - np.eye(2))) < 1e-14
+    again = extensions.bc_from_alpha_regular(k2, alpha)
+    assert again.beta_a.shape == (2, 4) and again.beta_b.shape == (2, 0)
+    back = extensions.alpha_from_bc_regular(k2, again)
+    assert np.max(np.abs(back - alpha)) < 1e-12
+    locs, _ = clark.atom_scan(livsic.livsic_function(k2), alpha, (-1e4, 0.0))
+    assert locs.size == 0
+
+
+@given(st.sampled_from(["k1", "k2", "l1", "l2"]),
+       st.floats(min_value=0.25, max_value=20.0, allow_nan=False),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_generic_pair_round_trip_on_haar_couplings(name, a, seed):
+    model = {"k1": models.k1, "k2": models.k2,
+             "l1": lambda: models.l1(a), "l2": lambda: models.l2(a)}[name]()
+    alpha = random_unitary(model.rank, np.random.default_rng(seed))
+    bm = extensions.bc_from_alpha_regular(model, alpha)
+    assert extensions.validate_sa_matrices(bm)
+    back = extensions.alpha_from_bc_regular(model, bm)
+    assert np.max(np.abs(back - alpha)) < 1e-12
+
+
+def test_generic_map_rejects_blocks_of_the_wrong_shape():
+    with pytest.raises(DimensionError):
+        extensions.alpha_from_bc_regular(models.k2(), _halfline(np.eye(4)))
+    with pytest.raises(DimensionError):
+        extensions.alpha_from_bc_regular(
+            models.l2(1.0), _halfline([[1, 0, 0, 0], [0, 0, 1, 0]]))

@@ -150,7 +150,8 @@ def test_l2_eigenvalues_match_the_scanned_atoms(seed, a, tol):
     model = models.l2(a)
     alpha = random_unitary(2, np.random.default_rng([seed, 4]))
     bm = extensions.bc_from_alpha_regular(model, alpha)
-    atoms, _ = models.l2_atoms(alpha, a, (-5.0, 200.0))
+    atoms, _ = clark.atom_scan(livsic.livsic_function(model), alpha,
+                               (-5.0, 200.0))
     roots = oracle.l2_eigenvalues(bm, a, (-5.0, 200.0))
     assert len(roots) == len(atoms) > 0
     assert np.max(np.abs(np.array(roots) - atoms) / (1 + np.abs(atoms))) < tol
@@ -164,7 +165,8 @@ def test_close_l2_atoms_match_the_oracle(window):
     a = 0.5
     model = models.l2(a)
     alpha = random_unitary(2, np.random.default_rng([18, 4]))
-    atoms, masses = models.l2_atoms(alpha, a, window)
+    atoms, masses = clark.atom_scan(livsic.livsic_function(model), alpha,
+                                    window)
     assert atoms == pytest.approx([-0.25832, 0.24932], abs=1e-5)
     roots = oracle.l2_eigenvalues(extensions.bc_from_alpha_regular(model, alpha),
                                   a, window)
@@ -182,7 +184,8 @@ def test_l2_eigenvalues_below_the_axis(seed):
     a = 2.0
     alpha = random_unitary(2, np.random.default_rng(seed))
     bm = extensions.bc_from_alpha_regular(models.l2(a), alpha)
-    atoms, _ = models.l2_atoms(alpha, a, (-30.0, 5.0))
+    atoms, _ = clark.atom_scan(livsic.livsic_function(models.l2(a)), alpha,
+                               (-30.0, 5.0))
     roots = oracle.l2_eigenvalues(bm, a, (-30.0, 5.0))
     assert len(roots) == len(atoms) == 4 and atoms[0] < -14.0
     assert np.max(np.abs(np.array(roots) - atoms)) <= 1e-12
@@ -368,7 +371,8 @@ def test_l2_atom_in_the_cell_around_zero():
     model = models.l2(a)
     alpha = random_unitary(2, np.random.default_rng([3, 4]))
     h = math.pi / (16 * a)
-    atoms, masses = models.l2_atoms(alpha, a, (-3 * h, 3 * h))
+    atoms, masses = clark.atom_scan(livsic.livsic_function(model), alpha,
+                                    (-3 * h, 3 * h))
     assert atoms == pytest.approx([-0.245, 5.3642], abs=1e-4)
     roots = oracle.l2_eigenvalues(extensions.bc_from_alpha_regular(model, alpha),
                                   a, (-3 * h, 3 * h))

@@ -3,9 +3,12 @@
 B is timed through the SchurFunction's fn, as the density, the scan and
 the residues call it, at 1, 64 and 512 real points (one block), in
 microseconds per point. The atom scan is clark.atom_scan on a fixed window
-and coupling per model, in milliseconds per call. Each figure is the best
-of --repeat runs, so it is the cost of the code, not of the machine's
-other load. Prints one JSON line.
+and coupling per model, in milliseconds per call. The oracle is timed in
+milliseconds per call on two inputs of the verify battery: one stacked
+quad_inner of the K2 rates at a point against both defect bases, as
+criterion 10 makes it, and l2_eigenvalues on criterion 7's Dirichlet
+window at a = 1. Each figure is the best of --repeat runs, so it is the
+cost of the code, not of the machine's other load. Prints one JSON line.
 
 Typical run:
 
@@ -14,13 +17,14 @@ Typical run:
 
 import argparse
 import json
+import math
 import os
 import time
 from functools import partial
 
 import numpy as np
 
-from clarkspectra import clark, extensions, livsic, models
+from clarkspectra import checks, clark, extensions, livsic, models, oracle
 from clarkspectra.cplane import random_unitary
 
 SIZES = (1, 64, 512)
@@ -36,6 +40,20 @@ def scans():
         (models.l2(1.0), random_unitary(2, np.random.default_rng([3, 4])),
          (-5.0, 60.0)),
     ]
+
+
+def oracle_calls():
+    """name -> call: the K2 pairing block of criterion 10 at one point, and
+    the criterion-7 Dirichlet determinant roots at a = 1."""
+    model = models.k2()
+    block = (np.eye(2), model.raw_rates(1.3 + 0.7j))
+    window = (-1.0, (5.0 * math.pi / 2.0) ** 2 * 1.05 + 1.0)
+    return {
+        "quad_inner_k2_block": partial(oracle.quad_inner, model, block,
+                                       checks._defect_bases(model)),
+        "l2_eigenvalues_dirichlet": partial(oracle.l2_eigenvalues,
+                                            checks._dirichlet_bm(), 1.0, window),
+    }
 
 
 def best(fn, repeat):
@@ -63,7 +81,10 @@ def main(argv=None):
             for size in SIZES}
         scan_ms[model.name] = round(
             1e3 * best(partial(clark.atom_scan, b, alpha, window), args.repeat), 3)
+    oracle_ms = {name: round(1e3 * best(call, args.repeat), 3)
+                 for name, call in oracle_calls().items()}
     print(json.dumps({"b_us_per_point": b_us, "atom_scan_ms": scan_ms,
+                      "oracle_ms": oracle_ms,
                       "repeat": args.repeat, "cpus": os.cpu_count(),
                       "numpy": np.__version__}))
 

@@ -109,15 +109,14 @@ def check_5(seed=0):
     """K1 density: generic boundary value vs closed form, plus vanishing."""
     b = livsic.livsic_function(models.k1())
     worst = 0.0
+    on, off = (0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0), (-5.0, -1.0, 0.0)
     for alpha in (1.0, -1.0, 1j):
-        for s in (0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0):
-            gen = clark.ac_density(b, [[alpha]], s)[0, 0].real
-            clo = models.k1_density(alpha, s)
-            worst = max(worst, _rel(gen, clo))
-        for s in (-5.0, -1.0, 0.0):
-            gen = clark.ac_density(b, [[alpha]], s)[0, 0]
-            if gen != 0.0:
-                return False, f"density not vanishing at s = {s} (got {gen:.3e})"
+        gen = clark.ac_density(b, [[alpha]], on + off)[:, 0, 0]
+        for s, rho in zip(on, gen.real):
+            worst = max(worst, _rel(rho, models.k1_density(alpha, s)))
+        for s, rho in zip(off, gen[len(on):]):
+            if rho != 0.0:
+                return False, f"density not vanishing at s = {s} (got {rho:.3e})"
             if models.k1_density(alpha, s) != 0.0:
                 return False, f"closed density not zero at s = {s}"
     return worst <= 1e-12, f"max relative density deviation {worst:.2e}"
@@ -130,9 +129,9 @@ def check_6(seed=0):
     model = models.k2()
     b = livsic.livsic_function(model)
     worst = 0.0
+    points = (0.3, 0.7, 1.5, 3.0, 7.0)
     for alpha in (random_unitary(2, rng) for _ in range(3)):
-        for s in (0.3, 0.7, 1.5, 3.0, 7.0):
-            gen = clark.ac_density(b, alpha, s)
+        for s, gen in zip(points, clark.ac_density(b, alpha, points)):
             ref = oracle.eigen_density(model, alpha, s)
             worst = max(worst, float(np.max(np.abs(gen - ref))
                                      / np.max(np.abs(ref))))
@@ -232,26 +231,35 @@ def check_9(seed=0):
     return True, f"largest singular value observed {worst_sigma:.12f}"
 
 
+def _defect_bases(model):
+    """Both orthonormal defect bases as one (coeffs, rates) stack: the
+    basis at +i, then the one at -i, in block-diagonal coefficients over
+    the rates at +i and then at -i."""
+    (c_plus, r_plus), (c_minus, r_minus) = (defect_onb(model, "+"),
+                                            defect_onb(model, "-"))
+    n = model.rank
+    coeffs = np.zeros((2 * n, 2 * n), dtype=complex)
+    coeffs[:n, :n], coeffs[n:, n:] = c_plus, c_minus
+    return coeffs, np.concatenate([r_plus, r_minus])
+
+
 def check_10(seed=0):
-    """Pairing matrices vs adaptive quadrature at random points."""
+    """Pairing matrices vs Gauss-Legendre quadrature at random points:
+    A(w, +) and A(w, -) side by side against one stacked quad_inner of the
+    rates at w with both defect bases."""
     rng = np.random.default_rng([seed, 10])
     worst = 0.0
     for model in (models.k1(), models.k2(), models.l1(1.0), models.l2(1.0)):
-        onb = {sign: defect_onb(model, sign) for sign in ("+", "-")}
+        bases, n = _defect_bases(model), model.rank
         for _ in range(20):
             w = complex(rng.uniform(-5, 5), rng.uniform(0.1, 3.0))
             rates = model.raw_rates(w)
-            # gram_matrix scales row j by exp(-|Re rho_j| a) on an interval
-            scale = [1.0 if model.halfline else math.exp(-abs(r.real) * model.a)
-                     for r in rates]
-            for sign in ("+", "-"):
-                amat = livsic.gram_matrix(model, w, sign)
-                coeffs, basis = onb[sign]
-                for j, rate in enumerate(rates):
-                    for k, row in enumerate(coeffs):
-                        ref = scale[j] * oracle.quad_inner(
-                            model, ([1.0], [rate]), (row, basis))
-                        worst = max(worst, abs(amat[j, k] - ref))
+            amat = np.hstack(livsic._pairings(model, rates))
+            # the pairings scale row j by exp(-|Re rho_j| a) on an interval
+            scale = (np.ones(n) if model.halfline
+                     else np.exp(-np.abs(rates.real) * model.a))
+            ref = oracle.quad_inner(model, (np.diag(scale), rates), bases)
+            worst = max(worst, float(np.max(np.abs(amat - ref))))
     return worst <= 1e-8, f"max pairing-vs-quadrature deviation {worst:.2e}"
 
 

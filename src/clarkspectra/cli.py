@@ -276,14 +276,21 @@ def cmd_livsic(args):
 # The flags that give each model's boundary condition to bcmap
 _BC_FLAGS = {"k1": "both --b and --c", "l1": "--beta", "k2": "--beta-a",
              "l2": "both --beta-a and --beta-b"}
+_BC_DESTS = {"k1": ("b", "c"), "l1": ("beta",), "k2": ("beta_a",),
+             "l2": ("beta_a", "beta_b")}
 
 
 def _parse_bc(args, model):
     """The blocks (beta_a, beta_b) of bcmap's boundary-condition flags: k1
     b f(0) + c f'(0) = 0 as [[b, c]], l1 f(a) = beta f(-a) as
     [[-beta]] | [[1]], l2 --beta-a | --beta-b, and k2 --beta-a beside an
-    empty block, as the half-line has one endpoint."""
+    empty block, as the half-line has one endpoint. A flag of another
+    model is a _ConfigError, not ignored."""
     name, empty = args.model, np.empty((model.rank, 0))
+    for dest in ("b", "c", "beta", "beta_a", "beta_b"):
+        if dest not in _BC_DESTS[name] and getattr(args, dest) is not None:
+            raise _ConfigError(f"{name} bcmap takes {_BC_FLAGS[name]}, not "
+                               f"--{dest.replace('_', '-')}")
     if name == "k1" and args.b is not None and args.c is not None:
         return [[parse_complex(args.b), parse_complex(args.c)]], empty
     if name == "l1" and args.beta is not None:

@@ -46,33 +46,46 @@ _MAX_PANELS = 10 ** 4
 
 
 def _terms(f):
-    coeffs, rates = (np.ravel(np.asarray(v, dtype=complex)) for v in f)
-    return coeffs[coeffs != 0], rates[coeffs != 0]
+    """(coeffs, rates) as a (k, m) stack over the m rates, without the rates
+    whose coefficients are zero in every row; the shape of the stack's
+    leading axes, () for one function."""
+    rates = np.ravel(np.asarray(f[1], dtype=complex))
+    coeffs = np.asarray(f[0], dtype=complex)
+    lead = coeffs.shape[:-1]
+    coeffs = coeffs.reshape(-1, rates.size)
+    used = np.any(coeffs != 0, axis=0)
+    return coeffs[:, used], rates[used], lead
 
 
 def quad_inner(model, f, g, spec=None):
     """<f, g> on the model's domain by Gauss-Legendre panels.
 
-    f and g are (coeffs, rates) pairs of one function each, summed term by
-    term at each node. On the half-line a rate may be bounded (Re r = 0)
-    when the product decays; a growing rate or a product that does not
-    decay is a DomainError. ToleranceError when the error estimate (16
-    against 8 nodes, plus the tail) exceeds the budget, or for more than
-    _MAX_PANELS panels."""
+    f and g are (coeffs, rates) pairs: coeffs (m,) for one function, or a
+    stack (k, m) of k functions over the same m rates, summed term by term
+    at each node. The result is one complex for two functions and else the
+    array of shape f-stack + g-stack of all the inner products, from one
+    set of panels: their count and the half-line cutoff come from the
+    union of the rates with a nonzero coefficient, which needs at least as
+    many panels as any one pair. On the half-line a rate may be bounded
+    (Re r = 0) when the product decays; a growing rate or a product that
+    does not decay is a DomainError. ToleranceError when the error estimate
+    of any entry (16 against 8 nodes, plus the tail at the union's decay)
+    exceeds that entry's budget, or for more than _MAX_PANELS panels."""
     spec = spec or QuadratureSpec()
-    f, g = _terms(f), _terms(g)
-    if f[0].size == 0 or g[0].size == 0:
-        return 0j
+    (fc, fr, f_lead), (gc, gr, g_lead) = _terms(f), _terms(g)
+    shape = f_lead + g_lead
+    if fr.size == 0 or gr.size == 0:
+        return np.zeros(shape, dtype=complex) if shape else 0j
     if not model.halfline:
         lo, hi, tail = -model.a, model.a, 0.0
     else:
-        decay = -np.max(f[1].real) - np.max(g[1].real)
-        if np.any(f[1].real > 0) or np.any(g[1].real > 0) or not decay > 0:
+        decay = -np.max(fr.real) - np.max(gr.real)
+        if np.any(fr.real > 0) or np.any(gr.real > 0) or not decay > 0:
             raise DomainError("half-line integrand grows or does not decay")
         lo, hi = 0.0, spec.halfline_cutoff_digits * math.log(10.0) / decay
-        tail = (np.sum(np.abs(f[0])) * np.sum(np.abs(g[0]))
+        tail = (np.outer(np.sum(np.abs(fc), axis=1), np.sum(np.abs(gc), axis=1))
                 * math.exp(-decay * hi) / decay)
-    panels = math.ceil((hi - lo) * (np.max(np.abs(f[1])) + np.max(np.abs(g[1]))) / 2)
+    panels = math.ceil((hi - lo) * (np.max(np.abs(fr)) + np.max(np.abs(gr))) / 2)
     if panels > _MAX_PANELS:
         raise ToleranceError(f"integrand needs {panels} > {_MAX_PANELS} panels")
     edges = np.linspace(lo, hi, max(panels, 1) + 1)
@@ -80,20 +93,17 @@ def quad_inner(model, f, g, spec=None):
 
     def rule(nodes, weights):
         x = (edges[:-1, None] + half * (1.0 + nodes)).ravel()
-        at = [h[0] @ np.exp(np.outer(h[1], x)) for h in (f, g)]
-        return np.sum((half * weights).ravel() * at[0] * np.conj(at[1]))
+        at_f, at_g = (c @ np.exp(np.outer(r, x)) for c, r in ((fc, fr), (gc, gr)))
+        return ((half * weights).ravel() * at_f) @ at_g.conj().T
     value, coarse = (rule(*r) for r in _rules())
-    err = abs(value - coarse) + tail
-    budget = spec.abs_tol + spec.rel_tol * abs(value)
-    if err > budget:
-        raise ToleranceError(f"error estimate {err:.3e} over budget {budget:.3e}")
-    return complex(value)
-
-
-def _pairs(model, f, g):
-    """[<f_i, g_j>] by quad_inner, for f_i = (f[0][i], f[1]), g_j alike."""
-    return np.array([[quad_inner(model, (cf, f[1]), (cg, g[1]))
-                      for cg in g[0]] for cf in f[0]])
+    err = np.abs(value - coarse) + tail
+    budget = spec.abs_tol + spec.rel_tol * np.abs(value)
+    over = err > budget
+    if np.any(over):
+        raise ToleranceError(f"error estimate {err[over][0]:.3e} over budget "
+                             f"{budget[over][0]:.3e}")
+    value = value.reshape(shape)
+    return value if shape else complex(value)
 
 
 def _boundary_system(model, alpha, s):
@@ -128,8 +138,8 @@ def eigen_mass(model, alpha, s):
     _, sv, vh = np.linalg.svd(system.T)
     null = max(1, int(np.sum(sv <= _NULL_TOL * sv[0])))
     u = (vh[-null:, :rates.size].conj(), rates)
-    v = _pairs(model, defect_onb(model, "+"), u)
-    mass = (v @ np.linalg.solve(_pairs(model, u, u), v.conj().T)
+    v = quad_inner(model, defect_onb(model, "+"), u)
+    mass = (v @ np.linalg.solve(quad_inner(model, u, u), v.conj().T)
             / (np.pi * (1.0 + s * s)))
     return 0.5 * (mass + mass.conj().T)
 
@@ -147,8 +157,8 @@ def eigen_density(model, alpha, s):
     rates, system = _boundary_system(model, alpha, s)
     k = s ** (1.0 / model.order)
     sol = np.linalg.solve(system.T, -boundary_rows(model, ([1.0], [-1j * k])))
-    psi = ([np.r_[1.0, sol[:rates.size]]], np.r_[-1j * k, rates])
-    v = _pairs(model, defect_onb(model, "+"), psi)
+    psi = (np.r_[1.0, sol[:rates.size]], np.r_[-1j * k, rates])
+    v = quad_inner(model, defect_onb(model, "+"), psi)
     return np.outer(v, v.conj()) * k / (model.order * s * 2.0 * np.pi)
 
 
@@ -205,14 +215,18 @@ def _interval_matrix(bm, a, s, far=None):
 
 def _bisect(fn, lo, hi):
     """Roots of the real, vectorized fn in brackets [lo, hi] where fn(lo)
-    is zero or of the other sign than fn(hi), by 100 halvings."""
+    is zero or of the other sign than fn(hi), by halvings until none of
+    them moves a bracket (adjacent floats; the next halving would repeat
+    this one), at most 100."""
     flo = fn(lo)
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         fmid = fn(mid)
         left = fmid * flo > 0
-        lo, flo, hi = (np.where(left, mid, lo), np.where(left, fmid, flo),
-                       np.where(left, hi, mid))
+        new_lo, new_hi = np.where(left, mid, lo), np.where(left, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, flo, hi = new_lo, np.where(left, fmid, flo), new_hi
     return lo
 
 

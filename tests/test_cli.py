@@ -472,6 +472,19 @@ def test_bcmap_k2_round_trip(capsys):
     assert code == 2 and "--beta-a" in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    # a second endpoint on the half-line
+    (["--model", "k2", "--beta-a", "[[1,0,0,0],[0,1,0,0]]",
+      "--beta-b", "[[5]]"], "--beta-b"),
+    # a k1 Robin coefficient beside an l2 condition
+    (["--model", "l2", "--b", "3", "--beta-a", "[[1,0],[0,0]]",
+      "--beta-b", "[[0,0],[1,0]]"], "--b")])
+def test_bcmap_rejects_flags_of_another_model(capsys, argv, flag):
+    code, out, err = run_cli(capsys, ["bcmap", *argv])
+    assert code == 2 and out == ""
+    assert f"{argv[1]} bcmap takes" in err and err.rstrip().endswith(flag)
+
+
 def test_verify_single_criterion(capsys):
     code, out, _ = run_cli(capsys, ["verify", "--only", "11"])
     assert code == 0

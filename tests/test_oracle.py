@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from clarkspectra import clark, extensions, livsic, models, oracle
+from clarkspectra import checks, clark, extensions, livsic, models, oracle
 from clarkspectra.cplane import random_unitary
 from clarkspectra.errors import DomainError, RankError, ToleranceError
 
@@ -60,6 +60,57 @@ def test_quad_inner_budget_enforced():
     with pytest.raises(ToleranceError):
         oracle.quad_inner(models.k1(), f, f, spec)
     assert oracle.QuadratureSpec().abs_tol == 1e-10
+
+
+@pytest.mark.parametrize("model", [models.k1(), models.k2(), models.l1(1.0),
+                                   models.l2(1.5)], ids=lambda m: m.name)
+def test_quad_inner_stack_matches_the_entries(model):
+    # three functions over the rates at two points against both bases: one
+    # set of panels for the stack, each entry on its own by the scalar call
+    rng = np.random.default_rng(17)
+    rates = model.raw_rates(np.array([1.3 + 0.7j, -2.0 + 0.4j])).ravel()
+    f = (rng.standard_normal((3, rates.size))
+         + 1j * rng.standard_normal((3, rates.size)), rates)
+    g = checks._defect_bases(model)
+    stack = oracle.quad_inner(model, f, g)
+    assert stack.shape == (3, g[0].shape[0])
+    entries = np.array([[oracle.quad_inner(model, (cf, f[1]), (cg, g[1]))
+                         for cg in g[0]] for cf in f[0]])
+    tol = 1e-14 * max(1.0, np.max(np.abs(entries)))
+    assert np.max(np.abs(stack - entries)) <= tol
+    # a stack against one function has the stack's shape
+    column = oracle.quad_inner(model, f, (g[0][0], g[1]))
+    assert column.shape == (3,)
+    assert np.max(np.abs(column - entries[:, 0])) <= tol
+
+
+def test_quad_inner_of_two_functions_is_one_complex():
+    value = oracle.quad_inner(models.k1(), ([1.0], [-1.0]), ([1.0], [-2.0]))
+    assert type(value) is complex
+    assert value == pytest.approx(1.0 / 3.0, rel=1e-13)
+    assert type(oracle.quad_inner(models.k1(), ([0.0], [-1.0]),
+                                  ([1.0], [-2.0]))) is complex
+
+
+def test_quad_inner_stack_budget_is_per_entry():
+    # with a two-digit cutoff the tail of a unit row is over budget; a row
+    # of 1e-12 stays under it alone, and the stack of both raises
+    spec = oracle.QuadratureSpec(halfline_cutoff_digits=2.0)
+    g = ([1.0], [-1.0])
+    small = oracle.quad_inner(models.k1(), ([[1e-12]], [-1.0]), g, spec)
+    assert small.shape == (1,) and small[0] == pytest.approx(5e-13, rel=1e-2)
+    with pytest.raises(ToleranceError):
+        oracle.quad_inner(models.k1(), ([[1e-12], [1.0]], [-1.0]), g, spec)
+
+
+def test_quad_inner_stack_with_a_growing_row():
+    # the growing rate has a nonzero coefficient in one row only
+    f = ([[1.0, 0.0], [0.0, 1.0]], [-1.0, 0.2])
+    g = ([1.0], [-1.0])
+    assert oracle.quad_inner(models.k1(), ([[1.0, 0.0]], f[1]), g)[0] == \
+        pytest.approx(0.5, rel=1e-10)
+    with pytest.raises(DomainError):
+        oracle.quad_inner(models.k1(), f, g)
 
 
 def test_l1_direct_eigenvalue_anchors():

@@ -45,3 +45,6 @@ def test_layer_timing_prints_one_json_line():
         assert set(per_size) == {"1", "64", "512"}
         assert all(t > 0 for t in per_size.values())
     assert all(t > 0 for t in doc["atom_scan_ms"].values())
+    assert set(doc["oracle_ms"]) == {"quad_inner_k2_block",
+                                     "l2_eigenvalues_dirichlet"}
+    assert all(t > 0 for t in doc["oracle_ms"].values())

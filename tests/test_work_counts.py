@@ -4,7 +4,8 @@ Wall time on a shared machine is noisy; the number of characteristic-function
 evaluations a routine makes is not, so these counts pin the cost of the
 density's direct boundary evaluation, of the residue point masses and of
 the atom scan. B takes arrays of points, so each count is both the number
-of calls and the number of points evaluated.
+of calls and the number of points evaluated. The oracle's counts are its
+quadrature calls per criterion and its bisection halvings per bracket.
 """
 
 import argparse
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from clarkspectra import clark, cli, extensions, livsic, models
+from clarkspectra import checks, clark, cli, extensions, livsic, models, oracle
 
 
 class CountingB:
@@ -168,3 +169,70 @@ def test_one_parser_per_process(monkeypatch, capsys):
     assert sorted(built) == ["clarkspectra", "clarkspectra atoms",
                              "clarkspectra bcmap", "clarkspectra density",
                              "clarkspectra livsic", "clarkspectra verify"]
+
+
+def test_oracle_quadrature_calls(monkeypatch):
+    # one stacked quad_inner per point of criterion 10 (80), one per
+    # density of criterion 6 (15) and two per mass of criterion 11 (12):
+    # 119 in all
+    calls = []
+    quad_inner = oracle.quad_inner
+    monkeypatch.setattr(oracle, "quad_inner",
+                        lambda *a, **k: calls.append(1) or quad_inner(*a, **k))
+    results = checks.run_all(seed=0, numbers={6, 10, 11})
+    assert all(r.passed for r in results)
+    assert len(calls) <= 120
+
+
+def _reference_bisect(fn, lo, hi, moves):
+    """oracle._bisect as 100 halvings with no early stop; records for each
+    bracket the last halving that moved it."""
+    flo = fn(lo)
+    last = np.zeros(np.size(lo), dtype=int)
+    for k in range(1, 101):
+        mid = 0.5 * (lo + hi)
+        fmid = fn(mid)
+        left = fmid * flo > 0
+        new_lo, new_hi = np.where(left, mid, lo), np.where(left, hi, mid)
+        last[(new_lo != lo) | (new_hi != hi)] = k
+        lo, flo, hi = new_lo, np.where(left, fmid, flo), new_hi
+    moves.append((last, lo))
+    return lo
+
+
+def test_l2_bisection_stops_at_float_resolution(monkeypatch):
+    # the criterion-7 windows: the roots are bitwise those of 100 halvings,
+    # each bracket stops moving within 64 halvings, and each bisection ends
+    # one halving after its last bracket stopped; only the double root of
+    # the periodic conditions at s = 0 runs to the cap, as the floats
+    # around 0 grow ever finer
+    inputs = []
+    l2_eigenvalues = oracle.l2_eigenvalues
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "l2_eigenvalues",
+                  lambda *a: inputs.append(a) or l2_eigenvalues(*a))
+        assert checks.check_7()[0]
+    assert len(inputs) == 4
+    bisect = oracle._bisect
+    at_zero = 0
+    for bm, a, window in inputs:
+        moves, halvings = [], []
+        monkeypatch.setattr(oracle, "_bisect",
+                            lambda fn, lo, hi: _reference_bisect(fn, lo, hi, moves))
+        reference = oracle.l2_eigenvalues(bm, a, window)
+
+        def counting(fn, lo, hi):
+            calls = []
+            out = bisect(lambda s: calls.append(1) or fn(s), lo, hi)
+            halvings.append(len(calls) - 1)
+            return out
+        monkeypatch.setattr(oracle, "_bisect", counting)
+        assert oracle.l2_eigenvalues(bm, a, window) == reference
+        assert len(halvings) == len(moves) == 2
+        for count, (last, roots) in zip(halvings, moves):
+            capped = last == 100
+            at_zero += int(np.sum(capped))
+            assert np.all(np.abs(roots[capped]) < 1e-30)
+            assert np.all(last[~capped] <= 64)
+            assert count == min(100, int(np.max(last, initial=0)) + 1)
+    assert at_zero == 2

@@ -7,8 +7,13 @@ and coupling per model, in milliseconds per call. The oracle is timed in
 milliseconds per call on two inputs of the verify battery: one stacked
 quad_inner of the K2 rates at a point against both defect bases, as
 criterion 10 makes it, and l2_eigenvalues on criterion 7's Dirichlet
-window at a = 1. Each figure is the best of --repeat runs, so it is the
-cost of the code, not of the machine's other load. Prints one JSON line.
+window at a = 1. A density --format json request is timed in process
+through cli.main, in milliseconds, on each half-line model at 20 and 80
+points in s > 0, beside its two parts: the compute (clark.ac_density on a
+new SchurFunction, as the request makes it) and the write (the JSON text
+of the document, printed). Each figure is the best of --repeat runs, so it
+is the cost of the code, not of the machine's other load. Prints one JSON
+line.
 
 Typical run:
 
@@ -16,6 +21,8 @@ Typical run:
 """
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -24,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from clarkspectra import checks, clark, extensions, livsic, models, oracle
+from clarkspectra import checks, clark, cli, extensions, livsic, models, oracle
 from clarkspectra.cplane import random_unitary
 
 SIZES = (1, 64, 512)
@@ -56,6 +63,38 @@ def oracle_calls():
     }
 
 
+def density(model, alpha, grid):
+    """The compute of a density request: clark.ac_density on a new B."""
+    return clark.ac_density(livsic.livsic_function(model), alpha, grid)
+
+
+def density_requests():
+    """(model name, point count, request, compute, write) per half-line
+    model and point count: a density request like the benchmark's through
+    cli.main, and the calls of its two parts."""
+    rng = np.random.default_rng([3, 5])
+    out = []
+    for key, model in (("k1", models.k1()), ("k2", models.k2())):
+        alpha = random_unitary(model.rank, rng)
+        alpha_arg = json.dumps([[{"re": z.real, "im": z.imag} for z in row]
+                                for row in alpha.tolist()])
+        for count in (20, 80):
+            grid = np.linspace(0.25, 30.0, count)
+            argv = ["density", "--model", key, f"--alpha={alpha_arg}",
+                    f"--grid=0.25:30.0:{count}", "--format", "json"]
+            out.append((model.name, str(count), partial(quiet, cli.main, argv),
+                        partial(density, model, alpha, grid),
+                        partial(quiet, cli._print_measure, key, alpha, grid,
+                                density(model, alpha, grid), [], [])))
+    return out
+
+
+def quiet(fn, *args):
+    """fn(*args) with its standard output discarded."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return fn(*args)
+
+
 def best(fn, repeat):
     times = []
     for _ in range(repeat):
@@ -83,8 +122,13 @@ def main(argv=None):
             1e3 * best(partial(clark.atom_scan, b, alpha, window), args.repeat), 3)
     oracle_ms = {name: round(1e3 * best(call, args.repeat), 3)
                  for name, call in oracle_calls().items()}
+    cli_ms = {}
+    for name, count, *calls in density_requests():
+        cli_ms.setdefault(name, {})[count] = {
+            part: round(1e3 * best(call, args.repeat), 3)
+            for part, call in zip(("request", "compute", "write"), calls)}
     print(json.dumps({"b_us_per_point": b_us, "atom_scan_ms": scan_ms,
-                      "oracle_ms": oracle_ms,
+                      "oracle_ms": oracle_ms, "cli_ms": cli_ms,
                       "repeat": args.repeat, "cpus": os.cpu_count(),
                       "numpy": np.__version__}))
 

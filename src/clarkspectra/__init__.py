@@ -12,7 +12,7 @@ from .errors import (ClarkSpectraError, ConvergenceError, DimensionError,
                      SingularError, ToleranceError, UnsupportedError)
 from .cplane import cayley, principal_power, is_unitary, random_unitary
 from .defect import exp_inner_halfline, exp_inner_interval, defect_onb
-from .livsic import (SchurFunction, gram_matrix, livsic_eval, livsic_function,
+from .livsic import (SchurFunction, livsic_eval, livsic_function,
                      conjugated_schur, transform_alpha)
 from .clark import (check_alpha, ac_density, point_mass, atom_scan,
                     conjugation_check)
@@ -36,7 +36,7 @@ __all__ = [
     "SingularError", "ToleranceError", "UnsupportedError",
     "cayley", "principal_power", "is_unitary", "random_unitary",
     "exp_inner_halfline", "exp_inner_interval", "defect_onb",
-    "SchurFunction", "gram_matrix", "livsic_eval", "livsic_function",
+    "SchurFunction", "livsic_eval", "livsic_function",
     "conjugated_schur", "transform_alpha",
     "check_alpha", "ac_density", "point_mass", "atom_scan",
     "conjugation_check",

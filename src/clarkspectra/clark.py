@@ -5,8 +5,10 @@ alpha, the associated spectral measure splits into an absolutely continuous
 part with matrix density
 
     rho(s) = (alpha* - B(s)*)^{-1} (I - B(s)* B(s)) (alpha - B(s))^{-1} / (pi (1+s^2))
+           = Re[(alpha + B(s)) (alpha - B(s))^{-1}] / (pi (1+s^2)),
 
-and point masses
+Re M = (M + M*)/2; the forms agree for unitary alpha, and the second (the
+matrix Herglotz function of the measure) is one solve. The point masses are
 
     mu({s}) = (2i/(pi (1+s^2)^2)) * lim (s - w) (I - B(w) alpha*)^{-1}.
 
@@ -77,29 +79,19 @@ def _hermitize(m):
     return 0.5 * (m + np.swapaxes(m, -1, -2).conj())
 
 
-def _density_value(bval, alpha):
-    """(alpha* - B*)^{-1} (I - B* B) (alpha - B)^{-1} = X* (I - B* B) X with
-    X = (alpha - B)^{-1}, for one B value or a stack of them; NaN where
-    alpha - B is singular (an atom, not an AC point)."""
-    eye = np.eye(bval.shape[-1])
-    x = _solve_small(alpha - bval, eye)
-    xh = np.swapaxes(x, -1, -2).conj()
-    bh = np.swapaxes(bval, -1, -2).conj()
-    return _mul_small(_mul_small(xh, eye - _mul_small(bh, bval)), x)
-
-
 def ac_density(b, alpha, s):
     """Absolutely continuous density matrix of the (B, alpha) measure at s.
 
     b is a SchurFunction, s a point or an array of points; the result is
     an n x n matrix or a stack of shape s.shape + (n, n). alpha is
     validated once. The points with s > b.ac_edge are evaluated in one call
-    of b, and the density sandwich is formed at those boundary values; the
-    others lie off the model's essential spectrum and get an exact zero
-    matrix. The result is Hermitian by construction. SingularError when B
-    or (alpha - B)^{-1} is not defined at a point of the essential spectrum
-    (rounding next to a branch point; alpha - B(s) is invertible there for
-    unitary alpha, since ||B(s)|| < 1).
+    of b, and the Hermitian part of (alpha + B)(alpha - B)^{-1} is formed
+    at those boundary values; the others lie off the model's essential
+    spectrum and get an exact zero matrix. The result is Hermitian by
+    construction. SingularError when B or (alpha - B)^{-1} is not defined
+    at a point of the essential spectrum (rounding next to a branch point;
+    alpha - B(s) is invertible there for unitary alpha, since
+    ||B(s)|| < 1).
     """
     alpha = _alpha_of(alpha)
     n = alpha.shape[0]
@@ -108,7 +100,10 @@ def ac_density(b, alpha, s):
     on = s > b.ac_edge
     if np.any(on):
         pts = s[on]
-        rho = _density_value(np.asarray(b(pts)).reshape(-1, n, n), alpha)
+        bval = np.swapaxes(np.asarray(b(pts)).reshape(-1, n, n), -1, -2)
+        # (alpha + B)(alpha - B)^{-1} as one solve on the transposes; NaN
+        # where alpha - B is singular (an atom, not an AC point)
+        rho = np.swapaxes(_solve_small(alpha.T - bval, alpha.T + bval), -1, -2)
         bad = ~np.all(np.isfinite(rho), axis=(-2, -1))
         if np.any(bad):
             raise SingularError(f"density undefined at s = {float(pts[bad][0])!r}: "

@@ -15,8 +15,10 @@ scalar syntax, or {"re": .., "im": ..} objects. Values that start with a
 dash (negative grid endpoints, windows, index ranges) must be attached to
 their flag: --grid=-3:3:25. CSV output carries 17 significant digits and
 JSON output Python's shortest round-trip repr, so both round-trip exactly.
-JSON is compact, on one line; `python -m json.tool` indents it. Non-finite
-numbers (nan, inf) are malformed input.
+JSON is compact, on one line, the same bytes as json.dumps of the document,
+written from one text template per array filled with the floats of
+ndarray.tolist(); `python -m json.tool` indents it. Non-finite numbers
+(nan, inf) are malformed input.
 """
 
 from __future__ import annotations
@@ -168,14 +170,31 @@ def _finite_float(text):
     return value
 
 
-def _cjson(z):
-    """A complex scalar, matrix or stack of matrices as the same nesting of
-    {"re", "im"} objects."""
-    z = np.asarray(z, dtype=complex)
-    cells = np.empty(z.size, dtype=object)
-    cells[:] = [{"re": re, "im": im} for re, im in
-                zip(z.real.ravel().tolist(), z.imag.ravel().tolist())]
-    return cells.reshape(z.shape).tolist()
+# Leaf templates of the JSON writer: a real number, a complex one, an atom
+_REAL, _COMPLEX, _ATOM = "%r", '{"re": %r, "im": %r}', '{"s": %r, "weight": %r}'
+
+
+def _json(a, leaf=_REAL):
+    """JSON text of a number or array as json.dumps writes a.tolist(), a
+    complex entry as {"re", "im"} and, with leaf _ATOM, each row of a real
+    (k, 2) array as {"s", "weight"}: one %-template for the array's shape,
+    filled from tolist(), whose Python floats print their shortest repr."""
+    a = np.asarray(a)
+    if leaf == _COMPLEX:
+        a = np.stack((a.real, a.imag), axis=-1)
+    template = leaf
+    for count in reversed(a.shape if leaf == _REAL else a.shape[:-1]):
+        template = "[" + ", ".join([template] * count) + "]"
+    text = template % tuple(a.ravel().tolist())
+    # json's names for the non-finite floats; no finite repr has an "n"
+    if "n" in text:
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
+
+
+def _print_json(**fields):
+    """One line: the JSON object of the fields' JSON texts, in order."""
+    print("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
 
 
 def _csv_header(rank, first, extra=()):
@@ -197,15 +216,10 @@ def _csv_rows(first, vals, *last):
     return [fmt % tuple(row) for row in cells.tolist()]
 
 
-def _measure_doc(name, alpha, grid, density, locs, weights):
-    return {
-        "model": name,
-        "alpha": _cjson(alpha),
-        "grid": grid.tolist(),
-        "density": _cjson(density),
-        "atoms": [{"s": s, "weight": w} for s, w in
-                  np.column_stack((locs, weights)).tolist()],
-    }
+def _print_measure(name, alpha, grid, density, locs, weights):
+    _print_json(model=f'"{name}"', alpha=_json(alpha, _COMPLEX),
+                grid=_json(grid), density=_json(density, _COMPLEX),
+                atoms=_json(np.column_stack((locs, weights)), _ATOM))
 
 
 def cmd_density(args):
@@ -217,7 +231,7 @@ def cmd_density(args):
         print("\n".join([_csv_header(model.rank, "s")]
                         + _csv_rows(grid, vals)))
     else:
-        print(json.dumps(_measure_doc(args.model, alpha, grid, vals, [], [])))
+        _print_measure(args.model, alpha, grid, vals, [], [])
     return 0
 
 
@@ -242,8 +256,7 @@ def cmd_atoms(args):
         print("\n".join(["s,weight"] + [f"{s:.17g},{w:.17g}"
                                          for s, w in zip(locs, weights)]))
     else:
-        print(json.dumps(_measure_doc(args.model, alpha, np.empty(0), [],
-                                      locs, weights)))
+        _print_measure(args.model, alpha, np.empty(0), [], locs, weights)
     return 0
 
 
@@ -262,14 +275,9 @@ def cmd_livsic(args):
         print("\n".join([_csv_header(model.rank, "re_w", extra=("sigma_max",))]
                         + _csv_rows(grid, vals, sig)))
     else:
-        doc = {
-            "model": args.model,
-            "im": args.im,
-            "grid": grid.tolist(),
-            "values": _cjson(vals),
-            "sigma_max": sig.tolist(),
-        }
-        print(json.dumps(doc))
+        _print_json(model=f'"{args.model}"', im=_json(args.im),
+                    grid=_json(grid), values=_json(vals, _COMPLEX),
+                    sigma_max=_json(sig))
     return 0
 
 
@@ -302,34 +310,36 @@ def _parse_bc(args, model):
     raise _ConfigError(f"{name} bcmap needs --alpha or {_BC_FLAGS[name]}")
 
 
-def _bc_doc(name, bm):
+def _bc_fields(name, bm):
     """The boundary condition bm under the keys of the model's flags."""
     if name == "k1":
-        return {"b": _cjson(bm.beta_a[0, 0]), "c": _cjson(bm.beta_a[0, 1])}
+        return {"b": _json(bm.beta_a[0, 0], _COMPLEX),
+                "c": _json(bm.beta_a[0, 1], _COMPLEX)}
     if name == "l1":
-        return {"beta": _cjson(-bm.beta_a[0, 0] / bm.beta_b[0, 0])}
-    doc = {"beta_a": _cjson(bm.beta_a)}
+        return {"beta": _json(-bm.beta_a[0, 0] / bm.beta_b[0, 0], _COMPLEX)}
+    fields = {"beta_a": _json(bm.beta_a, _COMPLEX)}
     if name == "l2":
-        doc["beta_b"] = _cjson(bm.beta_b)
-    return doc
+        fields["beta_b"] = _json(bm.beta_b, _COMPLEX)
+    return fields
 
 
 def cmd_bcmap(args):
     model = _make_model(args.model, args.a)
-    doc = {"model": args.model}
+    fields = {"model": f'"{args.model}"'}
     if not model.halfline:
-        doc["a"] = args.a
+        fields["a"] = _json(args.a)
     if args.alpha:
         alpha = _parse_alpha(args.alpha, model.rank)
-        doc.update(_bc_doc(args.model,
-                           extensions.bc_from_alpha_regular(model, alpha)))
+        fields.update(_bc_fields(args.model,
+                                 extensions.bc_from_alpha_regular(model, alpha)))
     else:
         bm = extensions.BoundaryMatrices(*_parse_bc(args, model))
         alpha = extensions.alpha_from_bc_regular(model, bm)
-        doc["alpha"] = _cjson(alpha[0, 0] if model.rank == 1 else alpha)
-    doc["unitarity_residual"] = float(np.max(np.abs(
+        fields["alpha"] = _json(alpha[0, 0] if model.rank == 1 else alpha,
+                                _COMPLEX)
+    fields["unitarity_residual"] = _json(np.max(np.abs(
         alpha @ alpha.conj().T - np.eye(model.rank))))
-    print(json.dumps(doc))
+    _print_json(**fields)
     return 0
 
 

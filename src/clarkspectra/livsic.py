@@ -37,7 +37,6 @@ from .errors import DimensionError, DomainError, NonUnitaryError
 
 __all__ = [
     "SchurFunction",
-    "gram_matrix",
     "livsic_eval",
     "livsic_function",
     "conjugated_schur",
@@ -79,28 +78,16 @@ def _upper(w):
     return w
 
 
-def gram_matrix(model, w, sign):
-    """A(w, sign)[j, k] = <exp(rho_j(w) x), phi_k(sign * i)> in the model's L2,
-    row j scaled by exp(-|Re rho_j| a) on the interval (-a, a).
-
-    rho_j are the defect rates at w (Model.raw_rates: the upper branch on
-    the closed upper half-plane, its continuation off the cut below) and phi_k the orthonormal defect
-    basis at +i or -i. sign is '+' or '-'. w is a point or an array of
-    points; the result has shape w.shape + (n, n). The row scale is the
-    same for both signs, so it cancels from A(w, +)^{-1} A(w, -); it keeps
-    the rows finite where exp(rho_j x) grows like exp(|Re rho_j| a), as on
-    L2 far down the negative axis.
-    """
-    if sign not in ("+", "-"):
-        raise DomainError(f"sign must be '+' or '-', got {sign!r}")
-    a_plus, a_minus = _pairings(model, model.raw_rates(w))
-    return a_plus if sign == "+" else a_minus
-
-
 def _pairings(model, rates):
-    """A(w, +) and A(w, -) from the rates at w (shape (..., n)): one inner
-    product of each rate with the 2n basis rates at +i and -i, then the
-    conjugated coefficients of each basis."""
+    """A(w, +) and A(w, -) from the rates at w (shape (..., n)):
+    A(w, sign)[j, k] = <exp(rho_j(w) x), phi_k(sign * i)> in the model's
+    L2, row j scaled by exp(-|Re rho_j| a) on the interval (-a, a). rho_j
+    are the defect rates at w (Model.raw_rates) and phi_k the orthonormal
+    defect basis at +i or -i. One inner product of each rate with the 2n
+    basis rates, then the conjugated coefficients of each basis. The row
+    scale is the same for both signs, so it cancels from
+    A(w, +)^{-1} A(w, -); it keeps the rows finite where exp(rho_j x) grows
+    like exp(|Re rho_j| a), as on L2 far down the negative axis."""
     (c_plus, r_plus), (c_minus, r_minus) = (defect_onb(model, "+"),
                                             defect_onb(model, "-"))
     rho = rates[..., None]

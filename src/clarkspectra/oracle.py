@@ -213,21 +213,25 @@ def _interval_matrix(bm, a, s, far=None):
     return bm.beta_a @ left + bm.beta_b @ right, left, right, factor
 
 
-def _bisect(fn, lo, hi):
+def _bisect(fn, lo, hi, zero):
     """Roots of the real, vectorized fn in brackets [lo, hi] where fn(lo)
-    is zero or of the other sign than fn(hi), by halvings until none of
-    them moves a bracket (adjacent floats; the next halving would repeat
-    this one), at most 100."""
+    is zero or of the other sign than fn(hi), by halvings until each
+    bracket has stopped moving (adjacent floats; the next halving would
+    repeat this one) or has both ends within zero of 0, where the floats
+    grow ever finer and the root is the bracket's point nearest 0; at most
+    100."""
     flo = fn(lo)
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         fmid = fn(mid)
         left = fmid * flo > 0
         new_lo, new_hi = np.where(left, mid, lo), np.where(left, hi, mid)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break
+        moved = (new_lo != lo) | (new_hi != hi)
         lo, flo, hi = new_lo, np.where(left, fmid, flo), new_hi
-    return lo
+        at_zero = (np.abs(lo) <= zero) & (np.abs(hi) <= zero)
+        if not np.any(moved & ~at_zero):
+            break
+    return np.where(at_zero, np.clip(0.0, lo, hi), lo)
 
 
 # Grid cells per pi/(2a) in sqrt(s), the Dirichlet spacing, and at least
@@ -288,8 +292,10 @@ def l2_eigenvalues(bm, a, window):
     step = flat(right) - flat(left)
     pick = (np.arange(left.size), np.argmax(np.abs(step), axis=1))
     entry = lambda s: (flat(s)[pick] * np.conj(step[pick])).real
-    roots = np.concatenate([_bisect(real, grid[:-1][change], grid[1:][change]),
-                            _bisect(entry, left, right)])
+    zero = np.finfo(float).eps * max(1.0, abs(lo), abs(hi))
+    roots = np.concatenate([
+        _bisect(real, grid[:-1][change], grid[1:][change], zero),
+        _bisect(entry, left, right, zero)])
     mats, left, right, _ = _interval_matrix(bm, a, roots)
     norm = lambda m: np.linalg.norm(m, 2, axis=(-2, -1))
     scale = norm(bm.beta_a) * norm(left) + norm(bm.beta_b) * norm(right)

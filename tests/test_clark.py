@@ -91,6 +91,49 @@ def test_ac_density_grid_matches_points(b_k1):
         clark.ac_density(b_k2, np.eye(2), [1e-300, 1.0])
 
 
+def _sandwich(b, alpha, s):
+    # (alpha* - B*)^{-1} (I - B* B) (alpha - B)^{-1} / (pi (1 + s^2))
+    n = alpha.shape[0]
+    bval = np.asarray(b(s)).reshape(-1, n, n)
+    x = np.linalg.inv(alpha - bval)
+    xh, bh = x.conj().swapaxes(-1, -2), bval.conj().swapaxes(-1, -2)
+    return xh @ (np.eye(n) - bh @ bval) @ x / (np.pi * (1.0 + s * s))[:, None, None]
+
+
+@given(st.sampled_from(["k1", "k2"]), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1,
+                max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_density_is_the_herglotz_real_part_property(name, seed, logs):
+    # Re[(alpha + B)(alpha - B)^{-1}] / (pi (1 + s^2)) is the sandwich for
+    # unitary alpha; exactly Hermitian, and exactly zero at -s
+    model = getattr(models, name)()
+    b = livsic.livsic_function(model)
+    alpha = random_unitary(model.rank, np.random.default_rng(seed))
+    s = 10.0 ** np.array(logs)
+    rho = clark.ac_density(b, alpha, np.concatenate([s, -s]))
+    on, off = rho[:s.size], rho[s.size:]
+    ref = _sandwich(b, alpha, s)
+    err = np.max(np.abs(on - ref), axis=(1, 2))
+    assert np.all(err <= 1e-13 * np.max(np.abs(ref), axis=(1, 2)))
+    assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
+    assert np.all(off == 0.0)
+
+
+def test_density_refuses_a_singular_alpha_minus_b():
+    # alpha - B(s) is invertible for unitary alpha where ||B(s)|| < 1; a
+    # function equal to alpha at s = 2 shows the refusal the solve's NaN
+    # gives, and K2 at s = 1e-70, where B is NaN, the real case
+    alpha = random_unitary(2, np.random.default_rng(8))
+    b = livsic.livsic_function(models.k2())
+    at = lambda w: np.where(np.asarray(w)[..., None, None] == 2.0, alpha,
+                            b.fn(w))
+    with pytest.raises(SingularError, match="s = 2.0"):
+        clark.ac_density(replace(b, fn=at), alpha, [1.0, 2.0, 3.0])
+    with pytest.raises(SingularError):
+        clark.ac_density(b, np.eye(2), [1e-70])
+
+
 def test_point_mass_array_and_refusals(b_k1, b_l1):
     # alpha = 1 on L1: atoms at pi/2 + n pi
     atoms = models.l1_atoms(1.0, 1.0, (-2, 2))

@@ -17,42 +17,36 @@ upper_w = st.builds(complex,
                     st.floats(min_value=0.02, max_value=6.0, allow_nan=False))
 
 
-def test_gram_matrix_closed_values_rank_one_halfline():
+def test_pairings_closed_values_rank_one_halfline():
     m = models.k1()
     pref = 2.0 ** 0.25 * 1j
     for w in (0.5 + 0.3j, 1j, -2.0 + 1.5j, 3.0 + 0.0j):
         sq = principal_power(w, 0.5)
-        a_plus = livsic.gram_matrix(m, w, "+")
-        a_minus = livsic.gram_matrix(m, w, "-")
+        a_plus, a_minus = livsic._pairings(m, m.raw_rates(w))
         assert a_plus[0, 0] == pytest.approx(pref / (sq - cmath.exp(-1j * math.pi / 4)))
         assert a_minus[0, 0] == pytest.approx(pref / (sq + cmath.exp(1j * math.pi / 4)))
 
 
-def test_gram_matrix_closed_values_rank_one_interval():
+def test_pairings_closed_values_rank_one_interval():
     a = 1.3
     m = models.l1(a)
     for w in (0.5 + 0.3j, 2.0 + 0.0j):
         # pairing of exp(-iwx) against exp(x)/sqrt(sinh 2a) and exp(-x)/sqrt(sinh 2a),
         # with the row scale exp(-|Re(-iw)| a) = exp(-a Im w)
-        for sign, rate in (("+", 1.0), ("-", -1.0)):
-            got = livsic.gram_matrix(m, w, sign)[0, 0]
+        pairs = livsic._pairings(m, m.raw_rates(w))
+        for got, rate in zip(pairs, (1.0, -1.0)):
             z = -1j * w + rate  # rate of the product before conjugation
             ref = 2.0 * cmath.sinh(z * a) / z / math.sqrt(math.sinh(2 * a))
-            assert got == pytest.approx(ref * math.exp(-a * w.imag))
+            assert got[0, 0] == pytest.approx(ref * math.exp(-a * w.imag))
 
 
 def test_l2_unitary_far_down_the_negative_axis():
     # the rows of A(w, +-) grow like exp(sqrt(-s) a) there; the row scale
-    # of gram_matrix keeps them finite without changing B
+    # of livsic._pairings keeps them finite without changing B
     m = models.l2(1.0)
     for s in (-1.3e5, -1e7):
         b = livsic.livsic_eval(m, s)
         assert np.max(np.abs(b.conj().T @ b - np.eye(2))) < 1e-12
-
-
-def test_gram_matrix_rejects_bad_sign():
-    with pytest.raises(DomainError):
-        livsic.gram_matrix(models.k1(), 1j, "plus")
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)

@@ -48,3 +48,9 @@ def test_layer_timing_prints_one_json_line():
     assert set(doc["oracle_ms"]) == {"quad_inner_k2_block",
                                      "l2_eigenvalues_dirichlet"}
     assert all(t > 0 for t in doc["oracle_ms"].values())
+    assert set(doc["cli_ms"]) == {"K1", "K2"}
+    for per_count in doc["cli_ms"].values():
+        assert set(per_count) == {"20", "80"}
+        for parts in per_count.values():
+            assert set(parts) == {"request", "compute", "write"}
+            assert all(t > 0 for t in parts.values())

@@ -201,11 +201,11 @@ def _reference_bisect(fn, lo, hi, moves):
 
 
 def test_l2_bisection_stops_at_float_resolution(monkeypatch):
-    # the criterion-7 windows: the roots are bitwise those of 100 halvings,
-    # each bracket stops moving within 64 halvings, and each bisection ends
-    # one halving after its last bracket stopped; only the double root of
-    # the periodic conditions at s = 0 runs to the cap, as the floats
-    # around 0 grow ever finer
+    # the criterion-7 windows: no bracket reaches the cap of 100 halvings;
+    # each bisection stops within 64, one halving after its last bracket
+    # stopped when no bracket is at 0; the roots are bitwise those of 100
+    # halvings, but for the root of the periodic conditions at s = 0,
+    # which is 0 itself
     inputs = []
     l2_eigenvalues = oracle.l2_eigenvalues
     with monkeypatch.context() as m:
@@ -216,23 +216,29 @@ def test_l2_bisection_stops_at_float_resolution(monkeypatch):
     bisect = oracle._bisect
     at_zero = 0
     for bm, a, window in inputs:
-        moves, halvings = [], []
+        zero = np.finfo(float).eps * max(1.0, abs(window[0]), abs(window[1]))
+        moves, halvings, roots = [], [], []
         monkeypatch.setattr(oracle, "_bisect",
-                            lambda fn, lo, hi: _reference_bisect(fn, lo, hi, moves))
+                            lambda fn, lo, hi, _: _reference_bisect(fn, lo, hi, moves))
         reference = oracle.l2_eigenvalues(bm, a, window)
 
-        def counting(fn, lo, hi):
+        def counting(fn, lo, hi, tol):
             calls = []
-            out = bisect(lambda s: calls.append(1) or fn(s), lo, hi)
+            out = bisect(lambda s: calls.append(1) or fn(s), lo, hi, tol)
             halvings.append(len(calls) - 1)
+            roots.append(out)
             return out
         monkeypatch.setattr(oracle, "_bisect", counting)
-        assert oracle.l2_eigenvalues(bm, a, window) == reference
+        got = oracle.l2_eigenvalues(bm, a, window)
+        assert got == [0.0 if abs(r) <= zero else r for r in reference]
         assert len(halvings) == len(moves) == 2
-        for count, (last, roots) in zip(halvings, moves):
-            capped = last == 100
-            at_zero += int(np.sum(capped))
-            assert np.all(np.abs(roots[capped]) < 1e-30)
-            assert np.all(last[~capped] <= 64)
-            assert count == min(100, int(np.max(last, initial=0)) + 1)
+        for count, (last, ref), out in zip(halvings, moves, roots):
+            small = np.abs(ref) <= zero
+            at_zero += int(np.sum(small))
+            assert np.array_equal(out[~small], ref[~small])
+            assert np.all(out[small] == 0.0)
+            assert count <= 64
+            if not np.any(small):
+                assert count == int(np.max(last, initial=0)) + 1
+    # both periodic windows hold the root at 0
     assert at_zero == 2

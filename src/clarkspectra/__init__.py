@@ -10,7 +10,7 @@ classical boundary conditions and the unitary coupling parameter.
 from .errors import (ClarkSpectraError, ConvergenceError, DimensionError,
                      DivergenceError, DomainError, NonUnitaryError, RankError,
                      SingularError, ToleranceError, UnsupportedError)
-from .cplane import cayley, principal_power, is_unitary, random_unitary
+from .cplane import cayley, principal_power, check_unitary, random_unitary
 from .defect import exp_inner_halfline, exp_inner_interval, defect_onb
 from .livsic import (SchurFunction, livsic_eval, livsic_function,
                      conjugated_schur, transform_alpha)
@@ -23,7 +23,7 @@ from .extensions import (canonical_c, hat_vector, lagrange_bracket,
                          validate_sa_matrices, alpha_from_bc_k1,
                          bc_from_alpha_k1, alpha_from_bc_l1,
                          alpha_from_bc_regular, bc_from_alpha_regular)
-from .oracle import (QuadratureSpec, quad_inner, eigen_mass, eigen_density,
+from .oracle import (quad_inner, eigen_mass, eigen_density,
                      l1_eigenvalues_direct, l2_eigenvalues,
                      k1_bound_state_check)
 from .checks import CheckResult, run_all
@@ -34,7 +34,7 @@ __all__ = [
     "ClarkSpectraError", "ConvergenceError", "DimensionError",
     "DivergenceError", "DomainError", "NonUnitaryError", "RankError",
     "SingularError", "ToleranceError", "UnsupportedError",
-    "cayley", "principal_power", "is_unitary", "random_unitary",
+    "cayley", "principal_power", "check_unitary", "random_unitary",
     "exp_inner_halfline", "exp_inner_interval", "defect_onb",
     "SchurFunction", "livsic_eval", "livsic_function",
     "conjugated_schur", "transform_alpha",
@@ -46,7 +46,7 @@ __all__ = [
     "BoundaryMatrices", "validate_sa_matrices", "alpha_from_bc_k1",
     "bc_from_alpha_k1", "alpha_from_bc_l1", "alpha_from_bc_regular",
     "bc_from_alpha_regular",
-    "QuadratureSpec", "quad_inner", "eigen_mass", "eigen_density",
+    "quad_inner", "eigen_mass", "eigen_density",
     "l1_eigenvalues_direct", "l2_eigenvalues", "k1_bound_state_check",
     "CheckResult", "run_all",
     "__version__",

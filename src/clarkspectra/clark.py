@@ -37,8 +37,8 @@ import math
 
 import numpy as np
 
-from .errors import (ConvergenceError, DimensionError, DomainError,
-                     NonUnitaryError, SingularError)
+from .cplane import check_unitary
+from .errors import ConvergenceError, DomainError, SingularError
 from .livsic import (_eigenvalues_small, _mul_small, _solve_small,
                      conjugated_schur, transform_alpha)
 
@@ -51,20 +51,10 @@ __all__ = [
 ]
 
 
-def check_alpha(alpha, n):
-    """Validate and return the perturbation parameter as an n x n unitary."""
-    alpha = np.atleast_2d(np.asarray(alpha, dtype=complex))
-    if alpha.shape != (n, n):
-        raise DimensionError(f"perturbation parameter must be {n} x {n}, got {alpha.shape}")
-    # "not <=" so that a NaN entry fails the test too
-    if not np.max(np.abs(alpha.conj().T @ alpha - np.eye(n))) <= 1e-10:
-        raise NonUnitaryError("perturbation parameter is not unitary")
-    return alpha
-
-
-def _alpha_of(alpha):
-    n = np.atleast_2d(np.asarray(alpha, dtype=complex)).shape[0]
-    return check_alpha(alpha, n)
+def check_alpha(alpha, n=None):
+    """The perturbation parameter as an n x n (any square size for n None)
+    unitary, by cplane.check_unitary."""
+    return check_unitary(alpha, n, "perturbation parameter")
 
 
 def _points(s, what):
@@ -93,7 +83,7 @@ def ac_density(b, alpha, s):
     alpha - B(s) is invertible there for unitary alpha, since
     ||B(s)|| < 1).
     """
-    alpha = _alpha_of(alpha)
+    alpha = check_alpha(alpha)
     n = alpha.shape[0]
     s = _points(s, "density point")
     out = np.zeros(s.shape + (n, n), dtype=complex)
@@ -135,7 +125,9 @@ _ONE_POLE_TOL = 1e-8
 def _radii(s, step, edge):
     """Circle radius per atom: half the scan step, a quarter of the
     distance to the nearest other atom, or half the distance to the cut,
-    whichever is smallest."""
+    whichever is smallest. The step is infinite on the half-line, so there
+    the cut and the other atoms size the circle; on an interval, which has
+    no cut, the step caps it."""
     order = np.argsort(s)
     gaps = np.diff(s[order], prepend=-np.inf, append=np.inf)
     near = np.empty(s.size)
@@ -194,9 +186,10 @@ def point_mass(b, alpha, s):
     stack of them), zero when s carries no atom: -2i/(pi (1+p^2)^2) times
     the residue of (I - B(w) alpha*)^{-1} at its pole p = s, by the
     trapezoid rule on _NODES points of a circle around s, all circles in
-    one call of b.fn. The radius is the least of half b.scan_step, a
-    quarter of the gap to the nearest other point of s and half the
-    distance to b.ac_edge; other poles are assumed to keep about that far.
+    one call of b.fn. The radius is the least of half b.scan_step (the
+    interval scan's resolution, infinite on the half-line), a quarter of
+    the gap to the nearest other point of s and half the distance to
+    b.ac_edge; other poles are assumed to keep about that far.
     The mass is zero when the sum stays within its rounding floor, and when
     both node counts place the pole at the same point (to a tenth of its
     offset) farther than _OFFSET_TOL (1 + |s|) from s.
@@ -206,7 +199,7 @@ def point_mass(b, alpha, s):
     values from all nodes and from the even nodes differ, beyond _MASS_RTOL
     relative to it, and for a circle with more than one pole.
     """
-    alpha = _alpha_of(alpha)
+    alpha = check_alpha(alpha)
     n = alpha.shape[0]
     s = _points(s, "atom location")
     return _residues(b, alpha, s.reshape(-1))[0].reshape(s.shape + (n, n))
@@ -318,18 +311,19 @@ def atom_scan(b, alpha, window):
 
     A cell of the grid holds (dPhi - d sum_j (theta_j mod 2 pi)) / 2 pi
     atoms, theta_j the increasing eigenphases of the unitary B(s) alpha*
-    and Phi = arg det(B alpha*), dPhi taken in [0, 2 pi) (Model.scan_step).
-    Three calls of b.fn: the count on the grid of _scan_grid, whose cells
-    span the points where B is not finite; a circle as wide as its cell
-    around each cell that counts atoms, whose pole is kept when the circle
-    holds one (a double atom is one), else the cell is split into _SPLIT
-    and counted again (two more calls per round); point_mass at the poles
-    inside window, merged within _OFFSET_TOL, whose narrower circles place
-    each pole again. DomainError for a window that is not finite with
-    lo < hi, and from _scan_grid; ConvergenceError for a cell still failing
-    after _ROUNDS splits, and from point_mass.
+    and Phi = arg det(B alpha*), dPhi taken in [0, 2 pi) (Model.scan_step
+    keeps the true step below 2 pi on an interval; the half-line grid is
+    geometric). Three calls of b.fn: the count on the grid of _scan_grid,
+    whose cells span the points where B is not finite; a circle as wide as
+    its cell around each cell that counts atoms, whose pole is kept when
+    the circle holds one (a double atom is one), else the cell is split
+    into _SPLIT and counted again (two more calls per round); point_mass
+    at the poles inside window, merged within _OFFSET_TOL, whose own
+    circles place each pole again. DomainError for a window that is not
+    finite with lo < hi, and from _scan_grid; ConvergenceError for a cell
+    still failing after _ROUNDS splits, and from point_mass.
     """
-    alpha = _alpha_of(alpha)
+    alpha = check_alpha(alpha)
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"scan window must be finite with lo < hi, got {window!r}")

@@ -238,7 +238,6 @@ def cmd_density(args):
 def cmd_atoms(args):
     model = _make_model(args.model, args.a)
     alpha = _parse_alpha(args.alpha, model.rank)
-    clark.check_alpha(alpha, model.rank)
     if args.model == "l1" and args.n_range:
         lo, hi = _parse_n_range(args.n_range)
         scal = complex(alpha[0, 0])

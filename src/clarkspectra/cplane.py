@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, NonUnitaryError
 
 __all__ = [
     "cayley",
     "principal_power",
-    "is_unitary",
+    "check_unitary",
     "random_unitary",
 ]
 
@@ -51,12 +51,20 @@ def principal_power(w, p):
     return ((w + 0j) ** p)[()]
 
 
-def is_unitary(m):
-    """True when m* m equals the identity to 1e-10 entrywise."""
+def check_unitary(m, n=None, what="matrix"):
+    """m as an n x n complex unitary matrix (any square size for n None);
+    a scalar is 1 x 1. The one check of every unitary input (couplings,
+    boundary phases, conjugating matrices): DimensionError for another
+    shape, NonUnitaryError when an entry of m* m - I exceeds 1e-10 or is
+    not finite. what names m in the messages."""
     m = np.atleast_2d(np.asarray(m, dtype=complex))
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"matrix must be square, got shape {m.shape}")
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= 1e-10)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or n not in (None, len(m)):
+        want = "square" if n is None else f"{n} x {n}"
+        raise DimensionError(f"{what} must be {want}, got shape {m.shape}")
+    # "not <=" so that a NaN entry fails the test too
+    if not np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= 1e-10:
+        raise NonUnitaryError(f"{what} is not unitary")
+    return m
 
 
 def random_unitary(n, rng):

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cplane import check_unitary
 from .defect import defect_onb
 from .errors import (DimensionError, DomainError, NonUnitaryError, RankError,
                      UnsupportedError)
@@ -158,9 +159,7 @@ def bc_from_alpha_k1(alpha):
     The returned pair has its largest component positive real; b conj(c) is
     real automatically for unimodular alpha.
     """
-    alpha = complex(alpha)
-    if abs(abs(alpha) - 1.0) > 1e-10:
-        raise NonUnitaryError(f"parameter must be unimodular, |alpha| = {abs(alpha):.6f}")
+    alpha = complex(check_unitary(alpha, 1, "parameter")[0, 0])
     if abs(alpha - 1.0) < 1e-14:
         return (1.0 + 0.0j, 0.0 + 0.0j)
     b = _E34 + alpha * _E14
@@ -179,9 +178,7 @@ def alpha_from_bc_l1(beta, a):
     The map is a Moebius involution: alpha_from_bc_l1(alpha, a) is the
     beta of the parameter alpha.
     """
-    beta = complex(beta)
-    if abs(abs(beta) - 1.0) > 1e-10:
-        raise NonUnitaryError(f"coupling must be unimodular, |beta| = {abs(beta):.6f}")
+    beta = complex(check_unitary(beta, 1, "coupling beta")[0, 0])
     q = math.exp(-2.0 * float(a))
     return (beta * q - 1.0) / (beta - q)
 
@@ -200,9 +197,15 @@ _UNITARY_TOL = 1e-8
 def boundary_rows(model, f):
     """Boundary rows of f = (coeffs, rates): the hat vectors at the model's
     endpoints side by side, at 0 on the half-line and at -a, a on the
-    interval; one row per function of f."""
+    interval; one row per function of f. DomainError when a row is not
+    finite, as where exp(rate a) overflows on a very long interval."""
     points = (0.0,) if model.halfline else (-model.a, model.a)
-    return np.hstack([hat_vector(f, model.order, x) for x in points])
+    with np.errstate(all="ignore"):
+        rows = np.hstack([hat_vector(f, model.order, x) for x in points])
+    if not np.all(np.isfinite(rows)):
+        raise DomainError(f"boundary rows of {model.name} are not finite"
+                          + ("" if model.halfline else f" at a = {model.a!r}"))
+    return rows
 
 
 def _defect_rows(model):
@@ -245,15 +248,11 @@ def bc_from_alpha_regular(model, alpha):
     annihilator of these rows gives the condition rows, each
     phase-normalized so its largest entry is positive real. beta_a takes
     the first model.order columns, beta_b the rest (none on the
-    half-line).
+    half-line). alpha is checked by cplane.check_unitary.
     """
-    minus, plus = _defect_rows(model)
     n = model.rank
-    alpha = np.atleast_2d(np.asarray(alpha, dtype=complex))
-    if alpha.shape != (n, n):
-        raise DimensionError(f"parameter must be {n} x {n}, got {alpha.shape}")
-    if np.max(np.abs(alpha.conj().T @ alpha - np.eye(n))) > _UNITARY_TOL:
-        raise NonUnitaryError("parameter must be unitary")
+    alpha = check_unitary(alpha, n, "parameter")
+    minus, plus = _defect_rows(model)
     u, sv, vh = np.linalg.svd(alpha @ minus - plus)
     rank = int(np.sum(sv > 1e-10 * max(sv[0], 1.0)))
     if rank != n:

@@ -31,9 +31,9 @@ from functools import partial
 
 import numpy as np
 
-from .cplane import cayley, is_unitary
+from .cplane import cayley, check_unitary
 from .defect import defect_onb
-from .errors import DimensionError, DomainError, NonUnitaryError
+from .errors import DimensionError, DomainError
 
 __all__ = [
     "SchurFunction",
@@ -57,7 +57,9 @@ class SchurFunction:
     spectrum of the underlying model begins: for every coupling the
     measure has no absolutely continuous part on s <= ac_edge, and fn
     continues across the real axis below it. scan_step is the model's
-    Model.scan_step, the resolution of the atom scan on an interval.
+    Model.scan_step, the resolution of the atom scan on an interval and
+    the cap of its residue radii there; infinite on the half-line, where
+    the distance to ac_edge sizes the residue circles.
     """
 
     n: int
@@ -210,14 +212,7 @@ def livsic_function(model):
 
 def conjugated_schur(b, r, q):
     """The Schur function w -> R b(w) Q for unitary R, Q."""
-    r = np.atleast_2d(np.asarray(r, dtype=complex))
-    q = np.atleast_2d(np.asarray(q, dtype=complex))
-    if r.shape != (b.n, b.n) or q.shape != (b.n, b.n):
-        raise DimensionError(
-            f"conjugating matrices must be {b.n} x {b.n}, got {r.shape} and {q.shape}"
-        )
-    if not (is_unitary(r) and is_unitary(q)):
-        raise NonUnitaryError("conjugating matrices must be unitary")
+    r, q = (check_unitary(m, b.n, "conjugating matrix") for m in (r, q))
     return replace(b, fn=lambda w: r @ b.fn(w) @ q)
 
 

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cplane import principal_power
+from .cplane import check_unitary, principal_power
 from .defect import exp_inner_halfline, exp_inner_interval
-from .errors import DomainError, NonUnitaryError, SingularError, ToleranceError
+from .errors import DomainError, SingularError, ToleranceError
 
 __all__ = [
     "Model",
@@ -95,15 +95,18 @@ class Model:
 
     @property
     def scan_step(self):
-        """Twice the cell of the interval models' atom scan, and bound of
-        the residue radii. The scan's count is exact while arg det B(s)
-        steps by less than 2 pi per cell. L1: pi/(8a), a sixteenth of the
-        period of its scalar B, so below 2 pi (below pi for a >= 0.1). L2:
-        at most a third of its Dirichlet gap (pi/(2a))^2 and at most 0.5,
-        as near s = 0 its eigenphases sweep about 4 pi on a scale of 1
-        whatever a; so below 2. The half-line grid is geometric."""
+        """Twice the cell of the interval models' atom scan, the resolution
+        of that scan, and on an interval the bound of the residue radii.
+        The scan's count is exact while arg det B(s) steps by less than
+        2 pi per cell. L1: pi/(8a), a sixteenth of the period of its scalar
+        B, so below 2 pi (below pi for a >= 0.1). L2: at most a third of
+        its Dirichlet gap (pi/(2a))^2 and at most 0.5, as near s = 0 its
+        eigenphases sweep about 4 pi on a scale of 1 whatever a; so below
+        2. Infinite on the half-line, whose grid is geometric in the
+        distance to the cut and whose residue circles that distance
+        sizes."""
         if self.halfline:
-            return 0.05
+            return math.inf
         step = math.pi / (8.0 * self.a)
         if self.name == "L2":
             step = min(step, math.pi ** 2 / (12.0 * self.a ** 2), 0.5)
@@ -168,14 +171,6 @@ def l1_livsic(w, a):
 # closed-form densities
 # ---------------------------------------------------------------------------
 
-def _unimodular_scalar(alpha):
-    alpha = complex(np.asarray(alpha, dtype=complex).reshape(-1)[0])
-    if abs(abs(alpha) - 1.0) > 1e-10:
-        raise NonUnitaryError(
-            f"coupling must be unimodular, |alpha| = {abs(alpha):.6f}")
-    return alpha
-
-
 def k1_density(alpha, s):
     """AC density of the K1 spectral measure at s, in closed form.
 
@@ -187,7 +182,7 @@ def k1_density(alpha, s):
              = 2(1-x) s^2 + 2^{3/2}(x-1) s^{3/2} + (4 - 2x + 2y) s
                - 2^{3/2}(y+1) sqrt(s) + (2 + 2y).
     """
-    alpha = _unimodular_scalar(alpha)
+    alpha = complex(check_unitary(alpha, 1, "coupling")[0, 0])
     s = float(s)
     if s <= 0:
         return 0.0
@@ -222,7 +217,7 @@ def l1_atoms(alpha, a, n_range):
     tan(theta/2) underflows to zero; alpha = -1 gives s_0 = 0. A residual
     check of the atom equation at s_0 guards the computed base point.
     """
-    alpha = _unimodular_scalar(alpha)
+    alpha = complex(check_unitary(alpha, 1, "coupling")[0, 0])
     a = float(a)
     if a <= 0:
         raise DomainError("interval half-length must be positive")
@@ -249,11 +244,12 @@ def l1_weight(alpha, a, s):
 
     A float for a point, an array of the shape of s otherwise; the base
     point of the lattice is computed once per call. DomainError when any
-    point is farther than 1e-8 from the atom lattice of alpha. At
+    point is farther than 1e-8 from the atom lattice of alpha, and when a
+    weight is not finite (a so short that a sinh(2a) underflows). At
     alpha = -1 this reduces to tanh(a)/(a pi (1+s^2)^2) on s = n pi / a, at
     alpha = +1 to coth(a)/(a pi (1+s^2)^2) on the shifted lattice.
     """
-    alpha = _unimodular_scalar(alpha)
+    alpha = complex(check_unitary(alpha, 1, "coupling")[0, 0])
     a = float(a)
     pts = np.asarray(s, dtype=float)
     base = l1_atoms(alpha, a, (0, 0))[0]
@@ -264,6 +260,9 @@ def l1_weight(alpha, a, s):
         raise DomainError(
             f"s = {float(pts.reshape(-1)[i])!r} is not an atom of the coupling "
             f"(nearest atom {float(nearest.reshape(-1)[i])!r})")
-    weight = (math.cosh(2 * a) - np.cos(2 * pts * a)) / (
-        a * math.pi * math.sinh(2 * a) * (1.0 + pts * pts) ** 2)
+    with np.errstate(all="ignore"):
+        weight = (math.cosh(2 * a) - np.cos(2 * pts * a)) / (
+            a * math.pi * math.sinh(2 * a) * (1.0 + pts * pts) ** 2)
+    if not np.all(np.isfinite(weight)):
+        raise DomainError(f"L1 weight at a = {a!r} is not finite")
     return float(weight) if weight.ndim == 0 else weight

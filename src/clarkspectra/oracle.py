@@ -10,29 +10,25 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .clark import check_alpha
+from .cplane import check_unitary
 from .defect import defect_onb
 from .errors import DomainError, RankError, ToleranceError
 from .extensions import alpha_from_bc_k1, boundary_rows, validate_sa_matrices
 from .models import k1
 
-__all__ = ["QuadratureSpec", "quad_inner", "eigen_mass", "eigen_density",
+__all__ = ["quad_inner", "eigen_mass", "eigen_density",
            "l1_eigenvalues_direct", "l2_eigenvalues", "k1_bound_state_check"]
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Error budget for quadrature comparisons; half-line integrals end
-    where the integrand's decay falls below 10**-halfline_cutoff_digits."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    halfline_cutoff_digits: float = 16.0
+# Error budget of quad_inner, absolute plus relative per entry; half-line
+# integrals end where the integrand has decayed by _CUTOFF_DIGITS digits.
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-10
+_CUTOFF_DIGITS = 16.0
 
 
 @lru_cache(maxsize=1)
@@ -57,7 +53,7 @@ def _terms(f):
     return coeffs[:, used], rates[used], lead
 
 
-def quad_inner(model, f, g, spec=None):
+def quad_inner(model, f, g):
     """<f, g> on the model's domain by Gauss-Legendre panels.
 
     f and g are (coeffs, rates) pairs: coeffs (m,) for one function, or a
@@ -70,8 +66,8 @@ def quad_inner(model, f, g, spec=None):
     (Re r = 0) when the product decays; a growing rate or a product that
     does not decay is a DomainError. ToleranceError when the error estimate
     of any entry (16 against 8 nodes, plus the tail at the union's decay)
-    exceeds that entry's budget, or for more than _MAX_PANELS panels."""
-    spec = spec or QuadratureSpec()
+    exceeds that entry's budget, _ABS_TOL + _REL_TOL |entry|, or for more
+    than _MAX_PANELS panels."""
     (fc, fr, f_lead), (gc, gr, g_lead) = _terms(f), _terms(g)
     shape = f_lead + g_lead
     if fr.size == 0 or gr.size == 0:
@@ -82,7 +78,7 @@ def quad_inner(model, f, g, spec=None):
         decay = -np.max(fr.real) - np.max(gr.real)
         if np.any(fr.real > 0) or np.any(gr.real > 0) or not decay > 0:
             raise DomainError("half-line integrand grows or does not decay")
-        lo, hi = 0.0, spec.halfline_cutoff_digits * math.log(10.0) / decay
+        lo, hi = 0.0, _CUTOFF_DIGITS * math.log(10.0) / decay
         tail = (np.outer(np.sum(np.abs(fc), axis=1), np.sum(np.abs(gc), axis=1))
                 * math.exp(-decay * hi) / decay)
     panels = math.ceil((hi - lo) * (np.max(np.abs(fr)) + np.max(np.abs(gr))) / 2)
@@ -97,7 +93,7 @@ def quad_inner(model, f, g, spec=None):
         return ((half * weights).ravel() * at_f) @ at_g.conj().T
     value, coarse = (rule(*r) for r in _rules())
     err = np.abs(value - coarse) + tail
-    budget = spec.abs_tol + spec.rel_tol * np.abs(value)
+    budget = _ABS_TOL + _REL_TOL * np.abs(value)
     over = err > budget
     if np.any(over):
         raise ToleranceError(f"error estimate {err[over][0]:.3e} over budget "
@@ -111,7 +107,7 @@ def _boundary_system(model, alpha, s):
     exp(rate x) in the model's space (Model.raw_rates), and S, the boundary
     rows of these and then of the generators -phi_i(+i) + sum_j alpha_ij
     phi_j(-i). A solution is in the domain when its row is in their span."""
-    alpha = check_alpha(alpha, model.rank)
+    alpha = check_unitary(alpha, model.rank, "perturbation parameter")
     rates = model.raw_rates(float(s))
     if np.unique(rates).size < rates.size:
         raise DomainError(f"solution rates coincide at s = {float(s)!r}")
@@ -166,10 +162,10 @@ def l1_eigenvalues_direct(beta, a, n_range):
     """Eigenvalues s_n = -(arg beta + 2 pi n)/(2a) of i d/dx under
     f(a) = beta f(-a), where exp(-2 i s a) = beta, for n in the closed
     range n_range."""
-    beta, a = complex(beta), float(a)
-    if abs(abs(beta) - 1.0) > 1e-10 or not a > 0:
-        raise DomainError(f"need |beta| = 1 and a > 0, got |beta| = "
-                          f"{abs(beta):.6f}, a = {a!r}")
+    beta = complex(check_unitary(beta, 1, "coupling beta")[0, 0])
+    a = float(a)
+    if not a > 0:
+        raise DomainError(f"interval half-length must be positive, got {a!r}")
     return sorted(-(cmath.phase(beta) + 2.0 * math.pi * n) / (2.0 * a)
                   for n in range(int(n_range[0]), int(n_range[1]) + 1))
 

@@ -312,14 +312,21 @@ def test_point_mass_refuses_two_poles_in_one_circle():
 
 
 def test_point_mass_refusal_names_the_failed_test():
-    # a far K2 atom whose residue fails on its skew part alone: the
-    # message names that test and does not blame two poles, since the
-    # second moment (about 2e-9 of the first) passes
-    rng = np.random.default_rng(13)
-    alpha = [random_unitary(2, rng) for _ in range(6)][5]
-    b = livsic.livsic_function(models.k2())
+    # (I - B(w))^{-1} = R/(w - s0) + I has one pole, whose mass (a multiple
+    # of R, not Hermitian) has a positive definite Hermitian part: the
+    # residue fails on its skew part alone, and the message names that test
+    # and does not blame two poles, since the second moment vanishes
+    s0 = -1.0
+    mass = np.array([[1.0, 0.1], [-0.1, 1.0]])
+    r = mass * np.pi * (1.0 + s0 * s0) ** 2 / -2j
+
+    def fn(w):
+        d = (np.asarray(w) - s0)[..., None, None]
+        return np.eye(2) - d * np.linalg.inv(r + d * np.eye(2))
+
+    b = livsic.SchurFunction(n=2, fn=fn, ac_edge=math.inf, scan_step=1.0)
     with pytest.raises(ConvergenceError, match="skew part") as info:
-        clark.atom_scan(b, alpha, (-1e6, 0.5))
+        clark.point_mass(b, np.eye(2), s0)
     message = str(info.value)
     assert "more than one pole" not in message
     assert "second moment" not in message and "lowest" not in message

@@ -552,6 +552,57 @@ def test_error_messages_print_plain_numbers(capsys):
     assert code == 1 and "w = 0j" in err and "np." not in err
 
 
+def test_atoms_k2_far_atom_of_a_haar_coupling(capsys):
+    # the sixth Haar coupling of seed 13 has an atom at s = -13148.4: its
+    # residue circle, half the distance to the cut wide, gives the
+    # eigenfunction mass to 1e-12
+    from clarkspectra import oracle
+    from clarkspectra.cplane import random_unitary
+    rng = np.random.default_rng(13)
+    alpha = [random_unitary(2, rng) for _ in range(6)][5]
+    text = json.dumps([[f"{float(z.real)!r},{float(z.imag)!r}" for z in row]
+                       for row in alpha])
+    code, out, err = run_cli(capsys, [
+        "atoms", "--model", "k2", f"--alpha={text}", "--window=-1e6:0.5"])
+    assert code == 0 and err == ""
+    rows = [tuple(float(t) for t in line.split(","))
+            for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 2
+    s, w = rows[0]
+    assert s == pytest.approx(-13148.379124730856, rel=1e-12)
+    ref = np.trace(oracle.eigen_mass(models.k2(), alpha, s)).real
+    assert w == pytest.approx(ref, rel=1e-12)
+
+
+def test_bcmap_and_atoms_share_the_unitary_check(capsys):
+    # a coupling 2e-9 from unitary is refused by both commands
+    alpha = "--alpha=[[1.000000001,0],[0,1]]"
+    for argv in (["bcmap", "--model", "l2", "--a", "1", alpha],
+                 ["atoms", "--model", "l2", "--a", "1", alpha,
+                  "--window=0:1"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: NonUnitaryError"), argv
+
+
+def test_bcmap_on_very_long_intervals_is_a_typed_refusal(capsys):
+    # exp(rate a) overflows in the boundary rows: DomainError, exit 1, no
+    # traceback; a = 400 still answers
+    for argv in (
+            ["bcmap", "--model", "l1", "--a", "1e300", "--alpha", "1"],
+            ["bcmap", "--model", "l2", "--a", "1e10",
+             "--alpha", "[[0,1],[1,0]]"],
+            ["bcmap", "--model", "l2", "--a", "1e200",
+             "--beta-a", "[[1,0],[0,0]]", "--beta-b", "[[0,0],[1,0]]"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: DomainError") and "Traceback" not in err
+    code, out, err = run_cli(capsys, [
+        "bcmap", "--model", "l2", "--a", "400", "--alpha", "[[0,1],[1,0]]"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["unitarity_residual"] <= 1e-12
+
+
 def test_import_leaves_scipy_unloaded():
     # the package and the whole verification battery, oracles included,
     # run on numpy alone

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clarkspectra import cplane
-from clarkspectra.errors import DimensionError, DomainError
+from clarkspectra.errors import DimensionError, DomainError, NonUnitaryError
 
 real_coord = st.floats(min_value=-1e3, max_value=1e3,
                        allow_nan=False, allow_infinity=False)
@@ -52,12 +52,21 @@ def test_principal_power_branch_angle(r, half_arg):
 
 
 def test_matrix_predicates():
+    # the one check of unitary inputs: the matrix back, of any square size
+    # or of the size asked for, a scalar as 1 x 1
     rng = np.random.default_rng(11)
     u = cplane.random_unitary(3, rng)
-    assert cplane.is_unitary(u)
-    assert not cplane.is_unitary(0.3 * u)
-    with pytest.raises(DimensionError):
-        cplane.is_unitary(np.ones((2, 3)))
+    assert np.array_equal(cplane.check_unitary(u), u)
+    assert np.array_equal(cplane.check_unitary(u, 3), u)
+    assert cplane.check_unitary(1j, 1).shape == (1, 1)
+    for bad in (0.3 * u, u + 1e-9, np.full((3, 3), np.nan)):
+        with pytest.raises(NonUnitaryError):
+            cplane.check_unitary(bad)
+    # an entry of u* u - I at 1e-11 passes
+    cplane.check_unitary(np.diag([1.0, 1.0 + 5e-12]))
+    for shape, n in (((2, 3), None), ((3, 3), 2), ((1, 2, 2), None)):
+        with pytest.raises(DimensionError):
+            cplane.check_unitary(np.ones(shape), n)
 
 
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2 ** 31))

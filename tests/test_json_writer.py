@@ -126,8 +126,8 @@ def test_atoms_json_is_json_dumps_of_the_document(margs, empty):
 
 
 def test_atoms_l1_lattice_json_is_json_dumps_of_the_document():
-    # on a vanishing interval the lattice weights overflow to NaN, which
-    # json.dumps writes as NaN
+    # on a vanishing interval the lattice weights are not finite, and the
+    # request is refused (exit 1, nothing printed) where it once wrote NaN
     alpha = np.array([[0.6 + 0.8j]])
     for a, n_range in ((1.3, "-3..3"), (1.3, "5..5"), (1e-300, "-2..2")):
         lo, hi = map(int, n_range.split(".."))
@@ -136,14 +136,10 @@ def test_atoms_l1_lattice_json_is_json_dumps_of_the_document():
             locs = models.l1_atoms(alpha[0, 0], a, (lo, hi))
             weights = models.l1_weight(alpha[0, 0], a, np.array(locs))
             return _measure_doc("l1", alpha, np.empty(0), [], locs, weights)
-        with np.errstate(over="ignore", invalid="ignore"):
-            _same_as(["atoms", "--model", "l1", f"--a={a!r}", "--alpha",
-                      "0.6,0.8", f"--n-range={n_range}", "--format", "json"],
-                     doc)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _run(["atoms", "--model", "l1", "--a=1e-300", "--alpha", "1",
-                    "--n-range=0..0", "--format", "json"])[1]
-    assert '"weight": NaN' in out
+        _same_as(["atoms", "--model", "l1", f"--a={a!r}", "--alpha",
+                  "0.6,0.8", f"--n-range={n_range}", "--format", "json"], doc)
+    assert _run(["atoms", "--model", "l1", "--a=1e-300", "--alpha", "1",
+                 "--n-range=0..0", "--format", "json"]) == (1, "")
 
 
 @given(model_args, grids, st.floats(min_value=0.0, max_value=3.0))

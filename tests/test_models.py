@@ -162,6 +162,10 @@ def test_l1_weight_closed_values_and_off_lattice_guard():
         math.tanh(a) / (a * math.pi), rel=1e-12)
     with pytest.raises(DomainError):
         models.l1_weight(1.0, a, 0.3)
+    # at a = 1e-300, a sinh(2a) underflows: a typed refusal, not NaN
+    atom = models.l1_atoms(1.0, 1e-300, (0, 0))[0]
+    with pytest.raises(DomainError, match="not finite"):
+        models.l1_weight(1.0, 1e-300, atom)
 
 
 @given(phases, lengths)
@@ -315,7 +319,9 @@ def test_l2_atoms_long_interval_finds_the_lowest(label, a, first):
 
 
 def test_scan_step_per_model():
-    assert models.k1().scan_step == models.k2().scan_step == 0.05
+    # the half-line grid is geometric and its residue circles are sized by
+    # the distance to the cut, so the step is an interval quantity
+    assert models.k1().scan_step == models.k2().scan_step == math.inf
     assert models.l1(3.0).scan_step == math.pi / 24
     # L2 keeps pi/(8a) up to a = 2 pi/3 and shrinks like 1/a^2 beyond
     assert models.l2(2.0).scan_step == math.pi / 16

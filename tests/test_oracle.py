@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clarkspectra import checks, clark, extensions, livsic, models, oracle
 from clarkspectra.cplane import random_unitary
-from clarkspectra.errors import DomainError, RankError, ToleranceError
+from clarkspectra.errors import (DimensionError, DomainError, NonUnitaryError,
+                                 RankError, ToleranceError)
 
 DIRICHLET = extensions.BoundaryMatrices([[1, 0], [0, 0]], [[0, 0], [1, 0]])
 PERIODIC = extensions.BoundaryMatrices(np.eye(2), -np.eye(2))
@@ -53,13 +56,14 @@ def test_quad_inner_domain_mismatch():
         pytest.approx(0.5, rel=1e-10)
 
 
-def test_quad_inner_budget_enforced():
+def test_quad_inner_budget_enforced(monkeypatch):
     # a two-digit cutoff leaves a fat truncation tail on the half-line
     f = ([1.0], [-1.0])
-    spec = oracle.QuadratureSpec(halfline_cutoff_digits=2.0)
+    assert oracle.quad_inner(models.k1(), f, f) == pytest.approx(0.5, rel=1e-14)
+    monkeypatch.setattr(oracle, "_CUTOFF_DIGITS", 2.0)
     with pytest.raises(ToleranceError):
-        oracle.quad_inner(models.k1(), f, f, spec)
-    assert oracle.QuadratureSpec().abs_tol == 1e-10
+        oracle.quad_inner(models.k1(), f, f)
+    assert oracle._ABS_TOL == oracle._REL_TOL == 1e-10
 
 
 @pytest.mark.parametrize("model", [models.k1(), models.k2(), models.l1(1.0),
@@ -92,15 +96,15 @@ def test_quad_inner_of_two_functions_is_one_complex():
                                   ([1.0], [-2.0]))) is complex
 
 
-def test_quad_inner_stack_budget_is_per_entry():
+def test_quad_inner_stack_budget_is_per_entry(monkeypatch):
     # with a two-digit cutoff the tail of a unit row is over budget; a row
     # of 1e-12 stays under it alone, and the stack of both raises
-    spec = oracle.QuadratureSpec(halfline_cutoff_digits=2.0)
+    monkeypatch.setattr(oracle, "_CUTOFF_DIGITS", 2.0)
     g = ([1.0], [-1.0])
-    small = oracle.quad_inner(models.k1(), ([[1e-12]], [-1.0]), g, spec)
+    small = oracle.quad_inner(models.k1(), ([[1e-12]], [-1.0]), g)
     assert small.shape == (1,) and small[0] == pytest.approx(5e-13, rel=1e-2)
     with pytest.raises(ToleranceError):
-        oracle.quad_inner(models.k1(), ([[1e-12], [1.0]], [-1.0]), g, spec)
+        oracle.quad_inner(models.k1(), ([[1e-12], [1.0]], [-1.0]), g)
 
 
 def test_quad_inner_stack_with_a_growing_row():
@@ -137,8 +141,12 @@ def test_l1_direct_matches_mapped_atoms():
 
 
 def test_l1_direct_guards():
-    with pytest.raises(DomainError):
-        oracle.l1_eigenvalues_direct(0.5, 1.0, (0, 1))
+    # beta goes through the one unitary check (cplane.check_unitary)
+    for beta in (0.5, 1.0 + 1e-9):
+        with pytest.raises(NonUnitaryError):
+            oracle.l1_eigenvalues_direct(beta, 1.0, (0, 1))
+    with pytest.raises(DimensionError):
+        oracle.l1_eigenvalues_direct([[1.0, 0.0]], 1.0, (0, 1))
     with pytest.raises(DomainError):
         oracle.l1_eigenvalues_direct(1.0, -1.0, (0, 1))
 
@@ -346,6 +354,23 @@ def test_eigen_mass_matches_the_residue_masses():
     ref = oracle.eigen_mass(l2, alpha, math.pi ** 2)
     assert np.min(np.linalg.eigvalsh(ref)) > 1e-3 * np.max(np.abs(ref))
     assert np.max(np.abs(mass - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+@given(st.sampled_from(["k1", "k2"]), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_halfline_atoms_on_the_whole_axis_property(name, seed):
+    # residue circles sized by the distance to the cut: a scan down to -1e8
+    # finds at most rank atoms of a Haar coupling, refuses none, and every
+    # atom with 1e-2 <= |s| <= 1e4 has its eigenfunction mass to 1e-12
+    model = getattr(models, name)()
+    alpha = random_unitary(model.rank, np.random.default_rng(seed))
+    locs, masses = clark.atom_scan(livsic.livsic_function(model), alpha,
+                                   (-1e8, 0.5))
+    assert len(locs) <= model.rank
+    for s, mass in zip(locs, masses):
+        if 1e-2 <= abs(s) <= 1e4:
+            ref = oracle.eigen_mass(model, alpha, s)
+            assert np.max(np.abs(mass - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("alpha", [1.0, -1.0, np.exp(0.7j)])

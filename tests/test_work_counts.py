@@ -173,15 +173,15 @@ def test_one_parser_per_process(monkeypatch, capsys):
 
 def test_oracle_quadrature_calls(monkeypatch):
     # one stacked quad_inner per point of criterion 10 (80), one per
-    # density of criterion 6 (15) and two per mass of criterion 11 (12):
-    # 119 in all
+    # density of criterion 6 (15) and two per mass of criterion 11 (the K1
+    # Robin mass and 12 K2 atoms): 121 in all
     calls = []
     quad_inner = oracle.quad_inner
     monkeypatch.setattr(oracle, "quad_inner",
                         lambda *a, **k: calls.append(1) or quad_inner(*a, **k))
     results = checks.run_all(seed=0, numbers={6, 10, 11})
     assert all(r.passed for r in results)
-    assert len(calls) <= 120
+    assert len(calls) == 121
 
 
 def _reference_bisect(fn, lo, hi, moves):

@@ -123,11 +123,9 @@ _ONE_POLE_TOL = 1e-8
 
 
 def _radii(s, step, edge):
-    """Circle radius per atom: half the scan step, a quarter of the
-    distance to the nearest other atom, or half the distance to the cut,
-    whichever is smallest. The step is infinite on the half-line, so there
-    the cut and the other atoms size the circle; on an interval, which has
-    no cut, the step caps it."""
+    """Circle radius per atom: the least of half the scan step (infinite
+    on the half-line), a quarter of the distance to the nearest other atom
+    and half the distance to the cut (infinite on an interval)."""
     order = np.argsort(s)
     gaps = np.diff(s[order], prepend=-np.inf, append=np.inf)
     near = np.empty(s.size)
@@ -205,13 +203,16 @@ def point_mass(b, alpha, s):
     return _residues(b, alpha, s.reshape(-1))[0].reshape(s.shape + (n, n))
 
 
-def _residues(b, alpha, atoms):
-    """point_mass at the 1-D array atoms, and the pole that each circle
+def _residues(b, alpha, atoms, window=(-math.inf, math.inf)):
+    """point_mass at the points of the 1-D array atoms inside window, on
+    circles sized by all of them, and the pole that each circle
     places at its atom; one call of b.fn, none for no atoms."""
     n = alpha.shape[0]
+    radius = _radii(atoms, b.scan_step, b.ac_edge)
+    inside = (atoms >= window[0]) & (atoms <= window[1])
+    atoms, radius = atoms[inside], radius[inside]
     if atoms.size == 0:
         return np.zeros((0, n, n), dtype=complex), np.zeros(0)
-    radius = _radii(atoms, b.scan_step, b.ac_edge)
     if not np.all(radius > 0):
         raise DomainError("point masses need distinct atoms below the "
                           f"essential spectrum, got s = {atoms!r}")
@@ -319,15 +320,19 @@ def atom_scan(b, alpha, window):
     the circle holds one (a double atom is one), else the cell is split
     into _SPLIT and counted again (two more calls per round); point_mass
     at the poles inside window, merged within _OFFSET_TOL, whose own
-    circles place each pole again. DomainError for a window that is not
-    finite with lo < hi, and from _scan_grid; ConvergenceError for a cell
-    still failing after _ROUNDS splits, and from point_mass.
+    circles place each pole again. The grid reaches past window by twice
+    the least of scan_step and the distance from lo to ac_edge, four radii
+    of any of those circles, so the poles that size them are all found.
+    DomainError for a window that is not finite with lo < hi, and from
+    _scan_grid; ConvergenceError for a cell still failing after _ROUNDS
+    splits, and from point_mass.
     """
     alpha = check_alpha(alpha)
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"scan window must be finite with lo < hi, got {window!r}")
-    pts = _scan_grid(lo, hi, 0.5 * b.scan_step, b.ac_edge)
+    reach = 2.0 * min(b.scan_step, b.ac_edge - lo)
+    pts = _scan_grid(lo - reach, hi + reach, 0.5 * b.scan_step, b.ac_edge)
     rows = np.zeros(pts.size, dtype=int)
     poles = [np.empty(0)]
     for rounds in range(_ROUNDS + 1):
@@ -352,10 +357,9 @@ def atom_scan(b, alpha, window):
                * np.linspace(0.0, 1.0, _SPLIT + 1)).reshape(-1)
         rows = np.repeat(np.arange(at.size), _SPLIT + 1)
     poles = np.sort(np.concatenate(poles))
-    poles = poles[(poles >= lo) & (poles <= hi)]
     poles = poles[np.diff(poles, prepend=-np.inf)
                   > _OFFSET_TOL * (1.0 + np.abs(poles))]
-    masses, poles = _residues(b, alpha, poles)
+    masses, poles = _residues(b, alpha, poles, (lo, hi))
     atom = np.any(masses != 0, axis=(-2, -1))
     return poles[atom], masses[atom]
 

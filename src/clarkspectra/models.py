@@ -102,9 +102,8 @@ class Model:
         B, so below 2 pi (below pi for a >= 0.1). L2: at most a third of
         its Dirichlet gap (pi/(2a))^2 and at most 0.5, as near s = 0 its
         eigenphases sweep about 4 pi on a scale of 1 whatever a; so below
-        2. Infinite on the half-line, whose grid is geometric in the
-        distance to the cut and whose residue circles that distance
-        sizes."""
+        2. Infinite on the half-line, where the distance to the cut sizes
+        both the geometric grid and the residue circles."""
         if self.halfline:
             return math.inf
         step = math.pi / (8.0 * self.a)

@@ -574,6 +574,27 @@ def test_atoms_k2_far_atom_of_a_haar_coupling(capsys):
     assert w == pytest.approx(ref, rel=1e-12)
 
 
+def test_atoms_k2_window_end_next_to_an_atom(capsys):
+    # the Haar coupling of seed 955 has atoms at s = -0.808 and -0.636; with
+    # the window's lower end between them the upper atom is reported with
+    # its eigenfunction weight, not dropped for the one below the window
+    from clarkspectra import oracle
+    from clarkspectra.cplane import random_unitary
+    alpha = random_unitary(2, np.random.default_rng(955))
+    text = json.dumps([[f"{float(z.real)!r},{float(z.imag)!r}" for z in row]
+                       for row in alpha])
+    code, out, err = run_cli(capsys, [
+        "atoms", "--model", "k2", f"--alpha={text}", "--window=-0.75:0.5"])
+    assert code == 0 and err == ""
+    rows = [tuple(float(t) for t in line.split(","))
+            for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 1
+    s, w = rows[0]
+    assert s == pytest.approx(-0.6363087, rel=1e-6)
+    ref = np.trace(oracle.eigen_mass(models.k2(), alpha, s)).real
+    assert w == pytest.approx(ref, rel=1e-12)
+
+
 def test_bcmap_and_atoms_share_the_unitary_check(capsys):
     # a coupling 2e-9 from unitary is refused by both commands
     alpha = "--alpha=[[1.000000001,0],[0,1]]"

@@ -373,6 +373,46 @@ def test_halfline_atoms_on_the_whole_axis_property(name, seed):
             assert np.max(np.abs(mass - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@given(st.sampled_from(["k1", "k2"]), st.integers(0, 2 ** 32 - 1),
+       st.floats(-2.0, 4.0))
+@settings(max_examples=30, deadline=None)
+def test_halfline_window_holds_the_whole_axis_atoms_property(name, seed, u):
+    # a scan of (-10^u, 0.5) finds the atoms of the scan down to -1e8 that
+    # lie in it, with the same masses: the circles near the window's lower
+    # end are sized by the atoms below it too
+    model = getattr(models, name)()
+    b = livsic.livsic_function(model)
+    alpha = random_unitary(model.rank, np.random.default_rng(seed))
+    every, every_mass = clark.atom_scan(b, alpha, (-1e8, 0.5))
+    locs, masses = clark.atom_scan(b, alpha, (-10.0 ** u, 0.5))
+    keep = every >= -10.0 ** u
+    assert locs == pytest.approx(every[keep], rel=1e-12)
+    assert np.max(np.abs(masses - every_mass[keep]), initial=0.0) <= (
+        1e-12 * np.max(np.abs(masses), initial=0.0))
+
+
+@pytest.mark.parametrize("model, seed, below", [
+    (models.k2(), 955, -0.8077), (models.k2(), 67, -1.048),
+    (models.l2(1.0), 31, -0.8197)])
+@pytest.mark.parametrize("frac", [0.1, 0.5])
+def test_window_end_between_two_close_atoms(model, seed, below, frac):
+    # the window's lower end falls between the atom near `below` and the
+    # next one, closer to it than the residue circle of the next one would
+    # be wide without it (on K2 their ratio is below 1.7, on L2 their gap
+    # below the scan step); the scan reads past the end, sizes that circle
+    # by both atoms and weighs the next one as the eigenfunctions do
+    b = livsic.livsic_function(model)
+    alpha = random_unitary(2, np.random.default_rng(seed))
+    hi = 0.5 if model.halfline else 10.0
+    every, _ = clark.atom_scan(b, alpha, (-1e8 if model.halfline else -5.0, hi))
+    i = int(np.argmin(np.abs(every - below)))
+    lo = every[i] + frac * (every[i + 1] - every[i])
+    locs, masses = clark.atom_scan(b, alpha, (lo, hi))
+    assert locs == pytest.approx(every[i + 1:], rel=1e-12)
+    ref = oracle.eigen_mass(model, alpha, locs[0])
+    assert np.max(np.abs(masses[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("alpha", [1.0, -1.0, np.exp(0.7j)])
 def test_eigen_mass_matches_the_l1_weights(alpha):
     for s in models.l1_atoms(alpha, 1.3, (-3, 3)):

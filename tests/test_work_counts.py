@@ -86,16 +86,17 @@ def test_residue_evaluation_counts():
 
 
 def test_l2_dirichlet_scan_counts():
-    # three calls: the grid (139 points, cells of pi/16), one 64-node
-    # circle around each of the 3 cells that count an atom, and the 64-node
-    # residue circles of the 3 poles they place
+    # three calls: the grid (147 points, cells of pi/16, 139 on the window
+    # and 4 past each end, as far as its residue circles reach), one
+    # 64-node circle around each of the 3 cells that count an atom, and the
+    # 64-node residue circles of the 3 poles they place
     model = models.l2(1.0)
     bm = extensions.BoundaryMatrices([[1, 0], [0, 0]], [[0, 0], [1, 0]])
     alpha = extensions.alpha_from_bc_regular(model, bm)
     b = CountingB(model)
     atoms, _ = clark.atom_scan(b, alpha, (-1.0, 26.0))
     assert len(atoms) == 3
-    assert (b.calls, b.points) == (3, 139 + 64 * 3 + 64 * 3)
+    assert (b.calls, b.points) == (3, 147 + 64 * 3 + 64 * 3)
 
 
 def test_k2_scan_of_a_wide_window_counts():

@@ -162,7 +162,8 @@ def l1_eigenvalues_direct(beta, a, n_range):
     """Eigenvalues s_n = -(arg beta + 2 pi n)/(2a) of i d/dx under
     f(a) = beta f(-a), where exp(-2 i s a) = beta, for n in the closed
     range n_range."""
-    beta, a = complex(check_unitary(beta, 1, "coupling beta")[0, 0]), float(a)
+    beta = complex(check_unitary(beta, 1, "coupling beta")[0, 0])
+    a = float(a)
     if not a > 0:
         raise DomainError(f"interval half-length must be positive, got {a!r}")
     return sorted(-(cmath.phase(beta) + 2.0 * math.pi * n) / (2.0 * a)

@@ -74,16 +74,15 @@ def ac_density(b, alpha, s):
 
     b is a SchurFunction, s a point or an array of points; the result is
     an n x n matrix or a stack of shape s.shape + (n, n). alpha is
-    validated once. The points with s > b.ac_edge are evaluated in one call
-    of b, and the Hermitian part of (alpha + B)(alpha - B)^{-1} is formed
-    at those boundary values; the others lie off the model's essential
-    spectrum and get an exact zero matrix. The result is Hermitian by
-    construction. SingularError when B or (alpha - B)^{-1} is not defined
-    at a point of the essential spectrum (rounding next to a branch point;
-    alpha - B(s) is invertible there for unitary alpha, since
-    ||B(s)|| < 1).
+    validated once, n x n for n = b.n. The points with s > b.ac_edge are
+    evaluated in one call of b, and the Hermitian part of
+    (alpha + B)(alpha - B)^{-1} is formed at those boundary values; the
+    others lie off the model's essential spectrum and get an exact zero
+    matrix. The result is Hermitian by construction. SingularError when B
+    is NaN (a singular pairing matrix) or alpha - B(s) is singular at a
+    point of the essential spectrum (rounding next to a branch point).
     """
-    alpha = check_alpha(alpha)
+    alpha = check_alpha(alpha, b.n)
     n = alpha.shape[0]
     s = _points(s, "density point")
     out = np.zeros(s.shape + (n, n), dtype=complex)
@@ -195,9 +194,9 @@ def point_mass(b, alpha, s):
     DomainError for a non-finite, repeated or essential-spectrum point.
     ConvergenceError for a mass that is not Hermitian and PSD, or whose
     values from all nodes and from the even nodes differ, beyond _MASS_RTOL
-    relative to it, and for a circle with more than one pole.
+    relative to it, and for a circle with more than one pole or a NaN.
     """
-    alpha = check_alpha(alpha)
+    alpha = check_alpha(alpha, b.n)
     n = alpha.shape[0]
     s = _points(s, "atom location")
     return _residues(b, alpha, s.reshape(-1))[0].reshape(s.shape + (n, n))
@@ -230,7 +229,7 @@ def _residues(b, alpha, atoms, window=(-math.inf, math.inf)):
              * np.max(np.abs(f), axis=(1, 2, 3)))
     offset_half = _pole_offset(m, radius, stride=2)
     elsewhere = ~near & (np.abs(offset - offset_half) <= 0.1 * np.abs(offset))
-    zero = ~(size > floor) | elsewhere
+    zero = (size <= floor) | elsewhere
     tol = _MASS_RTOL * size + floor
     herm = _hermitize(mass)
     spread = np.max(np.abs(scale[:, None, None]
@@ -264,11 +263,10 @@ def _residues(b, alpha, atoms, window=(-math.inf, math.inf)):
 # so a wide window or a huge count fails with a typed error.
 MAX_SCAN_POINTS = 10 ** 6
 # Scan cells per decade of the distance to a finite ac_edge, down to
-# _EDGE_GAP; a cell with more than one pole splits into _SPLIT, _ROUNDS times.
+# _EDGE_GAP; a failing cell splits into _SPLIT, down to _SPLIT ulps wide.
 _DECADE = 16
 _EDGE_GAP = 1e-10
 _SPLIT = 8
-_ROUNDS = 12
 
 
 def _scan_grid(lo, hi, h, edge):
@@ -294,16 +292,16 @@ def _scan_grid(lo, hi, h, edge):
 
 
 def _cell_counts(b, alpha, pts, rows):
-    """The points of pts where B is finite, and the atoms in each cell
-    between two of them in the same row (0 across rows): one call of
-    b.fn, eigenphases from livsic._eigenvalues_small."""
+    """The points of pts where B is finite, the atoms in each cell between
+    two of them in the same row (0 across rows), and the kept points' rows:
+    one call of b.fn, eigenphases from livsic._eigenvalues_small."""
     lam = _eigenvalues_small(_mul_small(b.fn(pts), alpha.conj().T))
     ok = np.all(np.isfinite(lam), axis=-1)
     phi = np.angle(np.prod(lam[ok], axis=-1))
     theta = np.mod(np.angle(lam[ok]), 2.0 * np.pi).sum(axis=-1)
     count = np.rint((np.mod(np.diff(phi), 2.0 * np.pi) - np.diff(theta))
                     / (2.0 * np.pi))
-    return pts[ok], np.where(np.diff(rows[ok]) == 0, count, 0)
+    return pts[ok], np.where(np.diff(rows[ok]) == 0, count, 0), rows[ok]
 
 
 def atom_scan(b, alpha, window):
@@ -323,11 +321,13 @@ def atom_scan(b, alpha, window):
     circles place each pole again. The grid reaches past window by twice
     the least of scan_step and the distance from lo to ac_edge, four radii
     of any of those circles, so the poles that size them are all found.
-    DomainError for a window that is not finite with lo < hi, and from
-    _scan_grid; ConvergenceError for a cell still failing after _ROUNDS
-    splits, and from point_mass.
+    Counts must be nonnegative and a split cell's must be its sub-cells'
+    sum (Delves and Lyness, Math. Comp. 21, 1967), which bounds the failing
+    cells of any round by the first grid's count. DomainError for a window
+    that is not finite with lo < hi, and from _scan_grid; ConvergenceError
+    for a broken rule, a failing cell under _SPLIT ulps, and point_mass.
     """
-    alpha = check_alpha(alpha)
+    alpha = check_alpha(alpha, b.n)
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"scan window must be finite with lo < hi, got {window!r}")
@@ -335,10 +335,14 @@ def atom_scan(b, alpha, window):
     pts = _scan_grid(lo - reach, hi + reach, 0.5 * b.scan_step, b.ac_edge)
     rows = np.zeros(pts.size, dtype=int)
     poles = [np.empty(0)]
-    for rounds in range(_ROUNDS + 1):
-        if pts.size == 0:
-            break
-        pts, count = _cell_counts(b, alpha, pts, rows)
+    want = None  # the counts of the cells split in the last round
+    while pts.size:
+        pts, count, rows = _cell_counts(b, alpha, pts, rows)
+        if np.any(count < 0) or want is not None and not np.array_equal(
+                np.bincount(rows[:-1], count, want.size), want):
+            raise ConvergenceError(
+                f"atom counts on ({float(pts[0])!r}, {float(pts[-1])!r}): one "
+                "is negative, or a split cell's sub-cells do not add up to it")
         at = np.flatnonzero(count)
         if at.size == 0:
             break
@@ -348,12 +352,13 @@ def atom_scan(b, alpha, window):
         one = ((np.abs(offset) <= radius)
                & (_second_moment(m, offset / radius) <= _ONE_POLE_TOL))
         poles.append(centre[one] + offset[one].real)
-        at = at[~one]
-        if at.size and rounds == _ROUNDS:
+        at, radius = at[~one], radius[~one]
+        if np.any(radius < _SPLIT * np.spacing(np.abs(pts[at]) + radius)):
             raise ConvergenceError(f"atoms near s = {float(pts[at[0]])!r} not "
-                                   f"separated after {_ROUNDS} splits")
+                                   "separated at float resolution")
+        want = count[at]
         # count again on _SPLIT cells in each cell that failed
-        pts = (pts[at, None] + np.diff(pts)[at, None]
+        pts = (pts[at, None] + radius[:, None]
                * np.linspace(0.0, 1.0, _SPLIT + 1)).reshape(-1)
         rows = np.repeat(np.arange(at.size), _SPLIT + 1)
     poles = np.sort(np.concatenate(poles))
@@ -374,7 +379,7 @@ def conjugation_check(b2, r, q, alpha, s, kind="ac"):
     """
     measure = {"ac": ac_density, "atom": point_mass}.get(kind)
     if measure is None:
-        raise ValueError(f"kind must be 'ac' or 'atom', got {kind!r}")
+        raise DomainError(f"kind must be 'ac' or 'atom', got {kind!r}")
     m1 = measure(conjugated_schur(b2, r, q), alpha, s)
     m2 = measure(b2, transform_alpha(alpha, r, q), s)
     r = np.atleast_2d(np.asarray(r, dtype=complex))

@@ -23,7 +23,7 @@ __all__ = [
 def _finite(w):
     w = np.asarray(w, dtype=complex)
     if not np.isfinite(w).all():
-        raise DomainError(f"non-finite complex argument in {w!r}")
+        raise DomainError(f"non-finite complex arguments {w[~np.isfinite(w)]}")
     return w
 
 

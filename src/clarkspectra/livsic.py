@@ -15,8 +15,9 @@ is that continuation).
 There is one evaluation of B: it takes an array of points, computes the
 rates, both pairing matrices and the explicit solve for all of them at once,
 in blocks of _BLOCK points, and returns a stack of n x n matrices; a single
-point is the same code on an array of one. Points where B is not defined
-come back as NaN, so every caller applies its own policy to them.
+point is the same code on an array of one. A point that is not finite, or
+w = -i, raises DomainError; NaN means only a singular A(w, +), which the
+atom scan's count skips (a cell spans it) and every other caller refuses.
 
 The 1 x 1 and 2 x 2 kernels on stacks are broadcast arithmetic, not
 per-matrix calls into numpy or LAPACK: _mul_small (the product),
@@ -49,17 +50,17 @@ class SchurFunction:
     """A contractive analytic matrix function on the upper half-plane.
 
     fn evaluates the function's continuation at a point (an n x n matrix)
-    or at an array of points (a stack of shape w.shape + (n, n)), NaN where
-    it is not defined, and raises nothing per point. Calling the
-    SchurFunction does the same on the closed upper half-plane only: any
-    w with Im w < 0 raises DomainError; real w is allowed and means the
-    boundary continuation from above. ac_edge is where the essential
-    spectrum of the underlying model begins: for every coupling the
-    measure has no absolutely continuous part on s <= ac_edge, and fn
-    continues across the real axis below it. scan_step is the model's
-    Model.scan_step, the resolution of the atom scan on an interval and
-    the cap of its residue radii there; infinite on the half-line, where
-    the distance to ac_edge sizes the residue circles.
+    or at an array of points (a stack of shape w.shape + (n, n)); a point
+    that is not finite, or w = -i, raises DomainError, and NaN marks a
+    singular pairing matrix A(w, +). Calling the SchurFunction does the
+    same on the closed upper half-plane only: any w with Im w < 0 raises
+    DomainError; real w means the boundary continuation from above.
+    ac_edge is where the essential spectrum of the underlying model
+    begins: for every coupling the measure has no absolutely continuous
+    part on s <= ac_edge, and fn continues across the real axis below it.
+    scan_step is the model's Model.scan_step, the resolution of the atom
+    scan on an interval and the cap of its residue radii there; infinite
+    on the half-line, where the distance to ac_edge sizes the circles.
     """
 
     n: int
@@ -68,8 +69,7 @@ class SchurFunction:
     scan_step: float
 
     def __call__(self, w):
-        w = _upper(w)
-        return self.fn(w)
+        return self.fn(_upper(w))
 
 
 def _upper(w):
@@ -163,41 +163,31 @@ def _eigenvalues_small(m):
 _BLOCK = 512
 
 
-def _b_block(model, pts):
-    a_plus, a_minus = _pairings(model, model.raw_rates(pts))
-    return cayley(pts)[:, None, None] * _solve_small(a_plus, a_minus)
-
-
 def _continued_b(model, w):
     """B(w) = gamma(w) A(w,+)^{-1} A(w,-) on the continuation (any w off
     the model's cut), for a point or an array of points; shape
-    w.shape + (n, n). Non-finite points, w = -i and points where A(w, +) is
-    singular give NaN; nothing is raised per point."""
+    w.shape + (n, n). Each block takes gamma(w) first: cplane.cayley
+    refuses a point that is not finite, or w = -i, before any pairing
+    arithmetic. NaN marks a singular A(w, +) (_solve_small)."""
     w = np.asarray(w, dtype=complex)
     flat = w.reshape(-1)
-    n = model.rank
-    out = np.empty((flat.size, n, n), dtype=complex)
+    out = np.empty((flat.size, model.rank, model.rank), dtype=complex)
     for start in range(0, flat.size, _BLOCK):
         pts = flat[start:start + _BLOCK]
-        vals = out[start:start + _BLOCK]
-        ok = np.isfinite(pts) & (pts != -1j)
-        if ok.all():
-            vals[...] = _b_block(model, pts)
-        else:
-            vals[...] = np.nan
-            if ok.any():
-                vals[ok] = _b_block(model, pts[ok])
-    return out.reshape(w.shape + (n, n))
+        gamma = cayley(pts)[:, None, None]
+        a_plus, a_minus = _pairings(model, model.raw_rates(pts))
+        out[start:start + _BLOCK] = gamma * _solve_small(a_plus, a_minus)
+    return out.reshape(w.shape + out.shape[1:])
 
 
 def livsic_eval(model, w):
     """Characteristic function B(w) = gamma(w) A(w,+)^{-1} A(w,-).
 
-    w is a point or an array of points of the closed upper half-plane; real
-    w gives the boundary continuation, and Im w < 0 raises DomainError.
-    Returns an n x n ndarray for a point (also for n = 1) and a stack of
-    shape w.shape + (n, n) for an array, with NaN where B is not defined
-    (a non-finite point, a singular pairing matrix).
+    w is a point or an array of finite points of the closed upper
+    half-plane (DomainError otherwise); real w gives the boundary
+    continuation. Returns an n x n ndarray for a point (also for n = 1)
+    and a stack of shape w.shape + (n, n) for an array, with NaN where the
+    pairing matrix A(w, +) is singular.
     """
     return _continued_b(model, _upper(w))
 
@@ -222,7 +212,6 @@ def transform_alpha(alpha, r, q):
     If B1 = R B2 Q then I - B1 alpha* = R (I - B2 (R* alpha Q*)*) R*, so the
     measures satisfy measure(B1, alpha) = R measure(B2, R* alpha Q*) R*.
     """
-    alpha = np.atleast_2d(np.asarray(alpha, dtype=complex))
-    r = np.atleast_2d(np.asarray(r, dtype=complex))
-    q = np.atleast_2d(np.asarray(q, dtype=complex))
+    alpha, r, q = (np.atleast_2d(np.asarray(m, dtype=complex))
+                   for m in (alpha, r, q))
     return r.conj().T @ alpha @ q.conj().T

@@ -154,16 +154,19 @@ def k1_livsic(w):
 def l1_livsic(w, a):
     """B(w) = sin((w - i) a)/sin((w + i) a) for i d/dx on (-a, a).
 
-    Implemented through u = exp(2 i a w) so large Im w cannot overflow:
-    B = e^{-2a} (u e^{2a} - 1)/(u e^{-2a} - 1), |u| <= 1 on the closed
-    upper half-plane.
+    Implemented as e^{-2a} expm1(2ia(w - i))/expm1(2ia(w + i)), the
+    numerator as -e^{2iaw} expm1(-2ia(w - i)) below Im w = 1, so that no
+    exponent has a positive real part on the closed upper half-plane, and
+    expm1 keeps the digits of short intervals.
     """
     w = complex(w)
     if w.imag < 0:
         raise DomainError("characteristic function lives on the closed upper half-plane")
     a = float(a)
-    u = np.exp(2j * a * w)
-    return math.exp(-2 * a) * (u * math.exp(2 * a) - 1) / (u * math.exp(-2 * a) - 1)
+    z = 2j * a * (w - 1j)
+    num = (math.exp(-2 * a) * np.expm1(z) if w.imag >= 1.0
+           else -np.exp(2j * a * w) * np.expm1(-z))
+    return complex(num / np.expm1(2j * a * (w + 1j)))
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +242,16 @@ def l1_atoms(alpha, a, n_range):
 def l1_weight(alpha, a, s):
     """Mass of the L1 atom at s, a point or an array of points:
 
-        mu({s}) = (cosh 2a - cos 2sa) / (a pi sinh(2a) (1 + s^2)^2).
+        mu({s}) = 2 (sinh^2 a + sin^2 s_0 a) / (a pi sinh(2a) (1 + s^2)^2),
 
+    which is (cosh 2a - cos 2sa) / (...) without its cancellation on short
+    intervals, as cos 2sa = cos 2 s_0 a on the lattice s_0 + n pi / a.
     A float for a point, an array of the shape of s otherwise; the base
-    point of the lattice is computed once per call. DomainError when any
-    point is farther than 1e-8 from the atom lattice of alpha, and when a
-    weight is not finite (a so short that a sinh(2a) underflows). At
-    alpha = -1 this reduces to tanh(a)/(a pi (1+s^2)^2) on s = n pi / a, at
-    alpha = +1 to coth(a)/(a pi (1+s^2)^2) on the shifted lattice.
+    point s_0 is computed once per call. DomainError when any point is
+    farther than 1e-8 from the atom lattice of alpha, and when a weight is
+    not finite (a sinh(2a) underflows or sinh(2a) overflows). At alpha = -1
+    this reduces to tanh(a)/(a pi (1+s^2)^2) on s = n pi / a, at alpha = +1
+    to coth(a)/(a pi (1+s^2)^2) on the shifted lattice.
     """
     alpha = complex(check_unitary(alpha, 1, "coupling")[0, 0])
     a = float(a)
@@ -260,8 +265,8 @@ def l1_weight(alpha, a, s):
             f"s = {float(pts.reshape(-1)[i])!r} is not an atom of the coupling "
             f"(nearest atom {float(nearest.reshape(-1)[i])!r})")
     with np.errstate(all="ignore"):
-        weight = (math.cosh(2 * a) - np.cos(2 * pts * a)) / (
-            a * math.pi * math.sinh(2 * a) * (1.0 + pts * pts) ** 2)
+        weight = 2.0 * (np.sinh(a) ** 2 + math.sin(base * a) ** 2) / (
+            a * math.pi * np.sinh(2 * a) * (1.0 + pts * pts) ** 2)
     if not np.all(np.isfinite(weight)):
         raise DomainError(f"L1 weight at a = {a!r} is not finite")
     return float(weight) if weight.ndim == 0 else weight

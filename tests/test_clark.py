@@ -197,7 +197,7 @@ def test_conjugation_check_scalar_and_matrix():
     alpha = random_unitary(2, rng)
     res2 = clark.conjugation_check(b2, r, q, alpha, 1.5, kind="ac")
     assert res2 < 1e-7
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         clark.conjugation_check(b1, [[1.0]], [[1.0]], [[1.0]], 2.0, kind="sc")
 
 
@@ -351,3 +351,91 @@ def test_circle_moments_from_the_node_power_table(model, alpha):
     assert got.shape == want.shape
     scale = np.max(np.abs(f), axis=(1, 2, 3))[:, None, None, None]
     assert np.max(np.abs(got - want) / scale) <= 1e-15
+
+
+def _double_k2_coupling(s0):
+    # the unitary part of B_K2(s0): both eigenphases of B alpha* pass 0 at s0
+    u, _, vh = np.linalg.svd(livsic.livsic_eval(models.k2(), s0))
+    return u @ vh
+
+
+@pytest.mark.parametrize("s0", [-1e12, -1e18])
+def test_atom_scan_refinement_is_bounded(monkeypatch, s0):
+    # far down the K2 axis the counts are noise; splitting every failing
+    # cell into 8 once grew the grid to 2e5 points and then ran out of
+    # memory. A negative count, or sub-cell counts that do not add up to
+    # their cell's, now ends the scan before any count passes 1000 points
+    counts = clark._cell_counts
+
+    def bounded(b, alpha, pts, rows):
+        assert pts.size <= 1000, f"a count of {pts.size} points"
+        return counts(b, alpha, pts, rows)
+
+    monkeypatch.setattr(clark, "_cell_counts", bounded)
+    b = livsic.livsic_function(models.k2())
+    with pytest.raises(ConvergenceError):
+        clark.atom_scan(b, _double_k2_coupling(s0), (2.0 * s0, 0.5))
+
+
+def test_atom_scan_double_k2_atoms_are_found():
+    b = livsic.livsic_function(models.k2())
+    for s0 in (-0.5, -30.0, -1e3):
+        locs, masses = clark.atom_scan(b, _double_k2_coupling(s0), (2.0 * s0, 0.5))
+        assert locs == pytest.approx([s0], rel=1e-12)
+        assert np.all(np.linalg.eigvalsh(masses[0]) > 0.0)
+
+
+def test_split_cell_counts_must_add_up():
+    # B = exp(i (c w - 0.05)) steps its phase by c > 2 pi per cell of width
+    # 1, so a cell that holds two atoms counts one; its circle holds two
+    # poles, and its sub-cells count two: the scan refuses
+    c = 2.0 * math.pi + 0.3
+
+    def alias(w):
+        return np.exp(1j * (c * np.asarray(w) - 0.05))[..., None, None]
+
+    b = livsic.SchurFunction(n=1, fn=alias, ac_edge=math.inf, scan_step=2.0)
+    with pytest.raises(ConvergenceError, match="do not add up"):
+        clark.atom_scan(b, [[1.0]], (0.0, 1.0))
+
+
+def test_failing_cell_stops_at_float_resolution():
+    # a B that is NaN off the axis fails every circle; the cell around its
+    # atom at 0.3 is split until it is too narrow to split
+    def axis_only(w):
+        w = np.asarray(w, dtype=complex)
+        return np.where(w.imag == 0, np.exp(0.5j * (w - 0.3)),
+                        np.nan)[..., None, None]
+
+    b = livsic.SchurFunction(n=1, fn=axis_only, ac_edge=math.inf, scan_step=2.0)
+    with pytest.raises(ConvergenceError, match="float resolution"):
+        clark.atom_scan(b, [[1.0]], (0.0, 1.0))
+
+
+def test_nan_on_a_residue_circle_is_refused(b_k1):
+    # the K1 Robin atom at -1 (mass 0.1318...) seen through a B that is NaN
+    # at the two nodes of its radius-0.5 circle with |Im w| > 0.49: a NaN
+    # sum is not a zero mass
+    alpha = [[extensions.alpha_from_bc_k1(1.0, 1.0)]]
+    assert clark.point_mass(b_k1, alpha, -1.0)[0, 0].real == pytest.approx(
+        0.1318482719, rel=1e-9)
+
+    def holed(w):
+        hole = (np.abs(np.imag(w)) > 0.49)[..., None, None]
+        return np.where(hole, np.nan, b_k1.fn(w))
+
+    b = replace(b_k1, fn=holed)
+    with pytest.raises(ConvergenceError):
+        clark.point_mass(b, alpha, -1.0)
+    with pytest.raises(ConvergenceError):
+        clark.atom_scan(b, alpha, (-10.0, 0.5))
+
+
+def test_coupling_of_the_wrong_size_is_refused(b_k1, b_l1):
+    b_k2 = livsic.livsic_function(models.k2())
+    for call in (lambda: clark.ac_density(b_k2, [[1.0]], [1.0, 2.0]),
+                 lambda: clark.ac_density(b_k1, np.eye(2), 1.0),
+                 lambda: clark.point_mass(b_k2, [[1.0]], -1.0),
+                 lambda: clark.atom_scan(b_l1, np.eye(2), (-3.0, 3.0))):
+        with pytest.raises(DimensionError):
+            call()

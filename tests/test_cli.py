@@ -228,6 +228,24 @@ def test_atoms_l1_lattice_route(capsys):
         assert w == pytest.approx(models.l1_weight(1.0, 1.0, s), rel=1e-12)
 
 
+def test_atoms_l1_lattice_route_on_short_and_long_intervals(capsys):
+    # at a = 1e-12 the base point -2 passes its residual check, and its
+    # weight is (1 + s_0^2)/(pi (1 + s_0^2)^2) to first order in a
+    code, out, _ = run_cli(capsys, [
+        "atoms", "--model", "l1", "--a", "1e-12", "--alpha", "0.6,0.8",
+        "--n-range=-2..2"])
+    assert code == 0
+    rows = [tuple(float(t) for t in line.split(","))
+            for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 5 and rows[2][0] == -2.0
+    assert rows[2][1] == pytest.approx(1.0 / (5.0 * math.pi), rel=1e-12)
+    # at a = 400 the weights overflow: a typed refusal, not a traceback
+    code, _, err = run_cli(capsys, [
+        "atoms", "--model", "l1", "--a", "400", "--alpha", "1",
+        "--n-range=-2..2"])
+    assert code == 1 and "DomainError" in err
+
+
 def test_atoms_scan_route_json(capsys):
     code, out, _ = run_cli(capsys, [
         "atoms", "--model", "k1", "--alpha", "-1", "--window=-1:-0.1",

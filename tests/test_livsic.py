@@ -1,5 +1,7 @@
 import cmath
 import math
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -67,6 +69,26 @@ def test_livsic_rejects_lower_half_plane(model):
         b(1.0 - 0.5j)
     with pytest.raises(DomainError):
         livsic.livsic_eval(model, -1j)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+def test_points_b_cannot_take_are_refused(model):
+    # a point that is not finite, or the pole -i of gamma, raises where it
+    # enters, before any pairing arithmetic can warn; NaN is left to mean
+    # a singular pairing matrix only
+    b = livsic.livsic_function(model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for w in (math.inf, math.nan, complex(0.0, math.inf), [1.0, math.inf]):
+            for evaluate in (b.fn, b, partial(livsic.livsic_eval, model)):
+                with pytest.raises(DomainError):
+                    evaluate(w)
+        with pytest.raises(DomainError):
+            b.fn(-1j)
+        pts = np.linspace(-1.0, 1.0, 600).astype(complex)
+        pts[555] = -1j  # in the second block of an array evaluation
+        with pytest.raises(DomainError):
+            b.fn(pts)
 
 
 def test_livsic_real_axis_is_upper_continuation():

@@ -168,6 +168,25 @@ def test_l1_weight_closed_values_and_off_lattice_guard():
         models.l1_weight(1.0, 1e-300, atom)
 
 
+def test_l1_closed_forms_keep_their_digits_on_short_and_long_intervals():
+    # B as a ratio of expm1 values matches the generic B at a = 1e-12, where
+    # the ratio of plain exponentials was off by 1.8e-5; and it stays
+    # finite and unimodular on the axis at a = 400, where e^{2a} overflows
+    a = 1e-12
+    b = livsic.livsic_function(models.l1(a))
+    for w in (-2.0, 0.5, 3.0 + 0.2j, 1j, 2.0 + 5.0j):
+        assert abs(models.l1_livsic(w, a) - b(w)[0, 0]) <= 1e-15
+    for w in (-2.0, 0.3):
+        assert abs(models.l1_livsic(w, 400.0)) == pytest.approx(1.0, abs=1e-15)
+    # the weight as 2 (sinh^2 a + sin^2 s_0 a) has no cancellation: at
+    # alpha = -1 it is tanh(a)/(a pi (1 + s^2)^2) on s = n pi / a
+    for a in (1e-4, 1e-8):
+        for n in range(-2, 3):
+            s = n * math.pi / a
+            ref = math.tanh(a) / (a * math.pi * (1.0 + s * s) ** 2)
+            assert models.l1_weight(-1.0, a, s) == pytest.approx(ref, rel=1e-14)
+
+
 @given(phases, lengths)
 @settings(max_examples=40, deadline=None)
 def test_l1_weight_array_matches_points(theta, a):
@@ -255,8 +274,9 @@ def test_atom_scan_empty_window_and_bad_input():
 
 
 def test_atom_scan_failure_policy():
-    # B returns NaN where it is not defined and raises nothing per point,
-    # so an exception from it is a programming error and propagates
+    # B is NaN where its pairing matrix is singular and raises only for
+    # points the scan never passes (not finite, or -i), so an exception
+    # from it is a programming error and propagates
     def typo(s):
         raise TypeError("programming error")
 

@@ -22,6 +22,7 @@ class CountingB:
 
     def __init__(self, model):
         self.b = livsic.livsic_function(model)
+        self.n = self.b.n
         self.ac_edge = self.b.ac_edge
         self.scan_step = self.b.scan_step
         self.calls = 0

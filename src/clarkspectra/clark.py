@@ -115,16 +115,16 @@ _POWERS = np.stack([_TURN, _TURN ** 2, _TURN ** 3,
 # agreeing, each to this relative tolerance (above the rounding floor).
 _MASS_RTOL = 1e-10
 # A pole that the nodes place farther than _OFFSET_TOL (1 + |s|) from s is
-# not at s (the atom scan merges locations within it as well).
+# not at s (the atom scan merges poles, and keeps window ends, within it).
 _OFFSET_TOL = 1e-8
-# One pole in a circle: _second_moment below this.
+# One pole in a circle: its second moment (_circles) below this.
 _ONE_POLE_TOL = 1e-8
 
 
 def _radii(s, step, edge):
-    """Circle radius per atom: the least of half the scan step (infinite
-    on the half-line), a quarter of the distance to the nearest other atom
-    and half the distance to the cut (infinite on an interval)."""
+    """point_mass's circle radius per atom: the least of half the scan
+    step (inf on the half-line), a quarter of the gap to the nearest other
+    atom and half the distance to the cut (inf on an interval)."""
     order = np.argsort(s)
     gaps = np.diff(s[order], prepend=-np.inf, append=np.inf)
     near = np.empty(s.size)
@@ -165,78 +165,38 @@ def _pole_offset(m, radius, stride=1):
     return radius * ratio
 
 
-def _second_moment(m, delta):
-    """mean(F (t - delta)^2 t) over mean(F t) (largest entries) on each
-    circle, from its moments m (_moments): zero when it holds one pole,
-    delta radii from its centre. Two atoms in one circle would otherwise
-    read as one between them."""
-    m1, m2, m3 = m[:, 0], m[:, 1], m[:, 2]
-    d = delta[:, None, None]
-    with np.errstate(all="ignore"):
-        return (np.max(np.abs(m3 - 2.0 * d * m2 + d * d * m1), axis=(-2, -1))
-                / np.max(np.abs(m1), axis=(-2, -1)))
-
-
-def point_mass(b, alpha, s):
-    """Mass mu({s}) of the (B, alpha) measure at the real point s, or at
-    each point of a 1-D array of atoms: the n x n Hermitian PSD matrix (a
-    stack of them), zero when s carries no atom: -2i/(pi (1+p^2)^2) times
-    the residue of (I - B(w) alpha*)^{-1} at its pole p = s, by the
-    trapezoid rule on _NODES points of a circle around s, all circles in
-    one call of b.fn. The radius is the least of half b.scan_step (the
-    interval scan's resolution, infinite on the half-line), a quarter of
-    the gap to the nearest other point of s and half the distance to
-    b.ac_edge; other poles are assumed to keep about that far.
-    The mass is zero when the sum stays within its rounding floor, and when
-    both node counts place the pole at the same point (to a tenth of its
-    offset) farther than _OFFSET_TOL (1 + |s|) from s.
-
-    DomainError for a non-finite, repeated or essential-spectrum point.
-    ConvergenceError for a mass that is not Hermitian and PSD, or whose
-    values from all nodes and from the even nodes differ, beyond _MASS_RTOL
-    relative to it, and for a circle with more than one pole or a NaN.
-    """
-    alpha = check_alpha(alpha, b.n)
-    n = alpha.shape[0]
-    s = _points(s, "atom location")
-    return _residues(b, alpha, s.reshape(-1))[0].reshape(s.shape + (n, n))
-
-
-def _residues(b, alpha, atoms, window=(-math.inf, math.inf)):
-    """point_mass at the points of the 1-D array atoms inside window, on
-    circles sized by all of them, and the pole that each circle
-    places at its atom; one call of b.fn, none for no atoms."""
-    n = alpha.shape[0]
-    radius = _radii(atoms, b.scan_step, b.ac_edge)
-    inside = (atoms >= window[0]) & (atoms <= window[1])
-    atoms, radius = atoms[inside], radius[inside]
-    if atoms.size == 0:
-        return np.zeros((0, n, n), dtype=complex), np.zeros(0)
-    if not np.all(radius > 0):
-        raise DomainError("point masses need distinct atoms below the "
-                          f"essential spectrum, got s = {atoms!r}")
-    f = _circle_resolvent(b, alpha, atoms, radius)
+def _circles(b, alpha, centre, radius):
+    """Pole and mass on each circle centre + radius * _TURN, one call of
+    b.fn: (offset, offset_half, mass, accepted, why). offset, offset_half:
+    p - centre for the pole p that all nodes and the even nodes place.
+    mass: -2i radius mean(F t) / (pi (1 + p^2)^2) made Hermitian, p =
+    centre + Re offset when in the circle (else centre); zero within the
+    sum's rounding floor (all a circle without a pole gives). accepted: a
+    zero mass, or one Hermitian and PSD with both node counts agreeing,
+    each to _MASS_RTOL of it, whose circle holds one pole (the second
+    moment about p); NaN fails. why(i): the tests circle i fails."""
+    f = _circle_resolvent(b, alpha, centre, radius)
     m = _moments(f)
     m1 = m[:, 0]
     offset = _pole_offset(m, radius)
-    near = np.abs(offset) <= _OFFSET_TOL * (1.0 + np.abs(atoms))
-    pole = np.where(near, atoms + offset.real, atoms)
-    scale = -2j * radius / (np.pi * (1.0 + pole * pole) ** 2)
+    delta = np.where(np.abs(offset) <= radius, offset.real, 0.0)
+    scale = -2j * radius / (np.pi * (1.0 + (centre + delta) ** 2) ** 2)
     mass = scale[:, None, None] * m1
     size = np.max(np.abs(mass), axis=(-2, -1))
-    # the rounding floor of the sum: all that a circle without a pole gives
     floor = (_NODES * np.finfo(float).eps * np.abs(scale)
              * np.max(np.abs(f), axis=(1, 2, 3)))
-    offset_half = _pole_offset(m, radius, stride=2)
-    elsewhere = ~near & (np.abs(offset - offset_half) <= 0.1 * np.abs(offset))
-    zero = (size <= floor) | elsewhere
     tol = _MASS_RTOL * size + floor
     herm = _hermitize(mass)
     spread = np.max(np.abs(scale[:, None, None]
                            * (m1 - m[:, 3])), axis=(-2, -1))
     skew = np.max(np.abs(mass - herm), axis=(-2, -1))
     lowest = np.linalg.eigvalsh(herm)[:, 0]
-    second = _second_moment(m, np.zeros(atoms.size))
+    # mean(F (t - d)^2 t) over mean(F t): zero for one pole d radii from
+    # the centre, where two poles would read as one between them
+    d = (delta / radius)[:, None, None]
+    with np.errstate(all="ignore"):
+        second = (np.max(np.abs(m[:, 2] - 2.0 * d * m[:, 1] + d * d * m1),
+                         axis=(-2, -1)) / np.max(np.abs(m1), axis=(-2, -1)))
     # each test with what its refusal says; "not <=" so that NaN fails
     tests = (
         (spread <= tol, lambda i: f"node-count difference {spread[i]:.3e} "
@@ -249,14 +209,48 @@ def _residues(b, alpha, atoms, window=(-math.inf, math.inf)):
          lambda i: f"second moment {second[i]:.3e} of the first over "
                    f"{_ONE_POLE_TOL:.0e} (more than one pole in the circle)"),
     )
-    bad = ~zero & ~np.logical_and.reduce([ok for ok, _ in tests])
+    faint = size <= floor
+    herm[faint] = 0.0
+    accepted = faint | np.logical_and.reduce([ok for ok, _ in tests])
+    return (offset, _pole_offset(m, radius, stride=2), herm, accepted,
+            lambda i: "; ".join(say(i) for ok, say in tests if not ok[i]))
+
+
+def point_mass(b, alpha, s):
+    """Mass mu({s}) of the (B, alpha) measure at the real point s, or at
+    each point of a 1-D array of atoms: the n x n Hermitian PSD matrix (a
+    stack of them), zero when s carries no atom: -2i/(pi (1+p^2)^2) times
+    the residue of (I - B(w) alpha*)^{-1} at its pole p = s, by the
+    trapezoid rule on a circle around s (_circles), all in one call of
+    b.fn. The radius (_radii) is the least of half b.scan_step (infinite
+    on the half-line), a quarter of the gap to the nearest other point of
+    s and half the distance to b.ac_edge; other poles are assumed to keep
+    about that far. The mass is also zero when both node counts place the
+    pole at the same point (to a tenth of its offset) farther than
+    _OFFSET_TOL (1 + |s|) from s. DomainError for a non-finite, repeated
+    or essential-spectrum point; ConvergenceError, naming the failed
+    tests, for a mass that _circles does not accept.
+    """
+    alpha = check_alpha(alpha, b.n)
+    s = _points(s, "atom location")
+    atoms = s.reshape(-1)
+    if atoms.size == 0:
+        return np.zeros(s.shape + alpha.shape, dtype=complex)
+    radius = _radii(atoms, b.scan_step, b.ac_edge)
+    if not np.all(radius > 0):
+        raise DomainError("point masses need distinct atoms below the "
+                          f"essential spectrum, got s = {atoms!r}")
+    offset, offset_half, mass, accepted, why = _circles(b, alpha, atoms, radius)
+    near = np.abs(offset) <= _OFFSET_TOL * (1.0 + np.abs(atoms))
+    elsewhere = ~near & (np.abs(offset - offset_half) <= 0.1 * np.abs(offset))
+    bad = ~elsewhere & ~accepted
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
         raise ConvergenceError(
             f"residue at s = {float(atoms[i])!r} (radius {radius[i]:.3e}) not "
-            "accepted: " + "; ".join(say(i) for ok, say in tests if not ok[i]))
-    herm[zero] = 0.0
-    return herm, pole
+            "accepted: " + why(i))
+    mass[elsewhere] = 0.0
+    return mass.reshape(s.shape + alpha.shape)
 
 
 # Upper limit on the atom-scan grid and on the command line's --grid count,
@@ -272,8 +266,9 @@ _SPLIT = 8
 def _scan_grid(lo, hi, h, edge):
     """Points of the atom scan on [lo, hi] below edge, ends included:
     cells of width at most h when edge is infinite, else the points
-    edge - 10^(k/_DECADE) down to _EDGE_GAP from it, so a circle as wide as
-    its cell stays off the cut. Empty when the window lies above edge.
+    edge - 10^(k/_DECADE) down to _EDGE_GAP from it, each cell a fixed
+    fraction of its distance to the cut. Empty when the window lies above
+    edge.
     DomainError before any allocation for more than MAX_SCAN_POINTS
     points."""
     top = min(hi, edge - _EDGE_GAP)
@@ -306,35 +301,36 @@ def _cell_counts(b, alpha, pts, rows):
 
 def atom_scan(b, alpha, window):
     """Atoms of the (B, alpha) measure inside window: (locations, masses),
-    a sorted 1-D array and the stack of their point_mass matrices.
+    a sorted 1-D array and the stack of their mass matrices.
 
     A cell of the grid holds (dPhi - d sum_j (theta_j mod 2 pi)) / 2 pi
     atoms, theta_j the increasing eigenphases of the unitary B(s) alpha*
     and Phi = arg det(B alpha*), dPhi taken in [0, 2 pi) (Model.scan_step
     keeps the true step below 2 pi on an interval; the half-line grid is
-    geometric). Three calls of b.fn: the count on the grid of _scan_grid,
-    whose cells span the points where B is not finite; a circle as wide as
-    its cell around each cell that counts atoms, whose pole is kept when
-    the circle holds one (a double atom is one), else the cell is split
-    into _SPLIT and counted again (two more calls per round); point_mass
-    at the poles inside window, merged within _OFFSET_TOL, whose own
-    circles place each pole again. The grid reaches past window by twice
-    the least of scan_step and the distance from lo to ac_edge, four radii
-    of any of those circles, so the poles that size them are all found.
-    Counts must be nonnegative and a split cell's must be its sub-cells'
-    sum (Delves and Lyness, Math. Comp. 21, 1967), which bounds the failing
-    cells of any round by the first grid's count. DomainError for a window
-    that is not finite with lo < hi, and from _scan_grid; ConvergenceError
-    for a broken rule, a failing cell under _SPLIT ulps, and point_mass.
+    geometric). Two calls of b.fn where no cell splits: the count on the
+    grid of _scan_grid (its cells span the points where B is not finite),
+    and one circle per cell that counts atoms, four cells wide but at most
+    half the distance to ac_edge, whose pole and mass (_circles) the cell
+    keeps when they are accepted with the pole in its inner half (a double
+    atom is one pole); else the cell is split into _SPLIT and counted
+    again (two more calls per round). The grid reaches past both ends by
+    half of min(scan_step, ac_edge - lo), so an atom on an end is in a
+    cell; poles within _OFFSET_TOL (1 + |s|) of an end are inside, and of
+    each other are merged. Counts must be nonnegative and a split cell's
+    the sum of its sub-cells' (Delves and Lyness, Math. Comp. 21, 1967),
+    which bounds the failing cells of a round by the first grid's count.
+    DomainError for a window that is not finite with lo < hi, and from
+    _scan_grid; ConvergenceError for a broken count rule and a failing
+    cell under _SPLIT ulps.
     """
     alpha = check_alpha(alpha, b.n)
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"scan window must be finite with lo < hi, got {window!r}")
-    reach = 2.0 * min(b.scan_step, b.ac_edge - lo)
+    reach = 0.5 * min(b.scan_step, b.ac_edge - lo)
     pts = _scan_grid(lo - reach, hi + reach, 0.5 * b.scan_step, b.ac_edge)
     rows = np.zeros(pts.size, dtype=int)
-    poles = [np.empty(0)]
+    poles, masses = [np.empty(0)], [np.empty((0,) + alpha.shape, dtype=complex)]
     want = None  # the counts of the cells split in the last round
     while pts.size:
         pts, count, rows = _cell_counts(b, alpha, pts, rows)
@@ -346,27 +342,28 @@ def atom_scan(b, alpha, window):
         at = np.flatnonzero(count)
         if at.size == 0:
             break
-        centre, radius = 0.5 * (pts[at] + pts[at + 1]), np.diff(pts)[at]
-        m = _moments(_circle_resolvent(b, alpha, centre, radius))
-        offset = _pole_offset(m, radius)
-        one = ((np.abs(offset) <= radius)
-               & (_second_moment(m, offset / radius) <= _ONE_POLE_TOL))
+        centre, width = 0.5 * (pts[at] + pts[at + 1]), np.diff(pts)[at]
+        radius = np.minimum(4.0 * width, 0.5 * (b.ac_edge - centre))
+        offset, _, mass, accepted, _ = _circles(b, alpha, centre, radius)
+        one = accepted & (np.abs(offset) <= 0.5 * radius)
         poles.append(centre[one] + offset[one].real)
-        at, radius = at[~one], radius[~one]
-        if np.any(radius < _SPLIT * np.spacing(np.abs(pts[at]) + radius)):
+        masses.append(mass[one])
+        at, width = at[~one], width[~one]
+        if np.any(width < _SPLIT * np.spacing(np.abs(pts[at]) + width)):
             raise ConvergenceError(f"atoms near s = {float(pts[at[0]])!r} not "
                                    "separated at float resolution")
         want = count[at]
         # count again on _SPLIT cells in each cell that failed
-        pts = (pts[at, None] + radius[:, None]
+        pts = (pts[at, None] + width[:, None]
                * np.linspace(0.0, 1.0, _SPLIT + 1)).reshape(-1)
         rows = np.repeat(np.arange(at.size), _SPLIT + 1)
-    poles = np.sort(np.concatenate(poles))
-    poles = poles[np.diff(poles, prepend=-np.inf)
-                  > _OFFSET_TOL * (1.0 + np.abs(poles))]
-    masses, poles = _residues(b, alpha, poles, (lo, hi))
-    atom = np.any(masses != 0, axis=(-2, -1))
-    return poles[atom], masses[atom]
+    order = np.argsort(np.concatenate(poles))
+    poles, masses = np.concatenate(poles)[order], np.concatenate(masses)[order]
+    tol = _OFFSET_TOL * (1.0 + np.abs(poles))
+    keep = ((np.diff(poles, prepend=-np.inf) > tol)
+            & (poles >= lo - tol) & (poles <= hi + tol)
+            & np.any(masses != 0, axis=(-2, -1)))
+    return poles[keep], masses[keep]
 
 
 def conjugation_check(b2, r, q, alpha, s, kind="ac"):

@@ -147,8 +147,9 @@ def _parse_n_range(text):
         lo, hi = int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise _ConfigError(f"cannot parse index range {text!r}") from exc
-    if lo > hi:
-        raise _ConfigError("index range needs lo <= hi")
+    if not 0 <= hi - lo < clark.MAX_SCAN_POINTS:
+        raise _ConfigError("index range needs lo <= hi and at most "
+                           f"{clark.MAX_SCAN_POINTS} indices")
     return lo, hi
 
 
@@ -238,7 +239,9 @@ def cmd_density(args):
 def cmd_atoms(args):
     model = _make_model(args.model, args.a)
     alpha = _parse_alpha(args.alpha, model.rank)
-    if args.model == "l1" and args.n_range:
+    if args.n_range is not None:
+        if args.model != "l1" or args.window is not None:
+            raise _ConfigError("--n-range is for l1 alone, without --window")
         lo, hi = _parse_n_range(args.n_range)
         scal = complex(alpha[0, 0])
         locs = models.l1_atoms(scal, model.a, (lo, hi))

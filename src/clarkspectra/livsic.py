@@ -59,7 +59,7 @@ class SchurFunction:
     begins: for every coupling the measure has no absolutely continuous
     part on s <= ac_edge, and fn continues across the real axis below it.
     scan_step is the model's Model.scan_step, the resolution of the atom
-    scan on an interval and the cap of its residue radii there; infinite
+    scan on an interval and the cap of point_mass's radii there; infinite
     on the half-line, where the distance to ac_edge sizes the circles.
     """
 

@@ -96,14 +96,14 @@ class Model:
     @property
     def scan_step(self):
         """Twice the cell of the interval models' atom scan, the resolution
-        of that scan, and on an interval the bound of the residue radii.
+        of that scan, and on an interval the cap of point_mass's radii.
         The scan's count is exact while arg det B(s) steps by less than
         2 pi per cell. L1: pi/(8a), a sixteenth of the period of its scalar
         B, so below 2 pi (below pi for a >= 0.1). L2: at most a third of
         its Dirichlet gap (pi/(2a))^2 and at most 0.5, as near s = 0 its
         eigenphases sweep about 4 pi on a scale of 1 whatever a; so below
         2. Infinite on the half-line, where the distance to the cut sizes
-        both the geometric grid and the residue circles."""
+        the geometric grid and point_mass's circles."""
         if self.halfline:
             return math.inf
         step = math.pi / (8.0 * self.a)

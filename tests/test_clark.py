@@ -414,21 +414,44 @@ def test_failing_cell_stops_at_float_resolution():
 
 def test_nan_on_a_residue_circle_is_refused(b_k1):
     # the K1 Robin atom at -1 (mass 0.1318...) seen through a B that is NaN
-    # at the two nodes of its radius-0.5 circle with |Im w| > 0.49: a NaN
-    # sum is not a zero mass
+    # at the nodes with |Im w| > 0.49: a NaN sum is not a zero mass.
+    # point_mass's radius-0.5 circle meets two of them and refuses; the
+    # scan's first circle around the atom's cell meets them too, so the
+    # cell is split and a narrower circle without NaN weighs the atom
     alpha = [[extensions.alpha_from_bc_k1(1.0, 1.0)]]
     assert clark.point_mass(b_k1, alpha, -1.0)[0, 0].real == pytest.approx(
         0.1318482719, rel=1e-9)
+    holes = []
 
     def holed(w):
         hole = (np.abs(np.imag(w)) > 0.49)[..., None, None]
+        holes.append(bool(np.any(hole)))
         return np.where(hole, np.nan, b_k1.fn(w))
 
     b = replace(b_k1, fn=holed)
     with pytest.raises(ConvergenceError):
         clark.point_mass(b, alpha, -1.0)
-    with pytest.raises(ConvergenceError):
-        clark.atom_scan(b, alpha, (-10.0, 0.5))
+    holes.clear()
+    locs, masses = clark.atom_scan(b, alpha, (-10.0, 0.5))
+    assert locs == pytest.approx([-1.0], rel=1e-12)
+    assert masses[0, 0, 0].real == pytest.approx(0.1318482719, rel=1e-9)
+    # the grid, the circle with NaN, the split cell, the circle without
+    assert holes == [False, True, False, False]
+
+
+def test_atoms_on_the_window_ends_are_inside():
+    # an atom on an end of the window, placed an ulp outside it, is kept:
+    # the K1 Robin atom at -1 on (-1, 0.5), and on L1 (alpha = i) a window
+    # from one lattice point to another holds both
+    b = livsic.livsic_function(models.k1())
+    locs, masses = clark.atom_scan(
+        b, [[extensions.alpha_from_bc_k1(1.0, 1.0)]], (-1.0, 0.5))
+    assert locs == pytest.approx([-1.0], rel=1e-12)
+    assert masses[0, 0, 0].real == pytest.approx(0.1318482719, rel=1e-9)
+    lattice = models.l1_atoms(1j, 1.0, (-2, 1))
+    locs, _ = clark.atom_scan(livsic.livsic_function(models.l1(1.0)), [[1j]],
+                              (lattice[0], lattice[-1]))
+    assert locs == pytest.approx(lattice, rel=1e-12)
 
 
 def test_coupling_of_the_wrong_size_is_refused(b_k1, b_l1):

@@ -268,7 +268,7 @@ def _k2_sigma_min(alpha, s):
 
 def test_atoms_shallow_edge_atom_fallback(capsys):
     # this coupling has one small atom just below the continuum edge; its
-    # residue circle has half the distance to the branch point 0 as radius
+    # circle's radius is at most half the distance to the branch point 0
     import numpy as np
     code, out, _ = run_cli(capsys, [
         "atoms", "--model", "k2", "--alpha", '[["0,-1","0"],["0","0,-1"]]',
@@ -284,8 +284,8 @@ def test_atoms_shallow_edge_atom_fallback(capsys):
 
 def test_atoms_k2_shallow_atom_near_the_branch_point(capsys):
     # a small atom 1.7e-4 below the edge of the essential spectrum, next to
-    # a deeper one: its residue circle has radius 8.5e-5. Every printed
-    # location is a zero of I - B alpha* to rounding.
+    # a deeper one: its circle's radius is at most half its distance to 0.
+    # Every printed location is a zero of I - B alpha* to rounding.
     import cmath
     import numpy as np
     alpha = '[["1:-2.6179938779914944","0"],["0","1:-2.6179938779914944"]]'
@@ -376,6 +376,43 @@ def test_atoms_requires_window_or_range(capsys):
         "atoms", "--model", "k1", "--alpha", "-1"])
     assert code == 2
     assert "window" in err
+
+
+def test_atoms_refuses_an_index_range_it_would_ignore(capsys):
+    # --n-range is the closed route of l1 alone, and not beside --window
+    for argv in (["--model", "k2", "--alpha", "[[-1,0],[0,-1]]",
+                  "--window=-1:0.5"],
+                 ["--model", "l1", "--a", "1", "--alpha", "1", "--window=-3:3"]):
+        code, out, err = run_cli(capsys, ["atoms", *argv, "--n-range=0..2"])
+        assert code == 2 and out == "", argv
+        assert "--n-range is for l1 alone, without --window" in err
+
+
+def test_atoms_index_range_is_capped(capsys):
+    # more than clark.MAX_SCAN_POINTS indices is refused before the lattice
+    # is built
+    code, out, err = run_cli(capsys, [
+        "atoms", "--model", "l1", "--a", "1", "--alpha", "1",
+        f"--n-range=0..{clark.MAX_SCAN_POINTS}"])
+    assert code == 2 and out == ""
+    assert f"at most {clark.MAX_SCAN_POINTS} indices" in err
+
+
+def test_atoms_on_a_window_end(capsys):
+    # the K1 Robin condition b = c = 1 has its atom at -1, the window's
+    # lower end: it is printed, with the coupling that bcmap gives
+    code, out, _ = run_cli(capsys, ["bcmap", "--model", "k1", "--b", "1",
+                                    "--c", "1"])
+    alpha = json.loads(out)["alpha"]
+    code, out, err = run_cli(capsys, [
+        "atoms", "--model", "k1", f"--alpha={alpha['re']!r},{alpha['im']!r}",
+        "--window=-1:0.5"])
+    assert code == 0 and err == ""
+    rows = [tuple(float(t) for t in line.split(","))
+            for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 1
+    assert rows[0][0] == pytest.approx(-1.0, rel=1e-12)
+    assert rows[0][1] == pytest.approx(0.1318482719, rel=1e-9)
 
 
 def test_livsic_csv_schur_bound(capsys):
@@ -572,7 +609,7 @@ def test_error_messages_print_plain_numbers(capsys):
 
 def test_atoms_k2_far_atom_of_a_haar_coupling(capsys):
     # the sixth Haar coupling of seed 13 has an atom at s = -13148.4: its
-    # residue circle, half the distance to the cut wide, gives the
+    # circle, capped at half the distance to the cut, gives the
     # eigenfunction mass to 1e-12
     from clarkspectra import oracle
     from clarkspectra.cplane import random_unitary

@@ -339,8 +339,8 @@ def test_l2_atoms_long_interval_finds_the_lowest(label, a, first):
 
 
 def test_scan_step_per_model():
-    # the half-line grid is geometric and its residue circles are sized by
-    # the distance to the cut, so the step is an interval quantity
+    # the half-line grid is geometric and its circles are sized by the
+    # distance to the cut, so the step is an interval quantity
     assert models.k1().scan_step == models.k2().scan_step == math.inf
     assert models.l1(3.0).scan_step == math.pi / 24
     # L2 keeps pi/(8a) up to a = 2 pi/3 and shrinks like 1/a^2 beyond

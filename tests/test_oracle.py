@@ -359,9 +359,10 @@ def test_eigen_mass_matches_the_residue_masses():
 @given(st.sampled_from(["k1", "k2"]), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_halfline_atoms_on_the_whole_axis_property(name, seed):
-    # residue circles sized by the distance to the cut: a scan down to -1e8
-    # finds at most rank atoms of a Haar coupling, refuses none, and every
-    # atom with 1e-2 <= |s| <= 1e4 has its eigenfunction mass to 1e-12
+    # circles sized by the geometric cells and the distance to the cut: a
+    # scan down to -1e8 finds at most rank atoms of a Haar coupling,
+    # refuses none, and every atom with 1e-2 <= |s| <= 1e4 has its
+    # eigenfunction mass to 1e-12
     model = getattr(models, name)()
     alpha = random_unitary(model.rank, np.random.default_rng(seed))
     locs, masses = clark.atom_scan(livsic.livsic_function(model), alpha,
@@ -397,10 +398,10 @@ def test_halfline_window_holds_the_whole_axis_atoms_property(name, seed, u):
 @pytest.mark.parametrize("frac", [0.1, 0.5])
 def test_window_end_between_two_close_atoms(model, seed, below, frac):
     # the window's lower end falls between the atom near `below` and the
-    # next one, closer to it than the residue circle of the next one would
-    # be wide without it (on K2 their ratio is below 1.7, on L2 their gap
-    # below the scan step); the scan reads past the end, sizes that circle
-    # by both atoms and weighs the next one as the eigenfunctions do
+    # next one (on K2 their ratio is below 1.7, on L2 their gap below the
+    # scan step); a circle around the next one's cell that also holds the
+    # atom below is not accepted, its cell is split, and the next one is
+    # weighed as the eigenfunctions do
     b = livsic.livsic_function(model)
     alpha = random_unitary(2, np.random.default_rng(seed))
     hi = 0.5 if model.halfline else 10.0

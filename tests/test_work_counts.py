@@ -87,61 +87,70 @@ def test_residue_evaluation_counts():
 
 
 def test_l2_dirichlet_scan_counts():
-    # three calls: the grid (147 points, cells of pi/16, 139 on the window
-    # and 4 past each end, as far as its residue circles reach), one
-    # 64-node circle around each of the 3 cells that count an atom, and the
-    # 64-node residue circles of the 3 poles they place
+    # two calls: the grid (141 points, cells of at most pi/16 on the window
+    # widened by pi/16 at each end, so that an atom on an end lies inside a
+    # cell), and one 64-node circle around each of the 3 cells that count an atom,
+    # which places and weighs its pole
     model = models.l2(1.0)
     bm = extensions.BoundaryMatrices([[1, 0], [0, 0]], [[0, 0], [1, 0]])
     alpha = extensions.alpha_from_bc_regular(model, bm)
     b = CountingB(model)
     atoms, _ = clark.atom_scan(b, alpha, (-1.0, 26.0))
     assert len(atoms) == 3
-    assert (b.calls, b.points) == (3, 147 + 64 * 3 + 64 * 3)
+    assert (b.calls, b.points) == (2, 141 + 64 * 3)
+
+
+# The circle around the cell of the K2 atom at -0.502 (alpha = -I) reaches
+# within 1.6 radii of the atom at -0.115, so its even-node sum differs from
+# the full one and that cell is split once: the circles of both cells, the
+# 9 points of the split cell, and one circle in it
+_K2_SPLIT = [2 * 64, 9, 64]
 
 
 def test_k2_scan_of_a_wide_window_counts():
     # below the branch point the grid is geometric, 16 points per decade of
     # the distance to 0 down to 1e-10: 22 decades cost fewer than 400
-    # points, and the scan is still three calls of B
+    # points
     b = CountingB(models.k2())
     atoms, _ = clark.atom_scan(b, -np.eye(2), (-1e12, 0.5))
-    assert len(atoms) > 0
-    assert b.calls == 3 and b.sizes[0] <= 400
+    assert len(atoms) == 2
+    assert b.sizes == [356] + _K2_SPLIT
 
 
 def test_atom_scan_runs_no_lapack_svd(monkeypatch):
     # the eigenphases on the scan grid come from the closed-form 2 x 2
-    # eigenvalues, not from LAPACK, and each scan is three calls of B
+    # eigenvalues, not from LAPACK; each scan is two calls of B where no
+    # cell splits, the grid and the circles of the cells that count atoms
     dirichlet = extensions.BoundaryMatrices([[1, 0], [0, 0]], [[0, 0], [1, 0]])
     cases = (
-        (models.l1(1.0), [[1.0]], (-10.0, 10.0)),
+        (models.l1(1.0), [[1.0]], (-10.0, 10.0), [105, 6 * 64]),
         (models.l2(1.0), extensions.alpha_from_bc_regular(models.l2(1.0), dirichlet),
-         (-1.0, 26.0)),
-        (models.k1(), [[extensions.alpha_from_bc_k1(1.0, 1.0)]], (-10.0, 0.5)),
-        (models.k2(), -np.eye(2), (-1.0, 0.5)),
+         (-1.0, 26.0), [141, 3 * 64]),
+        (models.k1(), [[extensions.alpha_from_bc_k1(1.0, 1.0)]], (-10.0, 0.5),
+         [180, 64]),
+        (models.k2(), -np.eye(2), (-1.0, 0.5), [164] + _K2_SPLIT),
     )
     svd_calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd",
                         lambda *a, **k: svd_calls.append(1) or svd(*a, **k))
-    for model, alpha, window in cases:
+    for model, alpha, window, sizes in cases:
         b = CountingB(model)
         atoms, _ = clark.atom_scan(b, alpha, window)
         assert len(atoms) > 0, model.name
-        assert b.calls == 3, model.name
+        assert b.sizes == sizes, model.name
     assert svd_calls == []
 
 
-def test_atoms_request_is_three_calls(monkeypatch, capsys):
-    # a CLI atoms request on the half-line: the geometric grid, the
-    # location circles and the residue circles, and no other evaluation of B
+def test_atoms_request_evaluates_b_in_the_scan_only(monkeypatch, capsys):
+    # a CLI atoms request on the half-line: the geometric grid and the
+    # circles of the scan, and no other evaluation of B
     b = CountingB(models.k2())
     monkeypatch.setattr(livsic, "livsic_function", lambda model: b)
     assert cli.main(["atoms", "--model", "k2", "--alpha", "[[-1,0],[0,-1]]",
                      "--window=-1:0.5"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 3
-    assert b.calls == 3
+    assert b.sizes == [164] + _K2_SPLIT
 
 
 def test_one_parser_per_process(monkeypatch, capsys):

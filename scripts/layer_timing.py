@@ -1,8 +1,9 @@
 """Wall time of the characteristic function and of the atom scan, per model.
 
-B is timed through the SchurFunction's fn, as the density, the scan and
-the residues call it, at 1, 64 and 512 real points (one block), in
-microseconds per point. The atom scan is clark.atom_scan on a fixed window
+B is timed through the SchurFunction's one entry, as the density, the
+scan and the point masses call it, at 1, 64 and 512 real points (one
+block), in microseconds per point, alone and with B' beside it (the
+point masses and the scan's Newton rounds). The atom scan is clark.atom_scan on a fixed window
 and coupling per model, in milliseconds per call. The oracle is timed in
 milliseconds per call on two inputs of the verify battery: one stacked
 quad_inner of the K2 rates at a point against both defect bases, as
@@ -111,13 +112,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    b_us, scan_ms = {}, {}
+    b_us, db_us, scan_ms = {}, {}, {}
     for model, alpha, window in scans():
         b = livsic.livsic_function(model)
-        b_us[model.name] = {
-            str(size): round(1e6 * best(partial(b.fn, np.linspace(0.1, 30.0, size)),
-                                        args.repeat) / size, 3)
-            for size in SIZES}
+        for out, derivative in ((b_us, False), (db_us, True)):
+            out[model.name] = {
+                str(size): round(1e6 * best(partial(b, np.linspace(0.1, 30.0, size),
+                                                    derivative), args.repeat) / size, 3)
+                for size in SIZES}
         scan_ms[model.name] = round(
             1e3 * best(partial(clark.atom_scan, b, alpha, window), args.repeat), 3)
     oracle_ms = {name: round(1e3 * best(call, args.repeat), 3)
@@ -127,7 +129,8 @@ def main(argv=None):
         cli_ms.setdefault(name, {})[count] = {
             part: round(1e3 * best(call, args.repeat), 3)
             for part, call in zip(("request", "compute", "write"), calls)}
-    print(json.dumps({"b_us_per_point": b_us, "atom_scan_ms": scan_ms,
+    print(json.dumps({"b_us_per_point": b_us, "b_with_derivative_us_per_point": db_us,
+                      "atom_scan_ms": scan_ms,
                       "oracle_ms": oracle_ms, "cli_ms": cli_ms,
                       "repeat": args.repeat, "cpus": os.cpu_count(),
                       "numpy": np.__version__}))

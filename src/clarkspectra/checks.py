@@ -17,7 +17,6 @@ import numpy as np
 
 from . import clark, extensions, livsic, models, oracle
 from .cplane import random_unitary
-from .defect import defect_onb
 
 __all__ = ["CheckResult", "run_all", "ALL_CHECKS"]
 
@@ -235,31 +234,25 @@ def _defect_bases(model):
     """Both orthonormal defect bases as one (coeffs, rates) stack: the
     basis at +i, then the one at -i, in block-diagonal coefficients over
     the rates at +i and then at -i."""
-    (c_plus, r_plus), (c_minus, r_minus) = (defect_onb(model, "+"),
-                                            defect_onb(model, "-"))
-    n = model.rank
-    coeffs = np.zeros((2 * n, 2 * n), dtype=complex)
-    coeffs[:n, :n], coeffs[n:, n:] = c_plus, c_minus
-    return coeffs, np.concatenate([r_plus, r_minus])
+    rates, coeffs = livsic._basis(model)
+    return coeffs.conj().T, rates
 
 
 def check_10(seed=0):
     """Pairing matrices vs Gauss-Legendre quadrature at random points:
-    A(w, +) and A(w, -) side by side against one stacked quad_inner of the
-    rates at w with both defect bases."""
+    A(w, +)^{-1} A(w, -), which a mixing of the pairings' rows leaves
+    alone, against the same ratio from one stacked quad_inner of the
+    exponentials of the rates at w with both defect bases."""
     rng = np.random.default_rng([seed, 10])
     worst = 0.0
     for model in (models.k1(), models.k2(), models.l1(1.0), models.l2(1.0)):
         bases, n = _defect_bases(model), model.rank
         for _ in range(20):
             w = complex(rng.uniform(-5, 5), rng.uniform(0.1, 3.0))
-            rates = model.raw_rates(w)
-            amat = np.hstack(livsic._pairings(model, rates))
-            # the pairings scale row j by exp(-|Re rho_j| a) on an interval
-            scale = (np.ones(n) if model.halfline
-                     else np.exp(-np.abs(rates.real) * model.a))
-            ref = oracle.quad_inner(model, (np.diag(scale), rates), bases)
-            worst = max(worst, float(np.max(np.abs(amat - ref))))
+            ref = oracle.quad_inner(model, (np.eye(n), model.raw_rates(w)), bases)
+            got, want = (np.linalg.solve(m[:, :n], m[:, n:])
+                         for m in (livsic._pairings(model, w), ref))
+            worst = max(worst, float(np.max(np.abs(got - want))))
     return worst <= 1e-8, f"max pairing-vs-quadrature deviation {worst:.2e}"
 
 

@@ -8,27 +8,26 @@ part with matrix density
            = Re[(alpha + B(s)) (alpha - B(s))^{-1}] / (pi (1+s^2)),
 
 Re M = (M + M*)/2; the forms agree for unitary alpha, and the second (the
-matrix Herglotz function of the measure) is one solve. The point masses are
+matrix Herglotz function of the measure) is one solve. The density is a
+boundary value: every model's B continues from the upper half-plane onto
+the real axis, so B(s) is one evaluation, and off the model's essential
+spectrum (where B(s) is unitary) the density is exactly zero. A grid of
+points is one array evaluation of B.
 
-    mu({s}) = (2i/(pi (1+s^2)^2)) * lim (s - w) (I - B(w) alpha*)^{-1}.
+The point mass is a boundary value too: at an atom s, U = B(s) alpha* is
+unitary with eigenvalue 1, and Clark's angular-derivative formula (D. N.
+Clark, J. Analyse Math. 25, 1972; Cima, Matheson and Ross, The Cauchy
+Transform, AMS 2006) in matrix form reads
 
-The density is a boundary value: every model's B continues from the upper
-half-plane onto the real axis, so B(s) is one evaluation, and off the
-model's essential spectrum (where B(s) is unitary) the density is exactly
-zero. A grid of points is one array evaluation of B.
+    mu({s}) = 2/(pi (1+s^2)^2) P (P* H P)^{-1} P*,   H = -i U'(s) U(s)*,
 
-The point mass is a residue: B continues across the real axis below the
-essential spectrum, so (I - B(w) alpha*)^{-1} is meromorphic around an
-isolated atom s, the limit above is minus its residue there, and the
-residue is the trapezoid rule on a circle around s, which converges
-geometrically in the number of nodes. The same sums locate the pole they
-see, so a point next to an atom but not at it gets zero mass. All circles
-of one call are one array evaluation of B.
+P an orthonormal basis of U's eigenspace for 1; B' comes with B from one
+evaluation. The velocities of U's eigenphases are Rayleigh quotients of H.
 
 The atom scan counts the atoms in each cell of a grid exactly from B at its
 two ends, since the eigenphases of the unitary B(s) alpha* increase with s
 (matrix Herglotz functions: Gesztesy and Tsekanovskii, Math. Nachr. 218,
-2000), and the circle sums place and weigh them.
+2000), and Newton steps on the eigenphases place them.
 """
 
 from __future__ import annotations
@@ -76,12 +75,9 @@ def ac_density(b, alpha, s):
     an n x n matrix or a stack of shape s.shape + (n, n). alpha is
     validated once, n x n for n = b.n. The points with s > b.ac_edge are
     evaluated in one call of b, and the Hermitian part of
-    (alpha + B)(alpha - B)^{-1} is formed at those boundary values; the
-    others lie off the model's essential spectrum and get an exact zero
-    matrix. The result is Hermitian by construction. SingularError when B
-    is NaN (a singular pairing matrix) or alpha - B(s) is singular at a
-    point of the essential spectrum (rounding next to a branch point).
-    """
+    (alpha + B)(alpha - B)^{-1} is formed there; the others get an exact
+    zero matrix. SingularError when B is NaN (a singular pairing matrix)
+    or alpha - B(s) is singular at a point of the essential spectrum."""
     alpha = check_alpha(alpha, b.n)
     n = alpha.shape[0]
     s = _points(s, "density point")
@@ -97,160 +93,96 @@ def ac_density(b, alpha, s):
         if np.any(bad):
             raise SingularError(f"density undefined at s = {float(pts[bad][0])!r}: "
                                 "B(s) or (alpha - B(s))^-1 is singular")
-        out[on] = _hermitize(rho) / (np.pi * (1.0 + pts * pts))[:, None, None]
+        with np.errstate(over="ignore"):  # 1 + s^2 is inf beyond 1.3e154
+            out[on] = _hermitize(rho) / (np.pi * (1.0 + pts * pts))[:, None, None]
     return out
 
 
-# Trapezoid nodes on each circle; the even nodes give the check with half
-# as many.
-_NODES = 64
-_TURN = np.exp(2j * np.pi * np.arange(_NODES) / _NODES)
-# Node weights of the circle moments (_moments), one row per moment: the
-# mean of F t^k over all nodes is row k - 1 times F for k = 1, 2, 3, and
-# over the even nodes row k + 2 times F for k = 1, 2.
-_EVEN = 2.0 * (np.arange(_NODES) % 2 == 0)
-_POWERS = np.stack([_TURN, _TURN ** 2, _TURN ** 3,
-                    _EVEN * _TURN, _EVEN * _TURN ** 2]) / _NODES
-# Acceptance of a residue mass: PSD and Hermitian, and the two node counts
-# agreeing, each to this relative tolerance (above the rounding floor).
-_MASS_RTOL = 1e-10
-# A pole that the nodes place farther than _OFFSET_TOL (1 + |s|) from s is
-# not at s (the atom scan merges poles, and keeps window ends, within it).
+# A point is at a zero of an eigenphase theta_j of B(s) alpha* when its
+# Newton step |theta_j / theta_j'| is within _OFFSET_TOL _scale(s): point
+# masses, Newton's acceptance, merged atoms and window ends use it.
 _OFFSET_TOL = 1e-8
-# One pole in a circle: its second moment (_circles) below this.
-_ONE_POLE_TOL = 1e-8
 
 
-def _radii(s, step, edge):
-    """point_mass's circle radius per atom: the least of half the scan
-    step (inf on the half-line), a quarter of the gap to the nearest other
-    atom and half the distance to the cut (inf on an interval)."""
-    order = np.argsort(s)
-    gaps = np.diff(s[order], prepend=-np.inf, append=np.inf)
-    near = np.empty(s.size)
-    near[order] = np.minimum(gaps[:-1], gaps[1:])
-    return np.minimum(0.5 * np.minimum(step, edge - s), 0.25 * near)
+def _scale(s, edge):
+    """min(1 + |s|, edge - s): next to a cut, the distance to it."""
+    return np.minimum(1.0 + np.abs(s), edge - s)
 
 
-def _circle_resolvent(b, alpha, centre, radius):
-    """F = (I - B(w) alpha*)^{-1} on the circles centre + radius * _TURN, all
-    in one call of b.fn; shape (circles, _NODES, n, n)."""
-    n = alpha.shape[0]
-    nodes = centre[:, None] + radius[:, None] * _TURN
-    bval = np.asarray(b.fn(nodes.reshape(-1))).reshape(centre.size, _NODES, n, n)
-    eye = np.eye(n)
-    return _solve_small(eye - _mul_small(bval, alpha.conj().T), eye)
+def _evaluate(b, alpha, s):
+    """(U, U', H) at the points s from one call of b: U = B(s) alpha* and
+    H = -i U' U*, positive definite on the axis below ac_edge."""
+    bval, dval = b(s, derivative=True)
+    a = alpha.conj().T
+    u, du = _mul_small(bval, a), _mul_small(dval, a)
+    return u, du, _hermitize(-1j * _mul_small(du, np.swapaxes(u, -1, -2).conj()))
 
 
-def _moments(f):
-    """mean(F t^k) on each circle of f, shape (circles, 5, n, n): k = 1, 2, 3
-    over all nodes, then k = 1, 2 over the even nodes; one product of the
-    circle values with _POWERS."""
-    circles, _, n, _ = f.shape
-    flat = f.reshape(circles, _NODES, n * n)
-    return (_POWERS @ flat).reshape(circles, len(_POWERS), n, n)
-
-
-def _pole_offset(m, radius, stride=1):
-    """p - s for the pole p that the trapezoid sums on the circles
-    s + radius * turn see, from their moments m (_moments), over all nodes
-    or (stride 2) the even nodes: the residue of (w - s) F at p is (p - s)
-    times that of F, so p - s = radius * mean(F turn^2) / mean(F turn),
-    matched over the matrix entries in least squares. Exact for one pole,
-    inside the circle or outside it, whatever the node count."""
-    m1, m2 = (m[:, 0], m[:, 1]) if stride == 1 else (m[:, 3], m[:, 4])
+def _eigen(u, h):
+    """(lam, vel, x): U's eigenvalues, eigenvectors x (a column of
+    U - lam_k I, lam_k the other eigenvalue; e_j where U is scalar) and
+    phase velocities x* H x / x* x, Rayleigh quotients of H, so positive
+    wherever H is, however close the eigenvalues."""
+    lam = _eigenvalues_small(u)
+    if lam.shape[-1] == 1:
+        return lam, h[..., 0, :].real, np.ones_like(lam)[..., None]
+    cols = u[..., None, :, :] - lam[..., ::-1, None, None] * np.eye(2)
+    size = (np.abs(cols) ** 2).sum(axis=-2)
+    x = np.where(size[..., :1] >= size[..., 1:], cols[..., 0], cols[..., 1])
+    x = x + (size.max(axis=-1) == 0)[..., None] * np.eye(2)
     with np.errstate(all="ignore"):
-        ratio = (np.sum(m1.conj() * m2, axis=(-2, -1))
-                 / np.sum(np.abs(m1) ** 2, axis=(-2, -1)))
-    return radius * ratio
+        vel = ((x.conj() * _mul_small(x, h.swapaxes(-1, -2))).sum(axis=-1).real
+               / (np.abs(x) ** 2).sum(axis=-1))
+    return lam, vel, x
 
 
-def _circles(b, alpha, centre, radius):
-    """Pole and mass on each circle centre + radius * _TURN, one call of
-    b.fn: (offset, offset_half, mass, accepted, why). offset, offset_half:
-    p - centre for the pole p that all nodes and the even nodes place.
-    mass: -2i radius mean(F t) / (pi (1 + p^2)^2) made Hermitian, p =
-    centre + Re offset when in the circle (else centre); zero within the
-    sum's rounding floor (all a circle without a pole gives). accepted: a
-    zero mass, or one Hermitian and PSD with both node counts agreeing,
-    each to _MASS_RTOL of it, whose circle holds one pole (the second
-    moment about p); NaN fails. why(i): the tests circle i fails."""
-    f = _circle_resolvent(b, alpha, centre, radius)
-    m = _moments(f)
-    m1 = m[:, 0]
-    offset = _pole_offset(m, radius)
-    delta = np.where(np.abs(offset) <= radius, offset.real, 0.0)
-    scale = -2j * radius / (np.pi * (1.0 + (centre + delta) ** 2) ** 2)
-    mass = scale[:, None, None] * m1
-    size = np.max(np.abs(mass), axis=(-2, -1))
-    floor = (_NODES * np.finfo(float).eps * np.abs(scale)
-             * np.max(np.abs(f), axis=(1, 2, 3)))
-    tol = _MASS_RTOL * size + floor
-    herm = _hermitize(mass)
-    spread = np.max(np.abs(scale[:, None, None]
-                           * (m1 - m[:, 3])), axis=(-2, -1))
-    skew = np.max(np.abs(mass - herm), axis=(-2, -1))
-    lowest = np.linalg.eigvalsh(herm)[:, 0]
-    # mean(F (t - d)^2 t) over mean(F t): zero for one pole d radii from
-    # the centre, where two poles would read as one between them
-    d = (delta / radius)[:, None, None]
+def _weigh(s, h, x, vel, near):
+    """2/(pi (1+s^2)^2) P (P* H P)^{-1} P*, P spanning the eigenvectors of
+    the near eigenphases: x x*/(x* H x) for one, H^{-1} for all n (a
+    double atom of a rank-2 model is one atom); made Hermitian."""
     with np.errstate(all="ignore"):
-        second = (np.max(np.abs(m[:, 2] - 2.0 * d * m[:, 1] + d * d * m1),
-                         axis=(-2, -1)) / np.max(np.abs(m1), axis=(-2, -1)))
-    # each test with what its refusal says; "not <=" so that NaN fails
-    tests = (
-        (spread <= tol, lambda i: f"node-count difference {spread[i]:.3e} "
-                                  f"over the tolerance {tol[i]:.3e}"),
-        (skew <= tol, lambda i: f"skew part {skew[i]:.3e} over the "
-                                f"tolerance {tol[i]:.3e}"),
-        (lowest >= -tol, lambda i: f"lowest eigenvalue {lowest[i]:.3e} "
-                                   f"below -{tol[i]:.3e}"),
-        (second <= _ONE_POLE_TOL,
-         lambda i: f"second moment {second[i]:.3e} of the first over "
-                   f"{_ONE_POLE_TOL:.0e} (more than one pole in the circle)"),
-    )
-    faint = size <= floor
-    herm[faint] = 0.0
-    accepted = faint | np.logical_and.reduce([ok for ok, _ in tests])
-    return (offset, _pole_offset(m, radius, stride=2), herm, accepted,
-            lambda i: "; ".join(say(i) for ok, say in tests if not ok[i]))
+        one = (x[..., :, None] * x.conj()[..., None, :]
+               / (vel * (np.abs(x) ** 2).sum(axis=-1))[..., None, None])
+    mass = np.where(near[..., None, None], one, 0.0).sum(axis=-3)
+    if h.shape[-1] == 2:  # H scaled to entries of size 1 (small far out)
+        size = np.abs(h).max(axis=(-2, -1))[..., None, None]
+        inverse = _solve_small(h / size, np.eye(2)) / size
+        mass = np.where(near.all(axis=-1)[..., None, None], inverse, mass)
+    return _hermitize(mass) * (2.0 / (np.pi * (1.0 + s * s) ** 2))[..., None, None]
 
 
 def point_mass(b, alpha, s):
     """Mass mu({s}) of the (B, alpha) measure at the real point s, or at
-    each point of a 1-D array of atoms: the n x n Hermitian PSD matrix (a
-    stack of them), zero when s carries no atom: -2i/(pi (1+p^2)^2) times
-    the residue of (I - B(w) alpha*)^{-1} at its pole p = s, by the
-    trapezoid rule on a circle around s (_circles), all in one call of
-    b.fn. The radius (_radii) is the least of half b.scan_step (infinite
-    on the half-line), a quarter of the gap to the nearest other point of
-    s and half the distance to b.ac_edge; other poles are assumed to keep
-    about that far. The mass is also zero when both node counts place the
-    pole at the same point (to a tenth of its offset) farther than
-    _OFFSET_TOL (1 + |s|) from s. DomainError for a non-finite, repeated
-    or essential-spectrum point; ConvergenceError, naming the failed
-    tests, for a mass that _circles does not accept.
-    """
+    each point of a 1-D array: the n x n Hermitian PSD matrix (a stack),
+    from one call of b with B'. With U = B(s) alpha*, H = -i U' U* and P
+    an orthonormal basis of U's eigenspace for 1, Clark's formula
+    mu({s}) = 2/(pi (1+s^2)^2) P (P* H P)^{-1} P*; an eigenphase is at 1
+    when its Newton step is within _OFFSET_TOL min(1 + |s|, ac_edge - s),
+    and the mass is zero where none is. DomainError for a point that is
+    not finite or not below ac_edge; SingularError where B or B' is not
+    finite; ConvergenceError for an eigenphase at 1 whose velocity is not
+    positive."""
     alpha = check_alpha(alpha, b.n)
     s = _points(s, "atom location")
     atoms = s.reshape(-1)
+    if not np.all(atoms < b.ac_edge):
+        raise DomainError("point masses need points below the essential "
+                          f"spectrum, got s = {atoms!r}")
     if atoms.size == 0:
         return np.zeros(s.shape + alpha.shape, dtype=complex)
-    radius = _radii(atoms, b.scan_step, b.ac_edge)
-    if not np.all(radius > 0):
-        raise DomainError("point masses need distinct atoms below the "
-                          f"essential spectrum, got s = {atoms!r}")
-    offset, offset_half, mass, accepted, why = _circles(b, alpha, atoms, radius)
-    near = np.abs(offset) <= _OFFSET_TOL * (1.0 + np.abs(atoms))
-    elsewhere = ~near & (np.abs(offset - offset_half) <= 0.1 * np.abs(offset))
-    bad = ~elsewhere & ~accepted
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        raise ConvergenceError(
-            f"residue at s = {float(atoms[i])!r} (radius {radius[i]:.3e}) not "
-            "accepted: " + why(i))
-    mass[elsewhere] = 0.0
-    return mass.reshape(s.shape + alpha.shape)
+    u, _, h = _evaluate(b, alpha, atoms)
+    bad = ~np.isfinite(h).all(axis=(-2, -1))
+    if bad.any():
+        raise SingularError(f"point mass undefined at s = {float(atoms[bad][0])!r}"
+                            ": B(s) or B'(s) is singular")
+    lam, vel, x = _eigen(u, h)
+    tol = _OFFSET_TOL * _scale(atoms, b.ac_edge)
+    near = np.abs(np.angle(lam)) <= tol[:, None] * np.abs(vel)
+    stalled = (near & ~(vel > 0)).any(axis=-1)
+    if stalled.any():
+        raise ConvergenceError("eigenphase at 1 with a velocity that is not "
+                               f"positive at s = {float(atoms[stalled][0])!r}")
+    return _weigh(atoms, h, x, vel, near).reshape(s.shape + alpha.shape)
 
 
 # Upper limit on the atom-scan grid and on the command line's --grid count,
@@ -261,16 +193,20 @@ MAX_SCAN_POINTS = 10 ** 6
 _DECADE = 16
 _EDGE_GAP = 1e-10
 _SPLIT = 8
+# Newton rounds before a cell is split; the offset (times _scale) of the
+# second point of each Newton evaluation; the largest relative change of
+# the velocity across an accepted step (not met where it vanishes)
+_ROUNDS = 4
+_PAIR = 1e-8
+_STEADY = 1e-4
 
 
 def _scan_grid(lo, hi, h, edge):
     """Points of the atom scan on [lo, hi] below edge, ends included:
     cells of width at most h when edge is infinite, else the points
-    edge - 10^(k/_DECADE) down to _EDGE_GAP from it, each cell a fixed
-    fraction of its distance to the cut. Empty when the window lies above
-    edge.
-    DomainError before any allocation for more than MAX_SCAN_POINTS
-    points."""
+    edge - 10^(k/_DECADE) down to _EDGE_GAP from it. Empty when the window
+    lies above edge. DomainError before any allocation for more than
+    MAX_SCAN_POINTS points."""
     top = min(hi, edge - _EDGE_GAP)
     if not lo < top:
         return np.empty(0)
@@ -288,15 +224,76 @@ def _scan_grid(lo, hi, h, edge):
 
 def _cell_counts(b, alpha, pts, rows):
     """The points of pts where B is finite, the atoms in each cell between
-    two of them in the same row (0 across rows), and the kept points' rows:
-    one call of b.fn, eigenphases from livsic._eigenvalues_small."""
-    lam = _eigenvalues_small(_mul_small(b.fn(pts), alpha.conj().T))
+    two of them in the same row (0 across rows), the kept points' rows,
+    and their eigenphases of B alpha* in [0, 2 pi), ascending: one call."""
+    lam = _eigenvalues_small(_mul_small(b(pts), alpha.conj().T))
     ok = np.all(np.isfinite(lam), axis=-1)
+    phase = np.sort(np.mod(np.angle(lam[ok]), 2.0 * np.pi), axis=-1)
     phi = np.angle(np.prod(lam[ok], axis=-1))
-    theta = np.mod(np.angle(lam[ok]), 2.0 * np.pi).sum(axis=-1)
-    count = np.rint((np.mod(np.diff(phi), 2.0 * np.pi) - np.diff(theta))
+    count = np.rint((np.mod(np.diff(phi), 2.0 * np.pi) - np.diff(phase.sum(axis=-1)))
                     / (2.0 * np.pi))
-    return pts[ok], np.where(np.diff(rows[ok]) == 0, count, 0), rows[ok]
+    return pts[ok], np.where(np.diff(rows[ok]) == 0, count, 0), rows[ok], phase
+
+
+def _cubic(theta, slope, s, t0, s0, t1, s1):
+    """Where the cubic in theta through (t0, s0), (t1, s1) and (theta, s)
+    with ds/dtheta = slope there reads 0 (divided differences)."""
+    with np.errstate(all="ignore"):
+        f0 = ((s0 - s) / (t0 - theta) - slope) / (t0 - theta)
+        f1 = ((s1 - s) / (t1 - theta) - slope) / (t1 - theta)
+        return s - theta * slope + theta * theta * (f0 - t0 * (f1 - f0) / (t1 - t0))
+
+
+def _place(b, alpha, s0, s1, t0, t1, count, start):
+    """Newton from start in the cells [s0, s1] holding count atoms, where
+    the crossing eigenphases read t0 and t1: one call of b per round at
+    each iterate s and at s + _PAIR _scale, stepping by -theta/theta' of
+    the eigenphase with the shortest step, or by the first step of a
+    one-atom cell to where the cubic of _cubic reads 0 inside it. A step
+    within _OFFSET_TOL _scale places its atom at its end, weighed there
+    with U to first order in U' and H to first order over the pair, if at
+    least count eigenphases are at 1 there. A cell fails when an iterate
+    leaves it, a velocity is not positive or unsteady, or no step places
+    it in _ROUNDS rounds. Returns (placed, locations, masses)."""
+    scale = _scale(0.5 * (s0 + s1), b.ac_edge)
+    tol = _OFFSET_TOL * scale
+    s, live = start, np.arange(start.size)
+    placed, where = np.zeros(start.size, dtype=bool), start.copy()
+    masses = np.zeros((start.size,) + alpha.shape, dtype=complex)
+    for first in [True] + [False] * (_ROUNDS - 1):
+        if not live.size:
+            break
+        m, pair = s.size, _PAIR * scale[live]
+        u, du, h = _evaluate(b, alpha, np.concatenate([s, s + pair]))
+        u, du, h, h_pair = u[:m], du[:m], h[:m], h[m:]
+        lam, vel, x = _eigen(u, h)
+        with np.errstate(all="ignore"):
+            steps = np.where(vel > 0, -np.angle(lam) / vel, np.inf)
+            pick = (np.arange(m), np.argmin(np.abs(steps), axis=-1))
+            step, vel, x = steps[pick], vel[pick], x[pick]
+            vel_pair = (np.einsum("...i,...ij,...j->...", x.conj(), h_pair, x).real
+                        / (np.abs(x) ** 2).sum(axis=-1))
+            done = ((np.abs(step) <= tol[live])
+                    & (np.abs((vel_pair - vel) * step) <= _STEADY * vel * pair))
+            nxt = s + step
+            if first:
+                cubic = _cubic(np.angle(lam[pick]), 1.0 / vel, s, t0[live],
+                               s0[live], t1[live], s1[live])
+                nxt = np.where((count[live] == 1) & (cubic >= s0[live])
+                               & (cubic <= s1[live]), cubic, nxt)
+        if done.any():
+            cells, d = live[done], step[done][:, None, None]
+            h_at = h[done] + d * (h_pair[done] - h[done]) / pair[done][:, None, None]
+            lam_at, vel_at, x_at = _eigen(u[done] + d * du[done], h_at)
+            near = (vel_at > 0) & (np.abs(np.angle(lam_at))
+                                   <= tol[cells, None] * vel_at)
+            ok = near.sum(axis=-1) >= count[cells]
+            at = (s + step)[done][ok]
+            placed[cells[ok]], where[cells[ok]] = True, at
+            masses[cells[ok]] = _weigh(at, h_at[ok], x_at[ok], vel_at[ok], near[ok])
+        go = ~done & (nxt >= s0[live] - tol[live]) & (nxt <= s1[live] + tol[live])
+        live, s = live[go], nxt[go]
+    return placed, where, masses
 
 
 def atom_scan(b, alpha, window):
@@ -307,22 +304,19 @@ def atom_scan(b, alpha, window):
     atoms, theta_j the increasing eigenphases of the unitary B(s) alpha*
     and Phi = arg det(B alpha*), dPhi taken in [0, 2 pi) (Model.scan_step
     keeps the true step below 2 pi on an interval; the half-line grid is
-    geometric). Two calls of b.fn where no cell splits: the count on the
-    grid of _scan_grid (its cells span the points where B is not finite),
-    and one circle per cell that counts atoms, four cells wide but at most
-    half the distance to ac_edge, whose pole and mass (_circles) the cell
-    keeps when they are accepted with the pole in its inner half (a double
-    atom is one pole); else the cell is split into _SPLIT and counted
-    again (two more calls per round). The grid reaches past both ends by
-    half of min(scan_step, ac_edge - lo), so an atom on an end is in a
-    cell; poles within _OFFSET_TOL (1 + |s|) of an end are inside, and of
-    each other are merged. Counts must be nonnegative and a split cell's
-    the sum of its sub-cells' (Delves and Lyness, Math. Comp. 21, 1967),
-    which bounds the failing cells of a round by the first grid's count.
-    DomainError for a window that is not finite with lo < hi, and from
-    _scan_grid; ConvergenceError for a broken count rule and a failing
-    cell under _SPLIT ulps.
-    """
+    geometric). One call of b counts the grid of _scan_grid (its cells
+    span the points where B is not finite). Newton starts in each cell
+    that counts atoms where the crossing eigenphases, linear between its
+    ends, pass 0, and _place places and weighs the atoms of all cells at
+    once: at most 1 + _ROUNDS calls where no cell splits. A double atom of
+    a rank-2 model is one atom. A cell that fails is split into _SPLIT and
+    counted again; counts must be nonnegative and a split cell's the sum
+    of its sub-cells' (Delves and Lyness, Math. Comp. 21, 1967). The grid
+    reaches past both ends by half of min(scan_step, ac_edge - lo); atoms
+    within _OFFSET_TOL _scale of an end are inside, and of each other are
+    merged. DomainError for a window that is not finite with lo < hi, and
+    from _scan_grid; ConvergenceError for a broken count rule and a
+    failing cell under _SPLIT ulps."""
     alpha = check_alpha(alpha, b.n)
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -330,10 +324,11 @@ def atom_scan(b, alpha, window):
     reach = 0.5 * min(b.scan_step, b.ac_edge - lo)
     pts = _scan_grid(lo - reach, hi + reach, 0.5 * b.scan_step, b.ac_edge)
     rows = np.zeros(pts.size, dtype=int)
-    poles, masses = [np.empty(0)], [np.empty((0,) + alpha.shape, dtype=complex)]
+    n = alpha.shape[0]
+    found, masses = [np.empty(0)], [np.empty((0,) + alpha.shape, dtype=complex)]
     want = None  # the counts of the cells split in the last round
     while pts.size:
-        pts, count, rows = _cell_counts(b, alpha, pts, rows)
+        pts, count, rows, phase = _cell_counts(b, alpha, pts, rows)
         if np.any(count < 0) or want is not None and not np.array_equal(
                 np.bincount(rows[:-1], count, want.size), want):
             raise ConvergenceError(
@@ -342,38 +337,42 @@ def atom_scan(b, alpha, window):
         at = np.flatnonzero(count)
         if at.size == 0:
             break
-        centre, width = 0.5 * (pts[at] + pts[at + 1]), np.diff(pts)[at]
-        radius = np.minimum(4.0 * width, 0.5 * (b.ac_edge - centre))
-        offset, _, mass, accepted, _ = _circles(b, alpha, centre, radius)
-        one = accepted & (np.abs(offset) <= 0.5 * radius)
-        poles.append(centre[one] + offset[one].real)
-        masses.append(mass[one])
-        at, width = at[~one], width[~one]
+        # the crossing eigenphases: the last count in phase order at the
+        # left end (below 2 pi), the first count at the right (past 0)
+        k, j = np.minimum(count[at], n)[:, None], np.arange(n)
+        t0 = np.where(j >= n - k, phase[at] - 2.0 * np.pi, 0.0).sum(axis=-1)
+        t1 = np.where(j < k, phase[at + 1], 0.0).sum(axis=-1)
+        frac = np.divide(-t0, t1 - t0, out=np.zeros_like(t0), where=t1 > t0)
+        half = not math.isinf(b.ac_edge)  # there linear in log(ac_edge - s)
+        gap = np.log(b.ac_edge - pts) if half else pts
+        start = gap[at] + np.diff(gap)[at] * frac
+        start = b.ac_edge - np.exp(start) if half else start
+        placed, where, mass = _place(b, alpha, pts[at], pts[at + 1], t0, t1,
+                                     count[at], start)
+        found.append(where[placed])
+        masses.append(mass[placed])
+        at = at[~placed]
+        width = pts[at + 1] - pts[at]
         if np.any(width < _SPLIT * np.spacing(np.abs(pts[at]) + width)):
             raise ConvergenceError(f"atoms near s = {float(pts[at[0]])!r} not "
                                    "separated at float resolution")
         want = count[at]
-        # count again on _SPLIT cells in each cell that failed
-        pts = (pts[at, None] + width[:, None]
-               * np.linspace(0.0, 1.0, _SPLIT + 1)).reshape(-1)
-        rows = np.repeat(np.arange(at.size), _SPLIT + 1)
-    order = np.argsort(np.concatenate(poles))
-    poles, masses = np.concatenate(poles)[order], np.concatenate(masses)[order]
-    tol = _OFFSET_TOL * (1.0 + np.abs(poles))
-    keep = ((np.diff(poles, prepend=-np.inf) > tol)
-            & (poles >= lo - tol) & (poles <= hi + tol)
-            & np.any(masses != 0, axis=(-2, -1)))
-    return poles[keep], masses[keep]
+        # count again on _SPLIT cells in each failed cell, between its ends
+        sub = pts[at, None] + width[:, None] * np.linspace(0.0, 1.0, _SPLIT + 1)
+        sub[:, -1] = pts[at + 1]
+        pts, rows = sub.reshape(-1), np.repeat(np.arange(at.size), _SPLIT + 1)
+    order = np.argsort(np.concatenate(found))
+    found, masses = np.concatenate(found)[order], np.concatenate(masses)[order]
+    tol = _OFFSET_TOL * _scale(found, b.ac_edge)
+    keep = ((np.diff(found, prepend=-np.inf) > tol)
+            & (found >= lo - tol) & (found <= hi + tol))
+    return found[keep], masses[keep]
 
 
 def conjugation_check(b2, r, q, alpha, s, kind="ac"):
-    """Residual of the measure conjugation law at the real point s.
-
-    Builds B1 = R B2 Q and compares measure(B1, alpha, s) against
-    R measure(B2, R* alpha Q*, s) R*. kind selects the part: 'ac' for the
-    density, 'atom' for the point mass.
-    Returns the max-entry residual.
-    """
+    """Max-entry residual of the conjugation law at the real point s:
+    measure(R B2 Q, alpha, s) against R measure(B2, R* alpha Q*, s) R*,
+    the density for kind 'ac', the point mass for 'atom'."""
     measure = {"ac": ac_density, "atom": point_mass}.get(kind)
     if measure is None:
         raise DomainError(f"kind must be 'ac' or 'atom', got {kind!r}")

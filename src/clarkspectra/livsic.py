@@ -4,20 +4,19 @@ For a model of deficiency rank n the characteristic function is
 
     B(w) = gamma(w) * A(w, +)^{-1} A(w, -),
 
-where A(w, sign)[j, k] pairs the raw defect exponentials at w against the
+where A(w, sign)[j, k] pairs the raw defect functions at w against the
 orthonormalized defect basis at sign * i. B is an n x n Schur-class function
-on the upper half-plane with B(i) = 0. Real-axis values are understood as
-upper continuations: the rates carry their Im w >= 0 branch down to the
-boundary, so B extends continuously to R minus the branch points, and on
-across the axis away from the model's cut (Model.raw_rates below the axis
-is that continuation).
+on the upper half-plane with B(i) = 0; real w means the continuation from
+above, which goes on across the axis off the model's cut.
 
-There is one evaluation of B: it takes an array of points, computes the
-rates, both pairing matrices and the explicit solve for all of them at once,
-in blocks of _BLOCK points, and returns a stack of n x n matrices; a single
-point is the same code on an array of one. A point that is not finite, or
-w = -i, raises DomainError; NaN means only a singular A(w, +), which the
-atom scan's count skips (a cell spans it) and every other caller refuses.
+There is one evaluation of B, on an array of points in blocks of _BLOCK: the
+pairings and the explicit solve, and on request B' = dB/dw beside B, from
+the derivatives of the same pairings and one more solve. A point that is
+not finite, or w = -i, raises DomainError; NaN means only a singular
+A(w, +). The raw functions are mixed so that the pairing rows stay apart
+where two rates meet: divided differences on K2, cosh(rho x) and
+sinh(rho x)/rho on L2, so B is unitary on the whole negative K2 axis and
+defined at L2's s = 0.
 
 The 1 x 1 and 2 x 2 kernels on stacks are broadcast arithmetic, not
 per-matrix calls into numpy or LAPACK: _mul_small (the product),
@@ -28,11 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .cplane import cayley, check_unitary
+from .cplane import cayley, check_unitary, principal_power
 from .defect import defect_onb
 from .errors import DimensionError, DomainError
 
@@ -49,55 +48,175 @@ __all__ = [
 class SchurFunction:
     """A contractive analytic matrix function on the upper half-plane.
 
-    fn evaluates the function's continuation at a point (an n x n matrix)
-    or at an array of points (a stack of shape w.shape + (n, n)); a point
-    that is not finite, or w = -i, raises DomainError, and NaN marks a
-    singular pairing matrix A(w, +). Calling the SchurFunction does the
-    same on the closed upper half-plane only: any w with Im w < 0 raises
-    DomainError; real w means the boundary continuation from above.
-    ac_edge is where the essential spectrum of the underlying model
-    begins: for every coupling the measure has no absolutely continuous
-    part on s <= ac_edge, and fn continues across the real axis below it.
-    scan_step is the model's Model.scan_step, the resolution of the atom
-    scan on an interval and the cap of point_mass's radii there; infinite
-    on the half-line, where the distance to ac_edge sizes the circles.
-    """
+    Called at a point of the closed upper half-plane it gives an n x n
+    matrix, at an array a stack of shape w.shape + (n, n), and with
+    derivative=True the pair (B, B'); real w means the boundary value from
+    above. DomainError for Im w < 0, a point that is not finite, or w = -i;
+    NaN marks a singular pairing matrix. fn(w, derivative=False) is the
+    evaluation behind the call. The measure has no absolutely continuous
+    part on s <= ac_edge; scan_step is Model.scan_step."""
 
     n: int
     fn: object
     ac_edge: float
     scan_step: float
 
-    def __call__(self, w):
-        return self.fn(_upper(w))
+    def __call__(self, w, derivative=False):
+        return self.fn(_upper(w), derivative)
 
 
 def _upper(w):
     w = np.asarray(w, dtype=complex)
-    if np.any(w.imag < 0):
+    if (w.imag < 0).any():
         raise DomainError("characteristic function is defined on the closed "
                           "upper half-plane")
     return w
 
 
-def _pairings(model, rates):
-    """A(w, +) and A(w, -) from the rates at w (shape (..., n)):
-    A(w, sign)[j, k] = <exp(rho_j(w) x), phi_k(sign * i)> in the model's
-    L2, row j scaled by exp(-|Re rho_j| a) on the interval (-a, a). rho_j
-    are the defect rates at w (Model.raw_rates) and phi_k the orthonormal
-    defect basis at +i or -i. One inner product of each rate with the 2n
-    basis rates, then the conjugated coefficients of each basis. The row
-    scale is the same for both signs, so it cancels from
-    A(w, +)^{-1} A(w, -); it keeps the rows finite where exp(rho_j x) grows
-    like exp(|Re rho_j| a), as on L2 far down the negative axis."""
+# Taylor coefficients of sinh(sqrt u)/sqrt u = sum_k u^k/(2k+1)!; eleven
+# terms leave a remainder below 1e-19 for |u| <= 1
+_SINHC = np.array([1.0 / math.factorial(2 * k + 1) for k in range(11)])
+_SINHC_SLOPE = _SINHC[1:] * np.arange(1, 11)
+
+
+def _sinhc(u, slope=False):
+    """sinh(sqrt u)/sqrt u, or its derivative in u, for |u| <= 1 (Horner)."""
+    out = 0.0
+    for coeff in (_SINHC_SLOPE if slope else _SINHC)[::-1]:
+        out = out * u + coeff
+    return out
+
+
+def _exp_slope(model, mu, nu, shift):
+    """d/dmu of model.inner(mu, nu, shift) on (-a, a), shift held fixed:
+    2 (a cosh(za) - sinh(za)/z)/z, z = mu + conj(nu), from the sinh series
+    where |za| <= 1."""
+    z = np.asarray(mu, dtype=complex) + np.conj(nu)
+    a = model.a
+    za = z * a
+    small = np.abs(za) <= 1.0
+    with np.errstate(all="ignore"):
+        up, down = np.exp(za - shift), np.exp(-za - shift)
+        return np.where(small, 4.0 * a ** 3 * z * _sinhc(za * za, slope=True)
+                        * np.exp(-shift), (a * (up + down) - (up - down) / z) / z)
+
+
+def _half_line(model, w, basis, derivative):
+    """K1's and K2's rows -1/(rho_j + c) (c = conj(r), r the basis
+    rates), mixed to stay apart where the K2 rates meet (w -> 0) and grow
+    (w -> inf): the first times 1 + |rho|, and on K2 a divided difference
+    in closed form, of the rows for |w| <= 1, 1/((rho_1 + c)(rho_2 + c)),
+    of rho times the rows beyond, -(1 + |rho|)^2 c/((rho_1 + c)(rho_2 + c));
+    with derivative their w-derivatives (rho' = rho/(order w)) stacked."""
+    rho = model.raw_rates(w)[..., None]
+    c = np.conj(basis)
+    q = rho + c
+    size = 1.0 + np.abs(rho[..., 0, :])
+    rows = [-size / q[..., 0, :]]
+    if derivative:
+        with np.errstate(all="ignore"):
+            speed = 1.0 / (model.order * w[..., None])
+        rows.append(speed * size * rho[..., 0, :] / q[..., 0, :] ** 2)
+    if model.rank == 2:
+        both = q[..., 0, :] * q[..., 1, :]
+        near = (np.abs(w) <= 1.0)[..., None]
+        rows.insert(1, np.where(near, 1.0, -size * size * c) / both)
+        if derivative:
+            p = rho / q
+            rows.append(speed * np.where(
+                near, (c * (q[..., 0, :] + q[..., 1, :]) - both) / both,
+                size * size * c * (p[..., 0, :] + p[..., 1, :])) / both)
+    return np.stack(rows, axis=-2).reshape(w.shape + (1 + derivative, model.rank, -1))
+
+
+def _even_odd(model, w, basis, derivative):
+    """L2's rows: cosh(rho x) and sinh(rho x)/rho (rho^2 = -w, entire in
+    w) paired with exp(r x), c = conj(r), d = c^2 + w:
+        even = 2 (c cosh(rho a) sinh(ca) + w sinh(rho a)/rho cosh(ca)) / d,
+        odd = 2 (c cosh(ca) sinh(rho a)/rho - cosh(rho a) sinh(ca)) / d,
+    times exp(-|Re rho| a) (1 + |rho|), the odd row also times 1 + |rho|
+    again, so that both keep their size far out; from the
+    exponentials exp(+-rho x) where |d| < 1/2 (near w = +-i). With
+    derivative their w-derivatives stacked (the real axis has |d| >= 1)."""
+    a = model.a
+    rho = (-1j * principal_power(w, 0.5))[..., None]
+    shift = np.abs(rho.real) * a
+    up, down = np.exp(rho * a - shift), np.exp(-rho * a - shift)
+    cosh = 0.5 * (up + down)
+    w = w[..., None]
+    u = -w * (a * a)
+    small = np.abs(u) <= 1.0
+    with np.errstate(all="ignore"):
+        sinh = 0.5 * (up - down) / rho
+        if small.any():
+            sinh[small] = a * _sinhc(u[small]) * np.exp(-shift[small])
+        c = np.conj(basis)
+        sh, ch = 2.0 * np.sinh(c * a), 2.0 * np.cosh(c * a)
+        d = c * c + w
+        inv = 1.0 / d
+        even = (cosh * (c * sh) + (w * sinh) * ch) * inv
+        odd = (sinh * (c * ch) - cosh * sh) * inv
+        near = np.abs(d) < 0.5
+        if near.any():
+            plus = model.inner(rho, basis, shift)
+            minus = model.inner(-rho, basis, shift)
+            even = np.where(near, 0.5 * (plus + minus), even)
+            odd = np.where(near, 0.5 * (plus - minus) / rho, odd)
+    size = 1.0 + np.abs(rho)
+    if not derivative:
+        return np.stack([size * even, size * size * odd], axis=-2)[..., None, :, :]
+    with np.errstate(all="ignore"):
+        # d sinh(rho a)/rho / dw, whose closed form cancels near w = 0
+        slope = (a * cosh - sinh) / (2.0 * w)
+        if small.any():
+            slope[small] = (-a ** 3 * _sinhc(u[small], slope=True)
+                            * np.exp(-shift[small]))
+        d_even = (0.5 * (sinh + a * cosh) * ch
+                  - (0.5 * a) * sinh * (c * sh) - even) * inv
+        d_odd = ((c * ch) * slope + (0.5 * a) * sinh * sh - odd) * inv
+    return np.stack([size * even, size * size * odd, size * d_even,
+                     size * size * d_odd],
+                    axis=-2).reshape(w.shape[:-1] + (2, 2, -1))
+
+
+@lru_cache(maxsize=64)
+def _basis(model):
+    """The rates of both defect bases (at +i, then -i), and the conjugated
+    transpose of their block-diagonal coefficients."""
     (c_plus, r_plus), (c_minus, r_minus) = (defect_onb(model, "+"),
                                             defect_onb(model, "-"))
-    rho = rates[..., None]
-    shift = 0.0 if model.halfline else np.abs(rho.real) * model.a
-    vals = model.inner(rho, np.concatenate([r_plus, r_minus]), shift)
     n = model.rank
-    return (_mul_small(vals[..., :n], c_plus.conj().T),
-            _mul_small(vals[..., n:], c_minus.conj().T))
+    coeffs = np.zeros((2 * n, 2 * n), dtype=complex)
+    coeffs[:n, :n], coeffs[n:, n:] = c_plus.conj().T, c_minus.conj().T
+    return np.concatenate([r_plus, r_minus]), coeffs
+
+
+def _pairings(model, w, derivative=False):
+    """[A(w, +) | A(w, -)] at the points w, shape w.shape + (n, 2n), with
+    derivative stacked with its w-derivative, w.shape + (2, n, 2n):
+    A(w, sign)[j, k] = <f_j(w), phi_k(sign * i)>, phi_k the orthonormal
+    defect basis at sign * i and f_j the raw functions at w: on L1
+    exp(rho x) times exp(-|Re rho| a), A' = -i d_rho A; on K1 and K2 those
+    of _half_line, on L2 those of _even_odd. Any invertible w-dependent
+    mixing of the rows is the same for both signs, so it cancels from
+    A(w, +)^{-1} A(w, -) and from its derivative taken with the mixing
+    held fixed."""
+    basis, coeffs = _basis(model)
+    w = np.asarray(w, dtype=complex)
+    if model.name == "L2":
+        vals = _even_odd(model, w, basis, derivative)
+    elif model.halfline:
+        vals = _half_line(model, w, basis, derivative)
+    else:
+        rho = model.raw_rates(w)[..., None]
+        shift = np.abs(rho.real) * model.a
+        vals = model.inner(rho, basis, shift)[..., None, :, :]
+        if derivative:
+            vals = np.concatenate(
+                [vals, -1j * _exp_slope(model, rho, basis, shift)[..., None, :, :]],
+                axis=-3)
+    out = _mul_small(vals, coeffs)
+    return out if derivative else out[..., 0, :, :]
 
 
 def _mul_small(a, b):
@@ -163,21 +282,33 @@ def _eigenvalues_small(m):
 _BLOCK = 512
 
 
-def _continued_b(model, w):
+def _continued_b(model, w, derivative=False):
     """B(w) = gamma(w) A(w,+)^{-1} A(w,-) on the continuation (any w off
     the model's cut), for a point or an array of points; shape
-    w.shape + (n, n). Each block takes gamma(w) first: cplane.cayley
+    w.shape + (n, n). With derivative, (B, B'): with X = A(w,+)^{-1}
+    A(w,-), B' = gamma' X + gamma A(w,+)^{-1} (A(w,-)' - A(w,+)' X), one
+    more small solve. Each block takes gamma(w) first: cplane.cayley
     refuses a point that is not finite, or w = -i, before any pairing
     arithmetic. NaN marks a singular A(w, +) (_solve_small)."""
     w = np.asarray(w, dtype=complex)
     flat = w.reshape(-1)
-    out = np.empty((flat.size, model.rank, model.rank), dtype=complex)
+    out = np.empty((1 + derivative, flat.size, model.rank, model.rank),
+                   dtype=complex)
     for start in range(0, flat.size, _BLOCK):
         pts = flat[start:start + _BLOCK]
         gamma = cayley(pts)[:, None, None]
-        a_plus, a_minus = _pairings(model, model.raw_rates(pts))
-        out[start:start + _BLOCK] = gamma * _solve_small(a_plus, a_minus)
-    return out.reshape(w.shape + out.shape[1:])
+        pairs = _pairings(model, pts, derivative)
+        n = model.rank
+        a = pairs[:, 0] if derivative else pairs
+        x = _solve_small(a[..., :n], a[..., n:])
+        out[0, start:start + _BLOCK] = gamma * x
+        if derivative:
+            slope = pairs[:, 1]
+            out[1, start:start + _BLOCK] = (
+                2j / (pts + 1j) ** 2)[:, None, None] * x + gamma * _solve_small(
+                    a[..., :n], slope[..., n:] - _mul_small(slope[..., :n], x))
+    out = out.reshape(out.shape[:1] + w.shape + out.shape[2:])
+    return (out[0], out[1]) if derivative else out[0]
 
 
 def livsic_eval(model, w):
@@ -201,9 +332,15 @@ def livsic_function(model):
 
 
 def conjugated_schur(b, r, q):
-    """The Schur function w -> R b(w) Q for unitary R, Q."""
+    """The Schur function w -> R b(w) Q for unitary R, Q, with derivative
+    R b'(w) Q."""
     r, q = (check_unitary(m, b.n, "conjugating matrix") for m in (r, q))
-    return replace(b, fn=lambda w: r @ b.fn(w) @ q)
+
+    def fn(w, derivative=False):
+        out = b.fn(w, derivative)
+        return tuple(r @ m @ q for m in out) if derivative else r @ out @ q
+
+    return replace(b, fn=fn)
 
 
 def transform_alpha(alpha, r, q):

@@ -86,24 +86,24 @@ class Model:
             return np.stack([-1j * root, 1j * root], axis=-1)
         if self.name not in ("K1", "K2"):
             raise DomainError(f"unknown model {self.name!r}")
-        root = principal_power(w, 1.0 / self.order)
+        root = principal_power(w, 1.0 / self.order)[..., None]
+        upper = 1j * root if self.name == "K1" else root * [1j, -1.0]
         lower = (w.imag < 0)[..., None]
-        if self.name == "K1":
-            return np.where(lower, -1j * root[..., None], 1j * root[..., None])
-        return np.where(lower, np.stack([-root, -1j * root], axis=-1),
-                        np.stack([1j * root, -root], axis=-1))
+        if not lower.any():
+            return upper
+        return np.where(lower, -1j * root if self.name == "K1"
+                        else root * [-1.0, -1j], upper)
 
     @property
     def scan_step(self):
         """Twice the cell of the interval models' atom scan, the resolution
-        of that scan, and on an interval the cap of point_mass's radii.
-        The scan's count is exact while arg det B(s) steps by less than
-        2 pi per cell. L1: pi/(8a), a sixteenth of the period of its scalar
-        B, so below 2 pi (below pi for a >= 0.1). L2: at most a third of
-        its Dirichlet gap (pi/(2a))^2 and at most 0.5, as near s = 0 its
-        eigenphases sweep about 4 pi on a scale of 1 whatever a; so below
-        2. Infinite on the half-line, where the distance to the cut sizes
-        the geometric grid and point_mass's circles."""
+        of that scan. The scan's count is exact while arg det B(s) steps by
+        less than 2 pi per cell. L1: pi/(8a), a sixteenth of the period of
+        its scalar B, so below 2 pi (below pi for a >= 0.1). L2: at most a
+        third of its Dirichlet gap (pi/(2a))^2 and at most 0.5, as near
+        s = 0 its eigenphases sweep about 4 pi on a scale of 1 whatever a;
+        so below 2. Infinite on the half-line, where the distance to the
+        cut sizes the geometric grid."""
         if self.halfline:
             return math.inf
         step = math.pi / (8.0 * self.a)

@@ -267,8 +267,8 @@ def _k2_sigma_min(alpha, s):
 
 
 def test_atoms_shallow_edge_atom_fallback(capsys):
-    # this coupling has one small atom just below the continuum edge; its
-    # circle's radius is at most half the distance to the branch point 0
+    # this coupling has one small atom just below the continuum edge,
+    # placed by Newton steps within a tolerance relative to its distance to 0
     import numpy as np
     code, out, _ = run_cli(capsys, [
         "atoms", "--model", "k2", "--alpha", '[["0,-1","0"],["0","0,-1"]]',
@@ -284,7 +284,7 @@ def test_atoms_shallow_edge_atom_fallback(capsys):
 
 def test_atoms_k2_shallow_atom_near_the_branch_point(capsys):
     # a small atom 1.7e-4 below the edge of the essential spectrum, next to
-    # a deeper one: its circle's radius is at most half its distance to 0.
+    # a deeper one, each in its own cell of the geometric grid.
     # Every printed location is a zero of I - B alpha* to rounding.
     import cmath
     import numpy as np
@@ -596,21 +596,21 @@ def test_error_exit_codes(capsys):
 
 
 def test_error_messages_print_plain_numbers(capsys):
-    # B loses its digits at the K2 branch point, and the refusal names the
-    # point as a Python number, not as a NumPy repr
+    # K1's B is 1 to rounding far out, where alpha = 1 makes the density
+    # undefined, and L1's pairing matrix is singular to rounding at
+    # s = 1e15; each refusal names the point as a Python number, not as a
+    # NumPy repr
     code, _, err = run_cli(capsys, [
-        "density", "--model", "k2", "--alpha", "[[1,0],[0,1]]",
-        "--grid", "1e-70:1e-60:3"])
-    assert code == 1 and "s = 1e-70" in err and "np." not in err
+        "density", "--model", "k1", "--alpha", "1", "--grid", "1e100:1e101:2"])
+    assert code == 1 and "s = 1e+100" in err and "np." not in err
     code, _, err = run_cli(capsys, [
-        "livsic", "--model", "k2", "--grid", "0:1e-70:2", "--im", "0"])
-    assert code == 1 and "w = 0j" in err and "np." not in err
+        "livsic", "--model", "l1", "--grid", "1e15:2e15:2", "--im", "0"])
+    assert code == 1 and "w = (1000000000000000+0j)" in err and "np." not in err
 
 
 def test_atoms_k2_far_atom_of_a_haar_coupling(capsys):
-    # the sixth Haar coupling of seed 13 has an atom at s = -13148.4: its
-    # circle, capped at half the distance to the cut, gives the
-    # eigenfunction mass to 1e-12
+    # the sixth Haar coupling of seed 13 has an atom at s = -13148.4, whose
+    # eigenphase velocity gives the eigenfunction mass to 1e-12
     from clarkspectra import oracle
     from clarkspectra.cplane import random_unitary
     rng = np.random.default_rng(13)

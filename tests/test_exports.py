@@ -35,8 +35,8 @@ def test_module_exports_reexported(name):
 
 
 def test_no_boundary_limit_ladder_remains():
-    # the oracles are direct ODE routines; the production point mass is the
-    # residue, with no retry beside it
+    # the oracles are direct ODE routines; the production point mass is
+    # Clark's eigenphase-velocity formula, with no retry beside it
     from clarkspectra import clark, cplane, oracle
     for mod in (clarkspectra, clark, cplane, oracle):
         assert not hasattr(mod, "nt_limit")

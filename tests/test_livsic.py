@@ -20,13 +20,15 @@ upper_w = st.builds(complex,
 
 
 def test_pairings_closed_values_rank_one_halfline():
+    # the pairings of exp(i sqrt(w) x) with both defect basis elements,
+    # with the row scale 1 + |sqrt(w)|
     m = models.k1()
     pref = 2.0 ** 0.25 * 1j
     for w in (0.5 + 0.3j, 1j, -2.0 + 1.5j, 3.0 + 0.0j):
         sq = principal_power(w, 0.5)
-        a_plus, a_minus = livsic._pairings(m, m.raw_rates(w))
-        assert a_plus[0, 0] == pytest.approx(pref / (sq - cmath.exp(-1j * math.pi / 4)))
-        assert a_minus[0, 0] == pytest.approx(pref / (sq + cmath.exp(1j * math.pi / 4)))
+        (a_plus, a_minus), = livsic._pairings(m, w) / (1.0 + abs(sq))
+        assert a_plus == pytest.approx(pref / (sq - cmath.exp(-1j * math.pi / 4)))
+        assert a_minus == pytest.approx(pref / (sq + cmath.exp(1j * math.pi / 4)))
 
 
 def test_pairings_closed_values_rank_one_interval():
@@ -35,11 +37,11 @@ def test_pairings_closed_values_rank_one_interval():
     for w in (0.5 + 0.3j, 2.0 + 0.0j):
         # pairing of exp(-iwx) against exp(x)/sqrt(sinh 2a) and exp(-x)/sqrt(sinh 2a),
         # with the row scale exp(-|Re(-iw)| a) = exp(-a Im w)
-        pairs = livsic._pairings(m, m.raw_rates(w))
+        pairs = livsic._pairings(m, w)[0]
         for got, rate in zip(pairs, (1.0, -1.0)):
             z = -1j * w + rate  # rate of the product before conjugation
             ref = 2.0 * cmath.sinh(z * a) / z / math.sqrt(math.sinh(2 * a))
-            assert got[0, 0] == pytest.approx(ref * math.exp(-a * w.imag))
+            assert got == pytest.approx(ref * math.exp(-a * w.imag))
 
 
 def test_l2_unitary_far_down_the_negative_axis():
@@ -114,15 +116,13 @@ def test_closed_forms_match_generic():
             assert d < 1e-10, (model.name, w, d)
 
 
-# The closed upper half-plane minus a disk of radius 1e-6 around the branch
-# point 0: there the two rates of K2 and L2 meet, A(w, +) and A(w, -) both
-# become singular, and their ratio B loses digits (L2 overshoots the Schur
-# bound by about 1e-9 at |w| = 1e-12; the pairing is exactly singular at 0).
+# The closed upper half-plane, the branch point 0 included: the mixed raw
+# functions of K2 and L2 keep B's digits where their two rates meet.
 closed_upper_w = st.builds(
     complex,
     st.floats(min_value=-40.0, max_value=40.0, allow_nan=False),
     st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=8.0)),
-).filter(lambda w: abs(w) >= 1e-6)
+)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
@@ -137,6 +137,40 @@ def test_array_b_matches_pointwise_and_schur_bound(model, points):
     for wk, bk in zip(points, stack):
         np.testing.assert_array_equal(bk, livsic.livsic_eval(model, wk))
         assert np.linalg.norm(bk, 2) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("a", [1.0, 5.0])
+def test_l2_unitary_at_and_next_to_zero(a):
+    # cosh(rho x) and sinh(rho x)/rho stay a basis where the two L2 rates
+    # meet: B is unitary at s = 0, where the exponentials made it NaN
+    b = livsic.livsic_eval(models.l2(a), [0.0, 1e-20, -1e-20, 1e-40, -1e-40])
+    defect = np.swapaxes(b, -1, -2).conj() @ b - np.eye(2)
+    assert np.max(np.abs(defect)) <= 1e-14
+
+
+def _central_difference(model, s, h):
+    """(B(s + h) - B(s - h)) / 2h, fourth order: the five-point stencil."""
+    b = livsic.livsic_function(model)
+    at = lambda k: b(s + k * h)
+    return (8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12.0 * h)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+@given(st.one_of(st.floats(min_value=-20.0, max_value=20.0),
+                 st.floats(min_value=-1e-6, max_value=1e-6)))
+@settings(max_examples=40, deadline=None)
+def test_b_derivative_matches_a_central_difference(model, s):
+    # B' on the real axis, off the half-line models' branch point: L1 at
+    # s = 0 and L2 at |s| < 1e-6 included. The five-point stencil with a
+    # step of 1e-3 of the local scale reads B' to about 1e-9 of its size
+    if model.halfline:
+        s = -abs(s) - 1e-3
+        h = 1e-3 * abs(s)
+    else:  # a fraction of L2's local period 2 pi / sqrt(|s|)
+        h = 1e-3 / (1.0 + math.sqrt(abs(s)))
+    _, slope = livsic.livsic_function(model)(s, derivative=True)
+    ref = _central_difference(model, s, h)
+    assert np.max(np.abs(slope - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
 _angle = st.floats(min_value=-math.pi, max_value=math.pi)

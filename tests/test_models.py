@@ -233,7 +233,7 @@ def test_atom_scan_recovers_l1_lattice():
 
 def test_atom_scan_k2_locations_feed_point_mass():
     # both negative atoms of this coupling, found by the scan, with their
-    # residue masses, which point_mass gives again at the locations
+    # masses, which point_mass gives again at the locations
     b = livsic.livsic_function(models.k2())
     alpha = -np.eye(2, dtype=complex)
     locs, masses = clark.atom_scan(b, alpha, (-1.0, -0.01))
@@ -261,7 +261,7 @@ def test_atom_scan_empty_window_and_bad_input():
     # on an interval model a grid of 4e10 points (about 300 GiB) is
     # refused before any allocation or B evaluation, and a window on the
     # essential spectrum of a half-line model has no atoms to look for
-    def never(s):
+    def never(s, derivative=False):
         raise AssertionError("B evaluated")
 
     never = livsic.SchurFunction(n=1, fn=never, ac_edge=math.inf,
@@ -277,7 +277,7 @@ def test_atom_scan_failure_policy():
     # B is NaN where its pairing matrix is singular and raises only for
     # points the scan never passes (not finite, or -i), so an exception
     # from it is a programming error and propagates
-    def typo(s):
+    def typo(s, derivative=False):
         raise TypeError("programming error")
 
     b = livsic.SchurFunction(n=1, fn=typo, ac_edge=math.inf, scan_step=0.1)
@@ -286,8 +286,9 @@ def test_atom_scan_failure_policy():
 
     # points where B is NaN are skipped, so a B that is NaN everywhere has
     # no atoms
-    def undefined(s):
-        return np.full(np.shape(s) + (1, 1), np.nan + 0j)
+    def undefined(s, derivative=False):
+        value = np.full(np.shape(s) + (1, 1), np.nan + 0j)
+        return (value, value) if derivative else value
 
     b = livsic.SchurFunction(n=1, fn=undefined, ac_edge=math.inf,
                              scan_step=0.1)
@@ -339,8 +340,8 @@ def test_l2_atoms_long_interval_finds_the_lowest(label, a, first):
 
 
 def test_scan_step_per_model():
-    # the half-line grid is geometric and its circles are sized by the
-    # distance to the cut, so the step is an interval quantity
+    # the half-line grid is geometric in the distance to the cut, so the
+    # step is an interval quantity
     assert models.k1().scan_step == models.k2().scan_step == math.inf
     assert models.l1(3.0).scan_step == math.pi / 24
     # L2 keeps pi/(8a) up to a = 2 pi/3 and shrinks like 1/a^2 beyond

@@ -337,6 +337,7 @@ def test_l2_eigenvalues_guards():
 
 
 def test_eigen_mass_matches_the_residue_masses():
+    # (the masses are Clark's eigenphase-velocity masses of clark.point_mass)
     # K2 atoms of two couplings, and the double L2 periodic atom at pi^2,
     # whose mass has rank two
     model = models.k2()
@@ -359,7 +360,7 @@ def test_eigen_mass_matches_the_residue_masses():
 @given(st.sampled_from(["k1", "k2"]), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_halfline_atoms_on_the_whole_axis_property(name, seed):
-    # circles sized by the geometric cells and the distance to the cut: a
+    # Newton steps within a tolerance relative to the distance to the cut: a
     # scan down to -1e8 finds at most rank atoms of a Haar coupling,
     # refuses none, and every atom with 1e-2 <= |s| <= 1e4 has its
     # eigenfunction mass to 1e-12
@@ -379,8 +380,8 @@ def test_halfline_atoms_on_the_whole_axis_property(name, seed):
 @settings(max_examples=30, deadline=None)
 def test_halfline_window_holds_the_whole_axis_atoms_property(name, seed, u):
     # a scan of (-10^u, 0.5) finds the atoms of the scan down to -1e8 that
-    # lie in it, with the same masses: the circles near the window's lower
-    # end are sized by the atoms below it too
+    # lie in it, with the same masses: the grid reaches past the window's
+    # lower end, and the atoms below it are dropped
     model = getattr(models, name)()
     b = livsic.livsic_function(model)
     alpha = random_unitary(model.rank, np.random.default_rng(seed))
@@ -399,9 +400,8 @@ def test_halfline_window_holds_the_whole_axis_atoms_property(name, seed, u):
 def test_window_end_between_two_close_atoms(model, seed, below, frac):
     # the window's lower end falls between the atom near `below` and the
     # next one (on K2 their ratio is below 1.7, on L2 their gap below the
-    # scan step); a circle around the next one's cell that also holds the
-    # atom below is not accepted, its cell is split, and the next one is
-    # weighed as the eigenfunctions do
+    # scan step); each is placed in its own cell, the one below the end is
+    # dropped, and the next one is weighed as the eigenfunctions do
     b = livsic.livsic_function(model)
     alpha = random_unitary(2, np.random.default_rng(seed))
     hi = 0.5 if model.halfline else 10.0

@@ -2,9 +2,9 @@
 
 Wall time on a shared machine is noisy; the number of characteristic-function
 evaluations a routine makes is not, so these counts pin the cost of the
-density's direct boundary evaluation, of the residue point masses and of
-the atom scan. B takes arrays of points, so each count is both the number
-of calls and the number of points evaluated. The oracle's counts are its
+density's direct boundary evaluation, of the point masses and of the atom
+scan. B takes arrays of points, so each count is both the number of calls
+and the number of points evaluated. The oracle's counts are its
 quadrature calls per criterion and its bisection halvings per bracket.
 """
 
@@ -34,13 +34,13 @@ class CountingB:
         self.points += np.size(w)
         self.sizes.append(np.size(w))
 
-    def __call__(self, w):
+    def __call__(self, w, derivative=False):
         self._count(w)
-        return self.b(w)
+        return self.b(w, derivative)
 
-    def fn(self, w):
+    def fn(self, w, derivative=False):
         self._count(w)
-        return self.b.fn(w)
+        return self.b.fn(w, derivative)
 
 
 def test_density_evaluation_counts():
@@ -79,32 +79,30 @@ def test_density_request_validates_alpha_once(monkeypatch, capsys):
 
 
 def test_residue_evaluation_counts():
-    # 64 trapezoid nodes per atom, all atoms of a call in one call of B
+    # one point of B and B' per atom, all atoms of a call in one call of B
     b = CountingB(models.l1(1.0))
     atoms = models.l1_atoms(1.0, 1.0, (-3, 3))
     clark.point_mass(b, [[1.0]], atoms)
-    assert (b.calls, b.points) == (1, 64 * len(atoms))
+    assert (b.calls, b.points) == (1, len(atoms))
 
 
 def test_l2_dirichlet_scan_counts():
-    # two calls: the grid (141 points, cells of at most pi/16 on the window
-    # widened by pi/16 at each end, so that an atom on an end lies inside a
-    # cell), and one 64-node circle around each of the 3 cells that count an atom,
-    # which places and weighs its pole
+    # three calls: the grid (141 points, cells of at most pi/16 on the
+    # window widened by pi/16 at each end, so that an atom on an end lies
+    # inside a cell), and two Newton rounds on the 3 cells that count an
+    # atom, each at the iterate and at a second point next to it
     model = models.l2(1.0)
     bm = extensions.BoundaryMatrices([[1, 0], [0, 0]], [[0, 0], [1, 0]])
     alpha = extensions.alpha_from_bc_regular(model, bm)
     b = CountingB(model)
     atoms, _ = clark.atom_scan(b, alpha, (-1.0, 26.0))
     assert len(atoms) == 3
-    assert (b.calls, b.points) == (2, 141 + 64 * 3)
+    assert (b.calls, b.points) == (3, 141 + 2 * 2 * 3)
 
 
-# The circle around the cell of the K2 atom at -0.502 (alpha = -I) reaches
-# within 1.6 radii of the atom at -0.115, so its even-node sum differs from
-# the full one and that cell is split once: the circles of both cells, the
-# 9 points of the split cell, and one circle in it
-_K2_SPLIT = [2 * 64, 9, 64]
+# Two Newton rounds on the two cells of the K2 atoms of alpha = -I, at two
+# points per cell
+_K2_NEWTON = [4, 4]
 
 
 def test_k2_scan_of_a_wide_window_counts():
@@ -114,21 +112,22 @@ def test_k2_scan_of_a_wide_window_counts():
     b = CountingB(models.k2())
     atoms, _ = clark.atom_scan(b, -np.eye(2), (-1e12, 0.5))
     assert len(atoms) == 2
-    assert b.sizes == [356] + _K2_SPLIT
+    assert b.sizes == [356] + _K2_NEWTON
 
 
 def test_atom_scan_runs_no_lapack_svd(monkeypatch):
     # the eigenphases on the scan grid come from the closed-form 2 x 2
-    # eigenvalues, not from LAPACK; each scan is two calls of B where no
-    # cell splits, the grid and the circles of the cells that count atoms
+    # eigenvalues, not from LAPACK; each scan is the grid and at most four
+    # Newton rounds on the cells that count atoms where no cell splits
+    # (these take one or two), each at two points per cell
     dirichlet = extensions.BoundaryMatrices([[1, 0], [0, 0]], [[0, 0], [1, 0]])
     cases = (
-        (models.l1(1.0), [[1.0]], (-10.0, 10.0), [105, 6 * 64]),
+        (models.l1(1.0), [[1.0]], (-10.0, 10.0), [105, 12, 12]),
         (models.l2(1.0), extensions.alpha_from_bc_regular(models.l2(1.0), dirichlet),
-         (-1.0, 26.0), [141, 3 * 64]),
+         (-1.0, 26.0), [141, 6, 6]),
         (models.k1(), [[extensions.alpha_from_bc_k1(1.0, 1.0)]], (-10.0, 0.5),
-         [180, 64]),
-        (models.k2(), -np.eye(2), (-1.0, 0.5), [164] + _K2_SPLIT),
+         [180, 2]),
+        (models.k2(), -np.eye(2), (-1.0, 0.5), [164] + _K2_NEWTON),
     )
     svd_calls = []
     svd = np.linalg.svd
@@ -139,18 +138,19 @@ def test_atom_scan_runs_no_lapack_svd(monkeypatch):
         atoms, _ = clark.atom_scan(b, alpha, window)
         assert len(atoms) > 0, model.name
         assert b.sizes == sizes, model.name
+        assert len(b.sizes) <= 1 + clark._ROUNDS
     assert svd_calls == []
 
 
 def test_atoms_request_evaluates_b_in_the_scan_only(monkeypatch, capsys):
     # a CLI atoms request on the half-line: the geometric grid and the
-    # circles of the scan, and no other evaluation of B
+    # Newton rounds of the scan, and no other evaluation of B
     b = CountingB(models.k2())
     monkeypatch.setattr(livsic, "livsic_function", lambda model: b)
     assert cli.main(["atoms", "--model", "k2", "--alpha", "[[-1,0],[0,-1]]",
                      "--window=-1:0.5"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 3
-    assert b.sizes == [164] + _K2_SPLIT
+    assert b.sizes == [164] + _K2_NEWTON
 
 
 def test_one_parser_per_process(monkeypatch, capsys):

@@ -2,7 +2,7 @@
 routes side by side.
 
 l1 mode compares the closed lattice and weight formulas against the generic
-scan of the characteristic function, which gives the residue point mass at
+scan of the characteristic function, which gives the velocity point mass at
 each found location. l2 mode compares the scanned atoms of the rank-two
 characteristic function against the roots of the boundary determinant of
 -y'' = s y (oracle.l2_eigenvalues) on the same window.

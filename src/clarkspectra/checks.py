@@ -60,7 +60,7 @@ def check_1(seed=0):
 
 
 def check_2(seed=0):
-    """L1 atom masses: residue values vs the closed weight formula."""
+    """L1 atom masses: point masses vs the closed weight formula."""
     b = livsic.livsic_function(models.l1(1.0))
     worst = 0.0
     for alpha in _L1_COUPLINGS:
@@ -257,7 +257,7 @@ def check_10(seed=0):
 
 
 def check_11(seed=0):
-    """Half-line bound states: residue masses against the eigenfunction
+    """Half-line bound states: point masses against the eigenfunction
     masses of the ODE (oracle.eigen_mass). K1 at the closed Robin location
     of sigma = 1; K2 at the atoms that the scan finds on (-1e6, 0.5) for 8
     fixed Haar couplings, each a null point of the boundary system."""

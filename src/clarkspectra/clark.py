@@ -235,32 +235,24 @@ def _cell_counts(b, alpha, pts, rows):
     return pts[ok], np.where(np.diff(rows[ok]) == 0, count, 0), rows[ok], phase
 
 
-def _cubic(theta, slope, s, t0, s0, t1, s1):
-    """Where the cubic in theta through (t0, s0), (t1, s1) and (theta, s)
-    with ds/dtheta = slope there reads 0 (divided differences)."""
-    with np.errstate(all="ignore"):
-        f0 = ((s0 - s) / (t0 - theta) - slope) / (t0 - theta)
-        f1 = ((s1 - s) / (t1 - theta) - slope) / (t1 - theta)
-        return s - theta * slope + theta * theta * (f0 - t0 * (f1 - f0) / (t1 - t0))
-
-
-def _place(b, alpha, s0, s1, t0, t1, count, start):
-    """Newton from start in the cells [s0, s1] holding count atoms, where
-    the crossing eigenphases read t0 and t1: one call of b per round at
-    each iterate s and at s + _PAIR _scale, stepping by -theta/theta' of
-    the eigenphase with the shortest step, or by the first step of a
-    one-atom cell to where the cubic of _cubic reads 0 inside it. A step
+def _place(b, alpha, s0, s1, count, start):
+    """Newton from start in the cells [s0, s1] holding count atoms: one
+    call of b per round at each iterate s and at s + _PAIR _scale,
+    stepping by -theta/theta' of the eigenphase with the shortest step,
+    corrected by the theta'' that the pair's velocities give. A step
     within _OFFSET_TOL _scale places its atom at its end, weighed there
     with U to first order in U' and H to first order over the pair, if at
-    least count eigenphases are at 1 there. A cell fails when an iterate
-    leaves it, a velocity is not positive or unsteady, or no step places
-    it in _ROUNDS rounds. Returns (placed, locations, masses)."""
+    least count eigenphases are at 1 there and the placed velocity sweeps
+    at most count turns across the cell (else the count may be an alias).
+    A cell fails when an iterate leaves it, a velocity is not positive or
+    unsteady, or no step places it in _ROUNDS rounds. Returns (placed,
+    locations, masses)."""
     scale = _scale(0.5 * (s0 + s1), b.ac_edge)
     tol = _OFFSET_TOL * scale
     s, live = start, np.arange(start.size)
     placed, where = np.zeros(start.size, dtype=bool), start.copy()
     masses = np.zeros((start.size,) + alpha.shape, dtype=complex)
-    for first in [True] + [False] * (_ROUNDS - 1):
+    for _ in range(_ROUNDS):
         if not live.size:
             break
         m, pair = s.size, _PAIR * scale[live]
@@ -275,19 +267,17 @@ def _place(b, alpha, s0, s1, t0, t1, count, start):
                         / (np.abs(x) ** 2).sum(axis=-1))
             done = ((np.abs(step) <= tol[live])
                     & (np.abs((vel_pair - vel) * step) <= _STEADY * vel * pair))
-            nxt = s + step
-            if first:
-                cubic = _cubic(np.angle(lam[pick]), 1.0 / vel, s, t0[live],
-                               s0[live], t1[live], s1[live])
-                nxt = np.where((count[live] == 1) & (cubic >= s0[live])
-                               & (cubic <= s1[live]), cubic, nxt)
+            # the step to the zero of theta's quadratic, theta'' over the pair
+            curve = np.clip(0.5 * step * (vel_pair - vel) / (vel * pair), -0.5, 0.5)
+            nxt = s + step * (1.0 - curve)
         if done.any():
             cells, d = live[done], step[done][:, None, None]
             h_at = h[done] + d * (h_pair[done] - h[done]) / pair[done][:, None, None]
             lam_at, vel_at, x_at = _eigen(u[done] + d * du[done], h_at)
             near = (vel_at > 0) & (np.abs(np.angle(lam_at))
                                    <= tol[cells, None] * vel_at)
-            ok = near.sum(axis=-1) >= count[cells]
+            ok = ((near.sum(axis=-1) >= count[cells]) & (
+                vel[done] * (s1 - s0)[cells] <= 2.0 * np.pi * count[cells]))
             at = (s + step)[done][ok]
             placed[cells[ok]], where[cells[ok]] = True, at
             masses[cells[ok]] = _weigh(at, h_at[ok], x_at[ok], vel_at[ok], near[ok])
@@ -347,8 +337,8 @@ def atom_scan(b, alpha, window):
         gap = np.log(b.ac_edge - pts) if half else pts
         start = gap[at] + np.diff(gap)[at] * frac
         start = b.ac_edge - np.exp(start) if half else start
-        placed, where, mass = _place(b, alpha, pts[at], pts[at + 1], t0, t1,
-                                     count[at], start)
+        placed, where, mass = _place(b, alpha, pts[at], pts[at + 1], count[at],
+                                     start)
         found.append(where[placed])
         masses.append(mass[placed])
         at = at[~placed]

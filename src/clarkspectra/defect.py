@@ -12,6 +12,7 @@ inverse Cholesky factor of one of them.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -40,29 +41,55 @@ def exp_inner_halfline(mu, nu):
     return (-1.0 / z)[()]
 
 
+# Taylor coefficients of sinh(sqrt u)/sqrt u = sum_k u^k/(2k+1)!; eleven
+# terms leave a remainder below 1e-19 for |u| <= 1
+_SINHC = np.array([1.0 / math.factorial(2 * k + 1) for k in range(11)])
+_SINHC_SLOPE = _SINHC[1:] * np.arange(1, 11)
+
+
+def _sinhc(u, slope=False):
+    """sinh(sqrt u)/sqrt u, or its derivative in u, for |u| <= 1 (Horner)."""
+    out = 0.0
+    for coeff in (_SINHC_SLOPE if slope else _SINHC)[::-1]:
+        out = out * u + coeff
+    return out
+
+
+def _cosh_sinh(z, a, shift, slope=False):
+    """cosh(za) and sinh(za)/z, with slope also d/d(z^2) of sinh(za)/z,
+    each times exp(-shift); z an array. The last two come from _sinhc of
+    u = (za)^2 where |za| <= 1, since their closed forms cancel there."""
+    za = z * a
+    with np.errstate(all="ignore"):
+        up, down = np.exp(za - shift), np.exp(-za - shift)
+        out = [0.5 * (up + down), (up - down) / (2.0 * z)]
+        if slope:
+            out.append((a * out[0] - out[1]) / (2.0 * z * z))
+    small = np.abs(za) <= 1.0
+    if small.any():
+        u, scale = (za * za)[small], np.broadcast_to(np.exp(-shift), za.shape)[small]
+        out[1][small] = a * _sinhc(u) * scale
+        if slope:
+            out[2][small] = a * a * a * _sinhc(u, slope=True) * scale
+    return out
+
+
 def exp_inner_interval(mu, nu, a, shift=0.0):
     """<exp(mu x), exp(nu x)> on (-a, a) = 2 sinh((mu + conj(nu)) a)/(mu + conj(nu)),
     times exp(-shift); arrays broadcast.
 
-    The removable singularity at mu + conj(nu) = 0 (value 2a) is handled by a
-    short Taylor expansion once |z a| drops below 1e-8. Where sinh would
-    overflow, the scale goes into the exponentials, so a shift close to
-    |Re z| a keeps the value finite however large z is.
+    From _cosh_sinh: the series at the removable singularity
+    mu + conj(nu) = 0 (value 2a), and the scale in the exponentials, so a
+    shift close to |Re z| a keeps the value finite however large z is.
     """
     if not a > 0:
         raise DomainError(f"interval half-length must be positive, got {a}")
     z = np.asarray(mu, dtype=complex) + np.conj(nu)
-    za = z * a
-    big = np.abs(za.real) >= 700.0
-    small = np.abs(za) < 1e-8
-    if not (big.any() or small.any()):
-        return (2.0 * np.sinh(za) * np.exp(-shift) / z)[()]
+    shape = np.broadcast_shapes(z.shape, np.shape(shift))
     with np.errstate(all="ignore"):
-        out = 2.0 * np.sinh(za) * np.exp(-shift) / z
-        out = np.where(big, (np.exp(za - shift) - np.exp(-za - shift)) / z, out)
-        out = np.where(small, 2.0 * a * (1.0 + za * za / 6.0 + za ** 4 / 120.0)
-                       * np.exp(-shift), out)
-    return out[()]
+        z, shift = np.broadcast_arrays(np.atleast_1d(z), shift)
+        out = 2.0 * _cosh_sinh(z, a, shift)[1]
+    return out.reshape(shape)[()]
 
 
 # Gram condition number above which a defect basis counts as degenerate
@@ -79,11 +106,16 @@ def defect_onb(model, sign):
     Cholesky factor of the Gram matrix G[j, m] = <exp(rates[j] x),
     exp(rates[m] x)>, so coeffs G coeffs* = I: lower triangular with a
     positive diagonal, which is Gram-Schmidt on the exponentials in the
-    order of the rates. RankError when G is numerically rank deficient
-    (condition number above _COND_LIMIT, or not positive definite).
+    order of the rates. DomainError when G is not finite (exp(rate a)
+    overflows on a very long interval); RankError when G is numerically
+    rank deficient (condition number above _COND_LIMIT, or not positive
+    definite).
     """
     rates = model.raw_rates(1j if sign == "+" else -1j)
     gram = model.inner(rates[:, None], rates[None, :])
+    if not np.all(np.isfinite(gram)):
+        raise DomainError(f"Gram matrix of the defect basis of {model.name} "
+                          f"is not finite at a = {model.a!r}")
     if np.linalg.cond(gram) > _COND_LIMIT:
         raise RankError(
             f"defect basis is numerically degenerate (Gram condition > {_COND_LIMIT:.1e})"

@@ -10,13 +10,13 @@ on the upper half-plane with B(i) = 0; real w means the continuation from
 above, which goes on across the axis off the model's cut.
 
 There is one evaluation of B, on an array of points in blocks of _BLOCK: the
-pairings and the explicit solve, and on request B' = dB/dw beside B, from
-the derivatives of the same pairings and one more solve. A point that is
-not finite, or w = -i, raises DomainError; NaN means only a singular
-A(w, +). The raw functions are mixed so that the pairing rows stay apart
-where two rates meet: divided differences on K2, cosh(rho x) and
-sinh(rho x)/rho on L2, so B is unitary on the whole negative K2 axis and
-defined at L2's s = 0.
+pairings and the explicit solve, and on request, on the real axis, B' =
+dB/dw beside B, from the derivatives of the same pairings and one more
+solve. A point that is not finite, or w = -i, raises DomainError; NaN
+means only a singular A(w, +). The raw functions are mixed so that the
+pairing rows stay apart where two rates meet: a divided difference on K2,
+cosh(rho x) and sinh(rho x)/rho on L2, so B is unitary on the whole
+negative K2 axis and defined at L2's s = 0.
 
 The 1 x 1 and 2 x 2 kernels on stacks are broadcast arithmetic, not
 per-matrix calls into numpy or LAPACK: _mul_small (the product),
@@ -32,7 +32,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .cplane import cayley, check_unitary, principal_power
-from .defect import defect_onb
+from .defect import _cosh_sinh, defect_onb
 from .errors import DimensionError, DomainError
 
 __all__ = [
@@ -50,11 +50,12 @@ class SchurFunction:
 
     Called at a point of the closed upper half-plane it gives an n x n
     matrix, at an array a stack of shape w.shape + (n, n), and with
-    derivative=True the pair (B, B'); real w means the boundary value from
-    above. DomainError for Im w < 0, a point that is not finite, or w = -i;
-    NaN marks a singular pairing matrix. fn(w, derivative=False) is the
-    evaluation behind the call. The measure has no absolutely continuous
-    part on s <= ac_edge; scan_step is Model.scan_step."""
+    derivative=True, at real points only, the pair (B, B'); real w means
+    the boundary value from above. DomainError for Im w < 0, a point that
+    is not finite, w = -i, or B' off the axis; NaN marks a singular
+    pairing matrix. fn(w, derivative=False) is the evaluation behind the
+    call. The measure has no absolutely continuous part on s <= ac_edge;
+    scan_step is Model.scan_step."""
 
     n: int
     fn: object
@@ -73,59 +74,25 @@ def _upper(w):
     return w
 
 
-# Taylor coefficients of sinh(sqrt u)/sqrt u = sum_k u^k/(2k+1)!; eleven
-# terms leave a remainder below 1e-19 for |u| <= 1
-_SINHC = np.array([1.0 / math.factorial(2 * k + 1) for k in range(11)])
-_SINHC_SLOPE = _SINHC[1:] * np.arange(1, 11)
-
-
-def _sinhc(u, slope=False):
-    """sinh(sqrt u)/sqrt u, or its derivative in u, for |u| <= 1 (Horner)."""
-    out = 0.0
-    for coeff in (_SINHC_SLOPE if slope else _SINHC)[::-1]:
-        out = out * u + coeff
-    return out
-
-
-def _exp_slope(model, mu, nu, shift):
-    """d/dmu of model.inner(mu, nu, shift) on (-a, a), shift held fixed:
-    2 (a cosh(za) - sinh(za)/z)/z, z = mu + conj(nu), from the sinh series
-    where |za| <= 1."""
-    z = np.asarray(mu, dtype=complex) + np.conj(nu)
-    a = model.a
-    za = z * a
-    small = np.abs(za) <= 1.0
-    with np.errstate(all="ignore"):
-        up, down = np.exp(za - shift), np.exp(-za - shift)
-        return np.where(small, 4.0 * a ** 3 * z * _sinhc(za * za, slope=True)
-                        * np.exp(-shift), (a * (up + down) - (up - down) / z) / z)
-
-
 def _half_line(model, w, basis, derivative):
     """K1's and K2's rows -1/(rho_j + c) (c = conj(r), r the basis
-    rates), mixed to stay apart where the K2 rates meet (w -> 0) and grow
-    (w -> inf): the first times 1 + |rho|, and on K2 a divided difference
-    in closed form, of the rows for |w| <= 1, 1/((rho_1 + c)(rho_2 + c)),
-    of rho times the rows beyond, -(1 + |rho|)^2 c/((rho_1 + c)(rho_2 + c));
-    with derivative their w-derivatives (rho' = rho/(order w)) stacked."""
-    rho = model.raw_rates(w)[..., None]
-    c = np.conj(basis)
+    rates), the first times 1 + |rho|; on K2 the second is the divided
+    difference of (rho_j - 1) times the rows, -(1 + c)/((rho_1 + c)
+    (rho_2 + c)), times (1 + |rho|)^2, so the rows stay apart where the
+    rates meet (w -> 0) and keep their size where they grow (w -> inf);
+    rho_2 is never 1, so this mixing is invertible. With derivative their
+    w-derivatives (rho' = rho/(order w)) stacked."""
+    rho, c = model.raw_rates(w)[..., None], np.conj(basis)
     q = rho + c
     size = 1.0 + np.abs(rho[..., 0, :])
     rows = [-size / q[..., 0, :]]
-    if derivative:
-        with np.errstate(all="ignore"):
-            speed = 1.0 / (model.order * w[..., None])
-        rows.append(speed * size * rho[..., 0, :] / q[..., 0, :] ** 2)
     if model.rank == 2:
-        both = q[..., 0, :] * q[..., 1, :]
-        near = (np.abs(w) <= 1.0)[..., None]
-        rows.insert(1, np.where(near, 1.0, -size * size * c) / both)
-        if derivative:
-            p = rho / q
-            rows.append(speed * np.where(
-                near, (c * (q[..., 0, :] + q[..., 1, :]) - both) / both,
-                size * size * c * (p[..., 0, :] + p[..., 1, :])) / both)
+        rows.append(-size * size * (1.0 + c) / (q[..., 0, :] * q[..., 1, :]))
+    if derivative:
+        speed = rho / (model.order * w[..., None, None])
+        rows.append(-rows[0] * speed[..., 0, :] / q[..., 0, :])
+        if model.rank == 2:
+            rows.append(-rows[1] * (speed / q).sum(axis=-2))
     return np.stack(rows, axis=-2).reshape(w.shape + (1 + derivative, model.rank, -1))
 
 
@@ -135,48 +102,31 @@ def _even_odd(model, w, basis, derivative):
         even = 2 (c cosh(rho a) sinh(ca) + w sinh(rho a)/rho cosh(ca)) / d,
         odd = 2 (c cosh(ca) sinh(rho a)/rho - cosh(rho a) sinh(ca)) / d,
     times exp(-|Re rho| a) (1 + |rho|), the odd row also times 1 + |rho|
-    again, so that both keep their size far out; from the
-    exponentials exp(+-rho x) where |d| < 1/2 (near w = +-i). With
-    derivative their w-derivatives stacked (the real axis has |d| >= 1)."""
+    again, so that both keep their size far out; from the exponentials
+    exp(+-rho x) where |d| < 1/2 (near w = +-i, off the axis). With
+    derivative their w-derivatives stacked (real w, where |d| >= 1)."""
     a = model.a
     rho = (-1j * principal_power(w, 0.5))[..., None]
     shift = np.abs(rho.real) * a
-    up, down = np.exp(rho * a - shift), np.exp(-rho * a - shift)
-    cosh = 0.5 * (up + down)
-    w = w[..., None]
-    u = -w * (a * a)
-    small = np.abs(u) <= 1.0
+    cosh, sinh, *slope = _cosh_sinh(rho, a, shift, derivative)
+    w, c = w[..., None], np.conj(basis)
+    sh, ch = 2.0 * np.sinh(c * a), 2.0 * np.cosh(c * a)
+    d = c * c + w
     with np.errstate(all="ignore"):
-        sinh = 0.5 * (up - down) / rho
-        if small.any():
-            sinh[small] = a * _sinhc(u[small]) * np.exp(-shift[small])
-        c = np.conj(basis)
-        sh, ch = 2.0 * np.sinh(c * a), 2.0 * np.cosh(c * a)
-        d = c * c + w
-        inv = 1.0 / d
-        even = (cosh * (c * sh) + (w * sinh) * ch) * inv
-        odd = (sinh * (c * ch) - cosh * sh) * inv
+        even = (cosh * (c * sh) + (w * sinh) * ch) / d
+        odd = (sinh * (c * ch) - cosh * sh) / d
         near = np.abs(d) < 0.5
         if near.any():
-            plus = model.inner(rho, basis, shift)
-            minus = model.inner(-rho, basis, shift)
+            plus, minus = model.inner(rho, basis, shift), model.inner(-rho, basis, shift)
             even = np.where(near, 0.5 * (plus + minus), even)
             odd = np.where(near, 0.5 * (plus - minus) / rho, odd)
+    rows = [even, odd]
+    if derivative:  # d(sinh(rho a)/rho)/dw = -slope
+        rows += [(0.5 * (sinh + a * cosh) * ch - (0.5 * a) * sinh * (c * sh) - even) / d,
+                 ((0.5 * a) * sinh * sh - (c * ch) * slope[0] - odd) / d]
     size = 1.0 + np.abs(rho)
-    if not derivative:
-        return np.stack([size * even, size * size * odd], axis=-2)[..., None, :, :]
-    with np.errstate(all="ignore"):
-        # d sinh(rho a)/rho / dw, whose closed form cancels near w = 0
-        slope = (a * cosh - sinh) / (2.0 * w)
-        if small.any():
-            slope[small] = (-a ** 3 * _sinhc(u[small], slope=True)
-                            * np.exp(-shift[small]))
-        d_even = (0.5 * (sinh + a * cosh) * ch
-                  - (0.5 * a) * sinh * (c * sh) - even) * inv
-        d_odd = ((c * ch) * slope + (0.5 * a) * sinh * sh - odd) * inv
-    return np.stack([size * even, size * size * odd, size * d_even,
-                     size * size * d_odd],
-                    axis=-2).reshape(w.shape[:-1] + (2, 2, -1))
+    rows = [row * size ** (1 + k % 2) for k, row in enumerate(rows)]
+    return np.stack(rows, axis=-2).reshape(w.shape[:-1] + (1 + derivative, 2, -1))
 
 
 @lru_cache(maxsize=64)
@@ -196,7 +146,7 @@ def _pairings(model, w, derivative=False):
     derivative stacked with its w-derivative, w.shape + (2, n, 2n):
     A(w, sign)[j, k] = <f_j(w), phi_k(sign * i)>, phi_k the orthonormal
     defect basis at sign * i and f_j the raw functions at w: on L1
-    exp(rho x) times exp(-|Re rho| a), A' = -i d_rho A; on K1 and K2 those
+    exp(rho x) times exp(-|Re rho| a); on K1 and K2 those
     of _half_line, on L2 those of _even_odd. Any invertible w-dependent
     mixing of the rows is the same for both signs, so it cancels from
     A(w, +)^{-1} A(w, -) and from its derivative taken with the mixing
@@ -207,14 +157,12 @@ def _pairings(model, w, derivative=False):
         vals = _even_odd(model, w, basis, derivative)
     elif model.halfline:
         vals = _half_line(model, w, basis, derivative)
-    else:
+    else:  # 2 sinh(za)/z, z = rho + c, and its derivative (rho' = -i)
         rho = model.raw_rates(w)[..., None]
-        shift = np.abs(rho.real) * model.a
-        vals = model.inner(rho, basis, shift)[..., None, :, :]
-        if derivative:
-            vals = np.concatenate(
-                [vals, -1j * _exp_slope(model, rho, basis, shift)[..., None, :, :]],
-                axis=-3)
+        z = rho + np.conj(basis)
+        _, sinh, *slope = _cosh_sinh(z, model.a, np.abs(rho.real) * model.a,
+                                     derivative)
+        vals = np.stack([2.0 * sinh] + [-4j * z * d for d in slope], axis=-3)
     out = _mul_small(vals, coeffs)
     return out if derivative else out[..., 0, :, :]
 
@@ -285,12 +233,15 @@ _BLOCK = 512
 def _continued_b(model, w, derivative=False):
     """B(w) = gamma(w) A(w,+)^{-1} A(w,-) on the continuation (any w off
     the model's cut), for a point or an array of points; shape
-    w.shape + (n, n). With derivative, (B, B'): with X = A(w,+)^{-1}
-    A(w,-), B' = gamma' X + gamma A(w,+)^{-1} (A(w,-)' - A(w,+)' X), one
-    more small solve. Each block takes gamma(w) first: cplane.cayley
-    refuses a point that is not finite, or w = -i, before any pairing
-    arithmetic. NaN marks a singular A(w, +) (_solve_small)."""
+    w.shape + (n, n). With derivative, (B, B') at real w (DomainError
+    elsewhere): with X = A(w,+)^{-1} A(w,-), B' = gamma' X +
+    gamma A(w,+)^{-1} (A(w,-)' - A(w,+)' X), one more small solve. Each
+    block takes gamma(w) first: cplane.cayley refuses a point that is not
+    finite, or w = -i, before any pairing arithmetic. NaN marks a singular
+    A(w, +) (_solve_small)."""
     w = np.asarray(w, dtype=complex)
+    if derivative and (w.imag != 0).any():
+        raise DomainError("B' is evaluated on the real axis only")
     flat = w.reshape(-1)
     out = np.empty((1 + derivative, flat.size, model.rank, model.rank),
                    dtype=complex)

@@ -1,6 +1,6 @@
 """Independent cross-checks by quadrature and by direct methods from
-ordinary differential equations, with no closed-form inner product, no B and
-no residue; the acceptance checks certify their agreement with the analytic
+ordinary differential equations, with no closed-form inner product and no B
+or B'; the acceptance checks certify their agreement with the analytic
 path. quad_inner integrates (coeffs, rates) sums on Gauss-Legendre panels.
 eigen_mass and eigen_density solve the coupling's boundary condition at s
 for the (generalized) eigenfunction and project the defect basis on it.

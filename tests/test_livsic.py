@@ -148,6 +148,27 @@ def test_l2_unitary_at_and_next_to_zero(a):
     assert np.max(np.abs(defect)) <= 1e-14
 
 
+def test_k2_unitary_on_the_whole_negative_axis():
+    # the divided difference of (rho_j - 1) times the K2 rows keeps them
+    # apart where the two rates meet (s -> 0) and of size 1 where they grow:
+    # B is unitary from -1e-70 to -1e300, where it lost digits near 0 and
+    # was NaN beyond -1e20
+    s = -np.logspace(-70.0, 300.0, 75)
+    b = livsic.livsic_eval(models.k2(), s)
+    defect = np.swapaxes(b, -1, -2).conj() @ b - np.eye(2)
+    assert np.max(np.abs(defect)) <= 1e-14
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+def test_b_derivative_is_refused_off_the_axis(model):
+    # B' is for the boundary: the masses and the atom scan take it on the
+    # real axis only, and the L2 rows divide by c^2 + w, which is 0 at w = i
+    b = livsic.livsic_function(model)
+    for w in (1j, [-1.0, 0.5 + 1e-300j]):
+        with pytest.raises(DomainError, match="real axis"):
+            b(w, derivative=True)
+
+
 def _central_difference(model, s, h):
     """(B(s + h) - B(s - h)) / 2h, fourth order: the five-point stencil."""
     b = livsic.livsic_function(model)

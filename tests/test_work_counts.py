@@ -100,9 +100,9 @@ def test_l2_dirichlet_scan_counts():
     assert (b.calls, b.points) == (3, 141 + 2 * 2 * 3)
 
 
-# Two Newton rounds on the two cells of the K2 atoms of alpha = -I, at two
-# points per cell
-_K2_NEWTON = [4, 4]
+# Three Newton rounds on the two cells of the K2 atoms of alpha = -I, at
+# two points per cell (one cell is placed in the second)
+_K2_NEWTON = [4, 4, 2]
 
 
 def test_k2_scan_of_a_wide_window_counts():
@@ -119,7 +119,7 @@ def test_atom_scan_runs_no_lapack_svd(monkeypatch):
     # the eigenphases on the scan grid come from the closed-form 2 x 2
     # eigenvalues, not from LAPACK; each scan is the grid and at most four
     # Newton rounds on the cells that count atoms where no cell splits
-    # (these take one or two), each at two points per cell
+    # (these take one to three), each at two points per cell
     dirichlet = extensions.BoundaryMatrices([[1, 0], [0, 0]], [[0, 0], [1, 0]])
     cases = (
         (models.l1(1.0), [[1.0]], (-10.0, 10.0), [105, 12, 12]),

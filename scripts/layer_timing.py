@@ -3,9 +3,11 @@
 B is timed through the SchurFunction's one entry, as the density, the
 scan and the point masses call it, at 1, 64 and 512 real points (one
 block), in microseconds per point, alone and with B' beside it (the
-point masses and the scan's Newton rounds). The atom scan is clark.atom_scan on a fixed window
-and coupling per model, in milliseconds per call. The oracle is timed in
-milliseconds per call on two inputs of the verify battery: one stacked
+point masses and the scan's Newton rounds). The atom scan is
+clark.atom_scan on a fixed window and coupling per model, in milliseconds
+per call, beside its deterministic work: the calls of B it makes and the
+points they carry. The oracle is timed in milliseconds per call on two
+inputs of the verify battery: one stacked
 quad_inner of the K2 rates at a point against both defect bases, as
 criterion 10 makes it, and l2_eigenvalues on criterion 7's Dirichlet
 window at a = 1. A density --format json request is timed in process
@@ -28,6 +30,7 @@ import json
 import math
 import os
 import time
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -62,6 +65,18 @@ def oracle_calls():
         "l2_eigenvalues_dirichlet": partial(oracle.l2_eigenvalues,
                                             checks._dirichlet_bm(), 1.0, window),
     }
+
+
+def counted(b):
+    """b with its evaluations counted: (the SchurFunction, the list of the
+    point counts of its calls, appended to as it is called)."""
+    sizes = []
+
+    def fn(w, derivative=False):
+        sizes.append(np.size(w))
+        return b.fn(w, derivative)
+
+    return replace(b, fn=fn), sizes
 
 
 def density(model, alpha, grid):
@@ -112,7 +127,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    b_us, db_us, scan_ms = {}, {}, {}
+    b_us, db_us, scan_ms, scan_calls, scan_points = {}, {}, {}, {}, {}
     for model, alpha, window in scans():
         b = livsic.livsic_function(model)
         for out, derivative in ((b_us, False), (db_us, True)):
@@ -122,6 +137,9 @@ def main(argv=None):
                 for size in SIZES}
         scan_ms[model.name] = round(
             1e3 * best(partial(clark.atom_scan, b, alpha, window), args.repeat), 3)
+        b, sizes = counted(b)
+        clark.atom_scan(b, alpha, window)
+        scan_calls[model.name], scan_points[model.name] = len(sizes), sum(sizes)
     oracle_ms = {name: round(1e3 * best(call, args.repeat), 3)
                  for name, call in oracle_calls().items()}
     cli_ms = {}
@@ -130,7 +148,8 @@ def main(argv=None):
             part: round(1e3 * best(call, args.repeat), 3)
             for part, call in zip(("request", "compute", "write"), calls)}
     print(json.dumps({"b_us_per_point": b_us, "b_with_derivative_us_per_point": db_us,
-                      "atom_scan_ms": scan_ms,
+                      "atom_scan_ms": scan_ms, "atom_scan_b_calls": scan_calls,
+                      "atom_scan_b_points": scan_points,
                       "oracle_ms": oracle_ms, "cli_ms": cli_ms,
                       "repeat": args.repeat, "cpus": os.cpu_count(),
                       "numpy": np.__version__}))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clark, extensions, livsic, models, oracle
-from .cplane import random_unitary
+from .cplane import cayley, random_unitary
 
 __all__ = ["CheckResult", "run_all", "ALL_CHECKS"]
 
@@ -239,10 +239,11 @@ def _defect_bases(model):
 
 
 def check_10(seed=0):
-    """Pairing matrices vs Gauss-Legendre quadrature at random points:
-    A(w, +)^{-1} A(w, -), which a mixing of the pairings' rows leaves
-    alone, against the same ratio from one stacked quad_inner of the
-    exponentials of the rates at w with both defect bases."""
+    """B against Gauss-Legendre quadrature at random points: livsic_eval's
+    B(w) against gamma(w) Q(+)^{-1} Q(-), Q the pairings of the plain
+    exponentials of the rates at w with both defect bases from one stacked
+    quad_inner, so that the closed rows, their mixing on K2 and L2's
+    folded constants are all checked."""
     rng = np.random.default_rng([seed, 10])
     worst = 0.0
     for model in (models.k1(), models.k2(), models.l1(1.0), models.l2(1.0)):
@@ -250,10 +251,10 @@ def check_10(seed=0):
         for _ in range(20):
             w = complex(rng.uniform(-5, 5), rng.uniform(0.1, 3.0))
             ref = oracle.quad_inner(model, (np.eye(n), model.raw_rates(w)), bases)
-            got, want = (np.linalg.solve(m[:, :n], m[:, n:])
-                         for m in (livsic._pairings(model, w), ref))
-            worst = max(worst, float(np.max(np.abs(got - want))))
-    return worst <= 1e-8, f"max pairing-vs-quadrature deviation {worst:.2e}"
+            want = cayley(w) * np.linalg.solve(ref[:, :n], ref[:, n:])
+            worst = max(worst, float(np.max(np.abs(livsic.livsic_eval(model, w)
+                                                   - want))))
+    return worst <= 1e-8, f"max B-vs-quadrature deviation {worst:.2e}"
 
 
 def check_11(seed=0):

@@ -74,22 +74,19 @@ def _cosh_sinh(z, a, shift, slope=False):
     return out
 
 
-def exp_inner_interval(mu, nu, a, shift=0.0):
-    """<exp(mu x), exp(nu x)> on (-a, a) = 2 sinh((mu + conj(nu)) a)/(mu + conj(nu)),
-    times exp(-shift); arrays broadcast.
+def exp_inner_interval(mu, nu, a):
+    """<exp(mu x), exp(nu x)> on (-a, a) = 2 sinh((mu + conj(nu)) a)/(mu + conj(nu));
+    arrays broadcast.
 
-    From _cosh_sinh: the series at the removable singularity
-    mu + conj(nu) = 0 (value 2a), and the scale in the exponentials, so a
-    shift close to |Re z| a keeps the value finite however large z is.
+    From _cosh_sinh, with the series at the removable singularity
+    mu + conj(nu) = 0 (value 2a).
     """
     if not a > 0:
         raise DomainError(f"interval half-length must be positive, got {a}")
     z = np.asarray(mu, dtype=complex) + np.conj(nu)
-    shape = np.broadcast_shapes(z.shape, np.shape(shift))
     with np.errstate(all="ignore"):
-        z, shift = np.broadcast_arrays(np.atleast_1d(z), shift)
-        out = 2.0 * _cosh_sinh(z, a, shift)[1]
-    return out.reshape(shape)[()]
+        out = 2.0 * _cosh_sinh(np.atleast_1d(z), a, 0.0)[1]
+    return out.reshape(z.shape)[()]
 
 
 # Gram condition number above which a defect basis counts as degenerate

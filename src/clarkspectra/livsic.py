@@ -9,18 +9,19 @@ orthonormalized defect basis at sign * i. B is an n x n Schur-class function
 on the upper half-plane with B(i) = 0; real w means the continuation from
 above, which goes on across the axis off the model's cut.
 
-There is one evaluation of B, on an array of points in blocks of _BLOCK: the
-pairings and the explicit solve, and on request, on the real axis, B' =
-dB/dw beside B, from the derivatives of the same pairings and one more
-solve. A point that is not finite, or w = -i, raises DomainError; NaN
-means only a singular A(w, +). The raw functions are mixed so that the
-pairing rows stay apart where two rates meet: a divided difference on K2,
-cosh(rho x) and sinh(rho x)/rho on L2, so B is unitary on the whole
-negative K2 axis and defined at L2's s = 0.
+There is one evaluation of B, on an array of points in blocks of _BLOCK,
+and on request, on the real axis, B' = dB/dw beside B: on K1, K2 and L1
+the pairings and the explicit solve (K2's rows a divided difference, so B
+is unitary on the whole negative axis), and B' the derivatives of the
+same pairings and one more solve; on L2, where the reflection x -> -x
+splits the defect spaces into even and odd functions, two scalar ratios
+between constant matrices (_reflected), entire in w, so defined at s = 0.
+A point that is not finite, or w = -i, raises DomainError; NaN, never
+inf, means only a singular A(w, +).
 
-The 1 x 1 and 2 x 2 kernels on stacks are broadcast arithmetic, not
-per-matrix calls into numpy or LAPACK: _mul_small (the product),
-_solve_small (the solve, with its singularity test) and _eigenvalues_small.
+The 1 x 1 and 2 x 2 kernels on stacks are broadcast arithmetic, not calls
+into LAPACK: _mul_small, _solve_small (with its singularity test) and
+_eigenvalues_small.
 """
 
 from __future__ import annotations
@@ -52,9 +53,10 @@ class SchurFunction:
     matrix, at an array a stack of shape w.shape + (n, n), and with
     derivative=True, at real points only, the pair (B, B'); real w means
     the boundary value from above. DomainError for Im w < 0, a point that
-    is not finite, w = -i, or B' off the axis; NaN marks a singular
-    pairing matrix. fn(w, derivative=False) is the evaluation behind the
-    call. The measure has no absolutely continuous part on s <= ac_edge;
+    is not finite, w = -i, or B' off the axis; NaN, never inf, marks a
+    singular pairing matrix A(w, +) (on L2 a vanishing even or odd
+    pairing). fn(w, derivative=False) is the evaluation behind the call.
+    The measure has no absolutely continuous part on s <= ac_edge;
     scan_step is Model.scan_step."""
 
     n: int
@@ -96,45 +98,11 @@ def _half_line(model, w, basis, derivative):
     return np.stack(rows, axis=-2).reshape(w.shape + (1 + derivative, model.rank, -1))
 
 
-def _even_odd(model, w, basis, derivative):
-    """L2's rows: cosh(rho x) and sinh(rho x)/rho (rho^2 = -w, entire in
-    w) paired with exp(r x), c = conj(r), d = c^2 + w:
-        even = 2 (c cosh(rho a) sinh(ca) + w sinh(rho a)/rho cosh(ca)) / d,
-        odd = 2 (c cosh(ca) sinh(rho a)/rho - cosh(rho a) sinh(ca)) / d,
-    times exp(-|Re rho| a) (1 + |rho|), the odd row also times 1 + |rho|
-    again, so that both keep their size far out; from the exponentials
-    exp(+-rho x) where |d| < 1/2 (near w = +-i, off the axis). With
-    derivative their w-derivatives stacked (real w, where |d| >= 1)."""
-    a = model.a
-    rho = (-1j * principal_power(w, 0.5))[..., None]
-    shift = np.abs(rho.real) * a
-    cosh, sinh, *slope = _cosh_sinh(rho, a, shift, derivative)
-    w, c = w[..., None], np.conj(basis)
-    sh, ch = 2.0 * np.sinh(c * a), 2.0 * np.cosh(c * a)
-    d = c * c + w
-    with np.errstate(all="ignore"):
-        even = (cosh * (c * sh) + (w * sinh) * ch) / d
-        odd = (sinh * (c * ch) - cosh * sh) / d
-        near = np.abs(d) < 0.5
-        if near.any():
-            plus, minus = model.inner(rho, basis, shift), model.inner(-rho, basis, shift)
-            even = np.where(near, 0.5 * (plus + minus), even)
-            odd = np.where(near, 0.5 * (plus - minus) / rho, odd)
-    rows = [even, odd]
-    if derivative:  # d(sinh(rho a)/rho)/dw = -slope
-        rows += [(0.5 * (sinh + a * cosh) * ch - (0.5 * a) * sinh * (c * sh) - even) / d,
-                 ((0.5 * a) * sinh * sh - (c * ch) * slope[0] - odd) / d]
-    size = 1.0 + np.abs(rho)
-    rows = [row * size ** (1 + k % 2) for k, row in enumerate(rows)]
-    return np.stack(rows, axis=-2).reshape(w.shape[:-1] + (1 + derivative, 2, -1))
-
-
 @lru_cache(maxsize=64)
 def _basis(model):
     """The rates of both defect bases (at +i, then -i), and the conjugated
     transpose of their block-diagonal coefficients."""
-    (c_plus, r_plus), (c_minus, r_minus) = (defect_onb(model, "+"),
-                                            defect_onb(model, "-"))
+    (c_plus, r_plus), (c_minus, r_minus) = (defect_onb(model, s) for s in "+-")
     n = model.rank
     coeffs = np.zeros((2 * n, 2 * n), dtype=complex)
     coeffs[:n, :n], coeffs[n:, n:] = c_plus.conj().T, c_minus.conj().T
@@ -146,16 +114,12 @@ def _pairings(model, w, derivative=False):
     derivative stacked with its w-derivative, w.shape + (2, n, 2n):
     A(w, sign)[j, k] = <f_j(w), phi_k(sign * i)>, phi_k the orthonormal
     defect basis at sign * i and f_j the raw functions at w: on L1
-    exp(rho x) times exp(-|Re rho| a); on K1 and K2 those
-    of _half_line, on L2 those of _even_odd. Any invertible w-dependent
-    mixing of the rows is the same for both signs, so it cancels from
-    A(w, +)^{-1} A(w, -) and from its derivative taken with the mixing
-    held fixed."""
+    exp(rho x) times exp(-|Re rho| a); on K1 and K2 those of _half_line
+    (L2: _reflected). A w-dependent mixing of the rows cancels from
+    A(w, +)^{-1} A(w, -) and from its derivative with the mixing fixed."""
     basis, coeffs = _basis(model)
     w = np.asarray(w, dtype=complex)
-    if model.name == "L2":
-        vals = _even_odd(model, w, basis, derivative)
-    elif model.halfline:
+    if model.halfline:
         vals = _half_line(model, w, basis, derivative)
     else:  # 2 sinh(za)/z, z = rho + c, and its derivative (rho' = -i)
         rho = model.raw_rates(w)[..., None]
@@ -165,6 +129,45 @@ def _pairings(model, w, derivative=False):
         vals = np.stack([2.0 * sinh] + [-4j * z * d for d in slope], axis=-3)
     out = _mul_small(vals, coeffs)
     return out if derivative else out[..., 0, :, :]
+
+
+@lru_cache(maxsize=64)
+def _reflection(model):
+    """L2's p, q, r, t over the signs (+, -), and the outer products of
+    column k of M(+)^{-1} and row k of M(-), k = 0, 1; M(sign) is
+    [[1, 1], [1, -1]] times the conjugated basis coefficients at sign * i,
+    whose rates are r and -r, with c = conj(r) squaring to +-i."""
+    rates, coeffs = _basis(model)
+    c = np.conj(rates[::2])
+    sh, ch = 2.0 * np.sinh(c * model.a), 2.0 * np.cosh(c * model.a)
+    mix = np.array([[1.0, 1.0], [1.0, -1.0]])
+    inv, minus = np.linalg.inv(mix @ coeffs[:2, :2]), mix @ coeffs[2:, 2:]
+    return c * sh, ch, c * ch, sh, inv[:, :1] * minus[:1], inv[:, 1:] * minus[1:]
+
+
+def _reflected(model, w, derivative):
+    """L2's B, and B' with derivative, stacked at the points w (1-D). By the
+    reflection x -> -x, cosh(rho x) and sinh(rho x)/rho (rho^2 = -w) pair
+    with the basis at sign * i as diag(e, o) [[1, 1], [1, -1]] / (w +- i),
+    e = cosh(rho a) p + w S q and o = S r - cosh(rho a) t, S = sinh(rho a)/rho;
+    as gamma (w + i)/(w - i) = 1, B = M(+)^{-1} diag(e-/e+, o-/o+) M(-)
+    (_reflection), and B' the same with the ratios' derivatives
+    (cosh(rho a)' = -(a/2) S, S' = -slope). Their common factor
+    exp(-|Re rho| a) cancels. NaN, never inf, where e+ or o+ vanishes."""
+    p, q, r, t, even, odd = _reflection(model)
+    a, rho = model.a, (-1j * principal_power(w, 0.5))[:, None]
+    cosh, sinh, *slope = _cosh_sinh(rho, a, np.abs(rho.real) * a, derivative)
+    w = w[:, None]
+    rows = np.stack([cosh * p + (w * sinh) * q, sinh * r - cosh * t], axis=-1)
+    with np.errstate(all="ignore"):
+        out = [rows[:, 1] / rows[:, 0]]
+        if derivative:
+            slopes = np.stack([q * (sinh - w * slope[0]) - (0.5 * a) * sinh * p,
+                               (0.5 * a) * sinh * t - slope[0] * r], axis=-1)
+            out.append((slopes[:, 1] - out[0] * slopes[:, 0]) / rows[:, 0])
+    out = np.stack(out)
+    out[~np.isfinite(out)] = np.nan
+    return out[..., :1, None] * even + out[..., 1:, None] * odd
 
 
 def _mul_small(a, b):
@@ -219,9 +222,8 @@ def _eigenvalues_small(m):
     if n == 1:
         return m[..., 0]
     p, q, r, t = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-    half = 0.5 * (p - t)
+    half, mid = 0.5 * (p - t), 0.5 * (p + t)
     root = np.sqrt(half * half + q * r)
-    mid = 0.5 * (p + t)
     return np.stack([mid + root, mid - root], axis=-1)
 
 
@@ -235,21 +237,22 @@ def _continued_b(model, w, derivative=False):
     the model's cut), for a point or an array of points; shape
     w.shape + (n, n). With derivative, (B, B') at real w (DomainError
     elsewhere): with X = A(w,+)^{-1} A(w,-), B' = gamma' X +
-    gamma A(w,+)^{-1} (A(w,-)' - A(w,+)' X), one more small solve. Each
-    block takes gamma(w) first: cplane.cayley refuses a point that is not
-    finite, or w = -i, before any pairing arithmetic. NaN marks a singular
-    A(w, +) (_solve_small)."""
+    gamma A(w,+)^{-1} (A(w,-)' - A(w,+)' X), one more small solve; L2's
+    from _reflected. Each block takes gamma(w) first: cplane.cayley
+    refuses a point that is not finite, or w = -i, before any pairing
+    arithmetic. NaN marks a singular A(w, +) (_solve_small, _reflected)."""
     w = np.asarray(w, dtype=complex)
     if derivative and (w.imag != 0).any():
         raise DomainError("B' is evaluated on the real axis only")
-    flat = w.reshape(-1)
-    out = np.empty((1 + derivative, flat.size, model.rank, model.rank),
-                   dtype=complex)
+    flat, n = w.reshape(-1), model.rank
+    out = np.empty((1 + derivative, flat.size, n, n), dtype=complex)
     for start in range(0, flat.size, _BLOCK):
         pts = flat[start:start + _BLOCK]
         gamma = cayley(pts)[:, None, None]
+        if model.name == "L2":
+            out[:, start:start + _BLOCK] = _reflected(model, pts, derivative)
+            continue
         pairs = _pairings(model, pts, derivative)
-        n = model.rank
         a = pairs[:, 0] if derivative else pairs
         x = _solve_small(a[..., :n], a[..., n:])
         out[0, start:start + _BLOCK] = gamma * x
@@ -263,14 +266,11 @@ def _continued_b(model, w, derivative=False):
 
 
 def livsic_eval(model, w):
-    """Characteristic function B(w) = gamma(w) A(w,+)^{-1} A(w,-).
-
-    w is a point or an array of finite points of the closed upper
-    half-plane (DomainError otherwise); real w gives the boundary
-    continuation. Returns an n x n ndarray for a point (also for n = 1)
-    and a stack of shape w.shape + (n, n) for an array, with NaN where the
-    pairing matrix A(w, +) is singular.
-    """
+    """Characteristic function B(w) = gamma(w) A(w,+)^{-1} A(w,-) at a
+    point or an array of finite points of the closed upper half-plane
+    (DomainError otherwise; real w gives the boundary continuation): an
+    n x n ndarray for a point (also for n = 1), a stack of shape
+    w.shape + (n, n) for an array, NaN where A(w, +) is singular."""
     return _continued_b(model, _upper(w))
 
 

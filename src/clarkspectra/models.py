@@ -111,12 +111,12 @@ class Model:
             step = min(step, math.pi ** 2 / (12.0 * self.a ** 2), 0.5)
         return step
 
-    def inner(self, mu, nu, shift=0.0):
-        """Closed-form <exp(mu x), exp(nu x)> on the model's domain, times
-        exp(-shift); arrays broadcast."""
+    def inner(self, mu, nu):
+        """Closed-form <exp(mu x), exp(nu x)> on the model's domain; arrays
+        broadcast."""
         if self.halfline:
-            return exp_inner_halfline(mu, nu) * np.exp(-shift)
-        return exp_inner_interval(mu, nu, self.a, shift)
+            return exp_inner_halfline(mu, nu)
+        return exp_inner_interval(mu, nu, self.a)
 
 
 def k1():

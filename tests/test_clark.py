@@ -275,7 +275,8 @@ def test_mass_budget_closes_with_the_scanned_atoms():
     *(pytest.param(make(a), (-60.0, 60.0), id=f"{make(a).name}-a{a}")
       for make in (models.l1, models.l2) for a in (0.3, 1.0, 2.0)),
     *(pytest.param(models.l2(a), (-30.0, 30.0), id=f"L2-a{a}")
-      for a in (0.01, 0.1))])
+      for a in (0.01, 0.1)),
+    pytest.param(models.l2(5.0), (-3.0, 50.0), id="L2-a5.0")])
 def test_det_phase_steps_below_pi_on_the_scan_grid(model, window):
     # the atom count of a scan cell takes the step of arg det(B alpha*) in
     # [0, 2 pi): it is exact while the phase increases by less than 2 pi
@@ -283,7 +284,8 @@ def test_det_phase_steps_below_pi_on_the_scan_grid(model, window):
     # subcells it stays positive and below pi on every cell of the scan
     # grid; on the interval models also with the grid shifted to put a
     # point on s = 0, where L2's even and odd raw functions keep B defined
-    # (the largest step, 0.98, is L2's at a <= 0.8)
+    # (the largest step, 0.98, is L2's at a <= 0.8). At a = 5 the step is
+    # the third of the Dirichlet gap, pi^2/(12 a^2)
     b = livsic.livsic_function(model)
     grid = clark._scan_grid(*window, 0.5 * b.scan_step, b.ac_edge)
     grids = [grid] if model.halfline else [grid, grid - grid[np.argmin(abs(grid))]]

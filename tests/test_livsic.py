@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clarkspectra import extensions, livsic, models
-from clarkspectra.cplane import principal_power, random_unitary
+from clarkspectra import checks, extensions, livsic, models, oracle
+from clarkspectra.cplane import cayley, principal_power, random_unitary
 from clarkspectra.errors import DimensionError, DomainError, NonUnitaryError
 
 ALL_MODELS = [models.k1(), models.k2(), models.l1(1.0), models.l2(1.0)]
@@ -45,8 +45,8 @@ def test_pairings_closed_values_rank_one_interval():
 
 
 def test_l2_unitary_far_down_the_negative_axis():
-    # the rows of A(w, +-) grow like exp(sqrt(-s) a) there; the row scale
-    # of livsic._pairings keeps them finite without changing B
+    # the even and odd rows grow like exp(sqrt(-s) a) there; livsic takes
+    # them times exp(-sqrt(-s) a), which cancels from their ratios
     m = models.l2(1.0)
     for s in (-1.3e5, -1e7):
         b = livsic.livsic_eval(m, s)
@@ -139,13 +139,29 @@ def test_array_b_matches_pointwise_and_schur_bound(model, points):
         assert np.linalg.norm(bk, 2) <= 1.0 + 1e-12
 
 
-@pytest.mark.parametrize("a", [1.0, 5.0])
+@pytest.mark.parametrize("a", [0.05, 1.0, 5.0])
 def test_l2_unitary_at_and_next_to_zero(a):
     # cosh(rho x) and sinh(rho x)/rho stay a basis where the two L2 rates
-    # meet: B is unitary at s = 0, where the exponentials made it NaN
-    b = livsic.livsic_eval(models.l2(a), [0.0, 1e-20, -1e-20, 1e-40, -1e-40])
+    # meet: B is unitary at s = 0, where the exponentials made it NaN, and
+    # from |s| = 1e-40 on to 1e20 on both sides, a short interval included
+    mag = np.logspace(-40.0, 20.0, 61)
+    b = livsic.livsic_eval(models.l2(a), np.concatenate([[0.0], mag, -mag]))
     defect = np.swapaxes(b, -1, -2).conj() @ b - np.eye(2)
     assert np.max(np.abs(defect)) <= 1e-14
+
+
+def test_l2_vanishing_pairing_is_nan(monkeypatch):
+    # where the even pairing with the basis at +i vanishes, A(w, +) is
+    # singular: B and B' are NaN there, never inf, and nothing warns
+    model = models.l2(1.0)
+    p, q, *rest = livsic._reflection(model)
+    monkeypatch.setattr(livsic, "_reflection",
+                        lambda m: (p * [0, 1], q * [0, 1], *rest))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for out in (livsic.livsic_eval(model, [2.0, 0.5j]),
+                    *livsic.livsic_function(model)(-3.0, derivative=True)):
+            assert np.all(np.isnan(out))
 
 
 def test_k2_unitary_on_the_whole_negative_axis():
@@ -159,10 +175,34 @@ def test_k2_unitary_on_the_whole_negative_axis():
     assert np.max(np.abs(defect)) <= 1e-14
 
 
+def _quadrature_b(model, w):
+    """gamma(w) A(w, +)^{-1} A(w, -), A the pairings of the plain
+    exponentials of the rates at w with both defect bases by Gauss-Legendre
+    quadrature, as criterion 10 makes them."""
+    n = model.rank
+    ref = oracle.quad_inner(model, (np.eye(n), model.raw_rates(w)),
+                            checks._defect_bases(model))
+    return cayley(w) * np.linalg.solve(ref[:, :n], ref[:, n:])
+
+
+@pytest.mark.parametrize("a", [0.05, 0.2, 1.0, 5.0])
+def test_l2_reflected_b_matches_quadrature(a):
+    # L2's B from the even and odd ratios and the folded constants of its
+    # defect bases is the pairing ratio of the plain exponentials, off the
+    # axis, on both sides of 0 and far out on it. At w = i the even and odd
+    # pairings with the basis at -i cancel to rounding, B(i) = 0 (B's own
+    # short-interval loss grows to 3e-13 at a = 0.02)
+    model = models.l2(a)
+    assert np.max(np.abs(livsic.livsic_eval(model, 1j))) < 1e-13
+    for w in (1j, 2 + 0.5j, 1e-3 + 2j, 2.0, -2.0, 37.5, -50.0, 4000.0):
+        got = livsic.livsic_eval(model, w)
+        assert np.max(np.abs(got - _quadrature_b(model, w))) <= 1e-12, w
+
+
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
 def test_b_derivative_is_refused_off_the_axis(model):
     # B' is for the boundary: the masses and the atom scan take it on the
-    # real axis only, and the L2 rows divide by c^2 + w, which is 0 at w = i
+    # real axis only
     b = livsic.livsic_function(model)
     for w in (1j, [-1.0, 0.5 + 1e-300j]):
         with pytest.raises(DomainError, match="real axis"):

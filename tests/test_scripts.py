@@ -45,6 +45,13 @@ def test_layer_timing_prints_one_json_line():
         assert set(per_size) == {"1", "64", "512"}
         assert all(t > 0 for t in per_size.values())
     assert all(t > 0 for t in doc["atom_scan_ms"].values())
+    # the deterministic work of each scan: the grid call and the Newton
+    # rounds, each with at least one point
+    calls, points = doc["atom_scan_b_calls"], doc["atom_scan_b_points"]
+    assert set(calls) == set(points) == models
+    for name in models:
+        assert isinstance(calls[name], int) and isinstance(points[name], int)
+        assert 2 <= calls[name] <= points[name]
     assert set(doc["oracle_ms"]) == {"quad_inner_k2_block",
                                      "l2_eigenvalues_dirichlet"}
     assert all(t > 0 for t in doc["oracle_ms"].values())

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import clark, extensions, livsic, models, oracle
+from . import clark, defect, extensions, livsic, models, oracle
 from .cplane import cayley, random_unitary
 
 __all__ = ["CheckResult", "run_all", "ALL_CHECKS"]
@@ -234,16 +234,19 @@ def _defect_bases(model):
     """Both orthonormal defect bases as one (coeffs, rates) stack: the
     basis at +i, then the one at -i, in block-diagonal coefficients over
     the rates at +i and then at -i."""
-    rates, coeffs = livsic._basis(model)
-    return coeffs.conj().T, rates
+    (c_plus, r_plus), (c_minus, r_minus) = (defect.defect_onb(model, s) for s in "+-")
+    n = model.rank
+    coeffs = np.zeros((2 * n, 2 * n), dtype=complex)
+    coeffs[:n, :n], coeffs[n:, n:] = c_plus, c_minus
+    return coeffs, np.concatenate([r_plus, r_minus])
 
 
 def check_10(seed=0):
     """B against Gauss-Legendre quadrature at random points: livsic_eval's
     B(w) against gamma(w) Q(+)^{-1} Q(-), Q the pairings of the plain
     exponentials of the rates at w with both defect bases from one stacked
-    quad_inner, so that the closed rows, their mixing on K2 and L2's
-    folded constants are all checked."""
+    quad_inner, so that the factors and the constant matrices of every
+    model's B (livsic._frame) are all checked."""
     rng = np.random.default_rng([seed, 10])
     worst = 0.0
     for model in (models.k1(), models.k2(), models.l1(1.0), models.l2(1.0)):

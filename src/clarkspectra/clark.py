@@ -76,8 +76,8 @@ def ac_density(b, alpha, s):
     validated once, n x n for n = b.n. The points with s > b.ac_edge are
     evaluated in one call of b, and the Hermitian part of
     (alpha + B)(alpha - B)^{-1} is formed there; the others get an exact
-    zero matrix. SingularError when B is NaN (a singular pairing matrix)
-    or alpha - B(s) is singular at a point of the essential spectrum."""
+    zero matrix. SingularError when B is NaN, or alpha - B(s) is singular
+    (to rounding) at a point of the essential spectrum."""
     alpha = check_alpha(alpha, b.n)
     n = alpha.shape[0]
     s = _points(s, "density point")
@@ -87,9 +87,11 @@ def ac_density(b, alpha, s):
         pts = s[on]
         bval = np.swapaxes(np.asarray(b(pts)).reshape(-1, n, n), -1, -2)
         # (alpha + B)(alpha - B)^{-1} as one solve on the transposes; NaN
-        # where alpha - B is singular (an atom, not an AC point)
+        # where alpha - B is singular (an atom, not an AC point), and past
+        # 2e14 where it is singular to rounding at the unit scale of alpha
+        # and B (|alpha + B| <= 2), which its own scale does not show
         rho = np.swapaxes(_solve_small(alpha.T - bval, alpha.T + bval), -1, -2)
-        bad = ~np.all(np.isfinite(rho), axis=(-2, -1))
+        bad = ~(1e-14 * np.abs(rho).max(axis=(-2, -1)) < 2.0)
         if np.any(bad):
             raise SingularError(f"density undefined at s = {float(pts[bad][0])!r}: "
                                 "B(s) or (alpha - B(s))^-1 is singular")
@@ -148,7 +150,10 @@ def _weigh(s, h, x, vel, near):
         size = np.abs(h).max(axis=(-2, -1))[..., None, None]
         inverse = _solve_small(h / size, np.eye(2)) / size
         mass = np.where(near.all(axis=-1)[..., None, None], inverse, mass)
-    return _hermitize(mass) * (2.0 / (np.pi * (1.0 + s * s) ** 2))[..., None, None]
+    with np.errstate(over="ignore"):  # 1 + s^2 is inf beyond 1.3e154
+        lift = (1.0 + s * s)[..., None, None]
+    # divided twice, as (1 + s^2)^2 overflows beyond 1.3e77
+    return _hermitize(mass) * (2.0 / np.pi) / lift / lift
 
 
 def point_mass(b, alpha, s):
@@ -238,8 +243,10 @@ def _cell_counts(b, alpha, pts, rows):
 def _place(b, alpha, s0, s1, count, start):
     """Newton from start in the cells [s0, s1] holding count atoms: one
     call of b per round at each iterate s and at s + _PAIR _scale,
-    stepping by -theta/theta' of the eigenphase with the shortest step,
-    corrected by the theta'' that the pair's velocities give. A step
+    stepping by -theta/theta' of the fastest eigenphase whose step is
+    shorter than the cell (else of the shortest step: at a double atom
+    the slow eigenphase is the ill-conditioned one), corrected by the
+    theta'' that the pair's velocities give. A step
     within _OFFSET_TOL _scale places its atom at its end, weighed there
     with U to first order in U' and H to first order over the pair, if at
     least count eigenphases are at 1 there and the placed velocity sweeps
@@ -261,7 +268,10 @@ def _place(b, alpha, s0, s1, count, start):
         lam, vel, x = _eigen(u, h)
         with np.errstate(all="ignore"):
             steps = np.where(vel > 0, -np.angle(lam) / vel, np.inf)
-            pick = (np.arange(m), np.argmin(np.abs(steps), axis=-1))
+            short = np.abs(steps) < (s1 - s0)[live, None]
+            pick = (np.arange(m), np.where(
+                short.any(axis=-1), np.argmax(np.where(short, vel, -np.inf), axis=-1),
+                np.argmin(np.abs(steps), axis=-1)))
             step, vel, x = steps[pick], vel[pick], x[pick]
             vel_pair = (np.einsum("...i,...ij,...j->...", x.conj(), h_pair, x).real
                         / (np.abs(x) ** 2).sum(axis=-1))

@@ -9,15 +9,17 @@ orthonormalized defect basis at sign * i. B is an n x n Schur-class function
 on the upper half-plane with B(i) = 0; real w means the continuation from
 above, which goes on across the axis off the model's cut.
 
-There is one evaluation of B, on an array of points in blocks of _BLOCK,
-and on request, on the real axis, B' = dB/dw beside B: on K1, K2 and L1
-the pairings and the explicit solve (K2's rows a divided difference, so B
-is unitary on the whole negative axis), and B' the derivatives of the
-same pairings and one more solve; on L2, where the reflection x -> -x
-splits the defect spaces into even and odd functions, two scalar ratios
-between constant matrices (_reflected), entire in w, so defined at s = 0.
-A point that is not finite, or w = -i, raises DomainError; NaN, never
-inf, means only a singular A(w, +).
+Every model's B is a short sum B = sum_k f_k(w) O_k of scalar factors
+times constant matrices (_frame): one assembly on an array of points in
+blocks of _BLOCK, with B' = sum_k f_k'(w) O_k beside it on request, on the
+real axis. On the half-line A(w, +-) are Cauchy matrices times constants,
+and their ratio is diagonal times Lagrange times diagonal (_cauchy), so
+f_k -> 1 far out and B_inf = sum_k O_k in closed form; on the interval
+f_k are ratios of sinh rows, L2's split into even and odd ones by the
+reflection x -> -x (_sinh_ratio). A point that is not finite, or w = -i,
+raises DomainError; NaN, never inf, marks a vanishing denominator of a
+factor, which on the closed upper half-plane only L2's even or odd
+pairing at +i can be.
 
 The 1 x 1 and 2 x 2 kernels on stacks are broadcast arithmetic, not calls
 into LAPACK: _mul_small, _solve_small (with its singularity test) and
@@ -54,7 +56,7 @@ class SchurFunction:
     derivative=True, at real points only, the pair (B, B'); real w means
     the boundary value from above. DomainError for Im w < 0, a point that
     is not finite, w = -i, or B' off the axis; NaN, never inf, marks a
-    singular pairing matrix A(w, +) (on L2 a vanishing even or odd
+    vanishing denominator of B's factors (on L2 a vanishing even or odd
     pairing). fn(w, derivative=False) is the evaluation behind the call.
     The measure has no absolutely continuous part on s <= ac_edge;
     scan_step is Model.scan_step."""
@@ -76,98 +78,85 @@ def _upper(w):
     return w
 
 
-def _half_line(model, w, basis, derivative):
-    """K1's and K2's rows -1/(rho_j + c) (c = conj(r), r the basis
-    rates), the first times 1 + |rho|; on K2 the second is the divided
-    difference of (rho_j - 1) times the rows, -(1 + c)/((rho_1 + c)
-    (rho_2 + c)), times (1 + |rho|)^2, so the rows stay apart where the
-    rates meet (w -> 0) and keep their size where they grow (w -> inf);
-    rho_2 is never 1, so this mixing is invertible. With derivative their
-    w-derivatives (rho' = rho/(order w)) stacked."""
-    rho, c = model.raw_rates(w)[..., None], np.conj(basis)
-    q = rho + c
-    size = 1.0 + np.abs(rho[..., 0, :])
-    rows = [-size / q[..., 0, :]]
-    if model.rank == 2:
-        rows.append(-size * size * (1.0 + c) / (q[..., 0, :] * q[..., 1, :]))
-    if derivative:
-        speed = rho / (model.order * w[..., None, None])
-        rows.append(-rows[0] * speed[..., 0, :] / q[..., 0, :])
-        if model.rank == 2:
-            rows.append(-rows[1] * (speed / q).sum(axis=-2))
-    return np.stack(rows, axis=-2).reshape(w.shape + (1 + derivative, model.rank, -1))
-
-
 @lru_cache(maxsize=64)
-def _basis(model):
-    """The rates of both defect bases (at +i, then -i), and the conjugated
-    transpose of their block-diagonal coefficients."""
+def _frame(model):
+    """The model's frame: the constants of its factors and the stack O of
+    constant matrices with B = sum_k f_k(w) O_k. C(sign) is the conjugated
+    transpose of the basis coefficients at sign * i, c(sign) its
+    conjugated rates. Half-line: c(+), c(-) and O_ml = L[m, l] column m of
+    C(+)^{-1} times row l of C(-), L[m, l] = prod_{k != m} (c(-)_l -
+    c(+)_k)/(c(+)_m - c(+)_k), the Lagrange basis of the nodes c(+) at
+    c(-). L1: c(+), c(-) and C(-)/C(+). L2: p, q, r, t over the signs
+    (+, -) and the outer products of column k of M(+)^{-1} and row k of
+    M(-), k = 0, 1; M(sign) = [[1, 1], [1, -1]] C(sign), whose rates are r
+    and -r, with c = conj(r) squaring to +-i."""
     (c_plus, r_plus), (c_minus, r_minus) = (defect_onb(model, s) for s in "+-")
-    n = model.rank
-    coeffs = np.zeros((2 * n, 2 * n), dtype=complex)
-    coeffs[:n, :n], coeffs[n:, n:] = c_plus.conj().T, c_minus.conj().T
-    return np.concatenate([r_plus, r_minus]), coeffs
+    plus, minus = c_plus.conj().T, c_minus.conj().T
+    c = np.conj(np.stack([r_plus, r_minus]))
+    if model.name == "L2":
+        c = c[:, 0]
+        sh, ch = 2.0 * np.sinh(c * model.a), 2.0 * np.cosh(c * model.a)
+        mix = np.array([[1.0, 1.0], [1.0, -1.0]])
+        inv, minus = np.linalg.inv(mix @ plus), mix @ minus
+        return (c * sh, ch, c * ch, sh), np.stack([inv[:, k:k + 1] * minus[k:k + 1]
+                                                   for k in range(2)])
+    inv, n = np.linalg.inv(plus), model.rank
+    lagrange = [[math.prod((c[1, l] - c[0, k]) / (c[0, m] - c[0, k])
+                           for k in range(n) if k != m) for l in range(n)]
+                for m in range(n)]
+    return c, np.stack([lagrange[m][l] * inv[:, m:m + 1] * minus[l:l + 1]
+                        for m in range(n) for l in range(n)])
 
 
-def _pairings(model, w, derivative=False):
-    """[A(w, +) | A(w, -)] at the points w, shape w.shape + (n, 2n), with
-    derivative stacked with its w-derivative, w.shape + (2, n, 2n):
-    A(w, sign)[j, k] = <f_j(w), phi_k(sign * i)>, phi_k the orthonormal
-    defect basis at sign * i and f_j the raw functions at w: on L1
-    exp(rho x) times exp(-|Re rho| a); on K1 and K2 those of _half_line
-    (L2: _reflected). A w-dependent mixing of the rows cancels from
-    A(w, +)^{-1} A(w, -) and from its derivative with the mixing fixed."""
-    basis, coeffs = _basis(model)
-    w = np.asarray(w, dtype=complex)
-    if model.halfline:
-        vals = _half_line(model, w, basis, derivative)
-    else:  # 2 sinh(za)/z, z = rho + c, and its derivative (rho' = -i)
-        rho = model.raw_rates(w)[..., None]
-        z = rho + np.conj(basis)
-        _, sinh, *slope = _cosh_sinh(z, model.a, np.abs(rho.real) * model.a,
-                                     derivative)
-        vals = np.stack([2.0 * sinh] + [-4j * z * d for d in slope], axis=-3)
-    out = _mul_small(vals, coeffs)
-    return out if derivative else out[..., 0, :, :]
+def _cauchy(model, w, gamma, c, derivative):
+    """K1's and K2's factors at the points w (1-D): the pairings are
+    Cauchy matrices times C(+-), V(sign)[j, m] = -1/(rho_j + c(sign)_m),
+    and V(+)^{-1} V(-) = diag(p) L diag(1/q) with p_m = prod_j (rho_j +
+    c(+)_m) and q_l = prod_j (rho_j + c(-)_l) (S. Schechter, Math. Tables
+    Aids Comput. 13, 1959), so f_ml = gamma p_m/q_l, which tends to 1
+    far out. With derivative also f_ml' = gamma' p_m/q_l + f_ml
+    sum_j rho_j' (c(-)_l - c(+)_m)/((rho_j + c(+)_m)(rho_j + c(-)_l)),
+    rho' = rho/(order w): one fraction per rate, not a difference."""
+    rho = model.raw_rates(w)[:, :, None, None]
+    up, down = rho + c[0, :, None], rho + c[1]
+    ratio = np.prod(up, axis=1) / np.prod(down, axis=1)
+    out = [gamma[:, None, None] * ratio]
+    if derivative:
+        speed = rho / (model.order * w[:, None, None, None])
+        out.append((2j / (w + 1j) ** 2)[:, None, None] * ratio + out[0] * (
+            speed * (c[1] - c[0, :, None]) / (up * down)).sum(axis=1))
+    return [f.reshape(w.size, -1) for f in out]
 
 
-@lru_cache(maxsize=64)
-def _reflection(model):
-    """L2's p, q, r, t over the signs (+, -), and the outer products of
-    column k of M(+)^{-1} and row k of M(-), k = 0, 1; M(sign) is
-    [[1, 1], [1, -1]] times the conjugated basis coefficients at sign * i,
-    whose rates are r and -r, with c = conj(r) squaring to +-i."""
-    rates, coeffs = _basis(model)
-    c = np.conj(rates[::2])
-    sh, ch = 2.0 * np.sinh(c * model.a), 2.0 * np.cosh(c * model.a)
-    mix = np.array([[1.0, 1.0], [1.0, -1.0]])
-    inv, minus = np.linalg.inv(mix @ coeffs[:2, :2]), mix @ coeffs[2:, 2:]
-    return c * sh, ch, c * ch, sh, inv[:, :1] * minus[:1], inv[:, 1:] * minus[1:]
-
-
-def _reflected(model, w, derivative):
-    """L2's B, and B' with derivative, stacked at the points w (1-D). By the
+def _sinh_ratio(model, w, gamma, consts, derivative):
+    """L1's and L2's factors at the points w (1-D), ratios of a row at -i
+    over the same row at +i, entire in w, as gamma cancels. L1: sinh(z a),
+    z = rho + c(+-) = -i (w +- i), with derivative -i a cosh(z a), so f =
+    gamma S(rho + c(-))/S(rho + c(+)) for S(z) = sinh(z a)/z. L2: by the
     reflection x -> -x, cosh(rho x) and sinh(rho x)/rho (rho^2 = -w) pair
     with the basis at sign * i as diag(e, o) [[1, 1], [1, -1]] / (w +- i),
     e = cosh(rho a) p + w S q and o = S r - cosh(rho a) t, S = sinh(rho a)/rho;
-    as gamma (w + i)/(w - i) = 1, B = M(+)^{-1} diag(e-/e+, o-/o+) M(-)
-    (_reflection), and B' the same with the ratios' derivatives
-    (cosh(rho a)' = -(a/2) S, S' = -slope). Their common factor
-    exp(-|Re rho| a) cancels. NaN, never inf, where e+ or o+ vanishes."""
-    p, q, r, t, even, odd = _reflection(model)
-    a, rho = model.a, (-1j * principal_power(w, 0.5))[:, None]
-    cosh, sinh, *slope = _cosh_sinh(rho, a, np.abs(rho.real) * a, derivative)
-    w = w[:, None]
-    rows = np.stack([cosh * p + (w * sinh) * q, sinh * r - cosh * t], axis=-1)
-    with np.errstate(all="ignore"):
-        out = [rows[:, 1] / rows[:, 0]]
+    as gamma (w + i)/(w - i) = 1, f = (e-/e+, o-/o+), and f' from the
+    rows' derivatives (cosh(rho a)' = -(a/2) S, S' = -slope). The rows'
+    common factor exp(-|Re rho| a) cancels."""
+    a = model.a
+    if model.rank == 1:
+        z = -1j * w[:, None] + consts[:, 0]
+        cosh, sinh = _cosh_sinh(z, a, np.abs(w.imag)[:, None] * a)
+        rows, slopes = (z * sinh)[..., None], (-1j * a * cosh)[..., None]
+    else:
+        p, q, r, t = consts
+        rho = (-1j * principal_power(w, 0.5))[:, None]
+        cosh, sinh, *slope = _cosh_sinh(rho, a, np.abs(rho.real) * a, derivative)
+        w = w[:, None]
+        rows = np.stack([cosh * p + (w * sinh) * q, sinh * r - cosh * t], axis=-1)
         if derivative:
             slopes = np.stack([q * (sinh - w * slope[0]) - (0.5 * a) * sinh * p,
                                (0.5 * a) * sinh * t - slope[0] * r], axis=-1)
-            out.append((slopes[:, 1] - out[0] * slopes[:, 0]) / rows[:, 0])
-    out = np.stack(out)
-    out[~np.isfinite(out)] = np.nan
-    return out[..., :1, None] * even + out[..., 1:, None] * odd
+    out = [rows[:, 1] / rows[:, 0]]
+    if derivative:
+        out.append((slopes[:, 1] - out[0] * slopes[:, 0]) / rows[:, 0])
+    return out
 
 
 def _mul_small(a, b):
@@ -188,16 +177,17 @@ _ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
 def _solve_small(a, b):
     """a^{-1} b for stacks of n x n matrices, n in {1, 2}, via explicit
     formulas, keeping the singularity test independent of LAPACK
-    behaviour: a matrix with |det| < 1e-14 max(1, max |a_ij|)^n counts as
-    singular, and its result is NaN. Leading axes broadcast."""
+    behaviour: a matrix with |det| <= 1e-14 (max |a_ij|)^n counts as
+    singular (the zero matrix and NaN included), and its result is NaN.
+    Leading axes broadcast."""
     n = a.shape[-1]
     if n > 2:
         raise DimensionError(f"explicit solve covers n = 1, 2, got n = {n}")
     det = a[..., 0, 0] if n == 1 else (a[..., 0, 0] * a[..., 1, 1]
                                         - a[..., 0, 1] * a[..., 1, 0])
-    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1))) ** n
-    # "not >=" so that a NaN determinant counts as singular
-    singular = ~(np.abs(det) >= 1e-14 * scale)
+    scale = np.abs(a).max(axis=(-2, -1)) ** n
+    # "not >" so that a NaN determinant and the zero matrix count as singular
+    singular = ~(np.abs(det) > 1e-14 * scale)
     if singular.any():
         det = np.where(singular, 1.0, det)
         a = np.where(singular[..., None, None], np.eye(n), a)
@@ -236,31 +226,26 @@ def _continued_b(model, w, derivative=False):
     """B(w) = gamma(w) A(w,+)^{-1} A(w,-) on the continuation (any w off
     the model's cut), for a point or an array of points; shape
     w.shape + (n, n). With derivative, (B, B') at real w (DomainError
-    elsewhere): with X = A(w,+)^{-1} A(w,-), B' = gamma' X +
-    gamma A(w,+)^{-1} (A(w,-)' - A(w,+)' X), one more small solve; L2's
-    from _reflected. Each block takes gamma(w) first: cplane.cayley
-    refuses a point that is not finite, or w = -i, before any pairing
-    arithmetic. NaN marks a singular A(w, +) (_solve_small, _reflected)."""
+    elsewhere). One assembly for every model: B = sum_k f_k O_k and
+    B' = sum_k f_k' O_k, the factors from _cauchy (half-line) or
+    _sinh_ratio (interval) and O from _frame. Each block takes gamma(w)
+    first: cplane.cayley refuses a point that is not finite, or w = -i,
+    before any factor arithmetic. Entries that are not finite are NaN."""
     w = np.asarray(w, dtype=complex)
     if derivative and (w.imag != 0).any():
         raise DomainError("B' is evaluated on the real axis only")
+    consts, frame = _frame(model)
+    factors = _cauchy if model.halfline else _sinh_ratio
     flat, n = w.reshape(-1), model.rank
     out = np.empty((1 + derivative, flat.size, n, n), dtype=complex)
     for start in range(0, flat.size, _BLOCK):
         pts = flat[start:start + _BLOCK]
-        gamma = cayley(pts)[:, None, None]
-        if model.name == "L2":
-            out[:, start:start + _BLOCK] = _reflected(model, pts, derivative)
-            continue
-        pairs = _pairings(model, pts, derivative)
-        a = pairs[:, 0] if derivative else pairs
-        x = _solve_small(a[..., :n], a[..., n:])
-        out[0, start:start + _BLOCK] = gamma * x
-        if derivative:
-            slope = pairs[:, 1]
-            out[1, start:start + _BLOCK] = (
-                2j / (pts + 1j) ** 2)[:, None, None] * x + gamma * _solve_small(
-                    a[..., :n], slope[..., n:] - _mul_small(slope[..., :n], x))
+        gamma = cayley(pts)
+        with np.errstate(all="ignore"):
+            f = np.stack(factors(model, pts, gamma, consts, derivative))
+            block = _mul_small(f[..., None, :], frame.reshape(len(frame), -1))
+        block[~np.isfinite(block)] = np.nan
+        out[:, start:start + _BLOCK] = block.reshape(f.shape[:2] + (n, n))
     out = out.reshape(out.shape[:1] + w.shape + out.shape[2:])
     return (out[0], out[1]) if derivative else out[0]
 
@@ -270,7 +255,7 @@ def livsic_eval(model, w):
     point or an array of finite points of the closed upper half-plane
     (DomainError otherwise; real w gives the boundary continuation): an
     n x n ndarray for a point (also for n = 1), a stack of shape
-    w.shape + (n, n) for an array, NaN where A(w, +) is singular."""
+    w.shape + (n, n) for an array, NaN where a factor's denominator vanishes."""
     return _continued_b(model, _upper(w))
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -328,10 +329,10 @@ def test_atom_scan_refinement_is_bounded(monkeypatch, s0):
     # far down the K2 axis the counts were noise; splitting every failing
     # cell into 8 once grew the grid to 2e5 points and then ran out of
     # memory. No count passes 1000 points, and the scan places the double
-    # atom: at -1e12 1.4e-13 relative off s0, its rank-2 mass 2.0e-7 off
-    # the eigenfunction mass, at -1e18 3.0e-11 and 4.4e-3 (B' keeps about
-    # 1e-11 of its digits there, and the mass is H^{-1} for an H whose
-    # eigenvalues differ by a factor 1e9)
+    # atom: at -1e12 4.4e-13 relative off s0, its rank-2 mass 2.7e-11 off
+    # the eigenfunction mass, at -1e18 3.2e-11 and 6.7e-8. B' keeps its
+    # digits there (1e-15 relative), but the mass is H^{-1} for an H whose
+    # eigenvalues differ by a factor 1e9 at -1e18
     from clarkspectra import oracle
     counts = clark._cell_counts
 
@@ -345,13 +346,14 @@ def test_atom_scan_refinement_is_bounded(monkeypatch, s0):
     locs, masses = clark.atom_scan(b, alpha, (2.0 * s0, 0.5))
     assert locs == pytest.approx([s0], rel=1e-12 if s0 > -1e16 else 1e-10)
     ref = oracle.eigen_mass(models.k2(), alpha, locs[0])
-    bound = 5e-7 if s0 > -1e16 else 1e-2
+    bound = 5e-10 if s0 > -1e16 else 1e-6
     assert np.max(np.abs(masses[0] - ref)) <= bound * np.max(np.abs(ref))
 
 
 def test_atom_scan_double_k2_atoms_are_found():
-    # a double atom is one atom with a rank-2 mass, to 1e-9 of the
-    # eigenfunction mass down to -1e8 (where the scan refused before)
+    # a double atom is one atom with a rank-2 mass, to 1e-11 of the
+    # eigenfunction mass down to -1e8 (where the scan refused before;
+    # 9.9e-13 there)
     from clarkspectra import oracle
     b = livsic.livsic_function(models.k2())
     for s0 in (-0.5, -30.0, -1e3, -1e8):
@@ -360,18 +362,33 @@ def test_atom_scan_double_k2_atoms_are_found():
         assert locs == pytest.approx([s0], rel=1e-12)
         assert np.all(np.linalg.eigvalsh(masses[0]) > 0.0)
         ref = oracle.eigen_mass(models.k2(), alpha, locs[0])
-        assert np.max(np.abs(masses[0] - ref)) <= 1e-9 * np.max(np.abs(ref))
+        assert np.max(np.abs(masses[0] - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
-def test_far_k1_robin_atom():
-    # the Robin atom at -sigma^2 = -1e12 of sigma = 1e6, far down the
-    # half-line, with its eigenfunction mass
+def test_double_k2_atom_on_a_scan_grid_point():
+    # a double atom on a point -10^(k/16) of the geometric grid splits
+    # across two cells; Newton steps on the fast eigenphase, not on the
+    # slow, ill-conditioned one, and places it to 1e-12
+    b = livsic.livsic_function(models.k2())
+    for k in range(-16, 192, 3):
+        s0 = -10.0 ** (k / 16)
+        locs, _ = clark.atom_scan(b, _double_k2_coupling(s0), (2.0 * s0, 0.5))
+        assert locs == pytest.approx([s0], rel=1e-12), k
+
+
+@pytest.mark.parametrize("sigma", [1e6, 1e15, 1e39, 1e60])
+def test_far_k1_robin_atom(sigma):
+    # the Robin atom at -sigma^2 of sigma, far down the half-line, with
+    # its eigenfunction mass, also where (1 + s^2)^2 overflows
+    # (|s| > 1.3e77), with no warning
     from clarkspectra import oracle
-    alpha = [[extensions.alpha_from_bc_k1(1e6, 1.0)]]
-    locs, masses = clark.atom_scan(livsic.livsic_function(models.k1()), alpha,
-                                   (-2e12, 0.5))
-    assert locs == pytest.approx([-1e12], rel=1e-12)
-    ref = oracle.eigen_mass(models.k1(), alpha, -1e12)[0, 0].real
+    alpha = [[extensions.alpha_from_bc_k1(sigma, 1.0)]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        locs, masses = clark.atom_scan(livsic.livsic_function(models.k1()),
+                                       alpha, (-2.0 * sigma ** 2, 0.5))
+    assert locs == pytest.approx([-sigma ** 2], rel=1e-12)
+    ref = oracle.eigen_mass(models.k1(), alpha, -sigma ** 2)[0, 0].real
     assert abs(masses[0, 0, 0].real - ref) <= 1e-12 * ref
 
 

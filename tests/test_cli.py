@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -595,16 +596,25 @@ def test_error_exit_codes(capsys):
     assert code == 1 and "DomainError" in err
 
 
-def test_error_messages_print_plain_numbers(capsys):
+def test_error_messages_print_plain_numbers(capsys, monkeypatch):
     # K1's B is 1 to rounding far out, where alpha = 1 makes the density
-    # undefined, and L1's pairing matrix is singular to rounding at
-    # s = 1e15; each refusal names the point as a Python number, not as a
-    # NumPy repr
+    # undefined, and a B that is NaN at s = 1e15 is refused; each refusal
+    # names the point as a Python number, not as a NumPy repr. L1's B
+    # itself is unitary there (a ratio of sinh, no pairing solve)
     code, _, err = run_cli(capsys, [
         "density", "--model", "k1", "--alpha", "1", "--grid", "1e100:1e101:2"])
     assert code == 1 and "s = 1e+100" in err and "np." not in err
-    code, _, err = run_cli(capsys, [
-        "livsic", "--model", "l1", "--grid", "1e15:2e15:2", "--im", "0"])
+    argv = ["livsic", "--model", "l1", "--grid", "1e15:2e15:2", "--im", "0",
+            "--format", "json"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and err == ""
+    assert np.max(np.abs(np.array(json.loads(out)["sigma_max"]) - 1.0)) <= 1e-14
+    b = livsic.livsic_function(models.l1(1.0))
+    nan_first = lambda w, derivative=False: np.where(
+        np.asarray(w)[:, None, None] == 1e15, np.nan, b.fn(w))
+    monkeypatch.setattr(livsic, "livsic_function",
+                        lambda model: dataclasses.replace(b, fn=nan_first))
+    code, _, err = run_cli(capsys, argv)
     assert code == 1 and "w = (1000000000000000+0j)" in err and "np." not in err
 
 

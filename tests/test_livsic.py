@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clarkspectra import checks, extensions, livsic, models, oracle
-from clarkspectra.cplane import cayley, principal_power, random_unitary
+from clarkspectra.cplane import cayley, random_unitary
 from clarkspectra.errors import DimensionError, DomainError, NonUnitaryError
 
 ALL_MODELS = [models.k1(), models.k2(), models.l1(1.0), models.l2(1.0)]
@@ -19,29 +19,17 @@ upper_w = st.builds(complex,
                     st.floats(min_value=0.02, max_value=6.0, allow_nan=False))
 
 
-def test_pairings_closed_values_rank_one_halfline():
-    # the pairings of exp(i sqrt(w) x) with both defect basis elements,
-    # with the row scale 1 + |sqrt(w)|
-    m = models.k1()
-    pref = 2.0 ** 0.25 * 1j
-    for w in (0.5 + 0.3j, 1j, -2.0 + 1.5j, 3.0 + 0.0j):
-        sq = principal_power(w, 0.5)
-        (a_plus, a_minus), = livsic._pairings(m, w) / (1.0 + abs(sq))
-        assert a_plus == pytest.approx(pref / (sq - cmath.exp(-1j * math.pi / 4)))
-        assert a_minus == pytest.approx(pref / (sq + cmath.exp(1j * math.pi / 4)))
-
-
-def test_pairings_closed_values_rank_one_interval():
-    a = 1.3
-    m = models.l1(a)
-    for w in (0.5 + 0.3j, 2.0 + 0.0j):
-        # pairing of exp(-iwx) against exp(x)/sqrt(sinh 2a) and exp(-x)/sqrt(sinh 2a),
-        # with the row scale exp(-|Re(-iw)| a) = exp(-a Im w)
-        pairs = livsic._pairings(m, w)[0]
-        for got, rate in zip(pairs, (1.0, -1.0)):
-            z = -1j * w + rate  # rate of the product before conjugation
-            ref = 2.0 * cmath.sinh(z * a) / z / math.sqrt(math.sinh(2 * a))
-            assert got == pytest.approx(ref * math.exp(-a * w.imag))
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+def test_b_is_the_pairing_solve(model):
+    # B = sum_k f_k O_k is gamma A(w, +)^{-1} A(w, -), A(w, +-) the closed
+    # pairings of the raw exponentials at w (Model.inner) times the
+    # coefficients of both defect bases, on and off the axis
+    n = model.rank
+    coeffs, rates = checks._defect_bases(model)
+    for w in (0.7 + 0.4j, 1j, 1e-3 + 2j, -4.0 + 0.2j, -2.5, -0.3, 1.5, 6.0):
+        pairs = model.inner(model.raw_rates(w)[:, None], rates) @ coeffs.conj().T
+        want = cayley(w) * np.linalg.solve(pairs[:, :n], pairs[:, n:])
+        assert np.max(np.abs(livsic.livsic_eval(model, w) - want)) <= 1e-13, w
 
 
 def test_l2_unitary_far_down_the_negative_axis():
@@ -154,9 +142,9 @@ def test_l2_vanishing_pairing_is_nan(monkeypatch):
     # where the even pairing with the basis at +i vanishes, A(w, +) is
     # singular: B and B' are NaN there, never inf, and nothing warns
     model = models.l2(1.0)
-    p, q, *rest = livsic._reflection(model)
-    monkeypatch.setattr(livsic, "_reflection",
-                        lambda m: (p * [0, 1], q * [0, 1], *rest))
+    (p, q, *rest), frame = livsic._frame(model)
+    monkeypatch.setattr(livsic, "_frame",
+                        lambda m: ((p * [0, 1], q * [0, 1], *rest), frame))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for out in (livsic.livsic_eval(model, [2.0, 0.5j]),
@@ -165,11 +153,10 @@ def test_l2_vanishing_pairing_is_nan(monkeypatch):
 
 
 def test_k2_unitary_on_the_whole_negative_axis():
-    # the divided difference of (rho_j - 1) times the K2 rows keeps them
-    # apart where the two rates meet (s -> 0) and of size 1 where they grow:
-    # B is unitary from -1e-70 to -1e300, where it lost digits near 0 and
-    # was NaN beyond -1e20
-    s = -np.logspace(-70.0, 300.0, 75)
+    # K2's factors are products of ratios (rho_j + c(+)_m)/(rho_j + c(-)_l),
+    # of size 1 where the two rates meet (s -> 0) and where they grow: B is
+    # unitary from -1e-300 to -1e300
+    s = -np.logspace(-300.0, 300.0, 121)
     b = livsic.livsic_eval(models.k2(), s)
     defect = np.swapaxes(b, -1, -2).conj() @ b - np.eye(2)
     assert np.max(np.abs(defect)) <= 1e-14
@@ -231,6 +218,15 @@ def test_b_derivative_matches_a_central_difference(model, s):
         h = 1e-3 / (1.0 + math.sqrt(abs(s)))
     _, slope = livsic.livsic_function(model)(s, derivative=True)
     ref = _central_difference(model, s, h)
+    assert np.max(np.abs(slope - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("s", [-1e8, -1e12, -1e16])
+def test_k2_derivative_far_down_the_axis(s):
+    # K2's B' far out, where it once kept 11 digits: the five-point stencil
+    # with a step of 1e-3 |s| reads it to about 1e-9 of its size
+    _, slope = livsic.livsic_function(models.k2())(s, derivative=True)
+    ref = _central_difference(models.k2(), s, 1e-3 * abs(s))
     assert np.max(np.abs(slope - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
@@ -296,6 +292,22 @@ def test_small_eigenvalues_nan_and_guard():
     assert got[0, 0] == 2.0 - 1.0j and np.isnan(got[1, 0])
     with pytest.raises(DimensionError):
         livsic._eigenvalues_small(np.eye(3))
+
+
+def test_small_solve_singularity_is_relative():
+    # a matrix is singular relative to its own scale: 1e-8 I and 1e8 I
+    # solve, rank-1 matrices of any scale, the zero matrix and NaN give NaN
+    rhs = np.array([[1.0, 2.0j], [3.0, -1.0]])
+    for size in (1e-8, 1e8):
+        got = livsic._solve_small(size * np.stack([np.eye(2)] * 3), rhs)
+        assert np.max(np.abs(got * size - rhs)) <= 1e-15 * np.max(np.abs(rhs))
+    rank_one = np.outer([1.0, 2.0j], [3.0, -1.0 + 1.0j])
+    for size in (1e-100, 1e-8, 1.0, 1e8, 1e100):
+        assert np.all(np.isnan(livsic._solve_small(size * rank_one, rhs)))
+    bad = np.array([np.zeros((2, 2)), [[np.nan, 0.0], [0.0, 1.0]]])
+    assert np.all(np.isnan(livsic._solve_small(bad, rhs)))
+    got = livsic._solve_small(np.array([[[0.5 ** 900]], [[0.0]]]), np.ones((1, 1)))
+    assert got[0, 0, 0] == 2.0 ** 900 and np.isnan(got[1, 0, 0])
 
 
 _entry = st.builds(complex,

@@ -223,8 +223,8 @@ def test_b_derivative_matches_a_central_difference(model, s):
 
 @pytest.mark.parametrize("s", [-1e8, -1e12, -1e16])
 def test_k2_derivative_far_down_the_axis(s):
-    # K2's B' far out, where it once kept 11 digits: the five-point stencil
-    # with a step of 1e-3 |s| reads it to about 1e-9 of its size
+    # K2's B' far out, one fraction per rate: the five-point stencil with a
+    # step of 1e-3 |s| reads it to about 1e-9 of its size
     _, slope = livsic.livsic_function(models.k2())(s, derivative=True)
     ref = _central_difference(models.k2(), s, 1e-3 * abs(s))
     assert np.max(np.abs(slope - ref)) <= 1e-8 * np.max(np.abs(ref))

@@ -74,7 +74,7 @@ def counted(b):
 
     def fn(w, derivative=False):
         sizes.append(np.size(w))
-        return b.fn(w, derivative)
+        return b(w, derivative)
 
     return replace(b, fn=fn), sizes
 

@@ -211,12 +211,12 @@ def _scan_grid(lo, hi, h, edge):
     cells of width at most h when edge is infinite, else the points
     edge - 10^(k/_DECADE) down to _EDGE_GAP from it. Empty when the window
     lies above edge. DomainError before any allocation for more than
-    MAX_SCAN_POINTS points."""
+    MAX_SCAN_POINTS points, also for a cell width h that is not positive."""
     top = min(hi, edge - _EDGE_GAP)
     if not lo < top:
         return np.empty(0)
     if math.isinf(edge):
-        cells = (top - lo) / h
+        cells = (top - lo) / h if h > 0 else math.inf
         if not cells <= MAX_SCAN_POINTS - 1:
             raise DomainError(f"scan of ({lo!r}, {hi!r}) exceeds the limit of "
                               f"{MAX_SCAN_POINTS} grid points")

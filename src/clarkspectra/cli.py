@@ -108,14 +108,22 @@ def _parse_alpha(text, rank):
     return mat
 
 
-def _parse_grid(text):
-    parts = str(text).split(":")
-    if len(parts) != 3:
-        raise _ConfigError("grid must be start:stop:count")
+def _fields(text, sep, kinds, what, form):
+    """text split at sep, each field converted by its kind; _ConfigError
+    "<what> must be <form>" for another number of fields and "cannot
+    parse <what>" for a field its kind refuses."""
+    parts = str(text).split(sep)
+    if len(parts) != len(kinds):
+        raise _ConfigError(f"{what} must be {form}")
     try:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        return [kind(part) for kind, part in zip(kinds, parts)]
     except ValueError as exc:
-        raise _ConfigError(f"cannot parse grid {text!r}") from exc
+        raise _ConfigError(f"cannot parse {what} {text!r}") from exc
+
+
+def _parse_grid(text):
+    start, stop, count = _fields(text, ":", (float, float, int), "grid",
+                                 "start:stop:count")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise _ConfigError(f"grid endpoints must be finite, got {text!r}")
     if count < 1:
@@ -127,26 +135,14 @@ def _parse_grid(text):
 
 
 def _parse_window(text):
-    parts = str(text).split(":")
-    if len(parts) != 2:
-        raise _ConfigError("window must be lo:hi")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise _ConfigError(f"cannot parse window {text!r}") from exc
+    lo, hi = _fields(text, ":", (float, float), "window", "lo:hi")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise _ConfigError("window needs finite lo < hi")
     return lo, hi
 
 
 def _parse_n_range(text):
-    parts = str(text).split("..")
-    if len(parts) != 2:
-        raise _ConfigError("index range must be lo..hi")
-    try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise _ConfigError(f"cannot parse index range {text!r}") from exc
+    lo, hi = _fields(text, "..", (int, int), "index range", "lo..hi")
     if not 0 <= hi - lo < clark.MAX_SCAN_POINTS:
         raise _ConfigError("index range needs lo <= hi and at most "
                            f"{clark.MAX_SCAN_POINTS} indices")
@@ -414,9 +410,7 @@ def build_parser():
     bc = sub.add_parser("bcmap",
                         help="translate boundary conditions to couplings "
                              "and back")
-    bc.add_argument("--model", required=True,
-                    choices=["k1", "k2", "l1", "l2"])
-    bc.add_argument("--a", type=_finite_float, default=1.0)
+    add_model(bc, need_alpha=False)
     bc.add_argument("--alpha", help="coupling to convert to a boundary "
                                     "condition")
     bc.add_argument("--b", help="k1 value coefficient")

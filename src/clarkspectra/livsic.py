@@ -6,8 +6,8 @@ For a model of deficiency rank n the characteristic function is
 
 where A(w, sign)[j, k] pairs the raw defect functions at w against the
 orthonormalized defect basis at sign * i. B is an n x n Schur-class function
-on the upper half-plane with B(i) = 0; real w means the continuation from
-above, which goes on across the axis off the model's cut.
+on the upper half-plane with B(i) = 0, evaluated on the closed upper
+half-plane only; real w means the boundary value from above.
 
 Every model's B is a short sum B = sum_k f_k(w) O_k of scalar factors
 times constant matrices (_frame): one assembly on an array of points in
@@ -16,10 +16,10 @@ real axis. On the half-line A(w, +-) are Cauchy matrices times constants,
 and their ratio is diagonal times Lagrange times diagonal (_cauchy), so
 f_k -> 1 far out and B_inf = sum_k O_k in closed form; on the interval
 f_k are ratios of sinh rows, L2's split into even and odd ones by the
-reflection x -> -x (_sinh_ratio). A point that is not finite, or w = -i,
-raises DomainError; NaN, never inf, marks a vanishing denominator of a
-factor, which on the closed upper half-plane only L2's even or odd
-pairing at +i can be.
+reflection x -> -x (_sinh_ratio). _continued_b is the one entry: a point
+below the axis, a point that is not finite, or w = -i raises DomainError
+there; NaN, never inf, marks a vanishing denominator of a factor, which
+on the closed upper half-plane only L2's even or odd pairing at +i can be.
 
 The 1 x 1 and 2 x 2 kernels on stacks are broadcast arithmetic, not calls
 into LAPACK: _mul_small, _solve_small (with its singularity test) and
@@ -57,9 +57,10 @@ class SchurFunction:
     the boundary value from above. DomainError for Im w < 0, a point that
     is not finite, w = -i, or B' off the axis; NaN, never inf, marks a
     vanishing denominator of B's factors (on L2 a vanishing even or odd
-    pairing). fn(w, derivative=False) is the evaluation behind the call.
-    The measure has no absolutely continuous part on s <= ac_edge;
-    scan_step is Model.scan_step."""
+    pairing). The call is fn(w, derivative), and fn enforces all of this:
+    livsic_function's fn is _continued_b, conjugated_schur's calls the B
+    it wraps. The measure has no absolutely continuous part on
+    s <= ac_edge; scan_step is Model.scan_step."""
 
     n: int
     fn: object
@@ -67,15 +68,7 @@ class SchurFunction:
     scan_step: float
 
     def __call__(self, w, derivative=False):
-        return self.fn(_upper(w), derivative)
-
-
-def _upper(w):
-    w = np.asarray(w, dtype=complex)
-    if (w.imag < 0).any():
-        raise DomainError("characteristic function is defined on the closed "
-                          "upper half-plane")
-    return w
+        return self.fn(w, derivative)
 
 
 @lru_cache(maxsize=64)
@@ -223,15 +216,20 @@ _BLOCK = 512
 
 
 def _continued_b(model, w, derivative=False):
-    """B(w) = gamma(w) A(w,+)^{-1} A(w,-) on the continuation (any w off
-    the model's cut), for a point or an array of points; shape
-    w.shape + (n, n). With derivative, (B, B') at real w (DomainError
-    elsewhere). One assembly for every model: B = sum_k f_k O_k and
+    """B(w) = gamma(w) A(w,+)^{-1} A(w,-) on the closed upper half-plane,
+    for a point or an array of points; shape w.shape + (n, n). With
+    derivative, (B, B') at real w. The one entry to B, and the one place
+    its domain is enforced: DomainError for a point with Im w < 0, then
+    for B' off the axis, and, as each block takes gamma(w) first, from
+    cplane.cayley for a point that is not finite, before any factor
+    arithmetic. One assembly for every model: B = sum_k f_k O_k and
     B' = sum_k f_k' O_k, the factors from _cauchy (half-line) or
-    _sinh_ratio (interval) and O from _frame. Each block takes gamma(w)
-    first: cplane.cayley refuses a point that is not finite, or w = -i,
-    before any factor arithmetic. Entries that are not finite are NaN."""
+    _sinh_ratio (interval) and O from _frame. Entries that are not finite
+    are NaN."""
     w = np.asarray(w, dtype=complex)
+    if (w.imag < 0).any():
+        raise DomainError("characteristic function is defined on the closed "
+                          "upper half-plane")
     if derivative and (w.imag != 0).any():
         raise DomainError("B' is evaluated on the real axis only")
     consts, frame = _frame(model)
@@ -252,11 +250,11 @@ def _continued_b(model, w, derivative=False):
 
 def livsic_eval(model, w):
     """Characteristic function B(w) = gamma(w) A(w,+)^{-1} A(w,-) at a
-    point or an array of finite points of the closed upper half-plane
-    (DomainError otherwise; real w gives the boundary continuation): an
-    n x n ndarray for a point (also for n = 1), a stack of shape
+    point or an array of finite points of the closed upper half-plane, by
+    _continued_b (DomainError otherwise; real w gives the boundary value):
+    an n x n ndarray for a point (also for n = 1), a stack of shape
     w.shape + (n, n) for an array, NaN where a factor's denominator vanishes."""
-    return _continued_b(model, _upper(w))
+    return _continued_b(model, w)
 
 
 def livsic_function(model):
@@ -273,7 +271,7 @@ def conjugated_schur(b, r, q):
     r, q = (check_unitary(m, b.n, "conjugating matrix") for m in (r, q))
 
     def fn(w, derivative=False):
-        out = b.fn(w, derivative)
+        out = b(w, derivative)
         return tuple(r @ m @ q for m in out) if derivative else r @ out @ q
 
     return replace(b, fn=fn)

@@ -7,10 +7,10 @@ L models live on the symmetric interval (-a, a):
     L1: i d/dx, rank 1
     L2: -d^2/dx^2, rank 2
 
-Each model knows its square-integrable characteristic rates (with the upper
-continuation onto the real axis; below the axis the decaying branch, which
-is also the continuation of the upper one off the model's cut) and its
-closed-form inner product, which is all the generic machinery needs; both
+Each model is its row of _ROWS and its interval length. The row gives its
+square-integrable characteristic rates, on the closed upper half-plane and
+on the decaying branch that defect_onb takes at -i, and with the
+closed-form inner product that is all the generic machinery needs; both
 take arrays of points. On top of that this module carries the rank-one
 closed-form characteristic functions and densities and the L1 atom lattice
 and weights, used as independent cross-checks of the generic pipeline.
@@ -42,21 +42,32 @@ __all__ = [
 ]
 
 
+# name -> (rank, order, halfline, upper, lower): the rates are w^(1/order)
+# times upper on the closed upper half-plane, times lower below the axis
+_ROWS = {"K1": (1, 2, True, [1j], [-1j]),
+         "K2": (2, 4, True, [1j, -1.0], [-1.0, -1j]),
+         "L1": (1, 1, False, [-1j], [-1j]),
+         "L2": (2, 2, False, [-1j, 1j], [-1j, 1j])}
+
+
 @dataclass(frozen=True)
 class Model:
-    """A concrete symmetric differential model with equal deficiency indices.
-
-    rank is the deficiency index n, order the order of the differential
-    expression; a the interval half-length (None on the half-line).
+    """A concrete symmetric differential model with equal deficiency indices:
+    a name with a row in _ROWS (DomainError otherwise) and the interval
+    half-length a (None on the half-line). rank is the deficiency index n,
+    order the order of the differential expression, both from the row.
     """
 
     name: str
-    rank: int
-    order: int
-    halfline: bool
     a: float = None
 
+    rank = property(lambda self: _ROWS[self.name][0])
+    order = property(lambda self: _ROWS[self.name][1])
+    halfline = property(lambda self: _ROWS[self.name][2])
+
     def __post_init__(self):
+        if self.name not in _ROWS:
+            raise DomainError(f"unknown model {self.name!r}")
         if not self.halfline and not (self.a is not None and self.a > 0
                                       and math.isfinite(self.a)):
             raise DomainError(
@@ -64,35 +75,19 @@ class Model:
 
     def raw_rates(self, w):
         """Square-integrable characteristic exponents of the defect space at
-        w, a scalar or an array; shape w.shape + (rank,).
-
-        On the closed upper half-plane these are the upper branch (real w
-        gives the limits from above, the continuation every boundary
-        evaluation uses); below the axis, the branch that decays there,
-        which spans the defect space at w. That lower branch is also the
-        analytic continuation of the upper one across (-inf, 0): on K1,
-        -i sqrt(w) = i (e^{i pi/2} sqrt(-w)) for Im w < 0, and K2's pair
-        (-w^{1/4}, -i w^{1/4}) is (i, -1) times e^{i pi/4} (-w)^{1/4} in the
-        same order. So B built from these rates is continuous across the
-        negative axis, with the K models' cut on [0, inf). The L rates are
-        entire; L2's two rates swap across the negative axis, which leaves
-        B unchanged, since B does not depend on their order.
+        w, a scalar or an array; shape w.shape + (rank,): w^(1/order) times
+        the row's multipliers. On the closed upper half-plane the upper
+        branch (real w gives the limits from above, which every boundary
+        evaluation uses); below the axis the decaying branch, taken at -i
+        by defect_onb. The L rates are entire, one branch on both sides.
         """
         w = np.asarray(w, dtype=complex)
-        if self.name == "L1":
-            return (-1j * w)[..., None]
-        if self.name == "L2":
-            root = principal_power(w, 0.5)
-            return np.stack([-1j * root, 1j * root], axis=-1)
-        if self.name not in ("K1", "K2"):
-            raise DomainError(f"unknown model {self.name!r}")
-        root = principal_power(w, 1.0 / self.order)[..., None]
-        upper = 1j * root if self.name == "K1" else root * [1j, -1.0]
-        lower = (w.imag < 0)[..., None]
-        if not lower.any():
-            return upper
-        return np.where(lower, -1j * root if self.name == "K1"
-                        else root * [-1.0, -1j], upper)
+        _, order, _, upper, lower = _ROWS[self.name]
+        root = principal_power(w, 1.0 / order)[..., None]
+        below = (w.imag < 0)[..., None]
+        if not below.any():
+            return root * upper
+        return np.where(below, root * lower, root * upper)
 
     @property
     def scan_step(self):
@@ -108,7 +103,10 @@ class Model:
             return math.inf
         step = math.pi / (8.0 * self.a)
         if self.name == "L2":
-            step = min(step, math.pi ** 2 / (12.0 * self.a ** 2), 0.5)
+            # a * a, as a ** 2 raises on overflow: an overflow makes the
+            # bound 0, which the scan refuses, an underflow leaves it out
+            square = 12.0 * (self.a * self.a)
+            step = min(step, math.pi ** 2 / square if square else math.inf, 0.5)
         return step
 
     def inner(self, mu, nu):
@@ -120,19 +118,19 @@ class Model:
 
 
 def k1():
-    return Model("K1", rank=1, order=2, halfline=True)
+    return Model("K1")
 
 
 def k2():
-    return Model("K2", rank=2, order=4, halfline=True)
+    return Model("K2")
 
 
 def l1(a):
-    return Model("L1", rank=1, order=1, halfline=False, a=float(a))
+    return Model("L1", float(a))
 
 
 def l2(a):
-    return Model("L2", rank=2, order=2, halfline=False, a=float(a))
+    return Model("L2", float(a))
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +216,8 @@ def l1_atoms(alpha, a, n_range):
     is the degenerate case arctan(inf), handled as s_0 = pi/(2a) whenever
     tan(theta/2) underflows to zero; alpha = -1 gives s_0 = 0. A residual
     check of the atom equation at s_0 guards the computed base point.
+    DomainError where the spacing pi/a, the length 2a or a lattice point is
+    not a finite float.
     """
     alpha = complex(check_unitary(alpha, 1, "coupling")[0, 0])
     a = float(a)
@@ -231,12 +231,15 @@ def l1_atoms(alpha, a, n_range):
         s0 = math.pi / (2 * a)
     else:
         s0 = math.atan(-math.tanh(a) / half_tan) / a
+    lo, hi = n_range
+    locs = sorted(s0 + n * math.pi / a for n in range(int(lo), int(hi) + 1))
+    if not all(map(math.isfinite, (math.pi / a, 2.0 * a, *locs))):
+        raise DomainError(f"L1 atom lattice is out of float range at a = {a!r}")
     resid = abs(l1_livsic(s0, a) * alpha.conjugate() - 1.0)
     if resid > 1e-6:
         raise ToleranceError(
             f"atom equation residual {resid:.3e} at base point s_0 = {s0!r}")
-    lo, hi = n_range
-    return sorted(s0 + n * math.pi / a for n in range(int(lo), int(hi) + 1))
+    return locs
 
 
 def l1_weight(alpha, a, s):

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -687,6 +688,40 @@ def test_bcmap_on_very_long_intervals_is_a_typed_refusal(capsys):
         "bcmap", "--model", "l2", "--a", "400", "--alpha", "[[0,1],[1,0]]"])
     assert code == 0 and err == ""
     assert json.loads(out)["unitarity_residual"] <= 1e-12
+
+
+_L2_ARGS = {"density": ["--alpha=[[1,0],[0,1]]", "--grid=-1:1:3"],
+            "livsic": ["--grid=-1:1:3"],
+            "atoms": ["--alpha=[[1,0],[0,1]]", "--window=-1:1"]}
+
+
+@pytest.mark.parametrize("command,model,a,error", [
+    *[(cmd, "l2", a, None if cmd == "density" else "RankError")
+      for a in ("1e-300", "1e-170") for cmd in _L2_ARGS],
+    *[(cmd, "l2", a, None if cmd == "density" else "DomainError")
+      for a in ("1e155", "1e200", "1e300") for cmd in _L2_ARGS],
+    *[("atoms", "l1", a, "DomainError") for a in ("1e-309", "2e-308", "1e308")],
+])
+def test_extreme_interval_lengths_are_typed_refusals(capsys, command, model,
+                                                     a, error):
+    # L2 far from a = 1: the degenerate or overflowing defect basis and an
+    # atom scan step that underflows to 0 are refused by type, and the
+    # density, zero off the half-line, needs no B; the L1 lattice route
+    # refuses a lattice out of float range before any arithmetic warns
+    args = (_L2_ARGS[command] if model == "l2"
+            else ["--alpha", "1", "--n-range=0..2"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, [command, "--model", model, "--a", a,
+                                          *args])
+    if error is None:
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 3 and all(float(t) == 0.0
+                                      for row in rows for t in row[1:])
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
 
 
 def test_import_leaves_scipy_unloaded():

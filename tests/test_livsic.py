@@ -63,14 +63,17 @@ def test_livsic_rejects_lower_half_plane(model):
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
 def test_points_b_cannot_take_are_refused(model):
-    # a point that is not finite, or the pole -i of gamma, raises where it
-    # enters, before any pairing arithmetic can warn; NaN is left to mean
-    # a singular pairing matrix only
+    # a point below the axis, a point that is not finite, or the pole -i of
+    # gamma raises where it enters, before any pairing arithmetic can warn,
+    # on every path to B; NaN is left to mean a singular pairing matrix only
     b = livsic.livsic_function(model)
+    eye = np.eye(model.rank)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for w in (math.inf, math.nan, complex(0.0, math.inf), [1.0, math.inf]):
-            for evaluate in (b.fn, b, partial(livsic.livsic_eval, model)):
+        for w in (math.inf, math.nan, complex(0.0, math.inf), [1.0, math.inf],
+                  0.5 - 1e-9j):
+            for evaluate in (b.fn, b, partial(livsic.livsic_eval, model),
+                             livsic.conjugated_schur(b, eye, eye)):
                 with pytest.raises(DomainError):
                     evaluate(w)
         with pytest.raises(DomainError):
@@ -351,24 +354,14 @@ def test_small_product_matches_matmul(pair):
                   * scale[~nan])
 
 
-def test_continuation_below_the_axis():
-    # B built from raw_rates continues across the real axis off the cut: it
-    # is continuous across the negative axis (on K from its decaying branch
-    # below, on L from the entire rates), and unitary on the axis away from
-    # the essential spectrum
+def test_unitary_on_the_axis_off_the_cut():
+    # B is unitary on the real axis away from the essential spectrum; below
+    # the axis it is not evaluated (test_points_b_cannot_take_are_refused)
     for model in ALL_MODELS:
         b = livsic.livsic_function(model)
         for s in (-0.3, -1.7, -12.0):
-            above, below = b.fn(np.array([s + 1e-9j, s - 1e-9j]))
-            assert np.max(np.abs(above - below)) < 1e-7
-            on = b.fn(s)
+            on = b(s)
             assert np.max(np.abs(on.conj().T @ on - np.eye(model.rank))) < 1e-12
-    # the K1 continuation is the closed form's: B(w) = (w - sqrt(2w) + 1)/(w + i)
-    # with the root continued across the negative axis
-    w = -2.0 - 0.4j
-    root = 1j * np.sqrt(-2.0 * w)
-    closed = (w - root + 1) / (w + 1j)
-    assert livsic.livsic_function(models.k1()).fn(w)[0, 0] == pytest.approx(closed)
 
 
 @given(upper_w)

@@ -1,6 +1,6 @@
 import cmath
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,11 +16,16 @@ lengths = st.floats(min_value=0.2, max_value=2.5, allow_nan=False)
 
 
 def test_model_factories_and_hashability():
-    m = models.k2()
-    assert (m.rank, m.order, m.halfline) == (2, 4, True)
-    assert (models.k1().rank, models.k1().order) == (1, 2)
-    assert (models.l1(1.0).rank, models.l1(1.0).order) == (1, 1)
-    assert (models.l2(1.0).rank, models.l2(1.0).order) == (2, 2)
+    # a model is its name and a: rank, order and halfline come from the
+    # name's row, so a model cannot contradict them, and a name without a
+    # row is refused
+    assert [f.name for f in fields(models.Model)] == ["name", "a"]
+    pinned = {models.k1(): (1, 2, True), models.k2(): (2, 4, True),
+              models.l1(1.0): (1, 1, False), models.l2(1.0): (2, 2, False)}
+    for model, row in pinned.items():
+        assert (model.rank, model.order, model.halfline) == row
+    with pytest.raises(DomainError, match="unknown model 'K3'"):
+        models.Model("K3")
     assert models.l1(1.0) == models.l1(1.0)
     assert hash(models.l2(0.5)) == hash(models.l2(0.5))
     with pytest.raises(DomainError):

@@ -18,7 +18,7 @@ from clarkspectra import checks, clark, cli, extensions, livsic, models, oracle
 
 class CountingB:
     """A model's SchurFunction that counts its calls and the points they
-    carry, through the public callable and through the continuation fn."""
+    carry."""
 
     def __init__(self, model):
         self.b = livsic.livsic_function(model)
@@ -29,18 +29,11 @@ class CountingB:
         self.points = 0
         self.sizes = []
 
-    def _count(self, w):
+    def __call__(self, w, derivative=False):
         self.calls += 1
         self.points += np.size(w)
         self.sizes.append(np.size(w))
-
-    def __call__(self, w, derivative=False):
-        self._count(w)
         return self.b(w, derivative)
-
-    def fn(self, w, derivative=False):
-        self._count(w)
-        return self.b.fn(w, derivative)
 
 
 def test_density_evaluation_counts():

@@ -28,6 +28,10 @@ The atom scan counts the atoms in each cell of a grid exactly from B at its
 two ends, since the eigenphases of the unitary B(s) alpha* increase with s
 (matrix Herglotz functions: Gesztesy and Tsekanovskii, Math. Nachr. 218,
 2000), and Newton steps on the eigenphases place them.
+
+The 1 x 1 and 2 x 2 kernels _mul_small, _solve_small (whose singularity
+test ac_density's refusal rests on) and _eigenvalues_small are broadcast
+arithmetic on stacks, not calls into LAPACK.
 """
 
 from __future__ import annotations
@@ -37,9 +41,8 @@ import math
 import numpy as np
 
 from .cplane import check_unitary
-from .errors import ConvergenceError, DomainError, SingularError
-from .livsic import (_eigenvalues_small, _mul_small, _solve_small,
-                     conjugated_schur, transform_alpha)
+from .errors import ConvergenceError, DimensionError, DomainError, SingularError
+from .livsic import conjugated_schur, transform_alpha
 
 __all__ = [
     "check_alpha",
@@ -68,6 +71,64 @@ def _hermitize(m):
     return 0.5 * (m + np.swapaxes(m, -1, -2).conj())
 
 
+def _mul_small(a, b):
+    """a @ b for stacks of n x n matrices, as n broadcast products of a
+    column of a and a row of b: one pass over the stack per term where
+    np.matmul loops once per matrix. Meant for n in {1, 2}; leading axes
+    broadcast."""
+    out = a[..., :, 0:1] * b[..., 0:1, :]
+    for k in range(1, a.shape[-1]):
+        out += a[..., :, k:k + 1] * b[..., k:k + 1, :]
+    return out
+
+
+# adj(a) = swap(a reversed in both axes) * _ADJ_SIGN for 2 x 2 a
+_ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _solve_small(a, b):
+    """a^{-1} b for stacks of n x n matrices, n in {1, 2}, via explicit
+    formulas, keeping the singularity test independent of LAPACK
+    behaviour: a matrix with |det| <= 1e-14 (max |a_ij|)^n counts as
+    singular (the zero matrix and NaN included), and its result is NaN.
+    Leading axes broadcast."""
+    n = a.shape[-1]
+    if n > 2:
+        raise DimensionError(f"explicit solve covers n = 1, 2, got n = {n}")
+    det = a[..., 0, 0] if n == 1 else (a[..., 0, 0] * a[..., 1, 1]
+                                        - a[..., 0, 1] * a[..., 1, 0])
+    scale = np.abs(a).max(axis=(-2, -1)) ** n
+    # "not >" so that a NaN determinant and the zero matrix count as singular
+    singular = ~(np.abs(det) > 1e-14 * scale)
+    if singular.any():
+        det = np.where(singular, 1.0, det)
+        a = np.where(singular[..., None, None], np.eye(n), a)
+    if n == 1:
+        out = b / a
+    else:
+        adj = np.swapaxes(a[..., ::-1, ::-1], -1, -2) * _ADJ_SIGN
+        out = _mul_small(adj, b) / det[..., None, None]
+    if singular.any():
+        out = np.where(singular[..., None, None], np.nan, out)
+    return out
+
+
+def _eigenvalues_small(m):
+    """Eigenvalues of stacks of n x n matrices, n in {1, 2}, without
+    LAPACK; shape m.shape[:-1]. For n = 2, (p + t)/2 +- sqrt(d) with
+    d = ((p - t)/2)^2 + q r, whose terms do not cancel for a normal matrix,
+    so both are within a few rounding units of the entries' size."""
+    n = m.shape[-1]
+    if n > 2:
+        raise DimensionError(f"explicit eigenvalues cover n = 1, 2, got n = {n}")
+    if n == 1:
+        return m[..., 0]
+    p, q, r, t = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    half, mid = 0.5 * (p - t), 0.5 * (p + t)
+    root = np.sqrt(half * half + q * r)
+    return np.stack([mid + root, mid - root], axis=-1)
+
+
 def ac_density(b, alpha, s):
     """Absolutely continuous density matrix of the (B, alpha) measure at s.
 
@@ -79,13 +140,12 @@ def ac_density(b, alpha, s):
     zero matrix. SingularError when B is NaN, or alpha - B(s) is singular
     (to rounding) at a point of the essential spectrum."""
     alpha = check_alpha(alpha, b.n)
-    n = alpha.shape[0]
     s = _points(s, "density point")
-    out = np.zeros(s.shape + (n, n), dtype=complex)
+    out = np.zeros(s.shape + alpha.shape, dtype=complex)
     on = s > b.ac_edge
     if np.any(on):
         pts = s[on]
-        bval = np.swapaxes(np.asarray(b(pts)).reshape(-1, n, n), -1, -2)
+        bval = np.swapaxes(np.asarray(b(pts)).reshape((-1,) + alpha.shape), -1, -2)
         # (alpha + B)(alpha - B)^{-1} as one solve on the transposes; NaN
         # where alpha - B is singular (an atom, not an AC point), and past
         # 2e14 where it is singular to rounding at the unit scale of alpha
@@ -198,6 +258,9 @@ MAX_SCAN_POINTS = 10 ** 6
 _DECADE = 16
 _EDGE_GAP = 1e-10
 _SPLIT = 8
+# A step of arg det(B alpha*) above -_PHASE_ROUND is rounding, not a turn
+# (far out, where B has settled to B_inf, it is +-1e-16).
+_PHASE_ROUND = 1e-12
 # Newton rounds before a cell is split; the offset (times _scale) of the
 # second point of each Newton evaluation; the largest relative change of
 # the velocity across an accepted step (not met where it vanishes)
@@ -207,24 +270,26 @@ _STEADY = 1e-4
 
 
 def _scan_grid(lo, hi, h, edge):
-    """Points of the atom scan on [lo, hi] below edge, ends included:
-    cells of width at most h when edge is infinite, else the points
-    edge - 10^(k/_DECADE) down to _EDGE_GAP from it. Empty when the window
-    lies above edge. DomainError before any allocation for more than
+    """Points of the atom scan on the window [lo, hi] below edge, reaching
+    past each end by min(h, (edge - end)/2): cells of width at most h when
+    edge is infinite, else the points edge - 10^(k/_DECADE) down to
+    _EDGE_GAP from it. Empty when the window lies above edge. DomainError,
+    naming the window and h, before any allocation for more than
     MAX_SCAN_POINTS points, also for a cell width h that is not positive."""
-    top = min(hi, edge - _EDGE_GAP)
-    if not lo < top:
+    start = lo - min(h, 0.5 * (edge - lo))
+    top = min(hi + min(h, 0.5 * (edge - hi)), edge - _EDGE_GAP)
+    if not start < top:
         return np.empty(0)
     if math.isinf(edge):
-        cells = (top - lo) / h if h > 0 else math.inf
+        cells = (top - start) / h if h > 0 else math.inf
         if not cells <= MAX_SCAN_POINTS - 1:
-            raise DomainError(f"scan of ({lo!r}, {hi!r}) exceeds the limit of "
-                              f"{MAX_SCAN_POINTS} grid points")
-        return np.linspace(lo, top, math.ceil(cells) + 1)
+            raise DomainError(f"scan of ({lo!r}, {hi!r}) in cells of width {h!r} "
+                              f"exceeds the limit of {MAX_SCAN_POINTS} grid points")
+        return np.linspace(start, top, math.ceil(cells) + 1)
     k = np.arange(math.ceil(_DECADE * math.log10(edge - top)),
-                  math.ceil(_DECADE * math.log10(edge - lo)))
+                  math.ceil(_DECADE * math.log10(edge - start)))
     inner = edge - 10.0 ** (k[::-1] / _DECADE)
-    return np.concatenate([[lo], inner[(inner > lo) & (inner < top)], [top]])
+    return np.concatenate([[start], inner[(inner > start) & (inner < top)], [top]])
 
 
 def _cell_counts(b, alpha, pts, rows):
@@ -235,8 +300,8 @@ def _cell_counts(b, alpha, pts, rows):
     ok = np.all(np.isfinite(lam), axis=-1)
     phase = np.sort(np.mod(np.angle(lam[ok]), 2.0 * np.pi), axis=-1)
     phi = np.angle(np.prod(lam[ok], axis=-1))
-    count = np.rint((np.mod(np.diff(phi), 2.0 * np.pi) - np.diff(phase.sum(axis=-1)))
-                    / (2.0 * np.pi))
+    step = np.mod(np.diff(phi) + _PHASE_ROUND, 2.0 * np.pi) - _PHASE_ROUND
+    count = np.rint((step - np.diff(phase.sum(axis=-1))) / (2.0 * np.pi))
     return pts[ok], np.where(np.diff(rows[ok]) == 0, count, 0), rows[ok], phase
 
 
@@ -302,45 +367,50 @@ def atom_scan(b, alpha, window):
 
     A cell of the grid holds (dPhi - d sum_j (theta_j mod 2 pi)) / 2 pi
     atoms, theta_j the increasing eigenphases of the unitary B(s) alpha*
-    and Phi = arg det(B alpha*), dPhi taken in [0, 2 pi) (Model.scan_step
-    keeps the true step below 2 pi on an interval; the half-line grid is
-    geometric). One call of b counts the grid of _scan_grid (its cells
-    span the points where B is not finite). Newton starts in each cell
-    that counts atoms where the crossing eigenphases, linear between its
-    ends, pass 0, and _place places and weighs the atoms of all cells at
-    once: at most 1 + _ROUNDS calls where no cell splits. A double atom of
-    a rank-2 model is one atom. A cell that fails is split into _SPLIT and
-    counted again; counts must be nonnegative and a split cell's the sum
-    of its sub-cells' (Delves and Lyness, Math. Comp. 21, 1967). The grid
-    reaches past both ends by half of min(scan_step, ac_edge - lo); atoms
-    within _OFFSET_TOL _scale of an end are inside, and of each other are
-    merged. DomainError for a window that is not finite with lo < hi, and
-    from _scan_grid; ConvergenceError for a broken count rule and a
+    and Phi = arg det(B alpha*), dPhi taken in [0, 2 pi) up to rounding
+    (Model.scan_step keeps the true step below 2 pi on an interval; the
+    half-line grid is geometric). One call of b counts the grid of
+    _scan_grid (its cells span the points where B is not finite). Newton
+    starts in each cell that counts atoms where the crossing eigenphases,
+    linear between its ends, pass 0, and _place places and weighs the atoms
+    of all cells at once: at most 1 + _ROUNDS calls where no cell splits. A
+    double atom of a rank-2 model is one atom. A cell that fails is split
+    into _SPLIT and counted again; counts must be nonnegative and a split
+    cell's the sum of its sub-cells' (Delves and Lyness, Math. Comp. 21,
+    1967). The grid reaches past each end by half of
+    min(scan_step, ac_edge - that end); atoms within _OFFSET_TOL _scale of
+    an end are inside, and of each other are merged. DomainError for a
+    window that is not finite with lo < hi, and from _scan_grid;
+    ConvergenceError naming the cell that breaks a count rule, and for a
     failing cell under _SPLIT ulps."""
     alpha = check_alpha(alpha, b.n)
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"scan window must be finite with lo < hi, got {window!r}")
-    reach = 0.5 * min(b.scan_step, b.ac_edge - lo)
-    pts = _scan_grid(lo - reach, hi + reach, 0.5 * b.scan_step, b.ac_edge)
+    pts = _scan_grid(lo, hi, 0.5 * b.scan_step, b.ac_edge)
     rows = np.zeros(pts.size, dtype=int)
-    n = alpha.shape[0]
     found, masses = [np.empty(0)], [np.empty((0,) + alpha.shape, dtype=complex)]
     want = None  # the counts of the cells split in the last round
     while pts.size:
         pts, count, rows, phase = _cell_counts(b, alpha, pts, rows)
-        if np.any(count < 0) or want is not None and not np.array_equal(
-                np.bincount(rows[:-1], count, want.size), want):
-            raise ConvergenceError(
-                f"atom counts on ({float(pts[0])!r}, {float(pts[-1])!r}): one "
-                "is negative, or a split cell's sub-cells do not add up to it")
+        if np.any(count < 0):
+            i = np.argmax(count < 0)
+            raise ConvergenceError(f"atom count on ({float(pts[i])!r}, "
+                                   f"{float(pts[i + 1])!r}) is negative")
+        if want is not None:
+            off = np.bincount(rows[:-1], count, want.size) != want
+            if off.any():  # a split cell's ends are its row's first and last points
+                on = pts[rows == np.argmax(off)]
+                raise ConvergenceError(
+                    f"atom counts of the sub-cells of ({float(on[0])!r}, "
+                    f"{float(on[-1])!r}) do not add up to its count")
         at = np.flatnonzero(count)
         if at.size == 0:
             break
         # the crossing eigenphases: the last count in phase order at the
         # left end (below 2 pi), the first count at the right (past 0)
-        k, j = np.minimum(count[at], n)[:, None], np.arange(n)
-        t0 = np.where(j >= n - k, phase[at] - 2.0 * np.pi, 0.0).sum(axis=-1)
+        k, j = np.minimum(count[at], b.n)[:, None], np.arange(b.n)
+        t0 = np.where(j >= b.n - k, phase[at] - 2.0 * np.pi, 0.0).sum(axis=-1)
         t1 = np.where(j < k, phase[at + 1], 0.0).sum(axis=-1)
         frac = np.divide(-t0, t1 - t0, out=np.zeros_like(t0), where=t1 > t0)
         half = not math.isinf(b.ac_edge)  # there linear in log(ac_edge - s)

@@ -10,20 +10,17 @@ on the upper half-plane with B(i) = 0, evaluated on the closed upper
 half-plane only; real w means the boundary value from above.
 
 Every model's B is a short sum B = sum_k f_k(w) O_k of scalar factors
-times constant matrices (_frame): one assembly on an array of points in
-blocks of _BLOCK, with B' = sum_k f_k'(w) O_k beside it on request, on the
-real axis. On the half-line A(w, +-) are Cauchy matrices times constants,
-and their ratio is diagonal times Lagrange times diagonal (_cauchy), so
-f_k -> 1 far out and B_inf = sum_k O_k in closed form; on the interval
-f_k are ratios of sinh rows, L2's split into even and odd ones by the
-reflection x -> -x (_sinh_ratio). _continued_b is the one entry: a point
+times constant matrices (_frame): one matrix product of the factor stack
+and O per block of _BLOCK points, with B' = sum_k f_k'(w) O_k beside it on
+request, on the real axis. On the half-line A(w, +-) are Cauchy matrices
+times constants, and their ratio is diagonal times Lagrange times diagonal
+(_cauchy), so f_k -> 1 far out and B_inf = sum_k O_k in closed form; on the
+interval f_k are ratios of sinh rows, L2's split into even and odd ones by
+the reflection x -> -x (_sinh_ratio). livsic_eval is the one entry: a point
 below the axis, a point that is not finite, or w = -i raises DomainError
 there; NaN, never inf, marks a vanishing denominator of a factor, which
 on the closed upper half-plane only L2's even or odd pairing at +i can be.
-
-The 1 x 1 and 2 x 2 kernels on stacks are broadcast arithmetic, not calls
-into LAPACK: _mul_small, _solve_small (with its singularity test) and
-_eigenvalues_small.
+The measures of B (densities, point masses, atom scan) are in clark.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ import numpy as np
 
 from .cplane import cayley, check_unitary, principal_power
 from .defect import _cosh_sinh, defect_onb
-from .errors import DimensionError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "SchurFunction",
@@ -58,7 +55,7 @@ class SchurFunction:
     is not finite, w = -i, or B' off the axis; NaN, never inf, marks a
     vanishing denominator of B's factors (on L2 a vanishing even or odd
     pairing). The call is fn(w, derivative), and fn enforces all of this:
-    livsic_function's fn is _continued_b, conjugated_schur's calls the B
+    livsic_function's fn is livsic_eval, conjugated_schur's calls the B
     it wraps. The measure has no absolutely continuous part on
     s <= ac_edge; scan_step is Model.scan_step."""
 
@@ -152,80 +149,21 @@ def _sinh_ratio(model, w, gamma, consts, derivative):
     return out
 
 
-def _mul_small(a, b):
-    """a @ b for stacks of n x n matrices, as n broadcast products of a
-    column of a and a row of b: one pass over the stack per term where
-    np.matmul loops once per matrix. Meant for n in {1, 2}; leading axes
-    broadcast."""
-    out = a[..., :, 0:1] * b[..., 0:1, :]
-    for k in range(1, a.shape[-1]):
-        out += a[..., :, k:k + 1] * b[..., k:k + 1, :]
-    return out
-
-
-# adj(a) = swap(a reversed in both axes) * _ADJ_SIGN for 2 x 2 a
-_ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
-
-
-def _solve_small(a, b):
-    """a^{-1} b for stacks of n x n matrices, n in {1, 2}, via explicit
-    formulas, keeping the singularity test independent of LAPACK
-    behaviour: a matrix with |det| <= 1e-14 (max |a_ij|)^n counts as
-    singular (the zero matrix and NaN included), and its result is NaN.
-    Leading axes broadcast."""
-    n = a.shape[-1]
-    if n > 2:
-        raise DimensionError(f"explicit solve covers n = 1, 2, got n = {n}")
-    det = a[..., 0, 0] if n == 1 else (a[..., 0, 0] * a[..., 1, 1]
-                                        - a[..., 0, 1] * a[..., 1, 0])
-    scale = np.abs(a).max(axis=(-2, -1)) ** n
-    # "not >" so that a NaN determinant and the zero matrix count as singular
-    singular = ~(np.abs(det) > 1e-14 * scale)
-    if singular.any():
-        det = np.where(singular, 1.0, det)
-        a = np.where(singular[..., None, None], np.eye(n), a)
-    if n == 1:
-        out = b / a
-    else:
-        adj = np.swapaxes(a[..., ::-1, ::-1], -1, -2) * _ADJ_SIGN
-        out = _mul_small(adj, b) / det[..., None, None]
-    if singular.any():
-        out = np.where(singular[..., None, None], np.nan, out)
-    return out
-
-
-def _eigenvalues_small(m):
-    """Eigenvalues of stacks of n x n matrices, n in {1, 2}, without
-    LAPACK; shape m.shape[:-1]. For n = 2, (p + t)/2 +- sqrt(d) with
-    d = ((p - t)/2)^2 + q r, whose terms do not cancel for a normal matrix,
-    so both are within a few rounding units of the entries' size."""
-    n = m.shape[-1]
-    if n > 2:
-        raise DimensionError(f"explicit eigenvalues cover n = 1, 2, got n = {n}")
-    if n == 1:
-        return m[..., 0]
-    p, q, r, t = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-    half, mid = 0.5 * (p - t), 0.5 * (p + t)
-    root = np.sqrt(half * half + q * r)
-    return np.stack([mid + root, mid - root], axis=-1)
-
-
 # Points per block of a B evaluation: a long array is evaluated block by
 # block, so the temporaries stay bounded whatever its length.
 _BLOCK = 512
 
 
-def _continued_b(model, w, derivative=False):
-    """B(w) = gamma(w) A(w,+)^{-1} A(w,-) on the closed upper half-plane,
-    for a point or an array of points; shape w.shape + (n, n). With
-    derivative, (B, B') at real w. The one entry to B, and the one place
-    its domain is enforced: DomainError for a point with Im w < 0, then
+def livsic_eval(model, w, derivative=False):
+    """B(w) = gamma(w) A(w,+)^{-1} A(w,-) on the closed upper half-plane
+    (real w: the boundary value from above), n x n at a point (also for
+    n = 1), w.shape + (n, n) on an array; with derivative, (B, B') at real
+    w. The one place B's domain is enforced: DomainError for Im w < 0, then
     for B' off the axis, and, as each block takes gamma(w) first, from
     cplane.cayley for a point that is not finite, before any factor
-    arithmetic. One assembly for every model: B = sum_k f_k O_k and
-    B' = sum_k f_k' O_k, the factors from _cauchy (half-line) or
-    _sinh_ratio (interval) and O from _frame. Entries that are not finite
-    are NaN."""
+    arithmetic. B = sum_k f_k O_k and B' = sum_k f_k' O_k, one matrix
+    product per block, the factors from _cauchy (half-line) or _sinh_ratio
+    (interval) and O from _frame. Entries that are not finite are NaN."""
     w = np.asarray(w, dtype=complex)
     if (w.imag < 0).any():
         raise DomainError("characteristic function is defined on the closed "
@@ -235,32 +173,23 @@ def _continued_b(model, w, derivative=False):
     consts, frame = _frame(model)
     factors = _cauchy if model.halfline else _sinh_ratio
     flat, n = w.reshape(-1), model.rank
-    out = np.empty((1 + derivative, flat.size, n, n), dtype=complex)
+    out = np.empty((1 + derivative, flat.size, n * n), dtype=complex)
     for start in range(0, flat.size, _BLOCK):
         pts = flat[start:start + _BLOCK]
         gamma = cayley(pts)
         with np.errstate(all="ignore"):
             f = np.stack(factors(model, pts, gamma, consts, derivative))
-            block = _mul_small(f[..., None, :], frame.reshape(len(frame), -1))
+            block = f @ frame.reshape(len(frame), -1)
         block[~np.isfinite(block)] = np.nan
-        out[:, start:start + _BLOCK] = block.reshape(f.shape[:2] + (n, n))
-    out = out.reshape(out.shape[:1] + w.shape + out.shape[2:])
+        out[:, start:start + _BLOCK] = block
+    out = out.reshape(out.shape[:1] + w.shape + (n, n))
     return (out[0], out[1]) if derivative else out[0]
-
-
-def livsic_eval(model, w):
-    """Characteristic function B(w) = gamma(w) A(w,+)^{-1} A(w,-) at a
-    point or an array of finite points of the closed upper half-plane, by
-    _continued_b (DomainError otherwise; real w gives the boundary value):
-    an n x n ndarray for a point (also for n = 1), a stack of shape
-    w.shape + (n, n) for an array, NaN where a factor's denominator vanishes."""
-    return _continued_b(model, w)
 
 
 def livsic_function(model):
     """Package the model's B as a SchurFunction. The half-line models have
     essential spectrum [0, inf); the interval models have none."""
-    return SchurFunction(n=model.rank, fn=partial(_continued_b, model),
+    return SchurFunction(n=model.rank, fn=partial(livsic_eval, model),
                          ac_edge=0.0 if model.halfline else math.inf,
                          scan_step=model.scan_step)
 

@@ -392,6 +392,48 @@ def test_far_k1_robin_atom(sigma):
     assert abs(masses[0, 0, 0].real - ref) <= 1e-12 * ref
 
 
+def test_far_k2_windows_count_no_phantom_atoms():
+    # far down the K2 axis B equals B_inf to rounding, and arg det(B alpha*)
+    # steps by about -1e-16 from one grid point to the next; read as a full
+    # turn, that would count an atom in each cell. Windows reaching down
+    # to -1e300 return the atoms of (-1e20, 0.5), bit for bit, for I, -I
+    # and four Haar couplings
+    rng = np.random.default_rng(13)
+    b = livsic.livsic_function(models.k2())
+    counts = []
+    for alpha in [np.eye(2), -np.eye(2)] + [random_unitary(2, rng) for _ in range(4)]:
+        want = clark.atom_scan(b, alpha, (-1e20, 0.5))
+        for lo in (-1e60, -1e100, -1e300):
+            got = clark.atom_scan(b, alpha, (lo, 0.5))
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+        counts.append(want[0].size)
+    assert counts == [1, 2, 2, 2, 1, 1]
+
+
+@pytest.mark.parametrize("model, window", [
+    pytest.param(models.k1(), (-1e6, 0.5), id="K1"),
+    pytest.param(models.k2(), (-1e6, 0.5), id="K2"),
+    pytest.param(models.l1(1.0), (-20.0, 80.0), id="L1"),
+    pytest.param(models.l2(1.0), (-20.0, 80.0), id="L2")])
+def test_scan_masses_match_point_mass_at_their_locations(model, window):
+    # the scan weighs an atom to first order in U' and H over its Newton
+    # pair, point_mass from a fresh (B, B') evaluation at the atom's
+    # location: the two agree to 1e-11 of the mass's largest entry over
+    # 50 seeded Haar couplings
+    rng = np.random.default_rng([7, model.rank])
+    b = livsic.livsic_function(model)
+    found = 0
+    for _ in range(50):
+        alpha = random_unitary(model.rank, rng)
+        locs, masses = clark.atom_scan(b, alpha, window)
+        fresh = clark.point_mass(b, alpha, locs)
+        size = np.abs(masses).max(axis=(-2, -1))
+        assert np.all(np.abs(fresh - masses).max(axis=(-2, -1)) <= 1e-11 * size)
+        found += locs.size
+    assert found >= 25
+
+
 def test_point_mass_is_zero_next_to_the_k2_branch_point():
     # 40 points on [-1e-8, -1e-11] that are not atoms of the third Haar
     # coupling of seed 13: each Newton step is over its tolerance, which
@@ -423,6 +465,33 @@ def test_split_cell_counts_must_add_up():
     c = 2.0 * math.pi + 0.3
     b = _fake_b(lambda w: c * w - 0.05, lambda w: c + 0.0 * w)
     with pytest.raises(ConvergenceError, match="do not add up"):
+        clark.atom_scan(b, [[1.0]], (0.0, 1.0))
+
+
+def test_scan_refusals_name_the_window_and_the_cell():
+    # the grid limit names the window as given and the cell width (0 where
+    # L2's Dirichlet bound underflows); a broken count rule names its cell:
+    # diag(exp(i (2 + s)), exp(i (0.05 - 0.1 s))) has an eigenphase that
+    # passes 0 downwards in the cell (0, 1), and exp(i (c s - 0.05)) two
+    # atoms there that its sub-cells count but the cell does not
+    for a, width in ((1e3, r"4\.11\d*e-07"), (1e200, r"0\.0")):
+        with pytest.raises(DomainError, match=r"scan of \(-1\.0, 1\.0\) in cells "
+                           f"of width {width} exceeds"):
+            clark.atom_scan(livsic.livsic_function(models.l2(a)), np.eye(2),
+                            (-1.0, 1.0))
+
+    def backwards(w, derivative=False):
+        phases = np.stack([2.0 + np.real(w), 0.05 - 0.1 * np.real(w)], axis=-1)
+        return np.exp(1j * phases)[..., None] * np.eye(2)
+
+    b = livsic.SchurFunction(n=2, fn=backwards, ac_edge=math.inf, scan_step=2.0)
+    with pytest.raises(ConvergenceError,
+                       match=r"atom count on \(0\.0, 1\.0\) is negative"):
+        clark.atom_scan(b, np.eye(2), (0.0, 1.0))
+    c = 2.0 * math.pi + 0.3
+    b = _fake_b(lambda w: c * w - 0.05, lambda w: c + 0.0 * w)
+    with pytest.raises(ConvergenceError,
+                       match=r"sub-cells of \(0\.0, 1\.0\) do not add up"):
         clark.atom_scan(b, [[1.0]], (0.0, 1.0))
 
 

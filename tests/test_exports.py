@@ -74,3 +74,21 @@ def test_src_imports_no_scipy():
             else:
                 continue
             assert not any(n.split(".")[0] == "scipy" for n in names), path.name
+
+
+def test_livsic_is_b_alone():
+    # livsic_eval is B's one evaluator and livsic_function binds it; the
+    # small-matrix kernels live in clark, their only caller, which imports
+    # nothing private from livsic
+    from clarkspectra import livsic, models
+    for name in ("_continued_b", "_mul_small", "_solve_small",
+                 "_eigenvalues_small", "_ADJ_SIGN"):
+        assert not hasattr(livsic, name), name
+    for model in (models.k1(), models.l2(1.0)):
+        assert livsic.livsic_function(model).fn.func is livsic.livsic_eval
+    src = Path(clarkspectra.__file__).parent / "clark.py"
+    names = [alias.name for node in ast.walk(ast.parse(src.read_text()))
+             if isinstance(node, ast.ImportFrom) and node.module == "livsic"
+             for alias in node.names]
+    assert "conjugated_schur" in names
+    assert [n for n in names if n.startswith("_")] == []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clarkspectra import checks, extensions, livsic, models, oracle
+from clarkspectra import checks, clark, extensions, livsic, models, oracle
 from clarkspectra.cplane import cayley, random_unitary
 from clarkspectra.errors import DimensionError, DomainError, NonUnitaryError
 
@@ -128,6 +128,24 @@ def test_array_b_matches_pointwise_and_schur_bound(model, points):
     for wk, bk in zip(points, stack):
         np.testing.assert_array_equal(bk, livsic.livsic_eval(model, wk))
         assert np.linalg.norm(bk, 2) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+def test_two_block_array_matches_pointwise_bitwise(model):
+    # 600 points span two blocks of the assembly; each block's B and B' is
+    # one matrix product, and every point gets the bits it gets alone, on
+    # the axis (with B') and off it
+    rng = np.random.default_rng(5)
+    s = np.concatenate([-(10.0 ** rng.uniform(-12.0, 15.0, 200)),
+                        10.0 ** rng.uniform(-12.0, 15.0, 200),
+                        rng.uniform(-50.0, 50.0, 200)])
+    off = s + 1j * 10.0 ** rng.uniform(-3.0, 3.0, s.size)
+    np.testing.assert_array_equal(livsic.livsic_eval(model, off),
+                                  [livsic.livsic_eval(model, w) for w in off])
+    b, db = livsic.livsic_eval(model, s, derivative=True)
+    alone = [livsic.livsic_eval(model, x, derivative=True) for x in s]
+    np.testing.assert_array_equal(b, [v for v, _ in alone])
+    np.testing.assert_array_equal(db, [d for _, d in alone])
 
 
 @pytest.mark.parametrize("a", [0.05, 1.0, 5.0])
@@ -263,7 +281,7 @@ def test_small_eigenvalues_of_unitaries(params):
     # eigenvalues stay within a few rounding units of the exact ones
     built = [_unitary_with_phases(*p) for p in params]
     m = np.array([u for u, _ in built])
-    got = livsic._eigenvalues_small(m)
+    got = clark._eigenvalues_small(m)
     assert got.shape == (len(params), 2)
     _assert_eigenvalues_match(got, np.array([lam for _, lam in built]), 2e-15)
 
@@ -276,7 +294,7 @@ def test_small_eigenvalues_on_l2_scan_grids(a):
     alpha = random_unitary(2, np.random.default_rng([3, 4]))
     grid = np.linspace(-30.0, 200.0, 4001)
     m = livsic.livsic_function(model).fn(grid) @ alpha.conj().T
-    got = livsic._eigenvalues_small(m)
+    got = clark._eigenvalues_small(m)
     assert np.max(np.abs(np.abs(got) - 1.0)) <= 1e-13
     _assert_eigenvalues_match(got, np.linalg.eigvals(m), 1e-13)
     assert np.max(np.abs(np.prod(got, axis=-1) - np.linalg.det(m))) <= 1e-14
@@ -287,14 +305,14 @@ def test_small_eigenvalues_nan_and_guard():
     # 1 x 1 matrix is its own eigenvalue
     m = np.array([[[np.nan, 0.0], [0.0, 1.0]], [[3.0, 0.0], [0.0, -4.0]],
                   [[0.0, 1.0], [-1.0, 0.0]]], dtype=complex)
-    got = livsic._eigenvalues_small(m)
+    got = clark._eigenvalues_small(m)
     assert np.all(np.isnan(got[0]))
     _assert_eigenvalues_match(got[1:], np.array([[3.0, -4.0], [1j, -1j]]), 0.0)
     one = np.array([[[2.0 - 1.0j]], [[np.nan]]])
-    got = livsic._eigenvalues_small(one)
+    got = clark._eigenvalues_small(one)
     assert got[0, 0] == 2.0 - 1.0j and np.isnan(got[1, 0])
     with pytest.raises(DimensionError):
-        livsic._eigenvalues_small(np.eye(3))
+        clark._eigenvalues_small(np.eye(3))
 
 
 def test_small_solve_singularity_is_relative():
@@ -302,14 +320,14 @@ def test_small_solve_singularity_is_relative():
     # solve, rank-1 matrices of any scale, the zero matrix and NaN give NaN
     rhs = np.array([[1.0, 2.0j], [3.0, -1.0]])
     for size in (1e-8, 1e8):
-        got = livsic._solve_small(size * np.stack([np.eye(2)] * 3), rhs)
+        got = clark._solve_small(size * np.stack([np.eye(2)] * 3), rhs)
         assert np.max(np.abs(got * size - rhs)) <= 1e-15 * np.max(np.abs(rhs))
     rank_one = np.outer([1.0, 2.0j], [3.0, -1.0 + 1.0j])
     for size in (1e-100, 1e-8, 1.0, 1e8, 1e100):
-        assert np.all(np.isnan(livsic._solve_small(size * rank_one, rhs)))
+        assert np.all(np.isnan(clark._solve_small(size * rank_one, rhs)))
     bad = np.array([np.zeros((2, 2)), [[np.nan, 0.0], [0.0, 1.0]]])
-    assert np.all(np.isnan(livsic._solve_small(bad, rhs)))
-    got = livsic._solve_small(np.array([[[0.5 ** 900]], [[0.0]]]), np.ones((1, 1)))
+    assert np.all(np.isnan(clark._solve_small(bad, rhs)))
+    got = clark._solve_small(np.array([[[0.5 ** 900]], [[0.0]]]), np.ones((1, 1)))
     assert got[0, 0, 0] == 2.0 ** 900 and np.isnan(got[1, 0, 0])
 
 
@@ -345,7 +363,7 @@ def test_small_product_matches_matmul(pair):
     # the broadcast product agrees with np.matmul to a few rounding units
     # of |a| |b|, and has NaN in the same places
     a, b = pair
-    got, want = livsic._mul_small(a, b), a @ b
+    got, want = clark._mul_small(a, b), a @ b
     assert got.shape == want.shape
     nan = np.isnan(want)
     np.testing.assert_array_equal(np.isnan(got), nan)

@@ -108,6 +108,24 @@ def test_k2_scan_of_a_wide_window_counts():
     assert b.sizes == [356] + _K2_NEWTON
 
 
+def test_scan_reaches_past_each_end_by_its_own_distance_to_the_cut():
+    # the grid reaches past each end of a half-line window by half of that
+    # end's distance to the cut, so the top end of a window far down the
+    # axis stays far down: (-1e300, -1e299) is one call of 25 points with
+    # no atom, not every decade down to -1e-10; windows below the cut
+    # keep their atoms with shorter grids
+    b = CountingB(models.k2())
+    atoms, _ = clark.atom_scan(b, np.eye(2), (-1e300, -1e299))
+    assert atoms.size == 0 and b.sizes == [25]
+    b = CountingB(models.k1())
+    atoms, _ = clark.atom_scan(b, [[-1.0]], (-1.0, -0.1))
+    assert np.allclose(atoms, [-0.5], rtol=1e-12, atol=0.0)
+    assert b.sizes == [25, 2, 2]
+    b = CountingB(models.k2())
+    atoms, _ = clark.atom_scan(b, -np.eye(2), (-40.0, -0.001))
+    assert len(atoms) == 2 and b.sizes == [83] + _K2_NEWTON
+
+
 def test_atom_scan_runs_no_lapack_svd(monkeypatch):
     # the eigenphases on the scan grid come from the closed-form 2 x 2
     # eigenvalues, not from LAPACK; each scan is the grid and at most four

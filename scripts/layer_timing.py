@@ -44,8 +44,10 @@ SIZES = (1, 64, 512)
 def scans():
     """(model, alpha, window) per model: windows like the benchmark's
     atoms requests, each holding a few atoms."""
+    robin = extensions.BoundaryMatrices([[2.0, 1.0]], np.empty((1, 0)))
     return [
-        (models.k1(), [[extensions.alpha_from_bc_k1(2.0, 1.0)]], (-10.0, 0.5)),
+        (models.k1(), extensions.alpha_from_bc_regular(models.k1(), robin),
+         (-10.0, 0.5)),
         (models.k2(), -np.eye(2), (-40.0, 0.5)),
         (models.l1(1.0), [[np.exp(0.7j)]], (-20.0, 20.0)),
         (models.l2(1.0), random_unitary(2, np.random.default_rng([3, 4])),

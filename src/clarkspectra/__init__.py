@@ -20,9 +20,8 @@ from .models import (Model, k1, k2, l1, l2, k1_livsic, l1_livsic, k1_density,
                      l1_atoms, l1_weight)
 from .extensions import (canonical_c, hat_vector, lagrange_bracket,
                          boundary_rows, BoundaryMatrices,
-                         validate_sa_matrices, alpha_from_bc_k1,
-                         bc_from_alpha_k1, alpha_from_bc_l1,
-                         alpha_from_bc_regular, bc_from_alpha_regular)
+                         validate_sa_matrices, alpha_from_bc_regular,
+                         bc_from_alpha_regular)
 from .oracle import (quad_inner, eigen_mass, eigen_density,
                      l1_eigenvalues_direct, l2_eigenvalues,
                      k1_bound_state_check)
@@ -43,8 +42,7 @@ __all__ = [
     "Model", "k1", "k2", "l1", "l2", "k1_livsic", "l1_livsic", "k1_density",
     "l1_atoms", "l1_weight",
     "canonical_c", "hat_vector", "lagrange_bracket", "boundary_rows",
-    "BoundaryMatrices", "validate_sa_matrices", "alpha_from_bc_k1",
-    "bc_from_alpha_k1", "alpha_from_bc_l1", "alpha_from_bc_regular",
+    "BoundaryMatrices", "validate_sa_matrices", "alpha_from_bc_regular",
     "bc_from_alpha_regular",
     "quad_inner", "eigen_mass", "eigen_density",
     "l1_eigenvalues_direct", "l2_eigenvalues", "k1_bound_state_check",

@@ -77,20 +77,23 @@ def check_2(seed=0):
 
 
 def check_3(seed=0):
-    """L1 eigenvalues: direct formula vs the boundary-map + atom route."""
+    """L1 eigenvalues: direct formula vs the boundary map + atom lattice;
+    f(a) = beta f(-a) is the condition [[-beta]] | [[1]] of the one map."""
+    model = models.l1(1.0)
     cut = 8.0 + 1e-6
     worst = 0.0
     for j in range(16):
         beta = cmath.exp(2j * math.pi * j / 16.0)
         direct = [s for s in oracle.l1_eigenvalues_direct(beta, 1.0, (-12, 12))
                   if abs(s) <= cut]
-        alpha = extensions.alpha_from_bc_l1(beta, 1.0)
+        alpha = extensions.alpha_from_bc_regular(
+            model, extensions.BoundaryMatrices([[-beta]], [[1.0]]))[0, 0]
         atoms = [s for s in models.l1_atoms(alpha, 1.0, (-12, 12))
                  if abs(s) <= cut]
         if len(direct) != len(atoms):
             return False, f"count mismatch at arg beta = {2 * j}pi/16"
         worst = max(worst, max(abs(d - t) for d, t in zip(direct, atoms)))
-    return worst <= 1e-8, f"max eigenvalue deviation {worst:.2e} over 16 couplings"
+    return worst <= 1e-12, f"max eigenvalue deviation {worst:.2e} over 16 couplings"
 
 
 def check_4(seed=0):
@@ -271,9 +274,11 @@ def check_11(seed=0):
     location, weight = out
     if abs(location + 1.0) > 1e-12:
         return False, f"bound state at {location:.2e}, expected -1"
-    b = livsic.livsic_function(models.k1())
-    alpha = extensions.alpha_from_bc_k1(1.0, 1.0)
-    k1_mass = float(clark.point_mass(b, [[alpha]], location)[0, 0].real)
+    model = models.k1()
+    alpha = extensions.alpha_from_bc_regular(
+        model, extensions.BoundaryMatrices([[1.0, 1.0]], np.empty((1, 0))))
+    k1_mass = float(clark.point_mass(livsic.livsic_function(model), alpha,
+                                     location)[0, 0].real)
     worst = _rel(k1_mass, weight)
     model = models.k2()
     b = livsic.livsic_function(model)

@@ -12,13 +12,13 @@ Complex scalars on the command line are written 're,im' (Cartesian),
 'mod:arg' (polar, argument in radians), or a bare real such as '0.5'.
 Matrices are JSON arrays of rows whose entries are numbers, strings in the
 scalar syntax, or {"re": .., "im": ..} objects. Values that start with a
-dash (negative grid endpoints, windows, index ranges) must be attached to
-their flag: --grid=-3:3:25. CSV output carries 17 significant digits and
-JSON output Python's shortest round-trip repr, so both round-trip exactly.
-JSON is compact, on one line, the same bytes as json.dumps of the document,
-written from one text template per array filled with the floats of
-ndarray.tolist(); `python -m json.tool` indents it. Non-finite numbers
-(nan, inf) are malformed input.
+dash (negative grid endpoints or windows) must be attached to their flag:
+--grid=-3:3:25. CSV output carries 17 significant digits and JSON output
+Python's shortest round-trip repr, so both round-trip exactly. JSON is
+compact, on one line, the same bytes as json.dumps of the document, written
+from one text template per array filled with the floats of ndarray.tolist();
+`python -m json.tool` indents it. Non-finite numbers (nan, inf) are
+malformed input.
 """
 
 from __future__ import annotations
@@ -141,14 +141,6 @@ def _parse_window(text):
     return lo, hi
 
 
-def _parse_n_range(text):
-    lo, hi = _fields(text, "..", (int, int), "index range", "lo..hi")
-    if not 0 <= hi - lo < clark.MAX_SCAN_POINTS:
-        raise _ConfigError("index range needs lo <= hi and at most "
-                           f"{clark.MAX_SCAN_POINTS} indices")
-    return lo, hi
-
-
 def _make_model(name, a):
     if name == "k1":
         return models.k1()
@@ -235,21 +227,11 @@ def cmd_density(args):
 def cmd_atoms(args):
     model = _make_model(args.model, args.a)
     alpha = _parse_alpha(args.alpha, model.rank)
-    if args.n_range is not None:
-        if args.model != "l1" or args.window is not None:
-            raise _ConfigError("--n-range is for l1 alone, without --window")
-        lo, hi = _parse_n_range(args.n_range)
-        scal = complex(alpha[0, 0])
-        locs = models.l1_atoms(scal, model.a, (lo, hi))
-        weights = models.l1_weight(scal, model.a, np.array(locs))
-    else:
-        if not args.window:
-            raise _ConfigError("atoms needs --window lo:hi "
-                               "(or --n-range lo..hi for l1)")
-        window = _parse_window(args.window)
-        locs, masses = clark.atom_scan(livsic.livsic_function(model), alpha,
-                                       window)
-        weights = np.trace(masses, axis1=1, axis2=2).real
+    if not args.window:
+        raise _ConfigError("atoms needs --window lo:hi")
+    locs, masses = clark.atom_scan(livsic.livsic_function(model), alpha,
+                                   _parse_window(args.window))
+    weights = np.trace(masses, axis1=1, axis2=2).real
     if args.format == "csv":
         print("\n".join(["s,weight"] + [f"{s:.17g},{w:.17g}"
                                          for s, w in zip(locs, weights)]))
@@ -391,8 +373,6 @@ def build_parser():
     t = sub.add_parser("atoms", help="locate point masses and weights")
     add_model(t, need_alpha=True)
     t.add_argument("--window", help="lo:hi scan window")
-    t.add_argument("--n-range", dest="n_range",
-                   help="lo..hi lattice indices (closed route, l1 only)")
     t.add_argument("--format", choices=["csv", "json"], default="csv")
     t.set_defaults(func=cmd_atoms)
 

@@ -14,13 +14,14 @@ are (coeffs, rates) pairs as in defect, so the derivative vectors of a
 whole basis at the model's endpoints (0 on the half-line, -a and a on the
 interval) are one matrix H of boundary rows (one row per basis element),
 and the systems are products of the boundary matrices with H. One pair of
-maps serves all four models; the rank-one closed forms are kept as its
-references.
+maps serves all four models. On the rank-one models the K1 Robin condition
+b f(0) + c f'(0) = 0 is the block [[b, c]] beside an empty one, and the L1
+condition f(a) = beta f(-a) is [[-beta]] | [[1]]; their closed-form atoms,
+weights and densities stay in models as references.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,15 +38,9 @@ __all__ = [
     "boundary_rows",
     "BoundaryMatrices",
     "validate_sa_matrices",
-    "alpha_from_bc_k1",
-    "bc_from_alpha_k1",
-    "alpha_from_bc_l1",
     "alpha_from_bc_regular",
     "bc_from_alpha_regular",
 ]
-
-_E14 = np.exp(1j * math.pi / 4)
-_E34 = np.exp(3j * math.pi / 4)
 
 
 def canonical_c(n):
@@ -100,8 +95,10 @@ class BoundaryMatrices:
         self.beta_b = np.atleast_2d(np.asarray(self.beta_b, dtype=complex))
 
 
-# Relative singular-value floor of the rank test and absolute tolerance of
-# the bracket identity in validate_sa_matrices
+# Relative tolerance of validate_sa_matrices: of the rank test against the
+# largest singular value sv[0] of the stack, and of the bracket identity
+# against sv[0]**2, so that the verdict does not depend on the scale of a
+# projective condition
 _SA_TOL = 1e-10
 
 
@@ -125,66 +122,11 @@ def validate_sa_matrices(bm):
     if np.sum(sv > _SA_TOL * sv[0]) < n:
         return False
     lhs, rhs = (m @ canonical_c(m.shape[1]) @ m.conj().T for m in (ba, bb))
-    return bool(np.max(np.abs(lhs - rhs)) <= _SA_TOL)
+    return bool(np.max(np.abs(lhs - rhs)) <= _SA_TOL * sv[0] ** 2)
 
 
 # ---------------------------------------------------------------------------
-# closed-form maps for the rank-one models
-# ---------------------------------------------------------------------------
-
-def alpha_from_bc_k1(b, c):
-    """Unitary parameter of the half-line Robin condition b f(0) + c f'(0) = 0.
-
-        alpha = (b + c e^{3 i pi/4}) / (b - c e^{i pi/4})
-
-    (b : c) is projective; admissibility means b conj(c) real, which is the
-    self-adjointness condition of the boundary form. c = 0 is the Dirichlet
-    ray with alpha = 1.
-    """
-    b, c = complex(b), complex(c)
-    scale = max(abs(b), abs(c))
-    if scale == 0:
-        raise DomainError("boundary ray (0, 0) is empty")
-    if abs((b * c.conjugate()).imag) > 1e-10 * scale * scale:
-        raise DomainError("b conj(c) must be real for a self-adjoint condition")
-    den = b - c * _E14
-    if abs(den) < 1e-14 * scale:
-        raise DomainError("boundary ray degenerates (denominator vanished)")
-    return (b + c * _E34) / den
-
-
-def bc_from_alpha_k1(alpha):
-    """Inverse of alpha_from_bc_k1, as a normalized representative of (b : c).
-
-    The returned pair has its largest component positive real; b conj(c) is
-    real automatically for unimodular alpha.
-    """
-    alpha = complex(check_unitary(alpha, 1, "parameter")[0, 0])
-    if abs(alpha - 1.0) < 1e-14:
-        return (1.0 + 0.0j, 0.0 + 0.0j)
-    b = _E34 + alpha * _E14
-    c = alpha - 1.0
-    u = b if abs(b) >= abs(c) else c
-    phase = u.conjugate() / abs(u)
-    norm = math.hypot(abs(b), abs(c))
-    return (b * phase / norm, c * phase / norm)
-
-
-def alpha_from_bc_l1(beta, a):
-    """Parameter of the interval condition f(a) = beta f(-a) for i d/dx:
-
-        alpha = (beta q - 1) / (beta - q),   q = e^{-2a}.
-
-    The map is a Moebius involution: alpha_from_bc_l1(alpha, a) is the
-    beta of the parameter alpha.
-    """
-    beta = complex(check_unitary(beta, 1, "coupling beta")[0, 0])
-    q = math.exp(-2.0 * float(a))
-    return (beta * q - 1.0) / (beta - q)
-
-
-# ---------------------------------------------------------------------------
-# generic maps through the extension generators
+# maps through the extension generators
 # ---------------------------------------------------------------------------
 
 # The boundary system counts as rank deficient below this relative smallest
@@ -231,7 +173,9 @@ def alpha_from_bc_regular(model, bm):
     minus, plus = _defect_rows(model)
     nmat = beta @ minus.T
     sv = np.linalg.svd(nmat, compute_uv=False)
-    if sv[-1] < _RANK_TOL * max(sv[0], 1.0):
+    # relative to the data's own scale; "not >" keeps the zero matrix
+    # rank deficient
+    if not sv[-1] > _RANK_TOL * sv[0]:
         raise RankError("boundary system is rank deficient")
     alpha = np.linalg.solve(nmat, beta @ plus.T).T
     if np.max(np.abs(alpha.conj().T @ alpha - np.eye(n))) > _UNITARY_TOL:

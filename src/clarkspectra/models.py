@@ -13,7 +13,10 @@ on the decaying branch that defect_onb takes at -i, and with the
 closed-form inner product that is all the generic machinery needs; both
 take arrays of points. On top of that this module carries the rank-one
 closed-form characteristic functions and densities and the L1 atom lattice
-and weights, used as independent cross-checks of the generic pipeline.
+and weights. They are references: the acceptance battery and the tests
+check the generic pipeline against them, and neither the library's routes
+nor the command line call them. The boundary-condition maps have one
+generic pair for all four models, in extensions.
 """
 
 from __future__ import annotations

@@ -17,7 +17,8 @@ import numpy as np
 from .cplane import check_unitary
 from .defect import defect_onb
 from .errors import DomainError, RankError, ToleranceError
-from .extensions import alpha_from_bc_k1, boundary_rows, validate_sa_matrices
+from .extensions import (BoundaryMatrices, alpha_from_bc_regular,
+                         boundary_rows, validate_sa_matrices)
 from .models import k1
 
 __all__ = ["quad_inner", "eigen_mass", "eigen_density",
@@ -303,12 +304,16 @@ def l2_eigenvalues(bm, a, window):
 def k1_bound_state_check(b, c):
     """(location, weight) of the bound state of the K1 Robin condition
     b f(0) + c f'(0) = 0, or None: exp(-sigma x) meets it iff
-    sigma = b/c > 0, at -sigma^2, and the weight is its eigen_mass."""
-    alpha = alpha_from_bc_k1(b, c)   # also validates admissibility
+    sigma = b/c > 0, at -sigma^2, and the weight is its eigen_mass.
+    DomainError when b/c is not real; the empty ray (0, 0) is the generic
+    map's RankError."""
     sigma = b / c if abs(c) >= 1e-14 * max(abs(b), 1.0) else 0.0  # Dirichlet
     if abs(sigma.imag) > 1e-10 * (1.0 + abs(sigma)):
         raise DomainError("Robin ratio is not real")
+    model = k1()
+    alpha = alpha_from_bc_regular(
+        model, BoundaryMatrices([[b, c]], np.empty((1, 0))))
     if sigma.real <= 0:
         return None
     location = -sigma.real ** 2
-    return location, float(eigen_mass(k1(), [[alpha]], location)[0, 0].real)
+    return location, float(eigen_mass(model, alpha, location)[0, 0].real)

@@ -13,6 +13,12 @@ from clarkspectra.errors import (ConvergenceError, DimensionError, DomainError,
                                  NonUnitaryError, SingularError)
 
 
+def _robin(sigma):
+    """The K1 coupling of the Robin condition sigma f(0) + f'(0) = 0."""
+    bm = extensions.BoundaryMatrices([[sigma, 1.0]], np.empty((1, 0)))
+    return extensions.alpha_from_bc_regular(models.k1(), bm)
+
+
 @pytest.fixture(scope="module")
 def b_k1():
     return livsic.livsic_function(models.k1())
@@ -253,8 +259,7 @@ def test_mass_budget_closes_with_the_scanned_atoms():
     # K2 at three Haar couplings whose atoms all lie in (-60, 0); leaving
     # out any one atom breaks the budget
     rng = np.random.default_rng(13)
-    cases = [(models.k1(), [[extensions.alpha_from_bc_k1(sigma, 1.0)]])
-             for sigma in (0.5, 2.0, -1.0)]
+    cases = [(models.k1(), _robin(sigma)) for sigma in (0.5, 2.0, -1.0)]
     cases += [(models.k2(), random_unitary(2, rng)) for _ in range(3)]
     counts = []
     for model, alpha in cases:
@@ -382,7 +387,7 @@ def test_far_k1_robin_atom(sigma):
     # its eigenfunction mass, also where (1 + s^2)^2 overflows
     # (|s| > 1.3e77), with no warning
     from clarkspectra import oracle
-    alpha = [[extensions.alpha_from_bc_k1(sigma, 1.0)]]
+    alpha = _robin(sigma)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         locs, masses = clark.atom_scan(livsic.livsic_function(models.k1()),
@@ -509,8 +514,7 @@ def test_atoms_on_the_window_ends_are_inside():
     # the K1 Robin atom at -1 on (-1, 0.5), and on L1 (alpha = i) a window
     # from one lattice point to another holds both
     b = livsic.livsic_function(models.k1())
-    locs, masses = clark.atom_scan(
-        b, [[extensions.alpha_from_bc_k1(1.0, 1.0)]], (-1.0, 0.5))
+    locs, masses = clark.atom_scan(b, _robin(1.0), (-1.0, 0.5))
     assert locs == pytest.approx([-1.0], rel=1e-12)
     assert masses[0, 0, 0].real == pytest.approx(0.1318482719, rel=1e-9)
     lattice = models.l1_atoms(1j, 1.0, (-2, 1))

@@ -217,34 +217,39 @@ def test_parser_reuse_leaks_nothing_between_calls(capsys):
 
 
 def test_atoms_l1_lattice_route(capsys):
+    # the scan on (-2, 5) prints the alpha = 1 lattice points -pi/2, pi/2
+    # and 3 pi/2 with their closed-form weights
     code, out, _ = run_cli(capsys, [
         "atoms", "--model", "l1", "--a", "1", "--alpha", "1",
-        "--n-range=-1..1"])
+        "--window=-2:5"])
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "s,weight"
     rows = [tuple(float(t) for t in line.split(",")) for line in lines[1:]]
     locs = [r[0] for r in rows]
-    assert locs == pytest.approx([-math.pi / 2, math.pi / 2, 3 * math.pi / 2])
+    assert locs == pytest.approx([-math.pi / 2, math.pi / 2, 3 * math.pi / 2],
+                                 rel=1e-15)
     for s, w in rows:
         assert w == pytest.approx(models.l1_weight(1.0, 1.0, s), rel=1e-12)
 
 
 def test_atoms_l1_lattice_route_on_short_and_long_intervals(capsys):
-    # at a = 1e-12 the base point -2 passes its residual check, and its
-    # weight is (1 + s_0^2)/(pi (1 + s_0^2)^2) to first order in a
+    # at a = 1e-12 the lattice spacing pi/a puts one atom in (-3, 3), the
+    # base point -2, with the weight (1 + s_0^2)/(pi (1 + s_0^2)^2) to first
+    # order in a
     code, out, _ = run_cli(capsys, [
         "atoms", "--model", "l1", "--a", "1e-12", "--alpha", "0.6,0.8",
-        "--n-range=-2..2"])
+        "--window=-3:3"])
     assert code == 0
     rows = [tuple(float(t) for t in line.split(","))
             for line in out.strip().splitlines()[1:]]
-    assert len(rows) == 5 and rows[2][0] == -2.0
-    assert rows[2][1] == pytest.approx(1.0 / (5.0 * math.pi), rel=1e-12)
-    # at a = 400 the weights overflow: a typed refusal, not a traceback
+    assert len(rows) == 1 and rows[0][0] == pytest.approx(-2.0, rel=1e-15)
+    assert rows[0][1] == pytest.approx(1.0 / (5.0 * math.pi), rel=1e-12)
+    # at a = 400 the defect basis overflows: a typed refusal, not a
+    # traceback
     code, _, err = run_cli(capsys, [
         "atoms", "--model", "l1", "--a", "400", "--alpha", "1",
-        "--n-range=-2..2"])
+        "--window=-3:3"])
     assert code == 1 and "DomainError" in err
 
 
@@ -380,26 +385,6 @@ def test_atoms_requires_window_or_range(capsys):
     assert "window" in err
 
 
-def test_atoms_refuses_an_index_range_it_would_ignore(capsys):
-    # --n-range is the closed route of l1 alone, and not beside --window
-    for argv in (["--model", "k2", "--alpha", "[[-1,0],[0,-1]]",
-                  "--window=-1:0.5"],
-                 ["--model", "l1", "--a", "1", "--alpha", "1", "--window=-3:3"]):
-        code, out, err = run_cli(capsys, ["atoms", *argv, "--n-range=0..2"])
-        assert code == 2 and out == "", argv
-        assert "--n-range is for l1 alone, without --window" in err
-
-
-def test_atoms_index_range_is_capped(capsys):
-    # more than clark.MAX_SCAN_POINTS indices is refused before the lattice
-    # is built
-    code, out, err = run_cli(capsys, [
-        "atoms", "--model", "l1", "--a", "1", "--alpha", "1",
-        f"--n-range=0..{clark.MAX_SCAN_POINTS}"])
-    assert code == 2 and out == ""
-    assert f"at most {clark.MAX_SCAN_POINTS} indices" in err
-
-
 def test_atoms_on_a_window_end(capsys):
     # the K1 Robin condition b = c = 1 has its atom at -1, the window's
     # lower end: it is printed, with the coupling that bcmap gives
@@ -454,6 +439,22 @@ def test_bcmap_k1_both_directions(capsys):
     doc = json.loads(out)
     assert abs(complex(doc["b"]["re"], doc["b"]["im"])) < 1e-12
     assert complex(doc["c"]["re"], doc["c"]["im"]) == pytest.approx(1.0)
+
+
+def test_bcmap_k1_rank_test_is_relative(capsys):
+    # (1e-13 : 1e-13) is the Robin ray (1 : 1), alpha = e^{3 i pi/4}, and
+    # (0 : 0) is no ray: the generic map's RankError, not a LAPACK error
+    for scale in ("1", "1e-13"):
+        code, out, err = run_cli(capsys, [
+            "bcmap", "--model", "k1", "--b", scale, "--c", scale])
+        assert code == 0 and err == ""
+        alpha = json.loads(out)["alpha"]
+        assert abs(complex(alpha["re"], alpha["im"])
+                   - np.exp(0.75j * math.pi)) < 1e-15
+    code, out, err = run_cli(capsys, [
+        "bcmap", "--model", "k1", "--b", "0", "--c", "0"])
+    assert code == 1 and out == ""
+    assert err == "error: RankError: boundary system is rank deficient\n"
 
 
 def test_bcmap_l1_round_trip(capsys):
@@ -700,16 +701,19 @@ _L2_ARGS = {"density": ["--alpha=[[1,0],[0,1]]", "--grid=-1:1:3"],
       for a in ("1e-300", "1e-170") for cmd in _L2_ARGS],
     *[(cmd, "l2", a, None if cmd == "density" else "DomainError")
       for a in ("1e155", "1e200", "1e300") for cmd in _L2_ARGS],
-    *[("atoms", "l1", a, "DomainError") for a in ("1e-309", "2e-308", "1e308")],
+    *[("atoms", "l1", a, "DomainError") for a in ("1e-309", "1e308")],
+    ("atoms", "l1", "2e-308", None),
 ])
 def test_extreme_interval_lengths_are_typed_refusals(capsys, command, model,
                                                      a, error):
     # L2 far from a = 1: the degenerate or overflowing defect basis and an
     # atom scan step that underflows to 0 are refused by type, and the
-    # density, zero off the half-line, needs no B; the L1 lattice route
-    # refuses a lattice out of float range before any arithmetic warns
+    # density, zero off the half-line, needs no B; the L1 scan refuses
+    # cells of width inf or 0 before any arithmetic warns, and at
+    # a = 2e-308 the lattice spacing pi/a = 1.6e308 leaves no atom in the
+    # window
     args = (_L2_ARGS[command] if model == "l2"
-            else ["--alpha", "1", "--n-range=0..2"])
+            else ["--alpha", "1", "--window=-3:3"])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, [command, "--model", model, "--a", a,
@@ -717,8 +721,8 @@ def test_extreme_interval_lengths_are_typed_refusals(capsys, command, model,
     if error is None:
         assert code == 0 and err == ""
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-        assert len(rows) == 3 and all(float(t) == 0.0
-                                      for row in rows for t in row[1:])
+        assert len(rows) == (3 if command == "density" else 0)
+        assert all(float(t) == 0.0 for row in rows for t in row[1:])
     else:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
@@ -742,7 +746,7 @@ def test_import_leaves_scipy_unloaded():
 def test_module_invocation_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "clarkspectra.cli", "atoms", "--model", "l1",
-         "--a", "2", "--alpha", "0,1", "--n-range", "0..2"],
+         "--a", "2", "--alpha", "0,1", "--window=-1:3"],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     lines = proc.stdout.strip().splitlines()

@@ -47,19 +47,26 @@ def test_no_boundary_limit_ladder_remains():
 
 def test_one_boundary_map_pair_remains():
     # alpha_from_bc_regular and bc_from_alpha_regular serve all four
-    # models; the L1 closed form is an involution that serves both ways, and
-    # the L2 atoms are clark.atom_scan of the generic B
+    # models, the rank-one ones included, and the L2 atoms are
+    # clark.atom_scan of the generic B
     from clarkspectra import extensions, models, oracle
-    for name in ("alpha_from_bc_singular_template", "bc_from_alpha_l1",
-                 "_interval_hats"):
-        assert not hasattr(extensions, name)
+    gone = ("alpha_from_bc_k1", "bc_from_alpha_k1", "alpha_from_bc_l1",
+            "bc_from_alpha_l1", "alpha_from_bc_singular_template")
+    for name in gone + ("_interval_hats", "_E14", "_E34"):
+        assert not hasattr(extensions, name), name
     assert not hasattr(oracle, "_hats")
     assert not hasattr(models, "l2_atoms")
     assert not hasattr(models, "clark") and not hasattr(models, "livsic")
     assert not hasattr(models.Model, "expression_eigenvalue")
-    for name in ("alpha_from_bc_singular_template", "bc_from_alpha_l1",
-                 "l2_atoms"):
+    for name in gone + ("l2_atoms",):
         assert name not in clarkspectra.__all__
+
+
+def test_cli_atoms_come_from_the_scan_alone():
+    # atoms has no closed lattice route beside clark.atom_scan
+    text = (Path(clarkspectra.__file__).parent / "cli.py").read_text()
+    for word in ("n_range", "l1_atoms", "l1_weight"):
+        assert word not in text, word
 
 
 def test_src_imports_no_scipy():

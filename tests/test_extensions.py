@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clarkspectra import clark, extensions, livsic, models
+from clarkspectra import clark, extensions, livsic, models, oracle
 from clarkspectra.cplane import random_unitary
 from clarkspectra.defect import defect_onb
-from clarkspectra.errors import (DimensionError, DomainError, NonUnitaryError,
-                                 RankError, UnsupportedError)
+from clarkspectra.errors import (DimensionError, NonUnitaryError, RankError,
+                                 UnsupportedError)
 
 rates = st.builds(complex,
                   st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
@@ -21,6 +21,33 @@ def _halfline(beta_a):
     beta_a = np.atleast_2d(np.asarray(beta_a, dtype=complex))
     return extensions.BoundaryMatrices(beta_a, np.empty((len(beta_a), 0)))
 
+
+def _k1_alpha(b, c):
+    """alpha of the Robin condition b f(0) + c f'(0) = 0, the block
+    [[b, c]] beside an empty one."""
+    return complex(extensions.alpha_from_bc_regular(
+        models.k1(), _halfline([[b, c]]))[0, 0])
+
+
+def _l1_alpha(beta, a):
+    """alpha of the interval condition f(a) = beta f(-a), the blocks
+    [[-beta]] | [[1]]."""
+    return complex(extensions.alpha_from_bc_regular(
+        models.l1(a), extensions.BoundaryMatrices([[-beta]], [[1.0]]))[0, 0])
+
+
+# alpha of the closed forms alpha = (b + c e^{3 i pi/4}) / (b - c e^{i pi/4})
+# on K1 rays (b, c) and alpha = (beta q - 1) / (beta - q), q = e^{-2a}, on L1
+# at beta = e^{i theta}, evaluated once and kept as values
+K1_CLOSED = {(1.0, 1.0): -0.7071067811865475 + 0.7071067811865477j,
+             (2.0, -3.0): 0.5811085811149188 - 0.8138260360510751j,
+             (0.0, 1.0): -1j,
+             (1.0, -0.5): 0.8722604191027171 - 0.48904167641086826j,
+             (3.0, 0.25): 0.9921892962941372 + 0.12474133364424499j}
+L1_CLOSED = {(0.4, 1.0): -0.867685613566951 + 0.49711334322158757j,
+             (-2.0, 0.3): 0.932390335064342 - 0.3614529887531765j,
+             (2.5, 0.05): 0.9994490424450275 + 0.03319053412823412j,
+             (1.0, 5.0): -0.5402380097470323 + 0.8415122654035206j}
 
 K2_CONDITIONS = {"clamped": [[1, 0, 0, 0], [0, 1, 0, 0]],
                  "free": [[0, 0, 1, 0], [0, 0, 0, 1]],
@@ -134,28 +161,34 @@ def test_validate_sa_matrices_half_line():
 
 
 def test_k1_map_anchors_and_involution():
-    assert extensions.alpha_from_bc_k1(1.0, 0.0) == pytest.approx(1.0)
-    assert extensions.alpha_from_bc_k1(0.0, 2.0) == pytest.approx(-1j)
-    # Robin with sigma = 1 (decaying bound state exp(-x))
-    a_robin = extensions.alpha_from_bc_k1(1.0, 1.0)
-    assert abs(abs(a_robin) - 1.0) < 1e-12
-    with pytest.raises(DomainError):
-        extensions.alpha_from_bc_k1(0.0, 0.0)
-    with pytest.raises(DomainError):
-        extensions.alpha_from_bc_k1(1.0, 1j)  # admissibility Im(b conj(c)) = 0
-    b, c = extensions.bc_from_alpha_k1(1.0)
-    assert (b, c) == (1.0, 0.0)
+    # Dirichlet maps to 1 and Neumann to -i; the empty ray has no rank, and
+    # b conj(c) not real is not a self-adjoint condition
+    assert _k1_alpha(1.0, 0.0) == 1.0
+    assert abs(_k1_alpha(0.0, 2.0) + 1j) < 1e-15
+    with pytest.raises(RankError):
+        _k1_alpha(0.0, 0.0)
     with pytest.raises(NonUnitaryError):
-        extensions.bc_from_alpha_k1(0.8)
+        _k1_alpha(1.0, 1j)
+    bm = extensions.bc_from_alpha_regular(models.k1(), [[1.0]])
+    assert np.array_equal(bm.beta_a, [[1.0, 0.0]])
+    with pytest.raises(NonUnitaryError):
+        extensions.bc_from_alpha_regular(models.k1(), [[0.8]])
+    # Robin sigma f(0) + f'(0) = 0 with sigma > 0 holds exp(-sigma x), the
+    # one bound state, at -sigma^2
+    b = livsic.livsic_function(models.k1())
+    for sigma in (0.3, 1.0, 4.0):
+        locs, _ = clark.atom_scan(b, [[_k1_alpha(sigma, 1.0)]],
+                                  (-2.0 * sigma ** 2 - 1.0, 0.5))
+        assert locs == pytest.approx([-sigma ** 2], rel=1e-12)
 
 
 @given(st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False))
 @settings(max_examples=40, deadline=None)
 def test_k1_map_round_trip(theta):
     alpha = cmath.exp(1j * theta)
-    b, c = extensions.bc_from_alpha_k1(alpha)
-    back = extensions.alpha_from_bc_k1(b, c)
-    assert abs(back - alpha) < 1e-10
+    bm = extensions.bc_from_alpha_regular(models.k1(), [[alpha]])
+    back = _k1_alpha(*bm.beta_a[0])
+    assert abs(back - alpha) < 1e-14
 
 
 @given(st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False),
@@ -163,20 +196,20 @@ def test_k1_map_round_trip(theta):
 @settings(max_examples=40, deadline=None)
 def test_l1_map_round_trip_and_unimodularity(theta, a):
     beta = cmath.exp(1j * theta)
-    alpha = extensions.alpha_from_bc_l1(beta, a)
-    assert abs(abs(alpha) - 1.0) < 1e-12
-    # the map is an involution, so it is its own inverse
-    assert abs(extensions.alpha_from_bc_l1(alpha, a) - beta) < 1e-10
+    alpha = _l1_alpha(beta, a)
+    assert abs(abs(alpha) - 1.0) < 1e-14
+    # the map is a Moebius involution, so it is its own inverse
+    assert abs(_l1_alpha(alpha, a) - beta) < 1e-14
 
 
 def test_l1_map_periodic_anchors():
     # periodic boundary condition beta = 1 pins the lattice n pi / a,
     # which is the alpha = -1 lattice
     a = 0.9
-    assert extensions.alpha_from_bc_l1(1.0, a) == pytest.approx(-1.0)
-    assert extensions.alpha_from_bc_l1(-1.0, a) == pytest.approx(1.0)
+    assert abs(_l1_alpha(1.0, a) + 1.0) < 1e-15
+    assert abs(_l1_alpha(-1.0, a) - 1.0) < 1e-15
     with pytest.raises(NonUnitaryError):
-        extensions.alpha_from_bc_l1(0.5, a)
+        _l1_alpha(0.5, a)
 
 
 def test_alpha_from_bc_regular_dirichlet_and_periodic():
@@ -234,43 +267,37 @@ def test_bc_regular_rejects_rank_deficient():
 
 def test_bc_regular_l1_matches_closed_map():
     # the order-one interval model goes through the same generic route;
-    # f(-a) + e^{0.4 i} f(a) = 0 is the coupling beta = -e^{-0.4 i}
+    # f(-a) + e^{0.4 i} f(a) = 0 is the coupling beta = -e^{-0.4 i}, whose
+    # closed-form alpha at a = 1 is kept as a value
     m = models.l1(1.0)
     bm = extensions.BoundaryMatrices(np.array([[1.0]]), np.array([[np.exp(0.4j)]]))
     alpha = extensions.alpha_from_bc_regular(m, bm)
     assert alpha.shape == (1, 1)
-    assert abs(abs(alpha[0, 0]) - 1.0) < 1e-10
-    beta = -cmath.exp(-0.4j)
-    assert complex(alpha[0, 0]) == pytest.approx(
-        extensions.alpha_from_bc_l1(beta, 1.0), rel=1e-9)
+    assert abs(alpha[0, 0] - (0.9534415905670931 + 0.3015777401879842j)) < 1e-14
 
 
 def test_generic_pair_matches_closed_k1_and_l1():
-    # K1: b f(0) + c f'(0) = 0 is [[b, c]] at the one endpoint; L1:
-    # f(a) = beta f(-a) is [[-beta]] | [[1]]
+    # K1: b f(0) + c f'(0) = 0 is [[b, c]] at the one endpoint, and the
+    # closed inverse (b : c) = (e^{3 i pi/4} + alpha e^{i pi/4} : alpha - 1)
+    # is the unit ray the generic pair returns, largest entry positive;
+    # L1: f(a) = beta f(-a) is [[-beta]] | [[1]]
     k1 = models.k1()
+    e14, e34 = cmath.exp(0.25j * math.pi), cmath.exp(0.75j * math.pi)
     for theta in np.linspace(-math.pi, math.pi, 41):
         alpha = cmath.exp(1j * theta)
-        b, c = extensions.bc_from_alpha_k1(alpha)
+        ray = np.array([e34 + alpha * e14, alpha - 1.0])
+        lead = ray[np.argmax(np.abs(ray))]
+        ray *= lead.conjugate() / abs(lead) / np.linalg.norm(ray)
         bm = extensions.bc_from_alpha_regular(k1, [[alpha]])
         assert bm.beta_b.shape == (1, 0)
-        assert np.max(np.abs(bm.beta_a - [[b, c]])) < 1e-14
-        back = extensions.alpha_from_bc_regular(k1, _halfline([[b, c]]))
-        assert abs(back[0, 0] - alpha) < 1e-14
-    for b_, c_ in ((1.0, 1.0), (2.0, -3.0), (0.0, 1.0), (1.0, -0.5)):
-        alpha = extensions.alpha_from_bc_regular(k1, _halfline([[b_, c_]]))
-        assert abs(alpha[0, 0] - extensions.alpha_from_bc_k1(b_, c_)) < 1e-14
-    # the Dirichlet condition maps to alpha = 1 exactly
-    dirichlet = extensions.alpha_from_bc_regular(k1, _halfline([[1, 0]]))
-    assert dirichlet[0, 0] == 1.0
-    rng = np.random.default_rng(7)
-    for theta, a in zip(rng.uniform(-math.pi, math.pi, 20),
-                        rng.uniform(0.05, 5.0, 20)):
-        l1, beta = models.l1(a), cmath.exp(1j * theta)
-        alpha = extensions.alpha_from_bc_regular(
-            l1, extensions.BoundaryMatrices([[-beta]], [[1.0]]))
-        assert abs(alpha[0, 0] - extensions.alpha_from_bc_l1(beta, a)) < 1e-14
-        bm = extensions.bc_from_alpha_regular(l1, alpha)
+        assert np.max(np.abs(bm.beta_a - [ray])) < 1e-14
+        assert abs(_k1_alpha(*ray) - alpha) < 1e-14
+    for (b, c), ref in K1_CLOSED.items():
+        assert abs(_k1_alpha(b, c) - ref) < 1e-14
+    for (theta, a), ref in L1_CLOSED.items():
+        beta = cmath.exp(1j * theta)
+        assert abs(_l1_alpha(beta, a) - ref) < 1e-14
+        bm = extensions.bc_from_alpha_regular(models.l1(a), [[ref]])
         assert abs(-bm.beta_a[0, 0] / bm.beta_b[0, 0] - beta) < 1e-14
 
 
@@ -311,3 +338,35 @@ def test_generic_map_rejects_blocks_of_the_wrong_shape():
     with pytest.raises(DimensionError):
         extensions.alpha_from_bc_regular(
             models.l2(1.0), _halfline([[1, 0, 0, 0], [0, 0, 1, 0]]))
+
+
+def test_validate_sa_matrices_is_scale_free():
+    # a projective condition keeps its verdict at every scale: a Haar L2
+    # condition and a perturbation of one built as criterion 12 builds its
+    # violations, scaled from 1e-8 to 1e8; the scaled self-adjoint
+    # condition also gives the oracle its eigenvalues
+    rng = np.random.default_rng(1)
+    base = extensions.bc_from_alpha_regular(models.l2(1.0),
+                                            random_unitary(2, rng))
+    c = extensions.canonical_c(2)
+    while True:
+        pert = 0.3 * (rng.standard_normal((2, 2))
+                      + 1j * rng.standard_normal((2, 2)))
+        bad = extensions.BoundaryMatrices(base.beta_a + pert, base.beta_b)
+        defect = np.max(np.abs(bad.beta_a @ c @ bad.beta_a.conj().T
+                               - bad.beta_b @ c @ bad.beta_b.conj().T))
+        sv = np.linalg.svd(np.hstack([bad.beta_a, bad.beta_b]),
+                           compute_uv=False)
+        if defect > 1e-6 and sv[-1] > 1e-6 * sv[0]:
+            break
+    window = (-1.0, 30.0)
+    ref = oracle.l2_eigenvalues(base, 1.0, window)
+    for k in range(-8, 9):
+        scaled = [extensions.BoundaryMatrices(10.0 ** k * bm.beta_a,
+                                              10.0 ** k * bm.beta_b)
+                  for bm in (base, bad)]
+        assert extensions.validate_sa_matrices(scaled[0]), k
+        assert not extensions.validate_sa_matrices(scaled[1]), k
+        if k in (-3, 3):
+            assert oracle.l2_eigenvalues(scaled[0], 1.0, window) == \
+                pytest.approx(ref, rel=1e-13)

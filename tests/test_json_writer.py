@@ -126,20 +126,26 @@ def test_atoms_json_is_json_dumps_of_the_document(margs, empty):
 
 
 def test_atoms_l1_lattice_json_is_json_dumps_of_the_document():
-    # on a vanishing interval the lattice weights are not finite, and the
-    # request is refused (exit 1, nothing printed) where it once wrote NaN
+    # windows that hold eight lattice points of alpha = 0.6 + 0.8i at
+    # a = 1.3, and one; on a vanishing interval the scan finds the base
+    # point -2 alone, with a finite weight
     alpha = np.array([[0.6 + 0.8j]])
-    for a, n_range in ((1.3, "-3..3"), (1.3, "5..5"), (1e-300, "-2..2")):
-        lo, hi = map(int, n_range.split(".."))
+    for a, window, count in ((1.3, (-9.0, 9.0), 8), (1.3, (11.0, 12.0), 1),
+                             (1e-300, (-3.0, 3.0), 1)):
+        locs, masses = clark.atom_scan(livsic.livsic_function(models.l1(a)),
+                                       alpha, window)
+        assert len(locs) == count
+        if a == 1.3:
+            lattice = models.l1_atoms(alpha[0, 0], a, (-3, 5))
+            assert locs == pytest.approx(
+                [s for s in lattice if window[0] < s < window[1]], rel=1e-14)
 
         def doc():
-            locs = models.l1_atoms(alpha[0, 0], a, (lo, hi))
-            weights = models.l1_weight(alpha[0, 0], a, np.array(locs))
-            return _measure_doc("l1", alpha, np.empty(0), [], locs, weights)
+            return _measure_doc("l1", alpha, np.empty(0), [], locs,
+                                np.trace(masses, axis1=1, axis2=2).real)
         _same_as(["atoms", "--model", "l1", f"--a={a!r}", "--alpha",
-                  "0.6,0.8", f"--n-range={n_range}", "--format", "json"], doc)
-    assert _run(["atoms", "--model", "l1", "--a=1e-300", "--alpha", "1",
-                 "--n-range=0..0", "--format", "json"]) == (1, "")
+                  "0.6,0.8", f"--window={window[0]!r}:{window[1]!r}",
+                  "--format", "json"], doc)
 
 
 @given(model_args, grids, st.floats(min_value=0.0, max_value=3.0))

@@ -131,9 +131,11 @@ def test_l1_direct_eigenvalue_anchors():
 
 
 def test_l1_direct_matches_mapped_atoms():
+    # f(a) = beta f(-a) through the generic map, as [[-beta]] | [[1]]
     a = 0.8
     for beta in (1.0, np.exp(0.9j), np.exp(-2.4j)):
-        alpha = extensions.alpha_from_bc_l1(beta, a)
+        alpha = extensions.alpha_from_bc_regular(
+            models.l1(a), extensions.BoundaryMatrices([[-beta]], [[1.0]]))[0, 0]
         direct = oracle.l1_eigenvalues_direct(beta, a, (-3, 3))
         mapped = models.l1_atoms(alpha, a, (-4, 4))
         for s in direct:
@@ -476,6 +478,10 @@ def test_bound_state_absent():
     assert oracle.k1_bound_state_check(1.0, -1.0) is None  # wrong sign
     with pytest.raises(DomainError):
         oracle.k1_bound_state_check(1j, 1.0)
+    # the empty ray is refused by the boundary map, before sigma's sign
+    # would return None
+    with pytest.raises(RankError):
+        oracle.k1_bound_state_check(0.0, 0.0)
 
 
 def test_l2_atom_in_the_cell_around_zero():

@@ -132,12 +132,13 @@ def test_atom_scan_runs_no_lapack_svd(monkeypatch):
     # Newton rounds on the cells that count atoms where no cell splits
     # (these take one to three), each at two points per cell
     dirichlet = extensions.BoundaryMatrices([[1, 0], [0, 0]], [[0, 0], [1, 0]])
+    robin = extensions.BoundaryMatrices([[1.0, 1.0]], np.empty((1, 0)))
     cases = (
         (models.l1(1.0), [[1.0]], (-10.0, 10.0), [105, 12, 12]),
         (models.l2(1.0), extensions.alpha_from_bc_regular(models.l2(1.0), dirichlet),
          (-1.0, 26.0), [141, 6, 6]),
-        (models.k1(), [[extensions.alpha_from_bc_k1(1.0, 1.0)]], (-10.0, 0.5),
-         [180, 2]),
+        (models.k1(), extensions.alpha_from_bc_regular(models.k1(), robin),
+         (-10.0, 0.5), [180, 2]),
         (models.k2(), -np.eye(2), (-1.0, 0.5), [164] + _K2_NEWTON),
     )
     svd_calls = []
@@ -181,7 +182,7 @@ def test_one_parser_per_process(monkeypatch, capsys):
                 ["density", "--model", "k1", "--alpha", "-1", "--grid", "1:2:3"],
                 ["density", "--model", "k2", "--alpha", "[[1,0],[0,1]]",
                  "--grid", "1:2:3", "--format", "json"],
-                ["atoms", "--model", "l1", "--alpha", "1", "--n-range=0..2"],
+                ["atoms", "--model", "l1", "--alpha", "1", "--window=0:7"],
                 ["livsic", "--model", "l2", "--grid=-1:1:3"],
                 ["bcmap", "--model", "k1", "--b", "1", "--c", "1"]):
             assert cli.main(argv) == 0

@@ -7,14 +7,14 @@ point masses and the scan's Newton rounds). The atom scan is
 clark.atom_scan on a fixed window and coupling per model, in milliseconds
 per call, beside its deterministic work: the calls of B it makes and the
 points they carry. The oracle is timed in milliseconds per call on two
-inputs of the verify battery: one stacked
-quad_inner of the K2 rates at a point against both defect bases, as
-criterion 10 makes it, and l2_eigenvalues on criterion 7's Dirichlet
-window at a = 1. A density --format json request is timed in process
-through cli.main, in milliseconds, on each half-line model at 20 and 80
-points in s > 0, beside its two parts: the compute (clark.ac_density on a
-new SchurFunction, as the request makes it) and the write (the JSON text
-of the document, printed). Each figure is the best of --repeat runs, so it
+inputs of the verify battery: the one stacked quad_inner of the K2 rates
+at 20 points against both defect bases, as criterion 10 makes it per
+model, and l2_eigenvalues on criterion 7's Dirichlet window at a = 1. A
+density --format json request is timed in process through cli.main, in
+milliseconds, on each half-line model at 20 and 80 points in s > 0,
+beside its two parts: the compute (clark.ac_density on a new
+SchurFunction, as the request makes it) and the write (the JSON text of
+the document, printed). Each figure is the best of --repeat runs, so it
 is the cost of the code, not of the machine's other load. Prints one JSON
 line.
 
@@ -56,14 +56,12 @@ def scans():
 
 
 def oracle_calls():
-    """name -> call: the K2 pairing block of criterion 10 at one point, and
-    the criterion-7 Dirichlet determinant roots at a = 1."""
-    model = models.k2()
-    block = (np.eye(2), model.raw_rates(1.3 + 0.7j))
+    """name -> call: the K2 pairing block of criterion 10 over its 20
+    points, and the criterion-7 Dirichlet determinant roots at a = 1."""
+    points = checks._points_10(np.random.default_rng([0, 10]))
     window = (-1.0, (5.0 * math.pi / 2.0) ** 2 * 1.05 + 1.0)
     return {
-        "quad_inner_k2_block": partial(oracle.quad_inner, model, block,
-                                       checks._defect_bases(model)),
+        "quad_inner_k2_block": partial(checks._pairings, models.k2(), points),
         "l2_eigenvalues_dirichlet": partial(oracle.l2_eigenvalues,
                                             checks._dirichlet_bm(), 1.0, window),
     }

@@ -38,7 +38,7 @@ _L1_COUPLINGS = (1.0, -1.0, 1j, cmath.exp(1j * math.pi / 3))
 
 
 def _rel(a, b):
-    return abs(a - b) / max(abs(b), 1e-300)
+    return np.abs(a - b) / np.maximum(np.abs(b), 1e-300)
 
 
 def check_1(seed=0):
@@ -64,15 +64,16 @@ def check_2(seed=0):
     b = livsic.livsic_function(models.l1(1.0))
     worst = 0.0
     for alpha in _L1_COUPLINGS:
-        atoms = models.l1_atoms(alpha, 1.0, (-10, 10))
-        masses = clark.point_mass(b, [[alpha]], atoms)
-        for s, pm in zip(atoms, masses[:, 0, 0].real):
-            worst = max(worst, _rel(pm, models.l1_weight(alpha, 1.0, s)))
+        atoms = np.array(models.l1_atoms(alpha, 1.0, (-10, 10)))
+        masses = clark.point_mass(b, [[alpha]], atoms)[:, 0, 0].real
+        worst = max(worst, float(np.max(_rel(
+            masses, models.l1_weight(alpha, 1.0, atoms)))))
     coth = math.cosh(1.0) / math.sinh(1.0)
-    for s in models.l1_atoms(1.0, 1.0, (-10, 10)):
-        ref = coth / (math.pi * (1.0 + s * s) ** 2)
-        if _rel(models.l1_weight(1.0, 1.0, s), ref) > 1e-12:
-            return False, f"closed weight mismatch at s = {s:.6f}"
+    s = np.array(models.l1_atoms(1.0, 1.0, (-10, 10)))
+    off = _rel(models.l1_weight(1.0, 1.0, s),
+               coth / (math.pi * (1.0 + s * s) ** 2)) > 1e-12
+    if np.any(off):
+        return False, f"closed weight mismatch at s = {s[off][0]:.6f}"
     return worst <= 1e-12, f"max relative mass deviation {worst:.2e}"
 
 
@@ -244,23 +245,40 @@ def _defect_bases(model):
     return coeffs, np.concatenate([r_plus, r_minus])
 
 
+def _points_10(rng):
+    """The 20 points of criterion 10 for one model, each drawn as its real
+    part in (-5, 5) and then its imaginary part in (0.1, 3)."""
+    re, im = rng.uniform([-5.0, 0.1], [5.0, 3.0], size=(20, 2)).T
+    return re + 1j * im
+
+
+def _pairings(model, w):
+    """The pairings of the plain exponentials of the rates at each point of
+    w with both defect bases, from one quad_inner call on the whole stack:
+    shape w.shape + (rank, 2 rank), the basis at +i in the first rank
+    columns."""
+    rates = model.raw_rates(w)
+    q = oracle.quad_inner(model, (np.eye(rates.size), rates),
+                          _defect_bases(model))
+    return q.reshape(rates.shape + (-1,))
+
+
 def check_10(seed=0):
     """B against Gauss-Legendre quadrature at random points: livsic_eval's
     B(w) against gamma(w) Q(+)^{-1} Q(-), Q the pairings of the plain
-    exponentials of the rates at w with both defect bases from one stacked
-    quad_inner, so that the factors and the constant matrices of every
-    model's B (livsic._frame) are all checked."""
+    exponentials of the rates at w with both defect bases, one stacked
+    quad_inner per model for its 20 points, so that the factors and the
+    constant matrices of every model's B (livsic._frame) are all
+    checked."""
     rng = np.random.default_rng([seed, 10])
     worst = 0.0
     for model in (models.k1(), models.k2(), models.l1(1.0), models.l2(1.0)):
-        bases, n = _defect_bases(model), model.rank
-        for _ in range(20):
-            w = complex(rng.uniform(-5, 5), rng.uniform(0.1, 3.0))
-            ref = oracle.quad_inner(model, (np.eye(n), model.raw_rates(w)), bases)
-            want = cayley(w) * np.linalg.solve(ref[:, :n], ref[:, n:])
-            worst = max(worst, float(np.max(np.abs(livsic.livsic_eval(model, w)
-                                                   - want))))
-    return worst <= 1e-8, f"max B-vs-quadrature deviation {worst:.2e}"
+        w, n = _points_10(rng), model.rank
+        q = _pairings(model, w)
+        want = cayley(w)[:, None, None] * np.linalg.solve(q[..., :n], q[..., n:])
+        worst = max(worst, float(np.max(np.abs(livsic.livsic_eval(model, w)
+                                               - want))))
+    return worst <= 1e-12, f"max B-vs-quadrature deviation {worst:.2e}"
 
 
 def check_11(seed=0):

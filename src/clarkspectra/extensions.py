@@ -23,6 +23,7 @@ weights and densities stay in models as references.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -150,10 +151,14 @@ def boundary_rows(model, f):
     return rows
 
 
+@lru_cache(maxsize=64)
 def _defect_rows(model):
-    """Boundary rows (H-, H+) of the defect bases at -i and +i."""
-    return tuple(boundary_rows(model, defect_onb(model, side))
-                 for side in "-+")
+    """Boundary rows (H-, H+) of the defect bases at -i and +i, computed
+    once per model like defect_onb; read-only."""
+    rows = tuple(boundary_rows(model, defect_onb(model, side)) for side in "-+")
+    for r in rows:
+        r.flags.writeable = False
+    return rows
 
 
 def alpha_from_bc_regular(model, bm):

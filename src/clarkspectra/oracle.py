@@ -17,7 +17,7 @@ import numpy as np
 from .cplane import check_unitary
 from .defect import defect_onb
 from .errors import DomainError, RankError, ToleranceError
-from .extensions import (BoundaryMatrices, alpha_from_bc_regular,
+from .extensions import (BoundaryMatrices, _defect_rows, alpha_from_bc_regular,
                          boundary_rows, validate_sa_matrices)
 from .models import k1
 
@@ -39,7 +39,11 @@ def _rules():
     return [np.polynomial.legendre.leggauss(m) for m in (16, 8)]
 
 
+# At most _MAX_PANELS panels, summed in blocks of _BLOCK_PANELS (512 nodes
+# of the 16-node rule, the size of livsic._BLOCK), so that the exponentials
+# at the nodes take memory bounded by the block, not by the panel count
 _MAX_PANELS = 10 ** 4
+_BLOCK_PANELS = 32
 
 
 def _terms(f):
@@ -63,12 +67,13 @@ def quad_inner(model, f, g):
     array of shape f-stack + g-stack of all the inner products, from one
     set of panels: their count and the half-line cutoff come from the
     union of the rates with a nonzero coefficient, which needs at least as
-    many panels as any one pair. On the half-line a rate may be bounded
-    (Re r = 0) when the product decays; a growing rate or a product that
-    does not decay is a DomainError. ToleranceError when the error estimate
-    of any entry (16 against 8 nodes, plus the tail at the union's decay)
-    exceeds that entry's budget, _ABS_TOL + _REL_TOL |entry|, or for more
-    than _MAX_PANELS panels."""
+    many panels as any one pair; they are summed in blocks of
+    _BLOCK_PANELS, so the temporaries do not grow with their count. On the
+    half-line a rate may be bounded (Re r = 0) when the product decays; a
+    growing rate or a product that does not decay is a DomainError.
+    ToleranceError when the error estimate of any entry (16 against 8
+    nodes, plus the tail at the union's decay) exceeds that entry's budget,
+    _ABS_TOL + _REL_TOL |entry|, or for more than _MAX_PANELS panels."""
     (fc, fr, f_lead), (gc, gr, g_lead) = _terms(f), _terms(g)
     shape = f_lead + g_lead
     if fr.size == 0 or gr.size == 0:
@@ -86,12 +91,16 @@ def quad_inner(model, f, g):
     if panels > _MAX_PANELS:
         raise ToleranceError(f"integrand needs {panels} > {_MAX_PANELS} panels")
     edges = np.linspace(lo, hi, max(panels, 1) + 1)
-    half = 0.5 * np.diff(edges)[:, None]
+    left, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
 
     def rule(nodes, weights):
-        x = (edges[:-1, None] + half * (1.0 + nodes)).ravel()
-        at_f, at_g = (c @ np.exp(np.outer(r, x)) for c, r in ((fc, fr), (gc, gr)))
-        return ((half * weights).ravel() * at_f) @ at_g.conj().T
+        total = 0.0
+        for k in range(0, left.size, _BLOCK_PANELS):
+            h = half[k:k + _BLOCK_PANELS]
+            x = (left[k:k + _BLOCK_PANELS] + h * (1.0 + nodes)).ravel()
+            at_f, at_g = (c @ np.exp(np.outer(r, x)) for c, r in ((fc, fr), (gc, gr)))
+            total += ((h * weights).ravel() * at_f) @ at_g.conj().T
+        return total
     value, coarse = (rule(*r) for r in _rules())
     err = np.abs(value - coarse) + tail
     budget = _ABS_TOL + _REL_TOL * np.abs(value)
@@ -112,10 +121,9 @@ def _boundary_system(model, alpha, s):
     rates = model.raw_rates(float(s))
     if np.unique(rates).size < rates.size:
         raise DomainError(f"solution rates coincide at s = {float(s)!r}")
-    gens = (alpha @ boundary_rows(model, defect_onb(model, "-"))
-            - boundary_rows(model, defect_onb(model, "+")))
+    minus, plus = _defect_rows(model)
     return rates, np.vstack([boundary_rows(model, (np.eye(rates.size), rates)),
-                             gens])
+                             alpha @ minus - plus])
 
 
 _NULL_TOL = 1e-8
@@ -134,7 +142,10 @@ def eigen_mass(model, alpha, s):
     rates, system = _boundary_system(model, alpha, s)
     _, sv, vh = np.linalg.svd(system.T)
     null = max(1, int(np.sum(sv <= _NULL_TOL * sv[0])))
-    u = (vh[-null:, :rates.size].conj(), rates)
+    # unit coefficient rows: the scale of u cancels in V G^{-1} V*, and a
+    # far K1 Robin atom's row of order 1/sigma would underflow G
+    coeffs = vh[-null:, :rates.size].conj()
+    u = (coeffs / np.linalg.norm(coeffs, axis=1, keepdims=True), rates)
     v = quad_inner(model, defect_onb(model, "+"), u)
     mass = (v @ np.linalg.solve(quad_inner(model, u, u), v.conj().T)
             / (np.pi * (1.0 + s * s)))
@@ -304,10 +315,11 @@ def l2_eigenvalues(bm, a, window):
 def k1_bound_state_check(b, c):
     """(location, weight) of the bound state of the K1 Robin condition
     b f(0) + c f'(0) = 0, or None: exp(-sigma x) meets it iff
-    sigma = b/c > 0, at -sigma^2, and the weight is its eigen_mass.
-    DomainError when b/c is not real; the empty ray (0, 0) is the generic
-    map's RankError."""
-    sigma = b / c if abs(c) >= 1e-14 * max(abs(b), 1.0) else 0.0  # Dirichlet
+    sigma = b/c > 0 (c = 0 is Dirichlet, with none), at -sigma^2, and the
+    weight is its eigen_mass. DomainError when b/c is not real or -sigma^2
+    is not a finite float; the empty ray (0, 0) is the generic map's
+    RankError."""
+    sigma = complex(b / c) if c != 0 else 0j
     if abs(sigma.imag) > 1e-10 * (1.0 + abs(sigma)):
         raise DomainError("Robin ratio is not real")
     model = k1()
@@ -315,5 +327,8 @@ def k1_bound_state_check(b, c):
         model, BoundaryMatrices([[b, c]], np.empty((1, 0))))
     if sigma.real <= 0:
         return None
-    location = -sigma.real ** 2
+    location = -sigma.real * sigma.real
+    if not math.isfinite(location):
+        raise DomainError(f"bound state -sigma^2 of sigma = {sigma.real!r} "
+                          f"is not a finite float")
     return location, float(eigen_mass(model, alpha, location)[0, 0].real)

@@ -247,6 +247,25 @@ def test_alpha_from_bc_regular_pinned_values():
         assert np.max(np.abs(alpha - np.array(ref))) < 1e-14
 
 
+def test_defect_rows_are_cached_and_read_only(monkeypatch):
+    # a model no other test builds, so that the first call misses the cache
+    m = models.l2(0.8125)
+    alpha = random_unitary(2, np.random.default_rng(31))
+    bm = extensions.bc_from_alpha_regular(m, alpha)
+    rows = extensions._defect_rows(m)
+    assert extensions._defect_rows(m) is rows
+    for r in rows:
+        assert not r.flags.writeable
+        with pytest.raises(ValueError):
+            r[0, 0] = 0.0
+    cached = extensions.alpha_from_bc_regular(m, bm)
+    # the same rows rebuilt on every call, as before the cache
+    monkeypatch.setattr(extensions, "_defect_rows",
+                        extensions._defect_rows.__wrapped__)
+    fresh = extensions.alpha_from_bc_regular(m, bm)
+    assert np.array_equal(cached, fresh)
+
+
 def test_bc_regular_round_trip_random():
     rng = np.random.default_rng(12)
     m = models.l2(0.7)

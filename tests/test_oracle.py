@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,39 @@ def test_quad_inner_stack_matches_the_entries(model):
     column = oracle.quad_inner(model, f, (g[0][0], g[1]))
     assert column.shape == (3,)
     assert np.max(np.abs(column - entries[:, 0])) <= tol
+
+
+@pytest.mark.parametrize("model", [models.k1(), models.k2(), models.l1(1.0),
+                                   models.l2(1.0)], ids=lambda m: m.name)
+def test_criterion_10_stack_matches_the_points(model):
+    # criterion 10's one call over its 20 points against one call per
+    # point; the stack's panels are those of its fastest rate
+    w = checks._points_10(np.random.default_rng([0, 10]))
+    stack = checks._pairings(model, w)
+    bases, n = checks._defect_bases(model), model.rank
+    assert stack.shape == (20, n, 2 * n)
+    points = np.array([oracle.quad_inner(model, (np.eye(n), model.raw_rates(p)),
+                                         bases) for p in w])
+    assert np.all(np.abs(stack - points) <= 1e-13 * np.abs(points))
+
+
+def test_quad_inner_memory_is_bounded():
+    # 200 (30 + 30) / 2 = 6000 panels of 16 nodes on (-100, 100): the
+    # exponentials at all the nodes at once would take 12 MB per side, a
+    # block of 32 panels takes 65 kB
+    m = models.l1(100.0)
+    f = (np.eye(8), 1j * np.linspace(-30.0, 30.0, 8))
+    expected = oracle.quad_inner(m, f, f)
+    tracemalloc.start()
+    try:
+        value = oracle.quad_inner(m, f, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert np.array_equal(value, expected)
+    # the diagonal is the interval's length
+    assert np.max(np.abs(np.diag(value) - 200.0)) < 1e-10
 
 
 def test_quad_inner_of_two_functions_is_one_complex():
@@ -482,6 +516,33 @@ def test_bound_state_absent():
     # would return None
     with pytest.raises(RankError):
         oracle.k1_bound_state_check(0.0, 0.0)
+
+
+@pytest.mark.parametrize("b,c", [(1e15, 1.0), (1.0, 1e-15), (1e60, 1.0)])
+def test_bound_state_of_a_far_robin_ray(b, c):
+    # sigma = b/c far out: the atom at -sigma^2 is the scan's on a window
+    # that reaches it, with the scan's mass
+    location, weight = oracle.k1_bound_state_check(b, c)
+    assert location == pytest.approx(-(b / c) ** 2, rel=1e-15)
+    model = models.k1()
+    alpha = extensions.alpha_from_bc_regular(
+        model, extensions.BoundaryMatrices([[b, c]], np.empty((1, 0))))
+    atoms, masses = clark.atom_scan(livsic.livsic_function(model), alpha,
+                                    (2.0 * location, 0.5))
+    assert len(atoms) == 1
+    assert atoms[0] == pytest.approx(location, rel=1e-14)
+    assert masses[0, 0, 0].real == pytest.approx(weight, rel=1e-13)
+    assert weight == pytest.approx(9.0031631615710e-76 * (1e15 * c / b) ** 5,
+                                   rel=1e-12)
+
+
+def test_bound_state_beyond_the_float_range():
+    # -sigma^2 overflows; an atom whose mass underflows is still placed
+    with pytest.raises(DomainError):
+        oracle.k1_bound_state_check(1e200, 1.0)
+    with pytest.raises(DomainError):
+        oracle.k1_bound_state_check(1.0, 1e-200)
+    assert oracle.k1_bound_state_check(1e150, 1.0) == (-1e150 * 1e150, 0.0)
 
 
 def test_l2_atom_in_the_cell_around_zero():

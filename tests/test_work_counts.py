@@ -195,16 +195,28 @@ def test_one_parser_per_process(monkeypatch, capsys):
 
 
 def test_oracle_quadrature_calls(monkeypatch):
-    # one stacked quad_inner per point of criterion 10 (80), one per
-    # density of criterion 6 (15) and two per mass of criterion 11 (the K1
-    # Robin mass and 12 K2 atoms): 121 in all
+    # one stacked quad_inner per model of criterion 10 (4, each over its 20
+    # points), one per density of criterion 6 (15) and two per mass of
+    # criterion 11 (the K1 Robin mass and 12 K2 atoms): 45 in all
     calls = []
     quad_inner = oracle.quad_inner
     monkeypatch.setattr(oracle, "quad_inner",
                         lambda *a, **k: calls.append(1) or quad_inner(*a, **k))
     results = checks.run_all(seed=0, numbers={6, 10, 11})
     assert all(r.passed for r in results)
-    assert len(calls) == 121
+    assert len(calls) == 45
+
+
+def test_criterion_2_weight_calls(monkeypatch):
+    # one closed-weight call per coupling on its array of atoms (4) and one
+    # for the coth comparison
+    calls = []
+    l1_weight = models.l1_weight
+    monkeypatch.setattr(models, "l1_weight",
+                        lambda *a, **k: calls.append(1) or l1_weight(*a, **k))
+    results = checks.run_all(seed=0, numbers={2})
+    assert all(r.passed for r in results)
+    assert len(calls) == 5
 
 
 def _reference_bisect(fn, lo, hi, moves):

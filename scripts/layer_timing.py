@@ -9,7 +9,10 @@ per call, beside its deterministic work: the calls of B it makes and the
 points they carry. The oracle is timed in milliseconds per call on two
 inputs of the verify battery: the one stacked quad_inner of the K2 rates
 at 20 points against both defect bases, as criterion 10 makes it per
-model, and l2_eigenvalues on criterion 7's Dirichlet window at a = 1. A
+model, and l2_eigenvalues on criterion 7's Dirichlet window at a = 1;
+beside them, the oracle's deterministic work in one battery: the calls of
+the root search's function per l2_eigenvalues of criterion 7 and the
+quad_inner calls of all the criteria. A
 density --format json request is timed in process through cli.main, in
 milliseconds, on each half-line model at 20 and 80 points in s > 0,
 beside its two parts: the compute (clark.ac_density on a new
@@ -32,6 +35,7 @@ import os
 import time
 from dataclasses import replace
 from functools import partial
+from unittest import mock
 
 import numpy as np
 
@@ -65,6 +69,32 @@ def oracle_calls():
         "l2_eigenvalues_dirichlet": partial(oracle.l2_eigenvalues,
                                             checks._dirichlet_bm(), 1.0, window),
     }
+
+
+def oracle_counts():
+    """The oracle's deterministic work in one battery (seed 0): the calls
+    of the root search's function, both ends included, per l2_eigenvalues
+    of criterion 7 (Dirichlet and periodic at a = 1, then at a = pi/2),
+    and the quad_inner calls of all twelve criteria."""
+    roots, quads = [], []
+    bisect, quad_inner, l2_eigenvalues = (oracle._bisect, oracle.quad_inner,
+                                          oracle.l2_eigenvalues)
+
+    def counted_bisect(fn, *args):
+        def fn_counted(s):
+            roots[-1] += 1
+            return fn(s)
+        return bisect(fn_counted, *args)
+    patches = {
+        "_bisect": counted_bisect,
+        "quad_inner": lambda *a: quads.append(1) or quad_inner(*a),
+        "l2_eigenvalues": lambda *a: roots.append(0) or l2_eigenvalues(*a),
+    }
+    with contextlib.ExitStack() as stack:
+        for name, fn in patches.items():
+            stack.enter_context(mock.patch.object(oracle, name, fn))
+        checks.run_all(seed=0)
+    return {"l2_eigenvalues_root_search_calls": roots, "quad_inner_calls": len(quads)}
 
 
 def counted(b):
@@ -150,7 +180,8 @@ def main(argv=None):
     print(json.dumps({"b_us_per_point": b_us, "b_with_derivative_us_per_point": db_us,
                       "atom_scan_ms": scan_ms, "atom_scan_b_calls": scan_calls,
                       "atom_scan_b_points": scan_points,
-                      "oracle_ms": oracle_ms, "cli_ms": cli_ms,
+                      "oracle_ms": oracle_ms, "oracle_counts": oracle_counts(),
+                      "cli_ms": cli_ms,
                       "repeat": args.repeat, "cpus": os.cpu_count(),
                       "numpy": np.__version__}))
 

@@ -127,15 +127,16 @@ def check_5(seed=0):
 
 def check_6(seed=0):
     """K2 density: direct boundary evaluation vs the generalized
-    eigenfunction of the ODE (oracle.eigen_density), Hermitian and PSD."""
+    eigenfunction of the ODE (oracle.eigen_density, one stacked call per
+    coupling on the five points), Hermitian and PSD."""
     rng = np.random.default_rng([seed, 6])
     model = models.k2()
     b = livsic.livsic_function(model)
     worst = 0.0
     points = (0.3, 0.7, 1.5, 3.0, 7.0)
     for alpha in (random_unitary(2, rng) for _ in range(3)):
-        for s, gen in zip(points, clark.ac_density(b, alpha, points)):
-            ref = oracle.eigen_density(model, alpha, s)
+        for s, gen, ref in zip(points, clark.ac_density(b, alpha, points),
+                               oracle.eigen_density(model, alpha, points)):
             worst = max(worst, float(np.max(np.abs(gen - ref))
                                      / np.max(np.abs(ref))))
             for mat, tag in ((gen, "direct"), (ref, "eigenfunction")):

@@ -159,6 +159,19 @@ def _finite_float(text):
     return value
 
 
+def _seed(text):
+    """argparse type for a non-negative integer seed; argparse exits with
+    code 2 otherwise."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 # Leaf templates of the JSON writer: a real number, a complex one, an atom
 _REAL, _COMPLEX, _ATOM = "%r", '{"re": %r, "im": %r}', '{"s": %r, "weight": %r}'
 
@@ -331,6 +344,10 @@ def cmd_verify(args):
         except ValueError as exc:
             raise _ConfigError("--only takes comma-separated criterion "
                                "numbers") from exc
+        unknown = sorted(numbers - {number for number, _, _ in checks.ALL_CHECKS})
+        if unknown:
+            raise _ConfigError("--only names no criterion "
+                               + ", ".join(map(str, unknown)))
     results = checks.run_all(seed=args.seed, numbers=numbers)
     if not results:
         raise _ConfigError("no criteria selected")
@@ -403,7 +420,7 @@ def build_parser():
     bc.set_defaults(func=cmd_bcmap)
 
     v = sub.add_parser("verify", help="run the acceptance battery")
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=_seed, default=0)
     v.add_argument("--only", help="comma-separated criterion numbers")
     v.set_defaults(func=cmd_verify)
     return parser

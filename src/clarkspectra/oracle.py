@@ -92,13 +92,17 @@ def quad_inner(model, f, g):
         raise ToleranceError(f"integrand needs {panels} > {_MAX_PANELS} panels")
     edges = np.linspace(lo, hi, max(panels, 1) + 1)
     left, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
+    # identity coefficients (plain exponentials) skip their product
+    sides = [(None if np.array_equal(c, np.eye(len(c))) else c, r)
+             for c, r in ((fc, fr), (gc, gr))]
 
     def rule(nodes, weights):
         total = 0.0
         for k in range(0, left.size, _BLOCK_PANELS):
             h = half[k:k + _BLOCK_PANELS]
             x = (left[k:k + _BLOCK_PANELS] + h * (1.0 + nodes)).ravel()
-            at_f, at_g = (c @ np.exp(np.outer(r, x)) for c, r in ((fc, fr), (gc, gr)))
+            at_f, at_g = (np.exp(np.outer(r, x)) if c is None
+                          else c @ np.exp(np.outer(r, x)) for c, r in sides)
             total += ((h * weights).ravel() * at_f) @ at_g.conj().T
         return total
     value, coarse = (rule(*r) for r in _rules())
@@ -113,17 +117,23 @@ def quad_inner(model, f, g):
 
 
 def _boundary_system(model, alpha, s):
-    """(rates, S) at the real point s: the rates of the solutions
-    exp(rate x) in the model's space (Model.raw_rates), and S, the boundary
-    rows of these and then of the generators -phi_i(+i) + sum_j alpha_ij
-    phi_j(-i). A solution is in the domain when its row is in their span."""
+    """(rates, S) at the real point s, or a stack of them at an array of
+    points: the rates of the solutions exp(rate x) in the model's space
+    (Model.raw_rates), and S, the boundary rows of these and then of the
+    generators -phi_i(+i) + sum_j alpha_ij phi_j(-i). A solution is in the
+    domain when its row is in their span."""
     alpha = check_unitary(alpha, model.rank, "perturbation parameter")
-    rates = model.raw_rates(float(s))
-    if np.unique(rates).size < rates.size:
-        raise DomainError(f"solution rates coincide at s = {float(s)!r}")
+    s = np.asarray(s, dtype=float)
+    rates = model.raw_rates(s)
+    ordered = np.sort(rates, axis=-1)
+    meet = np.any(ordered[..., 1:] == ordered[..., :-1], axis=-1)
+    if np.any(meet):
+        raise DomainError(f"solution rates coincide at s = {float(s[meet][0])!r}")
     minus, plus = _defect_rows(model)
-    return rates, np.vstack([boundary_rows(model, (np.eye(rates.size), rates)),
-                             alpha @ minus - plus])
+    rows = boundary_rows(model, (np.eye(rates.size), rates.ravel()))
+    rows = rows.reshape(rates.shape + rows.shape[-1:])
+    gen = np.broadcast_to(alpha @ minus - plus, s.shape + plus.shape)
+    return rates, np.concatenate([rows, gen], axis=-2)
 
 
 _NULL_TOL = 1e-8
@@ -134,8 +144,10 @@ def eigen_mass(model, alpha, s):
     eigenfunctions u_l from the null vectors of the transposed boundary
     system (the smallest singular direction, and any below _NULL_TOL),
     pi (1 + s^2) mu({s}) = V G^{-1} V*, V[j, l] = <phi_j(+i), u_l>,
-    G[l, m] = <u_l, u_m> by quad_inner; v v* / ||u||^2 for a simple one.
-    DomainError for s >= 0 on the half-line and where rates coincide."""
+    G[l, m] = <u_l, u_m>, both from one quad_inner call of the stack of
+    the phi_j(+i) and the u_l against the u_l; v v* / ||u||^2 for a simple
+    one. DomainError for s >= 0 on the half-line and where rates
+    coincide."""
     s = float(s)
     if model.halfline and not s < 0:
         raise DomainError(f"half-line eigenvalues lie below 0, got s = {s!r}")
@@ -145,29 +157,47 @@ def eigen_mass(model, alpha, s):
     # unit coefficient rows: the scale of u cancels in V G^{-1} V*, and a
     # far K1 Robin atom's row of order 1/sigma would underflow G
     coeffs = vh[-null:, :rates.size].conj()
-    u = (coeffs / np.linalg.norm(coeffs, axis=1, keepdims=True), rates)
-    v = quad_inner(model, defect_onb(model, "+"), u)
-    mass = (v @ np.linalg.solve(quad_inner(model, u, u), v.conj().T)
+    coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+    phi, phi_rates = defect_onb(model, "+")
+    n = model.rank
+    stack = np.zeros((n + null, phi_rates.size + rates.size), dtype=complex)
+    stack[:n, :phi_rates.size], stack[n:, phi_rates.size:] = phi, coeffs
+    both = quad_inner(model, (stack, np.concatenate([phi_rates, rates])),
+                      (coeffs, rates))
+    v = both[:n]
+    mass = (v @ np.linalg.solve(both[n:], v.conj().T)
             / (np.pi * (1.0 + s * s)))
     return 0.5 * (mass + mass.conj().T)
 
 
 def eigen_density(model, alpha, s):
-    """Density of the alpha measure at s > 0 on a half-line model:
+    """Density of the alpha measure at s > 0 on a half-line model, at a
+    point or at each point of a 1-D array (shape s.shape + (rank, rank)):
     rho = v v* (dk/ds) / (2 pi), v_j = <phi_j(+i), psi> by quad_inner, for
     psi = exp(-ikx) + R exp(ikx) (+ D exp(-kx) on K2), k = s^(1/order),
     the outgoing rates Model.raw_rates(s) and R, D from the boundary
-    system. With the atoms pi (1 + s^2) mu({s}) it makes up the spectral
-    measure of the defect basis. DomainError elsewhere."""
-    s = float(s)
-    if not (model.halfline and s > 0):
-        raise DomainError(f"no density of {model.name} at s = {s!r}")
-    rates, system = _boundary_system(model, alpha, s)
-    k = s ** (1.0 / model.order)
-    sol = np.linalg.solve(system.T, -boundary_rows(model, ([1.0], [-1j * k])))
-    psi = (np.r_[1.0, sol[:rates.size]], np.r_[-1j * k, rates])
-    v = quad_inner(model, defect_onb(model, "+"), psi)
-    return np.outer(v, v.conj()) * k / (model.order * s * 2.0 * np.pi)
+    system. The psi of all the points are one stack in block coefficient
+    rows over the union of their rates, and one quad_inner call pairs it
+    with the basis. With the atoms pi (1 + s^2) mu({s}) it makes up the
+    spectral measure of the defect basis. DomainError elsewhere, for a
+    point <= 0 anywhere in the array and for an empty one."""
+    s = np.asarray(s, dtype=float)
+    if not (model.halfline and s.ndim <= 1 and s.size and np.all(s > 0)):
+        raise DomainError(f"no density of {model.name} at s = {s.tolist()!r}")
+    points = np.atleast_1d(s)
+    rates, system = _boundary_system(model, alpha, points)
+    k = points ** (1.0 / model.order)
+    incoming = -1j * k
+    sol = np.linalg.solve(np.swapaxes(system, -1, -2), -boundary_rows(
+        model, (np.eye(k.size), incoming))[..., None])[..., 0]
+    m, r = rates.shape
+    coeffs = np.zeros((m, m, r + 1), dtype=complex)
+    coeffs[np.arange(m), np.arange(m)] = np.c_[np.ones(m), sol[:, :r]]
+    psi = (coeffs.reshape(m, -1), np.c_[incoming, rates].ravel())
+    v = quad_inner(model, defect_onb(model, "+"), psi).T
+    rho = (v[:, :, None] * v[:, None, :].conj() * k[:, None, None]
+           / (model.order * points * 2.0 * np.pi)[:, None, None])
+    return rho.reshape(s.shape + rho.shape[1:])
 
 
 def l1_eigenvalues_direct(beta, a, n_range):
@@ -222,20 +252,40 @@ def _interval_matrix(bm, a, s, far=None):
 
 
 def _bisect(fn, lo, hi, zero):
-    """Roots of the real, vectorized fn in brackets [lo, hi] where fn(lo)
-    is zero or of the other sign than fn(hi), by halvings until each
-    bracket has stopped moving (adjacent floats; the next halving would
-    repeat this one) or has both ends within zero of 0, where the floats
-    grow ever finer and the root is the bracket's point nearest 0; at most
-    100."""
-    flo = fn(lo)
+    """Roots of the real, vectorized fn in brackets lo < hi where fn(lo)
+    is zero or of the other sign than fn(hi), by Illinois regula falsi
+    (Dowell and Jarratt, BIT 11, 1971) on all brackets at once. Each step
+    takes the secant point of the bracket, moved to the nearest float
+    strictly inside, or the midpoint where there is none or where the last
+    two steps have not halved the bracket; the point replaces lo where fn
+    there has fn(lo)'s sign and hi otherwise, as in bisection, so a bracket
+    around a lone sign change ends on the same two adjacent floats. An end
+    kept for a second step running has its value halved for the secant.
+    The search stops when no bracket moves (adjacent floats) but those
+    with both ends within zero of 0, where the floats grow ever finer and
+    the root is the bracket's point nearest 0; at most 100 steps."""
+    if not lo.size:
+        return lo
+    flo = wlo = fn(lo)
+    whi = fn(hi)
+    # the last step's replaced end (-1 lo, 1 hi) and the last two widths
+    last, widths = np.zeros(lo.shape), (hi - lo, hi - lo)
+    halve = np.zeros(lo.shape, dtype=bool)
     for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        left = fmid * flo > 0
-        new_lo, new_hi = np.where(left, mid, lo), np.where(left, hi, mid)
+        with np.errstate(all="ignore"):
+            x = np.clip(lo + (hi - lo) * (wlo / (wlo - whi)),
+                        np.nextafter(lo, hi), np.nextafter(hi, lo))
+        x = np.where(halve | ~((lo < x) & (x < hi)), 0.5 * (lo + hi), x)
+        fx = fn(x)
+        left = fx * flo > 0
+        new_lo, new_hi = np.where(left, x, lo), np.where(left, hi, x)
         moved = (new_lo != lo) | (new_hi != hi)
-        lo, flo, hi = new_lo, np.where(left, fmid, flo), new_hi
+        halve = new_hi - new_lo > 0.5 * widths[0]
+        widths = (widths[1], new_hi - new_lo)
+        wlo = np.where(left, fx, np.where(last == 1, 0.5 * wlo, wlo))
+        whi = np.where(left, np.where(last == -1, 0.5 * whi, whi), fx)
+        lo, flo, hi = new_lo, np.where(left, fx, flo), new_hi
+        last = np.where(left, -1.0, 1.0)
         at_zero = (np.abs(lo) <= zero) & (np.abs(hi) <= zero)
         if not np.any(moved & ~at_zero):
             break

@@ -551,6 +551,28 @@ def test_verify_single_criterion(capsys):
     assert lines[-1] == "1/1 criteria passed"
 
 
+def test_verify_rejects_a_negative_seed_before_any_criterion(capsys, monkeypatch):
+    from clarkspectra import cli
+    ran = []
+    monkeypatch.setattr(cli.checks, "run_all", lambda **k: ran.append(k) or [])
+    for seed in ("-1", "2.5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", seed])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed: must be a non-negative integer" in err and seed in err
+    assert ran == []
+
+
+def test_verify_names_an_unknown_criterion(capsys, monkeypatch):
+    from clarkspectra import cli
+    ran = []
+    monkeypatch.setattr(cli.checks, "run_all", lambda **k: ran.append(k) or [])
+    code, out, err = run_cli(capsys, ["verify", "--only", "4,99"])
+    assert code == 2 and out == "" and ran == []
+    assert err.strip() == "error: --only names no criterion 99"
+
+
 def exit_code(capsys, argv):
     try:
         code = main(argv)

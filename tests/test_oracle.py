@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clarkspectra import checks, clark, extensions, livsic, models, oracle
+from clarkspectra import (checks, clark, defect, extensions, livsic, models,
+                          oracle)
 from clarkspectra.cplane import random_unitary
 from clarkspectra.errors import (DimensionError, DomainError, NonUnitaryError,
                                  RankError, ToleranceError)
@@ -101,6 +102,20 @@ def test_criterion_10_stack_matches_the_points(model):
     points = np.array([oracle.quad_inner(model, (np.eye(n), model.raw_rates(p)),
                                          bases) for p in w])
     assert np.all(np.abs(stack - points) <= 1e-13 * np.abs(points))
+
+
+def test_identity_coefficients_skip_their_product():
+    # criterion 10's K2 stack: plain exponentials in identity coefficients
+    # take no product with the coefficients, and give the same bits as the
+    # product, which a zero row below the identity forces (the stack is no
+    # longer square)
+    model = models.k2()
+    rates = model.raw_rates(checks._points_10(np.random.default_rng([0, 10])))
+    m, bases = rates.size, checks._defect_bases(model)
+    plain = oracle.quad_inner(model, (np.eye(m), rates), bases)
+    product = oracle.quad_inner(
+        model, (np.vstack([np.eye(m), np.zeros((1, m))]), rates), bases)
+    assert np.array_equal(plain, product[:m])
 
 
 def test_quad_inner_memory_is_bounded():
@@ -474,6 +489,62 @@ def test_eigen_density_matches_k2_ac_density():
         ref = oracle.eigen_density(model, alpha, s)
         val = clark.ac_density(b, alpha, s)
         assert np.max(np.abs(val - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("model", [models.k1(), models.k2()],
+                         ids=lambda m: m.name)
+def test_eigen_density_on_an_array_matches_the_points(model):
+    # one quad_inner call for the stack against one per point
+    rng = np.random.default_rng(17)
+    points = np.array([1e-3, 0.3, 0.7, 1.5, 3.0, 7.0, 100.0])
+    for alpha in (random_unitary(model.rank, rng) for _ in range(3)):
+        stack = oracle.eigen_density(model, alpha, points)
+        assert stack.shape == (points.size, model.rank, model.rank)
+        for s, val in zip(points, stack):
+            ref = oracle.eigen_density(model, alpha, s)
+            assert ref.shape == (model.rank, model.rank)
+            assert np.max(np.abs(val - ref)) <= 1e-13 * np.max(np.abs(ref))
+    for bad in ([0.5, 0.0, 2.0], [1.0, 2.0, -3.0], []):
+        with pytest.raises(DomainError):
+            oracle.eigen_density(model, np.eye(model.rank), np.array(bad))
+
+
+def _two_call_mass(model, alpha, s, monkeypatch):
+    """eigen_mass from V and G in two quad_inner calls, on the
+    eigenfunctions u that eigen_mass pairs (the second argument of its one
+    quad_inner call)."""
+    seen = []
+    quad_inner = oracle.quad_inner
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "quad_inner",
+                  lambda mod, f, g: seen.append(g) or quad_inner(mod, f, g))
+        mass = oracle.eigen_mass(model, alpha, s)
+    assert len(seen) == 1
+    u = seen[0]
+    v = quad_inner(model, defect.defect_onb(model, "+"), u)
+    gram = quad_inner(model, u, u)
+    ref = v @ np.linalg.solve(gram, v.conj().T) / (np.pi * (1.0 + s * s))
+    return mass, 0.5 * (ref + ref.conj().T), gram
+
+
+def test_eigen_mass_is_the_two_call_formula(monkeypatch):
+    # criterion 11's twelve K2 atoms, and the double L2 periodic atom at
+    # pi^2, whose G is 2 x 2
+    model = models.k2()
+    b = livsic.livsic_function(model)
+    rng = np.random.default_rng(13)
+    count = 0
+    for alpha in (random_unitary(2, rng) for _ in range(8)):
+        for s in clark.atom_scan(b, alpha, (-1e6, 0.5))[0]:
+            mass, ref, _ = _two_call_mass(model, alpha, s, monkeypatch)
+            assert np.max(np.abs(mass - ref)) <= 1e-13 * np.max(np.abs(ref))
+            count += 1
+    assert count == 12
+    l2 = models.l2(1.0)
+    alpha = extensions.alpha_from_bc_regular(l2, PERIODIC)
+    mass, ref, gram = _two_call_mass(l2, alpha, math.pi ** 2, monkeypatch)
+    assert gram.shape == (2, 2)
+    assert np.max(np.abs(mass - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_eigen_routine_guards():

@@ -55,6 +55,14 @@ def test_layer_timing_prints_one_json_line():
     assert set(doc["oracle_ms"]) == {"quad_inner_k2_block",
                                      "l2_eigenvalues_dirichlet"}
     assert all(t > 0 for t in doc["oracle_ms"].values())
+    # the oracle's work in one battery: four root searches of criterion 7
+    # and the quadratures of criteria 6, 10 and 11
+    counts = doc["oracle_counts"]
+    assert set(counts) == {"l2_eigenvalues_root_search_calls", "quad_inner_calls"}
+    searches = counts["l2_eigenvalues_root_search_calls"]
+    assert len(searches) == 4 and all(isinstance(c, int) and c > 0 for c in searches)
+    assert isinstance(counts["quad_inner_calls"], int)
+    assert counts["quad_inner_calls"] > 0
     assert set(doc["cli_ms"]) == {"K1", "K2"}
     for per_count in doc["cli_ms"].values():
         assert set(per_count) == {"20", "80"}

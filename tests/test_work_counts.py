@@ -5,15 +5,17 @@ evaluations a routine makes is not, so these counts pin the cost of the
 density's direct boundary evaluation, of the point masses and of the atom
 scan. B takes arrays of points, so each count is both the number of calls
 and the number of points evaluated. The oracle's counts are its
-quadrature calls per criterion and its bisection halvings per bracket.
+quadrature calls per criterion and the calls of its root search.
 """
 
 import argparse
 import math
 
 import numpy as np
+import pytest
 
 from clarkspectra import checks, clark, cli, extensions, livsic, models, oracle
+from clarkspectra.cplane import random_unitary
 
 
 class CountingB:
@@ -196,15 +198,16 @@ def test_one_parser_per_process(monkeypatch, capsys):
 
 def test_oracle_quadrature_calls(monkeypatch):
     # one stacked quad_inner per model of criterion 10 (4, each over its 20
-    # points), one per density of criterion 6 (15) and two per mass of
-    # criterion 11 (the K1 Robin mass and 12 K2 atoms): 45 in all
+    # points), one per coupling of criterion 6 (3, each over its 5 points)
+    # and one per mass of criterion 11 (the K1 Robin mass and 12 K2 atoms):
+    # 20 in all
     calls = []
     quad_inner = oracle.quad_inner
     monkeypatch.setattr(oracle, "quad_inner",
                         lambda *a, **k: calls.append(1) or quad_inner(*a, **k))
     results = checks.run_all(seed=0, numbers={6, 10, 11})
     assert all(r.passed for r in results)
-    assert len(calls) == 45
+    assert len(calls) == 20
 
 
 def test_criterion_2_weight_calls(monkeypatch):
@@ -219,28 +222,51 @@ def test_criterion_2_weight_calls(monkeypatch):
     assert len(calls) == 5
 
 
-def _reference_bisect(fn, lo, hi, moves):
-    """oracle._bisect as 100 halvings with no early stop; records for each
-    bracket the last halving that moved it."""
+def _reference_bisect(fn, lo, hi):
+    """Bisection to float resolution, the root search that oracle._bisect
+    made before its Illinois steps: 100 halvings with no early stop."""
     flo = fn(lo)
-    last = np.zeros(np.size(lo), dtype=int)
-    for k in range(1, 101):
+    for _ in range(100):
         mid = 0.5 * (lo + hi)
         fmid = fn(mid)
         left = fmid * flo > 0
-        new_lo, new_hi = np.where(left, mid, lo), np.where(left, hi, mid)
-        last[(new_lo != lo) | (new_hi != hi)] = k
-        lo, flo, hi = new_lo, np.where(left, fmid, flo), new_hi
-    moves.append((last, lo))
+        lo, flo, hi = (np.where(left, mid, lo), np.where(left, fmid, flo),
+                       np.where(left, hi, mid))
     return lo
 
 
-def test_l2_bisection_stops_at_float_resolution(monkeypatch):
-    # the criterion-7 windows: no bracket reaches the cap of 100 halvings;
-    # each bisection stops within 64, one halving after its last bracket
-    # stopped when no bracket is at 0; the roots are bitwise those of 100
-    # halvings, but for the root of the periodic conditions at s = 0,
-    # which is 0 itself
+def _roots_both_ways(monkeypatch, bm, a, window):
+    """(roots, calls, reference) of l2_eigenvalues: its roots, the calls of
+    the searched function per search of oracle._bisect, both ends
+    included, and the roots with _reference_bisect in its place, where a
+    root within the zero tolerance of 0 reads 0, as oracle._bisect
+    returns it."""
+    zero = np.finfo(float).eps * max(1.0, abs(window[0]), abs(window[1]))
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_bisect", lambda fn, lo, hi, _: _reference_bisect(fn, lo, hi))
+        reference = [0.0 if abs(r) <= zero else r
+                     for r in oracle.l2_eigenvalues(bm, a, window)]
+    bisect, calls = oracle._bisect, []
+
+    def counting(fn, lo, hi, tol):
+        calls.append(0)
+
+        def counted(s):
+            calls[-1] += 1
+            return fn(s)
+        return bisect(counted, lo, hi, tol)
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_bisect", counting)
+        got = oracle.l2_eigenvalues(bm, a, window)
+    return got, calls, reference
+
+
+def test_l2_root_search_ends_on_the_bisection_roots(monkeypatch):
+    """The Illinois search on criterion 7's four inputs: the roots are
+    bitwise those of bisection to float resolution, the two roots of the
+    periodic windows at s = 0 are 0 itself, and no search takes more than
+    25 calls of its function, both ends included (bisection takes up to
+    51)."""
     inputs = []
     l2_eigenvalues = oracle.l2_eigenvalues
     with monkeypatch.context() as m:
@@ -248,32 +274,26 @@ def test_l2_bisection_stops_at_float_resolution(monkeypatch):
                   lambda *a: inputs.append(a) or l2_eigenvalues(*a))
         assert checks.check_7()[0]
     assert len(inputs) == 4
-    bisect = oracle._bisect
     at_zero = 0
     for bm, a, window in inputs:
-        zero = np.finfo(float).eps * max(1.0, abs(window[0]), abs(window[1]))
-        moves, halvings, roots = [], [], []
-        monkeypatch.setattr(oracle, "_bisect",
-                            lambda fn, lo, hi, _: _reference_bisect(fn, lo, hi, moves))
-        reference = oracle.l2_eigenvalues(bm, a, window)
-
-        def counting(fn, lo, hi, tol):
-            calls = []
-            out = bisect(lambda s: calls.append(1) or fn(s), lo, hi, tol)
-            halvings.append(len(calls) - 1)
-            roots.append(out)
-            return out
-        monkeypatch.setattr(oracle, "_bisect", counting)
-        got = oracle.l2_eigenvalues(bm, a, window)
-        assert got == [0.0 if abs(r) <= zero else r for r in reference]
-        assert len(halvings) == len(moves) == 2
-        for count, (last, ref), out in zip(halvings, moves, roots):
-            small = np.abs(ref) <= zero
-            at_zero += int(np.sum(small))
-            assert np.array_equal(out[~small], ref[~small])
-            assert np.all(out[small] == 0.0)
-            assert count <= 64
-            if not np.any(small):
-                assert count == int(np.max(last, initial=0)) + 1
-    # both periodic windows hold the root at 0
+        got, calls, reference = _roots_both_ways(monkeypatch, bm, a, window)
+        assert got == reference
+        assert len(calls) == 2 and max(calls) <= 25
+        at_zero += got.count(0.0)
     assert at_zero == 2
+
+
+@pytest.mark.parametrize("a,tol", [(0.3, 1e-13), (1.0, 1e-15), (2.0, 1e-15)])
+def test_l2_root_search_sweep_matches_bisection(monkeypatch, a, tol):
+    # five Haar couplings mapped to boundary conditions, on three windows:
+    # the same roots as bisection, up to the noise of det M, which is
+    # larger on short intervals; never more calls than bisection's 51
+    for seed in range(5):
+        alpha = random_unitary(2, np.random.default_rng([seed, 77]))
+        bm = extensions.bc_from_alpha_regular(models.l2(a), alpha)
+        for window in ((-5.0, 200.0), (-30.0, 5.0), (-1.0, 60.0 / a ** 2)):
+            got, calls, reference = _roots_both_ways(monkeypatch, bm, a, window)
+            assert len(got) == len(reference)
+            assert all(abs(x - y) <= tol * max(1.0, abs(y))
+                       for x, y in zip(got, reference))
+            assert max(calls) <= 51

@@ -11,8 +11,8 @@ inputs of the verify battery: the one stacked quad_inner of the K2 rates
 at 20 points against both defect bases, as criterion 10 makes it per
 model, and l2_eigenvalues on criterion 7's Dirichlet window at a = 1;
 beside them, the oracle's deterministic work in one battery: the calls of
-the root search's function per l2_eigenvalues of criterion 7 and the
-quad_inner calls of all the criteria. A
+the root search's function per l2_eigenvalues of criterion 7, its
+_interval_matrix calls and the quad_inner calls of all the criteria. A
 density --format json request is timed in process through cli.main, in
 milliseconds, on each half-line model at 20 and 80 points in s > 0,
 beside its two parts: the compute (clark.ac_density on a new
@@ -75,10 +75,12 @@ def oracle_counts():
     """The oracle's deterministic work in one battery (seed 0): the calls
     of the root search's function, both ends included, per l2_eigenvalues
     of criterion 7 (Dirichlet and periodic at a = 1, then at a = pi/2),
-    and the quad_inner calls of all twelve criteria."""
-    roots, quads = [], []
-    bisect, quad_inner, l2_eigenvalues = (oracle._bisect, oracle.quad_inner,
-                                          oracle.l2_eigenvalues)
+    the _interval_matrix calls (all of them criterion 7's) and the
+    quad_inner calls of all twelve criteria."""
+    roots, matrices, quads = [], [], []
+    bisect, interval_matrix, quad_inner, l2_eigenvalues = (
+        oracle._bisect, oracle._interval_matrix, oracle.quad_inner,
+        oracle.l2_eigenvalues)
 
     def counted_bisect(fn, *args):
         def fn_counted(s):
@@ -87,6 +89,7 @@ def oracle_counts():
         return bisect(fn_counted, *args)
     patches = {
         "_bisect": counted_bisect,
+        "_interval_matrix": lambda *a: matrices.append(1) or interval_matrix(*a),
         "quad_inner": lambda *a: quads.append(1) or quad_inner(*a),
         "l2_eigenvalues": lambda *a: roots.append(0) or l2_eigenvalues(*a),
     }
@@ -94,7 +97,8 @@ def oracle_counts():
         for name, fn in patches.items():
             stack.enter_context(mock.patch.object(oracle, name, fn))
         checks.run_all(seed=0)
-    return {"l2_eigenvalues_root_search_calls": roots, "quad_inner_calls": len(quads)}
+    return {"l2_eigenvalues_root_search_calls": roots,
+            "interval_matrix_calls": len(matrices), "quad_inner_calls": len(quads)}
 
 
 def counted(b):

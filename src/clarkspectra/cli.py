@@ -153,9 +153,12 @@ def _make_model(name, a):
 
 def _finite_float(text):
     """argparse type for a finite float; argparse exits with code 2 otherwise."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return value
 
 

@@ -53,7 +53,7 @@ def _terms(f):
     rates = np.ravel(np.asarray(f[1], dtype=complex))
     coeffs = np.asarray(f[0], dtype=complex)
     lead = coeffs.shape[:-1]
-    coeffs = coeffs.reshape(-1, rates.size)
+    coeffs = coeffs.reshape(math.prod(lead), rates.size)
     used = np.any(coeffs != 0, axis=0)
     return coeffs[:, used], rates[used], lead
 
@@ -87,25 +87,29 @@ def quad_inner(model, f, g):
         lo, hi = 0.0, _CUTOFF_DIGITS * math.log(10.0) / decay
         tail = (np.outer(np.sum(np.abs(fc), axis=1), np.sum(np.abs(gc), axis=1))
                 * math.exp(-decay * hi) / decay)
-    panels = math.ceil((hi - lo) * (np.max(np.abs(fr)) + np.max(np.abs(gr))) / 2)
+    panels = max(math.ceil((hi - lo) * (np.max(np.abs(fr)) + np.max(np.abs(gr))) / 2), 1)
     if panels > _MAX_PANELS:
         raise ToleranceError(f"integrand needs {panels} > {_MAX_PANELS} panels")
-    edges = np.linspace(lo, hi, max(panels, 1) + 1)
-    left, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
+    # uniform panels [left_p, left_p + 2h]: exp(r (left_p + h (1 + t_j)))
+    # is exp(r left_p), once per rate and panel for both rules, times
+    # exp(r h (1 + t_j)), one table per rule and side (f's with the weights)
+    h = (hi - lo) / (2 * panels)
+    left = lo + 2.0 * h * np.arange(panels)
     # identity coefficients (plain exponentials) skip their product
     sides = [(None if np.array_equal(c, np.eye(len(c))) else c, r)
              for c, r in ((fc, fr), (gc, gr))]
-
-    def rule(nodes, weights):
-        total = 0.0
-        for k in range(0, left.size, _BLOCK_PANELS):
-            h = half[k:k + _BLOCK_PANELS]
-            x = (left[k:k + _BLOCK_PANELS] + h * (1.0 + nodes)).ravel()
-            at_f, at_g = (np.exp(np.outer(r, x)) if c is None
-                          else c @ np.exp(np.outer(r, x)) for c, r in sides)
-            total += ((h * weights).ravel() * at_f) @ at_g.conj().T
-        return total
-    value, coarse = (rule(*r) for r in _rules())
+    tables = [(np.exp(np.outer(fr, h * (1.0 + nodes))) * (h * weights),
+               np.exp(np.outer(gr, h * (1.0 + nodes)))) for nodes, weights in _rules()]
+    totals = [0.0, 0.0]
+    for k in range(0, panels, _BLOCK_PANELS):
+        starts = [np.exp(np.outer(r, left[k:k + _BLOCK_PANELS])) for _, r in sides]
+        for i, table in enumerate(tables):
+            at_f, at_g = ((e[:, :, None] * t[:, None, :]).reshape(len(e), -1)
+                          for e, t in zip(starts, table))
+            at_f, at_g = (at if c is None else c @ at
+                          for at, (c, _) in zip((at_f, at_g), sides))
+            totals[i] = totals[i] + at_f @ at_g.conj().T
+    value, coarse = totals
     err = np.abs(value - coarse) + tail
     budget = _ABS_TOL + _REL_TOL * np.abs(value)
     over = err > budget
@@ -310,8 +314,9 @@ def l2_eigenvalues(bm, a, window):
     pi/(2a _CELLS) and 1/_PER_UNIT wide and a cell wider than the window
     each side, brackets its sign changes. A local minimum of |det M|
     without one may be a double root, where M vanishes (periodic
-    conditions): the zero of the entry of M that varies most across it. A
-    root counts 2 - rank M, the rank taken against |beta_a| + |beta_b|
+    conditions): the zero of the entry of M that varies most across it.
+    One root search places the roots of both kinds of bracket. A root
+    counts 2 - rank M, the rank taken against |beta_a| + |beta_b|
     |Phi|, not |M|; a minimum with no zero ends at a grid point of full
     rank. Where 2a sqrt(-s) >= 1 the determinant, the entries and the rank
     come from the system N of _interval_matrix instead (the rank against
@@ -333,27 +338,34 @@ def l2_eigenvalues(bm, a, window):
     u = np.arange(ends[0] - h, ends[1] + 1.5 * h, h)
     grid = np.sign(u) * u * u
 
-    def det(s):
-        x, _, _, factor = _interval_matrix(bm, a, s)
-        return np.linalg.det(x) * factor
-    dets = det(grid)
+    x, _, _, factor = _interval_matrix(bm, a, grid)
+    dets = np.linalg.det(x) * factor
     phase = np.conj(dets[np.argmax(np.abs(dets))])
-    real = lambda s: (det(s) * phase).real
-    f = real(grid)
+    f = (dets * phase).real
     change = (f[:-1] == 0) | (f[:-1] * f[1:] < 0)
     mins = ((np.abs(f[1:-1]) < np.abs(f[:-2])) & (np.abs(f[1:-1]) <= np.abs(f[2:]))
             & (f[:-2] * f[1:-1] > 0) & (f[1:-1] * f[2:] > 0))
+    n, m = np.count_nonzero(change), np.count_nonzero(mins)
+    # one basis across each minimum's bracket, so that its entries are
+    # continuous, and the entry that varies most across it
     left, right = grid[:-2][mins], grid[2:][mins]
-    # one basis across each bracket, so that its entries are continuous
     far = _far(a, grid[1:-1][mins])
-    flat = lambda s: _interval_matrix(bm, a, s, far)[0].reshape(-1, 4)
-    step = flat(right) - flat(left)
-    pick = (np.arange(left.size), np.argmax(np.abs(step), axis=1))
-    entry = lambda s: (flat(s)[pick] * np.conj(step[pick])).real
+    bounds = _interval_matrix(bm, a, np.concatenate([left, right]),
+                              np.concatenate([far, far]))[0].reshape(-1, 4)
+    step = bounds[m:] - bounds[:m]
+    pick = (np.arange(m), np.argmax(np.abs(step), axis=1))
+    weight = np.conj(step[pick])
+
+    def signed(s):
+        """det M e^{-2a sqrt(max(-s, 0))} times phase, real, at the first n
+        points (sign changes), and the picked entry at the rest (minima)."""
+        x, _, _, factor = _interval_matrix(bm, a, s,
+                                           np.concatenate([_far(a, s[:n]), far]))
+        return np.concatenate([(np.linalg.det(x[:n]) * factor[:n] * phase).real,
+                               (x[n:].reshape(-1, 4)[pick] * weight).real])
     zero = np.finfo(float).eps * max(1.0, abs(lo), abs(hi))
-    roots = np.concatenate([
-        _bisect(real, grid[:-1][change], grid[1:][change], zero),
-        _bisect(entry, left, right, zero)])
+    roots = _bisect(signed, np.concatenate([grid[:-1][change], left]),
+                    np.concatenate([grid[1:][change], right]), zero)
     mats, left, right, _ = _interval_matrix(bm, a, roots)
     norm = lambda m: np.linalg.norm(m, 2, axis=(-2, -1))
     scale = norm(bm.beta_a) * norm(left) + norm(bm.beta_b) * norm(right)

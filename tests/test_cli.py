@@ -573,6 +573,20 @@ def test_verify_names_an_unknown_criterion(capsys, monkeypatch):
     assert err.strip() == "error: --only names no criterion 99"
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["density", "--model", "k1", "--alpha", "1", "--grid", "0:1:2",
+      "--a", "abc"], "--a"),
+    (["livsic", "--model", "k1", "--grid", "0:1:2", "--im", "abc"], "--im"),
+])
+def test_non_numeric_float_flag_names_the_expected_value(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be a finite number, got 'abc'" in err
+    assert "_finite_float" not in err
+
+
 def exit_code(capsys, argv):
     try:
         code = main(argv)

@@ -137,6 +137,60 @@ def test_quad_inner_memory_is_bounded():
     assert np.max(np.abs(np.diag(value) - 200.0)) < 1e-10
 
 
+def _per_node_inner(model, f, g):
+    """The 16-node value of quad_inner with one exponential per rate and
+    node, exp(np.outer(r, x)), on np.linspace panel edges, as quad_inner
+    computed it before it took each panel's exponentials from two factors."""
+    (fc, fr, _), (gc, gr, _) = oracle._terms(f), oracle._terms(g)
+    if model.halfline:
+        lo, hi = 0.0, (oracle._CUTOFF_DIGITS * math.log(10.0)
+                       / (-np.max(fr.real) - np.max(gr.real)))
+    else:
+        lo, hi = -model.a, model.a
+    panels = math.ceil((hi - lo) * (np.max(np.abs(fr)) + np.max(np.abs(gr))) / 2)
+    edges = np.linspace(lo, hi, max(panels, 1) + 1)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    half = 0.5 * np.diff(edges)[:, None]
+    x = (edges[:-1, None] + half * (1.0 + nodes)).ravel()
+    at_f, at_g = (c @ np.exp(np.outer(r, x)) for c, r in ((fc, fr), (gc, gr)))
+    return ((half * weights).ravel() * at_f) @ at_g.conj().T
+
+
+def test_two_factor_exponentials_match_the_per_node_rule(monkeypatch):
+    # the battery's 20 calls (criteria 6, 10 and 11), entry by entry
+    calls = []
+    quad_inner = oracle.quad_inner
+    monkeypatch.setattr(oracle, "quad_inner",
+                        lambda *a: calls.append((a, quad_inner(*a))) or calls[-1][1])
+    assert all(r.passed for r in checks.run_all(seed=0, numbers={6, 10, 11}))
+    assert len(calls) == 20
+    for (model, f, g), value in calls:
+        reference = _per_node_inner(model, f, g)
+        value = np.reshape(value, reference.shape)
+        assert np.all(np.abs(value - reference) <= 1e-14 * np.abs(reference))
+    # L1 at a = 100, 6000 panels: the phases r x reach 3000, and the
+    # rounding of the phases and of the panel ends leaves both rules some
+    # 1e-13 off, so entries near 0.003 are compared against the largest,
+    # the interval's length
+    model = models.l1(100.0)
+    f = (np.eye(8), 1j * np.linspace(-30.0, 30.0, 8))
+    reference = _per_node_inner(model, f, f)
+    assert np.max(np.abs(oracle.quad_inner(model, f, f) - reference)) <= 1e-14 * 200.0
+
+
+def test_quad_inner_of_an_empty_stack():
+    # no functions over no rates, as no functions over one rate: an empty
+    # result of the stacks' shape
+    k1 = models.k1()
+    one = ([1.0], [-1.0])
+    for f, g, shape in [((np.zeros((0, 0)), []), one, (0,)),
+                        (one, (np.zeros((0, 0)), []), (0,)),
+                        ((np.zeros((0, 1)), [-1.0]), one, (0,)),
+                        ((np.zeros((0, 0)), []), (np.eye(2), [-1.0, -2.0]), (0, 2))]:
+        value = oracle.quad_inner(k1, f, g)
+        assert value.shape == shape and value.dtype == complex
+
+
 def test_quad_inner_of_two_functions_is_one_complex():
     value = oracle.quad_inner(models.k1(), ([1.0], [-1.0]), ([1.0], [-2.0]))
     assert type(value) is complex

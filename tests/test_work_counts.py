@@ -262,11 +262,12 @@ def _roots_both_ways(monkeypatch, bm, a, window):
 
 
 def test_l2_root_search_ends_on_the_bisection_roots(monkeypatch):
-    """The Illinois search on criterion 7's four inputs: the roots are
-    bitwise those of bisection to float resolution, the two roots of the
-    periodic windows at s = 0 are 0 itself, and no search takes more than
-    25 calls of its function, both ends included (bisection takes up to
-    51)."""
+    """The Illinois search on criterion 7's four inputs: one search per
+    l2_eigenvalues over the sign-change and the local-minimum brackets
+    together, the roots bitwise those of bisection to float resolution,
+    the two roots of the periodic windows at s = 0 are 0 itself, and no
+    search takes more than 25 calls of its function, both ends included
+    (bisection takes up to 51)."""
     inputs = []
     l2_eigenvalues = oracle.l2_eigenvalues
     with monkeypatch.context() as m:
@@ -278,9 +279,21 @@ def test_l2_root_search_ends_on_the_bisection_roots(monkeypatch):
     for bm, a, window in inputs:
         got, calls, reference = _roots_both_ways(monkeypatch, bm, a, window)
         assert got == reference
-        assert len(calls) == 2 and max(calls) <= 25
+        assert len(calls) == 1 and max(calls) <= 25
         at_zero += got.count(0.0)
     assert at_zero == 2
+
+
+def test_criterion_7_interval_matrix_calls(monkeypatch):
+    # per l2_eigenvalues: one on the grid, one on the ends of the minimum
+    # brackets, one per call of the root search (11, 11, 11 and 12 calls)
+    # and one on the roots: 14 + 14 + 14 + 15
+    calls = []
+    interval_matrix = oracle._interval_matrix
+    monkeypatch.setattr(oracle, "_interval_matrix",
+                        lambda *a: calls.append(1) or interval_matrix(*a))
+    assert checks.check_7()[0]
+    assert len(calls) == 57
 
 
 @pytest.mark.parametrize("a,tol", [(0.3, 1e-13), (1.0, 1e-15), (2.0, 1e-15)])

@@ -34,7 +34,7 @@ def l1_table(args):
     a = args.a
     alpha = cmath.exp(1j * args.theta)
     lo, hi = (int(t) for t in args.n_range.split(".."))
-    closed = models.l1_atoms(alpha, a, (lo, hi))
+    closed = oracle.l1_atoms(alpha, a, (lo, hi))
     model = models.l1(a)
     b = livsic.livsic_function(model)
     window = (closed[0] - 0.4 / a, closed[-1] + 0.4 / a)
@@ -48,7 +48,7 @@ def l1_table(args):
           f"{'dw rel':>10} {'running mass':>13}")
     running = 0.0
     for s_c, s_g, m_g in zip(closed, scanned, masses):
-        w_c = models.l1_weight(alpha, a, s_c)
+        w_c = oracle.l1_weight(alpha, a, s_c)
         w_g = float(m_g[0, 0].real)
         running += math.pi * (1.0 + s_c * s_c) * w_c
         print(f"{s_c:14.8f} {abs(s_g - s_c):10.2e} {w_c:14.10f} "

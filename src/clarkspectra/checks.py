@@ -3,7 +3,9 @@
 Each check_n function realizes one acceptance criterion and returns a
 CheckResult; run_all executes a subset or all of them. The test suite and
 the command-line verify subcommand both call into this module so there is a
-single source of truth for what "working" means.
+single source of truth for what "working" means. Its references live in
+oracle: the quadrature and direct ODE routines, and the closed forms of
+the rank-one models (k1_density, l1_atoms, l1_weight).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def check_1(seed=0):
     b = livsic.livsic_function(models.l1(1.0))
     worst = 0.0
     for alpha in _L1_COUPLINGS:
-        closed = models.l1_atoms(alpha, 1.0, (-10, 10))
+        closed = oracle.l1_atoms(alpha, 1.0, (-10, 10))
         window = (closed[0] - 0.5, closed[-1] + 0.5)
         found, masses = clark.atom_scan(b, [[alpha]], window)
         if len(found) != len(closed):
@@ -64,13 +66,13 @@ def check_2(seed=0):
     b = livsic.livsic_function(models.l1(1.0))
     worst = 0.0
     for alpha in _L1_COUPLINGS:
-        atoms = np.array(models.l1_atoms(alpha, 1.0, (-10, 10)))
+        atoms = np.array(oracle.l1_atoms(alpha, 1.0, (-10, 10)))
         masses = clark.point_mass(b, [[alpha]], atoms)[:, 0, 0].real
         worst = max(worst, float(np.max(_rel(
-            masses, models.l1_weight(alpha, 1.0, atoms)))))
+            masses, oracle.l1_weight(alpha, 1.0, atoms)))))
     coth = math.cosh(1.0) / math.sinh(1.0)
-    s = np.array(models.l1_atoms(1.0, 1.0, (-10, 10)))
-    off = _rel(models.l1_weight(1.0, 1.0, s),
+    s = np.array(oracle.l1_atoms(1.0, 1.0, (-10, 10)))
+    off = _rel(oracle.l1_weight(1.0, 1.0, s),
                coth / (math.pi * (1.0 + s * s) ** 2)) > 1e-12
     if np.any(off):
         return False, f"closed weight mismatch at s = {s[off][0]:.6f}"
@@ -89,7 +91,7 @@ def check_3(seed=0):
                   if abs(s) <= cut]
         alpha = extensions.alpha_from_bc_regular(
             model, extensions.BoundaryMatrices([[-beta]], [[1.0]]))[0, 0]
-        atoms = [s for s in models.l1_atoms(alpha, 1.0, (-12, 12))
+        atoms = [s for s in oracle.l1_atoms(alpha, 1.0, (-12, 12))
                  if abs(s) <= cut]
         if len(direct) != len(atoms):
             return False, f"count mismatch at arg beta = {2 * j}pi/16"
@@ -100,7 +102,7 @@ def check_3(seed=0):
 def check_4(seed=0):
     """Antiperiodic-free case alpha = -1: weights vs the summable series."""
     s = np.arange(-10000, 10001) * math.pi
-    w = models.l1_weight(-1.0, 1.0, s)
+    w = oracle.l1_weight(-1.0, 1.0, s)
     term = math.tanh(1.0) / (math.pi * (1.0 + s * s) ** 2)
     worst = float(np.max(np.abs(w - term)))
     total_w, total_t = float(np.sum(w)), float(np.sum(term))
@@ -116,11 +118,11 @@ def check_5(seed=0):
     for alpha in (1.0, -1.0, 1j):
         gen = clark.ac_density(b, [[alpha]], on + off)[:, 0, 0]
         for s, rho in zip(on, gen.real):
-            worst = max(worst, _rel(rho, models.k1_density(alpha, s)))
+            worst = max(worst, _rel(rho, oracle.k1_density(alpha, s)))
         for s, rho in zip(off, gen[len(on):]):
             if rho != 0.0:
                 return False, f"density not vanishing at s = {s} (got {rho:.3e})"
-            if models.k1_density(alpha, s) != 0.0:
+            if oracle.k1_density(alpha, s) != 0.0:
                 return False, f"closed density not zero at s = {s}"
     return worst <= 1e-12, f"max relative density deviation {worst:.2e}"
 

@@ -45,18 +45,11 @@ from .errors import ConvergenceError, DimensionError, DomainError, SingularError
 from .livsic import conjugated_schur, transform_alpha
 
 __all__ = [
-    "check_alpha",
     "ac_density",
     "point_mass",
     "atom_scan",
     "conjugation_check",
 ]
-
-
-def check_alpha(alpha, n=None):
-    """The perturbation parameter as an n x n (any square size for n None)
-    unitary, by cplane.check_unitary."""
-    return check_unitary(alpha, n, "perturbation parameter")
 
 
 def _points(s, what):
@@ -139,7 +132,7 @@ def ac_density(b, alpha, s):
     (alpha + B)(alpha - B)^{-1} is formed there; the others get an exact
     zero matrix. SingularError when B is NaN, or alpha - B(s) is singular
     (to rounding) at a point of the essential spectrum."""
-    alpha = check_alpha(alpha, b.n)
+    alpha = check_unitary(alpha, b.n, "perturbation parameter")
     s = _points(s, "density point")
     out = np.zeros(s.shape + alpha.shape, dtype=complex)
     on = s > b.ac_edge
@@ -227,7 +220,7 @@ def point_mass(b, alpha, s):
     not finite or not below ac_edge; SingularError where B or B' is not
     finite; ConvergenceError for an eigenphase at 1 whose velocity is not
     positive."""
-    alpha = check_alpha(alpha, b.n)
+    alpha = check_unitary(alpha, b.n, "perturbation parameter")
     s = _points(s, "atom location")
     atoms = s.reshape(-1)
     if not np.all(atoms < b.ac_edge):
@@ -383,7 +376,7 @@ def atom_scan(b, alpha, window):
     window that is not finite with lo < hi, and from _scan_grid;
     ConvergenceError naming the cell that breaks a count rule, and for a
     failing cell under _SPLIT ulps."""
-    alpha = check_alpha(alpha, b.n)
+    alpha = check_unitary(alpha, b.n, "perturbation parameter")
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"scan window must be finite with lo < hi, got {window!r}")

@@ -38,9 +38,5 @@ class NonUnitaryError(ClarkSpectraError):
     """A parameter that must be unitary is not, beyond tolerance."""
 
 
-class UnsupportedError(ClarkSpectraError):
-    """Requested operation is outside what this implementation covers."""
-
-
 class ToleranceError(ClarkSpectraError):
     """A consistency condition holds only beyond the allowed tolerance."""

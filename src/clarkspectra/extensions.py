@@ -1,4 +1,4 @@
-"""Boundary vectors, the Lagrange bracket, and the boundary-condition maps.
+"""Boundary vectors and the boundary-condition maps.
 
 Self-adjoint extensions of the symmetric models are parameterized two ways:
 by boundary matrices (beta_a | beta_b) acting on the derivative vectors
@@ -16,8 +16,7 @@ interval) are one matrix H of boundary rows (one row per basis element),
 and the systems are products of the boundary matrices with H. One pair of
 maps serves all four models. On the rank-one models the K1 Robin condition
 b f(0) + c f'(0) = 0 is the block [[b, c]] beside an empty one, and the L1
-condition f(a) = beta f(-a) is [[-beta]] | [[1]]; their closed-form atoms,
-weights and densities stay in models as references.
+condition f(a) = beta f(-a) is [[-beta]] | [[1]].
 """
 
 from __future__ import annotations
@@ -29,13 +28,11 @@ import numpy as np
 
 from .cplane import check_unitary
 from .defect import defect_onb
-from .errors import (DimensionError, DomainError, NonUnitaryError, RankError,
-                     UnsupportedError)
+from .errors import DimensionError, DomainError, NonUnitaryError, RankError
 
 __all__ = [
     "canonical_c",
     "hat_vector",
-    "lagrange_bracket",
     "boundary_rows",
     "BoundaryMatrices",
     "validate_sa_matrices",
@@ -60,23 +57,6 @@ def hat_vector(f, n, x):
     rates = np.asarray(rates, dtype=complex)
     powers = rates ** np.arange(n)[:, None]
     return (np.asarray(coeffs, dtype=complex) * np.exp(rates * x)) @ powers.T
-
-
-def lagrange_bracket(f, g, x, n):
-    """Sesquilinear boundary form [f, g](x) of the order-n expression
-    (i d/dx)^n, for (coeffs, rates) pairs f and g of one function each:
-
-        (-1)^{n/2} sum_{r=0}^{n-1} (-1)^{n+1-r}
-            conj(g^(n-r-1)(x)) f^(r)(x).
-
-    UnsupportedError for odd n (the alternating form above pairs the
-    derivatives only when n is even).
-    """
-    if n % 2:
-        raise UnsupportedError("boundary form implemented for even order only")
-    fd, gd = hat_vector(f, n, x), hat_vector(g, n, x)
-    signs = (-1.0) ** (n + 1 - np.arange(n))
-    return (-1.0) ** (n // 2) * complex(np.sum(signs * np.conj(gd[::-1]) * fd))
 
 
 @dataclass

@@ -1,10 +1,17 @@
-"""Independent cross-checks by quadrature and by direct methods from
-ordinary differential equations, with no closed-form inner product and no B
-or B'; the acceptance checks certify their agreement with the analytic
-path. quad_inner integrates (coeffs, rates) sums on Gauss-Legendre panels.
-eigen_mass and eigen_density solve the coupling's boundary condition at s
-for the (generalized) eigenfunction and project the defect basis on it.
-l2_eigenvalues takes the roots of the interval's boundary determinant."""
+"""The references the acceptance checks hold the analytic path against.
+
+Cross-checks by quadrature and by direct methods from ordinary differential
+equations use no closed-form inner product and no B or B'. quad_inner
+integrates (coeffs, rates) sums on Gauss-Legendre panels. eigen_mass and
+eigen_density solve the coupling's boundary condition at s for the
+(generalized) eigenfunction and project the defect basis on it.
+l2_eigenvalues takes the roots of the interval's boundary determinant.
+
+Beside them stand the closed forms of the rank-one models: the
+characteristic functions k1_livsic and l1_livsic, the K1 density
+k1_density, and the L1 atom lattice and weights, l1_atoms and l1_weight.
+No route of the library calls this module; the command line reaches it
+only through verify and checks."""
 
 from __future__ import annotations
 
@@ -14,15 +21,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cplane import check_unitary
+from .cplane import check_unitary, principal_power
 from .defect import defect_onb
-from .errors import DomainError, RankError, ToleranceError
+from .errors import DomainError, RankError, SingularError, ToleranceError
 from .extensions import (BoundaryMatrices, _defect_rows, alpha_from_bc_regular,
                          boundary_rows, validate_sa_matrices)
 from .models import k1
 
 __all__ = ["quad_inner", "eigen_mass", "eigen_density",
-           "l1_eigenvalues_direct", "l2_eigenvalues", "k1_bound_state_check"]
+           "l1_eigenvalues_direct", "l2_eigenvalues", "k1_bound_state_check",
+           "k1_livsic", "l1_livsic", "k1_density", "l1_atoms", "l1_weight"]
 
 
 # Error budget of quad_inner, absolute plus relative per entry; half-line
@@ -227,6 +235,12 @@ def _matrices(p, q, r, t):
     return np.stack([p, q, r, t], -1).reshape(np.shape(p) + (2, 2))
 
 
+def _det(x):
+    """det of a stack of 2 x 2 matrices as p t - q r: no LU, so no division
+    by an entry that underflows at a subnormal s."""
+    return x[..., 0, 0] * x[..., 1, 1] - x[..., 0, 1] * x[..., 1, 0]
+
+
 def _interval_matrix(bm, a, s, far=None):
     """(X, L, R, factor) at the points s for -y'' = s y on (-a, a):
     X = beta_a L + beta_b R, where L and R map the coefficients of a basis
@@ -339,7 +353,7 @@ def l2_eigenvalues(bm, a, window):
     grid = np.sign(u) * u * u
 
     x, _, _, factor = _interval_matrix(bm, a, grid)
-    dets = np.linalg.det(x) * factor
+    dets = _det(x) * factor
     phase = np.conj(dets[np.argmax(np.abs(dets))])
     f = (dets * phase).real
     change = (f[:-1] == 0) | (f[:-1] * f[1:] < 0)
@@ -361,7 +375,7 @@ def l2_eigenvalues(bm, a, window):
         points (sign changes), and the picked entry at the rest (minima)."""
         x, _, _, factor = _interval_matrix(bm, a, s,
                                            np.concatenate([_far(a, s[:n]), far]))
-        return np.concatenate([(np.linalg.det(x[:n]) * factor[:n] * phase).real,
+        return np.concatenate([(_det(x[:n]) * factor[:n] * phase).real,
                                (x[n:].reshape(-1, 4)[pick] * weight).real])
     zero = np.finfo(float).eps * max(1.0, abs(lo), abs(hi))
     roots = _bisect(signed, np.concatenate([grid[:-1][change], left]),
@@ -394,3 +408,145 @@ def k1_bound_state_check(b, c):
         raise DomainError(f"bound state -sigma^2 of sigma = {sigma.real!r} "
                           f"is not a finite float")
     return location, float(eigen_mass(model, alpha, location)[0, 0].real)
+
+
+# ---------------------------------------------------------------------------
+# closed-form characteristic functions
+# ---------------------------------------------------------------------------
+
+def k1_livsic(w):
+    """B(w) = (w - sqrt(2w) + 1)/(w + i) for the half-line -d^2/dx^2.
+
+    Equivalent factored form:
+    (w - i)(sqrt(w) - e^{-i pi/4}) / ((w + i)(sqrt(w) + e^{i pi/4})).
+    """
+    w = complex(w)
+    if w.imag < 0:
+        raise DomainError("characteristic function lives on the closed upper half-plane")
+    return (w - principal_power(2 * w, 0.5) + 1) / (w + 1j)
+
+
+def l1_livsic(w, a):
+    """B(w) = sin((w - i) a)/sin((w + i) a) for i d/dx on (-a, a).
+
+    Implemented as e^{-2a} expm1(2ia(w - i))/expm1(2ia(w + i)), the
+    numerator as -e^{2iaw} expm1(-2ia(w - i)) below Im w = 1, so that no
+    exponent has a positive real part on the closed upper half-plane, and
+    expm1 keeps the digits of short intervals.
+    """
+    w = complex(w)
+    if w.imag < 0:
+        raise DomainError("characteristic function lives on the closed upper half-plane")
+    a = float(a)
+    z = 2j * a * (w - 1j)
+    num = (math.exp(-2 * a) * np.expm1(z) if w.imag >= 1.0
+           else -np.exp(2j * a * w) * np.expm1(-z))
+    return complex(num / np.expm1(2j * a * (w + 1j)))
+
+
+# ---------------------------------------------------------------------------
+# closed-form densities
+# ---------------------------------------------------------------------------
+
+def k1_density(alpha, s):
+    """AC density of the K1 spectral measure at s, in closed form.
+
+    Vanishes for s <= 0. For s > 0, with x = Re alpha, y = Im alpha and
+    t = sqrt(2s):
+
+        rho(s) = 2 t / (pi (s + 1 + t) D(s)),
+        D(s) = |(alpha - 1) s + t + (i alpha - 1)|^2
+             = 2(1-x) s^2 + 2^{3/2}(x-1) s^{3/2} + (4 - 2x + 2y) s
+               - 2^{3/2}(y+1) sqrt(s) + (2 + 2y).
+    """
+    alpha = complex(check_unitary(alpha, 1, "coupling")[0, 0])
+    s = float(s)
+    if s <= 0:
+        return 0.0
+    x, y = alpha.real, alpha.imag
+    rt = math.sqrt(s)
+    t = math.sqrt(2.0 * s)
+    d = (2 * (1 - x) * s * s
+         + 2 ** 1.5 * (x - 1) * s * rt
+         + (4 - 2 * x + 2 * y) * s
+         - 2 ** 1.5 * (y + 1) * rt
+         + (2 + 2 * y))
+    if d <= 0:
+        # D is a squared modulus; a non-positive value only happens at an
+        # embedded zero of (alpha - B), i.e. an atom boundary case
+        raise SingularError(f"closed-form denominator vanished at s = {s}")
+    return 2 * t / (math.pi * (s + 1 + t) * d)
+
+
+# ---------------------------------------------------------------------------
+# interval atoms: the L1 lattice and weights
+# ---------------------------------------------------------------------------
+
+def l1_atoms(alpha, a, n_range):
+    """Atom locations of the L1 measure: s_n = s_0 + n pi / a for n in the
+    closed index range n_range = (lo, hi).
+
+    The base point solves B(s) conj(alpha) = 1. Writing alpha = e^{i theta},
+    i tanh(a) (conj(alpha)+1)/(conj(alpha)-1) = -tanh(a) cot(theta/2) is real
+    for unimodular alpha, and s_0 = arctan of it divided by a. Evaluation
+    goes through the half-angle so couplings near 1 do not cancel. alpha = 1
+    is the degenerate case arctan(inf), handled as s_0 = pi/(2a) whenever
+    tan(theta/2) underflows to zero; alpha = -1 gives s_0 = 0. A residual
+    check of the atom equation at s_0 guards the computed base point.
+    DomainError where the spacing pi/a, the length 2a or a lattice point is
+    not a finite float.
+    """
+    alpha = complex(check_unitary(alpha, 1, "coupling")[0, 0])
+    a = float(a)
+    if a <= 0:
+        raise DomainError("interval half-length must be positive")
+    theta = cmath.phase(alpha)
+    half_tan = math.tan(theta / 2.0)
+    if abs(abs(theta) - math.pi) < 1e-15:
+        s0 = 0.0
+    elif half_tan == 0.0:
+        s0 = math.pi / (2 * a)
+    else:
+        s0 = math.atan(-math.tanh(a) / half_tan) / a
+    lo, hi = n_range
+    locs = sorted(s0 + n * math.pi / a for n in range(int(lo), int(hi) + 1))
+    if not all(map(math.isfinite, (math.pi / a, 2.0 * a, *locs))):
+        raise DomainError(f"L1 atom lattice is out of float range at a = {a!r}")
+    resid = abs(l1_livsic(s0, a) * alpha.conjugate() - 1.0)
+    if resid > 1e-6:
+        raise ToleranceError(
+            f"atom equation residual {resid:.3e} at base point s_0 = {s0!r}")
+    return locs
+
+
+def l1_weight(alpha, a, s):
+    """Mass of the L1 atom at s, a point or an array of points:
+
+        mu({s}) = 2 (sinh^2 a + sin^2 s_0 a) / (a pi sinh(2a) (1 + s^2)^2),
+
+    which is (cosh 2a - cos 2sa) / (...) without its cancellation on short
+    intervals, as cos 2sa = cos 2 s_0 a on the lattice s_0 + n pi / a.
+    A float for a point, an array of the shape of s otherwise; the base
+    point s_0 is computed once per call. DomainError when any point is
+    farther than 1e-8 from the atom lattice of alpha, and when a weight is
+    not finite (a sinh(2a) underflows or sinh(2a) overflows). At alpha = -1
+    this reduces to tanh(a)/(a pi (1+s^2)^2) on s = n pi / a, at alpha = +1
+    to coth(a)/(a pi (1+s^2)^2) on the shifted lattice.
+    """
+    alpha = complex(check_unitary(alpha, 1, "coupling")[0, 0])
+    a = float(a)
+    pts = np.asarray(s, dtype=float)
+    base = l1_atoms(alpha, a, (0, 0))[0]
+    nearest = base + np.round((pts - base) / (math.pi / a)) * math.pi / a
+    off = ~(np.abs(pts - nearest) <= 1e-8)
+    if np.any(off):
+        i = np.flatnonzero(off.reshape(-1))[0]
+        raise DomainError(
+            f"s = {float(pts.reshape(-1)[i])!r} is not an atom of the coupling "
+            f"(nearest atom {float(nearest.reshape(-1)[i])!r})")
+    with np.errstate(all="ignore"):
+        weight = 2.0 * (np.sinh(a) ** 2 + math.sin(base * a) ** 2) / (
+            a * math.pi * np.sinh(2 * a) * (1.0 + pts * pts) ** 2)
+    if not np.all(np.isfinite(weight)):
+        raise DomainError(f"L1 weight at a = {a!r} is not finite")
+    return float(weight) if weight.ndim == 0 else weight

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clarkspectra import clark, extensions, livsic, models
+from clarkspectra import clark, extensions, livsic, models, oracle
 from clarkspectra.cplane import random_unitary
 from clarkspectra.errors import (ConvergenceError, DimensionError, DomainError,
-                                 NonUnitaryError, SingularError)
+                                 SingularError)
 
 
 def _robin(sigma):
@@ -29,22 +29,11 @@ def b_l1():
     return livsic.livsic_function(models.l1(1.0))
 
 
-def test_check_alpha_guards():
-    with pytest.raises(NonUnitaryError):
-        clark.check_alpha([[0.5]], 1)
-    with pytest.raises(NonUnitaryError):
-        clark.check_alpha([[np.nan]], 1)
-    with pytest.raises(DimensionError):
-        clark.check_alpha(np.eye(2), 1)
-    out = clark.check_alpha(1j * np.eye(2), 2)
-    assert out.shape == (2, 2)
-
-
 def test_ac_density_matches_closed_scalar(b_k1):
     for alpha in (1.0, -1.0, 1j):
         for s in (0.5, 2.0, 10.0):
             got = clark.ac_density(b_k1, [[alpha]], s)[0, 0].real
-            ref = models.k1_density(alpha, s)
+            ref = oracle.k1_density(alpha, s)
             assert got == pytest.approx(ref, rel=1e-12)
     # hand-derived anchor: rho(1) = sqrt(2)/(6 pi) at alpha = -1
     val = clark.ac_density(b_k1, [[-1.0]], 1.0)[0, 0].real
@@ -58,7 +47,7 @@ def test_k1_ac_density_matches_closed_form_property(s, phase):
     b = livsic.livsic_function(models.k1())
     alpha = complex(math.cos(phase), math.sin(phase))
     got = clark.ac_density(b, [[alpha]], s)[0, 0]
-    ref = models.k1_density(alpha, s)
+    ref = oracle.k1_density(alpha, s)
     assert abs(got - ref) <= 1e-12 * ref
 
 
@@ -78,7 +67,7 @@ def test_ac_density_rejects_non_finite_points(b_k1, b_l1):
 def test_point_mass_on_and_off_atoms(b_l1):
     s0 = math.pi / 2  # alpha = 1 atom
     mass = clark.point_mass(b_l1, [[1.0]], s0)[0, 0].real
-    ref = models.l1_weight(1.0, 1.0, s0)
+    ref = oracle.l1_weight(1.0, 1.0, s0)
     assert mass == pytest.approx(ref, rel=1e-6)
     off = clark.point_mass(b_l1, [[1.0]], 0.7)[0, 0]
     assert abs(off) < 1e-9
@@ -109,6 +98,22 @@ def test_k2_density_is_hermitian_psd_next_to_the_branch_point():
     rho = clark.ac_density(b, np.eye(2), [1e-70, 1e-40, 1e-30])
     assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
     assert np.min(np.linalg.eigvalsh(rho)) >= -1e-15
+
+
+def test_k2_density_has_spectral_multiplicity_one():
+    # K2's ac spectrum is simple: B(s) has one singular value 1 on s > 0
+    # (I - B* B has rank one) and the other below 1, so the density
+    # (alpha* - B*)^{-1} (I - B* B) (alpha - B)^{-1} / (pi (1 + s^2)) has
+    # rank one for every coupling
+    b = livsic.livsic_function(models.k2())
+    s = np.logspace(-6, 8, 57)
+    sv = np.linalg.svd(b(s), compute_uv=False)
+    assert np.max(np.abs(sv[:, 0] - 1.0)) <= 1e-14
+    assert np.all(sv[:, 1] < 1.0)
+    rng = np.random.default_rng(31)
+    for alpha in (random_unitary(2, rng) for _ in range(20)):
+        lam = np.linalg.eigvalsh(clark.ac_density(b, alpha, s))
+        assert np.all(np.abs(lam[:, 0]) <= 1e-12 * lam[:, 1])
 
 
 def _sandwich(b, alpha, s):
@@ -157,11 +162,11 @@ def test_density_refuses_a_singular_alpha_minus_b():
 
 def test_point_mass_array_and_refusals(b_k1, b_l1):
     # alpha = 1 on L1: atoms at pi/2 + n pi
-    atoms = models.l1_atoms(1.0, 1.0, (-2, 2))
+    atoms = oracle.l1_atoms(1.0, 1.0, (-2, 2))
     masses = clark.point_mass(b_l1, [[1.0]], atoms)
     assert masses.shape == (5, 1, 1)
     for s, m in zip(atoms, masses):
-        assert m[0, 0].real == pytest.approx(models.l1_weight(1.0, 1.0, s),
+        assert m[0, 0].real == pytest.approx(oracle.l1_weight(1.0, 1.0, s),
                                              rel=1e-13)
     assert clark.point_mass(b_l1, [[1.0]], []).shape == (0, 1, 1)
     # not finite, on the essential spectrum
@@ -181,7 +186,7 @@ def test_point_mass_is_zero_next_to_an_atom(b_l1):
     # an array mixes the atom and a point next to it
     masses = clark.point_mass(b_l1, [[1.0]], [math.pi / 2, math.pi / 2 + 0.1])
     assert masses[0, 0, 0].real == pytest.approx(
-        models.l1_weight(1.0, 1.0, math.pi / 2), rel=1e-13)
+        oracle.l1_weight(1.0, 1.0, math.pi / 2), rel=1e-13)
     assert masses[1, 0, 0] == 0.0
 
 
@@ -517,7 +522,7 @@ def test_atoms_on_the_window_ends_are_inside():
     locs, masses = clark.atom_scan(b, _robin(1.0), (-1.0, 0.5))
     assert locs == pytest.approx([-1.0], rel=1e-12)
     assert masses[0, 0, 0].real == pytest.approx(0.1318482719, rel=1e-9)
-    lattice = models.l1_atoms(1j, 1.0, (-2, 1))
+    lattice = oracle.l1_atoms(1j, 1.0, (-2, 1))
     locs, _ = clark.atom_scan(livsic.livsic_function(models.l1(1.0)), [[1j]],
                               (lattice[0], lattice[-1]))
     assert locs == pytest.approx(lattice, rel=1e-12)

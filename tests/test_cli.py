@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from clarkspectra import clark, livsic, models
+from clarkspectra import clark, livsic, models, oracle
 from clarkspectra.cli import main, parse_complex, parse_matrix
 
 
@@ -46,7 +46,7 @@ def test_density_csv_matches_closed_form(capsys):
     assert lines[0] == "s,re_r1c1,im_r1c1"
     s, re_v, im_v = (float(t) for t in lines[1].split(","))
     assert s == 1.0
-    assert re_v == pytest.approx(models.k1_density(-1.0, 1.0), rel=1e-6)
+    assert re_v == pytest.approx(oracle.k1_density(-1.0, 1.0), rel=1e-6)
     assert re_v == pytest.approx(math.sqrt(2.0) / (6.0 * math.pi), rel=1e-6)
     assert abs(im_v) < 1e-12
 
@@ -230,7 +230,7 @@ def test_atoms_l1_lattice_route(capsys):
     assert locs == pytest.approx([-math.pi / 2, math.pi / 2, 3 * math.pi / 2],
                                  rel=1e-15)
     for s, w in rows:
-        assert w == pytest.approx(models.l1_weight(1.0, 1.0, s), rel=1e-12)
+        assert w == pytest.approx(oracle.l1_weight(1.0, 1.0, s), rel=1e-12)
 
 
 def test_atoms_l1_lattice_route_on_short_and_long_intervals(capsys):

@@ -99,3 +99,56 @@ def test_livsic_is_b_alone():
              for alias in node.names]
     assert "conjugated_schur" in names
     assert [n for n in names if n.startswith("_")] == []
+
+
+ROUTE = ["cplane", "defect", "models", "livsic", "clark", "extensions"]
+CLOSED_FORMS = ["k1_livsic", "l1_livsic", "k1_density", "l1_atoms", "l1_weight"]
+
+
+def _package_imports(name):
+    """The package modules that clarkspectra.<name> imports, by its AST,
+    whether relative (from . import x, from .x import y) or absolute."""
+    path = Path(clarkspectra.__file__).parent / f"{name}.py"
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            parent = "clarkspectra" if node.level else ""
+            dotted = ".".join(filter(None, (parent, node.module)))
+            found.update(alias.name for alias in node.names
+                         if dotted == "clarkspectra")
+            paths = [dotted]
+        elif isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        else:
+            continue
+        found.update(p.split(".")[1] for p in paths
+                     if p.startswith("clarkspectra."))
+    return found
+
+
+@pytest.mark.parametrize("name", ROUTE)
+def test_route_imports_no_reference(name):
+    # the route from B to the measure stands apart from the references
+    # that check it (oracle) and from the battery (checks)
+    assert not _package_imports(name) & {"oracle", "checks"}
+
+
+def test_cli_reaches_the_references_only_through_checks():
+    imports = _package_imports("cli")
+    assert "checks" in imports and "oracle" not in imports
+
+
+def test_closed_forms_are_references():
+    from clarkspectra import models, oracle
+    for name in CLOSED_FORMS:
+        assert not hasattr(models, name), name
+        assert name in oracle.__all__ and name in clarkspectra.__all__, name
+        assert getattr(clarkspectra, name) is getattr(oracle, name)
+
+
+def test_test_only_names_are_gone():
+    from clarkspectra import clark, errors, extensions
+    for mod, name in ((extensions, "lagrange_bracket"),
+                      (errors, "UnsupportedError"), (clark, "check_alpha")):
+        assert not hasattr(mod, name), name
+        assert name not in clarkspectra.__all__, name

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clarkspectra import clark, cli, extensions, livsic, models
+from clarkspectra import clark, cli, extensions, livsic, models, oracle
 from clarkspectra.cplane import random_unitary
 from clarkspectra.errors import ClarkSpectraError
 
@@ -136,7 +136,7 @@ def test_atoms_l1_lattice_json_is_json_dumps_of_the_document():
                                        alpha, window)
         assert len(locs) == count
         if a == 1.3:
-            lattice = models.l1_atoms(alpha[0, 0], a, (-3, 5))
+            lattice = oracle.l1_atoms(alpha[0, 0], a, (-3, 5))
             assert locs == pytest.approx(
                 [s for s in lattice if window[0] < s < window[1]], rel=1e-14)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clarkspectra import clark, livsic, models
+from clarkspectra import clark, livsic, models, oracle
 from clarkspectra.cplane import random_unitary
 from clarkspectra.errors import DomainError, NonUnitaryError
 
@@ -61,7 +61,7 @@ def test_k1_livsic_closed_identities():
     # gamma(w) (sqrt(w) - e^{-i pi/4})/(sqrt(w) + e^{i pi/4})
     from clarkspectra.cplane import principal_power
     for w in (0.5 + 0.2j, 2.0 + 1.0j, -1.0 + 0.5j, 3.0 + 0.0j):
-        got = models.k1_livsic(w)
+        got = oracle.k1_livsic(w)
         root = principal_power(w, 0.5)
         ref = (w - math.sqrt(2) * root + 1) / (w + 1j)
         factored = ((w - 1j) / (w + 1j)) * (
@@ -69,37 +69,36 @@ def test_k1_livsic_closed_identities():
             / (root + cmath.exp(1j * math.pi / 4)))
         assert got == pytest.approx(ref)
         assert got == pytest.approx(factored)
-    assert abs(models.k1_livsic(1j)) < 1e-15
+    assert abs(oracle.k1_livsic(1j)) < 1e-15
 
 
 def test_k1_density_spot_value_and_support():
     ref = math.sqrt(2) / (6 * math.pi)
-    assert models.k1_density(-1.0, 1.0) == pytest.approx(ref, rel=1e-14)
-    assert models.k1_density(1.0, -2.0) == 0.0
-    assert models.k1_density(1j, 0.0) == 0.0
+    assert oracle.k1_density(-1.0, 1.0) == pytest.approx(ref, rel=1e-14)
+    assert oracle.k1_density(1.0, -2.0) == 0.0
+    assert oracle.k1_density(1j, 0.0) == 0.0
     with pytest.raises(NonUnitaryError):
-        models.k1_density(0.5, 1.0)
+        oracle.k1_density(0.5, 1.0)
 
 
 @given(phases, st.floats(min_value=0.01, max_value=50.0, allow_nan=False))
 @settings(max_examples=60, deadline=None)
 def test_k1_density_nonnegative(theta, s):
     alpha = cmath.exp(1j * theta)
-    assert models.k1_density(alpha, s) >= 0.0
+    assert oracle.k1_density(alpha, s) >= 0.0
 
 
 def test_k1_density_total_mass():
     # Herglotz normalization: int rho ds + sum pi (1+s^2) mu({s}) = 1.
     # alpha = 1 puts no mass below zero; alpha = -1 has an atom at -1/2.
     from scipy.integrate import quad
-    from clarkspectra.oracle import k1_bound_state_check
-    val, err = quad(lambda s: models.k1_density(1.0, s), 0.0, np.inf,
+    val, err = quad(lambda s: oracle.k1_density(1.0, s), 0.0, np.inf,
                     limit=400)
     assert err < 1e-7
     assert val == pytest.approx(1.0, abs=1e-7)
-    val2, _ = quad(lambda s: models.k1_density(-1.0, s), 0.0, np.inf,
+    val2, _ = quad(lambda s: oracle.k1_density(-1.0, s), 0.0, np.inf,
                    limit=400)
-    loc, mass = k1_bound_state_check(1.0, math.sqrt(2.0))
+    loc, mass = oracle.k1_bound_state_check(1.0, math.sqrt(2.0))
     assert loc == pytest.approx(-0.5, abs=1e-12)
     total = val2 + math.pi * (1 + loc * loc) * mass
     assert total == pytest.approx(1.0, abs=1e-7)
@@ -135,23 +134,23 @@ def test_k2_density_total_mass_trace():
 
 
 def test_l1_atoms_lattice_structure():
-    locs = models.l1_atoms(1.0, 1.0, (-2, 2))
+    locs = oracle.l1_atoms(1.0, 1.0, (-2, 2))
     assert locs == pytest.approx([(-2 + 0.5) * math.pi, -0.5 * math.pi,
                                   0.5 * math.pi, 1.5 * math.pi, 2.5 * math.pi])
-    pair = models.l1_atoms(1.0, 1.0, (-1, 0))
+    pair = oracle.l1_atoms(1.0, 1.0, (-1, 0))
     assert pair == pytest.approx([-0.5 * math.pi, 0.5 * math.pi])
-    base = models.l1_atoms(-1.0, 2.0, (0, 0))
+    base = oracle.l1_atoms(-1.0, 2.0, (0, 0))
     assert base == pytest.approx([0.0])
     with pytest.raises(NonUnitaryError):
-        models.l1_atoms(2.0, 1.0, (-1, 1))
+        oracle.l1_atoms(2.0, 1.0, (-1, 1))
 
 
 @given(phases, lengths, st.integers(min_value=-6, max_value=6))
 @settings(max_examples=60, deadline=None)
 def test_l1_weight_nonnegative_on_lattice(theta, a, n):
     alpha = cmath.exp(1j * theta)
-    s = models.l1_atoms(alpha, a, (n, n))[0]
-    w = models.l1_weight(alpha, a, s)
+    s = oracle.l1_atoms(alpha, a, (n, n))[0]
+    w = oracle.l1_weight(alpha, a, s)
     assert w > 0
 
 
@@ -160,17 +159,17 @@ def test_l1_weight_closed_values_and_off_lattice_guard():
     s = math.pi / 2
     ref = (math.cosh(2 * a) - math.cos(2 * s * a)) / (
         a * math.pi * math.sinh(2 * a) * (1 + s * s) ** 2)
-    assert models.l1_weight(1.0, a, s) == pytest.approx(ref, rel=1e-14)
-    assert models.l1_weight(1.0, a, s) == pytest.approx(
+    assert oracle.l1_weight(1.0, a, s) == pytest.approx(ref, rel=1e-14)
+    assert oracle.l1_weight(1.0, a, s) == pytest.approx(
         math.cosh(a) / math.sinh(a) / (math.pi * (1 + s * s) ** 2), rel=1e-12)
-    assert models.l1_weight(-1.0, a, 0.0) == pytest.approx(
+    assert oracle.l1_weight(-1.0, a, 0.0) == pytest.approx(
         math.tanh(a) / (a * math.pi), rel=1e-12)
     with pytest.raises(DomainError):
-        models.l1_weight(1.0, a, 0.3)
+        oracle.l1_weight(1.0, a, 0.3)
     # at a = 1e-300, a sinh(2a) underflows: a typed refusal, not NaN
-    atom = models.l1_atoms(1.0, 1e-300, (0, 0))[0]
+    atom = oracle.l1_atoms(1.0, 1e-300, (0, 0))[0]
     with pytest.raises(DomainError, match="not finite"):
-        models.l1_weight(1.0, 1e-300, atom)
+        oracle.l1_weight(1.0, 1e-300, atom)
 
 
 def test_l1_closed_forms_keep_their_digits_on_short_and_long_intervals():
@@ -180,16 +179,16 @@ def test_l1_closed_forms_keep_their_digits_on_short_and_long_intervals():
     a = 1e-12
     b = livsic.livsic_function(models.l1(a))
     for w in (-2.0, 0.5, 3.0 + 0.2j, 1j, 2.0 + 5.0j):
-        assert abs(models.l1_livsic(w, a) - b(w)[0, 0]) <= 1e-15
+        assert abs(oracle.l1_livsic(w, a) - b(w)[0, 0]) <= 1e-15
     for w in (-2.0, 0.3):
-        assert abs(models.l1_livsic(w, 400.0)) == pytest.approx(1.0, abs=1e-15)
+        assert abs(oracle.l1_livsic(w, 400.0)) == pytest.approx(1.0, abs=1e-15)
     # the weight as 2 (sinh^2 a + sin^2 s_0 a) has no cancellation: at
     # alpha = -1 it is tanh(a)/(a pi (1 + s^2)^2) on s = n pi / a
     for a in (1e-4, 1e-8):
         for n in range(-2, 3):
             s = n * math.pi / a
             ref = math.tanh(a) / (a * math.pi * (1.0 + s * s) ** 2)
-            assert models.l1_weight(-1.0, a, s) == pytest.approx(ref, rel=1e-14)
+            assert oracle.l1_weight(-1.0, a, s) == pytest.approx(ref, rel=1e-14)
 
 
 @given(phases, lengths)
@@ -198,19 +197,19 @@ def test_l1_weight_array_matches_points(theta, a):
     # one call on the lattice array gives the pointwise values; one point
     # off the lattice refuses the whole array
     alpha = cmath.exp(1j * theta)
-    atoms = np.array(models.l1_atoms(alpha, a, (-40, 40)))
-    weights = models.l1_weight(alpha, a, atoms)
+    atoms = np.array(oracle.l1_atoms(alpha, a, (-40, 40)))
+    weights = oracle.l1_weight(alpha, a, atoms)
     assert weights.shape == atoms.shape
     for s, w in zip(atoms, weights):
-        point = models.l1_weight(alpha, a, s)
+        point = oracle.l1_weight(alpha, a, s)
         assert type(point) is float
         assert abs(point - w) <= 1e-15 * abs(point)
-    grid = models.l1_weight(alpha, a, atoms.reshape(9, 9))
+    grid = oracle.l1_weight(alpha, a, atoms.reshape(9, 9))
     assert np.array_equal(grid.reshape(-1), weights)
     with pytest.raises(DomainError):
-        models.l1_weight(alpha, a, np.append(atoms, atoms[-1] + 0.5 / a))
+        oracle.l1_weight(alpha, a, np.append(atoms, atoms[-1] + 0.5 / a))
     with pytest.raises(DomainError):
-        models.l1_weight(alpha, a, [atoms[0], math.nan])
+        oracle.l1_weight(alpha, a, [atoms[0], math.nan])
 
 
 @given(phases, lengths)
@@ -218,21 +217,21 @@ def test_l1_weight_array_matches_points(theta, a):
 def test_l1_total_mass_partial_sums(theta, a):
     # sum of pi (1 + s^2) mu({s}) over the lattice approaches 1 from below
     alpha = cmath.exp(1j * theta)
-    total = sum(math.pi * (1 + s * s) * models.l1_weight(alpha, a, s)
-                for s in models.l1_atoms(alpha, a, (-300, 300)))
+    total = sum(math.pi * (1 + s * s) * oracle.l1_weight(alpha, a, s)
+                for s in oracle.l1_atoms(alpha, a, (-300, 300)))
     assert total < 1.0 + 1e-12
     assert total > 0.95
 
 
 def test_atom_scan_recovers_l1_lattice():
     b = livsic.livsic_function(models.l1(1.0))
-    closed = models.l1_atoms(1j, 1.0, (-2, 2))
+    closed = oracle.l1_atoms(1j, 1.0, (-2, 2))
     found, masses = clark.atom_scan(b, [[1j]],
                                     (closed[0] - 0.4, closed[-1] + 0.4))
     assert len(found) == len(closed)
     assert max(abs(f - c) for f, c in zip(found, closed)) < 1e-12
     for s, m in zip(closed, masses):
-        assert m[0, 0].real == pytest.approx(models.l1_weight(1j, 1.0, s),
+        assert m[0, 0].real == pytest.approx(oracle.l1_weight(1j, 1.0, s),
                                              rel=1e-12)
 
 

@@ -240,7 +240,7 @@ def test_l1_direct_matches_mapped_atoms():
         alpha = extensions.alpha_from_bc_regular(
             models.l1(a), extensions.BoundaryMatrices([[-beta]], [[1.0]]))[0, 0]
         direct = oracle.l1_eigenvalues_direct(beta, a, (-3, 3))
-        mapped = models.l1_atoms(alpha, a, (-4, 4))
+        mapped = oracle.l1_atoms(alpha, a, (-4, 4))
         for s in direct:
             assert min(abs(s - t) for t in mapped) < 1e-10
 
@@ -284,6 +284,21 @@ def test_l2_eigenvalues_periodic_doubles():
     # a double root on the window's last cell is still seen
     assert oracle.l2_eigenvalues(PERIODIC, 1.0, (1.0, 40.0)) == \
         pytest.approx([pi2, pi2, 4 * pi2, 4 * pi2], rel=1e-14)
+
+
+def test_l2_eigenvalues_root_at_zero_is_silent():
+    # Neumann and periodic conditions have a simple root at 0, where the
+    # root search walks one bracket end to a subnormal s; the determinant
+    # there is p t - q r, with no division (warnings are errors here); the
+    # root at 0 holds to 1e-13 on (-5, 5), where the gaps are at least 0.09
+    neumann = extensions.BoundaryMatrices([[0, 1], [0, 0]], [[0, 0], [0, 1]])
+    for bm in (neumann, PERIODIC):
+        vals = oracle.l2_eigenvalues(bm, 0.3, (-1, 1))
+        assert len(vals) == 1 and abs(vals[0]) < 1e-14
+        for a in (0.05, 0.1, 0.3, 1.0, 2.0, 5.0):
+            for window in ((-1, 1), (-5, 50), (-0.5, 200)):
+                vals = oracle.l2_eigenvalues(bm, a, window)
+                assert abs(vals[0]) < 1e-13, (a, window)
 
 
 @pytest.mark.parametrize("theta", [0.3, 2.0, -1.2])
@@ -521,16 +536,16 @@ def test_window_end_between_two_close_atoms(model, seed, below, frac):
 
 @pytest.mark.parametrize("alpha", [1.0, -1.0, np.exp(0.7j)])
 def test_eigen_mass_matches_the_l1_weights(alpha):
-    for s in models.l1_atoms(alpha, 1.3, (-3, 3)):
+    for s in oracle.l1_atoms(alpha, 1.3, (-3, 3)):
         val = oracle.eigen_mass(models.l1(1.3), [[alpha]], s)
-        assert val[0, 0] == pytest.approx(models.l1_weight(alpha, 1.3, s),
+        assert val[0, 0] == pytest.approx(oracle.l1_weight(alpha, 1.3, s),
                                           rel=1e-13)
 
 
 @pytest.mark.parametrize("alpha", [1.0, -1.0, 1j, np.exp(2.5j)])
 def test_eigen_density_matches_the_k1_closed_form(alpha):
     for s in np.logspace(-3, 2, 7):
-        ref = models.k1_density(alpha, s)
+        ref = oracle.k1_density(alpha, s)
         val = oracle.eigen_density(models.k1(), [[alpha]], s)
         assert val[0, 0] == pytest.approx(ref, rel=1e-12)
 

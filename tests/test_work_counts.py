@@ -64,8 +64,8 @@ def test_density_grid_is_one_call():
 
 def test_density_request_validates_alpha_once(monkeypatch, capsys):
     seen = []
-    check = clark.check_alpha
-    monkeypatch.setattr(clark, "check_alpha",
+    check = clark.check_unitary
+    monkeypatch.setattr(clark, "check_unitary",
                         lambda *a, **k: seen.append(1) or check(*a, **k))
     assert cli.main(["density", "--model", "k2", "--alpha", "[[1,0],[0,1]]",
                      "--grid", "0.1:5:200"]) == 0
@@ -76,7 +76,7 @@ def test_density_request_validates_alpha_once(monkeypatch, capsys):
 def test_residue_evaluation_counts():
     # one point of B and B' per atom, all atoms of a call in one call of B
     b = CountingB(models.l1(1.0))
-    atoms = models.l1_atoms(1.0, 1.0, (-3, 3))
+    atoms = oracle.l1_atoms(1.0, 1.0, (-3, 3))
     clark.point_mass(b, [[1.0]], atoms)
     assert (b.calls, b.points) == (1, len(atoms))
 
@@ -214,8 +214,8 @@ def test_criterion_2_weight_calls(monkeypatch):
     # one closed-weight call per coupling on its array of atoms (4) and one
     # for the coth comparison
     calls = []
-    l1_weight = models.l1_weight
-    monkeypatch.setattr(models, "l1_weight",
+    l1_weight = oracle.l1_weight
+    monkeypatch.setattr(oracle, "l1_weight",
                         lambda *a, **k: calls.append(1) or l1_weight(*a, **k))
     results = checks.run_all(seed=0, numbers={2})
     assert all(r.passed for r in results)
